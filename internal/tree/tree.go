@@ -296,13 +296,19 @@ func axisOffsets(periodic bool, c, r, lo, L float64) []float64 {
 // search walks node ni for particles within r of center; off is the image
 // offset already applied to center (recorded into Hit.DR so displacements are
 // minimum-image).
+//
+// Cells are pruned by their distance from center clamped into the root cell
+// along the open axes. A particle outside a forced box is stored in the cell
+// its clamped position falls in, and clamping brings two points no further
+// apart, so the cell of every particle within the ball is within the ball's
+// radius of the clamped center: the search stays exact for particles that
+// have left the box, from centers inside or outside it.
 func (t *Tree) search(ni int, center vec.V3, r, r2 float64, off vec.V3, out []Hit) []Hit {
 	nd := &t.Nodes[ni]
 	if nd.Count == 0 {
 		return out
 	}
-	// Distance from center to the node cube.
-	if cubeDist2(nd.Center, nd.Half, center) > r2 {
+	if cubeDist2(nd.Center, nd.Half, t.clampOpen(center)) > r2 {
 		return out
 	}
 	if nd.IsLeaf() {
@@ -320,6 +326,21 @@ func (t *Tree) search(ni int, center vec.V3, r, r2 float64, off vec.V3, out []Hi
 		out = t.search(int(c), center, r, r2, off, out)
 	}
 	return out
+}
+
+// clampOpen returns c moved into the root cell along the open axes.
+func (t *Tree) clampOpen(c vec.V3) vec.V3 {
+	top := t.Box.Lo.Add(vec.V3{X: t.Box.Size, Y: t.Box.Size, Z: t.Box.Size})
+	if !t.pbc.X {
+		c.X = math.Min(math.Max(c.X, t.Box.Lo.X), top.X)
+	}
+	if !t.pbc.Y {
+		c.Y = math.Min(math.Max(c.Y, t.Box.Lo.Y), top.Y)
+	}
+	if !t.pbc.Z {
+		c.Z = math.Min(math.Max(c.Z, t.Box.Lo.Z), top.Z)
+	}
+	return c
 }
 
 // cubeDist2 returns the squared distance from p to the cube (center, half).

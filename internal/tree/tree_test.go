@@ -3,6 +3,7 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -321,6 +322,78 @@ func TestHitsCompleteness(t *testing.T) {
 			t.Fatalf("duplicate hit for particle %d", hits[i].Idx)
 		}
 	}
+}
+
+// TestBallSearchProperties checks, on random clouds under every boundary
+// kind, the two properties sph's neighbor search is built on: BallSearch
+// finds exactly the brute-force hits, and the hits of a wider walk filtered
+// by distance are the hits of the narrower walk in the same order. The clouds
+// include coincident points, points on the faces of the box and — along open
+// axes, where a forced box does not confine them — points outside it.
+func TestBallSearchProperties(t *testing.T) {
+	box := sfc.Box{Lo: vec.V3{}, Size: 1}
+	one := vec.V3{X: 1, Y: 1, Z: 1}
+	for name, pbc := range map[string]PBC{
+		"open":       {},
+		"z-periodic": {Z: true, L: one},
+		"periodic":   {X: true, Y: true, Z: true, L: one},
+	} {
+		rng := rand.New(rand.NewSource(21))
+		pos := randomPositions(600, rng)
+		for i := 0; i < 60; i++ {
+			p := &pos[rng.Intn(len(pos))]
+			axis := rng.Intn(3)
+			coord := [3]*float64{&p.X, &p.Y, &p.Z}[axis]
+			face := float64(rng.Intn(2))
+			switch i % 3 {
+			case 0: // on a face
+				*coord = face
+			case 1: // coincident with another point
+				*p = pos[rng.Intn(len(pos))]
+			case 2: // outside the box along an open axis
+				if periodic := [3]bool{pbc.X, pbc.Y, pbc.Z}; !periodic[axis] {
+					*coord = face + (2*face-1)*0.3*rng.Float64()
+				}
+			}
+		}
+		for _, opt := range []Options{{PBC: pbc, Box: box, LeafCap: 4}, {PBC: pbc, Box: box}} {
+			tr := Build(pos, opt)
+			for trial := 0; trial < 200; trial++ {
+				c := pos[rng.Intn(len(pos))]
+				if trial%4 == 0 {
+					c = vec.V3{X: 1.6*rng.Float64() - 0.3, Y: 1.6*rng.Float64() - 0.3, Z: 1.6*rng.Float64() - 0.3}
+					c = pbc.Wrap(c.Sub(vec.V3{X: 0.5, Y: 0.5, Z: 0.5})).Add(vec.V3{X: 0.5, Y: 0.5, Z: 0.5})
+				}
+				r := 0.02 + 0.28*rng.Float64()
+				narrow := tr.BallSearch(c, r, nil)
+
+				var filtered []Hit
+				for _, h := range tr.BallSearch(c, 1.25*r, nil) {
+					if h.Dist2 <= r*r {
+						filtered = append(filtered, h)
+					}
+				}
+				if !slices.Equal(filtered, narrow) {
+					t.Fatalf("%s: walk at 1.25r filtered to r=%g around %v gives %v, walk at r gives %v", name, r, c, filtered, narrow)
+				}
+
+				got := sortedIdx(narrow)
+				want := sortedIdx(BruteForceBallSearch(pos, pbc, c, r, nil))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: r=%g around %v: tree finds %v, brute force %v", name, r, c, got, want)
+				}
+			}
+		}
+	}
+}
+
+func sortedIdx(hits []Hit) []int32 {
+	idx := make([]int32, len(hits))
+	for i, h := range hits {
+		idx[i] = h.Idx
+	}
+	slices.Sort(idx)
+	return idx
 }
 
 func BenchmarkBuild100k(b *testing.B) {
