@@ -95,6 +95,10 @@ type StepInfo struct {
 	IADFallbacks         int
 	MaxVSignal           float64
 	MeanNeighbors        float64
+	// TreeWalks is the number of tree walks the neighbor search made this
+	// step; NLocal when every particle's smoothing length settled within
+	// one walk.
+	TreeWalks int64
 	// Smoothing-length and neighbor-count extrema after this step's
 	// smoothing-length iteration (telemetry inputs).
 	HMin         float64
@@ -176,6 +180,7 @@ func (s *Sim) Step() (StepInfo, error) {
 	// Phases B-D: neighbors + smoothing lengths.
 	var nl *sph.NeighborList
 	timed(PhaseNeighbors, func() { nl = sph.UpdateSmoothingLengths(ps, tr, p) })
+	info.TreeWalks = nl.Walks
 	var totNbr int64
 	for i := 0; i < ps.NLocal; i++ {
 		totNbr += int64(ps.NN[i])

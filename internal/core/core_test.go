@@ -242,6 +242,17 @@ func TestStepInfoAccounting(t *testing.T) {
 	if info.MaxVSignal <= 0 {
 		t.Error("no signal speed")
 	}
+	// Once the initial smoothing lengths have settled, a step walks the tree
+	// about once per particle: further passes of the h iteration reuse the
+	// hits of the first walk.
+	for s := 0; s < 2; s++ {
+		if info, err = sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := int64(sim.PS.NLocal); info.TreeWalks < n || info.TreeWalks > n+n/5 {
+		t.Errorf("%d tree walks for %d particles, want between 1 and 1.2 per particle", info.TreeWalks, n)
+	}
 }
 
 func TestRunHonorsMaxTime(t *testing.T) {

@@ -52,20 +52,17 @@ type base struct {
 func (k *base) Name() string { return k.nm }
 
 func (k *base) W(r, h float64) float64 {
-	q := r / h
-	if q >= SupportRadius || h <= 0 {
+	if h <= 0 {
 		return 0
 	}
-	return k.sigma / (h * h * h) * k.w(q)
+	return Profile{k}.Norm(h) * Profile{k}.W(r/h)
 }
 
 func (k *base) GradW(r, h float64) float64 {
-	q := r / h
-	if q >= SupportRadius || h <= 0 {
+	if h <= 0 {
 		return 0
 	}
-	h2 := h * h
-	return k.sigma / (h2 * h2) * k.dw(q)
+	return Profile{k}.GradNorm(h) * Profile{k}.DW(r/h)
 }
 
 func (k *base) DWDh(r, h float64) float64 {
@@ -73,8 +70,42 @@ func (k *base) DWDh(r, h float64) float64 {
 	if q >= SupportRadius || h <= 0 {
 		return 0
 	}
+	return -Profile{k}.GradNorm(h) * (3*k.w(q) + q*k.dw(q))
+}
+
+// Profile is the concrete evaluator behind a kernel of this package: its
+// normalization and dimensionless profile, W(r,h) = Norm(h) W(r/h) and
+// dW/dr(r,h) = GradNorm(h) DW(r/h). Pair loops fetch it once with ProfileOf
+// and pay no interface call per pair.
+type Profile struct{ k *base }
+
+// ProfileOf returns the profile of k, which must be a kernel constructed by
+// this package.
+func ProfileOf(k Kernel) Profile { return Profile{k.(*base)} }
+
+// W returns w(q), zero outside the support [0, 2) and for a non-finite q.
+func (p Profile) W(q float64) float64 {
+	if !(q >= 0 && q < SupportRadius) {
+		return 0
+	}
+	return p.k.w(q)
+}
+
+// DW returns w'(q), zero outside the support [0, 2) and for a non-finite q.
+func (p Profile) DW(q float64) float64 {
+	if !(q >= 0 && q < SupportRadius) {
+		return 0
+	}
+	return p.k.dw(q)
+}
+
+// Norm returns sigma/h^3, the factor of w(q) in W(r,h).
+func (p Profile) Norm(h float64) float64 { return p.k.sigma / (h * h * h) }
+
+// GradNorm returns sigma/h^4, the factor of w'(q) in dW/dr(r,h).
+func (p Profile) GradNorm(h float64) float64 {
 	h2 := h * h
-	return -k.sigma / (h2 * h2) * (3*k.w(q) + q*k.dw(q))
+	return p.k.sigma / (h2 * h2)
 }
 
 // normalize3D computes sigma such that 4*pi*sigma*Int_0^2 w(q) q^2 dq = 1
@@ -207,6 +238,10 @@ func NewWendlandC6() Kernel {
 // sincProfile returns the dimensionless sinc kernel profile of exponent n:
 // S_n(q) = [sin(pi q / 2) / (pi q / 2)]^n, defined on [0, 2].
 func sincProfile(n float64) (w, dw func(float64) float64) {
+	pow := math.Pow
+	if n == math.Trunc(n) && n < 64 {
+		pow = powi
+	}
 	w = func(q float64) float64 {
 		if q <= 0 {
 			return 1
@@ -216,22 +251,37 @@ func sincProfile(n float64) (w, dw func(float64) float64) {
 		if s <= 0 {
 			return 0
 		}
-		return math.Pow(s, n)
+		return pow(s, n)
 	}
 	dw = func(q float64) float64 {
 		if q <= 0 {
 			return 0
 		}
 		x := math.Pi * q / 2
-		s := math.Sin(x) / x
+		sin, cos := math.Sincos(x)
+		s := sin / x
 		if s <= 0 {
 			return 0
 		}
 		// d/dq S^n = n S^(n-1) dS/dq, dS/dq = (pi/2)(cos x / x - sin x / x^2)
-		ds := (math.Pi / 2) * (math.Cos(x)/x - math.Sin(x)/(x*x))
-		return n * math.Pow(s, n-1) * ds
+		ds := (math.Pi / 2) * (cos/x - sin/(x*x))
+		return n * pow(s, n-1) * ds
 	}
 	return w, dw
+}
+
+// powi is x^n for a small non-negative integer n by binary powering, in the
+// multiplication order of math.Pow's integer path, so that it returns the
+// same bits for the normal-range values a kernel profile takes.
+func powi(x, n float64) float64 {
+	a := 1.0
+	for i := int(n); i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= x
+		}
+		x *= x
+	}
+	return a
 }
 
 var sincCache sync.Map // map[float64]float64: exponent -> sigma
@@ -252,12 +302,7 @@ func NewSinc(n float64) Kernel {
 		sigma = normalize3D(w)
 		sincCache.Store(n, sigma)
 	}
-	return &base{
-		nm:    fmt.Sprintf("sinc-%g", n),
-		sigma: sigma,
-		w:     w,
-		dw:    dw,
-	}
+	return &base{nm: fmt.Sprintf("sinc-%g", n), sigma: sigma, w: w, dw: dw}
 }
 
 // --- Registry ---------------------------------------------------------------

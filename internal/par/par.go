@@ -61,3 +61,34 @@ func (c *Catcher) Rethrow() {
 		panic(p)
 	}
 }
+
+// Range splits [0, n) into at most `workers` contiguous chunks, runs
+// fn(w, lo, hi) for chunk w on its own goroutine and waits; a worker panic is
+// rethrown on the calling goroutine. Small ranges and workers <= 1 run inline
+// as chunk 0.
+//
+// The rule for fn: a per-worker accumulator (a running maximum, a counter) is
+// a local of fn, stored to its slot w once, after the loop. Slots of adjacent
+// workers share a cache line, so an accumulator updated through a pointer
+// into a per-worker slice inside the loop makes every worker's store
+// invalidate the others' line on each iteration.
+func Range(n, workers int, fn func(w, lo, hi int)) {
+	if workers <= 1 || n < 64 {
+		fn(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	var c Catcher
+	chunk := (n + workers - 1) / workers
+	for w := 0; w*chunk < n; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer c.Catch()
+			fn(w, lo, hi)
+		}()
+	}
+	wg.Wait()
+	c.Rethrow()
+}

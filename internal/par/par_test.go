@@ -75,3 +75,36 @@ func TestCatcherKeepsInnermostStackOnNestedFanOut(t *testing.T) {
 	}()
 	outer.Rethrow()
 }
+
+func TestRangeRethrowsWorkerPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("worker panic was not rethrown on the caller")
+		}
+	}()
+	Range(1024, 4, func(_, lo, _ int) {
+		if lo > 0 {
+			panic("worker died")
+		}
+	})
+}
+
+func TestRangeCoversEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 1000, 1001} {
+		for _, workers := range []int{0, 1, 3, 8, 2000} {
+			seen := make([]int32, n)
+			slots := make([]bool, max(workers, 1))
+			Range(n, workers, func(w, lo, hi int) {
+				slots[w] = true // w must index a per-worker slice of len workers
+				for i := lo; i < hi; i++ {
+					seen[i]++
+				}
+			})
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}

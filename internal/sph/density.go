@@ -2,9 +2,11 @@ package sph
 
 import (
 	"math"
-	"runtime"
 
+	"repro/internal/kernel"
+	"repro/internal/par"
 	"repro/internal/part"
+	"repro/internal/vec"
 )
 
 // Density computes per-particle density from the neighbor list (part of step
@@ -21,13 +23,7 @@ import (
 //	kappa_i = sum_j X_j W_ij(h_i) (self included),
 //	V_i = X_i / kappa_i, rho_i = m_i / V_i.
 func Density(ps *part.Set, nl *NeighborList, p *Params) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	n := ps.NLocal
-	k := p.Kernel
-
 	needBootstrap := false
 	if p.Volumes == GeneralizedVolume {
 		for i := 0; i < ps.Len(); i++ {
@@ -39,14 +35,9 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 	}
 
 	if p.Volumes == StandardVolume || needBootstrap {
-		parallelRange(n, workers, func(lo, hi int) {
+		par.Range(n, p.workers(), func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				h := ps.H[i]
-				rho := ps.Mass[i] * k.W(0, h)
-				for _, j := range nl.Of(i) {
-					d := p.PBC.Wrap(ps.Pos[i].Sub(ps.Pos[j]))
-					rho += ps.Mass[j] * k.W(d.Norm(), h)
-				}
+				rho := kernelSum(ps, nl, p, ps.Mass, i)
 				ps.Rho[i] = rho
 				ps.VE[i] = ps.Mass[i] / rho
 			}
@@ -65,19 +56,27 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 			x[i] = ps.Mass[i] // ghost without density: mass-proportional
 		}
 	}
-	parallelRange(n, workers, func(lo, hi int) {
+	par.Range(n, p.workers(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			h := ps.H[i]
-			kappa := x[i] * k.W(0, h)
-			for _, j := range nl.Of(i) {
-				d := p.PBC.Wrap(ps.Pos[i].Sub(ps.Pos[j]))
-				kappa += x[j] * k.W(d.Norm(), h)
-			}
-			ve := x[i] / kappa
+			ve := x[i] / kernelSum(ps, nl, p, x, i)
 			ps.VE[i] = ve
 			ps.Rho[i] = ps.Mass[i] / ve
 		}
 	})
+}
+
+// kernelSum returns sum_j a_j W_ij(h_i) over particle i's neighbors, self
+// term included.
+func kernelSum(ps *part.Set, nl *NeighborList, p *Params, a []float64, i int) float64 {
+	prof := kernel.ProfileOf(p.Kernel)
+	h, pos := ps.H[i], ps.Pos[i]
+	norm := prof.Norm(h)
+	sum := a[i] * (norm * prof.W(0))
+	for _, j := range nl.Of(i) {
+		d := p.PBC.Wrap(pos.Sub(ps.Pos[j]))
+		sum += a[j] * (norm * prof.W(d.Norm()/h))
+	}
+	return sum
 }
 
 // EquationOfState fills pressure and sound speed from density and internal
@@ -95,38 +94,33 @@ func EquationOfState(ps *part.Set, p *Params) {
 // (degenerate neighbor geometry) get a zero matrix; the force loop falls
 // back to kernel derivatives for them. Returns the number of fallbacks.
 func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := ps.NLocal
-	k := p.Kernel
-	fallbacks := make([]int, workers+1)
-	parallelRangeIndexed(n, workers, func(w, lo, hi int) {
+	workers := p.workers()
+	prof := kernel.ProfileOf(p.Kernel)
+	fallbacks := make([]int, workers)
+	par.Range(ps.NLocal, workers, func(w, lo, hi int) {
+		failed := 0
 		for i := lo; i < hi; i++ {
-			h := ps.H[i]
-			var tau [6]float64 // xx, xy, xz, yy, yz, zz
+			h, pos := ps.H[i], ps.Pos[i]
+			norm := prof.Norm(h)
+			var tau vec.Sym33
 			for _, j := range nl.Of(i) {
-				d := p.PBC.Wrap(ps.Pos[j].Sub(ps.Pos[i])) // r_j - r_i
-				w := k.W(d.Norm(), h)
-				vj := ps.VE[j]
-				s := vj * w
-				tau[0] += s * d.X * d.X
-				tau[1] += s * d.X * d.Y
-				tau[2] += s * d.X * d.Z
-				tau[3] += s * d.Y * d.Y
-				tau[4] += s * d.Y * d.Z
-				tau[5] += s * d.Z * d.Z
+				d := p.PBC.Wrap(ps.Pos[j].Sub(pos)) // r_j - r_i
+				s := ps.VE[j] * (norm * prof.W(d.Norm()/h))
+				tau.XX += s * d.X * d.X
+				tau.XY += s * d.X * d.Y
+				tau.XZ += s * d.X * d.Z
+				tau.YY += s * d.Y * d.Y
+				tau.YZ += s * d.Y * d.Z
+				tau.ZZ += s * d.Z * d.Z
 			}
-			m := sym33FromArray(tau)
-			inv, ok := m.Inverse()
-			if !ok || !isWellConditioned(m) {
-				fallbacks[w]++
-				ps.Tau[i] = zeroSym()
-				continue
+			inv, ok := tau.Inverse()
+			if !ok || !isWellConditioned(tau) {
+				failed++
+				inv = vec.Sym33{}
 			}
 			ps.Tau[i] = inv
 		}
+		fallbacks[w] = failed
 	})
 	total := 0
 	for _, f := range fallbacks {
@@ -137,10 +131,7 @@ func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
 
 // isWellConditioned rejects tau matrices whose determinant is tiny relative
 // to their trace cubed, a scale-free conditioning proxy.
-func isWellConditioned(m interface {
-	Det() float64
-	Trace() float64
-}) bool {
+func isWellConditioned(m vec.Sym33) bool {
 	tr := m.Trace()
 	if tr <= 0 {
 		return false

@@ -2,9 +2,8 @@ package sph
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
+	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/vec"
@@ -38,88 +37,65 @@ type ForceStats struct {
 //
 // Pi_ij is the Monaghan-Gingold artificial viscosity.
 func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := ps.NLocal
-	k := p.Kernel
+	workers := p.workers()
+	prof := kernel.ProfileOf(p.Kernel)
 	useIAD := p.Gradients == IAD
+	eta2 := p.EtaVisc * p.EtaVisc
 
-	stats := make([]ForceStats, workers+1)
-	parallelRangeIndexed(n, workers, func(w, lo, hi int) {
-		st := &stats[w]
+	stats := make([]ForceStats, workers)
+	par.Range(ps.NLocal, workers, func(w, lo, hi int) {
+		var st ForceStats
 		for i := lo; i < hi; i++ {
-			hi1 := ps.H[i]
+			hi1, pos, vel := ps.H[i], ps.Pos[i], ps.Vel[i]
 			rhoi := ps.Rho[i]
 			pri := ps.P[i] / (rhoi * rhoi)
 			ci := ps.C[i]
 			Ci := ps.Tau[i]
-			iadOK := useIAD && Ci != (vec.Sym33{})
 
 			var acc vec.V3
 			var du float64
 			for _, j := range nl.Of(i) {
-				d := p.PBC.Wrap(ps.Pos[j].Sub(ps.Pos[i])) // r_j - r_i
+				d := p.PBC.Wrap(ps.Pos[j].Sub(pos)) // r_j - r_i
 				r2 := d.Norm2()
 				if r2 == 0 {
 					continue // coincident particles exert no pair force
 				}
 				r := math.Sqrt(r2)
-				hj := ps.H[j]
 				rhoj := ps.Rho[j]
 				prj := ps.P[j] / (rhoj * rhoj)
 
-				// Kernel gradients: gradW_i points from i toward j along d,
-				// with magnitude |W'| (W' < 0 inside support).
-				dwi := k.GradW(r, hi1)
-				dwj := k.GradW(r, hj)
-
-				var ai, aj vec.V3 // gradient surrogates at h_i and h_j
-				if iadOK {
-					wi := k.W(r, hi1)
-					ai = Ci.MulVec(d).Scale(wi)
-					Cj := ps.Tau[j]
-					if Cj != (vec.Sym33{}) {
-						wj := k.W(r, hj)
-						aj = Cj.MulVec(d).Scale(wj)
-					} else {
-						aj = d.Scale(-dwj / r)
-					}
-				} else {
-					// -W'/r * d = |W'| dhat: from i toward j.
-					ai = d.Scale(-dwi / r)
-					aj = d.Scale(-dwj / r)
-				}
+				ai := pairGradient(prof, useIAD, Ci, hi1, d, r)
+				aj := pairGradient(prof, useIAD, ps.Tau[j], ps.H[j], d, r)
 
 				// Artificial viscosity (Monaghan & Gingold 1983): active for
 				// approaching pairs, v_ij . x_ij < 0 with x_ij = r_i - r_j = -d.
-				vij := ps.Vel[i].Sub(ps.Vel[j])
+				vij := vel.Sub(ps.Vel[j])
 				vdotx := -vij.Dot(d)
+				csum := ci + ps.C[j]
 				var piij float64
-				hbar := 0.5 * (hi1 + hj)
-				cbar := 0.5 * (ci + ps.C[j])
-				rhobar := 0.5 * (rhoi + rhoj)
-				wsig := vdotx / r
 				if vdotx < 0 {
-					mu := hbar * vdotx / (r2 + p.EtaVisc*p.EtaVisc*hbar*hbar)
-					piij = (-p.AlphaVisc*cbar*mu + p.BetaVisc*mu*mu) / rhobar
+					hbar := 0.5 * (hi1 + ps.H[j])
+					mu := hbar * vdotx / (r2 + eta2*hbar*hbar)
+					piij = (-p.AlphaVisc*(0.5*csum)*mu + p.BetaVisc*mu*mu) / (0.5 * (rhoi + rhoj))
+					// Signal speed c_i + c_j - 3 min(0, v_ij . rhat_ij).
+					csum -= 3 * (vdotx / r)
 				}
-				if vs := ci + ps.C[j] - 3*math.Min(0, wsig); vs > st.MaxVSignal {
-					st.MaxVSignal = vs
+				if csum > st.MaxVSignal {
+					st.MaxVSignal = csum
 				}
 
 				// Pair force: -(P_i/rho_i^2) A_ij - (P_j/rho_j^2) A'_ij,
 				// viscosity on the symmetrized gradient.
+				mj := ps.Mass[j]
 				abar := ai.Add(aj).Scale(0.5)
-				acc = acc.MulAdd(ps.Mass[j]*pri, ai.Neg()).
-					MulAdd(ps.Mass[j]*prj, aj.Neg()).
-					MulAdd(-ps.Mass[j]*piij, abar)
+				acc = acc.MulAdd(mj*pri, ai.Neg()).
+					MulAdd(mj*prj, aj.Neg()).
+					MulAdd(-mj*piij, abar)
 
 				// Energy: du_i/dt = sum m_j (P_i/rho_i^2) v_ij.A_ij
 				//                 + 0.5 sum m_j Pi_ij v_ij.Abar.
-				du += ps.Mass[j] * pri * vij.Dot(ai)
-				du += 0.5 * ps.Mass[j] * piij * vij.Dot(abar)
+				du += mj * pri * vij.Dot(ai)
+				du += 0.5 * mj * piij * vij.Dot(abar)
 				st.Interactions++
 			}
 			ps.Acc[i] = acc
@@ -130,50 +106,27 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 				st.MaxVSignal = 2 * ci
 			}
 		}
+		stats[w] = st
 	})
 
 	var total ForceStats
 	for _, st := range stats {
-		if st.MaxVSignal > total.MaxVSignal {
-			total.MaxVSignal = st.MaxVSignal
-		}
+		total.MaxVSignal = math.Max(total.MaxVSignal, st.MaxVSignal)
 		total.Interactions += st.Interactions
 	}
 	return total
 }
 
-// parallelRangeIndexed is parallelRange with the worker id passed through,
-// for lock-free per-worker accumulators.
-func parallelRangeIndexed(n, workers int, fn func(w, lo, hi int)) {
-	if workers <= 1 || n < 64 {
-		fn(workers, 0, n) // slot `workers` is the reserve accumulator
-		return
+// pairGradient returns the gradient surrogate of the particle with IAD matrix
+// C and smoothing length h for a pair at displacement d = r_j - r_i, |d| = r:
+// C d W(r,h) with IAD, and otherwise, or when the particle's tau was singular
+// (C is zero), the kernel gradient -W'/r * d = |W'| dhat, which points from i
+// toward j (W' < 0 inside support). Each particle's term is chosen by that
+// particle alone, so i's and j's loops agree and the pair force stays
+// antisymmetric when one of the two falls back.
+func pairGradient(prof kernel.Profile, iad bool, C vec.Sym33, h float64, d vec.V3, r float64) vec.V3 {
+	if iad && C != (vec.Sym33{}) {
+		return C.MulVec(d).Scale(prof.Norm(h) * prof.W(r/h))
 	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
+	return d.Scale(-(prof.GradNorm(h) * prof.DW(r/h)) / r)
 }
-
-func sym33FromArray(a [6]float64) vec.Sym33 {
-	return vec.Sym33{XX: a[0], XY: a[1], XZ: a[2], YY: a[3], YZ: a[4], ZZ: a[5]}
-}
-
-func zeroSym() vec.Sym33 { return vec.Sym33{} }

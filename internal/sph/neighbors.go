@@ -2,8 +2,6 @@ package sph
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -17,6 +15,9 @@ import (
 type NeighborList struct {
 	Offsets []int32 // len nLocal+1
 	Nbr     []int32
+	// Walks is the number of tree walks the search that built the list made,
+	// over all particles and smoothing-length passes.
+	Walks int64
 }
 
 // Count returns the neighbor count of particle i.
@@ -46,21 +47,87 @@ func BuildTree(ps *part.Set, p *Params) *tree.Tree {
 // given neighbor number, which determines h). Returns the neighbor list at
 // the final smoothing lengths.
 func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
+	return findNeighbors(ps, tr, p, p.HMaxIter)
+}
+
+// BuildNeighborList builds the CSR neighbor list at the current smoothing
+// lengths, without adapting them — used after a checkpoint restart (h is
+// already converged) and by tests that pin h.
+func BuildNeighborList(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
+	return findNeighbors(ps, tr, p, 0)
+}
+
+// walkMargin is how far beyond the support radius a particle's tree walk
+// reaches while its h may still change. A pass of the h iteration whose
+// support fits inside the last walk filters that walk's hits by distance
+// (tree.BallSearch guarantees the same hits in the same order as a walk at
+// the smaller radius), so a particle walks again only when h outgrows it.
+const walkMargin = 1.03
+
+// findNeighbors runs up to maxIter smoothing-length passes per owned particle
+// and writes the list at the resulting h from the hits of the last pass, so
+// counts and entries cannot disagree.
+//
+// Each worker writes the lists of its particle range back to back into its
+// own region of one shared array, sized from the previous step's counts plus
+// head-room, and the regions are then closed up in place. A worker that
+// outgrows its region keeps the rest of its range in a spill slice, and the
+// list is assembled in an exactly sized array instead.
+func findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *NeighborList {
 	n := ps.NLocal
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := p.workers()
 	target := float64(p.NNeighbors)
 
-	counts := make([]int32, n)
-	parallelRange(n, workers, func(lo, hi int) {
-		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
+	// Until the counts are known, Offsets holds the start of each particle's
+	// share of the regions.
+	nl := &NeighborList{Offsets: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		e := ps.NN[i]
+		if e <= 0 {
+			// No previous step: initial conditions can sit well off target
+			// (a lattice jumps from 81 to 122 neighbors between shells).
+			e = int32(p.NNeighbors + p.NNeighbors/4)
+		}
+		nl.Offsets[i+1] = nl.Offsets[i] + e + e/16 + 1
+	}
+	nbr := make([]int32, nl.Offsets[n])
+	type region struct {
+		list, spill []int32
+		walks       int64
+	}
+	regions := make([]region, workers)
+
+	par.Range(n, workers, func(w, lo, hi int) {
+		list := nbr[nl.Offsets[lo]:nl.Offsets[lo]:nl.Offsets[hi]]
+		var spill []int32
+		var walks int64
+		wide := make([]tree.Hit, 0, 4*p.NNeighbors)
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
-			for iter := 0; iter < p.HMaxIter; iter++ {
-				buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*h, buf[:0])
-				cnt := float64(len(buf) - 1) // exclude self
+			reach := -1.0 // radius of the walk that filled wide
+			var r2 float64
+			var within int // hits of wide inside the support, self included
+			for iter := 0; ; iter++ {
+				r := kernel.SupportRadius * h
+				if !(r <= reach) {
+					reach = r
+					if iter < maxIter {
+						reach *= walkMargin
+					}
+					wide = tr.BallSearch(ps.Pos[i], reach, wide[:0])
+					walks++
+				}
+				r2 = r * r
+				within = 0
+				for k := range wide {
+					if wide[k].Dist2 <= r2 {
+						within++
+					}
+				}
+				if iter >= maxIter {
+					break
+				}
+				cnt := float64(within - 1) // exclude self
 				if cnt < 1 {
 					// Lost all neighbors: expand aggressively.
 					h *= 1.5
@@ -75,134 +142,45 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 				h *= 0.5 * (1 + f)
 			}
 			ps.H[i] = h
-			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*h, buf[:0])
+
 			// A non-finite particle (NaN position or h after a physics
-			// blowup) matches nothing, not even itself, making len(buf)-1
-			// negative; clamp to keep the CSR prefix sum monotone so the
-			// blowup is reported by the conservation/NaN watchdogs instead
-			// of an index panic here.
-			counts[i] = max32(int32(len(buf)-1), 0)
+			// blowup) matches nothing, not even itself, and gets an empty
+			// list: the blowup is then reported by the conservation/NaN
+			// watchdogs instead of an index panic here.
+			dst := &list
+			if spill != nil || len(list)+within > cap(list) {
+				dst = &spill
+			}
+			start := len(*dst)
+			for _, hit := range wide {
+				if hit.Dist2 <= r2 && !(hit.Idx == int32(i) && hit.Dist2 == 0) {
+					*dst = append(*dst, hit.Idx)
+				}
+			}
+			ps.NN[i] = int32(len(*dst) - start)
 		}
+		regions[w] = region{list, spill, walks}
 	})
 
-	nl := &NeighborList{Offsets: make([]int32, n+1)}
 	var total int32
-	for i, c := range counts {
+	spilled := false
+	for i := 0; i < n; i++ {
 		nl.Offsets[i] = total
-		total += c
-		ps.NN[i] = c
+		total += ps.NN[i]
 	}
 	nl.Offsets[n] = total
-	nl.Nbr = make([]int32, total)
-
-	parallelRange(n, workers, func(lo, hi int) {
-		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
-		for i := lo; i < hi; i++ {
-			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
-			k := nl.Offsets[i]
-			for _, hit := range buf {
-				if hit.Idx == int32(i) && hit.Dist2 == 0 {
-					continue
-				}
-				if k < nl.Offsets[i+1] {
-					nl.Nbr[k] = hit.Idx
-					k++
-				}
-			}
-			// If the double search raced with nothing (it cannot — positions
-			// are immutable here), counts match; fill any shortfall with the
-			// last neighbor to keep CSR well-formed.
-			for ; k < nl.Offsets[i+1]; k++ {
-				nl.Nbr[k] = nl.Nbr[max32(k-1, nl.Offsets[i])]
-			}
-		}
-	})
+	for _, reg := range regions {
+		spilled = spilled || reg.spill != nil
+	}
+	if spilled {
+		nbr = make([]int32, total)
+	}
+	at := 0
+	for _, reg := range regions {
+		at += copy(nbr[at:], reg.list)
+		at += copy(nbr[at:], reg.spill)
+		nl.Walks += reg.walks
+	}
+	nl.Nbr = nbr[:total]
 	return nl
-}
-
-// BuildNeighborList builds the CSR neighbor list at the current smoothing
-// lengths, without adapting them — used after a checkpoint restart (h is
-// already converged) and by tests that pin h.
-func BuildNeighborList(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
-	n := ps.NLocal
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	counts := make([]int32, n)
-	parallelRange(n, workers, func(lo, hi int) {
-		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
-		for i := lo; i < hi; i++ {
-			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
-			// Clamped for the same reason as in UpdateSmoothingLengths: a
-			// non-finite particle finds nothing, not even itself.
-			counts[i] = max32(int32(len(buf)-1), 0)
-		}
-	})
-	nl := &NeighborList{Offsets: make([]int32, n+1)}
-	var total int32
-	for i, c := range counts {
-		nl.Offsets[i] = total
-		total += c
-		ps.NN[i] = c
-	}
-	nl.Offsets[n] = total
-	nl.Nbr = make([]int32, total)
-	parallelRange(n, workers, func(lo, hi int) {
-		buf := make([]tree.Hit, 0, 2*p.NNeighbors)
-		for i := lo; i < hi; i++ {
-			buf = tr.BallSearch(ps.Pos[i], kernel.SupportRadius*ps.H[i], buf[:0])
-			k := nl.Offsets[i]
-			for _, hit := range buf {
-				if hit.Idx == int32(i) && hit.Dist2 == 0 {
-					continue
-				}
-				if k < nl.Offsets[i+1] {
-					nl.Nbr[k] = hit.Idx
-					k++
-				}
-			}
-			for ; k < nl.Offsets[i+1]; k++ {
-				nl.Nbr[k] = nl.Nbr[max32(k-1, nl.Offsets[i])]
-			}
-		}
-	})
-	return nl
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// parallelRange splits [0, n) across workers and waits for completion.
-// Worker panics are rethrown on the calling goroutine.
-func parallelRange(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 64 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
 }

@@ -8,6 +8,7 @@ package sph
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/eos"
 	"repro/internal/kernel"
@@ -91,6 +92,14 @@ type Params struct {
 	HMaxIter int
 	// HTolerance is the acceptable relative neighbor-count deviation.
 	HTolerance float64
+}
+
+// workers resolves Workers: GOMAXPROCS when unset.
+func (p *Params) workers() int {
+	if p.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p.Workers
 }
 
 // Defaults fills unset numeric fields with standard values and validates the

@@ -3,12 +3,15 @@ package sph
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/eos"
 	"repro/internal/ic"
 	"repro/internal/kernel"
 	"repro/internal/part"
+	"repro/internal/tree"
 	"repro/internal/vec"
 )
 
@@ -250,6 +253,12 @@ func TestMomentumConservation(t *testing.T) {
 	for _, mode := range []GradientMode{KernelDerivatives, IAD} {
 		for _, vol := range []VolumeMode{StandardVolume, GeneralizedVolume} {
 			ps, nl, p := forceTestSet(t, mode, vol)
+			if vol == GeneralizedVolume {
+				// One particle on the IAD fallback (singular tau): its pairs
+				// mix an IAD term with a kernel-derivative term and must
+				// still cancel.
+				ps.Tau[123] = vec.Sym33{}
+			}
 			MomentumEnergy(ps, nl, p)
 			var f vec.V3
 			var scale float64
@@ -426,11 +435,42 @@ func BenchmarkMomentumEnergy32k(b *testing.B) {
 	}
 }
 
+// checkCSR asserts that nl is exactly the brute-force neighbor list at the
+// current smoothing lengths: offsets are the prefix sum of the counts, and
+// every particle's entries are its neighbors within 2h, each once, without
+// itself — so nothing was dropped, padded or written twice.
+func checkCSR(t *testing.T, name string, ps *part.Set, nl *NeighborList, p *Params) {
+	t.Helper()
+	n := ps.NLocal
+	if nl.Offsets[0] != 0 || int(nl.Offsets[n]) != len(nl.Nbr) {
+		t.Fatalf("%s: offsets span [%d, %d], list has %d entries", name, nl.Offsets[0], nl.Offsets[n], len(nl.Nbr))
+	}
+	for i := 0; i < n; i++ {
+		if nl.Offsets[i+1] < nl.Offsets[i] {
+			t.Fatalf("%s: offsets not monotone at %d: %d > %d", name, i, nl.Offsets[i], nl.Offsets[i+1])
+		}
+		if int(ps.NN[i]) != nl.Count(i) {
+			t.Fatalf("%s: NN[%d] = %d, list holds %d", name, i, ps.NN[i], nl.Count(i))
+		}
+		var want []int32
+		for _, hit := range tree.BruteForceBallSearch(ps.Pos, p.PBC, ps.Pos[i], kernel.SupportRadius*ps.H[i], nil) {
+			if int(hit.Idx) != i {
+				want = append(want, hit.Idx)
+			}
+		}
+		got := append([]int32(nil), nl.Of(i)...)
+		sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: particle %d lists %v, want %v", name, i, got, want)
+		}
+	}
+}
+
 func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 	// A particle whose position went NaN (physics blowup) matches nothing in
-	// a ball search — not even itself. The CSR builders must clamp its count
-	// at zero so the offsets stay monotone and downstream kernels see an
-	// empty neighbor set instead of panicking on a negative-width slice.
+	// a ball search — not even itself — and nothing matches it: it must get
+	// an empty list, every other list must stay exact, and downstream
+	// kernels must see an empty neighbor set instead of panicking.
 	p := cubeParams(t)
 	ps, pbc, box := ic.UniformCube(8, p.NNeighbors)
 	p.PBC = pbc
@@ -439,39 +479,64 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 	ps.Pos[bad] = vec.V3{X: math.NaN(), Y: math.NaN(), Z: math.NaN()}
 
 	tr := BuildTree(ps, p)
-	for name, nl := range map[string]*NeighborList{
-		"UpdateSmoothingLengths": UpdateSmoothingLengths(ps, tr, p),
-		"BuildNeighborList":      BuildNeighborList(ps, tr, p),
-	} {
-		for i := 0; i < ps.NLocal; i++ {
-			if nl.Offsets[i+1] < nl.Offsets[i] {
-				t.Fatalf("%s: offsets not monotone at %d: %d > %d",
-					name, i, nl.Offsets[i], nl.Offsets[i+1])
-			}
-			_ = nl.Of(i) // must not panic
-		}
-		if nl.Count(bad) != 0 {
-			t.Errorf("%s: NaN particle has %d neighbors, want 0", name, nl.Count(bad))
-		}
+	checkCSR(t, "UpdateSmoothingLengths", ps, UpdateSmoothingLengths(ps, tr, p), p)
+	nl := BuildNeighborList(ps, tr, p)
+	checkCSR(t, "BuildNeighborList", ps, nl, p)
+	if nl.Count(bad) != 0 {
+		t.Errorf("NaN particle has %d neighbors, want 0", nl.Count(bad))
 	}
 
 	// The step kernels must run to completion over the poisoned set; the
 	// NaN is then the watchdogs' problem, not a crash.
-	nl := BuildNeighborList(ps, tr, p)
 	Density(ps, nl, p)
 	EquationOfState(ps, p)
 	MomentumEnergy(ps, nl, p)
 }
 
-func TestParallelRangeRethrowsWorkerPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic was not rethrown on the caller")
+// disorderedCube is a periodic cube with jittered positions and smoothing
+// lengths scattered around the converged value, so the h iteration shrinks
+// some particles, grows others past the walk margin, and leaves some alone.
+func disorderedCube(p *Params) *part.Set {
+	ps, pbc, box := ic.UniformCube(10, p.NNeighbors)
+	p.PBC, p.Box = pbc, box
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < ps.NLocal; i++ {
+		ps.Pos[i] = ps.Pos[i].Add(vec.V3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}.Scale(0.03))
+		ps.H[i] *= 0.7 + 0.6*rng.Float64()
+	}
+	return ps
+}
+
+// TestNeighborSearchIndependentOfWorkersAndHints: the smoothing lengths and
+// the list depend on neither the worker count nor the previous step's counts
+// that size the workers' regions — including hints so low that every worker
+// overflows its region.
+func TestNeighborSearchIndependentOfWorkersAndHints(t *testing.T) {
+	p := cubeParams(t)
+	p.Workers = 1
+	ref := disorderedCube(p)
+	refNL := UpdateSmoothingLengths(ref, BuildTree(ref, p), p)
+	checkCSR(t, "workers=1", ref, refNL, p)
+	if perParticle := float64(refNL.Walks) / float64(ref.NLocal); perParticle < 1 || perParticle > 2 {
+		t.Errorf("%.2f tree walks per particle, want between 1 and 2", perParticle)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		workers int
+		hint    int32
+	}{{"workers=4", 4, 0}, {"workers=4, hints too low", 4, 1}, {"workers=1, hints too low", 1, 1}, {"workers=3, hints high", 3, 500}} {
+		p.Workers = tc.workers
+		ps := disorderedCube(p)
+		for i := range ps.NN {
+			ps.NN[i] = tc.hint
 		}
-	}()
-	parallelRange(1024, 4, func(lo, hi int) {
-		if lo > 0 {
-			panic("worker died")
+		nl := UpdateSmoothingLengths(ps, BuildTree(ps, p), p)
+		if !slices.Equal(ps.H, ref.H) || !slices.Equal(nl.Offsets, refNL.Offsets) || !slices.Equal(nl.Nbr, refNL.Nbr) {
+			t.Errorf("%s: H, Offsets or Nbr differ from the single-worker search", tc.name)
 		}
-	})
+		if nl.Walks != refNL.Walks {
+			t.Errorf("%s: %d tree walks, single-worker search made %d", tc.name, nl.Walks, refNL.Walks)
+		}
+	}
 }

@@ -2,8 +2,8 @@ package sph
 
 import (
 	"math"
-	"runtime"
 
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/vec"
 )
@@ -35,12 +35,8 @@ func VelocityDivCurl(ps *part.Set, nl *NeighborList, p *Params, div []float64, c
 	if curl == nil {
 		curl = make([]float64, n)
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	k := p.Kernel
-	parallelRange(n, workers, func(lo, hi int) {
+	par.Range(n, p.workers(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			var d float64
@@ -107,12 +103,8 @@ func XSPHCorrection(ps *part.Set, nl *NeighborList, p *Params, eps float64, out 
 	if out == nil {
 		out = make([]vec.V3, n)
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	k := p.Kernel
-	parallelRange(n, workers, func(lo, hi int) {
+	par.Range(n, p.workers(), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var dv vec.V3
 			hi1 := ps.H[i]

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/sfc"
@@ -109,7 +108,7 @@ func Build(pos []vec.V3, opt Options) *Tree {
 	t.keys = make([]sfc.Key, n)
 
 	// Parallel key computation.
-	parallelFor(n, workers, func(lo, hi int) {
+	par.Range(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t.keys[i] = sfc.Encode(sfc.Morton, box, pos[i])
 		}
@@ -203,99 +202,71 @@ func bounds(pos []vec.V3) (lo, hi vec.V3) {
 	return lo, hi
 }
 
-// parallelFor runs fn over [0, n) split into worker chunks and waits.
-// Worker panics are rethrown on the calling goroutine.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 2048 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
-}
-
-// Hit is one neighbor-search result: the particle index, the squared
-// distance, and the minimum-image displacement center - pos[Idx].
+// Hit is one neighbor-search result: the particle index and its squared
+// minimum-image distance from the query center.
 type Hit struct {
 	Idx   int32
 	Dist2 float64
-	DR    vec.V3
 }
 
 // BallSearch appends to out every particle within radius r of center
 // (including a particle exactly at center, i.e. the query particle itself
 // when center is its position) and returns the extended slice. Periodic
 // images are handled per the tree's PBC.
+//
+// Hits come in a fixed order (image by image, each in tree-walk order), and
+// a hit's Dist2 does not depend on r: the hits of a search at r, filtered by
+// Dist2 <= s*s for s <= r, are exactly the hits of a search at s, in the same
+// order. sph's smoothing-length iteration relies on this to walk once.
 func (t *Tree) BallSearch(center vec.V3, r float64, out []Hit) []Hit {
 	if len(t.Nodes) == 0 {
 		return out
 	}
-	r2 := r * r
+	var stack walkStack
 	if t.pbc.None() {
-		return t.search(0, center, r, r2, vec.V3{}, out)
+		return t.search(&stack, center, r*r, out)
 	}
-	// Enumerate periodic images whose shifted ball can intersect the domain.
-	offsets := t.imageOffsets(center, r)
-	for _, off := range offsets {
-		out = t.search(0, center.Add(off), r, r2, off, out)
-	}
-	return out
-}
-
-// imageOffsets returns the set of image shift vectors to search. The zero
-// offset is always included; along each periodic axis a ±L image is added
-// when the ball pokes out of the domain on that side.
-func (t *Tree) imageOffsets(center vec.V3, r float64) []vec.V3 {
-	xs := axisOffsets(t.pbc.X, center.X, r, t.Box.Lo.X, t.pbc.L.X)
-	ys := axisOffsets(t.pbc.Y, center.Y, r, t.Box.Lo.Y, t.pbc.L.Y)
-	zs := axisOffsets(t.pbc.Z, center.Z, r, t.Box.Lo.Z, t.pbc.L.Z)
-	out := make([]vec.V3, 0, len(xs)*len(ys)*len(zs))
-	for _, dx := range xs {
-		for _, dy := range ys {
-			for _, dz := range zs {
-				out = append(out, vec.V3{X: dx, Y: dy, Z: dz})
+	// Enumerate periodic images whose shifted ball can intersect the domain:
+	// the zero offset always, and along each periodic axis a +-L image when
+	// the ball reaches that side of the domain.
+	var xs, ys, zs [3]float64
+	nx := axisOffsets(&xs, t.pbc.X, center.X, r, t.Box.Lo.X, t.pbc.L.X)
+	ny := axisOffsets(&ys, t.pbc.Y, center.Y, r, t.Box.Lo.Y, t.pbc.L.Y)
+	nz := axisOffsets(&zs, t.pbc.Z, center.Z, r, t.Box.Lo.Z, t.pbc.L.Z)
+	for _, dx := range xs[:nx] {
+		for _, dy := range ys[:ny] {
+			for _, dz := range zs[:nz] {
+				out = t.search(&stack, center.Add(vec.V3{X: dx, Y: dy, Z: dz}), r*r, out)
 			}
 		}
 	}
 	return out
 }
 
-func axisOffsets(periodic bool, c, r, lo, L float64) []float64 {
+// axisOffsets fills offs with the image shifts to search along one axis and
+// returns how many there are.
+func axisOffsets(offs *[3]float64, periodic bool, c, r, lo, L float64) int {
+	n := 1 // offs[0] is the zero shift
 	if !periodic || L <= 0 {
-		return []float64{0}
+		return n
 	}
-	offs := []float64{0}
 	if c-r < lo {
-		offs = append(offs, L)
+		offs[n] = L
+		n++
 	}
 	if c+r > lo+L {
-		offs = append(offs, -L)
+		offs[n] = -L
+		n++
 	}
-	return offs
+	return n
 }
 
-// search walks node ni for particles within r of center; off is the image
-// offset already applied to center (recorded into Hit.DR so displacements are
-// minimum-image).
+// walkStack holds the pending nodes of a depth-first walk: each of the at
+// most sfc.Bits levels below the root pops one node and pushes up to eight.
+type walkStack [7*sfc.Bits + 1]int32
+
+// search appends the particles within sqrt(r2) of center (already shifted to
+// the image being searched), walking the tree depth-first in child order.
 //
 // Cells are pruned by their distance from center clamped into the root cell
 // along the open axes. A particle outside a forced box is stored in the cell
@@ -303,54 +274,53 @@ func axisOffsets(periodic bool, c, r, lo, L float64) []float64 {
 // apart, so the cell of every particle within the ball is within the ball's
 // radius of the clamped center: the search stays exact for particles that
 // have left the box, from centers inside or outside it.
-func (t *Tree) search(ni int, center vec.V3, r, r2 float64, off vec.V3, out []Hit) []Hit {
-	nd := &t.Nodes[ni]
-	if nd.Count == 0 {
-		return out
-	}
-	if cubeDist2(nd.Center, nd.Half, t.clampOpen(center)) > r2 {
-		return out
-	}
-	if nd.IsLeaf() {
-		for k := nd.Start; k < nd.Start+nd.Count; k++ {
-			j := t.Index[k]
-			d := center.Sub(t.pos[j])
-			d2 := d.Norm2()
-			if d2 <= r2 {
-				out = append(out, Hit{Idx: j, Dist2: d2, DR: d})
-			}
-		}
-		return out
-	}
-	for c := nd.FirstChild; c < nd.FirstChild+8; c++ {
-		out = t.search(int(c), center, r, r2, off, out)
-	}
-	return out
-}
-
-// clampOpen returns c moved into the root cell along the open axes.
-func (t *Tree) clampOpen(c vec.V3) vec.V3 {
-	top := t.Box.Lo.Add(vec.V3{X: t.Box.Size, Y: t.Box.Size, Z: t.Box.Size})
+func (t *Tree) search(stack *walkStack, center vec.V3, r2 float64, out []Hit) []Hit {
+	clamped, top := center, t.Box.Lo.Add(vec.V3{X: t.Box.Size, Y: t.Box.Size, Z: t.Box.Size})
 	if !t.pbc.X {
-		c.X = math.Min(math.Max(c.X, t.Box.Lo.X), top.X)
+		clamped.X = math.Min(math.Max(center.X, t.Box.Lo.X), top.X)
 	}
 	if !t.pbc.Y {
-		c.Y = math.Min(math.Max(c.Y, t.Box.Lo.Y), top.Y)
+		clamped.Y = math.Min(math.Max(center.Y, t.Box.Lo.Y), top.Y)
 	}
 	if !t.pbc.Z {
-		c.Z = math.Min(math.Max(c.Z, t.Box.Lo.Z), top.Z)
+		clamped.Z = math.Min(math.Max(center.Z, t.Box.Lo.Z), top.Z)
 	}
-	return c
+	stack[0] = 0
+	for sp := 1; sp > 0; {
+		sp--
+		nd := &t.Nodes[stack[sp]]
+		if nd.IsLeaf() {
+			for _, j := range t.Index[nd.Start : nd.Start+nd.Count] {
+				if d2 := center.Sub(t.pos[j]).Norm2(); d2 <= r2 {
+					out = append(out, Hit{Idx: j, Dist2: d2})
+				}
+			}
+			continue
+		}
+		// Push the children that the ball touches, last first, so they pop
+		// in child order.
+		for c := nd.FirstChild + 7; c >= nd.FirstChild; c-- {
+			ch := &t.Nodes[c]
+			if ch.Count > 0 && !(cubeDist2(ch.Center, ch.Half, clamped) > r2) {
+				stack[sp] = c
+				sp++
+			}
+		}
+	}
+	return out
 }
 
 // cubeDist2 returns the squared distance from p to the cube (center, half).
 func cubeDist2(c vec.V3, half float64, p vec.V3) float64 {
 	var d2 float64
-	for axis := 0; axis < 3; axis++ {
-		d := math.Abs(p.Comp(axis)-c.Comp(axis)) - half
-		if d > 0 {
-			d2 += d * d
-		}
+	if d := math.Abs(p.X-c.X) - half; d > 0 {
+		d2 += d * d
+	}
+	if d := math.Abs(p.Y-c.Y) - half; d > 0 {
+		d2 += d * d
+	}
+	if d := math.Abs(p.Z-c.Z) - half; d > 0 {
+		d2 += d * d
 	}
 	return d2
 }
@@ -393,10 +363,8 @@ func (t *Tree) MaxDepth() int {
 func BruteForceBallSearch(pos []vec.V3, pbc PBC, center vec.V3, r float64, out []Hit) []Hit {
 	r2 := r * r
 	for j := range pos {
-		d := pbc.Wrap(center.Sub(pos[j]))
-		d2 := d.Norm2()
-		if d2 <= r2 {
-			out = append(out, Hit{Idx: int32(j), Dist2: d2, DR: d})
+		if d2 := pbc.Wrap(center.Sub(pos[j])).Norm2(); d2 <= r2 {
+			out = append(out, Hit{Idx: int32(j), Dist2: d2})
 		}
 	}
 	return out

@@ -160,10 +160,7 @@ func TestBallSearchPeriodicZ(t *testing.T) {
 	}
 	for _, h := range hits {
 		if h.Idx == 1 {
-			// Minimum-image displacement must be ~0.02 in Z, not 0.98.
-			if math.Abs(h.DR.Z) > 0.05 {
-				t.Fatalf("DR.Z = %g, want minimum image ~0.02", h.DR.Z)
-			}
+			// Minimum-image distance must be 0.02, not 0.98.
 			if math.Abs(math.Sqrt(h.Dist2)-0.02) > 1e-12 {
 				t.Fatalf("Dist = %g, want 0.02", math.Sqrt(h.Dist2))
 			}
