@@ -41,12 +41,63 @@ type Kernel interface {
 	DWDh(r, h float64) float64
 }
 
-// base implements Kernel on top of a dimensionless profile w(q), w'(q).
+// base implements Kernel on top of a dimensionless profile w(q), w'(q). W
+// and GradW evaluate the profile from its tabulation; the analytic w and dw
+// are the table's source and serve DWDh.
 type base struct {
 	nm    string
 	sigma float64 // 3D normalization
 	w     func(q float64) float64
 	dw    func(q float64) float64
+	tab   *table
+}
+
+// table is the piecewise-cubic Hermite interpolant of a profile on
+// [0, SupportRadius]: on interval k, w(q) = c0 + u(c1 + u(c2 + u c3)) with
+// u = q*tableScale - k in [0, 1). It matches w and w' at every node, q = 1
+// (where the M4 spline changes piece) among them, and its derivative serves
+// as w'. At this spacing it is within 1e-12 of every profile in the family.
+type table [tableIntervals][4]float64
+
+const (
+	tableIntervals = 2048
+	tableScale     = tableIntervals / SupportRadius
+)
+
+// at returns the coefficients of the interval holding q in [0, 2) and q's
+// position u in it.
+func (t *table) at(q float64) (c *[4]float64, u float64) {
+	u = q * tableScale
+	k := int(u)
+	return &t[k], u - float64(k)
+}
+
+func newTable(w, dw func(float64) float64) *table {
+	t := new(table)
+	for k := range t {
+		q0, q1 := float64(k)/tableScale, float64(k+1)/tableScale
+		w0, w1 := w(q0), w(q1)
+		m0, m1 := dw(q0)/tableScale, dw(q1)/tableScale
+		t[k] = [4]float64{w0, m0, 3*(w1-w0) - 2*m0 - m1, 2*(w0-w1) + m0 + m1}
+	}
+	return t
+}
+
+// built holds the kernels constructed so far by name, so that a kernel's
+// normalization and table are computed once per process, not once per job.
+var built sync.Map // map[string]*base
+
+// build returns the kernel called nm with profile w, dw; sigma 0 asks for
+// numerical normalization.
+func build(nm string, sigma float64, w, dw func(float64) float64) Kernel {
+	if k, ok := built.Load(nm); ok {
+		return k.(*base)
+	}
+	if sigma == 0 {
+		sigma = normalize3D(w)
+	}
+	k, _ := built.LoadOrStore(nm, &base{nm, sigma, w, dw, newTable(w, dw)})
+	return k.(*base)
 }
 
 func (k *base) Name() string { return k.nm }
@@ -88,7 +139,8 @@ func (p Profile) W(q float64) float64 {
 	if !(q >= 0 && q < SupportRadius) {
 		return 0
 	}
-	return p.k.w(q)
+	c, u := p.k.tab.at(q)
+	return c[0] + u*(c[1]+u*(c[2]+u*c[3]))
 }
 
 // DW returns w'(q), zero outside the support [0, 2) and for a non-finite q.
@@ -96,7 +148,8 @@ func (p Profile) DW(q float64) float64 {
 	if !(q >= 0 && q < SupportRadius) {
 		return 0
 	}
-	return p.k.dw(q)
+	c, u := p.k.tab.at(q)
+	return (c[1] + u*(2*c[2]+3*u*c[3])) * tableScale
 }
 
 // Norm returns sigma/h^3, the factor of w(q) in W(r,h).
@@ -137,10 +190,8 @@ func normalize3D(w func(float64) float64) float64 {
 // 1985), listed for ChaNGa in paper Table 1 and selected for the mini-app in
 // Table 2. sigma = 1/pi in 3D for the support-2h parameterization.
 func NewM4() Kernel {
-	return &base{
-		nm:    "m4",
-		sigma: 1 / math.Pi,
-		w: func(q float64) float64 {
+	return build("m4", 1/math.Pi,
+		func(q float64) float64 {
 			switch {
 			case q < 1:
 				return 1 - 1.5*q*q + 0.75*q*q*q
@@ -150,7 +201,7 @@ func NewM4() Kernel {
 			}
 			return 0
 		},
-		dw: func(q float64) float64 {
+		func(q float64) float64 {
 			switch {
 			case q < 1:
 				return -3*q + 2.25*q*q
@@ -159,8 +210,7 @@ func NewM4() Kernel {
 				return -0.75 * d * d
 			}
 			return 0
-		},
-	}
+		})
 }
 
 // --- Wendland family -------------------------------------------------------
@@ -168,35 +218,30 @@ func NewM4() Kernel {
 // NewWendlandC2 returns the Wendland C2 kernel (Wendland 1995) in 3D,
 // sigma = 21/(16 pi): w(q) = (1-q/2)^4 (2q+1).
 func NewWendlandC2() Kernel {
-	return &base{
-		nm:    "wendland-c2",
-		sigma: 21 / (16 * math.Pi),
-		w: func(q float64) float64 {
+	return build("wendland-c2", 21/(16*math.Pi),
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			t2 := t * t
 			return t2 * t2 * (2*q + 1)
 		},
-		dw: func(q float64) float64 {
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			// d/dq [(1-q/2)^4 (2q+1)] = (1-q/2)^3 (-5q)
 			return t * t * t * (-5 * q)
-		},
-	}
+		})
 }
 
 // NewWendlandC4 returns the Wendland C4 kernel in 3D, sigma = 495/(256 pi):
 // w(q) = (1-q/2)^6 (35/12 q^2 + 3q + 1).
 func NewWendlandC4() Kernel {
-	return &base{
-		nm:    "wendland-c4",
-		sigma: 495 / (256 * math.Pi),
-		w: func(q float64) float64 {
+	return build("wendland-c4", 495/(256*math.Pi),
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			t2 := t * t
 			t6 := t2 * t2 * t2
 			return t6 * (35.0/12.0*q*q + 3*q + 1)
 		},
-		dw: func(q float64) float64 {
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			t2 := t * t
 			t5 := t2 * t2 * t
@@ -205,32 +250,28 @@ func NewWendlandC4() Kernel {
 			// w' = -3 t^5 P + t^6 (35/6 q + 3)
 			p := 35.0/12.0*q*q + 3*q + 1
 			return t5 * (-3*p + t*(35.0/6.0*q+3))
-		},
-	}
+		})
 }
 
 // NewWendlandC6 returns the Wendland C6 kernel in 3D, sigma = 1365/(512 pi):
 // w(q) = (1-q/2)^8 (4q^3 + 25/4 q^2 + 4q + 1).
 func NewWendlandC6() Kernel {
-	return &base{
-		nm:    "wendland-c6",
-		sigma: 1365 / (512 * math.Pi),
-		w: func(q float64) float64 {
+	return build("wendland-c6", 1365/(512*math.Pi),
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			t2 := t * t
 			t4 := t2 * t2
 			t8 := t4 * t4
 			return t8 * (4*q*q*q + 6.25*q*q + 4*q + 1)
 		},
-		dw: func(q float64) float64 {
+		func(q float64) float64 {
 			t := 1 - 0.5*q
 			t2 := t * t
 			t4 := t2 * t2
 			t7 := t4 * t2 * t
 			p := 4*q*q*q + 6.25*q*q + 4*q + 1
 			return t7 * (-4*p + t*(12*q*q+12.5*q+4))
-		},
-	}
+		})
 }
 
 // --- Sinc family -----------------------------------------------------------
@@ -238,10 +279,6 @@ func NewWendlandC6() Kernel {
 // sincProfile returns the dimensionless sinc kernel profile of exponent n:
 // S_n(q) = [sin(pi q / 2) / (pi q / 2)]^n, defined on [0, 2].
 func sincProfile(n float64) (w, dw func(float64) float64) {
-	pow := math.Pow
-	if n == math.Trunc(n) && n < 64 {
-		pow = powi
-	}
 	w = func(q float64) float64 {
 		if q <= 0 {
 			return 1
@@ -251,58 +288,34 @@ func sincProfile(n float64) (w, dw func(float64) float64) {
 		if s <= 0 {
 			return 0
 		}
-		return pow(s, n)
+		return math.Pow(s, n)
 	}
 	dw = func(q float64) float64 {
 		if q <= 0 {
 			return 0
 		}
 		x := math.Pi * q / 2
-		sin, cos := math.Sincos(x)
-		s := sin / x
+		s := math.Sin(x) / x
 		if s <= 0 {
 			return 0
 		}
 		// d/dq S^n = n S^(n-1) dS/dq, dS/dq = (pi/2)(cos x / x - sin x / x^2)
-		ds := (math.Pi / 2) * (cos/x - sin/(x*x))
-		return n * pow(s, n-1) * ds
+		ds := (math.Pi / 2) * (math.Cos(x)/x - math.Sin(x)/(x*x))
+		return n * math.Pow(s, n-1) * ds
 	}
 	return w, dw
 }
 
-// powi is x^n for a small non-negative integer n by binary powering, in the
-// multiplication order of math.Pow's integer path, so that it returns the
-// same bits for the normal-range values a kernel profile takes.
-func powi(x, n float64) float64 {
-	a := 1.0
-	for i := int(n); i != 0; i >>= 1 {
-		if i&1 == 1 {
-			a *= x
-		}
-		x *= x
-	}
-	return a
-}
-
-var sincCache sync.Map // map[float64]float64: exponent -> sigma
-
 // NewSinc returns the sinc kernel of exponent n (Cabezón et al. 2008), the
 // default SPHYNX kernel (paper Table 1; SPHYNX production runs use n = 5).
-// The normalization constant is computed numerically and cached per exponent.
+// The normalization constant is computed numerically, once per exponent.
 // n must be > 2 for the 3D integral to be finite near q = 2.
 func NewSinc(n float64) Kernel {
 	if n <= 2 {
 		panic(fmt.Sprintf("kernel: sinc exponent %g <= 2 is not normalizable in 3D", n))
 	}
 	w, dw := sincProfile(n)
-	var sigma float64
-	if v, ok := sincCache.Load(n); ok {
-		sigma = v.(float64)
-	} else {
-		sigma = normalize3D(w)
-		sincCache.Store(n, sigma)
-	}
-	return &base{nm: fmt.Sprintf("sinc-%g", n), sigma: sigma, w: w, dw: dw}
+	return build(fmt.Sprintf("sinc-%g", n), 0, w, dw)
 }
 
 // --- Registry ---------------------------------------------------------------
