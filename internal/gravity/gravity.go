@@ -3,7 +3,6 @@ package gravity
 import (
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/par"
 	"repro/internal/tree"
@@ -119,43 +118,24 @@ func (s *Solver) Accelerations(targets []int32, workers int) *Result {
 	if len(s.tr.Nodes) == 0 || len(targets) == 0 {
 		return res
 	}
-	var wg sync.WaitGroup
-	var c par.Catcher
-	var niTotal, piTotal int64
-	var mu sync.Mutex
-	chunk := (len(targets) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(targets) {
-			hi = len(targets)
+	// Interaction counts per worker: a local in the loop, stored once to the
+	// worker's slot, summed after the join (the par.Range accumulator rule).
+	nis, pis := make([]int64, workers), make([]int64, workers)
+	par.Range(len(targets), workers, func(w, lo, hi int) {
+		var ni, pi int64
+		for t := lo; t < hi; t++ {
+			a, p, n1, n2 := s.walk(0, targets[t])
+			res.Acc[t] = a
+			res.Pot[t] = p
+			ni += n1
+			pi += n2
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			var ni, pi int64
-			for t := lo; t < hi; t++ {
-				idx := targets[t]
-				a, p, n1, n2 := s.walk(0, idx)
-				res.Acc[t] = a
-				res.Pot[t] = p
-				ni += n1
-				pi += n2
-			}
-			mu.Lock()
-			niTotal += ni
-			piTotal += pi
-			mu.Unlock()
-		}(lo, hi)
+		nis[w], pis[w] = ni, pi
+	})
+	for w := range nis {
+		res.NodeInteractions += nis[w]
+		res.ParticleInteractions += pis[w]
 	}
-	wg.Wait()
-	c.Rethrow()
-	res.NodeInteractions = niTotal
-	res.ParticleInteractions = piTotal
 	return res
 }
 
@@ -319,43 +299,25 @@ func Direct(pos []vec.V3, mass []float64, g, eps float64, workers int) *Result {
 	}
 	res := &Result{Acc: make([]vec.V3, n), Pot: make([]float64, n)}
 	e2 := eps * eps
-	var wg sync.WaitGroup
-	var c par.Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer c.Catch()
-			for i := lo; i < hi; i++ {
-				var acc vec.V3
-				var pot float64
-				for j := 0; j < n; j++ {
-					if i == j {
-						continue
-					}
-					d := pos[i].Sub(pos[j])
-					r2 := d.Norm2() + e2
-					r1 := math.Sqrt(r2)
-					inv := 1 / r1
-					acc = acc.MulAdd(-g*mass[j]*inv/r2, d)
-					pot -= g * mass[j] * inv
+	par.Range(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			var acc vec.V3
+			var pot float64
+			for j := 0; j < n; j++ {
+				if i == j {
+					continue
 				}
-				res.Acc[i] = acc
-				res.Pot[i] = pot
+				d := pos[i].Sub(pos[j])
+				r2 := d.Norm2() + e2
+				r1 := math.Sqrt(r2)
+				inv := 1 / r1
+				acc = acc.MulAdd(-g*mass[j]*inv/r2, d)
+				pot -= g * mass[j] * inv
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	c.Rethrow()
+			res.Acc[i] = acc
+			res.Pot[i] = pot
+		}
+	})
 	res.ParticleInteractions = int64(n) * int64(n-1)
 	return res
 }
