@@ -13,7 +13,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/domain"
@@ -356,18 +355,5 @@ func BenchmarkEndToEndStep(b *testing.B) {
 		if _, err := sim.Step(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Subsystem trajectory benchmarks -----------------------------------------
-
-// BenchmarkSubsystem runs the shared internal/bench case registry — the
-// same cases the sphexa-bench binary serializes into BENCH_*.json — so the
-// recorded trajectory is reproducible through the ordinary test harness:
-//
-//	go test -bench Subsystem -benchmem
-func BenchmarkSubsystem(b *testing.B) {
-	for _, c := range bench.Cases() {
-		b.Run(c.Name, c.Bench)
 	}
 }
