@@ -146,16 +146,18 @@ func sortFindings(fs []Finding) []Finding {
 // --- Small shared AST/type helpers used by several analyzers ---------------
 
 // funcObjOf resolves a call's callee to its *types.Func, if any (plain
-// function, method value, or selector call).
+// function, method value, or selector call). A method of an instantiated
+// generic type resolves to the generic declaration, the object the pass's
+// function declarations are indexed by.
 func funcObjOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil
@@ -195,13 +197,16 @@ func recvNamed(fn *types.Func) *types.Named {
 	return n
 }
 
-// namedOf strips pointers and returns the named type of t, if any.
+// namedOf strips pointers and returns the named type of t, if any — for an
+// instantiated generic type, the generic declaration.
 func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, _ := t.(*types.Named)
-	return n
+	if n, ok := t.(*types.Named); ok {
+		return n.Origin()
+	}
+	return nil
 }
 
 // declOfFuncs indexes the pass's function declarations by their type

@@ -64,3 +64,19 @@ func guardedWork() {
 }
 
 func work() {}
+
+// pool is generic: the launched method resolves through the instantiated
+// receiver to the one declaration the package holds.
+type pool[T any] struct{ item T }
+
+func (p *pool[T]) guarded() {
+	defer func() { _ = recover() }()
+	work()
+}
+
+func (p *pool[T]) bare() { work() }
+
+func genericMethods(p *pool[int]) {
+	go p.guarded()
+	go p.bare() // want "without panic containment"
+}

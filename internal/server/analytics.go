@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/store"
 )
 
 // ErrNoStore rejects analytics submissions on a server without a persistent
@@ -15,40 +13,14 @@ import (
 // so there is nothing to cluster without one.
 var ErrNoStore = errors.New("server: no result store attached; analytics requires persisted verification reports")
 
-// ClusterAnalysis is one fleet-clustering resource (POST
+// AnalysisView is the wire shape of a fleet-clustering analysis (POST
 // /v1/analytics/cluster): the persisted verification corpus — optionally
 // narrowed to one scenario — extracted into robust feature vectors and fit
 // with the RIMLE mixture (internal/cluster), whose improper noise component
-// flags anomalous runs. Mutable fields are guarded by the owning Server's
-// mutex.
-type ClusterAnalysis struct {
-	ID   string
-	Spec cluster.Spec // canonical
-	// Hash identifies spec + sorted member report hashes: new completed
-	// runs in the store change it, an unchanged corpus (including across a
-	// restart) is a byte-identical cache hit.
-	Hash  string
-	State JobState
-	// CacheHit marks an analysis whose persisted result was served without
-	// refitting.
-	CacheHit bool
-	Err      string
-	// Jobs is the enumerated dataset size (reports fed to the fit, before
-	// per-job skips).
-	Jobs int
-	// Result is the persisted cluster.Result JSON, served byte-identically
-	// across restarts.
-	Result json.RawMessage
-
-	done   chan struct{}
-	doneAt time.Time
-}
-
-func (a *ClusterAnalysis) lifecycle() (JobState, time.Time) { return a.State, a.doneAt }
-func (a *ClusterAnalysis) cacheHash() string                { return a.Hash }
-
-// AnalysisView is an immutable snapshot of a cluster analysis for JSON
-// responses.
+// flags anomalous runs. Hash identifies spec + sorted member report hashes:
+// new completed runs in the store change it, an unchanged corpus (including
+// across a restart) is a byte-identical cache hit. Jobs is the enumerated
+// dataset size (reports fed to the fit, before per-job skips).
 type AnalysisView struct {
 	ID       string          `json:"id"`
 	Spec     cluster.Spec    `json:"spec"`
@@ -60,6 +32,8 @@ type AnalysisView struct {
 	Error    string          `json:"error,omitempty"`
 }
 
+func (v AnalysisView) meta() (string, JobState) { return v.Hash, v.State }
+
 // AnomalyMark is the rollup a flagged job carries on its views: which
 // analysis assigned it to the improper noise component and with what
 // posterior probability. The newest analysis covering the job wins; an
@@ -70,98 +44,63 @@ type AnomalyMark struct {
 	NoiseProb float64 `json:"noiseProb"`
 }
 
-// SubmitAnalysis canonicalizes a cluster spec, enumerates the persisted
-// verification corpus it covers, and resolves the analysis like a job: an
-// active identical analysis coalesces onto the running one, a persisted
-// result (memory layer or store) completes instantly as a byte-identical
-// cache hit, and otherwise the RIMLE fit runs on a collector goroutine.
-// The analysis hash covers the spec AND the sorted member report hashes, so
-// resubmitting after more jobs complete recomputes while an unchanged
-// corpus never does.
-func (s *Server) SubmitAnalysis(sp cluster.Spec) (*AnalysisView, error) {
-	st := s.opts.Store
-	if st == nil {
-		return nil, ErrNoStore
+var analysisKind = kind[cluster.Spec, AnalysisView]{
+	noun: "cluster analysis", body: "cluster spec",
+	prefix: "cls", route: "/v1/analytics/cluster", listKey: "analyses",
+	counters: (*metrics).analyticsLifecycle,
+	plan:     planAnalysis,
+	aggregate: func(_ *Server, rec *derived[cluster.Spec]) (any, error) {
+		return cluster.Analyze(rec.Spec, rec.input.([]cluster.JobData))
+	},
+	view: func(_ *Server, rec *derived[cluster.Spec]) AnalysisView {
+		return AnalysisView{
+			ID: rec.ID, Spec: rec.Spec, Hash: rec.Hash, State: rec.State,
+			CacheHit: rec.CacheHit, Jobs: rec.Inputs, Result: rec.Result, Error: rec.Err,
+		}
+	},
+	// A restart empties the anomaly rollups; a cache hit re-applies them so
+	// job views and /statusz recover without a refit.
+	applied: func(raw []byte) func(*Server, string) {
+		var res cluster.Result
+		if json.Unmarshal(raw, &res) != nil {
+			return nil
+		}
+		return func(s *Server, id string) { s.applyAnomaliesLocked(id, &res) }
+	},
+}
+
+// planAnalysis canonicalizes a cluster spec and enumerates the persisted
+// verification corpus it covers; an analysis has no member jobs, the corpus
+// is its input. The hash covers the spec AND the sorted member report
+// hashes, so resubmitting after more jobs complete recomputes while an
+// unchanged corpus never does. The scenario filter applies before hashing:
+// the analysis identity is the corpus it actually fits, so unrelated
+// scenarios completing cannot invalidate a filtered analysis.
+func planAnalysis(s *Server, sp cluster.Spec) (plan[cluster.Spec], error) {
+	var p plan[cluster.Spec]
+	if s.opts.Store == nil {
+		return p, ErrNoStore
 	}
 	csp, err := sp.Canonical()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-
-	// Enumerate the dataset with the server lock released (the store reads
-	// disk). The scenario filter applies here, before hashing: the analysis
-	// identity is the corpus it actually fits, so unrelated scenarios
-	// completing cannot invalidate a filtered analysis.
 	jobs := s.analysisDataset(csp)
 	if len(jobs) < cluster.MinJobs {
-		return nil, fmt.Errorf("server: only %d persisted verification reports match the spec (need at least %d); seed more completed runs", len(jobs), cluster.MinJobs)
+		return p, fmt.Errorf("server: only %d persisted verification reports match the spec (need at least %d); seed more completed runs", len(jobs), cluster.MinJobs)
 	}
 	if len(jobs) > cluster.MaxJobs {
-		return nil, fmt.Errorf("server: %d persisted reports match the spec, over the %d-job cap; narrow the scenario filter", len(jobs), cluster.MaxJobs)
+		return p, fmt.Errorf("server: %d persisted reports match the spec, over the %d-job cap; narrow the scenario filter", len(jobs), cluster.MaxJobs)
 	}
 	hashes := make([]string, len(jobs))
 	for i, jd := range jobs {
 		hashes[i] = jd.Hash
 	}
-	hash, err := cluster.AnalysisHash(csp, hashes)
-	if err != nil {
-		return nil, err
+	if p.hash, err = cluster.AnalysisHash(csp, hashes); err != nil {
+		return p, err
 	}
-
-	s.mu.Lock()
-	s.pruneLocked()
-	if active, ok := s.clsByHash[hash]; ok {
-		v := s.clsViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	s.mu.Unlock()
-
-	// Resolve a completed result with the lock released (the store touches
-	// disk).
-	if raw, hit := s.resolveRawResult(s.clsCache, hash); hit {
-		var res cluster.Result
-		decodable := json.Unmarshal(raw, &res) == nil
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if active, ok := s.clsByHash[hash]; ok {
-			v := s.clsViewLocked(active)
-			return &v, nil
-		}
-		cls := s.newAnalysisLocked(csp, hash, len(jobs))
-		cls.State = StateCompleted
-		cls.CacheHit = true
-		cls.Result = raw
-		cls.doneAt = s.now()
-		close(cls.done)
-		if decodable {
-			// A restart emptied the anomaly rollups; a cache hit re-applies
-			// them so job views and /statusz recover without a refit.
-			s.applyAnomaliesLocked(cls.ID, &res)
-		}
-		s.met.analytics.Inc()
-		s.met.analyticsHits.Inc()
-		s.met.analyticsDone.With(string(StateCompleted)).Inc()
-		v := s.clsViewLocked(cls)
-		return &v, nil
-	}
-
-	s.mu.Lock()
-	if active, ok := s.clsByHash[hash]; ok {
-		// An identical analysis raced in while the lock was released.
-		v := s.clsViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	cls := s.newAnalysisLocked(csp, hash, len(jobs))
-	cls.State = StateRunning
-	s.clsByHash[hash] = cls
-	v := s.clsViewLocked(cls)
-	s.mu.Unlock()
-	s.met.analytics.Inc()
-
-	go s.collectAnalysis(cls, jobs)
-	return &v, nil
+	p.spec, p.input, p.inputs = csp, jobs, len(jobs)
+	return p, nil
 }
 
 // analysisDataset enumerates every store entry with a persisted verification
@@ -193,83 +132,6 @@ func (s *Server) analysisDataset(csp cluster.Spec) []cluster.JobData {
 		jobs = append(jobs, jd)
 	}
 	return jobs
-}
-
-// newAnalysisLocked allocates and registers a cluster-analysis record.
-func (s *Server) newAnalysisLocked(csp cluster.Spec, hash string, jobs int) *ClusterAnalysis {
-	s.nextClsID++
-	cls := &ClusterAnalysis{
-		ID:   fmt.Sprintf("cls-%06d", s.nextClsID),
-		Spec: csp,
-		Hash: hash,
-		Jobs: jobs,
-		done: make(chan struct{}),
-	}
-	s.clss[cls.ID] = cls
-	s.clsOrder = append(s.clsOrder, cls.ID)
-	return cls
-}
-
-// collectAnalysis runs the clustering pipeline off the request path,
-// persists the result content-addressed by the analysis hash, and applies
-// the anomaly rollups to the job table.
-func (s *Server) collectAnalysis(cls *ClusterAnalysis, jobs []cluster.JobData) {
-	// Contain collector panics (PR 7 discipline): a degenerate fleet must
-	// fail this one analysis, never the process. Skip if the analysis
-	// already went terminal (fail helpers close done exactly once).
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		select {
-		case <-cls.done:
-			s.log.Error("analysis collector panicked after terminal state", "analysis", cls.ID, "panic", v)
-		default:
-			s.failAnalysis(cls, fmt.Sprintf("collector panic: %v", v))
-		}
-	}()
-	res, err := cluster.Analyze(cls.Spec, jobs)
-	if err != nil {
-		s.failAnalysis(cls, err.Error())
-		return
-	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		s.failAnalysis(cls, fmt.Sprintf("encoding result: %v", err))
-		return
-	}
-	if st := s.opts.Store; st != nil {
-		// Persisted like any result: content-addressed by the analysis
-		// hash, CRC-verified on read, subject to the same TTL/LRU policy.
-		_ = st.Put(store.Meta{Hash: cls.Hash}, raw)
-	}
-
-	s.mu.Lock()
-	s.clsCache[cls.Hash] = raw
-	cls.State = StateCompleted
-	cls.Result = raw
-	cls.doneAt = s.now()
-	delete(s.clsByHash, cls.Hash)
-	s.applyAnomaliesLocked(cls.ID, res)
-	close(cls.done)
-	s.mu.Unlock()
-	s.met.analyticsDone.With(string(StateCompleted)).Inc()
-	s.log.Info("cluster analysis completed", "analysis", cls.ID, "hash", cls.Hash,
-		"jobs", res.Jobs, "k", res.K, "anomalies", res.Anomalies)
-}
-
-// failAnalysis terminates a cluster analysis with an error message.
-func (s *Server) failAnalysis(cls *ClusterAnalysis, msg string) {
-	s.mu.Lock()
-	cls.State = StateFailed
-	cls.Err = msg
-	cls.doneAt = s.now()
-	delete(s.clsByHash, cls.Hash)
-	close(cls.done)
-	s.mu.Unlock()
-	s.met.analyticsDone.With(string(StateFailed)).Inc()
-	s.log.Error("cluster analysis failed", "analysis", cls.ID, "hash", cls.Hash, "error", msg)
 }
 
 // applyAnomaliesLocked folds one analysis result into the anomaly rollup
@@ -306,66 +168,4 @@ func (s *Server) jobViewLocked(j *Job) JobView {
 		v.Anomaly = mark
 	}
 	return v
-}
-
-// GetAnalysis returns a snapshot of the cluster analysis, or false.
-func (s *Server) GetAnalysis(id string) (AnalysisView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cls, ok := s.clss[id]
-	if !ok {
-		return AnalysisView{}, false
-	}
-	return s.clsViewLocked(cls), true
-}
-
-// AnalysisDone returns a channel closed when the analysis reaches a terminal
-// state.
-func (s *Server) AnalysisDone(id string) (<-chan struct{}, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cls, ok := s.clss[id]
-	if !ok {
-		return nil, false
-	}
-	return cls.done, true
-}
-
-// ListAnalyses returns one page of cluster analyses in submission order,
-// with the same cursor semantics as ListPage.
-func (s *Server) ListAnalyses(cursor string, limit int) ([]AnalysisView, string) {
-	limit = clampLimit(limit)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked()
-	out := make([]AnalysisView, 0, limit)
-	next := ""
-	for _, id := range s.clsOrder {
-		if cursor != "" && !cursorAfter(id, cursor) {
-			continue
-		}
-		if len(out) == limit {
-			next = out[len(out)-1].ID
-			break
-		}
-		out = append(out, s.clsViewLocked(s.clss[id]))
-	}
-	return out, next
-}
-
-// DeleteAnalysis removes a terminal analysis record; its persisted result
-// stays addressable by analysis hash, and any anomaly marks it applied
-// survive until a newer analysis clears them.
-func (s *Server) DeleteAnalysis(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deleteTerminal(id, "cluster analysis", s.clss, &s.clsOrder, s.clsCache)
-}
-
-// clsViewLocked snapshots a cluster analysis.
-func (s *Server) clsViewLocked(cls *ClusterAnalysis) AnalysisView {
-	return AnalysisView{
-		ID: cls.ID, Spec: cls.Spec, Hash: cls.Hash, State: cls.State,
-		CacheHit: cls.CacheHit, Jobs: cls.Jobs, Result: cls.Result, Error: cls.Err,
-	}
 }

@@ -188,7 +188,7 @@ func TestClusterAnalyticsEndToEnd(t *testing.T) {
 		t.Fatalf("resubmission not a completed cache hit: state=%s cacheHit=%v", again.State, again.CacheHit)
 	}
 
-	raw1, ok := s.GetAnalysis(cls.ID)
+	raw1, ok := s.Analyses.Get(cls.ID)
 	if !ok || raw1.Result == nil {
 		t.Fatal("first analysis record lost its result")
 	}
@@ -205,7 +205,7 @@ func TestClusterAnalyticsEndToEnd(t *testing.T) {
 	s2 := New(Options{Workers: 1, Store: st2})
 	defer s2.Close()
 
-	v2, err := s2.SubmitAnalysis(spec)
+	v2, err := s2.Analyses.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,13 +250,13 @@ func TestClusterAnalyticsValidation(t *testing.T) {
 	}
 	s2 := New(Options{Workers: 1, Store: st})
 	defer s2.Close()
-	if _, err := s2.SubmitAnalysis(cluster.Spec{}); err == nil ||
+	if _, err := s2.Analyses.Submit(cluster.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "need at least") {
 		t.Fatalf("empty-corpus submission error = %v", err)
 	}
 
 	// Invalid spec knobs reject before any dataset work.
-	if _, err := s2.SubmitAnalysis(cluster.Spec{Features: []string{"no-such-group"}}); err == nil {
+	if _, err := s2.Analyses.Submit(cluster.Spec{Features: []string{"no-such-group"}}); err == nil {
 		t.Fatal("unknown feature group accepted")
 	}
 }

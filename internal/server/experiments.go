@@ -1,371 +1,78 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/scenario"
-	"repro/internal/store"
 )
 
-// Experiment is one convergence sweep resource (POST /v1/experiments): an
-// N-ladder of member jobs run through the ordinary job pipeline, aggregated
-// into a norm-vs-N regression when the last member completes. Mutable
-// fields are guarded by the owning Server's mutex.
-type Experiment struct {
-	ID    string
-	Sweep experiments.Sweep // canonical
-	Hash  string
-	State JobState
-	// CacheHit marks an experiment whose persisted result was served
-	// without running any member.
-	CacheHit bool
-	Err      string
-	Members  []ExpMember
-	// Result is the persisted regression JSON (experiments.Result),
-	// served byte-identically across restarts.
-	Result json.RawMessage
+// ExperimentView is the wire shape of a convergence experiment (POST
+// /v1/experiments): an N-ladder of member jobs aggregated into a norm-vs-N
+// regression (experiments.Result) when the last member completes.
+type ExperimentView = SweepView[experiments.Sweep]
 
-	done   chan struct{}
-	doneAt time.Time
+var convergenceKind = kind[experiments.Sweep, ExperimentView]{
+	noun: "experiment", body: "sweep",
+	prefix: "exp", route: "/v1/experiments", listKey: "experiments",
+	counters:  func(m *metrics) lifecycleVecs { return m.sweepLifecycle("convergence") },
+	plan:      planConvergence,
+	aggregate: aggregateConvergence,
+	view:      sweepViewLocked[experiments.Sweep],
 }
 
-// ExpMember binds one ladder point to the job executing it.
-type ExpMember struct {
-	N     int
-	JobID string
-	Hash  string
-	done  <-chan struct{}
-}
-
-// ExpMemberView is the member entry of an experiment view; State and Verify
-// reflect the live job record and are omitted once the job has been pruned
-// (the persisted result keeps the member hashes regardless).
-type ExpMemberView struct {
-	N      int            `json:"n"`
-	JobID  string         `json:"jobId"`
-	Hash   string         `json:"hash"`
-	State  JobState       `json:"state,omitempty"`
-	Verify *VerifySummary `json:"verify,omitempty"`
-}
-
-// ExperimentView is an immutable snapshot of an experiment for JSON
-// responses.
-type ExperimentView struct {
-	ID       string            `json:"id"`
-	Sweep    experiments.Sweep `json:"sweep"`
-	Hash     string            `json:"hash"`
-	State    JobState          `json:"state"`
-	CacheHit bool              `json:"cacheHit"`
-	Members  []ExpMemberView   `json:"members,omitempty"`
-	Result   json.RawMessage   `json:"result,omitempty"`
-	Error    string            `json:"error,omitempty"`
-}
-
-// SubmitExperiment canonicalizes a sweep and resolves it like a job: an
-// active identical sweep coalesces onto the running experiment, a persisted
-// result (memory layer or store) completes instantly as a cache hit, and
-// otherwise every ladder point is submitted through the ordinary coalescing
-// job path — members identical to already-stored or in-flight jobs never
-// recompute — with a collector goroutine fitting and persisting the
-// regression when the last member lands.
-func (s *Server) SubmitExperiment(sw experiments.Sweep) (*ExperimentView, error) {
+// planConvergence canonicalizes a sweep and expands its ladder into one
+// member per particle count. The scenario must register an analytic
+// reference: the regression is over the members' error norms against it.
+func planConvergence(_ *Server, sw experiments.Sweep) (plan[experiments.Sweep], error) {
+	var p plan[experiments.Sweep]
 	csw, err := sw.Canonical()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	sc, err := scenario.Get(csw.Base.Scenario)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	if sc.Reference == nil {
-		return nil, fmt.Errorf("server: scenario %q registers no analytic reference; a convergence experiment needs one to score its members", sc.Name)
+		return p, fmt.Errorf("server: scenario %q registers no analytic reference; a convergence experiment needs one to score its members", sc.Name)
 	}
-	hash, err := csw.Hash()
-	if err != nil {
-		return nil, err
+	if p.hash, err = csw.Hash(); err != nil {
+		return p, err
 	}
-
-	s.mu.Lock()
-	s.pruneLocked()
-	if active, ok := s.expByHash[hash]; ok {
-		v := s.expViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	s.mu.Unlock()
-
-	// Resolve a completed result with the lock released (the store touches
-	// disk).
-	if raw, hit := s.resolveExperimentResult(hash); hit {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if active, ok := s.expByHash[hash]; ok {
-			v := s.expViewLocked(active)
-			return &v, nil
-		}
-		exp := s.newExperimentLocked(csw, hash)
-		exp.State = StateCompleted
-		exp.CacheHit = true
-		exp.Result = raw
-		exp.doneAt = s.now()
-		close(exp.done)
-		s.met.sweeps.With("convergence").Inc()
-		s.met.sweepCacheHits.With("convergence").Inc()
-		s.met.sweepsDone.With("convergence", string(StateCompleted)).Inc()
-		v := s.expViewLocked(exp)
-		return &v, nil
-	}
-
-	// Submit the members first (outside the experiment registration):
-	// duplicates against active jobs, stored results, or a racing identical
-	// sweep all coalesce at the job layer, so this never double-computes.
-	// A mid-ladder failure (queue full) aborts the experiment but leaves
-	// the already-enqueued members running as ordinary jobs — they may
-	// have coalesced with other clients' submissions, so cancelling them
-	// here could kill someone else's work; their results persist and the
-	// retried sweep coalesces straight onto them.
-	members := make([]ExpMember, 0, len(csw.Ns))
+	p.spec = csw
 	for _, n := range csw.Ns {
-		view, err := s.Submit(csw.Member(n))
-		if err != nil {
-			return nil, fmt.Errorf("server: submitting sweep member N=%d: %w", n, err)
-		}
-		// Attribute the fan-out: these job submissions belong to a
-		// convergence sweep, not ad-hoc clients.
-		s.met.sweepMembers.With("convergence").Inc()
-		if view.CacheHit {
-			s.met.sweepMemberHits.With("convergence").Inc()
-		}
-		members = append(members, ExpMember{N: n, JobID: view.ID, Hash: view.Hash, done: s.memberDone(view.ID)})
+		p.members = append(p.members, memberSpec{spec: csw.Member(n), label: fmt.Sprintf("N=%d", n)})
 	}
-
-	s.mu.Lock()
-	if active, ok := s.expByHash[hash]; ok {
-		// An identical sweep raced in; its members coalesced with ours.
-		v := s.expViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	exp := s.newExperimentLocked(csw, hash)
-	exp.State = StateRunning
-	exp.Members = members
-	s.expByHash[hash] = exp
-	v := s.expViewLocked(exp)
-	s.mu.Unlock()
-	s.met.sweeps.With("convergence").Inc()
-
-	go s.collectExperiment(exp)
-	return &v, nil
+	return p, nil
 }
 
-// newExperimentLocked allocates and registers an experiment record.
-func (s *Server) newExperimentLocked(sw experiments.Sweep, hash string) *Experiment {
-	s.nextExpID++
-	exp := &Experiment{
-		ID:    fmt.Sprintf("exp-%06d", s.nextExpID),
-		Sweep: sw,
-		Hash:  hash,
-		done:  make(chan struct{}),
-	}
-	s.exps[exp.ID] = exp
-	s.expOrder = append(s.expOrder, exp.ID)
-	return exp
-}
-
-// resolveExperimentResult consults the memory layer, then the persistent
-// store (CRC-verified); store hits are promoted into memory.
-func (s *Server) resolveExperimentResult(hash string) ([]byte, bool) {
-	return s.resolveRawResult(s.expCache, hash)
-}
-
-// collectExperiment waits for every member to reach a terminal state, then
-// aggregates the member verification reports into the convergence
-// regression and persists it.
-func (s *Server) collectExperiment(exp *Experiment) {
-	// Contain collector panics (PR 7 discipline): a bad member report must
-	// fail this one experiment, never the process. Skip if the experiment
-	// already went terminal (fail helpers close done exactly once).
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		select {
-		case <-exp.done:
-			s.log.Error("experiment collector panicked after terminal state", "experiment", exp.ID, "panic", v)
-		default:
-			s.failExperiment(exp, fmt.Sprintf("collector panic: %v", v))
-		}
-	}()
-	for _, m := range exp.Members {
-		select {
-		case <-m.done:
-		case <-s.ctx.Done():
-			return // server shutting down; the experiment stays running
-		}
-	}
-
-	points := make([]experiments.Point, 0, len(exp.Members))
-	for _, m := range exp.Members {
-		rep := s.reportByHash(m.Hash)
-		if rep == nil {
-			reason := "no verification report recorded"
-			if view, ok := s.Get(m.JobID); ok && view.State != StateCompleted {
-				reason = fmt.Sprintf("ended %s", view.State)
-				if view.Error != "" {
-					reason += ": " + view.Error
-				}
-			}
-			s.failExperiment(exp, fmt.Sprintf("member job %s (N=%d) %s", m.JobID, m.N, reason))
-			return
-		}
-		var parsed struct {
+// aggregateConvergence fits the trimmed log-log convergence order through
+// the members' L1 density norms.
+func aggregateConvergence(s *Server, rec *derived[experiments.Sweep]) (any, error) {
+	points := make([]experiments.Point, 0, len(rec.Members))
+	for _, m := range rec.Members {
+		var rep struct {
 			Particles int     `json:"particles"`
 			L1Density float64 `json:"l1Density"`
 			Pass      bool    `json:"pass"`
 		}
-		if err := json.Unmarshal(rep, &parsed); err != nil {
-			s.failExperiment(exp, fmt.Sprintf("member job %s (N=%d): undecodable report: %v", m.JobID, m.N, err))
-			return
+		if err := s.memberReport(m, &rep); err != nil {
+			return nil, err
 		}
 		points = append(points, experiments.Point{
-			N: m.N, Particles: parsed.Particles,
-			L1Density: parsed.L1Density, Pass: parsed.Pass, Hash: m.Hash,
+			N: m.N, Particles: rep.Particles,
+			L1Density: rep.L1Density, Pass: rep.Pass, Hash: m.Hash,
 		})
 	}
-
 	fit, err := experiments.FitOrder(points)
 	if err != nil {
-		s.failExperiment(exp, err.Error())
-		return
+		return nil, err
 	}
-	result := experiments.Result{
-		Scenario: exp.Sweep.Base.Scenario,
+	return experiments.Result{
+		Scenario: rec.Spec.Base.Scenario,
 		Field:    "density-l1-trimmed",
 		Points:   points,
 		Fit:      fit,
-	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		s.failExperiment(exp, fmt.Sprintf("encoding result: %v", err))
-		return
-	}
-	if st := s.opts.Store; st != nil {
-		// Persisted like any result: content-addressed by the sweep hash,
-		// CRC-verified on read, subject to the same TTL/LRU policy.
-		_ = st.Put(store.Meta{Hash: exp.Hash}, raw)
-	}
-
-	s.mu.Lock()
-	s.expCache[exp.Hash] = raw
-	exp.State = StateCompleted
-	exp.Result = raw
-	exp.doneAt = s.now()
-	delete(s.expByHash, exp.Hash)
-	close(exp.done)
-	s.mu.Unlock()
-	s.met.sweepsDone.With("convergence", string(StateCompleted)).Inc()
-	s.log.Info("experiment completed", "experiment", exp.ID, "hash", exp.Hash,
-		"members", len(exp.Members))
-}
-
-// failExperiment terminates an experiment with an error message.
-func (s *Server) failExperiment(exp *Experiment, msg string) {
-	s.mu.Lock()
-	exp.State = StateFailed
-	exp.Err = msg
-	exp.doneAt = s.now()
-	delete(s.expByHash, exp.Hash)
-	close(exp.done)
-	s.mu.Unlock()
-	s.met.sweepsDone.With("convergence", string(StateFailed)).Inc()
-	s.log.Error("experiment failed", "experiment", exp.ID, "hash", exp.Hash, "error", msg)
-}
-
-// reportByHash returns the verification report of a completed result by
-// spec hash: the memory layer first, then the persistent store. Unlike
-// Metrics it does not need a live job record, so experiments survive job
-// table pruning.
-func (s *Server) reportByHash(hash string) []byte {
-	s.mu.Lock()
-	var b []byte
-	if res, ok := s.cache[hash]; ok {
-		b = res.report
-	}
-	s.mu.Unlock()
-	if b != nil {
-		return b
-	}
-	if st := s.opts.Store; st != nil {
-		if rb, ok := st.ReadReport(hash); ok {
-			return rb
-		}
-	}
-	return nil
-}
-
-// GetExperiment returns a snapshot of the experiment, or false.
-func (s *Server) GetExperiment(id string) (ExperimentView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	exp, ok := s.exps[id]
-	if !ok {
-		return ExperimentView{}, false
-	}
-	return s.expViewLocked(exp), true
-}
-
-// ExperimentDone returns a channel closed when the experiment reaches a
-// terminal state.
-func (s *Server) ExperimentDone(id string) (<-chan struct{}, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	exp, ok := s.exps[id]
-	if !ok {
-		return nil, false
-	}
-	return exp.done, true
-}
-
-// ListExperiments returns one page of experiments in submission order,
-// with the same cursor semantics as ListPage.
-func (s *Server) ListExperiments(cursor string, limit int) ([]ExperimentView, string) {
-	limit = clampLimit(limit)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked()
-	out := make([]ExperimentView, 0, limit)
-	next := ""
-	for _, id := range s.expOrder {
-		if cursor != "" && !cursorAfter(id, cursor) {
-			continue
-		}
-		if len(out) == limit {
-			next = out[len(out)-1].ID
-			break
-		}
-		out = append(out, s.expViewLocked(s.exps[id]))
-	}
-	return out, next
-}
-
-// expViewLocked snapshots an experiment, decorating members with their live
-// job state where the record still exists.
-func (s *Server) expViewLocked(exp *Experiment) ExperimentView {
-	v := ExperimentView{
-		ID: exp.ID, Sweep: exp.Sweep, Hash: exp.Hash, State: exp.State,
-		CacheHit: exp.CacheHit, Result: exp.Result, Error: exp.Err,
-	}
-	for _, m := range exp.Members {
-		mv := ExpMemberView{N: m.N, JobID: m.JobID, Hash: m.Hash}
-		if job, ok := s.jobs[m.JobID]; ok {
-			mv.State = job.State
-			mv.Verify = job.Verify
-		}
-		v.Members = append(v.Members, mv)
-	}
-	return v
+	}, nil
 }

@@ -23,17 +23,17 @@ func sedovSweep(steps int, ns ...int) experiments.Sweep {
 
 func waitExperiment(t *testing.T, s *Server, id string, timeout time.Duration) ExperimentView {
 	t.Helper()
-	done, ok := s.ExperimentDone(id)
+	done, ok := s.Experiments.Done(id)
 	if !ok {
 		t.Fatalf("experiment %s unknown", id)
 	}
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		v, _ := s.GetExperiment(id)
+		v, _ := s.Experiments.Get(id)
 		t.Fatalf("experiment %s stuck in %s: %+v", id, v.State, v)
 	}
-	v, ok := s.GetExperiment(id)
+	v, ok := s.Experiments.Get(id)
 	if !ok {
 		t.Fatalf("experiment %s disappeared", id)
 	}
@@ -197,16 +197,16 @@ func TestExperimentValidation(t *testing.T) {
 		}},
 		Ns: []int{216, 512},
 	}
-	if _, err := s.SubmitExperiment(cube); err == nil {
+	if _, err := s.Experiments.Submit(cube); err == nil {
 		t.Fatal("sweep of a reference-less scenario accepted")
 	}
 
 	// Fewer than two distinct ladder points is not a sweep.
-	if _, err := s.SubmitExperiment(sedovSweep(2, 216, 216)); err == nil {
+	if _, err := s.Experiments.Submit(sedovSweep(2, 216, 216)); err == nil {
 		t.Fatal("single-point sweep accepted")
 	}
 	// Non-positive particle counts are rejected.
-	if _, err := s.SubmitExperiment(sedovSweep(2, 0, 216)); err == nil {
+	if _, err := s.Experiments.Submit(sedovSweep(2, 0, 216)); err == nil {
 		t.Fatal("zero-N sweep accepted")
 	}
 	// Unknown scenarios are rejected.
@@ -214,7 +214,7 @@ func TestExperimentValidation(t *testing.T) {
 		Base: scenario.JobSpec{Spec: scenario.Spec{Scenario: "warp-drive", Steps: 1}},
 		Ns:   []int{100, 200},
 	}
-	if _, err := s.SubmitExperiment(warp); err == nil {
+	if _, err := s.Experiments.Submit(warp); err == nil {
 		t.Fatal("unknown-scenario sweep accepted")
 	}
 }
@@ -226,11 +226,11 @@ func TestExperimentActiveCoalescing(t *testing.T) {
 	defer s.Close()
 
 	sw := sedovSweep(3, 216, 512)
-	first, err := s.SubmitExperiment(sw)
+	first, err := s.Experiments.Submit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err := s.SubmitExperiment(sw)
+	dup, err := s.Experiments.Submit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestExperimentActiveCoalescing(t *testing.T) {
 	}
 
 	// Listing pages the experiment out.
-	exps, next := s.ListExperiments("", 10)
+	exps, next := s.Experiments.List("", 10)
 	if len(exps) != 1 || next != "" || exps[0].ID != first.ID {
 		t.Fatalf("experiment listing %+v next=%q", exps, next)
 	}
@@ -264,7 +264,7 @@ func TestExperimentMemberFailureFailsExperiment(t *testing.T) {
 		}},
 		Ns: []int{1000, 2000},
 	}
-	exp, err := s.SubmitExperiment(sw)
+	exp, err := s.Experiments.Submit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,8 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/experiments"
 	"repro/internal/obs/history"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
@@ -42,24 +41,6 @@ import (
 //	POST /v1/jobs/{id}/profile     capture a CPU profile (?seconds=N, pprof
 //	                               format; 409 while another capture runs)
 //	DELETE /v1/jobs/{id}           forget a terminal job record (404/409)
-//	POST /v1/experiments           submit a convergence sweep (experiments.Sweep)
-//	GET  /v1/experiments           list experiments; ?limit=/?cursor= paginate
-//	GET  /v1/experiments/{id}      sweep status, members, norm-vs-N regression
-//	GET  /v1/experiments/{id}/events  server-sent progress events until terminal
-//	DELETE /v1/experiments/{id}    forget a terminal experiment record
-//	POST /v1/scaling               submit a scaling sweep (experiments.ScalingSweep)
-//	GET  /v1/scaling               list scaling experiments; ?limit=/?cursor=
-//	GET  /v1/scaling/{id}          ladder status, members, speedup/POP curves,
-//	                               trimmed Amdahl fit, paired comparisons
-//	GET  /v1/scaling/{id}/events   server-sent progress events until terminal
-//	DELETE /v1/scaling/{id}        forget a terminal scaling record
-//	POST /v1/analytics/cluster     cluster the persisted verification corpus
-//	                               (cluster.Spec JSON body); the mixture's
-//	                               improper noise component flags anomalies
-//	GET  /v1/analytics/cluster     list analyses; ?limit=/?cursor= paginate
-//	GET  /v1/analytics/cluster/{id}        analysis status + clustering result
-//	GET  /v1/analytics/cluster/{id}/events server-sent progress until terminal
-//	DELETE /v1/analytics/cluster/{id}      forget a terminal analysis record
 //	GET  /v1/store                 result-store metrics (entries, bytes,
 //	                               hit rate, quarantine count)
 //	GET  /v1/metrics/history       downsampled registry time series; ?series=
@@ -67,6 +48,20 @@ import (
 //	                               bounds the age (Go duration, grid-aligned)
 //	GET  /statusz                  human-readable operational snapshot
 //	GET  /metricsz                 Prometheus text exposition of the registry
+//
+// Each derived-resource kind mounts the same five routes (mountDerived)
+// under its collection path:
+//
+//	kind         path                   POST body                 404 code
+//	experiment   /v1/experiments        experiments.Sweep         unknown_experiment
+//	scaling      /v1/scaling            experiments.ScalingSweep  unknown_scaling
+//	analysis     /v1/analytics/cluster  cluster.Spec              unknown_analysis
+//
+//	POST   <path>              submit; 202, or 200 for a cache hit
+//	GET    <path>              list; ?limit=/?cursor= paginate
+//	GET    <path>/{id}         status, members, result
+//	GET    <path>/{id}/events  server-sent progress events until terminal
+//	DELETE <path>/{id}         forget a terminal record (404/409)
 //
 // Every error is a structured envelope:
 //
@@ -100,21 +95,6 @@ func (s *Server) Handler() http.Handler {
 		{method: "GET", path: "/v1/jobs/{id}/trace", h: s.handleTrace},
 		{method: "POST", path: "/v1/jobs/{id}/profile", h: s.handleProfile},
 		{method: "DELETE", path: "/v1/jobs/{id}", h: s.handleDelete(CodeUnknownJob, s.DeleteJob)},
-		{method: "POST", path: "/v1/experiments", h: s.handleSubmitExperiment},
-		{method: "GET", path: "/v1/experiments", h: s.handleListExperiments},
-		{method: "GET", path: "/v1/experiments/{id}", h: s.handleExperiment},
-		{method: "GET", path: "/v1/experiments/{id}/events", h: s.handleExperimentEvents},
-		{method: "DELETE", path: "/v1/experiments/{id}", h: s.handleDelete(CodeUnknownExperiment, s.DeleteExperiment)},
-		{method: "POST", path: "/v1/scaling", h: s.handleSubmitScaling},
-		{method: "GET", path: "/v1/scaling", h: s.handleListScaling},
-		{method: "GET", path: "/v1/scaling/{id}", h: s.handleScaling},
-		{method: "GET", path: "/v1/scaling/{id}/events", h: s.handleScalingEvents},
-		{method: "DELETE", path: "/v1/scaling/{id}", h: s.handleDelete(CodeUnknownScaling, s.DeleteScaling)},
-		{method: "POST", path: "/v1/analytics/cluster", h: s.handleSubmitAnalysis},
-		{method: "GET", path: "/v1/analytics/cluster", h: s.handleListAnalyses},
-		{method: "GET", path: "/v1/analytics/cluster/{id}", h: s.handleAnalysis},
-		{method: "GET", path: "/v1/analytics/cluster/{id}/events", h: s.handleAnalysisEvents},
-		{method: "DELETE", path: "/v1/analytics/cluster/{id}", h: s.handleDelete(CodeUnknownAnalysis, s.DeleteAnalysis)},
 		{method: "GET", path: "/v1/store", h: s.handleStore},
 		{method: "GET", path: "/v1/metrics/history", h: s.handleMetricsHistory},
 		{method: "GET", path: "/statusz", h: s.handleStatusz},
@@ -123,6 +103,9 @@ func (s *Server) Handler() http.Handler {
 	for _, r := range routes {
 		mux.HandleFunc(r.method+" "+r.path, r.h)
 	}
+	mountDerived(mux, &s.Experiments, CodeUnknownExperiment)
+	mountDerived(mux, &s.Scaling, CodeUnknownScaling)
+	mountDerived(mux, &s.Analyses, CodeUnknownAnalysis)
 	return s.instrument(mux)
 }
 
@@ -163,16 +146,123 @@ func writeError(w http.ResponseWriter, status int, code, message string, details
 	})
 }
 
-// submitError classifies a Submit/SubmitExperiment error into the envelope.
+// submitError classifies a submission error into the envelope.
 func submitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		writeError(w, http.StatusServiceUnavailable, CodeQueueFull, err.Error(), nil)
 	case errors.Is(err, scenario.ErrUnknown):
 		writeError(w, http.StatusNotFound, CodeUnknownScenario, err.Error(), nil)
+	case errors.Is(err, ErrNoStore):
+		writeError(w, http.StatusNotFound, CodeNoStore, err.Error(), nil)
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
 	}
+}
+
+// decodeBody strictly decodes a JSON request body; on failure it writes
+// the invalid_argument envelope, naming the body as what, and reports false.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, what string) (T, bool) {
+	var v T
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
+			fmt.Sprintf("decoding %s: %v", what, err), nil)
+		return v, false
+	}
+	return v, true
+}
+
+// writeSubmitted answers an accepted submission: 202 while there is
+// something to wait for, 200 when the view is already completed (a cache
+// hit), the resource hash on the response header either way.
+func writeSubmitted(w http.ResponseWriter, view resourceView) {
+	hash, state := view.meta()
+	w.Header().Set(HashHeader, hash)
+	status := http.StatusAccepted
+	if state == StateCompleted {
+		status = http.StatusOK
+	}
+	writeJSON(w, status, view)
+}
+
+// listPage is the paginated listing envelope of a derived kind: the views
+// under the kind's list key, then nextCursor while more remain.
+type listPage struct {
+	key   string
+	items any
+	next  string
+}
+
+func (p listPage) MarshalJSON() ([]byte, error) {
+	items, err := json.Marshal(p.items)
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{%q:%s", p.key, items)
+	if p.next != "" {
+		fmt.Fprintf(&b, `,"nextCursor":%q`, p.next)
+	}
+	b.WriteByte('}')
+	return b.Bytes(), nil
+}
+
+// mountDerived registers the five routes of one derived-resource kind;
+// unknownCode is the kind's 404 code.
+func mountDerived[S any, V resourceView](mux *http.ServeMux, d *Derived[S, V], unknownCode string) {
+	k := d.kind
+	unknown := func(w http.ResponseWriter, id string) {
+		writeError(w, http.StatusNotFound, unknownCode, fmt.Sprintf("no %s %q", k.noun, id), nil)
+	}
+	mux.HandleFunc("POST "+k.route, func(w http.ResponseWriter, r *http.Request) {
+		spec, ok := decodeBody[S](w, r, k.body)
+		if !ok {
+			return
+		}
+		view, err := d.Submit(spec)
+		if err != nil {
+			submitError(w, err)
+			return
+		}
+		writeSubmitted(w, *view)
+	})
+	mux.HandleFunc("GET "+k.route, func(w http.ResponseWriter, r *http.Request) {
+		limit, cursor, err := pageParams(r)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
+			return
+		}
+		views, next := d.List(cursor, limit)
+		writeJSON(w, http.StatusOK, listPage{k.listKey, views, next})
+	})
+	mux.HandleFunc("GET "+k.route+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		view, ok := d.Get(r.PathValue("id"))
+		if !ok {
+			unknown(w, r.PathValue("id"))
+			return
+		}
+		writeJSON(w, http.StatusOK, view)
+	})
+	// The member states tick as the ladder completes.
+	mux.HandleFunc("GET "+k.route+"/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		done, ok := d.Done(id)
+		if !ok {
+			unknown(w, id)
+			return
+		}
+		d.s.streamEvents(w, r, done, func() (any, JobState, bool) {
+			view, ok := d.Get(id)
+			if !ok {
+				return nil, "", false
+			}
+			_, state := view.meta()
+			return view, state, true
+		})
+	})
+	mux.HandleFunc("DELETE "+k.route+"/{id}", d.s.handleDelete(unknownCode, d.Delete))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -205,12 +295,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec scenario.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding spec: %v", err), nil)
+	spec, ok := decodeBody[scenario.JobSpec](w, r, "spec")
+	if !ok {
 		return
 	}
 	view, err := s.Submit(spec)
@@ -218,12 +304,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		submitError(w, err)
 		return
 	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
+	writeSubmitted(w, *view)
 }
 
 // MaxBatch bounds one POST /v1/jobs/batch array. Every item — even a cache
@@ -236,12 +317,8 @@ const MaxBatch = 256
 // per item. The request as a whole only fails on malformed JSON, an empty
 // array, or one longer than MaxBatch.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var specs []scenario.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&specs); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding spec array: %v", err), nil)
+	specs, ok := decodeBody[[]scenario.JobSpec](w, r, "spec array")
+	if !ok {
 		return
 	}
 	if len(specs) == 0 {
@@ -342,36 +419,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamEvents(w, r, done, func() (any, JobState, bool) {
 		view, ok := s.Get(id)
-		return view, view.State, ok
-	})
-}
-
-// handleExperimentEvents streams convergence-experiment progress as
-// server-sent events (the member states tick as the ladder completes).
-func (s *Server) handleExperimentEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.ExperimentDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownExperiment, fmt.Sprintf("no experiment %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetExperiment(id)
-		return view, view.State, ok
-	})
-}
-
-// handleScalingEvents streams scaling-experiment progress as server-sent
-// events.
-func (s *Server) handleScalingEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.ScalingDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownScaling, fmt.Sprintf("no scaling experiment %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetScaling(id)
 		return view, view.State, ok
 	})
 }
@@ -625,177 +672,6 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.pprof", id))
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	_, _ = w.Write(b)
-}
-
-// handleSubmitExperiment serves POST /v1/experiments: a convergence sweep
-// through the batch pipeline, deduplicated and persisted by canonical sweep
-// hash.
-func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
-	var sw experiments.Sweep
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding sweep: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitExperiment(sw)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
-}
-
-// ExperimentPage is the paginated experiment listing envelope.
-type ExperimentPage struct {
-	Experiments []ExperimentView `json:"experiments"`
-	NextCursor  string           `json:"nextCursor,omitempty"`
-}
-
-func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	exps, next := s.ListExperiments(cursor, limit)
-	writeJSON(w, http.StatusOK, ExperimentPage{Experiments: exps, NextCursor: next})
-}
-
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetExperiment(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownExperiment,
-			fmt.Sprintf("no experiment %q", r.PathValue("id")), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleSubmitScaling serves POST /v1/scaling: a scaling sweep through the
-// batch pipeline, deduplicated and persisted by canonical sweep hash.
-func (s *Server) handleSubmitScaling(w http.ResponseWriter, r *http.Request) {
-	var sw experiments.ScalingSweep
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sw); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding scaling sweep: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitScaling(sw)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
-}
-
-// ScalingPage is the paginated scaling-experiment listing envelope.
-type ScalingPage struct {
-	Scaling    []ScalingView `json:"scaling"`
-	NextCursor string        `json:"nextCursor,omitempty"`
-}
-
-func (s *Server) handleListScaling(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	scls, next := s.ListScaling(cursor, limit)
-	writeJSON(w, http.StatusOK, ScalingPage{Scaling: scls, NextCursor: next})
-}
-
-func (s *Server) handleScaling(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetScaling(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownScaling,
-			fmt.Sprintf("no scaling experiment %q", r.PathValue("id")), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleSubmitAnalysis serves POST /v1/analytics/cluster: a robust
-// clustering of the persisted verification corpus, deduplicated and
-// persisted by the canonical (spec, report-set) analysis hash.
-func (s *Server) handleSubmitAnalysis(w http.ResponseWriter, r *http.Request) {
-	var sp cluster.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding cluster spec: %v", err), nil)
-		return
-	}
-	view, err := s.SubmitAnalysis(sp)
-	if err != nil {
-		if errors.Is(err, ErrNoStore) {
-			writeError(w, http.StatusNotFound, CodeNoStore, err.Error(), nil)
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	status := http.StatusAccepted
-	if view.State == StateCompleted {
-		status = http.StatusOK // cache hit: nothing to wait for
-	}
-	writeJSON(w, status, view)
-}
-
-// AnalyticsPage is the paginated cluster-analysis listing envelope.
-type AnalyticsPage struct {
-	Analyses   []AnalysisView `json:"analyses"`
-	NextCursor string         `json:"nextCursor,omitempty"`
-}
-
-func (s *Server) handleListAnalyses(w http.ResponseWriter, r *http.Request) {
-	limit, cursor, err := pageParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
-		return
-	}
-	clss, next := s.ListAnalyses(cursor, limit)
-	writeJSON(w, http.StatusOK, AnalyticsPage{Analyses: clss, NextCursor: next})
-}
-
-func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.GetAnalysis(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownAnalysis,
-			fmt.Sprintf("no cluster analysis %q", r.PathValue("id")), nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleAnalysisEvents streams cluster-analysis progress as server-sent
-// events.
-func (s *Server) handleAnalysisEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.AnalysisDone(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownAnalysis, fmt.Sprintf("no cluster analysis %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.GetAnalysis(id)
-		return view, view.State, ok
-	})
 }
 
 // handleStore serves the result-store metrics; without a persistent store

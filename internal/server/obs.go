@@ -61,8 +61,8 @@ type metrics struct {
 	sweepsDone      *obs.CounterVec // sweeps_terminal_total{kind,state}
 
 	// Fleet analytics (POST /v1/analytics/cluster).
-	analytics        *obs.Counter    // analytics_total
-	analyticsHits    *obs.Counter    // analytics_cache_hits_total
+	analytics        *obs.CounterVec // analytics_total
+	analyticsHits    *obs.CounterVec // analytics_cache_hits_total
 	analyticsDone    *obs.CounterVec // analytics_terminal_total{state}
 	anomaliesFlagged *obs.CounterVec // analytics_anomalies_total{scenario}
 
@@ -94,7 +94,7 @@ type metrics struct {
 
 // newMetrics registers the server's metric families on reg.
 func newMetrics(reg *obs.Registry) *metrics {
-	return &metrics{
+	m := &metrics{
 		reg: reg,
 
 		httpReqs: reg.Counter("http_requests_total",
@@ -143,9 +143,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"experiment sweeps reaching a terminal state, by kind and state", "kind", "state"),
 
 		analytics: reg.Counter("analytics_total",
-			"cluster analyses accepted (including cache hits and coalesced duplicates)").With(),
+			"cluster analyses accepted (including cache hits and coalesced duplicates)"),
 		analyticsHits: reg.Counter("analytics_cache_hits_total",
-			"cluster analyses served instantly from a persisted result").With(),
+			"cluster analyses served instantly from a persisted result"),
 		analyticsDone: reg.Counter("analytics_terminal_total",
 			"cluster analyses reaching a terminal state, by state", "state"),
 		anomaliesFlagged: reg.Counter("analytics_anomalies_total",
@@ -183,6 +183,39 @@ func newMetrics(reg *obs.Registry) *metrics {
 				"runtime's cumulative pause histogram at scrape time",
 			nil).With(),
 	}
+	// Label-less families render their zero from the first scrape.
+	m.analytics.With()
+	m.analyticsHits.With()
+	return m
+}
+
+// lifecycleVecs are the counter families one derived-resource kind ticks
+// along its lifecycle. The two sweep kinds share the sweep_* families and
+// select their series with the kind label; the analytics_* families carry
+// no kind label, and an analysis has no member jobs to count.
+type lifecycleVecs struct {
+	label                                               string
+	submitted, cacheHits, members, memberHits, terminal *obs.CounterVec
+}
+
+func (m *metrics) sweepLifecycle(label string) lifecycleVecs {
+	return lifecycleVecs{label, m.sweeps, m.sweepCacheHits, m.sweepMembers, m.sweepMemberHits, m.sweepsDone}
+}
+
+func (m *metrics) analyticsLifecycle() lifecycleVecs {
+	return lifecycleVecs{"", m.analytics, m.analyticsHits, nil, nil, m.analyticsDone}
+}
+
+// inc ticks the kind's series of one family (terminal takes the state as
+// its second label); nil families are skipped.
+func (v lifecycleVecs) inc(family *obs.CounterVec, state ...string) {
+	if family == nil {
+		return
+	}
+	if v.label != "" {
+		state = append([]string{v.label}, state...)
+	}
+	family.With(state...).Inc()
 }
 
 // collectRuntime refreshes the Go runtime health families from
@@ -247,11 +280,11 @@ func (m *metrics) collectRuntime() {
 func (s *Server) collect() {
 	s.mu.Lock()
 	busy := 0
-	for _, job := range s.jobs {
+	s.jobs.eachLocked(func(job *Job) {
 		if job.State == StateRunning {
 			busy++
 		}
-	}
+	})
 	s.mu.Unlock()
 
 	m := s.met

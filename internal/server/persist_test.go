@@ -24,6 +24,12 @@ type testClock struct {
 	t  time.Time
 }
 
+// listAll returns every job view in submission order.
+func listAll(s *Server) []JobView {
+	views, _ := s.ListPage("", "", MaxPageLimit)
+	return views
+}
+
 func newTestClock() *testClock { return &testClock{t: time.Unix(1_000_000, 0)} }
 
 func (c *testClock) now() time.Time {
@@ -230,7 +236,7 @@ func TestBatchSubmission(t *testing.T) {
 	if _, err := c.SubmitBatch(ctx, big); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
-	if got := len(s.List("")); got != 2 {
+	if got := len(listAll(s)); got != 2 {
 		t.Fatalf("job table has %d entries after rejected batch, want 2", got)
 	}
 }
@@ -315,11 +321,11 @@ func TestJobTablePruning(t *testing.T) {
 
 	// Within the TTL the job is listed; past it, pruned.
 	clock.advance(30 * time.Minute)
-	if got := s.List(""); len(got) != 1 {
+	if got := listAll(s); len(got) != 1 {
 		t.Fatalf("list has %d jobs before TTL, want 1", len(got))
 	}
 	clock.advance(45 * time.Minute)
-	if got := s.List(""); len(got) != 0 {
+	if got := listAll(s); len(got) != 0 {
 		t.Fatalf("list has %d jobs after TTL, want 0", len(got))
 	}
 	if _, ok := s.Get(view.ID); ok {
@@ -345,7 +351,7 @@ func TestJobTablePruning(t *testing.T) {
 	}
 	waitState(t, s, run.ID, StateRunning, 60*time.Second)
 	clock.advance(24 * time.Hour)
-	views := s.List("")
+	views := listAll(s)
 	for _, v := range views {
 		if v.ID == run.ID {
 			_ = s.Cancel(run.ID)

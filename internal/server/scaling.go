@@ -1,358 +1,73 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/store"
 )
 
-// ScalingExp is one scaling-experiment resource (POST /v1/scaling): a
-// core-count ladder of member jobs — optionally replicated across paired
-// execution arms — run through the ordinary job pipeline, aggregated into
-// speedup / POP efficiency curves and a trimmed Amdahl fit when the last
-// member completes. Mutable fields are guarded by the owning Server's
-// mutex.
-type ScalingExp struct {
-	ID    string
-	Sweep experiments.ScalingSweep // canonical
-	Hash  string
-	State JobState
-	// CacheHit marks an experiment whose persisted result was served
-	// without running any member.
-	CacheHit bool
-	Err      string
-	Members  []SclMember
-	// Result is the persisted aggregation JSON (experiments.ScalingResult),
-	// served byte-identically across restarts.
-	Result json.RawMessage
+// ScalingView is the wire shape of a scaling experiment (POST /v1/scaling):
+// a core-count ladder of member jobs — optionally replicated across paired
+// execution arms — aggregated into speedup / POP efficiency curves and a
+// trimmed Amdahl fit (experiments.ScalingResult) when the last member
+// completes.
+type ScalingView = SweepView[experiments.ScalingSweep]
 
-	done   chan struct{}
-	doneAt time.Time
+var scalingKind = kind[experiments.ScalingSweep, ScalingView]{
+	noun: "scaling experiment", body: "scaling sweep",
+	prefix: "scl", route: "/v1/scaling", listKey: "scaling",
+	counters:  func(m *metrics) lifecycleVecs { return m.sweepLifecycle("scaling") },
+	plan:      planScaling,
+	aggregate: aggregateScaling,
+	view:      sweepViewLocked[experiments.ScalingSweep],
 }
 
-// SclMember binds one (arm, core count) ladder point to the job executing
-// it.
-type SclMember struct {
-	Arm   int
-	Cores int
-	N     int
-	JobID string
-	Hash  string
-	done  <-chan struct{}
-}
-
-// SclMemberView is the member entry of a scaling view; State and Verify
-// reflect the live job record and are omitted once the job has been pruned.
-type SclMemberView struct {
-	Arm    string         `json:"arm,omitempty"`
-	Cores  int            `json:"cores"`
-	N      int            `json:"n"`
-	JobID  string         `json:"jobId"`
-	Hash   string         `json:"hash"`
-	State  JobState       `json:"state,omitempty"`
-	Verify *VerifySummary `json:"verify,omitempty"`
-}
-
-// ScalingView is an immutable snapshot of a scaling experiment for JSON
-// responses.
-type ScalingView struct {
-	ID       string                   `json:"id"`
-	Sweep    experiments.ScalingSweep `json:"sweep"`
-	Hash     string                   `json:"hash"`
-	State    JobState                 `json:"state"`
-	CacheHit bool                     `json:"cacheHit"`
-	Members  []SclMemberView          `json:"members,omitempty"`
-	Result   json.RawMessage          `json:"result,omitempty"`
-	Error    string                   `json:"error,omitempty"`
-}
-
-// SubmitScaling canonicalizes a scaling sweep and resolves it like a job:
-// an active identical sweep coalesces onto the running experiment, a
-// persisted result (memory layer or store) completes instantly as a cache
-// hit, and otherwise every (arm, core count) ladder point is submitted
-// through the ordinary coalescing job path — members identical to already-
-// stored or in-flight jobs (including the members of a convergence
-// experiment, or individually-submitted jobs) never recompute — with a
-// collector goroutine aggregating and persisting the scaling result when
-// the last member lands.
-func (s *Server) SubmitScaling(sw experiments.ScalingSweep) (*ScalingView, error) {
+// planScaling canonicalizes a scaling sweep and expands it arm-major over
+// the one shared ladder — the pairing discipline: every arm runs exactly
+// the same core counts. Members identical to the members of a convergence
+// experiment, or to individually submitted jobs, coalesce at the job layer.
+func planScaling(_ *Server, sw experiments.ScalingSweep) (plan[experiments.ScalingSweep], error) {
+	var p plan[experiments.ScalingSweep]
 	csw, err := sw.Canonical()
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	hash, err := csw.Hash()
-	if err != nil {
-		return nil, err
+	if p.hash, err = csw.Hash(); err != nil {
+		return p, err
 	}
-
-	s.mu.Lock()
-	s.pruneLocked()
-	if active, ok := s.sclByHash[hash]; ok {
-		v := s.sclViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	s.mu.Unlock()
-
-	// Resolve a completed result with the lock released (the store touches
-	// disk).
-	if raw, hit := s.resolveScalingResult(hash); hit {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if active, ok := s.sclByHash[hash]; ok {
-			v := s.sclViewLocked(active)
-			return &v, nil
-		}
-		scl := s.newScalingLocked(csw, hash)
-		scl.State = StateCompleted
-		scl.CacheHit = true
-		scl.Result = raw
-		scl.doneAt = s.now()
-		close(scl.done)
-		s.met.sweeps.With("scaling").Inc()
-		s.met.sweepCacheHits.With("scaling").Inc()
-		s.met.sweepsDone.With("scaling", string(StateCompleted)).Inc()
-		v := s.sclViewLocked(scl)
-		return &v, nil
-	}
-
-	// Submit the members first (outside the experiment registration), one
-	// arm at a time over the shared ladder — the pairing discipline: every
-	// arm runs exactly the same core counts. Duplicates against active
-	// jobs, stored results, or a racing identical sweep all coalesce at the
-	// job layer. A mid-ladder failure (queue full) aborts the experiment
-	// but leaves already-enqueued members running as ordinary jobs; the
-	// retried sweep coalesces straight onto them.
-	var members []SclMember
+	p.spec = csw
 	for arm := 0; arm < csw.NArms(); arm++ {
+		name := csw.ArmLabel(arm)
 		for _, cores := range csw.Cores {
-			spec := csw.Member(arm, cores)
-			view, err := s.Submit(spec)
-			if err != nil {
-				return nil, fmt.Errorf("server: submitting scaling member %s@%d cores: %w",
-					csw.ArmLabel(arm), cores, err)
-			}
-			// Attribute the fan-out: these job submissions belong to a
-			// scaling sweep, not ad-hoc clients.
-			s.met.sweepMembers.With("scaling").Inc()
-			if view.CacheHit {
-				s.met.sweepMemberHits.With("scaling").Inc()
-			}
-			members = append(members, SclMember{
-				Arm: arm, Cores: cores, N: view.Spec.Params.N,
-				JobID: view.ID, Hash: view.Hash, done: s.memberDone(view.ID),
+			p.members = append(p.members, memberSpec{
+				spec: csw.Member(arm, cores), arm: arm, armName: name, cores: cores,
+				label: fmt.Sprintf("%s@%d cores", name, cores),
 			})
 		}
 	}
-
-	s.mu.Lock()
-	if active, ok := s.sclByHash[hash]; ok {
-		// An identical sweep raced in; its members coalesced with ours.
-		v := s.sclViewLocked(active)
-		s.mu.Unlock()
-		return &v, nil
-	}
-	scl := s.newScalingLocked(csw, hash)
-	scl.State = StateRunning
-	scl.Members = members
-	s.sclByHash[hash] = scl
-	v := s.sclViewLocked(scl)
-	s.mu.Unlock()
-	s.met.sweeps.With("scaling").Inc()
-
-	go s.collectScaling(scl)
-	return &v, nil
+	return p, nil
 }
 
-// newScalingLocked allocates and registers a scaling-experiment record.
-func (s *Server) newScalingLocked(sw experiments.ScalingSweep, hash string) *ScalingExp {
-	s.nextSclID++
-	scl := &ScalingExp{
-		ID:    fmt.Sprintf("scl-%06d", s.nextSclID),
-		Sweep: sw,
-		Hash:  hash,
-		done:  make(chan struct{}),
-	}
-	s.scls[scl.ID] = scl
-	s.sclOrder = append(s.sclOrder, scl.ID)
-	return scl
-}
-
-// resolveScalingResult consults the memory layer, then the persistent store
-// (CRC-verified); store hits are promoted into memory.
-func (s *Server) resolveScalingResult(hash string) ([]byte, bool) {
-	return s.resolveRawResult(s.sclCache, hash)
-}
-
-// collectScaling waits for every member to reach a terminal state, then
-// aggregates the member timing breakdowns into the scaling result and
-// persists it.
-func (s *Server) collectScaling(scl *ScalingExp) {
-	// Contain collector panics (PR 7 discipline): a bad member timing must
-	// fail this one experiment, never the process. Skip if the experiment
-	// already went terminal (fail helpers close done exactly once).
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		select {
-		case <-scl.done:
-			s.log.Error("scaling collector panicked after terminal state", "scaling", scl.ID, "panic", v)
-		default:
-			s.failScaling(scl, fmt.Sprintf("collector panic: %v", v))
-		}
-	}()
-	for _, m := range scl.Members {
-		select {
-		case <-m.done:
-		case <-s.ctx.Done():
-			return // server shutting down; the experiment stays running
-		}
-	}
-
-	// members arrive arm-major over the shared ladder; rebuild the
-	// [arm][point] grid the aggregator expects.
-	timings := make([][]experiments.ScalingMemberTiming, scl.Sweep.NArms())
-	for _, m := range scl.Members {
-		rep := s.reportByHash(m.Hash)
-		if rep == nil {
-			reason := "no verification report recorded"
-			if view, ok := s.Get(m.JobID); ok && view.State != StateCompleted {
-				reason = fmt.Sprintf("ended %s", view.State)
-				if view.Error != "" {
-					reason += ": " + view.Error
-				}
-			}
-			s.failScaling(scl, fmt.Sprintf("member job %s (%d cores) %s", m.JobID, m.Cores, reason))
-			return
-		}
-		var parsed struct {
+// aggregateScaling rebuilds the [arm][point] grid of member timing
+// breakdowns (members arrive arm-major) and hands it to the aggregator.
+func aggregateScaling(s *Server, rec *derived[experiments.ScalingSweep]) (any, error) {
+	timings := make([][]experiments.ScalingMemberTiming, rec.Spec.NArms())
+	for _, m := range rec.Members {
+		var rep struct {
 			Timing *core.RunTiming `json:"timing"`
 		}
-		if err := json.Unmarshal(rep, &parsed); err != nil {
-			s.failScaling(scl, fmt.Sprintf("member job %s (%d cores): undecodable report: %v", m.JobID, m.Cores, err))
-			return
+		if err := s.memberReport(m, &rep); err != nil {
+			return nil, err
 		}
-		if parsed.Timing == nil {
+		if rep.Timing == nil {
 			// A coalesced hit on a result persisted before timing capture
 			// existed; it cannot contribute a curve point.
-			s.failScaling(scl, fmt.Sprintf("member job %s (%d cores) recorded no phase timings (pre-timing stored result?)", m.JobID, m.Cores))
-			return
+			return nil, fmt.Errorf("member job %s (%s) recorded no phase timings (pre-timing stored result?)", m.JobID, m.label)
 		}
 		timings[m.Arm] = append(timings[m.Arm], experiments.ScalingMemberTiming{
-			Cores: m.Cores, N: m.N, Hash: m.Hash, Timing: *parsed.Timing,
+			Cores: m.Cores, N: m.N, Hash: m.Hash, Timing: *rep.Timing,
 		})
 	}
-
-	result, err := experiments.BuildScalingResult(scl.Sweep, timings)
-	if err != nil {
-		s.failScaling(scl, err.Error())
-		return
-	}
-	raw, err := json.Marshal(result)
-	if err != nil {
-		s.failScaling(scl, fmt.Sprintf("encoding result: %v", err))
-		return
-	}
-	if st := s.opts.Store; st != nil {
-		// Persisted like any result: content-addressed by the sweep hash,
-		// CRC-verified on read, subject to the same TTL/LRU policy.
-		_ = st.Put(store.Meta{Hash: scl.Hash}, raw)
-	}
-
-	s.mu.Lock()
-	s.sclCache[scl.Hash] = raw
-	scl.State = StateCompleted
-	scl.Result = raw
-	scl.doneAt = s.now()
-	delete(s.sclByHash, scl.Hash)
-	close(scl.done)
-	s.mu.Unlock()
-	s.met.sweepsDone.With("scaling", string(StateCompleted)).Inc()
-	s.log.Info("scaling experiment completed", "scaling", scl.ID, "hash", scl.Hash,
-		"members", len(scl.Members))
-}
-
-// failScaling terminates a scaling experiment with an error message.
-func (s *Server) failScaling(scl *ScalingExp, msg string) {
-	s.mu.Lock()
-	scl.State = StateFailed
-	scl.Err = msg
-	scl.doneAt = s.now()
-	delete(s.sclByHash, scl.Hash)
-	close(scl.done)
-	s.mu.Unlock()
-	s.met.sweepsDone.With("scaling", string(StateFailed)).Inc()
-	s.log.Error("scaling experiment failed", "scaling", scl.ID, "hash", scl.Hash, "error", msg)
-}
-
-// GetScaling returns a snapshot of the scaling experiment, or false.
-func (s *Server) GetScaling(id string) (ScalingView, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	scl, ok := s.scls[id]
-	if !ok {
-		return ScalingView{}, false
-	}
-	return s.sclViewLocked(scl), true
-}
-
-// ScalingDone returns a channel closed when the scaling experiment reaches
-// a terminal state.
-func (s *Server) ScalingDone(id string) (<-chan struct{}, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	scl, ok := s.scls[id]
-	if !ok {
-		return nil, false
-	}
-	return scl.done, true
-}
-
-// ListScaling returns one page of scaling experiments in submission order,
-// with the same cursor semantics as ListPage.
-func (s *Server) ListScaling(cursor string, limit int) ([]ScalingView, string) {
-	limit = clampLimit(limit)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked()
-	out := make([]ScalingView, 0, limit)
-	next := ""
-	for _, id := range s.sclOrder {
-		if cursor != "" && !cursorAfter(id, cursor) {
-			continue
-		}
-		if len(out) == limit {
-			next = out[len(out)-1].ID
-			break
-		}
-		out = append(out, s.sclViewLocked(s.scls[id]))
-	}
-	return out, next
-}
-
-// sclViewLocked snapshots a scaling experiment, decorating members with
-// their live job state where the record still exists.
-func (s *Server) sclViewLocked(scl *ScalingExp) ScalingView {
-	v := ScalingView{
-		ID: scl.ID, Sweep: scl.Sweep, Hash: scl.Hash, State: scl.State,
-		CacheHit: scl.CacheHit, Result: scl.Result, Error: scl.Err,
-	}
-	for _, m := range scl.Members {
-		mv := SclMemberView{
-			Arm: scl.Sweep.ArmLabel(m.Arm), Cores: m.Cores, N: m.N,
-			JobID: m.JobID, Hash: m.Hash,
-		}
-		if job, ok := s.jobs[m.JobID]; ok {
-			mv.State = job.State
-			mv.Verify = job.Verify
-		}
-		v.Members = append(v.Members, mv)
-	}
-	return v
+	return experiments.BuildScalingResult(rec.Spec, timings)
 }

@@ -25,17 +25,17 @@ func sedovScaling(steps int, cores ...int) experiments.ScalingSweep {
 
 func waitScaling(t *testing.T, s *Server, id string, timeout time.Duration) ScalingView {
 	t.Helper()
-	done, ok := s.ScalingDone(id)
+	done, ok := s.Scaling.Done(id)
 	if !ok {
 		t.Fatalf("scaling experiment %s unknown", id)
 	}
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		v, _ := s.GetScaling(id)
+		v, _ := s.Scaling.Get(id)
 		t.Fatalf("scaling experiment %s stuck in %s: %+v", id, v.State, v)
 	}
-	v, ok := s.GetScaling(id)
+	v, ok := s.Scaling.Get(id)
 	if !ok {
 		t.Fatalf("scaling experiment %s disappeared", id)
 	}
@@ -209,7 +209,7 @@ func TestScalingWeakMode(t *testing.T) {
 		Mode:             experiments.ScalingWeak,
 		ParticlesPerCore: 18,
 	}
-	view, err := s.SubmitScaling(sw)
+	view, err := s.Scaling.Submit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestDeleteLifecycles(t *testing.T) {
 	if err := c.DeleteScaling(ctx, scl.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetScaling(scl.ID); ok {
+	if _, ok := s.Scaling.Get(scl.ID); ok {
 		t.Fatal("deleted scaling experiment still listed")
 	}
 	hit, err := c.SubmitScaling(ctx, sedovScaling(2, 12, 24))
@@ -317,7 +317,7 @@ func TestDeleteLifecycles(t *testing.T) {
 	if err := c.DeleteExperiment(ctx, exp.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.GetExperiment(exp.ID); ok {
+	if _, ok := s.Experiments.Get(exp.ID); ok {
 		t.Fatal("deleted experiment still listed")
 	}
 }
@@ -434,7 +434,7 @@ func TestDeleteReclaimsCache(t *testing.T) {
 	cached := func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		_, ok := s.cache[hash]
+		_, ok := s.jobs.cachedLocked(hash)
 		return ok
 	}
 	if !cached() {

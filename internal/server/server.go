@@ -27,10 +27,12 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/codes"
 	"repro/internal/conserve"
 	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/experiments"
 	"repro/internal/ft"
 	"repro/internal/obs"
 	"repro/internal/obs/history"
@@ -65,17 +67,13 @@ type Progress struct {
 }
 
 // Job is one submitted simulation. All mutable fields are guarded by the
-// owning Server's mutex; handlers read them through snapshots.
+// owning Server's mutex; handlers read them through snapshots. The embedded
+// record carries ID, Hash, State, Err and CacheHit (a job whose result was
+// served from the spec-hash cache without executing).
 type Job struct {
-	ID       string
+	record
 	Spec     scenario.JobSpec
-	Hash     string
-	State    JobState
 	Progress Progress
-	Err      string
-	// CacheHit marks a job whose result was served from the spec-hash
-	// cache without executing.
-	CacheHit bool
 	// Restarts counts how many times the job resumed after a kill.
 	Restarts int
 	// Verify is the verification rollup of a completed job (nil until
@@ -95,10 +93,6 @@ type Job struct {
 	// killed distinguishes a simulated kill (resume from checkpoint) from
 	// an explicit cancel (terminal).
 	killed bool
-	// done is closed when the job reaches a terminal state.
-	done chan struct{}
-	// doneAt is when the job turned terminal; JobTTL pruning keys on it.
-	doneAt time.Time
 	// submittedAt is when the job entered the queue (reset on a
 	// kill-requeue); the queue-wait span is measured against it.
 	submittedAt time.Time
@@ -206,44 +200,24 @@ type Options struct {
 	HistorySamples int
 }
 
-// Server owns the job table, the result cache, and the worker pool.
+// Server owns the resource tables, the result cache, and the worker pool.
 type Server struct {
 	opts Options
 
-	mu     sync.Mutex
-	jobs   map[string]*Job          // guarded by mu
-	order  []string                 // submission order for listing; guarded by mu
-	cache  map[string]*cachedResult // guarded by mu
-	byHash map[string]*Job          // active (queued/running) job per hash, for dedup; guarded by mu
-	nextID int
+	mu sync.Mutex
+	// jobs is the job table; its memory layer holds result metadata (and the
+	// snapshot bytes when no store backs the server).
+	jobs table[*Job, *cachedResult] // guarded by mu
 
-	// Experiment state mirrors the job state one level up: records by id,
-	// submission order, active dedup by sweep hash, and a memory layer of
-	// completed results over the store.
-	exps      map[string]*Experiment
-	expOrder  []string
-	expByHash map[string]*Experiment
-	expCache  map[string][]byte
-	nextExpID int
-
-	// Scaling-experiment state, same shape again.
-	scls      map[string]*ScalingExp
-	sclOrder  []string
-	sclByHash map[string]*ScalingExp
-	sclCache  map[string][]byte
-	nextSclID int
-
-	// Cluster-analysis state (POST /v1/analytics/cluster), same shape again.
-	clss      map[string]*ClusterAnalysis
-	clsOrder  []string
-	clsByHash map[string]*ClusterAnalysis
-	clsCache  map[string][]byte
-	nextClsID int
+	// The derived kinds, one level up from jobs: each fans member jobs out
+	// through Submit and aggregates their persisted reports (derived.go).
+	Experiments Derived[experiments.Sweep, ExperimentView]
+	Scaling     Derived[experiments.ScalingSweep, ScalingView]
+	Analyses    Derived[cluster.Spec, AnalysisView]
 	// anomalies marks jobs — keyed by spec hash, so marks survive job-table
 	// pruning and apply to cache-hit resubmissions — that the most recent
 	// covering analysis assigned to the improper noise component.
-	// Guarded by mu.
-	anomalies map[string]*AnomalyMark
+	anomalies map[string]*AnomalyMark // guarded by mu
 
 	queue   chan *Job
 	ctx     context.Context
@@ -307,18 +281,7 @@ func New(opts Options) *Server {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:      opts,
-		jobs:      map[string]*Job{},
-		cache:     map[string]*cachedResult{},
-		byHash:    map[string]*Job{},
-		exps:      map[string]*Experiment{},
-		expByHash: map[string]*Experiment{},
-		expCache:  map[string][]byte{},
-		scls:      map[string]*ScalingExp{},
-		sclByHash: map[string]*ScalingExp{},
-		sclCache:  map[string][]byte{},
-		clss:      map[string]*ClusterAnalysis{},
-		clsByHash: map[string]*ClusterAnalysis{},
-		clsCache:  map[string][]byte{},
+		jobs:      table[*Job, *cachedResult]{prefix: "job"},
 		anomalies: map[string]*AnomalyMark{},
 		queue:     make(chan *Job, opts.QueueDepth),
 		ctx:       ctx,
@@ -327,6 +290,9 @@ func New(opts Options) *Server {
 		met:       newMetrics(opts.Registry),
 		log:       opts.Logger,
 	}
+	s.Experiments = newDerived(s, convergenceKind)
+	s.Scaling = newDerived(s, scalingKind)
+	s.Analyses = newDerived(s, analysisKind)
 	s.started = s.now()
 	s.hist = history.New(opts.Registry, history.Config{
 		Interval:   opts.HistoryInterval,
@@ -416,7 +382,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 
 	s.mu.Lock()
 	s.pruneLocked()
-	if active, ok := s.byHash[hash]; ok {
+	if active, ok := s.jobs.activeLocked(hash); ok {
 		v := s.jobViewLocked(active)
 		s.mu.Unlock()
 		return &v, nil
@@ -433,30 +399,21 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 
 	// Re-check active jobs: an identical Submit may have raced in while
 	// the lock was released.
-	if active, ok := s.byHash[hash]; ok {
+	if active, ok := s.jobs.activeLocked(hash); ok {
 		v := s.jobViewLocked(active)
 		return &v, nil
 	}
 
-	s.nextID++
-	job := &Job{
-		ID:   fmt.Sprintf("job-%06d", s.nextID),
-		Spec: cspec,
-		Hash: hash,
-		done: make(chan struct{}),
-	}
+	job := &Job{record: record{Hash: hash}, Spec: cspec}
 	job.Progress.Total = cspec.Steps
 
 	if hit {
-		job.State = StateCompleted
 		job.CacheHit = true
 		job.Progress = Progress{Step: res.steps, Total: res.steps, SimTime: res.simTime}
 		job.Verify = res.summary
 		job.TelemetryStatus = res.telemetryStatus
-		job.doneAt = s.now()
-		close(job.done)
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
+		s.jobs.registerLocked(job)
+		s.jobs.finishLocked(job, StateCompleted, "", s.now())
 		s.met.jobsSubmitted.Inc()
 		s.met.jobCacheHits.Inc()
 		s.met.jobsDone.With(string(StateCompleted)).Inc()
@@ -464,6 +421,8 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 		return &v, nil
 	}
 
+	// Enqueue before registering, so a rejected submission consumes no id;
+	// the worker that receives the job blocks on s.mu until this returns.
 	job.State = StateQueued
 	job.submittedAt = s.now()
 	select {
@@ -471,9 +430,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	default:
 		return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
 	}
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.byHash[hash] = job
+	s.jobs.registerLocked(job)
 	s.met.jobsSubmitted.Inc()
 	v := s.jobViewLocked(job)
 	return &v, nil
@@ -510,7 +467,7 @@ func (s *Server) SubmitBatch(specs []scenario.JobSpec) []BatchItem {
 func (s *Server) resolveResult(hash string) (*cachedResult, bool) {
 	st := s.opts.Store
 	s.mu.Lock()
-	res, ok := s.cache[hash]
+	res, ok := s.jobs.cachedLocked(hash)
 	s.mu.Unlock()
 	if ok && (st == nil || res.snapshot != nil) {
 		return res, true
@@ -522,7 +479,7 @@ func (s *Server) resolveResult(hash string) (*cachedResult, bool) {
 	if !inStore {
 		if ok {
 			s.mu.Lock()
-			delete(s.cache, hash)
+			s.jobs.uncacheLocked(hash)
 			s.mu.Unlock()
 		}
 		return nil, false
@@ -553,7 +510,7 @@ func (s *Server) resolveResult(hash string) (*cachedResult, bool) {
 		}
 	}
 	s.mu.Lock()
-	s.cache[hash] = res
+	s.jobs.cacheLocked(hash, res)
 	s.mu.Unlock()
 	return res, true
 }
@@ -579,53 +536,6 @@ func parseTrackStatus(track []byte) string {
 	return t.Status
 }
 
-// resourceRecord is the lifecycle surface shared by the resource tables
-// (jobs, convergence experiments, scaling experiments, cluster analyses);
-// the generic
-// prune and delete helpers run over it so TTL and deletion semantics cannot
-// drift apart between resources.
-type resourceRecord interface {
-	lifecycle() (JobState, time.Time)
-	cacheHash() string
-}
-
-func (j *Job) lifecycle() (JobState, time.Time)        { return j.State, j.doneAt }
-func (j *Job) cacheHash() string                       { return j.Hash }
-func (e *Experiment) lifecycle() (JobState, time.Time) { return e.State, e.doneAt }
-func (e *Experiment) cacheHash() string                { return e.Hash }
-func (e *ScalingExp) lifecycle() (JobState, time.Time) { return e.State, e.doneAt }
-func (e *ScalingExp) cacheHash() string                { return e.Hash }
-
-// pruneTable drops terminal records older than cutoff from one resource
-// table, then removes cache entries whose hash no longer backs any
-// surviving record (with a store attached the result stays addressable on
-// disk regardless). Returns the kept order.
-func pruneTable[R resourceRecord, C any](order []string, recs map[string]R,
-	cache map[string]C, cutoff time.Time) []string {
-
-	kept := order[:0]
-	dropped := map[string]bool{}
-	for _, id := range order {
-		rec := recs[id]
-		switch state, doneAt := rec.lifecycle(); state {
-		case StateCompleted, StateFailed, StateCancelled:
-			if !doneAt.IsZero() && doneAt.Before(cutoff) {
-				delete(recs, id)
-				dropped[rec.cacheHash()] = true
-				continue
-			}
-		}
-		kept = append(kept, id)
-	}
-	for _, id := range kept {
-		delete(dropped, recs[id].cacheHash())
-	}
-	for hash := range dropped {
-		delete(cache, hash)
-	}
-	return kept
-}
-
 // pruneLocked drops terminal jobs, experiments, scaling experiments, and
 // cluster analyses older than JobTTL from their tables, so none can grow
 // without bound under sustained traffic. Their results stay addressable
@@ -636,96 +546,38 @@ func (s *Server) pruneLocked() {
 		return
 	}
 	cutoff := s.now().Add(-ttl)
-	s.order = pruneTable(s.order, s.jobs, s.cache, cutoff)
-	s.expOrder = pruneTable(s.expOrder, s.exps, s.expCache, cutoff)
-	s.sclOrder = pruneTable(s.sclOrder, s.scls, s.sclCache, cutoff)
-	s.clsOrder = pruneTable(s.clsOrder, s.clss, s.clsCache, cutoff)
+	s.jobs.pruneLocked(cutoff)
+	s.Experiments.tab.pruneLocked(cutoff)
+	s.Scaling.tab.pruneLocked(cutoff)
+	s.Analyses.tab.pruneLocked(cutoff)
 }
 
 // Get returns a snapshot of the job, or false.
 func (s *Server) Get(id string) (JobView, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok {
 		return JobView{}, false
 	}
 	return s.jobViewLocked(job), true
 }
 
-// List returns snapshots of all jobs in submission order; a non-empty state
-// restricts the listing to jobs currently in it.
-func (s *Server) List(state JobState) []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked()
-	out := make([]JobView, 0, len(s.order))
-	for _, id := range s.order {
-		job := s.jobs[id]
-		if state != "" && job.State != state {
-			continue
-		}
-		out = append(out, s.jobViewLocked(job))
-	}
-	return out
-}
-
-// DefaultPageLimit and MaxPageLimit bound one page of a cursor-paginated
-// listing.
-const (
-	DefaultPageLimit = 100
-	MaxPageLimit     = 1000
-)
-
-// clampLimit applies the pagination bounds to a requested page size.
-func clampLimit(limit int) int {
-	if limit <= 0 {
-		return DefaultPageLimit
-	}
-	if limit > MaxPageLimit {
-		return MaxPageLimit
-	}
-	return limit
-}
-
-// cursorAfter reports whether id comes after cursor in allocation order.
-// IDs are "<prefix>-<seq>" with the sequence zero-padded to six digits, so
-// within one length plain string comparison is allocation order; past a
-// million allocations the sequence outgrows the padding and longer IDs are
-// strictly newer. Comparing (length, string) therefore stays correct for
-// any lifetime, including cursors naming since-pruned IDs.
-func cursorAfter(id, cursor string) bool {
-	if len(id) != len(cursor) {
-		return len(id) > len(cursor)
-	}
-	return id > cursor
-}
-
-// ListPage returns one page of jobs in submission order, starting after the
-// cursor id (empty = from the beginning). The returned cursor addresses the
-// next page and is empty when the listing is exhausted. IDs are allocated
-// in submission order, so a cursor naming a since-pruned job still orders
-// correctly against the survivors.
+// ListPage returns one page of jobs in submission order (see
+// table.pageLocked for the cursor semantics); a non-empty state restricts
+// the listing to jobs currently in it.
 func (s *Server) ListPage(state JobState, cursor string, limit int) ([]JobView, string) {
-	limit = clampLimit(limit)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
-	out := make([]JobView, 0, limit)
-	next := ""
-	for _, id := range s.order {
-		if cursor != "" && !cursorAfter(id, cursor) {
-			continue
-		}
-		job := s.jobs[id]
-		if state != "" && job.State != state {
-			continue
-		}
-		if len(out) == limit {
-			next = out[len(out)-1].ID
-			break
-		}
-		out = append(out, s.jobViewLocked(job))
+	var keep func(*Job) bool
+	if state != "" {
+		keep = func(j *Job) bool { return j.State == state }
+	}
+	page, next := s.jobs.pageLocked(cursor, limit, keep)
+	out := make([]JobView, len(page))
+	for i, job := range page {
+		out[i] = s.jobViewLocked(job)
 	}
 	return out, next
 }
@@ -755,79 +607,24 @@ func (s *Server) Kill(id string) error {
 func (s *Server) interrupt(id string, kill bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok {
 		return fmt.Errorf("server: no job %q", id)
 	}
-	switch job.State {
-	case StateCompleted, StateFailed, StateCancelled:
+	if job.terminal() {
 		return fmt.Errorf("server: job %s already %s", id, job.State)
 	}
 	job.killed = kill
 	if job.cancel != nil {
-		if kill {
-			job.cancel() // run loop requeues on errKilled cause
-		} else {
-			job.cancel()
-		}
+		job.cancel() // a kill's errKilled cause makes the run loop requeue
 		return nil
 	}
 	// Still queued: the worker will observe the terminal state and skip it.
 	if kill {
 		return fmt.Errorf("server: job %s is not running", id)
 	}
-	job.State = StateCancelled
-	job.doneAt = s.now()
-	delete(s.byHash, job.Hash)
-	close(job.done)
+	s.jobs.finishLocked(job, StateCancelled, "", s.now())
 	s.met.jobsDone.With(string(StateCancelled)).Inc()
-	return nil
-}
-
-// Deletion failure classes for the HTTP layer: unknown resource (404) vs a
-// resource still queued or running (409 — cancel it first).
-var (
-	ErrNotFound    = errors.New("server: not found")
-	ErrNotTerminal = errors.New("server: not in a terminal state")
-)
-
-// removeID drops one id from an order slice, preserving order.
-func removeID(order []string, id string) []string {
-	for i, v := range order {
-		if v == id {
-			return append(order[:i], order[i+1:]...)
-		}
-	}
-	return order
-}
-
-// deleteTerminal removes one terminal record from a resource table: 404
-// semantics for unknown ids, 409 for records still queued or running. The
-// memory cache entry is reclaimed when no surviving record shares the hash
-// (mirroring pruneTable, so repeated submit+delete traffic cannot grow the
-// cache without bound); with a store attached the result stays addressable
-// on disk regardless.
-func deleteTerminal[R resourceRecord, C any](id, kind string, recs map[string]R,
-	order *[]string, cache map[string]C) error {
-
-	rec, ok := recs[id]
-	if !ok {
-		return fmt.Errorf("%w: no %s %q", ErrNotFound, kind, id)
-	}
-	switch state, _ := rec.lifecycle(); state {
-	case StateCompleted, StateFailed, StateCancelled:
-	default:
-		return fmt.Errorf("%s %s is %s, %w", kind, id, state, ErrNotTerminal)
-	}
-	delete(recs, id)
-	*order = removeID(*order, id)
-	hash := rec.cacheHash()
-	for _, other := range recs {
-		if other.cacheHash() == hash {
-			return nil
-		}
-	}
-	delete(cache, hash)
 	return nil
 }
 
@@ -838,61 +635,7 @@ func deleteTerminal[R resourceRecord, C any](id, kind string, recs map[string]R,
 func (s *Server) DeleteJob(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return deleteTerminal(id, "job", s.jobs, &s.order, s.cache)
-}
-
-// DeleteExperiment removes a terminal experiment record; its persisted
-// regression stays addressable by sweep hash.
-func (s *Server) DeleteExperiment(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deleteTerminal(id, "experiment", s.exps, &s.expOrder, s.expCache)
-}
-
-// DeleteScaling removes a terminal scaling-experiment record; its persisted
-// result stays addressable by sweep hash.
-func (s *Server) DeleteScaling(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return deleteTerminal(id, "scaling experiment", s.scls, &s.sclOrder, s.sclCache)
-}
-
-// memberDone returns the done channel of a member job, or an already-closed
-// one when the record has vanished between Submit and this call — only
-// terminal records are deletable or prunable, so a missing record means the
-// member already finished (its result stays reachable by hash). Without
-// this, an experiment collector would block forever on a nil channel.
-func (s *Server) memberDone(id string) <-chan struct{} {
-	if done, ok := s.Done(id); ok {
-		return done
-	}
-	closed := make(chan struct{})
-	close(closed)
-	return closed
-}
-
-// resolveRawResult consults one experiment-result memory layer under the
-// server lock, then the persistent store (CRC-verified, outside the lock);
-// store hits are promoted into memory.
-func (s *Server) resolveRawResult(cache map[string][]byte, hash string) ([]byte, bool) {
-	s.mu.Lock()
-	raw, ok := cache[hash]
-	s.mu.Unlock()
-	if ok {
-		return raw, true
-	}
-	st := s.opts.Store
-	if st == nil {
-		return nil, false
-	}
-	b, _, err := st.ReadObject(hash)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	cache[hash] = b
-	s.mu.Unlock()
-	return b, true
+	return s.jobs.deleteLocked(id, "job")
 }
 
 // Snapshot returns the completed job's final particle state in the part
@@ -916,13 +659,13 @@ func (s *Server) Snapshot(id string) ([]byte, bool) {
 // (and without being held in the server's memory).
 func (s *Server) SnapshotReader(id string) (io.ReadCloser, int64, bool) {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok || job.State != StateCompleted {
 		s.mu.Unlock()
 		return nil, 0, false
 	}
 	hash := job.Hash
-	res, hit := s.cache[hash]
+	res, hit := s.jobs.cachedLocked(hash)
 	s.mu.Unlock()
 
 	if hit && res.snapshot != nil {
@@ -942,12 +685,14 @@ func (s *Server) SnapshotReader(id string) (io.ReadCloser, int64, bool) {
 func (s *Server) Done(id string) (<-chan struct{}, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok {
 		return nil, false
 	}
 	return job.done, true
 }
+
+func (v JobView) meta() (string, JobState) { return v.Hash, v.State }
 
 func (j *Job) view() JobView {
 	return JobView{
@@ -995,16 +740,16 @@ func (s *Server) run(job *Job) {
 	s.mu.Unlock()
 	defer cancel(nil)
 
-	fail := func(err error) {
+	// finish is the job's terminal transition.
+	finish := func(state JobState, msg string) {
 		s.mu.Lock()
-		job.State = StateFailed
-		job.Err = err.Error()
-		job.doneAt = s.now()
 		job.cancel = nil
-		delete(s.byHash, job.Hash)
-		close(job.done)
+		s.jobs.finishLocked(job, state, msg, s.now())
 		s.mu.Unlock()
-		s.met.jobsDone.With(string(StateFailed)).Inc()
+		s.met.jobsDone.With(string(state)).Inc()
+	}
+	fail := func(err error) {
+		finish(StateFailed, err.Error())
 		s.log.Error("job failed", "job", job.ID, "hash", job.Hash,
 			"scenario", spec.Scenario, "error", err)
 	}
@@ -1125,11 +870,7 @@ func (s *Server) run(job *Job) {
 			default:
 			}
 			if !requeued {
-				job.State = StateFailed
-				job.Err = "requeue after kill failed: queue full"
-				job.doneAt = s.now()
-				delete(s.byHash, job.Hash)
-				close(job.done)
+				s.jobs.finishLocked(job, StateFailed, "requeue after kill failed: queue full", s.now())
 			}
 			s.mu.Unlock()
 			if requeued {
@@ -1138,19 +879,11 @@ func (s *Server) run(job *Job) {
 					"hash", job.Hash, "restarts", job.Restarts, "step", res.Steps)
 			} else {
 				s.met.jobsDone.With(string(StateFailed)).Inc()
-				s.log.Error("job failed", "job", job.ID, "hash", job.Hash,
-					"error", "requeue after kill failed: queue full")
+				s.log.Error("job failed", "job", job.ID, "hash", job.Hash, "error", job.Err)
 			}
 			return
 		}
-		s.mu.Lock()
-		job.State = StateCancelled
-		job.doneAt = s.now()
-		job.cancel = nil
-		delete(s.byHash, job.Hash)
-		close(job.done)
-		s.mu.Unlock()
-		s.met.jobsDone.With(string(StateCancelled)).Inc()
+		finish(StateCancelled, "")
 		s.log.Info("job cancelled", "job", job.ID, "hash", job.Hash, "step", res.Steps)
 		return
 	}
@@ -1214,17 +947,14 @@ func (s *Server) run(job *Job) {
 	}
 
 	s.mu.Lock()
-	s.cache[job.Hash] = result
-	job.State = StateCompleted
+	s.jobs.cacheLocked(job.Hash, result)
 	job.Progress = Progress{Step: spec.Steps, Total: spec.Steps, SimTime: simTime, DT: job.Progress.DT}
 	job.Verify = result.summary
 	if result.telemetryStatus != "" {
 		job.TelemetryStatus = result.telemetryStatus
 	}
-	job.doneAt = s.now()
 	job.cancel = nil
-	delete(s.byHash, job.Hash)
-	close(job.done)
+	s.jobs.finishLocked(job, StateCompleted, "", s.now())
 	s.mu.Unlock()
 
 	s.recordJobPhases(&job.spans)
@@ -1479,14 +1209,14 @@ func marshalReport(rep *verify.Report, timing *core.RunTiming, spans *obs.SpanSe
 // result persisted by a pre-verification build).
 func (s *Server) Metrics(id string) ([]byte, bool) {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok || job.State != StateCompleted {
 		s.mu.Unlock()
 		return nil, false
 	}
 	hash := job.Hash
 	var report []byte
-	if res, hit := s.cache[hash]; hit {
+	if res, hit := s.jobs.cachedLocked(hash); hit {
 		report = res.report
 	}
 	s.mu.Unlock()
@@ -1513,7 +1243,7 @@ func (s *Server) Metrics(id string) ([]byte, bool) {
 // a cache hit against a pre-telemetry store entry) returns (nil, true).
 func (s *Server) Telemetry(id string) ([]byte, bool) {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok {
 		s.mu.Unlock()
 		return nil, false
@@ -1522,7 +1252,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 	hash := job.Hash
 	rec := job.rec
 	var cached []byte
-	if res, hit := s.cache[hash]; hit {
+	if res, hit := s.jobs.cachedLocked(hash); hit {
 		cached = res.telemetry
 	}
 	s.mu.Unlock()
@@ -1552,7 +1282,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 // job (the SSE stream's per-frame payload).
 func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	var rec *telemetry.Recorder
 	if ok {
 		rec = job.rec
@@ -1580,7 +1310,7 @@ var profileMu sync.Mutex
 // returned either way.
 func (s *Server) Profile(id string, d time.Duration) ([]byte, error) {
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	var hash string
 	if ok {
 		hash = job.Hash

@@ -156,7 +156,7 @@ func TestSubmitPollSnapshotAndCacheHit(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	cached := len(s.cache)
+	cached := len(s.jobs.cache)
 	s.mu.Unlock()
 	if cached != 1 {
 		t.Fatalf("cache holds %d entries, want 1", cached)
@@ -194,7 +194,7 @@ func TestBackendChangesHashAndResult(t *testing.T) {
 
 	// Distinct results cached under distinct hashes.
 	s.mu.Lock()
-	cached := len(s.cache)
+	cached := len(s.jobs.cache)
 	s.mu.Unlock()
 	if cached != 2 {
 		t.Fatalf("cache holds %d entries, want 2 (one per backend)", cached)

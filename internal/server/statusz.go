@@ -25,10 +25,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	states := map[JobState]int{}
-	for _, job := range s.jobs {
-		states[job.State]++
-	}
-	njobs, nexps, nscls, nclss := len(s.jobs), len(s.exps), len(s.scls), len(s.clss)
+	s.jobs.eachLocked(func(job *Job) { states[job.State]++ })
+	njobs, nexps := s.jobs.lenLocked(), s.Experiments.tab.lenLocked()
+	nscls, nclss := s.Scaling.tab.lenLocked(), s.Analyses.tab.lenLocked()
 	// Current anomaly rollup: flagged jobs by scenario (the cumulative
 	// counter lives in analytics_anomalies_total; this is the live set).
 	anomalies := map[string]int{}

@@ -1,0 +1,229 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"time"
+)
+
+// record is the lifecycle state every resource record carries — jobs and
+// the derived kinds (experiments, scaling sweeps, cluster analyses) embed
+// it, so one table type registers, finishes, lists, deletes and prunes all
+// of them. Mutable fields are guarded by the owning Server's mutex.
+type record struct {
+	ID    string
+	Hash  string
+	State JobState
+	Err   string
+	// CacheHit marks a record whose stored result was served without
+	// executing anything.
+	CacheHit bool
+
+	// done is closed when the record reaches a terminal state.
+	done chan struct{}
+	// doneAt is when it did; JobTTL pruning keys on it.
+	doneAt time.Time
+}
+
+func (r *record) core() *record { return r }
+
+// terminal reports whether the record has reached a final state.
+func (r *record) terminal() bool {
+	switch r.State {
+	case StateCompleted, StateFailed, StateCancelled:
+		return true
+	}
+	return false
+}
+
+// resourceRecord is satisfied by every record type through the embedded
+// record.
+type resourceRecord interface{ core() *record }
+
+// table is one resource table: records by id, their submission order, the
+// active (non-terminal) record per hash for dedup, a memory layer of
+// completed results over the store, and the id counter. Server holds one
+// per resource kind. The table owns no lock: every field is guarded by the
+// owning Server's mutex and reached only through the ...Locked methods
+// below. The maps are allocated on first registration, so an unused kind
+// costs nothing at construction.
+type table[R resourceRecord, C any] struct {
+	// prefix names the kind in its ids: "<prefix>-%06d", allocated in
+	// submission order.
+	prefix string
+	recs   map[string]R // guarded by mu
+	order  []string     // guarded by mu
+	active map[string]R // guarded by mu
+	cache  map[string]C // guarded by mu
+	nextID int          // guarded by mu
+}
+
+func (t *table[R, C]) getLocked(id string) (R, bool) {
+	rec, ok := t.recs[id]
+	return rec, ok
+}
+
+func (t *table[R, C]) lenLocked() int { return len(t.recs) }
+
+// eachLocked visits every record, in no particular order.
+func (t *table[R, C]) eachLocked(visit func(R)) {
+	for _, rec := range t.recs {
+		visit(rec)
+	}
+}
+
+// activeLocked returns the queued or running record carrying hash, if any:
+// identical submissions coalesce onto it instead of registering a duplicate.
+func (t *table[R, C]) activeLocked(hash string) (R, bool) {
+	rec, ok := t.active[hash]
+	return rec, ok
+}
+
+// registerLocked allocates the record's id and done channel and enters it
+// into the table as the active record of its hash.
+func (t *table[R, C]) registerLocked(rec R) {
+	if t.recs == nil {
+		t.recs, t.active = map[string]R{}, map[string]R{}
+	}
+	t.nextID++
+	c := rec.core()
+	c.ID = fmt.Sprintf("%s-%06d", t.prefix, t.nextID)
+	c.done = make(chan struct{})
+	t.recs[c.ID] = rec
+	t.order = append(t.order, c.ID)
+	t.active[c.Hash] = rec
+}
+
+// finishLocked is the one terminal transition: state, error and time are
+// set, the hash stops deduplicating, and done is closed — exactly once per
+// record, which callers ensure by finishing only non-terminal records.
+func (t *table[R, C]) finishLocked(rec R, state JobState, msg string, now time.Time) {
+	c := rec.core()
+	c.State, c.Err, c.doneAt = state, msg, now
+	delete(t.active, c.Hash)
+	close(c.done)
+}
+
+func (t *table[R, C]) cachedLocked(hash string) (C, bool) {
+	res, ok := t.cache[hash]
+	return res, ok
+}
+
+func (t *table[R, C]) cacheLocked(hash string, res C) {
+	if t.cache == nil {
+		t.cache = map[string]C{}
+	}
+	t.cache[hash] = res
+}
+
+func (t *table[R, C]) uncacheLocked(hash string) { delete(t.cache, hash) }
+
+// DefaultPageLimit and MaxPageLimit bound one page of a cursor-paginated
+// listing.
+const (
+	DefaultPageLimit = 100
+	MaxPageLimit     = 1000
+)
+
+// cursorAfter reports whether id comes after cursor in allocation order.
+// IDs are "<prefix>-<seq>" with the sequence zero-padded to six digits, so
+// within one length plain string comparison is allocation order; past a
+// million allocations the sequence outgrows the padding and longer IDs are
+// strictly newer. Comparing (length, string) therefore stays correct for
+// any lifetime, including cursors naming since-pruned IDs.
+func cursorAfter(id, cursor string) bool {
+	if len(id) != len(cursor) {
+		return len(id) > len(cursor)
+	}
+	return id > cursor
+}
+
+// pageLocked returns one page of records in submission order, starting
+// after the cursor id (empty = from the beginning) and skipping records
+// keep rejects (nil keeps all). limit is clamped to the page bounds. The
+// returned cursor addresses the next page and is empty when the listing is
+// exhausted. IDs are allocated in submission order, so a cursor naming a
+// since-pruned record still orders correctly against the survivors.
+func (t *table[R, C]) pageLocked(cursor string, limit int, keep func(R) bool) (page []R, next string) {
+	if limit <= 0 {
+		limit = DefaultPageLimit
+	}
+	limit = min(limit, MaxPageLimit)
+	page = make([]R, 0, limit)
+	for _, id := range t.order {
+		if cursor != "" && !cursorAfter(id, cursor) {
+			continue
+		}
+		rec := t.recs[id]
+		if keep != nil && !keep(rec) {
+			continue
+		}
+		if len(page) == limit {
+			return page, page[limit-1].core().ID
+		}
+		page = append(page, rec)
+	}
+	return page, ""
+}
+
+// Deletion failure classes for the HTTP layer: unknown resource (404) vs a
+// resource still queued or running (409 — cancel it first).
+var (
+	ErrNotFound    = errors.New("server: not found")
+	ErrNotTerminal = errors.New("server: not in a terminal state")
+)
+
+// deleteLocked removes one terminal record: ErrNotFound for unknown ids,
+// ErrNotTerminal for records still queued or running; noun names the kind
+// in the message. The memory cache entry is reclaimed when no surviving
+// record shares the hash (mirroring pruneLocked, so repeated submit+delete
+// traffic cannot grow the cache without bound); with a store attached the
+// result stays addressable on disk regardless.
+func (t *table[R, C]) deleteLocked(id, noun string) error {
+	rec, ok := t.recs[id]
+	if !ok {
+		return fmt.Errorf("%w: no %s %q", ErrNotFound, noun, id)
+	}
+	c := rec.core()
+	if !c.terminal() {
+		return fmt.Errorf("%s %s is %s, %w", noun, id, c.State, ErrNotTerminal)
+	}
+	delete(t.recs, id)
+	for i, v := range t.order {
+		if v == id {
+			t.order = append(t.order[:i], t.order[i+1:]...)
+			break
+		}
+	}
+	for _, other := range t.recs {
+		if other.core().Hash == c.Hash {
+			return nil
+		}
+	}
+	delete(t.cache, c.Hash)
+	return nil
+}
+
+// pruneLocked drops terminal records that finished before cutoff, then the
+// cache entries whose hash no longer backs any surviving record (with a
+// store attached the result stays addressable on disk regardless).
+func (t *table[R, C]) pruneLocked(cutoff time.Time) {
+	kept := t.order[:0]
+	dropped := map[string]bool{}
+	for _, id := range t.order {
+		c := t.recs[id].core()
+		if c.terminal() && !c.doneAt.IsZero() && c.doneAt.Before(cutoff) {
+			delete(t.recs, id)
+			dropped[c.Hash] = true
+			continue
+		}
+		kept = append(kept, id)
+	}
+	t.order = kept
+	for _, id := range kept {
+		delete(dropped, t.recs[id].core().Hash)
+	}
+	for hash := range dropped {
+		delete(t.cache, hash)
+	}
+}

@@ -43,7 +43,7 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 			format, TraceFormatPerfetto, TraceFormatParaver)
 	}
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job, ok := s.jobs.getLocked(id)
 	if !ok || job.State != StateCompleted {
 		s.mu.Unlock()
 		return nil, false, nil
@@ -51,7 +51,7 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 	hash := job.Hash
 	spec := job.Spec
 	var report, track []byte
-	if res, hit := s.cache[hash]; hit {
+	if res, hit := s.jobs.cachedLocked(hash); hit {
 		report, track = res.report, res.telemetry
 	}
 	s.mu.Unlock()
