@@ -163,9 +163,10 @@ func (s *Server) applyAnomaliesLocked(analysisID string, res *cluster.Result) {
 // jobViewLocked snapshots a job, decorating it with its anomaly mark when a
 // cluster analysis has flagged its result.
 func (s *Server) jobViewLocked(j *Job) JobView {
-	v := j.view()
-	if mark, ok := s.anomalies[j.Hash]; ok {
-		v.Anomaly = mark
+	return JobView{
+		ID: j.ID, Spec: j.Spec, Hash: j.Hash, State: j.State,
+		Progress: j.Progress, Error: j.Err, CacheHit: j.CacheHit,
+		Restarts: j.Restarts, Verify: j.Verify, Telemetry: j.TelemetryStatus,
+		Anomaly: s.anomalies[j.Hash],
 	}
-	return v
 }

@@ -70,16 +70,13 @@ type memberSpec struct {
 	label   string
 }
 
-// member binds one planned member to the job executing it.
+// member binds one planned member to the job executing it; n is the job's
+// canonical particle count.
 type member struct {
-	Arm     int
-	ArmName string
-	Cores   int
-	// N is the member's canonical particle count.
-	N     int
-	JobID string
-	Hash  string
-	label string
+	memberSpec
+	n     int
+	jobID string
+	hash  string
 	done  <-chan struct{}
 }
 
@@ -228,8 +225,8 @@ func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 			d.met.inc(d.met.memberHits)
 		}
 		members = append(members, member{
-			Arm: ms.arm, ArmName: ms.armName, Cores: ms.cores, N: view.Spec.Params.N,
-			JobID: view.ID, Hash: view.Hash, label: ms.label, done: d.s.memberDone(view.ID),
+			memberSpec: ms, n: view.Spec.Params.N,
+			jobID: view.ID, hash: view.Hash, done: d.s.memberDone(view.ID),
 		})
 	}
 	return members, nil
@@ -314,15 +311,13 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 }
 
 // Get returns a snapshot of the record, or false.
-func (d *Derived[S, V]) Get(id string) (V, bool) {
+func (d *Derived[S, V]) Get(id string) (view V, ok bool) {
 	d.s.mu.Lock()
 	defer d.s.mu.Unlock()
-	rec, ok := d.tab.getLocked(id)
-	if !ok {
-		var zero V
-		return zero, false
+	if rec, ok := d.tab.getLocked(id); ok {
+		return d.kind.view(d.s, rec), true
 	}
-	return d.kind.view(d.s, rec), true
+	return view, false
 }
 
 // Done returns a channel closed when the record reaches a terminal state.
@@ -342,7 +337,7 @@ func (d *Derived[S, V]) List(cursor string, limit int) ([]V, string) {
 	d.s.mu.Lock()
 	defer d.s.mu.Unlock()
 	d.s.pruneLocked()
-	page, next := d.tab.pageLocked(cursor, limit, nil)
+	page, next := d.tab.pageLocked("", cursor, limit)
 	out := make([]V, len(page))
 	for i, rec := range page {
 		out[i] = d.kind.view(d.s, rec)
@@ -372,44 +367,22 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 	return closed
 }
 
-// reportByHash returns the verification report of a completed result by
-// spec hash: the memory layer first, then the persistent store. Unlike
-// Metrics it does not need a live job record, so derived resources survive
-// job table pruning.
-func (s *Server) reportByHash(hash string) []byte {
-	s.mu.Lock()
-	var b []byte
-	if res, ok := s.jobs.cachedLocked(hash); ok {
-		b = res.report
-	}
-	s.mu.Unlock()
-	if b != nil {
-		return b
-	}
-	if st := s.opts.Store; st != nil {
-		if rb, ok := st.ReadReport(hash); ok {
-			return rb
-		}
-	}
-	return nil
-}
-
 // memberReport decodes a finished member's persisted report into v, or
 // explains why the member has none to offer.
 func (s *Server) memberReport(m member, v any) error {
-	rep := s.reportByHash(m.Hash)
+	rep, _ := s.persisted(m.hash)
 	if rep == nil {
 		reason := "no verification report recorded"
-		if view, ok := s.Get(m.JobID); ok && view.State != StateCompleted {
+		if view, ok := s.Get(m.jobID); ok && view.State != StateCompleted {
 			reason = fmt.Sprintf("ended %s", view.State)
 			if view.Error != "" {
 				reason += ": " + view.Error
 			}
 		}
-		return fmt.Errorf("member job %s (%s) %s", m.JobID, m.label, reason)
+		return fmt.Errorf("member job %s (%s) %s", m.jobID, m.label, reason)
 	}
 	if err := json.Unmarshal(rep, v); err != nil {
-		return fmt.Errorf("member job %s (%s): undecodable report: %v", m.JobID, m.label, err)
+		return fmt.Errorf("member job %s (%s): undecodable report: %v", m.jobID, m.label, err)
 	}
 	return nil
 }
@@ -452,8 +425,8 @@ func sweepViewLocked[S any](s *Server, rec *derived[S]) SweepView[S] {
 		CacheHit: rec.CacheHit, Result: rec.Result, Error: rec.Err,
 	}
 	for _, m := range rec.Members {
-		mv := MemberView{Arm: m.ArmName, Cores: m.Cores, N: m.N, JobID: m.JobID, Hash: m.Hash}
-		if job, ok := s.jobs.getLocked(m.JobID); ok {
+		mv := MemberView{Arm: m.armName, Cores: m.cores, N: m.n, JobID: m.jobID, Hash: m.hash}
+		if job, ok := s.jobs.getLocked(m.jobID); ok {
 			mv.State = job.State
 			mv.Verify = job.Verify
 		}

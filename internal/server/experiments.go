@@ -61,8 +61,8 @@ func aggregateConvergence(s *Server, rec *derived[experiments.Sweep]) (any, erro
 			return nil, err
 		}
 		points = append(points, experiments.Point{
-			N: m.N, Particles: rep.Particles,
-			L1Density: rep.L1Density, Pass: rep.Pass, Hash: m.Hash,
+			N: m.n, Particles: rep.Particles,
+			L1Density: rep.L1Density, Pass: rep.Pass, Hash: m.hash,
 		})
 	}
 	fit, err := experiments.FitOrder(points)

@@ -81,18 +81,18 @@ func (s *Server) Handler() http.Handler {
 	routes := []route{
 		{method: "GET", path: "/v1/healthz", h: s.handleHealthz},
 		{method: "GET", path: "/v1/scenarios", h: s.handleScenarios},
-		{method: "POST", path: "/v1/jobs", h: s.handleSubmit},
+		{method: "POST", path: "/v1/jobs", h: submitHandler("spec", s.Submit)},
 		{method: "POST", path: "/v1/jobs/batch", h: s.handleSubmitBatch},
 		{method: "GET", path: "/v1/jobs", h: s.handleList},
-		{method: "GET", path: "/v1/jobs/{id}", h: s.handleStatus},
-		{method: "GET", path: "/v1/jobs/{id}/events", h: s.handleEvents},
+		{method: "GET", path: "/v1/jobs/{id}", h: getHandler(s.Get, unknownJob)},
+		{method: "GET", path: "/v1/jobs/{id}/events", h: eventsHandler(s, s.Get, s.Done, unknownJob)},
 		{method: "POST", path: "/v1/jobs/{id}/cancel", h: s.handleInterrupt(false)},
 		{method: "POST", path: "/v1/jobs/{id}/kill", h: s.handleInterrupt(true)},
-		{method: "GET", path: "/v1/jobs/{id}/snapshot", h: s.handleSnapshot},
-		{method: "GET", path: "/v1/jobs/{id}/metrics", h: s.handleMetrics},
+		{method: "GET", path: "/v1/jobs/{id}/snapshot", h: s.withJob(s.handleSnapshot)},
+		{method: "GET", path: "/v1/jobs/{id}/metrics", h: s.withJob(s.handleMetrics)},
 		{method: "GET", path: "/v1/jobs/{id}/telemetry", h: s.handleTelemetry},
-		{method: "GET", path: "/v1/jobs/{id}/telemetry/events", h: s.handleTelemetryEvents},
-		{method: "GET", path: "/v1/jobs/{id}/trace", h: s.handleTrace},
+		{method: "GET", path: "/v1/jobs/{id}/telemetry/events", h: eventsHandler(s, s.telemetryFrame, s.Done, unknownJob)},
+		{method: "GET", path: "/v1/jobs/{id}/trace", h: s.withJob(s.handleTrace)},
 		{method: "POST", path: "/v1/jobs/{id}/profile", h: s.handleProfile},
 		{method: "DELETE", path: "/v1/jobs/{id}", h: s.handleDelete(CodeUnknownJob, s.DeleteJob)},
 		{method: "GET", path: "/v1/store", h: s.handleStore},
@@ -174,21 +174,90 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request, what string) (T, 
 	return v, true
 }
 
-// writeSubmitted answers an accepted submission: 202 while there is
-// something to wait for, 200 when the view is already completed (a cache
-// hit), the resource hash on the response header either way.
-func writeSubmitted(w http.ResponseWriter, view resourceView) {
-	hash, state := view.meta()
-	w.Header().Set(HashHeader, hash)
-	status := http.StatusAccepted
-	if state == StateCompleted {
-		status = http.StatusOK
+// The submit, get and events handlers are shared by every resource kind:
+// the job routes and mountDerived build theirs from these constructors.
+
+// submitHandler serves a POST that submits one resource: 202 while there
+// is something to wait for, 200 when the view is already completed (a cache
+// hit), the resource hash on the response header either way. body names the
+// request body in decode errors.
+func submitHandler[S any, V resourceView](body string, submit func(S) (*V, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec, ok := decodeBody[S](w, r, body)
+		if !ok {
+			return
+		}
+		view, err := submit(spec)
+		if err != nil {
+			submitError(w, err)
+			return
+		}
+		hash, state := (*view).meta()
+		w.Header().Set(HashHeader, hash)
+		status := http.StatusAccepted
+		if state == StateCompleted {
+			status = http.StatusOK
+		}
+		writeJSON(w, status, view)
 	}
-	writeJSON(w, status, view)
 }
 
-// listPage is the paginated listing envelope of a derived kind: the views
-// under the kind's list key, then nextCursor while more remain.
+// getHandler serves one resource's view; unknown writes the kind's 404.
+func getHandler[V resourceView](get func(string) (V, bool), unknown func(http.ResponseWriter, string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		view, ok := get(r.PathValue("id"))
+		if !ok {
+			unknown(w, r.PathValue("id"))
+			return
+		}
+		hash, _ := view.meta()
+		w.Header().Set(HashHeader, hash)
+		writeJSON(w, http.StatusOK, view)
+	}
+}
+
+// eventsHandler streams a resource's progress as server-sent events: one
+// `data: <view JSON>` frame per state/progress change, closing after the
+// terminal frame.
+func eventsHandler[V resourceView](s *Server, get func(string) (V, bool),
+	done func(string) (<-chan struct{}, bool), unknown func(http.ResponseWriter, string)) http.HandlerFunc {
+
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		ch, ok := done(id)
+		if !ok {
+			unknown(w, id)
+			return
+		}
+		s.streamEvents(w, r, ch, func() (any, JobState, bool) {
+			view, ok := get(id)
+			_, state := view.meta()
+			return view, state, ok
+		})
+	}
+}
+
+// withJob resolves the {id} path value to a job view for h, or writes the
+// 404.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, JobView)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		view, ok := s.Get(r.PathValue("id"))
+		if !ok {
+			unknownJob(w, r.PathValue("id"))
+			return
+		}
+		h(w, r, view)
+	}
+}
+
+// unknownJob writes the 404 envelope of a job id that names no record.
+func unknownJob(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
+}
+
+// listPage is the paginated listing envelope of every kind: the views under
+// the kind's list key, then nextCursor — addressing the next page — while
+// more remain.
 type listPage struct {
 	key   string
 	items any
@@ -216,18 +285,7 @@ func mountDerived[S any, V resourceView](mux *http.ServeMux, d *Derived[S, V], u
 	unknown := func(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusNotFound, unknownCode, fmt.Sprintf("no %s %q", k.noun, id), nil)
 	}
-	mux.HandleFunc("POST "+k.route, func(w http.ResponseWriter, r *http.Request) {
-		spec, ok := decodeBody[S](w, r, k.body)
-		if !ok {
-			return
-		}
-		view, err := d.Submit(spec)
-		if err != nil {
-			submitError(w, err)
-			return
-		}
-		writeSubmitted(w, *view)
-	})
+	mux.HandleFunc("POST "+k.route, submitHandler(k.body, d.Submit))
 	mux.HandleFunc("GET "+k.route, func(w http.ResponseWriter, r *http.Request) {
 		limit, cursor, err := pageParams(r)
 		if err != nil {
@@ -237,31 +295,9 @@ func mountDerived[S any, V resourceView](mux *http.ServeMux, d *Derived[S, V], u
 		views, next := d.List(cursor, limit)
 		writeJSON(w, http.StatusOK, listPage{k.listKey, views, next})
 	})
-	mux.HandleFunc("GET "+k.route+"/{id}", func(w http.ResponseWriter, r *http.Request) {
-		view, ok := d.Get(r.PathValue("id"))
-		if !ok {
-			unknown(w, r.PathValue("id"))
-			return
-		}
-		writeJSON(w, http.StatusOK, view)
-	})
+	mux.HandleFunc("GET "+k.route+"/{id}", getHandler(d.Get, unknown))
 	// The member states tick as the ladder completes.
-	mux.HandleFunc("GET "+k.route+"/{id}/events", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		done, ok := d.Done(id)
-		if !ok {
-			unknown(w, id)
-			return
-		}
-		d.s.streamEvents(w, r, done, func() (any, JobState, bool) {
-			view, ok := d.Get(id)
-			if !ok {
-				return nil, "", false
-			}
-			_, state := view.meta()
-			return view, state, true
-		})
-	})
+	mux.HandleFunc("GET "+k.route+"/{id}/events", eventsHandler(d.s, d.Get, d.Done, unknown))
 	mux.HandleFunc("DELETE "+k.route+"/{id}", d.s.handleDelete(unknownCode, d.Delete))
 }
 
@@ -294,19 +330,6 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := decodeBody[scenario.JobSpec](w, r, "spec")
-	if !ok {
-		return
-	}
-	view, err := s.Submit(spec)
-	if err != nil {
-		submitError(w, err)
-		return
-	}
-	writeSubmitted(w, *view)
-}
-
 // MaxBatch bounds one POST /v1/jobs/batch array. Every item — even a cache
 // hit or coalesced duplicate — creates a job record, so an uncapped array
 // would let a single request grow the job table without limit.
@@ -332,14 +355,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.SubmitBatch(specs))
-}
-
-// JobPage is the paginated job listing envelope.
-type JobPage struct {
-	Jobs []JobView `json:"jobs"`
-	// NextCursor addresses the next page; empty when the listing is
-	// exhausted.
-	NextCursor string `json:"nextCursor,omitempty"`
 }
 
 // pageParams reads the ?limit= and ?cursor= pagination query parameters.
@@ -370,33 +385,15 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jobs, next := s.ListPage(state, cursor, limit)
-	writeJSON(w, http.StatusOK, JobPage{Jobs: jobs, NextCursor: next})
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob,
-			fmt.Sprintf("no job %q", r.PathValue("id")), nil)
-		return
-	}
-	w.Header().Set(HashHeader, view.Hash)
-	writeJSON(w, http.StatusOK, view)
+	writeJSON(w, http.StatusOK, listPage{"jobs", jobs, next})
 }
 
 func (s *Server) handleInterrupt(kill bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		var err error
-		if kill {
-			err = s.Kill(id)
-		} else {
-			err = s.Cancel(id)
-		}
-		if err != nil {
+		if err := s.interrupt(id, kill); err != nil {
 			if _, ok := s.Get(id); !ok {
-				writeError(w, http.StatusNotFound, CodeUnknownJob,
-					fmt.Sprintf("no job %q", id), nil)
+				unknownJob(w, id)
 				return
 			}
 			writeError(w, http.StatusConflict, CodeConflict, err.Error(), nil)
@@ -405,22 +402,6 @@ func (s *Server) handleInterrupt(kill bool) http.HandlerFunc {
 		view, _ := s.Get(id)
 		writeJSON(w, http.StatusOK, view)
 	}
-}
-
-// handleEvents streams job progress as server-sent events: one
-// `data: <JobView JSON>` frame per state/progress change (sampled at a
-// short poll interval), closing after the terminal frame.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
-		return
-	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.Get(id)
-		return view, view.State, ok
-	})
 }
 
 // streamEvents is the shared SSE loop behind the /events routes: one
@@ -494,13 +475,8 @@ func (s *Server) handleDelete(unknownCode string, del func(string) error) http.H
 
 // handleMetrics serves the completed job's verification report exactly as
 // recorded (the persisted bytes, so restarts serve identical reports).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	view, ok := s.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
-		return
-	}
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, view JobView) {
+	id := view.ID
 	report, completed := s.Metrics(id)
 	if !completed {
 		writeError(w, http.StatusConflict, CodeConflict,
@@ -525,7 +501,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	track, ok := s.Telemetry(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
+		unknownJob(w, id)
 		return
 	}
 	if track == nil {
@@ -543,13 +519,8 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // identical resubmission or a post-restart fetch returns byte-identical
 // bytes). ?format=perfetto (default) is Chrome trace-event JSON loadable in
 // Perfetto / chrome://tracing; ?format=paraver is the ASCII timeline.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	view, ok := s.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
-		return
-	}
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, view JobView) {
+	id := view.ID
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		format = TraceFormatPerfetto
@@ -616,28 +587,19 @@ type telemetryEvent struct {
 	Sample    *telemetry.Sample `json:"sample,omitempty"`
 }
 
-// handleTelemetryEvents streams flight-recorder samples as server-sent
-// events over the shared SSE loop: one frame per new sample (deduplicated),
-// closing after the terminal frame. A kill keeps the stream open — the job
-// requeues and resumes; only completion, failure, or cancel end it.
-func (s *Server) handleTelemetryEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	done, ok := s.Done(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
-		return
+func (e telemetryEvent) meta() (string, JobState) { return "", e.State }
+
+// telemetryFrame is the current frame of a job's telemetry stream
+// (eventsHandler deduplicates, so one frame goes out per new sample). A
+// kill keeps the stream open — the job requeues and resumes; only
+// completion, failure, or cancel end it.
+func (s *Server) telemetryFrame(id string) (telemetryEvent, bool) {
+	view, ok := s.Get(id)
+	ev := telemetryEvent{Job: view.ID, State: view.State, Telemetry: view.Telemetry}
+	if smp, ok := s.TelemetryLatest(id); ok {
+		ev.Sample = &smp
 	}
-	s.streamEvents(w, r, done, func() (any, JobState, bool) {
-		view, ok := s.Get(id)
-		if !ok {
-			return nil, view.State, false
-		}
-		ev := telemetryEvent{Job: view.ID, State: view.State, Telemetry: view.Telemetry}
-		if smp, ok := s.TelemetryLatest(id); ok {
-			ev.Sample = &smp
-		}
-		return ev, view.State, true
-	})
+	return ev, ok
 }
 
 // handleProfile serves POST /v1/jobs/{id}/profile?seconds=N: capture a CPU
@@ -685,13 +647,8 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st.Stats())
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	view, ok := s.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, CodeUnknownJob, fmt.Sprintf("no job %q", id), nil)
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, view JobView) {
+	id := view.ID
 	rc, size, ok := s.SnapshotReader(id)
 	if !ok {
 		if view.State == StateCompleted {

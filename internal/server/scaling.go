@@ -63,10 +63,10 @@ func aggregateScaling(s *Server, rec *derived[experiments.ScalingSweep]) (any, e
 		if rep.Timing == nil {
 			// A coalesced hit on a result persisted before timing capture
 			// existed; it cannot contribute a curve point.
-			return nil, fmt.Errorf("member job %s (%s) recorded no phase timings (pre-timing stored result?)", m.JobID, m.label)
+			return nil, fmt.Errorf("member job %s (%s) recorded no phase timings (pre-timing stored result?)", m.jobID, m.label)
 		}
-		timings[m.Arm] = append(timings[m.Arm], experiments.ScalingMemberTiming{
-			Cores: m.Cores, N: m.N, Hash: m.Hash, Timing: *rep.Timing,
+		timings[m.arm] = append(timings[m.arm], experiments.ScalingMemberTiming{
+			Cores: m.cores, N: m.n, Hash: m.hash, Timing: *rep.Timing,
 		})
 	}
 	return experiments.BuildScalingResult(rec.Spec, timings)

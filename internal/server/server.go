@@ -352,10 +352,6 @@ func (s *Server) SampleHistory() {
 	s.hist.Sample()
 }
 
-// History exposes the metrics-history store (GET /v1/metrics/history and
-// the /statusz trend columns read through it).
-func (s *Server) History() *history.Store { return s.hist }
-
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
@@ -404,34 +400,31 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 		return &v, nil
 	}
 
-	job := &Job{record: record{Hash: hash}, Spec: cspec}
+	job := &Job{record: record{Hash: hash, State: StateQueued}, Spec: cspec}
 	job.Progress.Total = cspec.Steps
-
 	if hit {
 		job.CacheHit = true
 		job.Progress = Progress{Step: res.steps, Total: res.steps, SimTime: res.simTime}
 		job.Verify = res.summary
 		job.TelemetryStatus = res.telemetryStatus
-		s.jobs.registerLocked(job)
-		s.jobs.finishLocked(job, StateCompleted, "", s.now())
-		s.met.jobsSubmitted.Inc()
-		s.met.jobCacheHits.Inc()
-		s.met.jobsDone.With(string(StateCompleted)).Inc()
-		v := s.jobViewLocked(job)
-		return &v, nil
-	}
-
-	// Enqueue before registering, so a rejected submission consumes no id;
-	// the worker that receives the job blocks on s.mu until this returns.
-	job.State = StateQueued
-	job.submittedAt = s.now()
-	select {
-	case s.queue <- job:
-	default:
-		return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
+	} else {
+		// Enqueue before registering, so a rejected submission consumes no
+		// id; the worker that receives the job blocks on s.mu until this
+		// returns.
+		job.submittedAt = s.now()
+		select {
+		case s.queue <- job:
+		default:
+			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
+		}
 	}
 	s.jobs.registerLocked(job)
 	s.met.jobsSubmitted.Inc()
+	if hit {
+		s.jobs.finishLocked(job, StateCompleted, "", s.now())
+		s.met.jobCacheHits.Inc()
+		s.met.jobsDone.With(string(StateCompleted)).Inc()
+	}
 	v := s.jobViewLocked(job)
 	return &v, nil
 }
@@ -553,14 +546,13 @@ func (s *Server) pruneLocked() {
 }
 
 // Get returns a snapshot of the job, or false.
-func (s *Server) Get(id string) (JobView, bool) {
+func (s *Server) Get(id string) (view JobView, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs.getLocked(id)
-	if !ok {
-		return JobView{}, false
+	if job, ok := s.jobs.getLocked(id); ok {
+		return s.jobViewLocked(job), true
 	}
-	return s.jobViewLocked(job), true
+	return view, false
 }
 
 // ListPage returns one page of jobs in submission order (see
@@ -570,11 +562,7 @@ func (s *Server) ListPage(state JobState, cursor string, limit int) ([]JobView, 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
-	var keep func(*Job) bool
-	if state != "" {
-		keep = func(j *Job) bool { return j.State == state }
-	}
-	page, next := s.jobs.pageLocked(cursor, limit, keep)
+	page, next := s.jobs.pageLocked(state, cursor, limit)
 	out := make([]JobView, len(page))
 	for i, job := range page {
 		out[i] = s.jobViewLocked(job)
@@ -693,14 +681,6 @@ func (s *Server) Done(id string) (<-chan struct{}, bool) {
 }
 
 func (v JobView) meta() (string, JobState) { return v.Hash, v.State }
-
-func (j *Job) view() JobView {
-	return JobView{
-		ID: j.ID, Spec: j.Spec, Hash: j.Hash, State: j.State,
-		Progress: j.Progress, Error: j.Err, CacheHit: j.CacheHit,
-		Restarts: j.Restarts, Verify: j.Verify, Telemetry: j.TelemetryStatus,
-	}
-}
 
 // checkpointer returns the job's ft stack, or nil when checkpointing is
 // disabled. A single fast tier suffices: the server directory plays the
@@ -1208,31 +1188,34 @@ func marshalReport(rep *verify.Report, timing *core.RunTiming, spans *obs.SpanSe
 // completed job with no recorded report (true with nil bytes — e.g. a
 // result persisted by a pre-verification build).
 func (s *Server) Metrics(id string) ([]byte, bool) {
-	s.mu.Lock()
-	job, ok := s.jobs.getLocked(id)
-	if !ok || job.State != StateCompleted {
-		s.mu.Unlock()
+	view, ok := s.Get(id)
+	if !ok || view.State != StateCompleted {
 		return nil, false
 	}
-	hash := job.Hash
-	var report []byte
-	if res, hit := s.jobs.cachedLocked(hash); hit {
-		report = res.report
+	report, _ := s.persisted(view.Hash)
+	return report, true
+}
+
+// persisted returns the verification report and telemetry track recorded
+// under a result hash: the memory layer's copies first, the store's
+// otherwise, nil where none was recorded (a result persisted by a build
+// that did not record it). It needs no live job record, so derived
+// resources survive job table pruning.
+func (s *Server) persisted(hash string) (report, track []byte) {
+	s.mu.Lock()
+	if res, ok := s.jobs.cachedLocked(hash); ok {
+		report, track = res.report, res.telemetry
 	}
 	s.mu.Unlock()
-
-	if report != nil {
-		return report, true
-	}
-	// Every path that caches an entry with a persisted report also fills
-	// the memory copy, so this fallback only fires for entries written by
-	// builds that did not record reports.
 	if st := s.opts.Store; st != nil {
-		if b, ok := st.ReadReport(hash); ok {
-			return b, true
+		if report == nil {
+			report, _ = st.ReadReport(hash)
+		}
+		if track == nil {
+			track, _ = st.ReadTelemetry(hash)
 		}
 	}
-	return nil, true
+	return report, track
 }
 
 // Telemetry returns the job's flight-recorder track JSON. Completed jobs
@@ -1248,25 +1231,12 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	state := job.State
-	hash := job.Hash
-	rec := job.rec
-	var cached []byte
-	if res, hit := s.jobs.cachedLocked(hash); hit {
-		cached = res.telemetry
-	}
+	state, hash, rec := job.State, job.Hash, job.rec
 	s.mu.Unlock()
 
 	if state == StateCompleted {
-		if cached != nil {
-			return cached, true
-		}
-		if st := s.opts.Store; st != nil {
-			if b, ok := st.ReadTelemetry(hash); ok {
-				return b, true
-			}
-		}
-		return nil, true
+		_, track := s.persisted(hash)
+		return track, true
 	}
 	if rec == nil {
 		return nil, true
@@ -1309,16 +1279,11 @@ var profileMu sync.Mutex
 // capture is also stored as the entry's profile artifact; the bytes are
 // returned either way.
 func (s *Server) Profile(id string, d time.Duration) ([]byte, error) {
-	s.mu.Lock()
-	job, ok := s.jobs.getLocked(id)
-	var hash string
-	if ok {
-		hash = job.Hash
-	}
-	s.mu.Unlock()
+	view, ok := s.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: no job %q", ErrNotFound, id)
 	}
+	hash := view.Hash
 	if d <= 0 {
 		d = time.Second
 	}

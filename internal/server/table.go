@@ -139,23 +139,20 @@ func cursorAfter(id, cursor string) bool {
 }
 
 // pageLocked returns one page of records in submission order, starting
-// after the cursor id (empty = from the beginning) and skipping records
-// keep rejects (nil keeps all). limit is clamped to the page bounds. The
+// after the cursor id (empty = from the beginning); a non-empty state keeps
+// only records currently in it. limit is clamped to the page bounds. The
 // returned cursor addresses the next page and is empty when the listing is
 // exhausted. IDs are allocated in submission order, so a cursor naming a
 // since-pruned record still orders correctly against the survivors.
-func (t *table[R, C]) pageLocked(cursor string, limit int, keep func(R) bool) (page []R, next string) {
+func (t *table[R, C]) pageLocked(state JobState, cursor string, limit int) (page []R, next string) {
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
 	limit = min(limit, MaxPageLimit)
 	page = make([]R, 0, limit)
 	for _, id := range t.order {
-		if cursor != "" && !cursorAfter(id, cursor) {
-			continue
-		}
 		rec := t.recs[id]
-		if keep != nil && !keep(rec) {
+		if cursor != "" && !cursorAfter(id, cursor) || state != "" && rec.core().State != state {
 			continue
 		}
 		if len(page) == limit {
@@ -175,44 +172,35 @@ var (
 
 // deleteLocked removes one terminal record: ErrNotFound for unknown ids,
 // ErrNotTerminal for records still queued or running; noun names the kind
-// in the message. The memory cache entry is reclaimed when no surviving
-// record shares the hash (mirroring pruneLocked, so repeated submit+delete
-// traffic cannot grow the cache without bound); with a store attached the
-// result stays addressable on disk regardless.
+// in the message.
 func (t *table[R, C]) deleteLocked(id, noun string) error {
 	rec, ok := t.recs[id]
 	if !ok {
 		return fmt.Errorf("%w: no %s %q", ErrNotFound, noun, id)
 	}
-	c := rec.core()
-	if !c.terminal() {
+	if c := rec.core(); !c.terminal() {
 		return fmt.Errorf("%s %s is %s, %w", noun, id, c.State, ErrNotTerminal)
 	}
-	delete(t.recs, id)
-	for i, v := range t.order {
-		if v == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
-	for _, other := range t.recs {
-		if other.core().Hash == c.Hash {
-			return nil
-		}
-	}
-	delete(t.cache, c.Hash)
+	t.dropLocked(func(c *record) bool { return c.ID == id })
 	return nil
 }
 
-// pruneLocked drops terminal records that finished before cutoff, then the
-// cache entries whose hash no longer backs any surviving record (with a
-// store attached the result stays addressable on disk regardless).
+// pruneLocked drops the terminal records that finished before cutoff.
 func (t *table[R, C]) pruneLocked(cutoff time.Time) {
+	t.dropLocked(func(c *record) bool {
+		return c.terminal() && !c.doneAt.IsZero() && c.doneAt.Before(cutoff)
+	})
+}
+
+// dropLocked forgets the records drop selects, then the memory-layer
+// entries whose hash no longer backs any surviving record — so repeated
+// submit+delete traffic cannot grow the cache without bound. With a store
+// attached the results stay addressable on disk regardless.
+func (t *table[R, C]) dropLocked(drop func(*record) bool) {
 	kept := t.order[:0]
 	dropped := map[string]bool{}
 	for _, id := range t.order {
-		c := t.recs[id].core()
-		if c.terminal() && !c.doneAt.IsZero() && c.doneAt.Before(cutoff) {
+		if c := t.recs[id].core(); drop(c) {
 			delete(t.recs, id)
 			dropped[c.Hash] = true
 			continue
@@ -220,6 +208,9 @@ func (t *table[R, C]) pruneLocked(cutoff time.Time) {
 		kept = append(kept, id)
 	}
 	t.order = kept
+	if len(dropped) == 0 {
+		return
+	}
 	for _, id := range kept {
 		delete(dropped, t.recs[id].core().Hash)
 	}

@@ -42,36 +42,15 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 		return nil, true, fmt.Errorf("server: unknown trace format %q (have %s, %s)",
 			format, TraceFormatPerfetto, TraceFormatParaver)
 	}
-	s.mu.Lock()
-	job, ok := s.jobs.getLocked(id)
-	if !ok || job.State != StateCompleted {
-		s.mu.Unlock()
+	view, ok := s.Get(id)
+	if !ok || view.State != StateCompleted {
 		return nil, false, nil
 	}
-	hash := job.Hash
-	spec := job.Spec
-	var report, track []byte
-	if res, hit := s.jobs.cachedLocked(hash); hit {
-		report, track = res.report, res.telemetry
-	}
-	s.mu.Unlock()
-
-	if st := s.opts.Store; st != nil {
-		if report == nil {
-			if b, ok := st.ReadReport(hash); ok {
-				report = b
-			}
-		}
-		if track == nil {
-			if b, ok := st.ReadTelemetry(hash); ok {
-				track = b
-			}
-		}
-	}
+	report, track := s.persisted(view.Hash)
 	if report == nil {
 		return nil, true, nil
 	}
-	b, err := s.renderTrace(spec, hash, format, report, track)
+	b, err := s.renderTrace(view.Spec, view.Hash, format, report, track)
 	return b, true, err
 }
 

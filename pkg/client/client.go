@@ -236,8 +236,11 @@ type JobPage struct {
 	NextCursor string `json:"nextCursor,omitempty"`
 }
 
-// ExpMember is one ladder point of an experiment view.
-type ExpMember struct {
+// Member is one ladder point of a sweep view; Arm and Cores locate a scaling
+// member on its ladder and are absent from convergence members.
+type Member struct {
+	Arm    string         `json:"arm,omitempty"`
+	Cores  int            `json:"cores,omitempty"`
 	N      int            `json:"n"`
 	JobID  string         `json:"jobId"`
 	Hash   string         `json:"hash"`
@@ -245,21 +248,29 @@ type ExpMember struct {
 	Verify *VerifySummary `json:"verify,omitempty"`
 }
 
-// Experiment is the wire shape of a convergence experiment view. Result is
-// decoded from the persisted regression when the experiment is completed.
-type Experiment struct {
-	ID       string              `json:"id"`
-	Sweep    experiments.Sweep   `json:"sweep"`
-	Hash     string              `json:"hash"`
-	State    string              `json:"state"`
-	CacheHit bool                `json:"cacheHit"`
-	Members  []ExpMember         `json:"members,omitempty"`
-	Result   *experiments.Result `json:"result,omitempty"`
-	Error    string              `json:"error,omitempty"`
+// Sweep is the wire shape of a member-backed derived resource: S is the
+// sweep spec, R the persisted result it decodes once completed.
+type Sweep[S, R any] struct {
+	ID       string   `json:"id"`
+	Sweep    S        `json:"sweep"`
+	Hash     string   `json:"hash"`
+	State    string   `json:"state"`
+	CacheHit bool     `json:"cacheHit"`
+	Members  []Member `json:"members,omitempty"`
+	Result   *R       `json:"result,omitempty"`
+	Error    string   `json:"error,omitempty"`
 }
 
-// Terminal reports whether the experiment has reached a final state.
-func (e *Experiment) Terminal() bool { return TerminalState(e.State) }
+// Terminal reports whether the sweep has reached a final state.
+func (e *Sweep[S, R]) Terminal() bool { return TerminalState(e.State) }
+
+// Experiment is a convergence experiment view; Result is the norm-vs-N
+// regression.
+type Experiment = Sweep[experiments.Sweep, experiments.Result]
+
+// Scaling is a scaling-experiment view; Result is the speedup / efficiency
+// aggregation.
+type Scaling = Sweep[experiments.ScalingSweep, experiments.ScalingResult]
 
 // ExperimentPage is one page of the experiment listing.
 type ExperimentPage struct {
@@ -294,20 +305,20 @@ func (o ListOptions) query() string {
 	return "?" + q.Encode()
 }
 
-// do issues one request and decodes the response into out (unless nil).
-// Non-2xx responses decode the error envelope into *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// send issues one request under a fresh correlation ID and returns the
+// response of a 2xx exchange; anything else is decoded into *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body any) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return fmt.Errorf("client: encoding request: %w", err)
+			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -322,25 +333,47 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	req.Header.Set(RequestIDHeader, reqID)
 	resp, err := c.http.Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp, reqID)
+	}
+	return resp, nil
+}
+
+// do issues one request and decodes the response into out (unless nil).
+// Non-2xx responses decode the error envelope into *APIError.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.send(ctx, method, path, body)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp, reqID)
-	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	if raw, ok := out.(*[]byte); ok {
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		*raw = b
-		return nil
-	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// fetch issues one request and decodes the JSON response into a fresh T.
+func fetch[T any](ctx context.Context, c *Client, method, path string, body any) (*T, error) {
+	var out T
+	if err := c.do(ctx, method, path, body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// raw issues one request and returns the response bytes exactly as served.
+func (c *Client) raw(ctx context.Context, method, path string) ([]byte, error) {
+	resp, err := c.send(ctx, method, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	return io.ReadAll(resp.Body)
 }
 
 // CodeQueueFull is the stable error code of a submission rejected because
@@ -352,21 +385,42 @@ const CodeQueueFull = "queue_full"
 // the configured policy with jittered exponential backoff. The wait
 // respects ctx: cancellation during a backoff returns immediately with
 // both the rejection and the context error joined.
-func (c *Client) submit(ctx context.Context, path string, body, out any) error {
+func submit[T any](ctx context.Context, c *Client, path string, body any) (*T, error) {
 	attempt := 1
 	for {
-		err := c.do(ctx, http.MethodPost, path, body, out)
+		out, err := fetch[T](ctx, c, http.MethodPost, path, body)
 		var apiErr *APIError
 		if err == nil || c.retry == nil || attempt >= c.retry.MaxAttempts ||
 			!errors.As(err, &apiErr) || apiErr.Code != CodeQueueFull {
-			return err
+			return out, err
 		}
 		select {
 		case <-ctx.Done():
-			return errors.Join(err, ctx.Err())
+			return nil, errors.Join(err, ctx.Err())
 		case <-time.After(c.retry.delay(attempt)):
 		}
 		attempt++
+	}
+}
+
+// terminal is a view that knows whether its resource has reached a final
+// state.
+type terminal interface{ Terminal() bool }
+
+// waitTerminal polls get until the view it returns is terminal (or ctx
+// expires, in which case the last view seen is returned with the context
+// error).
+func waitTerminal[T terminal](ctx context.Context, c *Client, get func(context.Context, string) (T, error), id string) (T, error) {
+	for {
+		view, err := get(ctx, id)
+		if err != nil || view.Terminal() {
+			return view, err
+		}
+		select {
+		case <-ctx.Done():
+			return view, ctx.Err()
+		case <-time.After(c.poll):
+		}
 	}
 }
 
@@ -408,173 +462,81 @@ func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
 // With a retry policy configured, queue_full rejections back off and
 // resubmit.
 func (c *Client) Submit(ctx context.Context, spec scenario.JobSpec) (*Job, error) {
-	var out Job
-	if err := c.submit(ctx, "/v1/jobs", spec, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return submit[Job](ctx, c, "/v1/jobs", spec)
 }
 
 // SubmitBatch posts an array of specs; outcomes are per-item (per-item
 // queue_full errors are reported, not retried — only a whole-request
 // rejection backs off).
 func (c *Client) SubmitBatch(ctx context.Context, specs []scenario.JobSpec) ([]BatchItem, error) {
-	var out []BatchItem
-	err := c.submit(ctx, "/v1/jobs/batch", specs, &out)
-	return out, err
+	out, err := submit[[]BatchItem](ctx, c, "/v1/jobs/batch", specs)
+	if err != nil {
+		return nil, err
+	}
+	return *out, nil
 }
 
 // Job fetches one job view.
 func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[Job](ctx, c, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // Jobs fetches one page of the job listing.
 func (c *Client) Jobs(ctx context.Context, opts ListOptions) (*JobPage, error) {
-	var out JobPage
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[JobPage](ctx, c, http.MethodGet, "/v1/jobs"+opts.query(), nil)
 }
 
 // WaitJob polls until the job reaches a terminal state (or ctx expires).
 func (c *Client) WaitJob(ctx context.Context, id string) (*Job, error) {
-	for {
-		job, err := c.Job(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if job.Terminal() {
-			return job, nil
-		}
-		select {
-		case <-ctx.Done():
-			return job, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return waitTerminal(ctx, c, c.Job, id)
 }
 
 // Cancel terminally cancels a queued or running job.
 func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[Job](ctx, c, http.MethodPost, "/v1/jobs/"+id+"/cancel", nil)
 }
 
 // Kill simulates a crash of a running job (it resumes from its checkpoint).
 func (c *Client) Kill(ctx context.Context, id string) (*Job, error) {
-	var out Job
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs/"+id+"/kill", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[Job](ctx, c, http.MethodPost, "/v1/jobs/"+id+"/kill", nil)
 }
 
 // Snapshot downloads the completed job's final particle state (part binary
 // checkpoint format).
 func (c *Client) Snapshot(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/snapshot", nil, &raw)
-	return raw, err
+	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/snapshot")
 }
 
 // Metrics fetches the completed job's verification report, decoded.
 func (c *Client) Metrics(ctx context.Context, id string) (*verify.Report, error) {
-	var out verify.Report
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/metrics", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[verify.Report](ctx, c, http.MethodGet, "/v1/jobs/"+id+"/metrics", nil)
 }
 
 // RawMetrics fetches the verification report bytes exactly as persisted.
 func (c *Client) RawMetrics(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/metrics", nil, &raw)
-	return raw, err
+	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/metrics")
 }
 
 // SubmitExperiment posts a convergence sweep; a completed response is a
 // cache hit served from the persisted regression.
 func (c *Client) SubmitExperiment(ctx context.Context, sw experiments.Sweep) (*Experiment, error) {
-	var out Experiment
-	if err := c.submit(ctx, "/v1/experiments", sw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return submit[Experiment](ctx, c, "/v1/experiments", sw)
 }
 
 // Experiment fetches one experiment view.
 func (c *Client) Experiment(ctx context.Context, id string) (*Experiment, error) {
-	var out Experiment
-	if err := c.do(ctx, http.MethodGet, "/v1/experiments/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[Experiment](ctx, c, http.MethodGet, "/v1/experiments/"+id, nil)
 }
 
 // Experiments fetches one page of the experiment listing.
 func (c *Client) Experiments(ctx context.Context, opts ListOptions) (*ExperimentPage, error) {
-	var out ExperimentPage
-	if err := c.do(ctx, http.MethodGet, "/v1/experiments"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[ExperimentPage](ctx, c, http.MethodGet, "/v1/experiments"+opts.query(), nil)
 }
 
 // WaitExperiment polls until the experiment reaches a terminal state.
 func (c *Client) WaitExperiment(ctx context.Context, id string) (*Experiment, error) {
-	for {
-		exp, err := c.Experiment(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if exp.Terminal() {
-			return exp, nil
-		}
-		select {
-		case <-ctx.Done():
-			return exp, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return waitTerminal(ctx, c, c.Experiment, id)
 }
-
-// ScalingMember is one (arm, core count) ladder point of a scaling view.
-type ScalingMember struct {
-	Arm    string         `json:"arm,omitempty"`
-	Cores  int            `json:"cores"`
-	N      int            `json:"n"`
-	JobID  string         `json:"jobId"`
-	Hash   string         `json:"hash"`
-	State  string         `json:"state,omitempty"`
-	Verify *VerifySummary `json:"verify,omitempty"`
-}
-
-// Scaling is the wire shape of a scaling-experiment view. Result is decoded
-// from the persisted aggregation when the experiment is completed.
-type Scaling struct {
-	ID       string                     `json:"id"`
-	Sweep    experiments.ScalingSweep   `json:"sweep"`
-	Hash     string                     `json:"hash"`
-	State    string                     `json:"state"`
-	CacheHit bool                       `json:"cacheHit"`
-	Members  []ScalingMember            `json:"members,omitempty"`
-	Result   *experiments.ScalingResult `json:"result,omitempty"`
-	Error    string                     `json:"error,omitempty"`
-}
-
-// Terminal reports whether the scaling experiment has reached a final
-// state.
-func (e *Scaling) Terminal() bool { return TerminalState(e.State) }
 
 // ScalingPage is one page of the scaling-experiment listing.
 type ScalingPage struct {
@@ -585,47 +547,22 @@ type ScalingPage struct {
 // SubmitScaling posts a scaling sweep; a completed response is a cache hit
 // served from the persisted result.
 func (c *Client) SubmitScaling(ctx context.Context, sw experiments.ScalingSweep) (*Scaling, error) {
-	var out Scaling
-	if err := c.submit(ctx, "/v1/scaling", sw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return submit[Scaling](ctx, c, "/v1/scaling", sw)
 }
 
 // Scaling fetches one scaling-experiment view.
 func (c *Client) Scaling(ctx context.Context, id string) (*Scaling, error) {
-	var out Scaling
-	if err := c.do(ctx, http.MethodGet, "/v1/scaling/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[Scaling](ctx, c, http.MethodGet, "/v1/scaling/"+id, nil)
 }
 
 // Scalings fetches one page of the scaling-experiment listing.
 func (c *Client) Scalings(ctx context.Context, opts ListOptions) (*ScalingPage, error) {
-	var out ScalingPage
-	if err := c.do(ctx, http.MethodGet, "/v1/scaling"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[ScalingPage](ctx, c, http.MethodGet, "/v1/scaling"+opts.query(), nil)
 }
 
 // WaitScaling polls until the scaling experiment reaches a terminal state.
 func (c *Client) WaitScaling(ctx context.Context, id string) (*Scaling, error) {
-	for {
-		scl, err := c.Scaling(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if scl.Terminal() {
-			return scl, nil
-		}
-		select {
-		case <-ctx.Done():
-			return scl, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return waitTerminal(ctx, c, c.Scaling, id)
 }
 
 // ClusterAnalysis is the wire shape of a fleet-clustering analysis view
@@ -655,47 +592,22 @@ type AnalyticsPage struct {
 // verification corpus; a completed response is either a byte-identical
 // cache hit (unchanged corpus) or awaits the fit via WaitCluster.
 func (c *Client) SubmitCluster(ctx context.Context, sp cluster.Spec) (*ClusterAnalysis, error) {
-	var out ClusterAnalysis
-	if err := c.submit(ctx, "/v1/analytics/cluster", sp, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return submit[ClusterAnalysis](ctx, c, "/v1/analytics/cluster", sp)
 }
 
 // ClusterAnalysis fetches one cluster-analysis view.
 func (c *Client) ClusterAnalysis(ctx context.Context, id string) (*ClusterAnalysis, error) {
-	var out ClusterAnalysis
-	if err := c.do(ctx, http.MethodGet, "/v1/analytics/cluster/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[ClusterAnalysis](ctx, c, http.MethodGet, "/v1/analytics/cluster/"+id, nil)
 }
 
 // ClusterAnalyses fetches one page of the cluster-analysis listing.
 func (c *Client) ClusterAnalyses(ctx context.Context, opts ListOptions) (*AnalyticsPage, error) {
-	var out AnalyticsPage
-	if err := c.do(ctx, http.MethodGet, "/v1/analytics/cluster"+opts.query(), nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[AnalyticsPage](ctx, c, http.MethodGet, "/v1/analytics/cluster"+opts.query(), nil)
 }
 
 // WaitCluster polls until the cluster analysis reaches a terminal state.
 func (c *Client) WaitCluster(ctx context.Context, id string) (*ClusterAnalysis, error) {
-	for {
-		cls, err := c.ClusterAnalysis(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if cls.Terminal() {
-			return cls, nil
-		}
-		select {
-		case <-ctx.Done():
-			return cls, ctx.Err()
-		case <-time.After(c.poll):
-		}
-	}
+	return waitTerminal(ctx, c, c.ClusterAnalysis, id)
 }
 
 // DeleteCluster forgets a terminal cluster-analysis record.
@@ -721,11 +633,7 @@ func (c *Client) DeleteScaling(ctx context.Context, id string) error {
 
 // StoreStats fetches the result-store metrics.
 func (c *Client) StoreStats(ctx context.Context) (*store.Stats, error) {
-	var out store.Stats
-	if err := c.do(ctx, http.MethodGet, "/v1/store", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[store.Stats](ctx, c, http.MethodGet, "/v1/store", nil)
 }
 
 // Telemetry fetches a job's flight-recorder track: the downsampled
@@ -733,18 +641,12 @@ func (c *Client) StoreStats(ctx context.Context) (*store.Stats, error) {
 // with the watchdog rollup. Completed jobs serve the persisted track
 // (byte-identical across cache hits); live jobs serve a snapshot.
 func (c *Client) Telemetry(ctx context.Context, id string) (*telemetry.Track, error) {
-	var out telemetry.Track
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[telemetry.Track](ctx, c, http.MethodGet, "/v1/jobs/"+id+"/telemetry", nil)
 }
 
 // RawTelemetry fetches the telemetry track bytes exactly as persisted.
 func (c *Client) RawTelemetry(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry", nil, &raw)
-	return raw, err
+	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry")
 }
 
 // TelemetryEvent is one frame of the live telemetry stream: the job's
@@ -762,26 +664,11 @@ type TelemetryEvent struct {
 // terminal), fn returns false, or ctx is cancelled. A kill-requeue does not
 // end the stream — the job resumes and frames keep flowing.
 func (c *Client) StreamTelemetry(ctx context.Context, id string, fn func(TelemetryEvent) bool) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/telemetry/events", nil)
-	if err != nil {
-		return err
-	}
-	reqID := ""
-	if c.requestID != nil {
-		reqID = c.requestID()
-	}
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	req.Header.Set(RequestIDHeader, reqID)
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry/events", nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return decodeError(resp, reqID)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -818,11 +705,7 @@ const (
 // the document deterministically, so cache-hit resubmissions decode to the
 // same trace.
 func (c *Client) JobTrace(ctx context.Context, id string) (*trace.Document, error) {
-	var out trace.Document
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace?format="+TraceFormatPerfetto, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[trace.Document](ctx, c, http.MethodGet, "/v1/jobs/"+id+"/trace?format="+TraceFormatPerfetto, nil)
 }
 
 // RawJobTrace fetches the trace bytes exactly as the server renders them
@@ -833,9 +716,7 @@ func (c *Client) RawJobTrace(ctx context.Context, id, format string) ([]byte, er
 	if format != "" {
 		path += "?format=" + url.QueryEscape(format)
 	}
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, path, nil, &raw)
-	return raw, err
+	return c.raw(ctx, http.MethodGet, path)
 }
 
 // HistorySelection filters a GET /v1/metrics/history query.
@@ -862,11 +743,7 @@ func (c *Client) MetricsHistory(ctx context.Context, sel HistorySelection) (*his
 	if enc := q.Encode(); enc != "" {
 		path += "?" + enc
 	}
-	var out history.Snapshot
-	if err := c.do(ctx, http.MethodGet, path, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return fetch[history.Snapshot](ctx, c, http.MethodGet, path, nil)
 }
 
 // Profile captures a CPU profile of the serving process for the given
@@ -878,7 +755,5 @@ func (c *Client) Profile(ctx context.Context, id string, seconds int) ([]byte, e
 	if seconds > 0 {
 		path += "?seconds=" + strconv.Itoa(seconds)
 	}
-	var raw []byte
-	err := c.do(ctx, http.MethodPost, path, nil, &raw)
-	return raw, err
+	return c.raw(ctx, http.MethodPost, path)
 }
