@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -319,83 +318,6 @@ func TestDeleteLifecycles(t *testing.T) {
 	}
 	if _, ok := s.Experiments.Get(exp.ID); ok {
 		t.Fatal("deleted experiment still listed")
-	}
-}
-
-// TestExperimentAndScalingEvents covers the SSE progress routes: both
-// resources stream at least one data frame and close after the terminal
-// one; unknown ids 404 with their resource code.
-func TestExperimentAndScalingEvents(t *testing.T) {
-	s := New(Options{Workers: 2})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := testClient(ts)
-	ctx := context.Background()
-
-	scl, err := c.SubmitScaling(ctx, sedovScaling(2, 12, 24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitScaling(t, s, scl.ID, 120*time.Second)
-	exp, err := c.SubmitExperiment(ctx, sedovSweep(2, 150, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitExperiment(t, s, exp.ID, 120*time.Second)
-
-	for _, path := range []string{
-		"/v1/scaling/" + scl.ID + "/events",
-		"/v1/experiments/" + exp.ID + "/events",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-			t.Fatalf("%s: Content-Type %q", path, ct)
-		}
-		// The resources are terminal, so the stream ends after the final
-		// frame and a full read terminates.
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames := bytes.Split(bytes.TrimSpace(body), []byte("\n\n"))
-		if len(frames) == 0 {
-			t.Fatalf("%s: no SSE frames", path)
-		}
-		last := bytes.TrimPrefix(frames[len(frames)-1], []byte("data: "))
-		var view struct {
-			State string `json:"state"`
-		}
-		if err := json.Unmarshal(last, &view); err != nil {
-			t.Fatalf("%s: undecodable frame %q: %v", path, last, err)
-		}
-		if view.State != string(StateCompleted) {
-			t.Fatalf("%s: terminal frame state %q", path, view.State)
-		}
-	}
-
-	for path, code := range map[string]string{
-		"/v1/scaling/scl-999999/events":     "unknown_scaling",
-		"/v1/experiments/exp-999999/events": "unknown_experiment",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != 404 || env.Error.Code != code {
-			t.Fatalf("%s: status=%d code=%q err=%v, want 404/%s", path, resp.StatusCode, env.Error.Code, err, code)
-		}
 	}
 }
 
