@@ -314,10 +314,11 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 func (d *Derived[S, V]) Get(id string) (view V, ok bool) {
 	d.s.mu.Lock()
 	defer d.s.mu.Unlock()
-	if rec, ok := d.tab.getLocked(id); ok {
-		return d.kind.view(d.s, rec), true
+	rec, ok := d.tab.getLocked(id)
+	if ok {
+		view = d.kind.view(d.s, rec)
 	}
-	return view, false
+	return view, ok
 }
 
 // Done returns a channel closed when the record reaches a terminal state.

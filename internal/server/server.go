@@ -549,10 +549,11 @@ func (s *Server) pruneLocked() {
 func (s *Server) Get(id string) (view JobView, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if job, ok := s.jobs.getLocked(id); ok {
-		return s.jobViewLocked(job), true
+	job, ok := s.jobs.getLocked(id)
+	if ok {
+		view = s.jobViewLocked(job)
 	}
-	return view, false
+	return view, ok
 }
 
 // ListPage returns one page of jobs in submission order (see
