@@ -52,76 +52,6 @@ func evrardParallelCfg(t *testing.T, cores int, decomp domain.Method, dynamic bo
 	return cfg, ps
 }
 
-// TestParallelMatchesSerial: the distributed engine must produce the same
-// physics as the shared-memory engine (same forces, same dt, same
-// trajectories) up to floating-point summation order.
-func TestParallelMatchesSerial(t *testing.T) {
-	cfg, ps := evrardParallelCfg(t, 48, domain.MortonSFC, false)
-
-	// Serial reference.
-	sim, err := New(cfg.Core, ps.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	serialEnd := stateByID(sim.PS)
-
-	cfgA, psA := evrardParallelCfg(t, 12, domain.MortonSFC, false)
-	cfgB, psB := evrardParallelCfg(t, 48, domain.MortonSFC, false)
-	endA := captureEnd(t, cfgA, psA)
-	endB := captureEnd(t, cfgB, psB)
-
-	for _, pair := range []struct {
-		name string
-		got  map[int64][6]float64
-	}{{"1-rank", endA}, {"4-rank", endB}} {
-		if len(pair.got) != len(serialEnd) {
-			t.Fatalf("%s: %d particles, want %d", pair.name, len(pair.got), len(serialEnd))
-		}
-		worst := 0.0
-		for id, want := range serialEnd {
-			got, ok := pair.got[id]
-			if !ok {
-				t.Fatalf("%s: particle %d missing", pair.name, id)
-			}
-			for k := 0; k < 6; k++ {
-				d := math.Abs(got[k] - want[k])
-				scale := math.Abs(want[k]) + 1e-3
-				if d/scale > worst {
-					worst = d / scale
-				}
-			}
-		}
-		if worst > 1e-8 {
-			t.Errorf("%s: worst relative state deviation from serial = %g", pair.name, worst)
-		}
-	}
-}
-
-// captureEnd runs the parallel engine and returns the final per-particle
-// state keyed by ID.
-func captureEnd(t *testing.T, cfg ParallelConfig, ps *part.Set) map[int64][6]float64 {
-	t.Helper()
-	end, _, err := RunParallelCapture(cfg, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stateByID(end)
-}
-
-func stateByID(ps *part.Set) map[int64][6]float64 {
-	m := make(map[int64][6]float64, ps.NLocal)
-	for i := 0; i < ps.NLocal; i++ {
-		m[ps.ID[i]] = [6]float64{
-			ps.Pos[i].X, ps.Pos[i].Y, ps.Pos[i].Z,
-			ps.Vel[i].X, ps.Vel[i].Y, ps.Vel[i].Z,
-		}
-	}
-	return m
-}
-
 func TestParallelScalingMonotone(t *testing.T) {
 	// More cores must yield smaller simulated step time in the scaling
 	// regime, and the halo fraction must grow.
