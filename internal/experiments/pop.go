@@ -43,40 +43,14 @@ func PredictPOP(in PredictShape) trace.Metrics {
 	if in.Steps <= 0 {
 		in.Steps = 1
 	}
-	// Rank/thread layout, mirroring core.RunParallelCapture.
-	rpn := in.RanksPerNode
-	if rpn <= 0 {
-		rpn = 1
-	}
-	cores := in.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	nodes := in.Machine.NodeCount(cores)
-	ranks := nodes * rpn
-	if ranks > cores {
-		ranks = cores
-	}
-	if ranks < 1 {
-		ranks = 1
-	}
-	threads := cores / ranks
-	if threads < 1 {
-		threads = 1
-	}
+	ranks, threads := in.Machine.Layout(in.Cores, in.RanksPerNode)
 	nLoc := float64(in.N) / float64(ranks)
 	nbrs := float64(in.NNeighbors)
 	if nbrs <= 0 {
 		nbrs = 1
 	}
-	sf := func(ph core.PhaseID) float64 {
-		if in.Cost.SerialFraction == nil {
-			return 0
-		}
-		return in.Cost.SerialFraction[ph]
-	}
 	phase := func(ops, rate float64, ph core.PhaseID) float64 {
-		return in.Machine.PhaseSeconds(ops, rate, threads, sf(ph))
+		return in.Machine.PhaseSeconds(ops, rate, threads, in.Cost.SerialFraction[ph])
 	}
 
 	// Useful computation per rank per step: the engine's charge sites with
@@ -98,7 +72,7 @@ func PredictPOP(in PredictShape) trace.Metrics {
 			in.Cost.GravNodeRate, core.PhaseGravity)
 	}
 
-	net := in.Machine.NewNet(ranks, rpn)
+	net := in.Machine.NewNet(ranks, in.RanksPerNode)
 	var halo, coll float64
 	if ranks > 1 {
 		// Surface-scaling ghost layer: a uniform cube of nLoc particles
@@ -110,10 +84,10 @@ func PredictPOP(in PredictShape) trace.Metrics {
 			peers = 6
 		}
 		perPeer := ghosts / float64(peers)
-		// Cross-node ranks dominate the cost; peer rank rpn sits one node
+		// Cross-node ranks dominate the cost; peer rank RanksPerNode sits one node
 		// over from rank 0.
 		p2p := func(bytes float64) float64 {
-			return float64(peers) * net.PointToPoint(0, rpn, int(bytes))
+			return float64(peers) * net.PointToPoint(0, net.RanksPerNode, int(bytes))
 		}
 		// Halo data, density ghost update (rho,P,C,VE,H), and — under IAD —
 		// the Tau exchange, as in the engine's comm sites.

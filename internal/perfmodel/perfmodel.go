@@ -141,6 +141,16 @@ func (m *Machine) NodeCount(cores int) int {
 	return (cores + m.CoresPerNode - 1) / m.CoresPerNode
 }
 
+// Layout places a run of cores cores at ranksPerNode ranks a node: 1 models
+// MPI+OpenMP (one rank per node, the node's cores as its threads),
+// CoresPerNode models MPI-only. There is at least one rank, never more ranks
+// than cores, and at least one thread a rank.
+func (m *Machine) Layout(cores, ranksPerNode int) (ranks, threads int) {
+	cores, ranksPerNode = max(cores, 1), max(ranksPerNode, 1)
+	ranks = min(m.NodeCount(cores)*ranksPerNode, cores)
+	return ranks, cores / ranks
+}
+
 // PhaseSeconds converts a work quantity (abstract "operations") into
 // simulated seconds on `threads` cores of this machine, honoring Amdahl's
 // law with the given serial fraction. rate is operations per core-second.

@@ -29,6 +29,28 @@ func TestNodeCount(t *testing.T) {
 	}
 }
 
+func TestLayout(t *testing.T) {
+	d := PizDaint() // 12 cores a node
+	for _, c := range []struct{ cores, rpn, ranks, threads int }{
+		{48, 1, 4, 12},  // MPI+OpenMP: a rank a node, the node's cores its threads
+		{48, 12, 48, 1}, // MPI-only
+		{96, 48, 96, 1}, // more ranks a node than cores: never more ranks than cores
+		{13, 1, 2, 6},   // a partly filled node still gets a rank
+		{5, 12, 5, 1},   // ranks <= cores
+		{12, 0, 1, 12},  // unset placement means one rank a node
+		{0, 1, 1, 1},    // at least one rank, at least one thread
+		{-3, -1, 1, 1},
+		{7, 4, 4, 1}, // threads round down, never to zero
+		{3, 2, 2, 1},
+	} {
+		ranks, threads := d.Layout(c.cores, c.rpn)
+		if ranks != c.ranks || threads != c.threads {
+			t.Errorf("Layout(%d, %d) = %d ranks x %d threads, want %d x %d",
+				c.cores, c.rpn, ranks, threads, c.ranks, c.threads)
+		}
+	}
+}
+
 func TestNetBandwidthTerm(t *testing.T) {
 	d := PizDaint()
 	net := d.NewNet(24, 12)
