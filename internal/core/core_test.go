@@ -204,7 +204,7 @@ func TestSquarePatchRotates(t *testing.T) {
 func TestIndividualSteppingAssignsRungs(t *testing.T) {
 	sim := evrardSim(t, 1500)
 	sim.Cfg.Stepping = ts.Individual
-	sim.ctrl = ts.NewController(ts.Individual)
+	sim.st.ctrl = ts.NewController(ts.Individual)
 	if _, err := sim.Run(3, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,9 @@ import (
 	"repro/internal/gravity"
 	"repro/internal/part"
 	"repro/internal/perfmodel"
-	"repro/internal/sfc"
 	"repro/internal/simmpi"
 	"repro/internal/sph"
 	"repro/internal/trace"
-	"repro/internal/tree"
-	"repro/internal/ts"
-	"repro/internal/vec"
 )
 
 // CodeCost calibrates how fast a parent code executes each workflow phase
@@ -45,13 +41,6 @@ type CodeCost struct {
 	// HSweeps is the average number of smoothing-length iterations the code
 	// performs (multiplies the search work).
 	HSweeps float64
-}
-
-func (c *CodeCost) serial(ph PhaseID) float64 {
-	if c.SerialFraction == nil {
-		return 0
-	}
-	return c.SerialFraction[ph]
 }
 
 // ParallelConfig describes one strong-scaling run point.
@@ -102,21 +91,13 @@ type ParallelConfig struct {
 }
 
 // StepStats is the per-step reduced physics snapshot OnSample delivers:
-// global conservation sums plus distribution extrema and the step's
-// compute-imbalance figure, already allreduced across ranks.
+// the step report with its extrema already allreduced across ranks (Step is
+// the chunk-relative index OnStep gets), the global conservation sums and
+// the step's compute-imbalance figure.
 type StepStats struct {
-	// Step is the zero-based chunk-relative step index (matching OnStep).
-	Step    int
-	SimTime float64
-	DT      float64
+	StepReport
 	// Cons is the globally-summed conserved state after the step.
 	Cons conserve.State
-	// Smoothing-length and neighbor-count distribution across all ranks.
-	HMin    float64
-	HMax    float64
-	NbrMin  int
-	NbrMax  int
-	NbrMean float64
 	// Imbalance is max/mean per-rank compute seconds of this step (1 =
 	// perfectly balanced).
 	Imbalance float64
@@ -198,28 +179,30 @@ type ParallelResult struct {
 	Timing *RunTiming
 }
 
-// message tags for the step protocol.
-const (
-	tagHaloCount = iota
-	tagHaloData
-	tagHaloUpdate
-	tagHaloTau
-)
+// parallelRun is what the ranks of one distributed run share: the
+// configuration, every rank's particle set, and the result, which carries
+// the layout and which the ranks fill in (rank 0 the step fields, every rank
+// its own timing slot) for reading once world.Run has joined.
+type parallelRun struct {
+	cfg       ParallelConfig
+	p         sph.Params // the ranks' parameters: rank goroutines already use the host cores, so one worker each
+	byteScale float64    // halo payloads grow with the surface, WorkScale^(2/3)
+	locals    []*part.Set
+	res       *ParallelResult
+	haloFracs []float64 // ghosts/owned of the last step, one slot per rank
 
-// RunParallel executes the distributed Algorithm 1 over the simulated
-// machine and returns scaling results. The particle set is decomposed
-// across ranks; hydrodynamics run for real on each rank's subdomain with
-// ghost exchanges, while the per-rank simulated clocks charge modeled
-// compute and network time.
-func RunParallel(cfg ParallelConfig, ps *part.Set) (*ParallelResult, error) {
-	_, res, err := RunParallelCapture(cfg, ps)
-	return res, err
+	// The replicated gravity solver over gravN gathered particles, built by
+	// rank 0 between collectives each step.
+	gravSolver *gravity.Solver
+	gravN      int
 }
 
-// RunParallelCapture is RunParallel returning additionally the merged final
-// particle state (all ranks' owned particles, concatenated in rank order) —
-// the hook validation tests use to compare distributed and shared-memory
-// trajectories.
+// RunParallelCapture executes the distributed Algorithm 1 over the simulated
+// machine. The particle set is decomposed across ranks; hydrodynamics run
+// for real on each rank's subdomain with ghost exchanges, while the per-rank
+// simulated clocks charge modeled compute and network time. It returns the
+// scaling results and the merged final particle state (all ranks' owned
+// particles, concatenated in rank order).
 func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelResult, error) {
 	if err := cfg.Core.Defaults(); err != nil {
 		return nil, nil, err
@@ -233,459 +216,28 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	if cfg.Steps <= 0 {
 		cfg.Steps = 1
 	}
-	rpn := cfg.RanksPerNode
-	if rpn <= 0 {
-		rpn = 1
-	}
-	nodes := cfg.Machine.NodeCount(cfg.Cores)
-	ranks := nodes * rpn
-	if ranks > cfg.Cores {
-		ranks = cfg.Cores
-	}
-	if ranks < 1 {
-		ranks = 1
-	}
-	threads := cfg.Cores / ranks
-	if threads < 1 {
-		threads = 1
-	}
+	ranks, threads := cfg.Machine.Layout(cfg.Cores, cfg.RanksPerNode)
 
 	// Initial decomposition (unit weights).
 	asg := domain.Decompose(cfg.Decomp, ps, cfg.Core.SPH.Box, ranks, nil)
-	locals := domain.Split(ps, asg, ranks)
-
-	net := cfg.Machine.NewNet(ranks, rpn)
-	world := simmpi.NewWorld(ranks, net)
-	tracer := cfg.Tracer
-
-	stepSeconds := make([]float64, cfg.Steps)
-	haloFracs := make([]float64, ranks)
-	rankTimings := make([]RankTiming, ranks)
-	stepsDone := 0     // written by rank 0 only; read after world.Run joins
-	simTime := 0.0     // idem
-	cancelled := false // idem
-	controllers := make([]*ts.Controller, ranks)
-	for r := range controllers {
-		controllers[r] = ts.NewController(cfg.Core.Stepping)
+	res := &ParallelResult{
+		Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
+		StepSeconds: make([]float64, cfg.Steps),
+		Timing: &RunTiming{
+			Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
+			PerRank: make([]RankTiming, ranks),
+		},
 	}
-	lastDT := make([]float64, ranks)
-	haveKick := make([]bool, ranks)
-
-	// Shared slots for the replicated gravity solver (built by rank 0
-	// between collectives each step).
-	var gravSolver *gravity.Solver
-	var gravPos []vec.V3
-
-	byteScale := math.Pow(cfg.WorkScale, 2.0/3.0)
-
-	world.Run(func(r *simmpi.Rank) {
-		local := locals[r.ID]
-		p := cfg.Core.SPH // copy: per-rank worker count
-		p.Workers = 1     // rank goroutines already use host cores
-
-		record := func(ph PhaseID, st trace.State, t0, t1 float64) {
-			if tracer != nil {
-				tracer.Record(r.ID, string(ph), st, t0, t1)
-			}
-		}
-		charge := func(ph PhaseID, ops, rate float64, fn func()) {
-			t0 := r.Clock()
-			sec := cfg.Machine.PhaseSeconds(ops*cfg.WorkScale, rate, threads, cfg.Cost.serial(ph))
-			r.Compute(sec, fn)
-			record(ph, trace.Compute, t0, r.Clock())
-		}
-		comm := func(ph PhaseID, fn func()) {
-			t0 := r.Clock()
-			fn()
-			record(ph, trace.MPI, t0, r.Clock())
-		}
-
-		simT := 0.0
-		// Phase-class baselines for OnSample's per-step deltas. Read before
-		// the sampling collectives run, so a sampling collective's own cost
-		// is charged to the following step's delta, never the current one.
-		var prevCompute, prevHalo, prevColl float64
-		for step := 0; step < cfg.Steps; step++ {
-			// Cancellation vote: all ranks must agree to stop at the same
-			// step boundary, so each contributes its own Done observation
-			// and the collective max decides for everyone.
-			if cfg.Ctx != nil {
-				abort := 0.0
-				select {
-				case <-cfg.Ctx.Done():
-					abort = 1
-				default:
-				}
-				out := r.AllreduceF64([]float64{abort}, simmpi.MaxF64)
-				if out[0] > 0 {
-					if r.ID == 0 {
-						cancelled = true
-					}
-					break
-				}
-			}
-			stepStart := r.Clock()
-
-			// --- Halo exchange + tree + smoothing lengths. ---
-			// The halo margin must cover the *adapted* smoothing lengths,
-			// which are not known until after adaptation; iterate: exchange
-			// with a slack margin, adapt (restarting from the original h so
-			// the trajectory is identical to the shared-memory engine), and
-			// re-exchange with a wider margin if any h outgrew the slack.
-			local.DropGhosts()
-			hOrig := append([]float64(nil), local.H[:local.NLocal]...)
-			hmax := 0.0
-			for _, h := range hOrig {
-				if h > hmax {
-					hmax = h
-				}
-			}
-			var plan domain.HaloPlan
-			var tr2 *sph.NeighborList
-			ghostFrom := make([]int, ranks) // ghost range start per peer
-			exchanged := false
-			margin := 0.0
-			for attempt := 0; attempt < 4; attempt++ {
-				comm(PhaseNeighbors, func() {
-					type boxMsg struct {
-						B    domain.AABB
-						HMax float64
-					}
-					if exchanged {
-						local.DropGhosts()
-						copy(local.H[:local.NLocal], hOrig)
-					}
-					box := domain.BoundsOf(local)
-					gathered := r.Allgather(boxMsg{box, hmax}, 7*8)
-					peerBoxes := make([]domain.AABB, ranks)
-					ghmax := 0.0
-					for i, g := range gathered {
-						bm := g.(boxMsg)
-						peerBoxes[i] = bm.B
-						if bm.HMax > ghmax {
-							ghmax = bm.HMax
-						}
-					}
-					margin = 2 * ghmax * 1.5
-					plan = domain.PlanHalo(local, peerBoxes, r.ID, margin, p.PBC)
-					for peer := 0; peer < ranks; peer++ {
-						if peer == r.ID {
-							continue
-						}
-						sub := local.Select(plan.ToPeer[peer])
-						bytes := int(float64(len(plan.ToPeer[peer])) * domain.HaloBytesPerParticle * byteScale)
-						r.Send(peer, tagHaloData, bytes, sub)
-					}
-					for peer := 0; peer < ranks; peer++ {
-						if peer == r.ID {
-							continue
-						}
-						sub := r.Recv(peer, tagHaloData).(*part.Set)
-						ghostFrom[peer] = local.Len()
-						base := local.GrowGhosts(sub.NLocal)
-						for k := 0; k < sub.NLocal; k++ {
-							local.CopyFrom(base+k, sub, k)
-						}
-					}
-					exchanged = true
-				})
-
-				// --- Phase A: local tree build. ---
-				var localTree = sph.BuildTree(local, &p)
-				charge(PhaseTree, float64(local.Len()), cfg.Cost.TreeRate, nil)
-
-				// --- Phases B-D: neighbors + h. ---
-				charge(PhaseNeighbors,
-					float64(local.NLocal)*float64(p.NNeighbors)*math.Max(1, cfg.Cost.HSweeps),
-					cfg.Cost.SearchRate,
-					func() { tr2 = sph.UpdateSmoothingLengths(local, localTree, &p) })
-
-				newHmax := 0.0
-				for i := 0; i < local.NLocal; i++ {
-					if local.H[i] > newHmax {
-						newHmax = local.H[i]
-					}
-				}
-				out := r.AllreduceF64([]float64{newHmax}, simmpi.MaxF64)
-				if 2*out[0] <= margin {
-					break
-				}
-				hmax = out[0]
-			}
-			haloFracs[r.ID] = float64(local.NGhost()) / math.Max(1, float64(local.NLocal))
-			var interactions float64
-			for i := 0; i < local.NLocal; i++ {
-				interactions += float64(local.NN[i])
-			}
-
-			// --- Phase E: density. ---
-			charge(PhaseDensity, interactions, cfg.Cost.PairRate,
-				func() { sph.Density(local, tr2, &p) })
-
-			// --- Phase F: EOS. ---
-			charge(PhaseEOS, float64(local.NLocal), cfg.Cost.EOSRate,
-				func() { sph.EquationOfState(local, &p) })
-
-			// --- Ghost update: rho, P, C, VE (owners -> replicas). ---
-			comm(PhaseDensity, func() {
-				type upd struct{ Rho, P, C, VE, H []float64 }
-				for peer := 0; peer < ranks; peer++ {
-					if peer == r.ID {
-						continue
-					}
-					idxs := plan.ToPeer[peer]
-					u := upd{
-						Rho: make([]float64, len(idxs)), P: make([]float64, len(idxs)),
-						C: make([]float64, len(idxs)), VE: make([]float64, len(idxs)),
-						H: make([]float64, len(idxs)),
-					}
-					for k, i := range idxs {
-						u.Rho[k], u.P[k], u.C[k], u.VE[k], u.H[k] =
-							local.Rho[i], local.P[i], local.C[i], local.VE[i], local.H[i]
-					}
-					bytes := int(float64(len(idxs)) * 5 * 8 * byteScale)
-					r.Send(peer, tagHaloUpdate, bytes, u)
-				}
-				for peer := 0; peer < ranks; peer++ {
-					if peer == r.ID {
-						continue
-					}
-					u := r.Recv(peer, tagHaloUpdate).(upd)
-					base := ghostFrom[peer]
-					for k := range u.Rho {
-						local.Rho[base+k], local.P[base+k], local.C[base+k], local.VE[base+k], local.H[base+k] =
-							u.Rho[k], u.P[k], u.C[k], u.VE[k], u.H[k]
-					}
-				}
-			})
-
-			// --- Phase G: IAD (+ ghost Tau exchange). ---
-			if p.Gradients == sph.IAD {
-				charge(PhaseIAD, interactions, cfg.Cost.PairRate,
-					func() { sph.ComputeIAD(local, tr2, &p) })
-				comm(PhaseIAD, func() {
-					for peer := 0; peer < ranks; peer++ {
-						if peer == r.ID {
-							continue
-						}
-						idxs := plan.ToPeer[peer]
-						taus := make([]vec.Sym33, len(idxs))
-						for k, i := range idxs {
-							taus[k] = local.Tau[i]
-						}
-						bytes := int(float64(len(idxs)) * 6 * 8 * byteScale)
-						r.Send(peer, tagHaloTau, bytes, taus)
-					}
-					for peer := 0; peer < ranks; peer++ {
-						if peer == r.ID {
-							continue
-						}
-						taus := r.Recv(peer, tagHaloTau).([]vec.Sym33)
-						base := ghostFrom[peer]
-						for k := range taus {
-							local.Tau[base+k] = taus[k]
-						}
-					}
-				})
-			}
-
-			// --- Phase H: momentum + energy. ---
-			var fstats sph.ForceStats
-			charge(PhaseForces, interactions, cfg.Cost.PairRate,
-				func() { fstats = sph.MomentumEnergy(local, tr2, &p) })
-
-			// --- Phase I: gravity (replicated coarse solver). ---
-			if cfg.Core.Gravity {
-				comm(PhaseGravity, func() {
-					// Allgather particle data (pos+mass, 32 B each).
-					type gmsg struct {
-						Pos  []vec.V3
-						Mass []float64
-					}
-					bytes := int(float64(local.NLocal) * 32 * cfg.WorkScale)
-					gathered := r.Allgather(gmsg{local.Pos[:local.NLocal], local.Mass[:local.NLocal]}, bytes)
-					if r.ID == 0 {
-						var gp []vec.V3
-						var gm []float64
-						for _, g := range gathered {
-							m := g.(gmsg)
-							gp = append(gp, m.Pos...)
-							gm = append(gm, m.Mass...)
-						}
-						gt := sph.BuildTree(&part.Set{NLocal: len(gp), Pos: gp}, &p)
-						s := gravity.NewSolver(gt, gp, gm)
-						s.Order = cfg.Core.GravOrder
-						s.Theta = cfg.Core.Theta
-						s.Eps = cfg.Core.Eps
-						s.G = cfg.Core.G
-						gravSolver = s
-						gravPos = gp
-					}
-					r.Barrier() // publish solver
-				})
-				// Locate this rank's particles in the gathered array: ranks
-				// appended in order, so offset = sum of previous counts.
-				var res *gravity.Result
-				t0 := r.Clock()
-				offset := 0
-				for q := 0; q < r.ID; q++ {
-					offset += locals[q].NLocal
-				}
-				targets := make([]int32, local.NLocal)
-				for i := range targets {
-					targets[i] = int32(offset + i)
-				}
-				res = gravSolver.Accelerations(targets, 1)
-				ops := float64(res.NodeInteractions)*gravOrderCost(cfg.Core.GravOrder) +
-					float64(res.ParticleInteractions)
-				// Add this rank's share of the distributed tree+moment build.
-				ops += float64(len(gravPos)) / float64(ranks)
-				sec := cfg.Machine.PhaseSeconds(ops*cfg.WorkScale, cfg.Cost.GravNodeRate, threads, cfg.Cost.serial(PhaseGravity))
-				r.Compute(sec, nil)
-				record(PhaseGravity, trace.Compute, t0, r.Clock())
-				for i := 0; i < local.NLocal; i++ {
-					local.Acc[i] = local.Acc[i].Add(res.Acc[i])
-				}
-			}
-
-			// --- Phase J: global dt + integration. ---
-			var dt float64
-			comm(PhaseUpdate, func() {
-				out := r.AllreduceF64([]float64{fstats.MaxVSignal}, simmpi.MaxF64)
-				vsigGlobal := out[0]
-				dtLocal := controllers[r.ID].Step(local, vsigGlobal)
-				dtOut := r.AllreduceF64([]float64{dtLocal}, simmpi.MinF64)
-				dt = dtOut[0]
-				if cfg.Core.MaxDT > 0 && dt > cfg.Core.MaxDT {
-					dt = cfg.Core.MaxDT
-				}
-			})
-			charge(PhaseUpdate, float64(local.NLocal), cfg.Cost.UpdateRate, func() {
-				if haveKick[r.ID] {
-					half := 0.5 * lastDT[r.ID]
-					for i := 0; i < local.NLocal; i++ {
-						local.Vel[i] = local.Vel[i].MulAdd(half, local.Acc[i])
-						local.U[i] = positiveU(local.U[i] + half*local.DU[i])
-					}
-				}
-				half := 0.5 * dt
-				for i := 0; i < local.NLocal; i++ {
-					local.Vel[i] = local.Vel[i].MulAdd(half, local.Acc[i])
-					local.U[i] = positiveU(local.U[i] + half*local.DU[i])
-					local.Pos[i] = local.Pos[i].MulAdd(dt, local.Vel[i])
-				}
-				wrapSet(local, p.PBC, p.Box)
-				lastDT[r.ID] = dt
-				haveKick[r.ID] = true
-			})
-
-			// Per-step fixed overhead.
-			if cfg.Cost.FixedPerStep > 0 {
-				r.Compute(cfg.Cost.FixedPerStep, nil)
-			}
-
-			// Synchronize and measure the step.
-			simT += dt
-			stepEndAll := r.AllreduceF64([]float64{r.Clock()}, simmpi.MaxF64)
-			if r.ID == 0 {
-				stepSeconds[step] = stepEndAll[0] - stepStart
-				stepsDone = step + 1
-				simTime = simT
-				if cfg.OnStep != nil {
-					cfg.OnStep(step, simT, dt)
-				}
-			}
-
-			// --- Telemetry sampling (gated: extra collectives). ---
-			if cfg.OnSample != nil {
-				computeDelta := r.ComputeTime - prevCompute
-				haloDelta := r.HaloTime - prevHalo
-				collDelta := r.CollectiveTime - prevColl
-				prevCompute, prevHalo, prevColl = r.ComputeTime, r.HaloTime, r.CollectiveTime
-
-				local.DropGhosts()
-				cons := conserve.Measure(local, nil)
-				hmin, hmax := math.Inf(1), math.Inf(-1)
-				nbrMin, nbrMax := math.Inf(1), math.Inf(-1)
-				var nbrSum float64
-				for i := 0; i < local.NLocal; i++ {
-					h := local.H[i]
-					if h < hmin {
-						hmin = h
-					}
-					if h > hmax {
-						hmax = h
-					}
-					nn := float64(local.NN[i])
-					if nn < nbrMin {
-						nbrMin = nn
-					}
-					if nn > nbrMax {
-						nbrMax = nn
-					}
-					nbrSum += nn
-				}
-				maxes := r.AllreduceF64([]float64{hmax, nbrMax, computeDelta}, simmpi.MaxF64)
-				mins := r.AllreduceF64([]float64{hmin, nbrMin}, simmpi.MinF64)
-				sums := r.AllreduceF64([]float64{
-					cons.Mass,
-					cons.Momentum.X, cons.Momentum.Y, cons.Momentum.Z,
-					cons.AngularMomentum.X, cons.AngularMomentum.Y, cons.AngularMomentum.Z,
-					cons.Kinetic, cons.Internal,
-					nbrSum, float64(local.NLocal),
-					computeDelta, haloDelta, collDelta,
-				}, simmpi.SumF64)
-				if r.ID == 0 {
-					st := StepStats{
-						Step: step, SimTime: simT, DT: dt,
-						Cons: conserve.State{
-							Mass:            sums[0],
-							Momentum:        vec.V3{X: sums[1], Y: sums[2], Z: sums[3]},
-							AngularMomentum: vec.V3{X: sums[4], Y: sums[5], Z: sums[6]},
-							Kinetic:         sums[7],
-							Internal:        sums[8],
-						},
-						HMin: mins[0], HMax: maxes[0],
-						NbrMin: int(mins[1]), NbrMax: int(maxes[1]),
-						ComputeSeconds:    sums[11],
-						HaloSeconds:       sums[12],
-						CollectiveSeconds: sums[13],
-					}
-					if n := sums[10]; n > 0 {
-						st.NbrMean = sums[9] / n
-					}
-					if mean := sums[11] / float64(ranks); mean > 0 {
-						st.Imbalance = maxes[2] / mean
-					} else {
-						st.Imbalance = 1
-					}
-					if math.IsInf(st.HMin, 1) { // every rank empty
-						st.HMin, st.HMax = 0, 0
-						st.NbrMin, st.NbrMax = 0, 0
-					}
-					cfg.OnSample(st)
-				}
-			}
-
-			// --- Dynamic load balancing (re-decomposition). ---
-			if cfg.DynamicLB && ranks > 1 {
-				comm(PhaseUpdate, func() {
-					// Gather everything, re-split by measured weights
-					// (neighbor counts as the cost proxy), and redistribute.
-					redistribute(r, locals, cfg.Decomp, ranks)
-				})
-				local = locals[r.ID]
-			}
-		}
-
-		rankTimings[r.ID] = RankTiming{
-			Rank:       r.ID,
-			Compute:    r.ComputeTime,
-			Halo:       r.HaloTime,
-			Collective: r.CollectiveTime,
-			Seconds:    r.Clock(),
-		}
-	})
+	run := &parallelRun{
+		cfg: cfg, p: cfg.Core.SPH,
+		byteScale: math.Pow(cfg.WorkScale, 2.0/3.0),
+		locals:    domain.Split(ps, asg, ranks),
+		res:       res,
+		haloFracs: make([]float64, ranks),
+	}
+	run.p.Workers = 1
+	world := simmpi.NewWorld(ranks, cfg.Machine.NewNet(ranks, cfg.RanksPerNode))
+	res.Timing.Seconds = world.Run(func(r *simmpi.Rank) { newRank(run, r).loop() }) // the latest rank clock
 	if v, ok := world.Failure(); ok {
 		// A rank panicked (typically a physics blowup feeding an index
 		// computation). The world joined cleanly, so surface it as a run
@@ -693,47 +245,26 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 		return nil, nil, fmt.Errorf("core: parallel engine aborted: %v", v)
 	}
 
-	stepSeconds = stepSeconds[:stepsDone]
-	res := &ParallelResult{
-		Cores:          cfg.Cores,
-		Ranks:          ranks,
-		ThreadsPerRank: threads,
-		StepSeconds:    stepSeconds,
-		StepsCompleted: stepsDone,
-		SimTime:        simTime,
-		Cancelled:      cancelled,
+	res.StepSeconds = res.StepSeconds[:res.StepsCompleted]
+	for _, s := range res.StepSeconds {
+		res.AvgStepSeconds += s
 	}
-	var sum float64
-	for _, s := range stepSeconds {
-		sum += s
+	if res.StepsCompleted > 0 {
+		res.AvgStepSeconds /= float64(res.StepsCompleted)
 	}
-	if len(stepSeconds) > 0 {
-		res.AvgStepSeconds = sum / float64(len(stepSeconds))
+	for _, f := range run.haloFracs {
+		res.HaloFraction += f
 	}
-	var hf float64
-	for _, f := range haloFracs {
-		hf += f
-	}
-	res.HaloFraction = hf / float64(ranks)
-	timing := &RunTiming{
-		Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
-		Steps: stepsDone, PerRank: rankTimings,
-	}
-	for _, rt := range rankTimings {
-		if rt.Seconds > timing.Seconds {
-			timing.Seconds = rt.Seconds
-		}
-	}
-	res.Timing = timing
-	if tracer != nil {
-		res.Metrics = tracer.Analyze()
+	res.HaloFraction /= float64(ranks)
+	res.Timing.Steps = res.StepsCompleted
+	if cfg.Tracer != nil {
+		res.Metrics = cfg.Tracer.Analyze()
 	}
 	merged := part.New(0)
-	for _, l := range locals {
-		l.DropGhosts()
+	for _, l := range run.locals {
 		merged.AppendOwned(l)
 	}
-	if cancelled {
+	if res.Cancelled {
 		// The partial state and result are still returned: a cancelled run
 		// remains consistent at a step boundary, so callers can checkpoint
 		// it and resume later.
@@ -743,62 +274,5 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 }
 
 // gravOrderCost is the relative per-node evaluation cost of each expansion
-// order (monopole 1; quadrupole ~3; hexadecapole ~12 from the contraction
-// loops).
-func gravOrderCost(o gravity.Order) float64 {
-	switch o {
-	case gravity.Monopole:
-		return 1
-	case gravity.Quadrupole:
-		return 3
-	default:
-		return 12
-	}
-}
-
-// redistribute gathers all owned particles on rank 0, re-decomposes with
-// neighbor-count weights (the per-particle cost proxy), splits, and
-// scatters. The collectives it issues carry the modeled traffic cost.
-func redistribute(r *simmpi.Rank, locals []*part.Set, m domain.Method, ranks int) {
-	local := locals[r.ID]
-	local.DropGhosts()
-	bytes := local.NLocal * domain.HaloBytesPerParticle
-	gathered := r.Allgather(local, bytes)
-	if r.ID == 0 {
-		merged := part.New(0)
-		for _, g := range gathered {
-			merged.AppendOwned(g.(*part.Set))
-		}
-		weights := make([]float64, merged.NLocal)
-		for i := range weights {
-			weights[i] = 1 + float64(merged.NN[i])
-		}
-		lo, hi := merged.Bounds()
-		asg := domain.Decompose(m, merged, sfc.NewBox(lo, hi), ranks, weights)
-		split := domain.Split(merged, asg, ranks)
-		for q := 0; q < ranks; q++ {
-			*locals[q] = *split[q]
-		}
-	}
-	r.Barrier()
-}
-
-// wrapSet folds owned particles back into the periodic domain.
-func wrapSet(ps *part.Set, pbc tree.PBC, box sfc.Box) {
-	if pbc.None() {
-		return
-	}
-	for i := 0; i < ps.NLocal; i++ {
-		p := ps.Pos[i]
-		if pbc.X && pbc.L.X > 0 {
-			p.X = box.Lo.X + math.Mod(math.Mod(p.X-box.Lo.X, pbc.L.X)+pbc.L.X, pbc.L.X)
-		}
-		if pbc.Y && pbc.L.Y > 0 {
-			p.Y = box.Lo.Y + math.Mod(math.Mod(p.Y-box.Lo.Y, pbc.L.Y)+pbc.L.Y, pbc.L.Y)
-		}
-		if pbc.Z && pbc.L.Z > 0 {
-			p.Z = box.Lo.Z + math.Mod(math.Mod(p.Z-box.Lo.Z, pbc.L.Z)+pbc.L.Z, pbc.L.Z)
-		}
-		ps.Pos[i] = p
-	}
-}
+// order (~3 and ~12 from the contraction loops).
+var gravOrderCost = map[gravity.Order]float64{gravity.Monopole: 1, gravity.Quadrupole: 3, gravity.Hexadecapole: 12}

@@ -60,7 +60,7 @@ func TestParallelScalingMonotone(t *testing.T) {
 	for _, cores := range []int{12, 48, 192} {
 		cfg, ps := evrardParallelCfg(t, cores, domain.MortonSFC, false)
 		cfg.WorkScale = 100 // model a larger problem: keeps comm subdominant
-		res, err := RunParallel(cfg, ps)
+		_, res, err := RunParallelCapture(cfg, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestParallelScalingMonotone(t *testing.T) {
 func TestParallelORBAndDynamicLB(t *testing.T) {
 	for _, m := range []domain.Method{domain.ORB, domain.HilbertSFC} {
 		cfg, ps := evrardParallelCfg(t, 48, m, m == domain.HilbertSFC)
-		res, err := RunParallel(cfg, ps)
+		_, res, err := RunParallelCapture(cfg, ps)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -94,7 +94,7 @@ func TestParallelORBAndDynamicLB(t *testing.T) {
 func TestParallelTracerPopulates(t *testing.T) {
 	cfg, ps := evrardParallelCfg(t, 48, domain.MortonSFC, false)
 	cfg.Tracer = trace.New()
-	res, err := RunParallel(cfg, ps)
+	_, res, err := RunParallelCapture(cfg, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestParallelSquarePatchRuns(t *testing.T) {
 		Cost:         testCost(),
 		Steps:        2,
 	}
-	res, err := RunParallel(cfg, ps)
+	_, res, err := RunParallelCapture(cfg, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

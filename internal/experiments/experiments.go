@@ -111,7 +111,7 @@ func RunScaling(codeName string, test codes.Test, machineName string, opt Option
 			Tracer:       tr,
 			Steps:        opt.Steps,
 		}
-		res, err := core.RunParallel(pcfg, ps)
+		_, res, err := core.RunParallelCapture(pcfg, ps)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s/%s/%s at %d cores: %w",
 				codeName, test, machineName, cores, err)
@@ -237,7 +237,7 @@ func Fig4(opt Options) (*Fig4Result, error) {
 		Tracer:       tr,
 		Steps:        1,
 	}
-	res, err := core.RunParallel(pcfg, ps)
+	_, res, err := core.RunParallelCapture(pcfg, ps)
 	if err != nil {
 		return nil, err
 	}

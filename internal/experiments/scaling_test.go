@@ -235,7 +235,7 @@ func TestRunParallelTimingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunParallel(core.ParallelConfig{
+	_, res, err := core.RunParallelCapture(core.ParallelConfig{
 		Core: cfg, Machine: machine, Cores: 24, RanksPerNode: 1,
 		Decomp: code.Decomp, Cost: code.Cost(codes.SquarePatch), Steps: 2,
 	}, ps)

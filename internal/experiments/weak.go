@@ -83,7 +83,7 @@ func RunWeakScaling(codeName string, test codes.Test, machineName string, perCor
 			WorkScale:    float64(nModeled) / float64(ps.NLocal),
 			Steps:        opt.Steps,
 		}
-		res, err := core.RunParallel(pcfg, ps)
+		_, res, err := core.RunParallelCapture(pcfg, ps)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: weak %s/%s at %d cores: %w", codeName, test, cores, err)
 		}

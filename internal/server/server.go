@@ -998,34 +998,14 @@ func (s *Server) buildChunk(job *Job, spec scenario.JobSpec, cfg core.Config,
 			Cost:         cost,
 			Steps:        steps,
 			Ctx:          ctx,
-			OnStep: func(step int, simT, dt float64) {
-				s.mu.Lock()
-				job.Progress.Step = base.Step + step + 1
-				job.Progress.SimTime = base.Time + simT
-				job.Progress.DT = dt
-				s.mu.Unlock()
-			},
 			OnSample: func(st core.StepStats) {
-				d := conserve.Compare(initial, st.Cons)
-				rec.Add(telemetry.Sample{
-					Step:          base.Step + st.Step + 1,
-					Time:          base.Time + st.SimTime,
-					DT:            st.DT,
-					MassDrift:     d.Mass,
-					MomentumDrift: d.Momentum,
-					AngMomDrift:   d.AngMom,
-					EnergyDrift:   d.Energy,
-					HMin:          st.HMin,
-					HMax:          st.HMax,
-					NbrMin:        st.NbrMin,
-					NbrMax:        st.NbrMax,
-					NbrMean:       st.NbrMean,
-					Imbalance:     st.Imbalance,
-					Phases: map[string]float64{
-						telemetry.PhaseCompute:    st.ComputeSeconds,
-						telemetry.PhaseHalo:       st.HaloSeconds,
-						telemetry.PhaseCollective: st.CollectiveSeconds,
-					},
+				rep := st.StepReport // counts from the chunk's start
+				rep.Step += base.Step
+				rep.Time += base.Time
+				s.recordStep(job, rec, initial, rep, st.Cons, st.Imbalance, map[string]float64{
+					telemetry.PhaseCompute:    st.ComputeSeconds,
+					telemetry.PhaseHalo:       st.HaloSeconds,
+					telemetry.PhaseCollective: st.CollectiveSeconds,
 				})
 			},
 		}
@@ -1061,34 +1041,14 @@ func (s *Server) serialChunk(job *Job, cfg core.Config,
 			}
 			sim.StepN, sim.T = base.Step, base.Time
 			sim.OnStep = func(info core.StepInfo) {
-				s.mu.Lock()
-				job.Progress.Step = info.Step
-				job.Progress.SimTime = info.Time
-				job.Progress.DT = info.DT
-				s.mu.Unlock()
-				// info.Step is the zero-based index of the just-completed
-				// step; the recorder's Step is the 1-based completed count.
 				if fi := s.opts.FaultInjection; fi != nil {
 					fi(info.Step+1, sim.PS)
 				}
-				d := conserve.Compare(initial, conserve.Measure(sim.PS, sim.Potential()))
 				phases := make(map[string]float64, len(info.PhaseSeconds))
 				for ph, v := range info.PhaseSeconds {
 					phases[string(ph)] = v
 				}
-				rec.Add(telemetry.Sample{
-					Step: info.Step + 1, Time: info.Time, DT: info.DT,
-					MassDrift:     d.Mass,
-					MomentumDrift: d.Momentum,
-					AngMomDrift:   d.AngMom,
-					EnergyDrift:   d.Energy,
-					HMin:          info.HMin,
-					HMax:          info.HMax,
-					NbrMin:        info.MinNeighbors,
-					NbrMax:        info.MaxNeighbors,
-					NbrMean:       info.MeanNeighbors,
-					Phases:        phases,
-				})
+				s.recordStep(job, rec, initial, info.StepReport, sim.Conservation(), 0, phases)
 			}
 		}
 		sim.Ctx = ctx
@@ -1106,6 +1066,37 @@ func (s *Server) serialChunk(job *Job, cfg core.Config,
 			Cancelled: cancelled,
 		}, nil
 	}
+}
+
+// recordStep publishes one completed step of either backend: the job's
+// progress and one flight-recorder sample. rep counts steps (zero-based) and
+// time from the start of the job; the recorder and the progress view count
+// completed steps. phases and imbalance are the backend's own: wall-clock
+// workflow letters and 0 (not sampled) on the serial backend, modeled clock
+// classes and max/mean rank compute on the distributed one.
+func (s *Server) recordStep(job *Job, rec *telemetry.Recorder, initial conserve.State,
+	rep core.StepReport, cons conserve.State, imbalance float64, phases map[string]float64) {
+
+	s.mu.Lock()
+	job.Progress.Step = rep.Step + 1
+	job.Progress.SimTime = rep.Time
+	job.Progress.DT = rep.DT
+	s.mu.Unlock()
+	d := conserve.Compare(initial, cons)
+	rec.Add(telemetry.Sample{
+		Step: rep.Step + 1, Time: rep.Time, DT: rep.DT,
+		MassDrift:     d.Mass,
+		MomentumDrift: d.Momentum,
+		AngMomDrift:   d.AngMom,
+		EnergyDrift:   d.Energy,
+		HMin:          rep.HMin,
+		HMax:          rep.HMax,
+		NbrMin:        rep.MinNeighbors,
+		NbrMax:        rep.MaxNeighbors,
+		NbrMean:       rep.MeanNeighbors,
+		Imbalance:     imbalance,
+		Phases:        phases,
+	})
 }
 
 // calibrationTest picks which of the two calibrated paper tests a parent
