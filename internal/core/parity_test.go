@@ -128,6 +128,7 @@ func TestEnginesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				sim.Synchronize() // a distributed run returns a synchronized state
 				want := statesByID(sim.PS)
 
 				end1, samples := parityParallel(t, cfg, ps.Clone(), 1, paritySteps)
@@ -174,5 +175,39 @@ func TestEnginesAgree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestChunkedRunEndsSynchronized: the state a distributed run returns is at
+// one time level, like the state Synchronize leaves — so a run cut into
+// chunks (the server's -checkpoint-every) is the serial engine synchronized
+// at the same boundaries, bit for bit, not a run that lost a half-kick at
+// each one. Global stepping only: an adaptive controller's growth limit is
+// the one piece of state a chunk boundary does not carry on this engine.
+func TestChunkedRunEndsSynchronized(t *testing.T) {
+	for _, pc := range parityCases[:2] {
+		t.Run(pc.name, func(t *testing.T) {
+			cfg, ps := pc.gen(sph.IAD)
+			sim, err := New(cfg, ps.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for chunk := 0; chunk < 2; chunk++ {
+				if _, err := sim.Run(3, 0); err != nil {
+					t.Fatal(err)
+				}
+				sim.Synchronize()
+			}
+			want := statesByID(sim.PS)
+
+			mid, _ := parityParallel(t, cfg, ps.Clone(), 1, 3)
+			end, _ := parityParallel(t, cfg, mid, 1, 3)
+			got := statesByID(end)
+			for id, w := range want {
+				if g := got[id]; g != w {
+					t.Fatalf("3+3 steps: particle %d = %+v, serial with Synchronize %+v", id, g, w)
+				}
+			}
+		})
 	}
 }

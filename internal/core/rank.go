@@ -85,6 +85,9 @@ func (k *rank) loop() {
 			k.comm(PhaseUpdate, k.rebalance)
 		}
 	}
+	// The returned state is at one time level, like Sim.Synchronize's. The
+	// kick is not charged: a real code continues into the next step instead.
+	k.st.synchronize()
 	k.res.Timing.PerRank[r.ID] = RankTiming{
 		Rank:       r.ID,
 		Compute:    r.ComputeTime,
