@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/conserve"
 	"repro/internal/domain"
 	"repro/internal/eos"
 	"repro/internal/gravity"
@@ -209,5 +210,37 @@ func TestChunkedRunEndsSynchronized(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSampleCarriesPotential: the conservation sums OnSample delivers are the
+// ones Sim.Conservation measures, gravitational potential included — the
+// energy-drift track of a self-gravitating job is K+U+W on both engines.
+func TestSampleCarriesPotential(t *testing.T) {
+	cfg, ps := parityCases[0].gen(sph.IAD)
+	sim, err := New(cfg, ps.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []conserve.State
+	sim.OnStep = func(StepInfo) { want = append(want, sim.Conservation()) }
+	if _, err := sim.Run(paritySteps, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, samples := parityParallel(t, cfg, ps.Clone(), 1, paritySteps)
+	for k, w := range want {
+		g := samples[k].Cons
+		if w.Potential >= 0 {
+			t.Fatalf("step %d: serial potential %g, want negative", k, w.Potential)
+		}
+		for _, pair := range [][2]float64{
+			{g.Mass, w.Mass}, {g.Kinetic, w.Kinetic}, {g.Internal, w.Internal}, {g.Potential, w.Potential},
+			{g.Momentum.Norm(), w.Momentum.Norm()}, {g.AngularMomentum.Norm(), w.AngularMomentum.Norm()},
+		} {
+			if math.Abs(pair[0]-pair[1]) > 1e-12*math.Abs(pair[1]) {
+				t.Errorf("step %d: sample %+v, serial %+v", k, g, w)
+				break
+			}
+		}
 	}
 }

@@ -322,7 +322,7 @@ func (k *rank) sample(step int, simT, dt float64) {
 	collDelta := r.CollectiveTime - k.prevColl
 	k.prevCompute, k.prevHalo, k.prevColl = r.ComputeTime, r.HaloTime, r.CollectiveTime
 
-	cons, ext := conserve.Measure(local, nil), k.st.ext
+	cons, ext := conserve.Measure(local, k.st.pot), k.st.ext
 	hmin, nbrMin := ext.HMin, float64(ext.MinNeighbors)
 	if local.NLocal == 0 { // an empty rank must not win the min reductions
 		hmin, nbrMin = math.Inf(1), math.Inf(1)
@@ -333,7 +333,7 @@ func (k *rank) sample(step int, simT, dt float64) {
 		cons.Mass,
 		cons.Momentum.X, cons.Momentum.Y, cons.Momentum.Z,
 		cons.AngularMomentum.X, cons.AngularMomentum.Y, cons.AngularMomentum.Z,
-		cons.Kinetic, cons.Internal,
+		cons.Kinetic, cons.Internal, cons.Potential,
 		float64(k.st.nbrSum), float64(local.NLocal),
 		computeDelta, haloDelta, collDelta,
 	}, simmpi.SumF64)
@@ -352,18 +352,19 @@ func (k *rank) sample(step int, simT, dt float64) {
 			AngularMomentum: vec.V3{X: sums[4], Y: sums[5], Z: sums[6]},
 			Kinetic:         sums[7],
 			Internal:        sums[8],
+			Potential:       sums[9],
 		},
 		Imbalance:         1,
-		ComputeSeconds:    sums[11],
-		HaloSeconds:       sums[12],
-		CollectiveSeconds: sums[13],
+		ComputeSeconds:    sums[12],
+		HaloSeconds:       sums[13],
+		CollectiveSeconds: sums[14],
 	}
-	if n := sums[10]; n > 0 {
-		st.MeanNeighbors = sums[9] / n
+	if n := sums[11]; n > 0 {
+		st.MeanNeighbors = sums[10] / n
 	} else { // every rank empty
 		st.HMin, st.MinNeighbors = 0, 0
 	}
-	if mean := sums[11] / float64(k.res.Ranks); mean > 0 {
+	if mean := sums[12] / float64(k.res.Ranks); mean > 0 {
 		st.Imbalance = maxes[2] / mean
 	}
 	k.cfg.OnSample(st)
