@@ -949,10 +949,8 @@ func (s *Server) run(job *Job) {
 }
 
 // buildChunk resolves the job's execution section into a runloop chunk:
-// the serial shared-memory engine, or the distributed engine under the
-// job's (or the server's default) machine model and parent-code cost
-// calibration. Exec was validated at submission, so name resolution here
-// cannot fail for canonical specs.
+// the shared-memory driver, or the simulated-MPI driver under the job's run
+// shape.
 func (s *Server) buildChunk(job *Job, spec scenario.JobSpec, cfg core.Config,
 	initial conserve.State, rec *telemetry.Recorder) (runloop.Chunk, error) {
 
@@ -960,25 +958,9 @@ func (s *Server) buildChunk(job *Job, spec scenario.JobSpec, cfg core.Config,
 		return s.serialChunk(job, cfg, initial, rec), nil
 	}
 
-	machine := s.opts.Machine
-	if name := spec.Exec.Machine; name != "" {
-		m, err := perfmodel.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		machine = m
-	}
-	cost := s.opts.Cost
-	if name := spec.Exec.Cost; name != "" {
-		code, err := codes.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cost = code.Cost(calibrationTest(cfg))
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 1
+	machine, cost, cores, err := s.runShape(spec, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	// One chunk = one distributed engine run of up to CheckpointEvery
@@ -1097,6 +1079,30 @@ func (s *Server) recordStep(job *Job, rec *telemetry.Recorder, initial conserve.
 		Imbalance:     imbalance,
 		Phases:        phases,
 	})
+}
+
+// runShape resolves the execution section of a distributed job, for the run
+// and for its modeled POP prediction alike: the named machine model and
+// parent-code cost calibration, else the server's defaults, on at least one
+// core. Exec was validated at submission, so name resolution cannot fail
+// for canonical specs.
+func (s *Server) runShape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine, core.CodeCost, int, error) {
+	machine, cost := s.opts.Machine, s.opts.Cost
+	if name := spec.Exec.Machine; name != "" {
+		m, err := perfmodel.ByName(name)
+		if err != nil {
+			return nil, cost, 0, err
+		}
+		machine = m
+	}
+	if name := spec.Exec.Cost; name != "" {
+		code, err := codes.ByName(name)
+		if err != nil {
+			return nil, cost, 0, err
+		}
+		cost = code.Cost(calibrationTest(cfg))
+	}
+	return machine, cost, max(spec.Cores, 1), nil
 }
 
 // calibrationTest picks which of the two calibrated paper tests a parent

@@ -7,11 +7,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/scenario"
 	"repro/internal/sph"
 	"repro/internal/telemetry"
@@ -172,17 +170,6 @@ func trackBackend(spec scenario.JobSpec, timing *core.RunTiming) string {
 	return "parallel"
 }
 
-// machineFor resolves the machine model of the spec the way buildChunk
-// does: the execution section's named machine, else the server default.
-func (s *Server) machineFor(spec scenario.JobSpec) *perfmodel.Machine {
-	if name := spec.Exec.Machine; name != "" {
-		if m, err := perfmodel.ByName(name); err == nil {
-			return m
-		}
-	}
-	return s.opts.Machine
-}
-
 // modeledPOP computes the closed-form POP prediction for the job's shape,
 // resolving machine, cost calibration, and scenario physics exactly as the
 // run itself did — the "modeled" column next to the measured metrics.
@@ -199,20 +186,12 @@ func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	cost := s.opts.Cost
-	if name := spec.Exec.Cost; name != "" {
-		code, err := codes.ByName(name)
-		if err != nil {
-			return trace.Metrics{}, err
-		}
-		cost = code.Cost(calibrationTest(cfg))
-	}
-	cores := spec.Cores
-	if cores <= 0 {
-		cores = 1
+	machine, cost, cores, err := s.runShape(spec, cfg)
+	if err != nil {
+		return trace.Metrics{}, err
 	}
 	return experiments.PredictPOP(experiments.PredictShape{
-		Machine:      s.machineFor(spec),
+		Machine:      machine,
 		Cost:         cost,
 		Cores:        cores,
 		RanksPerNode: spec.RanksPerNode,
