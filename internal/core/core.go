@@ -4,10 +4,21 @@
 // time-stepping mode, neighbor discovery via octree walk, and multipole
 // self-gravity — integrated with a kick-drift-kick leapfrog.
 //
-// The phase labels A..J match the paper's Figure 4 annotation of a SPHYNX
-// time-step: A tree build, B-D neighbor search and smoothing lengths, E-H
-// SPH kernels (density, EOS, IAD, momentum/energy), I self-gravity, J
-// time-step computation and particle update.
+// One pipeline, two drivers. The physics is written once, in the unexported
+// stepper: one executor's particles taken through the phases A..J of the
+// paper's Figure 4 annotation of a SPHYNX time-step (the PhaseID constants).
+// Sim drives one stepper over the whole set and times each phase by the wall
+// clock; RunParallelCapture drives one per simulated-MPI rank, charging each
+// phase to a modeled clock, refreshing ghosts between phases and agreeing
+// the step's decisions by collectives. The input picks the driver (a job
+// spec's exec.backend); on one rank the two are the same computation bit for
+// bit, which parity_test.go pins.
+//
+// Time levels. A step leaves velocities and energies half a step behind the
+// positions, the closing half-kick pending until the next step's
+// accelerations exist: Sim.Step returns that staggered state (per-step
+// reports and samples are taken on it), Sim.Synchronize closes it, and
+// RunParallelCapture returns a synchronized state.
 package core
 
 import (

@@ -146,10 +146,7 @@ func (t *RunTiming) Merge(o *RunTiming) {
 	}
 	t.Steps += o.Steps
 	t.Seconds += o.Seconds
-	for i := range t.PerRank {
-		if i >= len(o.PerRank) {
-			break
-		}
+	for i := range min(len(t.PerRank), len(o.PerRank)) {
 		t.PerRank[i].Compute += o.PerRank[i].Compute
 		t.PerRank[i].Halo += o.PerRank[i].Halo
 		t.PerRank[i].Collective += o.PerRank[i].Collective
@@ -222,7 +219,6 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	asg := domain.Decompose(cfg.Decomp, ps, cfg.Core.SPH.Box, ranks, nil)
 	res := &ParallelResult{
 		Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
-		StepSeconds: make([]float64, cfg.Steps),
 		Timing: &RunTiming{
 			Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
 			PerRank: make([]RankTiming, ranks),
@@ -245,7 +241,6 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 		return nil, nil, fmt.Errorf("core: parallel engine aborted: %v", v)
 	}
 
-	res.StepSeconds = res.StepSeconds[:res.StepsCompleted]
 	for _, s := range res.StepSeconds {
 		res.AvgStepSeconds += s
 	}

@@ -14,13 +14,6 @@ import (
 	"repro/internal/vec"
 )
 
-// message tags for the step protocol's three ghost exchanges.
-const (
-	tagHaloData = iota
-	tagHaloUpdate
-	tagHaloTau
-)
-
 // rank is the simulated-MPI driver: one stepper over this rank's subdomain,
 // its phases charged to the rank's modeled clock, its ghosts kept current by
 // point-to-point exchanges and its step decisions agreed by collectives.
@@ -71,7 +64,7 @@ func (k *rank) loop() {
 		simT += dt
 		stepEnd := r.AllreduceF64([]float64{r.Clock()}, simmpi.MaxF64)[0]
 		if r.ID == 0 {
-			k.res.StepSeconds[step] = stepEnd - stepStart
+			k.res.StepSeconds = append(k.res.StepSeconds, stepEnd-stepStart)
 			k.res.StepsCompleted = step + 1
 			k.res.SimTime = simT
 			if cfg.OnStep != nil {
@@ -157,30 +150,32 @@ func (k *rank) charge(ph PhaseID, fn func()) {
 	}
 }
 
-// exchange sends every peer what pack copies out of the owned particles that
-// peer holds as ghosts, then hands each peer's payload to unpack. What a real
-// code would put on the wire is bytesPerParticle; the payload itself travels
-// by reference and the modeled clock never sees it.
-func (k *rank) exchange(tag int, bytesPerParticle float64, pack func(idxs []int) any, unpack func(peer int, payload any)) {
+// exchange brings the ghosts up to date for phase ph (whose letter tags the
+// messages): every rank sends each peer the owned particles that peer holds
+// as ghosts and overwrites its own ghosts with what the peers send; the
+// PhaseNeighbors exchange is the one that lays the ghosts out, one block per
+// peer. Particles travel whole and by reference — what a real code would put
+// on the wire at this point is bytesPerParticle, which is all the modeled
+// clock sees.
+func (k *rank) exchange(ph PhaseID, bytesPerParticle float64) {
+	local, tag := k.st.ps, int(ph[0])
 	for peer, idxs := range k.plan.ToPeer {
 		if peer != k.r.ID {
-			k.r.Send(peer, tag, int(float64(len(idxs))*bytesPerParticle*k.byteScale), pack(idxs))
+			k.r.Send(peer, tag, int(float64(len(idxs))*bytesPerParticle*k.byteScale), local.Select(idxs))
 		}
 	}
 	for peer := range k.plan.ToPeer {
-		if peer != k.r.ID {
-			unpack(peer, k.r.Recv(peer, tag))
+		if peer == k.r.ID {
+			continue
+		}
+		sub := k.r.Recv(peer, tag).(*part.Set)
+		if ph == PhaseNeighbors {
+			k.ghostFrom[peer] = local.GrowGhosts(sub.NLocal)
+		}
+		for i := 0; i < sub.NLocal; i++ {
+			local.CopyFrom(k.ghostFrom[peer]+i, sub, i)
 		}
 	}
-}
-
-// gather returns src's elements at idxs.
-func gather[T any](src []T, idxs []int) []T {
-	out := make([]T, len(idxs))
-	for n, i := range idxs {
-		out[n] = src[i]
-	}
-	return out
 }
 
 // haloNeighbors exchanges ghosts and runs phases A–D. The halo margin must
@@ -216,15 +211,7 @@ func (k *rank) haloNeighbors() {
 			}
 			margin = 2 * ghmax * 1.5
 			k.plan = domain.PlanHalo(local, peerBoxes, r.ID, margin, k.p.PBC)
-			k.exchange(tagHaloData, domain.HaloBytesPerParticle,
-				func(idxs []int) any { return local.Select(idxs) },
-				func(peer int, payload any) {
-					sub := payload.(*part.Set)
-					k.ghostFrom[peer] = local.GrowGhosts(sub.NLocal)
-					for i := 0; i < sub.NLocal; i++ {
-						local.CopyFrom(k.ghostFrom[peer]+i, sub, i)
-					}
-				})
+			k.exchange(PhaseNeighbors, domain.HaloBytesPerParticle)
 		})
 		k.st.neighbors(k.charge)
 		hmax = r.AllreduceF64([]float64{k.st.ext.HMax}, simmpi.MaxF64)[0]
@@ -236,32 +223,13 @@ func (k *rank) haloNeighbors() {
 }
 
 // refreshGhosts is the stepper's hydro hook: owners send the named phase
-// group's results to the ranks holding replicas — rho, P, c, VE and h after
-// E+F, the symmetric IAD matrix after G.
+// group's results to the ranks holding replicas.
 func (k *rank) refreshGhosts(ph PhaseID) {
-	ps := k.st.ps
-	k.comm(ph, func() {
-		if ph == PhaseIAD {
-			k.exchange(tagHaloTau, 6*8,
-				func(idxs []int) any { return gather(ps.Tau, idxs) },
-				func(peer int, payload any) { copy(ps.Tau[k.ghostFrom[peer]:], payload.([]vec.Sym33)) })
-			return
-		}
-		fields := [5][]float64{ps.Rho, ps.P, ps.C, ps.VE, ps.H}
-		k.exchange(tagHaloUpdate, 5*8,
-			func(idxs []int) any {
-				var u [5][]float64
-				for f, src := range fields {
-					u[f] = gather(src, idxs)
-				}
-				return u
-			},
-			func(peer int, payload any) {
-				for f, dst := range fields {
-					copy(dst[k.ghostFrom[peer]:], payload.([5][]float64)[f])
-				}
-			})
-	})
+	bytes := 5 * 8.0 // rho, P, c, VE and h after E+F
+	if ph == PhaseIAD {
+		bytes = 6 * 8 // the symmetric IAD matrix after G
+	}
+	k.comm(ph, func() { k.exchange(ph, bytes) })
 }
 
 // gravity is phase I with a replicated coarse solver: every rank contributes

@@ -150,6 +150,9 @@ func (st *stepper) advance(dt float64) {
 	}
 	st.wrap()
 	st.lastDT, st.haveKick = dt, true
+	// Nothing reads this step's tree and neighbour list any more; holding
+	// them while the next step builds its own would double their footprint.
+	st.tr, st.nl = nil, nil
 }
 
 // synchronize completes a pending half-kick, bringing velocities and
