@@ -1,7 +1,7 @@
 // Package repro's top-level benchmarks regenerate every table and figure of
-// the paper's evaluation (one benchmark per artifact — see DESIGN.md §3) and
-// the design-choice ablations of DESIGN.md §4. Benchmarks print the
-// reproduced rows/series via b.Log; run with
+// the paper's evaluation (one benchmark per artifact — see README, "Scaling
+// studies" and "Trace export") and the design-choice ablations. Benchmarks
+// print the reproduced rows/series via b.Log; run with
 //
 //	go test -bench=. -benchmem
 //
@@ -44,9 +44,9 @@ func benchOpt(cores ...int) experiments.Options {
 
 func benchScaling(b *testing.B, code string, test codes.Test, machine string, cores ...int) {
 	b.Helper()
-	var last *experiments.ScalingSeries
+	var last *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunScaling(code, test, machine, benchOpt(cores...))
+		s, err := experiments.RunScaling(code, test, []string{machine}, benchOpt(cores...))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -102,24 +102,18 @@ func BenchmarkFig4Trace(b *testing.B) {
 		res.Timeline, res.Metrics.LoadBalance, res.Metrics.CommEfficiency)
 }
 
+// BenchmarkPOPEfficiencySweep is §5.2's sweep: the POP columns of the SPHYNX
+// square-patch ladder from 48 to 192 cores.
 func BenchmarkPOPEfficiencySweep(b *testing.B) {
-	var pts []experiments.POPPoint
-	for i := 0; i < b.N; i++ {
-		p, err := experiments.POPSweep(benchOpt(48, 192))
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts = p
-	}
-	b.Log("\n" + experiments.FormatPOP(pts))
+	benchScaling(b, "sphynx", codes.SquarePatch, "daint", 48, 192)
 }
 
 // BenchmarkWeakScaling runs the paper's declared future-work experiment:
 // fixed particles-per-core while the machine grows.
 func BenchmarkWeakScaling(b *testing.B) {
-	var last *experiments.WeakSeries
+	var last *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.RunWeakScaling("sphynx", codes.SquarePatch, "daint", 5000,
+		s, err := experiments.RunWeakScaling("sphynx", codes.SquarePatch, []string{"daint"}, 5000,
 			benchOpt(12, 48, 192))
 		if err != nil {
 			b.Fatal(err)
@@ -147,7 +141,7 @@ func BenchmarkTables(b *testing.B) {
 	b.Log("\n" + t1)
 }
 
-// --- Ablations (DESIGN.md §4) ---------------------------------------------------
+// --- Ablations --------------------------------------------------------------------
 
 // evrardBenchSim builds a small Evrard run with the given gradient mode,
 // volume mode and gravity order.

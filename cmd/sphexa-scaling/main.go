@@ -1,10 +1,12 @@
 // Command sphexa-scaling regenerates the strong-scaling figures of the
 // paper's §5.2 (Figures 1-3): average time per time-step versus core count
-// for SPHYNX, ChaNGa, and SPH-flow on modeled Piz Daint and MareNostrum 4.
+// for SPHYNX, ChaNGa, and SPH-flow on modeled Piz Daint and MareNostrum 4,
+// with the speedup, POP efficiencies and trimmed Amdahl fit of every curve.
 //
 //	sphexa-scaling -fig 1                      # all Figure 1 curves
 //	sphexa-scaling -code changa -test square   # one curve
 //	sphexa-scaling -code sphynx -test evrard -machine marenostrum -exec-n 32000
+//	sphexa-scaling -machines daint,marenostrum # two machines as paired arms
 //
 // With -server set, the sweep runs as a first-class scaling experiment on a
 // sphexa-serve instance (POST /v1/scaling) instead of in-process: members
@@ -42,12 +44,11 @@ func main() {
 		execN   = flag.Int("exec-n", 64000, "executed particle count (work scaled to -n)")
 		steps   = flag.Int("steps", experiments.PaperSteps, "time steps per point")
 		cores   = flag.String("cores", "", "comma-separated core counts (default: the figure's ladder; server mode: 12,48,192)")
-		pop     = flag.Bool("pop", false, "also print the POP efficiency sweep (§5.2)")
 		weak    = flag.Int("weak", 0, "run WEAK scaling at this many particles/core instead (the paper's declared future work)")
 
 		server   = flag.String("server", "", "run the sweep remotely on this sphexa-serve base URL (POST /v1/scaling)")
 		scen     = flag.String("scenario", "sod", "server mode: registry scenario to scale")
-		machines = flag.String("machines", "", "server mode: comma-separated machine list for a paired comparison (overrides -machine)")
+		machines = flag.String("machines", "", "comma-separated machine list for a paired comparison on one ladder (overrides -machine)")
 		timeout  = flag.Duration("timeout", 15*time.Minute, "server mode: overall deadline")
 	)
 	flag.Parse()
@@ -72,10 +73,10 @@ func main() {
 	if *server != "" {
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		// The figure/POP harness and work-scaling knobs are offline-only:
-		// a server sweep is one scenario ladder, not a paper figure.
-		// Reject rather than silently ignore them.
-		for _, offline := range []string{"fig", "pop", "test", "exec-n"} {
+		// The figure harness and work-scaling knobs are offline-only: a
+		// server sweep is one scenario ladder, not a paper figure. Reject
+		// rather than silently ignore them.
+		for _, offline := range []string{"fig", "test", "exec-n"} {
 			if set[offline] {
 				fail(fmt.Errorf("-%s is offline-only; with -server use -scenario, -cores, -n, -steps, -weak, -machines", offline))
 			}
@@ -101,54 +102,37 @@ func main() {
 		opt.Cores = parseCores(*cores)
 	}
 
-	if *weak > 0 {
-		s, err := experiments.RunWeakScaling(*code, codes.Test(*test), *machine, *weak, opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(s.Format())
-		return
+	arms := []string{*machine}
+	if *machines != "" {
+		arms = strings.Split(strings.ReplaceAll(*machines, " ", ""), ",")
 	}
-
-	var series []*experiments.ScalingSeries
-	switch *fig {
-	case 0:
-		s, err := experiments.RunScaling(*code, codes.Test(*test), *machine, opt)
-		if err != nil {
-			fail(err)
-		}
-		series = append(series, s)
-	case 1:
-		s, err := experiments.Fig1(opt)
-		if err != nil {
-			fail(err)
-		}
-		series = s
-	case 2:
-		s, err := experiments.Fig2(opt)
-		if err != nil {
-			fail(err)
-		}
-		series = s
-	case 3:
-		s, err := experiments.Fig3(opt)
-		if err != nil {
-			fail(err)
-		}
-		series = s
+	one := func(r *experiments.ScalingResult, err error) ([]*experiments.ScalingResult, error) {
+		return []*experiments.ScalingResult{r}, err
+	}
+	var (
+		results []*experiments.ScalingResult
+		err     error
+	)
+	switch {
+	case *weak > 0:
+		results, err = one(experiments.RunWeakScaling(*code, codes.Test(*test), arms, *weak, opt))
+	case *fig == 0:
+		results, err = one(experiments.RunScaling(*code, codes.Test(*test), arms, opt))
+	case *fig == 1:
+		results, err = experiments.Fig1(opt)
+	case *fig == 2:
+		results, err = experiments.Fig2(opt)
+	case *fig == 3:
+		results, err = experiments.Fig3(opt)
 	default:
-		fail(fmt.Errorf("no figure %d (paper has 1-3 as scaling figures)", *fig))
+		err = fmt.Errorf("no figure %d (paper has 1-3 as scaling figures)", *fig)
 	}
-
-	for _, s := range series {
-		fmt.Println(s.Format())
+	if err != nil {
+		fail(err)
 	}
-	if *pop {
-		points, err := experiments.POPSweep(opt)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(experiments.FormatPOP(points))
+	fmt.Printf("work modeled from %d executed particles, %d steps per point\n\n", *execN, *steps)
+	for _, r := range results {
+		fmt.Println(r.Format())
 	}
 }
 

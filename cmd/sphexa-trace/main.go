@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/codes"
 	"repro/internal/experiments"
 	"repro/pkg/client"
 )
@@ -75,13 +76,15 @@ func main() {
 		m.LoadBalance, m.CommEfficiency, m.ParallelEfficiency)
 
 	if *sweep {
-		points, err := experiments.POPSweep(experiments.Options{N: *n, ExecN: *execN, Steps: 2, Cores: []int{12, 48, 96, 192}})
+		// §5.2's sweep: SPHYNX on the square patch, Piz Daint.
+		r, err := experiments.RunScaling("sphynx", codes.SquarePatch, []string{"daint"},
+			experiments.Options{N: *n, ExecN: *execN, Steps: 2, Cores: []int{12, 48, 96, 192}})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sphexa-trace:", err)
 			os.Exit(1)
 		}
 		fmt.Println()
-		fmt.Println(experiments.FormatPOP(points))
+		fmt.Println(r.Format())
 	}
 }
 

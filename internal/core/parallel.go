@@ -61,7 +61,10 @@ type ParallelConfig struct {
 	// compute work scales linearly, halo/ghost communication by the 2/3
 	// surface power. 1 = no scaling.
 	WorkScale float64
-	Tracer    *trace.Tracer
+	// Tracer, when non-nil, records every charge and communication section
+	// as a per-rank interval labelled with its phase letter (Figure 4's
+	// timeline).
+	Tracer *trace.Tracer
 	// Steps to simulate.
 	Steps int
 
@@ -107,18 +110,9 @@ type StepStats struct {
 	CollectiveSeconds float64
 }
 
-// RankTiming decomposes one rank's simulated clock into the three phase
-// classes a scaling study attributes time to: useful compute, halo
-// (point-to-point) exchange, and collective synchronization. Seconds is the
-// rank's final simulated clock; the three classes sum to it (up to float
-// addition order).
-type RankTiming struct {
-	Rank       int     `json:"rank"`
-	Compute    float64 `json:"compute"`
-	Halo       float64 `json:"halo"`
-	Collective float64 `json:"collective"`
-	Seconds    float64 `json:"seconds"`
-}
+// RankTiming is one rank's row of a run's timing record: its simulated
+// clock split into compute, halo exchange and collectives.
+type RankTiming = trace.RankTotals
 
 // RunTiming is the per-phase timing breakdown of one distributed run (or of
 // several chunked runs of the same shape, merged). Seconds is the modeled
@@ -161,7 +155,6 @@ type ParallelResult struct {
 	ThreadsPerRank int
 	StepSeconds    []float64 // simulated seconds per step
 	AvgStepSeconds float64
-	Metrics        trace.Metrics
 	// HaloFraction is mean ghosts/owned, a surface-to-volume diagnostic.
 	HaloFraction float64
 	// StepsCompleted is the number of steps actually executed; it is less
@@ -252,9 +245,6 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	}
 	res.HaloFraction /= float64(ranks)
 	res.Timing.Steps = res.StepsCompleted
-	if cfg.Tracer != nil {
-		res.Metrics = cfg.Tracer.Analyze()
-	}
 	merged := part.New(0)
 	for _, l := range run.locals {
 		merged.AppendOwned(l)

@@ -98,7 +98,7 @@ func TestParallelTracerPopulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Metrics
+	m := trace.POP(res.Timing.PerRank, res.Timing.Seconds)
 	if m.Ranks != 4 {
 		t.Fatalf("metrics over %d ranks, want 4", m.Ranks)
 	}

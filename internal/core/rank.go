@@ -57,7 +57,10 @@ func (k *rank) loop() {
 		}
 		dt := k.integrate()
 		if cfg.Cost.FixedPerStep > 0 {
+			// Runtime overhead closes the step; the trace draws it with J.
+			t0 := r.Clock()
 			r.Compute(cfg.Cost.FixedPerStep, nil)
+			k.record(PhaseUpdate, trace.Compute, t0)
 		}
 
 		// Synchronize and measure the step.

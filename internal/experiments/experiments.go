@@ -1,17 +1,17 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation (§5): the strong-scaling curves of Figures 1-3, the
 // Extrae-style phase timeline and POP efficiency analysis of Figure 4, and
-// Tables 1-5. DESIGN.md carries the experiment index; EXPERIMENTS.md the
-// paper-vs-measured record.
+// Tables 1-5. The README's "Scaling studies" and "Trace export" sections
+// carry the experiment index; EXPERIMENTS.md the paper-vs-measured record.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/codes"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -21,30 +21,10 @@ const PaperN = 1_000_000
 // PaperSteps is the simulated length of every paper experiment (Table 5).
 const PaperSteps = 20
 
-// ScalingPoint is one core count of a strong-scaling curve.
-type ScalingPoint struct {
-	Cores          int
-	Ranks          int
-	SecondsPerStep float64
-	HaloFraction   float64
-	Metrics        trace.Metrics
-}
-
-// ScalingSeries is one curve of Figures 1-3.
-type ScalingSeries struct {
-	Code    string
-	Test    codes.Test
-	Machine string
-	// N is the modeled particle count; ExecN the actually executed one.
-	N, ExecN int
-	Steps    int
-	Points   []ScalingPoint
-}
-
 // Options tunes experiment execution. The paper's configuration is 1e6
 // particles and 20 steps; ExecN trades runtime for fidelity by executing a
 // smaller set and charging work scaled to N (compute linearly, halo traffic
-// by the 2/3 surface power) — see DESIGN.md §6.
+// by the 2/3 surface power) — see EXPERIMENTS.md, "Scaling studies".
 type Options struct {
 	// N is the modeled particle count (default PaperN).
 	N int
@@ -52,10 +32,8 @@ type Options struct {
 	ExecN int
 	// Steps per run (default PaperSteps).
 	Steps int
-	// Cores lists the x-axis (default: the paper's 12..1536 ladder).
+	// Cores lists the x-axis (default: the paper's 12..384 ladder).
 	Cores []int
-	// Trace attaches a tracer per point when set.
-	Trace bool
 }
 
 func (o *Options) defaults() {
@@ -73,134 +51,125 @@ func (o *Options) defaults() {
 	}
 }
 
-// RunScaling produces one strong-scaling curve: a code running a test on a
-// machine across core counts.
-func RunScaling(codeName string, test codes.Test, machineName string, opt Options) (*ScalingSeries, error) {
+// RunScaling produces the strong-scaling curves of one code running one test
+// across opt.Cores: one arm per machine, all on the same ladder, aggregated
+// exactly as a served scaling experiment is.
+func RunScaling(codeName string, test codes.Test, machines []string, opt Options) (*ScalingResult, error) {
 	opt.defaults()
+	return runLadder(codeName, test, machines, 0, opt)
+}
+
+// RunWeakScaling grows the modeled problem with the machine at a fixed
+// particles-per-core budget (the paper's production regime: ~1e4-1e6
+// particles/core, and its declared future work — ideal behavior is a flat
+// time-per-step curve). Executed particle counts grow proportionally from
+// opt.ExecN at the first core count, capped at 8*opt.ExecN to bound runtime;
+// beyond the cap, WorkScale carries the growth.
+func RunWeakScaling(codeName string, test codes.Test, machines []string, perCore int, opt Options) (*ScalingResult, error) {
+	opt.defaults()
+	if perCore <= 0 {
+		perCore = max(1000, opt.N/opt.Cores[len(opt.Cores)-1])
+	}
+	return runLadder(codeName, test, machines, perCore, opt)
+}
+
+// runLadder is the in-process ladder executor behind every offline figure:
+// it runs the distributed engine at each (machine, core count), hands each
+// point's timing record to BuildScalingResult as a member, and returns what
+// the server would persist for the same sweep. perCore > 0 makes the ladder
+// weak: the point's N follows its core count instead of staying at opt.N.
+func runLadder(codeName string, test codes.Test, machines []string, perCore int, opt Options) (*ScalingResult, error) {
 	code, err := codes.ByName(codeName)
 	if err != nil {
 		return nil, err
 	}
-	machine, err := perfmodel.ByName(machineName)
-	if err != nil {
-		return nil, err
+	sw := ScalingSweep{
+		Base:  scenario.JobSpec{Spec: scenario.Spec{Scenario: string(test), Steps: opt.Steps}},
+		Cores: opt.Cores,
 	}
-	series := &ScalingSeries{
-		Code: code.Name, Test: test, Machine: machine.Name,
-		N: opt.N, Steps: opt.Steps,
+	if perCore > 0 {
+		sw.Mode, sw.ParticlesPerCore = ScalingWeak, perCore
 	}
-	for _, cores := range opt.Cores {
-		ps, coreCfg, err := code.Generate(test, opt.ExecN)
+	members := make([][]ScalingMemberTiming, len(machines))
+	for ai, name := range machines {
+		machine, err := perfmodel.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		series.ExecN = ps.NLocal
-		var tr *trace.Tracer
-		if opt.Trace {
-			tr = trace.New()
-		}
-		pcfg := core.ParallelConfig{
-			Core:         coreCfg,
-			Machine:      machine,
-			Cores:        cores,
-			RanksPerNode: code.RanksPerNode(machine),
-			Decomp:       code.Decomp,
-			DynamicLB:    code.DynamicLB,
-			Cost:         code.Cost(test),
-			WorkScale:    float64(opt.N) / float64(ps.NLocal),
-			Tracer:       tr,
-			Steps:        opt.Steps,
-		}
-		_, res, err := core.RunParallelCapture(pcfg, ps)
+		exec, err := scenario.Exec{Machine: name, Cost: codeName}.Canonical()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s/%s at %d cores: %w",
-				codeName, test, machineName, cores, err)
+			return nil, err
 		}
-		pt := ScalingPoint{
-			Cores:          cores,
-			Ranks:          res.Ranks,
-			SecondsPerStep: res.AvgStepSeconds,
-			HaloFraction:   res.HaloFraction,
-		}
-		if tr != nil {
-			pt.Metrics = res.Metrics
-		}
-		series.Points = append(series.Points, pt)
-	}
-	return series, nil
-}
-
-// Format renders the series as the rows the paper's figures plot.
-func (s *ScalingSeries) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (%s test case), %s — %d particles (executed %d), %d steps\n",
-		s.Code, s.Test, s.Machine, s.N, s.ExecN, s.Steps)
-	fmt.Fprintf(&sb, "%8s %8s %24s %12s\n", "cores", "ranks", "avg time/step (s)", "halo frac")
-	for _, p := range s.Points {
-		fmt.Fprintf(&sb, "%8d %8d %24.3f %12.3f\n", p.Cores, p.Ranks, p.SecondsPerStep, p.HaloFraction)
-	}
-	return sb.String()
-}
-
-// Speedup returns per-point speedups relative to the first core count.
-func (s *ScalingSeries) Speedup() []float64 {
-	out := make([]float64, len(s.Points))
-	if len(s.Points) == 0 || s.Points[0].SecondsPerStep == 0 {
-		return out
-	}
-	base := s.Points[0].SecondsPerStep
-	for i, p := range s.Points {
-		out[i] = base / p.SecondsPerStep
-	}
-	return out
-}
-
-// Fig1 reproduces Figure 1: SPHYNX strong scaling for the square patch (a)
-// and the Evrard collapse (b) on both machines.
-func Fig1(opt Options) ([]*ScalingSeries, error) {
-	var out []*ScalingSeries
-	for _, test := range []codes.Test{codes.SquarePatch, codes.Evrard} {
-		for _, m := range []string{"daint", "marenostrum"} {
-			s, err := RunScaling("sphynx", test, m, opt)
+		sw.Arms = append(sw.Arms, ScalingArm{Name: code.Name + ", " + machine.Name, Exec: exec})
+		for _, cores := range opt.Cores {
+			n, execN := opt.N, opt.ExecN
+			if perCore > 0 {
+				n = perCore * cores
+				execN = min(opt.ExecN*cores/opt.Cores[0], 8*opt.ExecN)
+			}
+			ps, coreCfg, err := code.Generate(test, execN)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, s)
+			_, res, err := core.RunParallelCapture(core.ParallelConfig{
+				Core:         coreCfg,
+				Machine:      machine,
+				Cores:        cores,
+				RanksPerNode: code.RanksPerNode(machine),
+				Decomp:       code.Decomp,
+				DynamicLB:    code.DynamicLB,
+				Cost:         code.Cost(test),
+				WorkScale:    float64(n) / float64(ps.NLocal),
+				Steps:        opt.Steps,
+			}, ps)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s/%s/%s at %d cores: %w",
+					codeName, test, name, cores, err)
+			}
+			members[ai] = append(members[ai], ScalingMemberTiming{Cores: cores, N: n, Timing: *res.Timing})
 		}
 	}
-	return out, nil
+	return BuildScalingResult(sw, members)
+}
+
+// bothMachines are the paper's two systems; as the arms of one result they
+// share a ladder, so their paired time ratio comes with the curves.
+var bothMachines = []string{"daint", "marenostrum"}
+
+// Fig1 reproduces Figure 1: SPHYNX strong scaling for the square patch (a)
+// and the Evrard collapse (b), each with Piz Daint and MareNostrum 4 as the
+// two arms of one result.
+func Fig1(opt Options) ([]*ScalingResult, error) {
+	return figure("sphynx", []codes.Test{codes.SquarePatch, codes.Evrard}, bothMachines, opt)
 }
 
 // Fig2 reproduces Figure 2: ChaNGa strong scaling (square and Evrard) on
 // Piz Daint, to 1536 cores in the paper.
-func Fig2(opt Options) ([]*ScalingSeries, error) {
+func Fig2(opt Options) ([]*ScalingResult, error) {
 	if len(opt.Cores) == 0 {
 		opt.Cores = []int{12, 24, 48, 96, 192, 384, 768, 1536}
 	}
-	var out []*ScalingSeries
-	for _, test := range []codes.Test{codes.SquarePatch, codes.Evrard} {
-		s, err := RunScaling("changa", test, "daint", opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
+	return figure("changa", []codes.Test{codes.SquarePatch, codes.Evrard}, []string{"daint"}, opt)
 }
 
 // Fig3 reproduces Figure 3: SPH-flow strong scaling (square patch) on both
 // machines, to 768 cores in the paper.
-func Fig3(opt Options) ([]*ScalingSeries, error) {
+func Fig3(opt Options) ([]*ScalingResult, error) {
 	if len(opt.Cores) == 0 {
 		opt.Cores = []int{12, 24, 48, 96, 192, 384, 768}
 	}
-	var out []*ScalingSeries
-	for _, m := range []string{"daint", "marenostrum"} {
-		s, err := RunScaling("sphflow", codes.SquarePatch, m, opt)
+	return figure("sphflow", []codes.Test{codes.SquarePatch}, bothMachines, opt)
+}
+
+// figure runs one strong ladder per test case, the panels of a paper figure.
+func figure(codeName string, tests []codes.Test, machines []string, opt Options) ([]*ScalingResult, error) {
+	var out []*ScalingResult
+	for _, test := range tests {
+		r, err := RunScaling(codeName, test, machines, opt)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -216,7 +185,8 @@ type Fig4Result struct {
 }
 
 // Fig4 reproduces the Extrae visualization of a SPHYNX time-step and the
-// POP metrics discussion of §5.2.
+// POP metrics discussion of §5.2: the timeline from the live tracer, the
+// efficiencies from the run's timing record like every other POP figure.
 func Fig4(opt Options) (*Fig4Result, error) {
 	opt.defaults()
 	code, _ := codes.ByName("sphynx")
@@ -244,64 +214,10 @@ func Fig4(opt Options) (*Fig4Result, error) {
 	return &Fig4Result{
 		Timeline:  tr.Timeline(100),
 		Phases:    tr.PhaseBreakdown(),
-		Metrics:   res.Metrics,
+		Metrics:   trace.POP(res.Timing.PerRank, res.Timing.Seconds),
 		StepsRun:  1,
 		CoresUsed: 192,
 	}, nil
-}
-
-// POPPoint is one core count of the POP efficiency sweep (§5.2: "the
-// measured global efficiency steadily decreases from 48 cores to 192
-// cores; most of the efficiency loss comes from an increased load
-// imbalance").
-type POPPoint struct {
-	Cores            int
-	LoadBalance      float64
-	CommEfficiency   float64
-	ParallelEff      float64
-	CompScalability  float64
-	GlobalEfficiency float64
-}
-
-// POPSweep measures the POP metrics across core counts for SPHYNX on the
-// square patch, with the first count as the computation-scalability
-// reference.
-func POPSweep(opt Options) ([]POPPoint, error) {
-	opt.defaults()
-	opt.Trace = true
-	s, err := RunScaling("sphynx", codes.SquarePatch, "daint", opt)
-	if err != nil {
-		return nil, err
-	}
-	if len(s.Points) == 0 {
-		return nil, fmt.Errorf("experiments: empty sweep")
-	}
-	ref := s.Points[0].Metrics
-	var out []POPPoint
-	for _, p := range s.Points {
-		out = append(out, POPPoint{
-			Cores:            p.Cores,
-			LoadBalance:      p.Metrics.LoadBalance,
-			CommEfficiency:   p.Metrics.CommEfficiency,
-			ParallelEff:      p.Metrics.ParallelEfficiency,
-			CompScalability:  trace.ComputationScalability(ref, p.Metrics),
-			GlobalEfficiency: trace.GlobalEfficiency(ref, p.Metrics),
-		})
-	}
-	return out, nil
-}
-
-// FormatPOP renders a POP sweep table.
-func FormatPOP(points []POPPoint) string {
-	var sb strings.Builder
-	sb.WriteString("POP efficiency metrics (SPHYNX, square patch, Piz Daint)\n")
-	fmt.Fprintf(&sb, "%8s %12s %12s %12s %12s %12s\n",
-		"cores", "load bal", "comm eff", "parallel", "comp scal", "global")
-	for _, p := range points {
-		fmt.Fprintf(&sb, "%8d %12.3f %12.3f %12.3f %12.3f %12.3f\n",
-			p.Cores, p.LoadBalance, p.CommEfficiency, p.ParallelEff, p.CompScalability, p.GlobalEfficiency)
-	}
-	return sb.String()
 }
 
 // Table returns the requested paper table (1-5).

@@ -18,35 +18,40 @@ func fastOpt() Options {
 	}
 }
 
+var daint = []string{"daint"}
+
 func TestRunScalingSPHYNXSquareShape(t *testing.T) {
-	s, err := RunScaling("sphynx", codes.SquarePatch, "daint", fastOpt())
+	s, err := RunScaling("sphynx", codes.SquarePatch, daint, fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("%d points", len(s.Points))
+	if len(s.Arms) != 1 || len(s.Arms[0].Points) != 3 {
+		t.Fatalf("result shape %+v, want one arm of 3 points", s)
 	}
-	// Acceptance criterion 1 (DESIGN.md): single-node per-step time in the
-	// tens of seconds for the modeled 1e6-particle problem (paper: 38.25 s).
-	t12 := s.Points[0].SecondsPerStep
+	pts := s.Arms[0].Points
+	// Acceptance criterion 1 (README, "Scaling studies"): single-node
+	// per-step time in the tens of seconds for the modeled 1e6-particle
+	// problem (paper: 38.25 s).
+	t12 := pts[0].SecondsPerStep
 	if t12 < 10 || t12 > 150 {
 		t.Errorf("SPHYNX square at 12 cores: %.1f s/step, want O(40)", t12)
 	}
 	// Strong scaling: monotone decrease over the ladder.
-	for i := 1; i < len(s.Points); i++ {
-		if s.Points[i].SecondsPerStep >= s.Points[i-1].SecondsPerStep {
+	for i := 1; i < len(pts); i++ {
+		if pts[i].SecondsPerStep >= pts[i-1].SecondsPerStep {
 			t.Errorf("no speedup from %d to %d cores: %.2f -> %.2f",
-				s.Points[i-1].Cores, s.Points[i].Cores,
-				s.Points[i-1].SecondsPerStep, s.Points[i].SecondsPerStep)
+				pts[i-1].Cores, pts[i].Cores, pts[i-1].SecondsPerStep, pts[i].SecondsPerStep)
 		}
 	}
 	// Efficiency at 16x the cores is below ideal (the paper's stall story).
-	sp := s.Speedup()
-	if sp[2] >= 16 {
-		t.Errorf("16x cores gave %gx speedup: missing the scaling stall", sp[2])
+	if sp := pts[2].Speedup; sp >= 16 {
+		t.Errorf("16x cores gave %gx speedup: missing the scaling stall", sp)
+	} else if sp < 2 {
+		t.Errorf("16x cores gave %gx speedup: no scaling at all", sp)
 	}
-	if sp[2] < 2 {
-		t.Errorf("16x cores gave %gx speedup: no scaling at all", sp[2])
+	// The offline harness gets what only the served sweeps had: the fit.
+	if s.Arms[0].Fit == nil || s.Arms[0].Fit.SerialFraction <= 0 {
+		t.Errorf("no Amdahl fit on an offline strong ladder: %+v", s.Arms[0].Fit)
 	}
 	out := s.Format()
 	if !strings.Contains(out, "SPHYNX") || !strings.Contains(out, "cores") {
@@ -58,16 +63,16 @@ func TestChaNGaSquareMuchSlowerThanSPHYNX(t *testing.T) {
 	// Acceptance criterion 2: ChaNGa's square-patch step time is 1-2 orders
 	// of magnitude above SPHYNX at equal core counts (Fig. 2a vs Fig. 1a).
 	opt := fastOpt()
-	opt.Cores = []int{12}
-	sx, err := RunScaling("sphynx", codes.SquarePatch, "daint", opt)
+	opt.Cores = []int{12, 48}
+	sx, err := RunScaling("sphynx", codes.SquarePatch, daint, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := RunScaling("changa", codes.SquarePatch, "daint", opt)
+	ch, err := RunScaling("changa", codes.SquarePatch, daint, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := ch.Points[0].SecondsPerStep / sx.Points[0].SecondsPerStep
+	ratio := ch.Arms[0].Points[0].SecondsPerStep / sx.Arms[0].Points[0].SecondsPerStep
 	if ratio < 5 || ratio > 100 {
 		t.Errorf("ChaNGa/SPHYNX square ratio = %.1f, want O(20) (paper: 738/38)", ratio)
 	}
@@ -76,44 +81,47 @@ func TestChaNGaSquareMuchSlowerThanSPHYNX(t *testing.T) {
 func TestMachinesComparable(t *testing.T) {
 	// Acceptance criterion 3: Piz Daint and MareNostrum curves are close at
 	// equal core counts (Fig. 1: the red and blue lines nearly coincide).
+	// The two machines are the arms of one result, so the comparison is the
+	// result's own paired ratio.
 	opt := fastOpt()
-	opt.Cores = []int{48}
-	d, err := RunScaling("sphynx", codes.SquarePatch, "daint", opt)
+	opt.Cores = []int{48, 192}
+	r, err := RunScaling("sphynx", codes.SquarePatch, bothMachines, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunScaling("sphynx", codes.SquarePatch, "marenostrum", opt)
-	if err != nil {
-		t.Fatal(err)
+	if len(r.Arms) != 2 || len(r.Pairs) != 1 || len(r.Pairs[0].Ratios) != 2 {
+		t.Fatalf("result shape: %d arms, pairs %+v", len(r.Arms), r.Pairs)
 	}
-	ratio := d.Points[0].SecondsPerStep / m.Points[0].SecondsPerStep
-	if ratio < 0.5 || ratio > 2.5 {
-		t.Errorf("Daint/MareNostrum ratio = %.2f, want within ~2x", ratio)
+	// Ratios are MareNostrum over Daint.
+	for i, ratio := range r.Pairs[0].Ratios {
+		if ratio < 0.4 || ratio > 2 {
+			t.Errorf("MareNostrum/Daint ratio at %d cores = %.2f, want within ~2x", opt.Cores[i], ratio)
+		}
 	}
 }
 
 func TestFig3SPHflow(t *testing.T) {
 	opt := fastOpt()
 	opt.Cores = []int{12, 96}
-	series, err := Fig3(opt)
+	panels, err := Fig3(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 {
-		t.Fatalf("%d series", len(series))
+	if len(panels) != 1 || len(panels[0].Arms) != 2 {
+		t.Fatalf("Figure 3 is one panel with two machine arms, have %+v", panels)
 	}
-	for _, s := range series {
-		if s.Code != "SPH-flow" {
-			t.Errorf("code = %s", s.Code)
+	for _, arm := range panels[0].Arms {
+		if !strings.HasPrefix(arm.Name, "SPH-flow") || arm.Exec.Cost != "sphflow" {
+			t.Errorf("arm %q exec %+v", arm.Name, arm.Exec)
 		}
 		// MPI-only: ranks == cores.
-		for _, p := range s.Points {
+		for _, p := range arm.Points {
 			if p.Ranks != p.Cores {
 				t.Errorf("SPH-flow at %d cores has %d ranks, want MPI-only", p.Cores, p.Ranks)
 			}
 		}
-		if s.Points[1].SecondsPerStep >= s.Points[0].SecondsPerStep {
-			t.Errorf("%s: no strong scaling", s.Machine)
+		if arm.Points[1].SecondsPerStep >= arm.Points[0].SecondsPerStep {
+			t.Errorf("%s: no strong scaling", arm.Name)
 		}
 	}
 }
@@ -152,21 +160,21 @@ func TestFig4TimelineAndMetrics(t *testing.T) {
 func TestPOPSweepShape(t *testing.T) {
 	opt := fastOpt()
 	opt.Cores = []int{48, 192}
-	points, err := POPSweep(opt)
+	s, err := RunScaling("sphynx", codes.SquarePatch, daint, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("%d points", len(points))
+	pts := s.Arms[0].Points
+	if len(pts) != 2 || pts[0].POP == nil || pts[1].POP == nil {
+		t.Fatalf("points %+v", pts)
 	}
 	// §5.2: global efficiency decreases from 48 to 192 cores.
-	if points[1].GlobalEfficiency >= points[0].GlobalEfficiency {
+	if pts[1].POP.GlobalEfficiency >= pts[0].POP.GlobalEfficiency {
 		t.Errorf("global efficiency did not decline: %.3f -> %.3f",
-			points[0].GlobalEfficiency, points[1].GlobalEfficiency)
+			pts[0].POP.GlobalEfficiency, pts[1].POP.GlobalEfficiency)
 	}
-	out := FormatPOP(points)
-	if !strings.Contains(out, "global") {
-		t.Errorf("FormatPOP malformed:\n%s", out)
+	if out := s.Format(); !strings.Contains(out, "global") {
+		t.Errorf("Format carries no POP columns:\n%s", out)
 	}
 }
 
@@ -183,13 +191,13 @@ func TestTables(t *testing.T) {
 }
 
 func TestRunScalingErrors(t *testing.T) {
-	if _, err := RunScaling("gadget", codes.SquarePatch, "daint", fastOpt()); err == nil {
+	if _, err := RunScaling("gadget", codes.SquarePatch, daint, fastOpt()); err == nil {
 		t.Error("unknown code accepted")
 	}
-	if _, err := RunScaling("sphynx", codes.SquarePatch, "summit", fastOpt()); err == nil {
+	if _, err := RunScaling("sphynx", codes.SquarePatch, []string{"summit"}, fastOpt()); err == nil {
 		t.Error("unknown machine accepted")
 	}
-	if _, err := RunScaling("sphflow", codes.Evrard, "daint", fastOpt()); err == nil {
+	if _, err := RunScaling("sphflow", codes.Evrard, daint, fastOpt()); err == nil {
 		t.Error("SPH-flow Evrard accepted (no gravity)")
 	}
 }
@@ -200,19 +208,23 @@ func TestRunScalingErrors(t *testing.T) {
 func TestWeakScaling(t *testing.T) {
 	opt := fastOpt()
 	opt.Cores = []int{12, 48, 192}
-	s, err := RunWeakScaling("sphynx", codes.SquarePatch, "daint", 5000, opt)
+	s, err := RunWeakScaling("sphynx", codes.SquarePatch, daint, 5000, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Points) != 3 {
-		t.Fatalf("%d points", len(s.Points))
+	if s.Mode != ScalingWeak || len(s.Arms) != 1 || len(s.Arms[0].Points) != 3 {
+		t.Fatalf("result shape %+v, want one weak arm of 3 points", s)
 	}
-	if s.Points[0].Efficiency != 1 {
-		t.Errorf("base efficiency %g", s.Points[0].Efficiency)
+	if s.Arms[0].Fit != nil {
+		t.Error("a weak ladder has no Amdahl fit")
 	}
-	for _, p := range s.Points {
-		if p.NModeled != 5000*p.Cores {
-			t.Errorf("cores=%d modeled N=%d, want %d", p.Cores, p.NModeled, 5000*p.Cores)
+	pts := s.Arms[0].Points
+	if pts[0].Efficiency != 1 {
+		t.Errorf("base efficiency %g", pts[0].Efficiency)
+	}
+	for _, p := range pts {
+		if p.N != 5000*p.Cores {
+			t.Errorf("cores=%d modeled N=%d, want %d", p.Cores, p.N, 5000*p.Cores)
 		}
 		if p.SecondsPerStep <= 0 {
 			t.Fatalf("cores=%d: no time", p.Cores)
@@ -224,16 +236,16 @@ func TestWeakScaling(t *testing.T) {
 			t.Errorf("cores=%d weak efficiency %.3f too low", p.Cores, p.Efficiency)
 		}
 	}
-	if !strings.Contains(s.Format(), "particles/core") {
+	if !strings.Contains(s.Format(), "weak scaling") {
 		t.Error("Format malformed")
 	}
 }
 
 func TestWeakScalingErrors(t *testing.T) {
-	if _, err := RunWeakScaling("nope", codes.SquarePatch, "daint", 1000, fastOpt()); err == nil {
+	if _, err := RunWeakScaling("nope", codes.SquarePatch, daint, 1000, fastOpt()); err == nil {
 		t.Error("unknown code accepted")
 	}
-	if _, err := RunWeakScaling("sphynx", codes.SquarePatch, "nope", 1000, fastOpt()); err == nil {
+	if _, err := RunWeakScaling("sphynx", codes.SquarePatch, []string{"nope"}, 1000, fastOpt()); err == nil {
 		t.Error("unknown machine accepted")
 	}
 }

@@ -103,16 +103,12 @@ func PredictPOP(in PredictShape) trace.Metrics {
 		coll = net.Collective(ranks, 7*8) + 4*net.Collective(ranks, 8)
 	}
 
+	// Perfect balance: every rank is the same rank, so the efficiencies of
+	// one are the efficiencies of all and the load balance is exactly 1.
 	steps := float64(in.Steps)
+	m = trace.POP([]trace.RankTotals{{Compute: useful * steps}}, (useful+halo+coll)*steps)
 	m.Ranks = ranks
-	m.AvgUseful = useful * steps
-	m.MaxUseful = useful * steps
+	m.TotalUseful *= float64(ranks)
 	m.TotalMPI = halo * steps * float64(ranks)
-	m.Runtime = (useful + halo + coll) * steps
-	m.LoadBalance = 1
-	if m.Runtime > 0 {
-		m.CommEfficiency = m.MaxUseful / m.Runtime
-	}
-	m.ParallelEfficiency = m.LoadBalance * m.CommEfficiency
 	return m
 }

@@ -11,17 +11,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
-// This file promotes the paper's headline experiment — the §5.2 strong-
-// scaling study (Figures 1-3 and the POP efficiency sweep) — from an
-// offline print loop to a first-class experiment object the job API serves
-// (POST /v1/scaling). A ScalingSweep is one base job spec executed across a
-// ladder of core counts; members run through the ordinary coalescing job
-// pipeline, the per-member phase timings (internal/simmpi's compute / halo
-// / collective split) aggregate into speedup, parallel and POP efficiency
-// curves, and a trimmed-least-squares Amdahl fit reports the serial
-// fraction robustly to outlier members (Coretto & Hennig, arXiv:1406.0808).
+// This file is the paper's headline experiment — the §5.2 scaling study
+// (Figures 1-3 and the POP efficiency sweep) — as a first-class experiment
+// object: the job API serves it (POST /v1/scaling) and the offline figure
+// harness (experiments.go) builds the same result in process. A ScalingSweep
+// is one base job spec executed across a ladder of core counts; served
+// members run through the ordinary coalescing job pipeline, the per-member
+// phase timings (internal/simmpi's compute / halo / collective split)
+// aggregate in BuildScalingResult — the only scaling aggregation — into
+// speedup, parallel and POP efficiency curves, and a trimmed-least-squares
+// Amdahl fit reports the serial fraction robustly to outlier members
+// (Coretto & Hennig, arXiv:1406.0808).
 // Paired comparisons across machines or parent-code calibrations share one
 // member ladder — matched by the system, not assembled after the fact
 // (Imai, King & Nall, arXiv:0910.3752).
@@ -484,7 +487,7 @@ func BuildScalingResult(sw ScalingSweep, members [][]ScalingMemberTiming) (*Scal
 		} else {
 			ar.Exec = sw.Base.Exec
 		}
-		var refUseful float64
+		var ref trace.Metrics
 		for pi, m := range arm {
 			t := m.Timing
 			if t.Steps <= 0 || t.Seconds <= 0 {
@@ -497,39 +500,29 @@ func BuildScalingResult(sw ScalingSweep, members [][]ScalingMemberTiming) (*Scal
 				Hash:           m.Hash,
 				SecondsPerStep: t.Seconds / float64(t.Steps),
 			}
-			var maxUseful, totUseful float64
 			for _, rt := range t.PerRank {
 				pt.Phases.Compute += rt.Compute
 				pt.Phases.Halo += rt.Halo
 				pt.Phases.Collective += rt.Collective
 				pt.RankSeconds += rt.Seconds
-				totUseful += rt.Compute
-				if rt.Compute > maxUseful {
-					maxUseful = rt.Compute
-				}
 			}
-			if len(t.PerRank) > 0 && maxUseful > 0 && t.Seconds > 0 {
-				pop := &POPMetrics{
-					LoadBalance:    totUseful / float64(len(t.PerRank)) / maxUseful,
-					CommEfficiency: maxUseful / t.Seconds,
-				}
-				pop.ParallelEfficiency = pop.LoadBalance * pop.CommEfficiency
+			if pop := trace.POP(t.PerRank, t.Seconds); pop.MaxUseful > 0 {
 				if pi == 0 {
-					refUseful = totUseful
+					ref = pop
 				}
-				if totUseful > 0 && refUseful > 0 {
-					// Weak sweeps grow the work with the machine; normalize
-					// the reference to this point's particle load so the
-					// metric still reads "redundant work added", not "bigger
-					// problem".
-					scale := 1.0
-					if res.Mode == ScalingWeak && arm[0].N > 0 {
-						scale = float64(m.N) / float64(arm[0].N)
-					}
-					pop.ComputationScalability = refUseful * scale / totUseful
-					pop.GlobalEfficiency = pop.ParallelEfficiency * pop.ComputationScalability
+				// A weak sweep compares each point with the reference scaled
+				// to its particle load.
+				load := 1.0
+				if res.Mode == ScalingWeak && arm[0].N > 0 {
+					load = float64(m.N) / float64(arm[0].N)
 				}
-				pt.POP = pop
+				pt.POP = &POPMetrics{
+					LoadBalance:            pop.LoadBalance,
+					CommEfficiency:         pop.CommEfficiency,
+					ParallelEfficiency:     pop.ParallelEfficiency,
+					ComputationScalability: trace.ComputationScalability(ref, pop, load),
+					GlobalEfficiency:       trace.GlobalEfficiency(ref, pop, load),
+				}
 			}
 			ar.Points = append(ar.Points, pt)
 		}
@@ -576,8 +569,8 @@ func BuildScalingResult(sw ScalingSweep, members [][]ScalingMemberTiming) (*Scal
 	return res, nil
 }
 
-// Format renders the scaling result as the rows the paper's figures plot,
-// one table per arm.
+// Format renders the scaling result as the rows the paper's figures plot
+// and the POP efficiencies §5.2 reads off them, one table per arm.
 func (r *ScalingResult) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s scaling, %s\n", r.Mode, r.Scenario)
@@ -585,12 +578,18 @@ func (r *ScalingResult) Format() string {
 		if arm.Name != "" {
 			fmt.Fprintf(&sb, "arm %s\n", arm.Name)
 		}
-		fmt.Fprintf(&sb, "%8s %8s %10s %14s %9s %11s %10s %10s %10s\n",
-			"cores", "ranks", "N", "time/step (s)", "speedup", "efficiency", "compute", "halo", "collective")
+		fmt.Fprintf(&sb, "%8s %8s %10s %14s %9s %11s %10s %10s %10s %9s %9s %9s %9s %9s\n",
+			"cores", "ranks", "N", "time/step (s)", "speedup", "efficiency", "compute", "halo", "collective",
+			"load bal", "comm eff", "parallel", "comp scal", "global")
 		for _, p := range arm.Points {
-			fmt.Fprintf(&sb, "%8d %8d %10d %14.4f %9.2f %11.3f %10.3f %10.3f %10.3f\n",
+			fmt.Fprintf(&sb, "%8d %8d %10d %14.4f %9.2f %11.3f %10.3f %10.3f %10.3f",
 				p.Cores, p.Ranks, p.N, p.SecondsPerStep, p.Speedup, p.Efficiency,
 				p.Phases.Compute, p.Phases.Halo, p.Phases.Collective)
+			if pop := p.POP; pop != nil {
+				fmt.Fprintf(&sb, " %9.3f %9.3f %9.3f %9.3f %9.3f", pop.LoadBalance, pop.CommEfficiency,
+					pop.ParallelEfficiency, pop.ComputationScalability, pop.GlobalEfficiency)
+			}
+			sb.WriteByte('\n')
 		}
 		if arm.Fit != nil {
 			fmt.Fprintf(&sb, "Amdahl fit: serial fraction %.4f, T1 %.4f s/step, R2 %.3f (%d trimmed)\n",

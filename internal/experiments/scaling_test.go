@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/scenario"
+	"repro/internal/trace"
 )
 
 func strongSweep(cores ...int) ScalingSweep {
@@ -221,7 +222,9 @@ func TestKarpFlattMatchesAmdahl(t *testing.T) {
 
 // TestRunParallelTimingInvariants pins the engine-side capture: the
 // distributed run reports per-rank phase breakdowns that sum to each rank's
-// clock, with the parallel wall-clock as the max.
+// clock, with the parallel wall-clock as the max, and a live trace of the
+// same run describes the same clock — every second charged as compute
+// (the fixed per-step overhead included) is on the timeline.
 func TestRunParallelTimingInvariants(t *testing.T) {
 	code, err := codes.ByName("sphynx")
 	if err != nil {
@@ -235,9 +238,14 @@ func TestRunParallelTimingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cost := code.Cost(codes.SquarePatch)
+	if cost.FixedPerStep <= 0 {
+		t.Fatal("the calibration under test charges no fixed per-step overhead")
+	}
+	tr := trace.New()
 	_, res, err := core.RunParallelCapture(core.ParallelConfig{
 		Core: cfg, Machine: machine, Cores: 24, RanksPerNode: 1,
-		Decomp: code.Decomp, Cost: code.Cost(codes.SquarePatch), Steps: 2,
+		Decomp: code.Decomp, Cost: cost, Steps: 2, Tracer: tr,
 	}, ps)
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +272,17 @@ func TestRunParallelTimingInvariants(t *testing.T) {
 	}
 	if math.Abs(tm.Seconds-maxClock) > 1e-12*maxClock {
 		t.Fatalf("timing wall-clock %.12g != max rank clock %.12g", tm.Seconds, maxClock)
+	}
+	traced := make([]float64, res.Ranks)
+	for _, iv := range tr.Intervals() {
+		if iv.State == trace.Compute {
+			traced[iv.Rank] += iv.End - iv.Start
+		}
+	}
+	for _, rt := range tm.PerRank {
+		if math.Abs(traced[rt.Rank]-rt.Compute) > 1e-12*rt.Compute {
+			t.Errorf("rank %d: traced compute %.15g != timing record %.15g", rt.Rank, traced[rt.Rank], rt.Compute)
+		}
 	}
 
 	// Merge accumulates like a second chunk of the same shape.

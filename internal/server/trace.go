@@ -92,13 +92,7 @@ func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
 	}
 
 	if rep.Timing != nil && len(rep.Timing.PerRank) > 0 {
-		for _, rk := range rep.Timing.PerRank {
-			in.Ranks = append(in.Ranks, trace.RankTotals{
-				Rank: rk.Rank, Compute: rk.Compute,
-				Halo: rk.Halo, Collective: rk.Collective,
-				Seconds: rk.Seconds,
-			})
-		}
+		in.Ranks = rep.Timing.PerRank
 		for _, sm := range tk.Samples {
 			if len(sm.Phases) == 0 {
 				continue

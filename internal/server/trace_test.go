@@ -194,6 +194,68 @@ func TestTraceEndToEndParallel(t *testing.T) {
 	}
 }
 
+// TestTraceBytesStableManyRanks: the trace is a function of the persisted
+// bytes at any rank count. With three or more ranks the per-rank useful
+// totals have several float sums depending on the order of addition, so a
+// POP block that added ranks in map order served different bodies for one
+// job; eight ranks, many fetches and a cache-hit resubmission must give one
+// body, whose measured POP block is trace.POP over the persisted timing.
+func TestTraceBytesStableManyRanks(t *testing.T) {
+	s := New(Options{Workers: 2, HistoryInterval: -1})
+	defer s.Close()
+	spec := sodSpec(4)
+	spec.Cores = 96 // eight 12-core nodes, one rank each
+
+	view, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, view.ID, StateCompleted, 120*time.Second)
+	first, _, err := s.Trace(view.ID, TraceFormatPerfetto)
+	if err != nil || first == nil {
+		t.Fatalf("trace: %v (%d bytes)", err, len(first))
+	}
+	for i := 0; i < 300; i++ {
+		b, _, err := s.Trace(view.ID, TraceFormatPerfetto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, first) {
+			t.Fatalf("fetch %d served a different body for the same job", i)
+		}
+	}
+	again, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit {
+		t.Fatalf("resubmission not a cache hit: %+v", again)
+	}
+	if b, _, err := s.Trace(again.ID, TraceFormatPerfetto); err != nil || !bytes.Equal(b, first) {
+		t.Fatalf("cache-hit resubmission served a different body (err %v)", err)
+	}
+
+	var doc trace.Document
+	if err := json.Unmarshal(first, &doc); err != nil {
+		t.Fatal(err)
+	}
+	report, _ := s.Metrics(view.ID)
+	var rep struct {
+		Timing *core.RunTiming `json:"timing"`
+	}
+	if err := json.Unmarshal(report, &rep); err != nil || rep.Timing == nil {
+		t.Fatalf("report timing: %v", err)
+	}
+	if rep.Timing.Ranks != 8 {
+		t.Fatalf("%d ranks, want 8", rep.Timing.Ranks)
+	}
+	// One chunk, so the record's wall-clock is the latest rank clock itself.
+	want := trace.POP(rep.Timing.PerRank, rep.Timing.Seconds).Report()
+	if doc.POP == nil || doc.POP.Measured != want {
+		t.Errorf("measured POP block %+v, want POP over the persisted timing %+v", doc.POP, want)
+	}
+}
+
 // TestTraceSerialBackend: a serial-backend job's trace lays the engine's
 // real per-step phase letters on one rank-0 track, with no modeled POP
 // column (the serial engine has no machine model to predict under).

@@ -24,6 +24,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/trace"
 )
 
 // Sample is one step's physics snapshot. Step is the 1-based count of
@@ -60,14 +62,14 @@ type Sample struct {
 }
 
 // Frozen phase keys of a distributed-backend sample's Phases map — the
-// per-step class sums the parallel engine reports. The trace package
-// freezes the same spellings for its reassembled slice names; a persisted
-// track and the trace rebuilt from it must agree on them, so renaming is
-// a wire-format change, not a refactor.
+// per-step class sums the parallel engine reports. They are the trace
+// package's slice names, so a persisted track and the trace rebuilt from it
+// agree by construction; renaming one is a wire-format change, not a
+// refactor.
 const (
-	PhaseCompute    = "compute"
-	PhaseHalo       = "halo"
-	PhaseCollective = "collective"
+	PhaseCompute    = trace.PhaseCompute
+	PhaseHalo       = trace.PhaseHalo
+	PhaseCollective = trace.PhaseCollective
 )
 
 // Watchdog kinds, the label values of telemetry_watchdog_trips_total.

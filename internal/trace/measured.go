@@ -8,27 +8,28 @@
 package trace
 
 // Frozen phase names of reassembled parallel-engine slices — one per
-// RankTiming class. The telemetry package freezes the same spellings for
-// its sample keys; the two namespaces (flight-recorder wire format, trace
-// slice names) are deliberately kept separate but must agree.
+// RankTotals class. The telemetry package's sample keys are these constants.
 const (
 	PhaseCompute    = "compute"
 	PhaseHalo       = "halo"
 	PhaseCollective = "collective"
 )
 
-// RankTotals is one rank's accumulated phase-class seconds over a whole
-// run (mirrors the report timing record's per-rank row; trace cannot
-// import core — core imports trace).
+// RankTotals decomposes one rank's simulated clock over a whole run into
+// the three phase classes a scaling study attributes time to: useful
+// compute, halo (point-to-point) exchange, and collective synchronization.
+// It is the per-rank row of the persisted timing record (core.RankTiming is
+// this type; trace cannot import core — core imports trace).
 type RankTotals struct {
-	Rank    int
-	Compute float64
-	Halo    float64
+	Rank    int     `json:"rank"`
+	Compute float64 `json:"compute"`
+	Halo    float64 `json:"halo"`
 	// Collective covers the global reductions (h-iteration consensus, dt,
 	// conservation sums).
-	Collective float64
-	// Seconds is the rank's total clock at run end.
-	Seconds float64
+	Collective float64 `json:"collective"`
+	// Seconds is the rank's clock at run end; the three classes sum to it
+	// (up to float addition order).
+	Seconds float64 `json:"seconds"`
 }
 
 // StepClassSeconds is one step's class sums over all ranks, from the
@@ -81,16 +82,17 @@ type MeasuredInput struct {
 	Offset float64
 }
 
-// Measured is a reassembled trace: engine intervals (the rows POP metrics
-// and the Paraver timeline read), the lifecycle track, and the POP
-// analysis of the engine intervals.
+// Measured is a reassembled trace: engine intervals (the rows the Perfetto
+// document and the Paraver timeline draw), the lifecycle track, and the POP
+// analysis of the rank totals they were laid out from.
 type Measured struct {
 	// Intervals are the engine intervals, rank-major and time-ordered
 	// within each rank.
 	Intervals []Interval
 	// Lifecycle lays the span record end-to-end from t=0.
 	Lifecycle []Interval
-	// Metrics is AnalyzeIntervals over the engine intervals.
+	// Metrics is POP over the rank totals the trace was built from (a
+	// serial run is one rank that only computes).
 	Metrics Metrics
 }
 
@@ -169,8 +171,13 @@ func BuildMeasured(in MeasuredInput) Measured {
 				}
 			}
 		}
+		var runtime float64
+		for _, rk := range in.Ranks {
+			runtime = max(runtime, rk.Seconds)
+		}
+		m.Metrics = POP(in.Ranks, runtime)
 	case len(in.Serial) > 0:
-		t := in.Offset
+		t, total := in.Offset, 0.0
 		for _, st := range in.Serial {
 			for _, ph := range st.Phases {
 				if ph.Seconds <= 0 {
@@ -181,9 +188,10 @@ func BuildMeasured(in MeasuredInput) Measured {
 					Start: t, End: t + ph.Seconds,
 				})
 				t += ph.Seconds
+				total += ph.Seconds
 			}
 		}
+		m.Metrics = POP([]RankTotals{{Compute: total, Seconds: total}}, total)
 	}
-	m.Metrics = AnalyzeIntervals(m.Intervals)
 	return m
 }

@@ -52,6 +52,38 @@ func TestBuildMeasuredSumsMatchTotals(t *testing.T) {
 	}
 }
 
+// TestMeasuredMetricsAreAFunctionOfTheRankTotals: the POP block of a
+// reassembled trace is POP over the rank totals it was built from, down to
+// the last bit and on every call. Sixteen ranks with distinct useful totals
+// have many float sums depending on the order of addition; only the
+// rank-order one may come back (the interval analysis this replaces added
+// ranks in map order and returned several).
+func TestMeasuredMetricsAreAFunctionOfTheRankTotals(t *testing.T) {
+	in := sampleInput()
+	in.Ranks = make([]RankTotals, 16)
+	sum := 0.0
+	for r := range in.Ranks {
+		c := 1 / float64(3+7*r)
+		in.Ranks[r] = RankTotals{Rank: r, Compute: c, Halo: c / 9, Collective: 0.5 - c, Seconds: 0.5 + c/9}
+		sum += c
+	}
+	want := POP(in.Ranks, in.Ranks[0].Seconds) // rank 0 has the latest clock
+	if want.TotalUseful != sum || want.Ranks != 16 {
+		t.Fatalf("POP total useful %v over %d ranks, want the rank-order sum %v over 16", want.TotalUseful, want.Ranks, sum)
+	}
+	seen := map[uint64]bool{}
+	for i := 0; i < 2000; i++ {
+		m := BuildMeasured(in).Metrics
+		seen[math.Float64bits(m.AvgUseful)] = true
+		if m != want {
+			t.Fatalf("call %d: measured metrics %+v, want POP of the rank totals %+v", i, m, want)
+		}
+	}
+	if len(seen) != 1 {
+		t.Fatalf("%d distinct AvgUseful bit patterns over 2000 calls", len(seen))
+	}
+}
+
 func TestBuildMeasuredMonotonePerRank(t *testing.T) {
 	m := BuildMeasured(sampleInput())
 	last := map[int]float64{}
@@ -247,9 +279,6 @@ func TestIntervalFunctionsMatchTracer(t *testing.T) {
 	tr.Record(1, "A", Compute, 0, 1)
 	tr.Record(1, "A", MPI, 1, 2)
 	ivs := tr.Intervals()
-	if AnalyzeIntervals(ivs) != tr.Analyze() {
-		t.Error("AnalyzeIntervals != Tracer.Analyze")
-	}
 	if TimelineOf(ivs, 20) != tr.Timeline(20) {
 		t.Error("TimelineOf != Tracer.Timeline")
 	}

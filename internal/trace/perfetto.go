@@ -122,7 +122,7 @@ func (m Metrics) Report() POPReport {
 	}
 }
 
-// POPComparison reports the POP metrics computed from measured intervals
+// POPComparison reports the POP metrics of a job's measured rank totals
 // next to the closed-form modeled prediction for the same job shape — the
 // measured-vs-modeled confrontation the paper's §5.2 analysis is about.
 type POPComparison struct {

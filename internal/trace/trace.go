@@ -108,11 +108,12 @@ func (t *Tracer) Reset() {
 // for well-formed traces; paper §5.2 discusses exactly these).
 type Metrics struct {
 	Ranks int
-	// Runtime is the span max(End) - min(Start).
+	// Runtime is the run's parallel wall-clock.
 	Runtime float64
-	// AvgUseful and MaxUseful are per-rank useful-computation totals.
-	AvgUseful, MaxUseful float64
-	// TotalMPI is summed MPI time.
+	// TotalUseful, AvgUseful and MaxUseful are the sum, mean and maximum of
+	// the per-rank useful-computation totals.
+	TotalUseful, AvgUseful, MaxUseful float64
+	// TotalMPI is summed point-to-point (halo) time.
 	TotalMPI float64
 	// LoadBalance = AvgUseful / MaxUseful.
 	LoadBalance float64
@@ -122,49 +123,26 @@ type Metrics struct {
 	ParallelEfficiency float64
 }
 
-// Analyze computes POP metrics over the recorded intervals.
-func (t *Tracer) Analyze() Metrics { return AnalyzeIntervals(t.Intervals()) }
-
-// AnalyzeIntervals computes POP metrics over an interval slice — the same
-// arithmetic Tracer.Analyze applies to live-recorded traces, usable on
-// measured intervals reassembled from persisted artifacts.
-func AnalyzeIntervals(ivs []Interval) Metrics {
-	var m Metrics
-	if len(ivs) == 0 {
-		return m
-	}
-	useful := map[int]float64{}
-	lo, hi := ivs[0].Start, ivs[0].End
-	for _, iv := range ivs {
-		if iv.Start < lo {
-			lo = iv.Start
-		}
-		if iv.End > hi {
-			hi = iv.End
-		}
-		switch iv.State {
-		case Compute:
-			useful[iv.Rank] += iv.End - iv.Start
-		case MPI:
-			m.TotalMPI += iv.End - iv.Start
-		}
-	}
-	m.Ranks = len(useful)
-	m.Runtime = hi - lo
-	for _, u := range useful {
-		m.AvgUseful += u
-		if u > m.MaxUseful {
-			m.MaxUseful = u
-		}
+// POP computes the POP efficiencies of one run from every rank's phase
+// totals and the run's wall-clock. It is the only place the efficiencies
+// are computed — the served scaling curves, the paper-figure harness, the
+// reassembled job trace and the closed-form prediction all call it — and it
+// adds the ranks in slice (rank) order, so equal inputs give equal bits.
+func POP(ranks []RankTotals, runtime float64) Metrics {
+	m := Metrics{Ranks: len(ranks), Runtime: runtime}
+	for _, rk := range ranks {
+		m.TotalUseful += rk.Compute
+		m.TotalMPI += rk.Halo
+		m.MaxUseful = max(m.MaxUseful, rk.Compute)
 	}
 	if m.Ranks > 0 {
-		m.AvgUseful /= float64(m.Ranks)
+		m.AvgUseful = m.TotalUseful / float64(m.Ranks)
 	}
 	if m.MaxUseful > 0 {
 		m.LoadBalance = m.AvgUseful / m.MaxUseful
 	}
-	if m.Runtime > 0 {
-		m.CommEfficiency = m.MaxUseful / m.Runtime
+	if runtime > 0 {
+		m.CommEfficiency = m.MaxUseful / runtime
 	}
 	m.ParallelEfficiency = m.LoadBalance * m.CommEfficiency
 	return m
@@ -172,21 +150,22 @@ func AnalyzeIntervals(ivs []Interval) Metrics {
 
 // ComputationScalability is the POP cross-scale metric: the ratio of total
 // useful computation at the reference scale to the current scale (1 = no
-// redundant work added by scaling out).
-func ComputationScalability(ref, cur Metrics) float64 {
-	refTotal := ref.AvgUseful * float64(ref.Ranks)
-	curTotal := cur.AvgUseful * float64(cur.Ranks)
-	if curTotal == 0 {
+// redundant work added by scaling out). loadRatio is cur's problem size
+// over ref's: 1 along a strong ladder; a weak ladder grows the work with
+// the machine, so the reference is scaled to cur's particle load and the
+// metric still reads "redundant work added", not "bigger problem".
+func ComputationScalability(ref, cur Metrics, loadRatio float64) float64 {
+	if cur.TotalUseful == 0 {
 		return 0
 	}
-	return refTotal / curTotal
+	return ref.TotalUseful * loadRatio / cur.TotalUseful
 }
 
 // GlobalEfficiency combines parallel efficiency with computation
 // scalability, the headline number whose decline from 48 to 192 cores the
 // paper attributes to load imbalance.
-func GlobalEfficiency(ref, cur Metrics) float64 {
-	return cur.ParallelEfficiency * ComputationScalability(ref, cur)
+func GlobalEfficiency(ref, cur Metrics, loadRatio float64) float64 {
+	return cur.ParallelEfficiency * ComputationScalability(ref, cur, loadRatio)
 }
 
 // Timeline renders an ASCII Paraver-style visualization: one row per rank,
@@ -238,7 +217,7 @@ func TimelineOf(ivs []Interval, width int) string {
 			// Overlap of the interval with bucket b.
 			bs := lo + span*float64(b)/float64(width)
 			be := lo + span*float64(b+1)/float64(width)
-			ov := minF(iv.End, be) - maxF(iv.Start, bs)
+			ov := min(iv.End, be) - max(iv.Start, bs)
 			if ov <= 0 {
 				continue
 			}
@@ -330,18 +309,4 @@ type PhaseStat struct {
 	Compute float64
 	MPI     float64
 	Other   float64
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -43,11 +43,11 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 func TestAnalyzePerfectBalance(t *testing.T) {
-	tr := New()
-	for r := 0; r < 4; r++ {
-		tr.Record(r, "E", Compute, 0, 10)
+	ranks := make([]RankTotals, 4)
+	for r := range ranks {
+		ranks[r] = RankTotals{Rank: r, Compute: 10, Seconds: 10}
 	}
-	m := tr.Analyze()
+	m := POP(ranks, 10)
 	if m.Ranks != 4 {
 		t.Fatalf("ranks = %d", m.Ranks)
 	}
@@ -64,11 +64,10 @@ func TestAnalyzePerfectBalance(t *testing.T) {
 
 func TestAnalyzeImbalance(t *testing.T) {
 	// Rank 0 computes 10s, rank 1 computes 5s then waits in MPI.
-	tr := New()
-	tr.Record(0, "E", Compute, 0, 10)
-	tr.Record(1, "E", Compute, 0, 5)
-	tr.Record(1, "E", MPI, 5, 10)
-	m := tr.Analyze()
+	m := POP([]RankTotals{
+		{Rank: 0, Compute: 10, Seconds: 10},
+		{Rank: 1, Compute: 5, Halo: 5, Seconds: 10},
+	}, 10)
 	// avg useful 7.5, max useful 10 -> LB 0.75.
 	if math.Abs(m.LoadBalance-0.75) > 1e-12 {
 		t.Errorf("LoadBalance = %g, want 0.75", m.LoadBalance)
@@ -76,34 +75,37 @@ func TestAnalyzeImbalance(t *testing.T) {
 	if math.Abs(m.CommEfficiency-1) > 1e-12 {
 		t.Errorf("CommEfficiency = %g, want 1 (critical path all compute)", m.CommEfficiency)
 	}
-	if m.TotalMPI != 5 {
-		t.Errorf("TotalMPI = %g", m.TotalMPI)
+	if m.TotalMPI != 5 || m.TotalUseful != 15 {
+		t.Errorf("TotalMPI = %g, TotalUseful = %g", m.TotalMPI, m.TotalUseful)
 	}
 }
 
 func TestAnalyzeCommBound(t *testing.T) {
-	tr := New()
-	tr.Record(0, "E", Compute, 0, 2)
-	tr.Record(0, "E", MPI, 2, 10)
-	m := tr.Analyze()
+	m := POP([]RankTotals{{Compute: 2, Halo: 8, Seconds: 10}}, 10)
 	if math.Abs(m.CommEfficiency-0.2) > 1e-12 {
 		t.Errorf("CommEfficiency = %g, want 0.2", m.CommEfficiency)
 	}
 }
 
 func TestComputationScalabilityAndGlobalEff(t *testing.T) {
-	ref := Metrics{Ranks: 1, AvgUseful: 100, ParallelEfficiency: 1}
+	ref := Metrics{Ranks: 1, TotalUseful: 100, ParallelEfficiency: 1}
 	// Scaled run: 4 ranks doing 30 each = 120 total (20% redundant work).
-	cur := Metrics{Ranks: 4, AvgUseful: 30, ParallelEfficiency: 0.9}
-	cs := ComputationScalability(ref, cur)
+	cur := Metrics{Ranks: 4, TotalUseful: 120, ParallelEfficiency: 0.9}
+	cs := ComputationScalability(ref, cur, 1)
 	if math.Abs(cs-100.0/120.0) > 1e-12 {
 		t.Errorf("ComputationScalability = %g", cs)
 	}
-	ge := GlobalEfficiency(ref, cur)
+	ge := GlobalEfficiency(ref, cur, 1)
 	if math.Abs(ge-0.9*100.0/120.0) > 1e-12 {
 		t.Errorf("GlobalEfficiency = %g", ge)
 	}
-	if ComputationScalability(ref, Metrics{}) != 0 {
+	// A weak ladder that quadrupled the problem: 480 total is no redundancy
+	// beyond the strong case's 20%.
+	cur.TotalUseful = 480
+	if cs := ComputationScalability(ref, cur, 4); math.Abs(cs-100.0/120.0) > 1e-12 {
+		t.Errorf("weak ComputationScalability = %g", cs)
+	}
+	if ComputationScalability(ref, Metrics{}, 1) != 0 {
 		t.Error("zero current work should give 0")
 	}
 }
@@ -180,8 +182,8 @@ func TestStateStrings(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	m := New().Analyze()
-	if m.Ranks != 0 || m.Runtime != 0 {
+	m := POP(nil, 0)
+	if m != (Metrics{}) {
 		t.Errorf("empty metrics = %+v", m)
 	}
 }
