@@ -22,7 +22,6 @@ import (
 	"repro/internal/gravity"
 	"repro/internal/ic"
 	"repro/internal/kernel"
-	"repro/internal/sched"
 	"repro/internal/sfc"
 	"repro/internal/sph"
 	"repro/internal/tree"
@@ -260,35 +259,6 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				domain.Decompose(m, ps, box, 64, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationScheduling compares self-scheduling policies on a
-// skew-cost loop (higher is not better here — the interesting output is
-// the per-policy time under identical work).
-func BenchmarkAblationScheduling(b *testing.B) {
-	const n = 4096
-	work := func(i int) {
-		iters := 50
-		if i%97 == 0 {
-			iters = 5000
-		}
-		x := 1.0
-		for k := 0; k < iters; k++ {
-			x += x * 1e-9
-		}
-		_ = x
-	}
-	for _, name := range []string{"static", "ss", "gss", "tss", "fac", "awf"} {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pol, err := sched.ByName(name, n, 8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sched.Run(n, 8, pol, work)
 			}
 		})
 	}

@@ -100,7 +100,7 @@ func runLadder(codeName string, test codes.Test, machines []string, perCore int,
 		if err != nil {
 			return nil, err
 		}
-		sw.Arms = append(sw.Arms, ScalingArm{Name: code.Name + ", " + machine.Name, Exec: exec})
+		sw.Arms = append(sw.Arms, ScalingArm{Name: armName(exec, ai), Exec: exec})
 		for _, cores := range opt.Cores {
 			n, execN := opt.N, opt.ExecN
 			if perCore > 0 {

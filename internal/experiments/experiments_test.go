@@ -54,7 +54,7 @@ func TestRunScalingSPHYNXSquareShape(t *testing.T) {
 		t.Errorf("no Amdahl fit on an offline strong ladder: %+v", s.Arms[0].Fit)
 	}
 	out := s.Format()
-	if !strings.Contains(out, "SPHYNX") || !strings.Contains(out, "cores") {
+	if !strings.Contains(out, "arm daint/sphynx") || !strings.Contains(out, "cores") {
 		t.Errorf("Format output malformed:\n%s", out)
 	}
 }
@@ -111,7 +111,7 @@ func TestFig3SPHflow(t *testing.T) {
 		t.Fatalf("Figure 3 is one panel with two machine arms, have %+v", panels)
 	}
 	for _, arm := range panels[0].Arms {
-		if !strings.HasPrefix(arm.Name, "SPH-flow") || arm.Exec.Cost != "sphflow" {
+		if !strings.HasSuffix(arm.Name, "/sphflow") || arm.Exec.Cost != "sphflow" {
 			t.Errorf("arm %q exec %+v", arm.Name, arm.Exec)
 		}
 		// MPI-only: ranks == cores.

@@ -27,8 +27,8 @@ var GoCatcher = &Analyzer{
 }
 
 // goCatcherScope is the set of package names under the analyzer's
-// contract: the compute fan-outs (par, tree, sph, gravity, simmpi, core,
-// sched) and the serving layer that launches workers and collectors.
+// contract: the compute fan-outs (par, tree, sph, gravity, simmpi, core)
+// and the serving layer that launches workers and collectors.
 var goCatcherScope = map[string]bool{
 	"par":     true,
 	"tree":    true,
@@ -36,7 +36,6 @@ var goCatcherScope = map[string]bool{
 	"gravity": true,
 	"simmpi":  true,
 	"core":    true,
-	"sched":   true,
 	"server":  true,
 }
 

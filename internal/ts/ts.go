@@ -141,16 +141,3 @@ func (c *Controller) Step(ps *part.Set, vsig float64) float64 {
 		return minDT
 	}
 }
-
-// ActiveRungs returns, for Individual mode, which rungs are active at
-// sub-step k of 2^MaxRung: rung r is active when k is a multiple of
-// 2^(MaxRung-r). Sub-step 0 activates everything.
-func ActiveRungs(k int, maxRung int8) func(rung int8) bool {
-	return func(rung int8) bool {
-		period := 1 << uint(maxRung-rung)
-		return k%period == 0
-	}
-}
-
-// SubStepsPerBase returns how many smallest sub-steps compose one base step.
-func SubStepsPerBase(maxRung int8) int { return 1 << uint(maxRung) }

@@ -107,29 +107,6 @@ func TestDegenerateStateFallback(t *testing.T) {
 	}
 }
 
-func TestActiveRungs(t *testing.T) {
-	active := ActiveRungs(0, 3)
-	for r := int8(0); r <= 3; r++ {
-		if !active(r) {
-			t.Fatalf("rung %d inactive at sub-step 0", r)
-		}
-	}
-	active = ActiveRungs(1, 3)
-	if active(0) || active(1) || active(2) {
-		t.Fatal("coarse rungs active at odd sub-step")
-	}
-	if !active(3) {
-		t.Fatal("finest rung inactive at sub-step 1")
-	}
-	active = ActiveRungs(4, 3)
-	if !active(1) || active(0) {
-		t.Fatalf("sub-step 4 of 8: want rung1 active, rung0 inactive")
-	}
-	if SubStepsPerBase(3) != 8 {
-		t.Fatalf("SubStepsPerBase(3) = %d", SubStepsPerBase(3))
-	}
-}
-
 func TestModeString(t *testing.T) {
 	for _, m := range []Mode{Global, Individual, Adaptive, Mode(9)} {
 		if m.String() == "" {
