@@ -1,40 +1,41 @@
-// Command sphexa runs a single SPH-EXA mini-app simulation on the local
-// machine: one of the paper's test cases (or a Sedov blast, Sod tube, ...),
-// with any kernel/gradient/volume-element/time-stepping combination from
-// Table 2, optional checkpoint/restart, and silent-data-corruption
-// detection. The run executes through the same chunked checkpoint/resume
-// loop as the job server (internal/runloop), so SIGINT/SIGTERM interrupt
-// cleanly at a step boundary — the state is synchronized, checkpointed
-// (when enabled), and the conservation summary still prints — and
-// -restart resumes from the newest checkpoint toward the same -steps
-// total.
-//
-// With -verify, the final snapshot is scored against the scenario's
-// analytic reference solution (internal/analytic) and the quantitative
-// verification report (internal/verify) prints after the run; the exit
-// status is non-zero if the registered acceptance thresholds fail.
-//
-// With -trace-out, the run's measured wall-clock phase timeline (per-step
-// engine phases A-J plus the restore/run/checkpoint loop spans) is written
-// as Chrome trace-event JSON, loadable in Perfetto or chrome://tracing:
-//
-//	sphexa -scenario sod -n 4000 -steps 10 -trace-out sod.trace.json
-//
-// Per the mini-app design guidance the paper cites [35], the interface is a
-// handful of command-line flags; workloads come from the scenario registry
-// (internal/scenario), so every registered scenario is runnable by name:
+// Command sphexa runs a single SPH-EXA mini-app simulation: one of the
+// paper's test cases (or a Sedov blast, Sod tube, ...) from the scenario
+// registry (internal/scenario), locally or — with -server — on a running
+// sphexa-serve instance. Per the mini-app design guidance the paper cites
+// [35], the interface is a handful of command-line flags:
 //
 //	sphexa -scenario evrard -n 10000 -steps 20
 //	sphexa -scenario square -kernel wendland-c2 -gradients kd -steps 10
 //	sphexa -scenario sod -n 8000 -steps 20 -verify
 //	sphexa -scenario noh -checkpoint-dir /tmp/ck -restart
+//	sphexa -scenario sod -n 4000 -steps 10 -trace-out sod.trace.json
 //
-// With -server, the job is not run locally at all: it is submitted to a
-// running sphexa-serve instance through the reusable /v1 client
-// (pkg/client) as a typed JobSpec — -backend/-machine/-cost select the
-// execution section, -cores the modeled core count — and the CLI polls
-// progress, prints the verification rollup, and (with -verify) fetches and
-// prints the full persisted report:
+// The flags build one JobSpec for both modes. A local run goes through the
+// executor the job server runs its jobs through (internal/runloop), on the
+// shared-memory engine, so at equal chunk size (-checkpoint-every against
+// the server's) a local run and a served `-backend serial` job are the same
+// run: same final state, same verification report. The scenario supplies
+// the whole engine configuration; -kernel, -gradients, -volumes, -stepping,
+// -multipoles and -workers edit it, and only those actually given do.
+// SIGINT/SIGTERM interrupt at a step boundary — the state is synchronized,
+// checkpointed (when enabled), and the conservation summary still prints —
+// and -restart resumes from the newest checkpoint toward the same -steps.
+//
+// With -verify the final snapshot is scored against the scenario's analytic
+// reference (internal/verify) and the report prints after the run; the exit
+// status is non-zero if the registered acceptance thresholds fail. With
+// -trace-out a local run's measured wall-clock timeline (per-step engine
+// phases A-J under the restore/run/checkpoint/verify lifecycle) is written
+// as Chrome trace-event JSON for Perfetto or chrome://tracing, assembled
+// from the run's telemetry track exactly as GET /v1/jobs/{id}/trace
+// assembles a served job's — so a run of more than 256 steps is downsampled
+// the same way.
+//
+// With -server the job is submitted through the /v1 client (pkg/client) —
+// -backend/-machine/-cost select the execution section, -cores the modeled
+// core count; the engine flags are ignored — and the CLI polls progress,
+// prints the verification rollup, and (with -verify) fetches and prints the
+// full persisted report:
 //
 //	sphexa -server http://localhost:8080 -scenario sod -n 8000 -steps 20 -verify
 //	sphexa -server http://localhost:8080 -scenario sod -backend serial -verify
@@ -49,8 +50,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -65,6 +64,7 @@ import (
 	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/sph"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/ts"
 	"repro/internal/verify"
@@ -72,48 +72,13 @@ import (
 )
 
 func main() {
-	var (
-		test = flag.String("scenario", "evrard",
-			"workload from the scenario registry: "+strings.Join(scenario.Names(), ", "))
-		n         = flag.Int("n", 10000, "approximate particle count")
-		steps     = flag.Int("steps", 20, "total time steps (a restored run continues to this total)")
-		kern      = flag.String("kernel", "sinc-5", "SPH kernel (m4, wendland-c2/c4/c6, sinc-<n>)")
-		gradients = flag.String("gradients", "iad", "gradient mode: iad or kd (kernel derivatives)")
-		volumes   = flag.String("volumes", "generalized", "volume elements: generalized or standard")
-		stepping  = flag.String("stepping", "global", "time stepping: global, individual, adaptive")
-		neighbors = flag.Int("neighbors", 100, "target neighbor count")
-		gravOrder = flag.String("multipoles", "quadrupole", "gravity expansion: monopole, quadrupole, hexadecapole")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker threads")
-		ckptDir   = flag.String("checkpoint-dir", "", "enable checkpointing into this directory")
-		ckptEvery = flag.Int("checkpoint-every", 5, "steps between checkpoints")
-		restart   = flag.Bool("restart", false, "restore from the newest checkpoint before running")
-		sdc       = flag.Bool("sdc", true, "run silent-data-corruption detectors every step")
-		doVerify  = flag.Bool("verify", false,
-			"score the final snapshot against the scenario's analytic reference and print the verification report; exit non-zero if the registered acceptance thresholds fail")
-		serverURL = flag.String("server", "",
-			"submit the job to a running sphexa-serve instance (base URL) through pkg/client instead of executing locally; engine flags (-kernel, -gradients, ...) are ignored remotely")
-		backend = flag.String("backend", "",
-			"execution backend of a -server job: parallel (default) or serial")
-		machine = flag.String("machine", "",
-			"modeled machine of a -server job (daint, marenostrum; empty = server default)")
-		costModel = flag.String("cost", "",
-			"parent-code cost calibration of a -server job (sphynx, changa, sphflow; empty = server default)")
-		cores     = flag.Int("cores", 0, "modeled core count of a -server job")
-		telemetry = flag.Bool("telemetry", false,
-			"tail the live step-telemetry stream of a -server job (drift, dt, watchdogs)")
-		traceOut = flag.String("trace-out", "",
-			"write the local run's measured phase timeline as Chrome trace-event "+
-				"JSON to this file (load in Perfetto or chrome://tracing)")
-	)
-	flag.StringVar(test, "test", *test, "deprecated alias for -scenario")
-	flag.Parse()
-	var err error
-	if *serverURL != "" {
-		err = runRemote(*serverURL, *test, *n, *steps, *neighbors, *cores,
-			*backend, *machine, *costModel, *doVerify, *telemetry)
-	} else {
-		err = run(*test, *n, *steps, *kern, *gradients, *volumes, *stepping,
-			*neighbors, *gravOrder, *workers, *ckptDir, *ckptEvery, *restart, *sdc, *doVerify, *traceOut)
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		if o.server != "" {
+			err = runRemote(o)
+		} else {
+			_, err = runLocal(o)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa:", err)
@@ -121,35 +86,137 @@ func main() {
 	}
 }
 
+// options is the parsed command line: the job — one JobSpec for the local
+// and the -server mode — and what surrounds running it.
+type options struct {
+	spec scenario.JobSpec
+	// edit applies the engine flags the user set to the scenario's config.
+	edit          func(*core.Config)
+	ckptDir       string
+	ckptEvery     int
+	restart, sdc  bool
+	verify        bool
+	traceOut      string
+	server        string
+	tailTelemetry bool
+}
+
+const scenarioChoice = "the scenario's choice when not given; "
+
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("sphexa", flag.ExitOnError)
+	o := &options{}
+	fs.StringVar(&o.spec.Scenario, "scenario", "evrard",
+		"workload from the scenario registry: "+strings.Join(scenario.Names(), ", "))
+	fs.IntVar(&o.spec.Params.N, "n", 10000, "approximate particle count")
+	fs.IntVar(&o.spec.Params.NNeighbors, "neighbors", 100, "target neighbor count")
+	fs.IntVar(&o.spec.Steps, "steps", 20, "total time steps (a restored run continues to this total)")
+	fs.String("kernel", "", scenarioChoice+"SPH kernel (m4, wendland-c2/c4/c6, sinc-<n>)")
+	fs.String("gradients", "", scenarioChoice+"gradient mode: iad or kd (kernel derivatives)")
+	fs.String("volumes", "", scenarioChoice+"volume elements: generalized or standard")
+	fs.String("stepping", "", scenarioChoice+"time stepping: global, individual, adaptive")
+	fs.String("multipoles", "", scenarioChoice+"gravity expansion: monopole, quadrupole, hexadecapole")
+	fs.Int("workers", 0, "worker threads (all cores when not given)")
+	fs.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable checkpointing into this directory")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", 5, "steps between checkpoints")
+	fs.BoolVar(&o.restart, "restart", false, "restore from the newest checkpoint before running")
+	fs.BoolVar(&o.sdc, "sdc", true, "run silent-data-corruption detectors every step")
+	fs.BoolVar(&o.verify, "verify", false,
+		"score the final snapshot against the scenario's analytic reference and print the verification report; exit non-zero if the registered acceptance thresholds fail")
+	fs.StringVar(&o.server, "server", "",
+		"submit the job to a running sphexa-serve instance (base URL) through pkg/client instead of executing locally; engine flags (-kernel, -gradients, ...) are ignored remotely")
+	fs.StringVar(&o.spec.Exec.Backend, "backend", "",
+		"execution backend of a -server job: parallel (default) or serial")
+	fs.StringVar(&o.spec.Exec.Machine, "machine", "",
+		"modeled machine of a -server job (daint, marenostrum; empty = server default)")
+	fs.StringVar(&o.spec.Exec.Cost, "cost", "",
+		"parent-code cost calibration of a -server job (sphynx, changa, sphflow; empty = server default)")
+	fs.IntVar(&o.spec.Cores, "cores", 0, "modeled core count of a -server job")
+	fs.BoolVar(&o.tailTelemetry, "telemetry", false,
+		"tail the live step-telemetry stream of a -server job (drift, dt, watchdogs)")
+	fs.StringVar(&o.traceOut, "trace-out", "",
+		"write the local run's measured phase timeline as Chrome trace-event "+
+			"JSON to this file (load in Perfetto or chrome://tracing)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag has already exited
+
+	var edits []func(*core.Config)
+	var errs []error
+	fs.Visit(func(f *flag.Flag) {
+		edit, err := engineFlag(f.Name, f.Value.String())
+		edits, errs = append(edits, edit), append(errs, err)
+	})
+	o.edit = func(cfg *core.Config) {
+		for _, edit := range edits {
+			if edit != nil {
+				edit(cfg)
+			}
+		}
+	}
+	return o, errors.Join(errs...)
+}
+
+// The spellings of the enumerated engine flags.
+var (
+	gradientModes = map[string]sph.GradientMode{
+		"iad": sph.IAD, "kd": sph.KernelDerivatives, "kernel-derivatives": sph.KernelDerivatives}
+	volumeModes   = map[string]sph.VolumeMode{"generalized": sph.GeneralizedVolume, "standard": sph.StandardVolume}
+	steppingModes = map[string]ts.Mode{"global": ts.Global, "individual": ts.Individual, "adaptive": ts.Adaptive}
+	multipoles    = map[string]gravity.Order{
+		"monopole": gravity.Monopole, "quadrupole": gravity.Quadrupole, "hexadecapole": gravity.Hexadecapole}
+)
+
+func choice[T any](flagName, v string, spellings map[string]T) (T, error) {
+	x, ok := spellings[v]
+	if !ok {
+		return x, fmt.Errorf("unknown -%s %q", flagName, v)
+	}
+	return x, nil
+}
+
+// engineFlag turns one engine flag the user set into its edit of the
+// scenario's config; any other flag yields no edit.
+func engineFlag(name, v string) (func(*core.Config), error) {
+	switch name {
+	case "kernel":
+		k, err := kernel.New(v)
+		return func(c *core.Config) { c.SPH.Kernel = k }, err
+	case "gradients":
+		g, err := choice(name, v, gradientModes)
+		return func(c *core.Config) { c.SPH.Gradients = g }, err
+	case "volumes":
+		vol, err := choice(name, v, volumeModes)
+		return func(c *core.Config) { c.SPH.Volumes = vol }, err
+	case "stepping":
+		m, err := choice(name, v, steppingModes)
+		return func(c *core.Config) { c.Stepping = m }, err
+	case "multipoles":
+		order, err := choice(name, v, multipoles)
+		return func(c *core.Config) { c.GravOrder = order }, err
+	case "workers":
+		n, err := strconv.Atoi(v)
+		return func(c *core.Config) { c.SPH.Workers = n }, err
+	}
+	return nil, nil
+}
+
 // runRemote submits the job to a sphexa-serve instance as a typed /v1
 // JobSpec and follows it to completion through the shared client — either
 // by polling progress or, with -telemetry, by tailing the live SSE
 // flight-recorder stream (per-step conservation drift, dt, and the physics
 // watchdog rollup).
-func runRemote(base, test string, n, steps, neighbors, cores int,
-	backend, machine, costModel string, doVerify, telemetry bool) error {
-
+func runRemote(o *options) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	c := client.New(base)
+	c := client.New(o.server)
 
-	spec := scenario.JobSpec{
-		Spec: scenario.Spec{
-			Scenario: test,
-			Params:   scenario.Params{N: n, NNeighbors: neighbors},
-			Steps:    steps,
-			Cores:    cores,
-		},
-		Exec: scenario.Exec{Backend: backend, Machine: machine, Cost: costModel},
-	}
-	job, err := c.Submit(ctx, spec)
+	job, err := c.Submit(ctx, o.spec)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("sphexa: submitted %s to %s (job %s, hash %.12s, cacheHit=%v)\n",
-		test, base, job.ID, job.Hash, job.CacheHit)
+		o.spec.Scenario, o.server, job.ID, job.Hash, job.CacheHit)
 
-	if telemetry && !job.Terminal() {
+	if o.tailTelemetry && !job.Terminal() {
 		// Tail the flight recorder: one line per new sample, watchdog
 		// rollup changes flagged as they happen. The stream survives
 		// kill-requeues and ends on the terminal frame.
@@ -197,7 +264,7 @@ func runRemote(base, test string, n, steps, neighbors, cores int,
 	if v := job.Verify; v != nil {
 		fmt.Printf("verify rollup: reference=%s pass=%v l1Density=%.4g\n", v.Reference, v.Pass, v.L1Density)
 	}
-	if doVerify {
+	if o.verify {
 		rep, err := c.Metrics(ctx, job.ID)
 		if err != nil {
 			return err
@@ -210,293 +277,130 @@ func runRemote(base, test string, n, steps, neighbors, cores int,
 	return nil
 }
 
-func run(test string, n, steps int, kern, gradients, volumes, stepping string,
-	neighbors int, gravOrder string, workers int, ckptDir string, ckptEvery int,
-	restart, sdc, doVerify bool, traceOut string) error {
-
-	k, err := kernel.New(kern)
+// runLocal runs the job on this machine, on the shared-memory engine
+// (-backend, -machine, -cost and -cores describe a -server job), through
+// the executor the job server uses.
+func runLocal(o *options) (runloop.Result, error) {
+	spec := o.spec
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	spec, err := spec.Canonical()
 	if err != nil {
-		return err
+		return runloop.Result{}, err
 	}
-	params := sph.Params{
-		Kernel:     k,
-		NNeighbors: neighbors,
-		Workers:    workers,
-	}
-	switch gradients {
-	case "iad":
-		params.Gradients = sph.IAD
-	case "kd", "kernel-derivatives":
-		params.Gradients = sph.KernelDerivatives
-	default:
-		return fmt.Errorf("unknown -gradients %q", gradients)
-	}
-	switch volumes {
-	case "generalized":
-		params.Volumes = sph.GeneralizedVolume
-	case "standard":
-		params.Volumes = sph.StandardVolume
-	default:
-		return fmt.Errorf("unknown -volumes %q", volumes)
-	}
-
-	cfg := core.Config{SPH: params}
-	switch stepping {
-	case "global":
-		cfg.Stepping = ts.Global
-	case "individual":
-		cfg.Stepping = ts.Individual
-	case "adaptive":
-		cfg.Stepping = ts.Adaptive
-	default:
-		return fmt.Errorf("unknown -stepping %q", stepping)
-	}
-	switch gravOrder {
-	case "monopole":
-		cfg.GravOrder = gravity.Monopole
-	case "quadrupole":
-		cfg.GravOrder = gravity.Quadrupole
-	case "hexadecapole":
-		cfg.GravOrder = gravity.Hexadecapole
-	default:
-		return fmt.Errorf("unknown -multipoles %q", gravOrder)
-	}
-
-	// Registry dispatch: the scenario supplies the particle set and its
-	// required physics (EOS, gravity, boundaries); the engine flags above
-	// override the numerics.
-	sc, err := scenario.Get(test)
-	if err != nil {
-		return err
-	}
-	rp, err := sc.Resolve(scenario.Params{N: n, NNeighbors: neighbors})
-	if err != nil {
-		return err
-	}
-	set, scCfg, err := sc.Build(rp)
-	if err != nil {
-		return err
-	}
-	cfg.SPH.PBC, cfg.SPH.Box = scCfg.SPH.PBC, scCfg.SPH.Box
-	cfg.SPH.EOS = scCfg.SPH.EOS
-	cfg.Gravity = scCfg.Gravity
-	if cfg.Gravity {
-		cfg.Theta, cfg.Eps, cfg.G = scCfg.Theta, scCfg.Eps, scCfg.G
-	}
-	// Conservation reference for -verify: the freshly generated t=0 state
-	// (before any checkpoint restore replaces it).
-	initialState := conserve.Measure(set, nil)
-
 	var ck *ft.Checkpointer
-	if ckptDir != "" {
-		ck = ft.NewTwoLevel(ckptDir)
+	chunkSteps := 0 // without a checkpoint directory the run is one chunk
+	if o.ckptDir != "" {
+		ck, chunkSteps = ft.NewTwoLevel(o.ckptDir), o.ckptEvery
 	}
 
 	// SIGINT/SIGTERM cancel the run cooperatively at the next step
-	// boundary; per-step work (printing, SDC detection) rides the OnStep
-	// hook and aborts through the same cancellation path.
+	// boundary; an SDC trip aborts through the same cancellation path.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	runCtx, abort := context.WithCancelCause(sigCtx)
 	defer abort(nil)
 
-	var sim *core.Sim
-	var ref conserve.State
+	rec := telemetry.NewRecorder(telemetry.Config{})
+	var first, last conserve.State
 	var suite *ft.Suite
-	var traceSteps []trace.SerialStep
 	armed := false
-
-	fmt.Printf("sphexa: %s, %d particles, kernel=%s gradients=%s volumes=%s stepping=%s\n",
-		test, set.NLocal, kern, gradients, volumes, stepping)
-	fmt.Printf("%6s %14s %14s %14s %14s %14s\n", "step", "dt", "t", "E_total", "E_kin", "mean nbrs")
-
-	// One chunk = one shared-memory engine run of up to checkpoint-every
-	// steps; the shared loop (internal/runloop) handles restore and
-	// interim checkpoints — the same path the job server recovers through.
-	chunk := func(ctx context.Context, ps *part.Set, base runloop.Base, steps int) (runloop.ChunkResult, error) {
-		if sim == nil {
-			var err error
-			sim, err = core.New(cfg, ps)
-			if err != nil {
-				return runloop.ChunkResult{}, err
-			}
-			sim.StepN, sim.T = base.Step, base.Time
-			sim.Ctx = ctx
-			sim.OnStep = func(info core.StepInfo) {
-				st := sim.Conservation()
-				fmt.Printf("%6d %14.6e %14.6e %14.6e %14.6e %14.1f\n",
-					info.Step, info.DT, info.Time, st.Total(), st.Kinetic, info.MeanNeighbors)
-				if traceOut != "" {
-					traceSteps = append(traceSteps, serialTraceStep(info))
-				}
-				if !armed {
-					// Arm detectors after the first step: the gravitational
-					// potential diagnostic only exists once forces have been
-					// evaluated, so earlier totals are not comparable.
-					armed = true
-					ref = st
-					if sdc {
-						suite = &ft.Suite{Detectors: []ft.Detector{
-							ft.StructuralDetector{},
-							&ft.ConservationDetector{Ref: ref, Tolerance: 0.2},
-						}}
-					}
-				}
-				if suite != nil {
-					if v := suite.Check(sim.PS, st); v.Corrupted {
-						abort(fmt.Errorf("SDC detector %q tripped at step %d: %s", v.Detector, info.Step, v.Detail))
-					}
-				}
-			}
-		}
-		startT := sim.T
-		_, runErr := sim.Run(steps, 0)
-		cancelled := runErr != nil && ctx.Err() != nil
-		if runErr != nil && !cancelled {
-			return runloop.ChunkResult{}, runErr
-		}
-		if ck != nil || cancelled {
-			// The loop checkpoints chunk-boundary states, and an
-			// interrupted state is checkpointed below; either way the KDK
-			// half-kick must be completed first.
-			sim.Synchronize()
-		}
-		return runloop.ChunkResult{
-			PS:        sim.PS,
-			Steps:     sim.StepN - base.Step,
-			SimTime:   sim.T - startT,
-			Cancelled: cancelled,
-		}, nil
-	}
-
-	chunkSteps := 0
-	if ck != nil && ckptEvery > 0 {
-		chunkSteps = ckptEvery
-	}
-	res, err := runloop.Run(runloop.Options{
+	res, err := runloop.Execute(spec, runloop.Env{
 		Ctx:          runCtx,
 		Checkpointer: ck,
-		Resume:       restart,
-		MustResume:   restart,
-		TotalSteps:   steps,
 		ChunkSteps:   chunkSteps,
+		Resume:       o.restart,
+		MustResume:   o.restart,
+		Recorder:     rec,
+		Configure: func(cfg *core.Config, ps *part.Set) {
+			o.edit(cfg)
+			fmt.Printf("sphexa: %s, %d particles, kernel=%s gradients=%s volumes=%s stepping=%s\n",
+				spec.Scenario, ps.NLocal, cfg.SPH.Kernel.Name(), cfg.SPH.Gradients, cfg.SPH.Volumes, cfg.Stepping)
+			fmt.Printf("%6s %14s %14s %14s %14s %14s\n", "step", "dt", "t", "E_total", "E_kin", "mean nbrs")
+		},
 		OnRestore: func(step int, simTime float64) {
 			fmt.Printf("restored checkpoint: step %d, t=%.6f\n", step, simTime)
 		},
-	}, set, chunk)
+		OnStep: func(rep core.StepReport, st conserve.State, ps *part.Set) {
+			fmt.Printf("%6d %14.6e %14.6e %14.6e %14.6e %14.1f\n",
+				rep.Step, rep.DT, rep.Time, st.Total(), st.Kinetic, rep.MeanNeighbors)
+			last = st
+			if !armed {
+				// Arm detectors after the first step: the gravitational
+				// potential diagnostic only exists once forces have been
+				// evaluated, so earlier totals are not comparable.
+				armed = true
+				first = st
+				if o.sdc {
+					suite = &ft.Suite{Detectors: []ft.Detector{
+						ft.StructuralDetector{},
+						&ft.ConservationDetector{Ref: first, Tolerance: 0.2},
+					}}
+				}
+			}
+			if suite != nil {
+				if v := suite.Check(ps, st); v.Corrupted {
+					abort(fmt.Errorf("SDC detector %q tripped at step %d: %s", v.Detector, rep.Step, v.Detail))
+				}
+			}
+		},
+	})
 	if err != nil {
-		return err
+		return res, err
 	}
 
-	switch {
+	switch cause := context.Cause(runCtx); {
 	case res.Cancelled && sigCtx.Err() != nil:
-		// Signal interruption: the chunk synchronized the boundary state;
-		// checkpoint it and exit cleanly. A step-0 state is not worth a
-		// checkpoint (and -restart rejects one): rerunning from scratch
-		// loses nothing.
+		// Signal interruption: the executor synchronized the state it
+		// stopped at; checkpoint it and exit cleanly. A step-0 state is not
+		// worth a checkpoint (and -restart rejects one): rerunning from
+		// scratch loses nothing.
 		if ck != nil && res.Steps > 0 {
 			if err := ck.Write(0, res.Steps, res.SimTime, res.PS); err != nil {
-				return fmt.Errorf("checkpoint on interrupt: %w", err)
+				return res, fmt.Errorf("checkpoint on interrupt: %w", err)
 			}
 			fmt.Printf("interrupted at step %d (t=%.6f); checkpoint written, resume with -restart\n",
 				res.Steps, res.SimTime)
 		} else {
 			fmt.Printf("interrupted at step %d (t=%.6f)\n", res.Steps, res.SimTime)
 		}
+	case cause != nil && !errors.Is(cause, context.Canceled):
+		// An SDC trip — also one raised on the final step, which has no
+		// next step boundary for the run to observe and must not exit 0.
+		return res, cause
 	case res.Cancelled:
-		// SDC trip or another programmatic abort.
-		if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
-			return cause
-		}
-		return fmt.Errorf("run cancelled at step %d", res.Steps)
-	default:
-		// An abort raised by OnStep on the final step has no next step
-		// boundary for Run to observe; surface its cause here so a
-		// last-step SDC trip cannot exit 0.
-		if cause := context.Cause(runCtx); cause != nil && !errors.Is(cause, context.Canceled) {
-			return cause
-		}
+		return res, fmt.Errorf("run cancelled at step %d", res.Steps)
 	}
 	if armed {
-		drift := conserve.Compare(ref, sim.Conservation())
-		fmt.Printf("conservation drift over run: %s\n", drift)
+		// The table's last row against its first: the per-step states the
+		// served telemetry track samples too.
+		fmt.Printf("conservation drift over run: %s\n", conserve.Compare(first, last))
 	}
-
-	if traceOut != "" && !res.Cancelled {
-		if err := writeLocalTrace(traceOut, test, steps, res, traceSteps); err != nil {
-			return fmt.Errorf("writing -trace-out: %w", err)
+	if res.Cancelled {
+		return res, nil
+	}
+	if o.traceOut != "" {
+		m := runloop.Measured(rec.TrackSnapshot(), res.Timing, res.Phases.Phases)
+		b, err := json.Marshal(m.Document(map[string]string{
+			"scenario": spec.Scenario,
+			"steps":    strconv.Itoa(spec.Steps),
+			"backend":  "serial",
+			"source":   "local",
+		}, &trace.POPComparison{Measured: m.Metrics.Report()}))
+		if err == nil {
+			err = os.WriteFile(o.traceOut, b, 0o644)
 		}
-		fmt.Printf("measured trace written: %s (open in Perfetto or chrome://tracing)\n", traceOut)
-	}
-
-	if doVerify && !res.Cancelled {
-		sol, err := sc.BuildReference(rp)
 		if err != nil {
-			return fmt.Errorf("building analytic reference: %w", err)
+			return res, fmt.Errorf("writing -trace-out: %w", err)
 		}
-		rep := verify.Evaluate(verify.Input{
-			Scenario:    test,
-			PS:          res.PS,
-			SimTime:     res.SimTime,
-			Solution:    sol,
-			EOS:         cfg.SPH.EOS,
-			Thresholds:  sc.Accept,
-			Initial:     initialState,
-			HaveInitial: true,
-		})
-		printReport(rep)
-		if !rep.Pass {
-			return fmt.Errorf("verification failed: %s", failedChecks(rep))
+		fmt.Printf("measured trace written: %s (open in Perfetto or chrome://tracing)\n", o.traceOut)
+	}
+	if o.verify {
+		printReport(res.Report)
+		if !res.Report.Pass {
+			return res, fmt.Errorf("verification failed: %s", failedChecks(res.Report))
 		}
 	}
-	return nil
-}
-
-// serialTraceStep records one engine step's wall-clock phase breakdown for
-// -trace-out. Phase IDs are the paper's single letters A..J, which sort to
-// execution order.
-func serialTraceStep(info core.StepInfo) trace.SerialStep {
-	ids := make([]string, 0, len(info.PhaseSeconds))
-	for ph := range info.PhaseSeconds {
-		ids = append(ids, string(ph))
-	}
-	sort.Strings(ids)
-	st := trace.SerialStep{Step: info.Step}
-	for _, ph := range ids {
-		st.Phases = append(st.Phases, trace.PhaseSpan{
-			Phase: ph, Seconds: info.PhaseSeconds[core.PhaseID(ph)],
-		})
-	}
-	return st
-}
-
-// writeLocalTrace assembles the measured per-step phase record and the run
-// loop's wall-clock lifecycle (restore, run, checkpoint) into a
-// Perfetto-loadable Chrome trace-event document — the same reassembly a
-// completed server job exports at GET /v1/jobs/{id}/trace.
-func writeLocalTrace(path, test string, totalSteps int, res runloop.Result, steps []trace.SerialStep) error {
-	var lc []trace.LifecycleSpan
-	offset := 0.0
-	if res.Phases.Restore > 0 {
-		lc = append(lc, trace.LifecycleSpan{Name: "restore", Seconds: res.Phases.Restore})
-		offset += res.Phases.Restore
-	}
-	lc = append(lc, trace.LifecycleSpan{Name: "run", Seconds: res.Phases.Run})
-	if res.Phases.Checkpoint > 0 {
-		lc = append(lc, trace.LifecycleSpan{Name: "checkpoint", Seconds: res.Phases.Checkpoint})
-	}
-	m := trace.BuildMeasured(trace.MeasuredInput{Serial: steps, Lifecycle: lc, Offset: offset})
-	doc := m.Document(map[string]string{
-		"scenario": test,
-		"steps":    strconv.Itoa(totalSteps),
-		"backend":  "serial",
-		"source":   "local",
-	}, &trace.POPComparison{Measured: m.Metrics.Report()})
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
+	return res, nil
 }
 
 // printReport renders the verification report for terminal consumption.

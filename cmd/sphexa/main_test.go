@@ -1,0 +1,138 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/part"
+	"repro/internal/runloop"
+	"repro/internal/scenario"
+	"repro/internal/server"
+	"repro/internal/sph"
+	"repro/internal/telemetry"
+)
+
+// local runs the command line through the local path.
+func local(t *testing.T, args ...string) (runloop.Result, scenario.JobSpec) {
+	t.Helper()
+	o, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runLocal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := o.spec
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	return res, spec
+}
+
+// served runs the spec as a job of an in-process server with the default
+// checkpoint interval (10 steps; the local runs below have no checkpoint
+// directory and at most 10 steps, so both sides run one chunk) and returns
+// its persisted report without the trailing wall-clock spans, and its
+// snapshot.
+func served(t *testing.T, spec scenario.JobSpec) ([]byte, *part.Set) {
+	t.Helper()
+	s := server.New(server.Options{Workers: 1})
+	defer s.Close()
+	view, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, _ := s.Done(view.ID)
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("served job did not finish")
+	}
+	report, ok := s.Metrics(view.ID)
+	if !ok || report == nil {
+		final, _ := s.Get(view.ID)
+		t.Fatalf("served job has no report: %+v", final)
+	}
+	i := bytes.LastIndex(report, []byte(`,"spans":`))
+	if i < 0 {
+		t.Fatalf("persisted report has no spans member: %s", report)
+	}
+	raw, ok := s.Snapshot(view.ID)
+	if !ok {
+		t.Fatal("served job has no snapshot")
+	}
+	ps := part.New(0)
+	if _, err := ps.ReadFrom(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	return append(report[:i:i], '}'), ps
+}
+
+// TestLocalVerifiesTheStateTheServerVerifies: the CI smoke's spec, run
+// locally, yields the report the executor yields and a served serial job
+// persists — scored on the synchronized final state, not on the staggered
+// one a bare Sim.Run leaves.
+func TestLocalVerifiesTheStateTheServerVerifies(t *testing.T) {
+	res, spec := local(t, "-scenario", "sod", "-n", "1000", "-steps", "10", "-neighbors", "30")
+
+	canonical, err := spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := runloop.Execute(canonical, runloop.Env{Recorder: telemetry.NewRecorder(telemetry.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Report, direct.Report) {
+		t.Errorf("local report differs from the executor's:\nlocal:    %+v\nexecutor: %+v", res.Report, direct.Report)
+	}
+
+	got, err := json.Marshal(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ps := served(t, spec)
+	if !bytes.Equal(got, want) {
+		t.Errorf("local report differs from the served serial job's:\nlocal:  %s\nserved: %s", got, want)
+	}
+	if res.PS.Checksum() != ps.Checksum() {
+		t.Errorf("local final state %016x, served %016x", res.PS.Checksum(), ps.Checksum())
+	}
+}
+
+// TestUnsetEngineFlagsInheritScenario: `sphexa -scenario evrard` is the run
+// a served evrard job is (the scenario's multipole order, not a flag
+// default's), and the engine flags that are given still override.
+func TestUnsetEngineFlagsInheritScenario(t *testing.T) {
+	args := []string{"-scenario", "evrard", "-n", "500", "-steps", "3", "-neighbors", "30"}
+	res, spec := local(t, args...)
+	_, ps := served(t, spec)
+	if res.PS.Checksum() != ps.Checksum() {
+		t.Errorf("local final state %016x, served %016x", res.PS.Checksum(), ps.Checksum())
+	}
+
+	o, err := parseFlags(append(args, "-kernel", "wendland-c2", "-gradients", "kd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Get("evrard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cfg, err := sc.Generate(o.spec.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg
+	o.edit(&cfg)
+	if cfg.SPH.Kernel.Name() != "wendland-c2" || cfg.SPH.Gradients != sph.KernelDerivatives {
+		t.Errorf("kernel=%s gradients=%s after -kernel wendland-c2 -gradients kd",
+			cfg.SPH.Kernel.Name(), cfg.SPH.Gradients)
+	}
+	want.SPH.Kernel, want.SPH.Gradients = cfg.SPH.Kernel, cfg.SPH.Gradients
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("flags that were not given edited the scenario's config:\ngot  %+v\nwant %+v", cfg, want)
+	}
+}

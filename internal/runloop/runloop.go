@@ -1,159 +1,378 @@
-// Package runloop is the shared chunked checkpoint/resume execution loop
-// of the mini-app: restore from the newest checkpoint, run the engine in
-// chunks of the checkpoint interval, write a checkpoint between chunks,
-// and stop cleanly at a chunk boundary on cancellation. The job server
-// (internal/server) and the CLI (cmd/sphexa) both route their runs through
-// it, so crash recovery, -restart, and SIGINT interruption share one code
-// path regardless of which engine executes the chunk.
+// Package runloop is the job executor of the mini-app: Execute takes a
+// canonical scenario.JobSpec to a verified result — scenario lookup and
+// generation, the t=0 conservation reference, the execution shape, restore
+// from the newest checkpoint, one of the two engines driven in chunks of the
+// checkpoint interval with a checkpoint between chunks and a clean stop at a
+// step boundary on cancellation, one flight-recorder sample per step, and
+// verify.Evaluate on the final state. The job server (internal/server) and
+// the CLI (cmd/sphexa) both run through it, so a report is a function of the
+// spec and the chunk size, not of the binary that produced it.
 package runloop
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
+	"repro/internal/codes"
+	"repro/internal/conserve"
 	"repro/internal/core"
+	"repro/internal/domain"
 	"repro/internal/ft"
+	"repro/internal/obs"
 	"repro/internal/part"
+	"repro/internal/perfmodel"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
-// Base is the global position a chunk starts from: completed steps and
+// The wall-clock phases of Result.Phases, in the order a run enters them.
+const (
+	PhaseRestore    = "restore"
+	PhaseRun        = "run"
+	PhaseCheckpoint = "checkpoint"
+	PhaseVerify     = "verify"
+)
+
+// Env is what the caller owns around one execution.
+type Env struct {
+	// Ctx cancels the run cooperatively at the next step boundary; nil
+	// never cancels.
+	Ctx context.Context
+	// Clock is the time source of Result.Phases; nil means time.Now.
+	Clock func() time.Time
+	// Machine and Cost are the modeled machine and phase-rate calibration
+	// of a distributed run whose spec names none.
+	Machine *perfmodel.Machine
+	Cost    core.CodeCost
+	// Configure, when non-nil, sees the generated workload once, before the
+	// engine is built, and may edit its config (the CLI's engine flags).
+	Configure func(cfg *core.Config, ps *part.Set)
+	// Checkpointer persists the state between chunks of ChunkSteps steps
+	// (<= 0: one monolithic chunk); nil disables checkpointing and resume.
+	Checkpointer *ft.Checkpointer
+	ChunkSteps   int
+	// Resume restores the newest checkpoint before running; MustResume
+	// makes a failed restore an error instead of a fresh start (-restart).
+	Resume, MustResume bool
+	// OnRestore observes a successful restore before the first chunk runs.
+	OnRestore func(step int, simTime float64)
+	// Recorder receives one sample per completed step. It outlives the
+	// execution: every chunk truncates it to the chunk's base step before
+	// re-feeding, so a killed and resumed run's track equals an
+	// uninterrupted one's.
+	Recorder *telemetry.Recorder
+	// FaultInjection, when non-nil, is called after every serial-backend
+	// step, before the step is measured, with the 1-based step and the
+	// live particle state — a hook for corrupting it.
+	FaultInjection func(step int, ps *part.Set)
+	// OnStep, when non-nil, observes every completed step before its sample
+	// is recorded: the report (zero-based step and time from the start of
+	// the job), the conserved state after the step, and the live particle
+	// state. That is nil on the distributed backend, where no rank holds the
+	// whole set and the hook runs on a rank goroutine while other ranks may
+	// still be working: it must be fast and must not call back into the run.
+	OnStep func(rep core.StepReport, cons conserve.State, ps *part.Set)
+}
+
+// Result is the outcome of one execution.
+type Result struct {
+	// PS is the final particle state, synchronized — at the step the run
+	// stopped at when Cancelled, which leaves it to the caller to
+	// checkpoint, requeue, or surface the interruption.
+	PS        *part.Set
+	Cancelled bool
+	// Steps counts completed steps including restored ones; SimTime is the
+	// matching simulation time.
+	Steps   int
+	SimTime float64
+	// Timing accumulates the chunks' modeled per-phase timing; nil on the
+	// serial backend. Restored steps contribute nothing (their timing was
+	// spent by the run that checkpointed them).
+	Timing *core.RunTiming
+	// Report scores the final state; nil unless the run completed.
+	Report *verify.Report
+	// Phases is the wall-clock lifecycle of this execution: restore, run,
+	// checkpoint, verify. Restore and checkpoint are left out when they
+	// took no time (a run with no checkpointer never enters them).
+	Phases obs.SpanSet
+}
+
+// Execute runs the canonical spec to completion, cancellation, or an error.
+func Execute(spec scenario.JobSpec, env Env) (Result, error) {
+	sc, err := scenario.Get(spec.Scenario)
+	if err != nil {
+		return Result{}, err
+	}
+	ps, cfg, err := sc.Generate(spec.Params)
+	if err != nil {
+		return Result{}, err
+	}
+	if env.Configure != nil {
+		env.Configure(&cfg, ps)
+	}
+	// The conservation reference of the drift series and of the report is
+	// the generated t=0 state, before any checkpoint restore replaces it.
+	x := &execution{env: env, spec: spec, cfg: cfg, initial: conserve.Measure(ps, nil)}
+	var run chunk
+	if spec.Exec.Backend == scenario.BackendSerial {
+		run = x.serial()
+	} else if run, err = x.distributed(); err != nil {
+		return Result{}, err
+	}
+	res, err := loop(env, spec.Steps, ps, run)
+	if err != nil || res.Cancelled {
+		return res, err
+	}
+	vspan := obs.StartSpan(PhaseVerify, env.Clock)
+	res.Report = x.evaluate(sc, res)
+	vspan.EndTo(&res.Phases)
+	return res, nil
+}
+
+// Shape resolves the execution section of a distributed job, for the run
+// and for its modeled POP prediction alike: the named machine model and
+// parent-code cost calibration, else the environment's, on at least one
+// core. Names are validated when a spec is canonicalized.
+func (env Env) Shape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine, core.CodeCost, int, error) {
+	machine, cost := env.Machine, env.Cost
+	if name := spec.Exec.Machine; name != "" {
+		m, err := perfmodel.ByName(name)
+		if err != nil {
+			return nil, cost, 0, err
+		}
+		machine = m
+	}
+	if name := spec.Exec.Cost; name != "" {
+		code, err := codes.ByName(name)
+		if err != nil {
+			return nil, cost, 0, err
+		}
+		// The two calibrated paper tests differ by the gravity phases, so
+		// the choice keys on the workload's physics, not on its name: any
+		// self-gravitating scenario gets the Evrard constants.
+		test := codes.SquarePatch
+		if cfg.Gravity {
+			test = codes.Evrard
+		}
+		cost = code.Cost(test)
+	}
+	return machine, cost, max(spec.Cores, 1), nil
+}
+
+// execution is the state both engine drivers share.
+type execution struct {
+	env     Env
+	spec    scenario.JobSpec
+	cfg     core.Config
+	initial conserve.State
+}
+
+// record publishes one completed step of either backend. phases and
+// imbalance are the backend's own: wall-clock workflow letters and 0 (not
+// sampled) when serial, modeled clock classes and max/mean rank compute
+// when distributed.
+func (x *execution) record(rep core.StepReport, cons conserve.State, ps *part.Set,
+	imbalance float64, phases map[string]float64) {
+
+	if x.env.OnStep != nil {
+		x.env.OnStep(rep, cons, ps)
+	}
+	d := conserve.Compare(x.initial, cons)
+	x.env.Recorder.Add(telemetry.Sample{
+		Step: rep.Step + 1, Time: rep.Time, DT: rep.DT,
+		MassDrift: d.Mass, MomentumDrift: d.Momentum, AngMomDrift: d.AngMom, EnergyDrift: d.Energy,
+		HMin: rep.HMin, HMax: rep.HMax,
+		NbrMin: rep.MinNeighbors, NbrMax: rep.MaxNeighbors, NbrMean: rep.MeanNeighbors,
+		Imbalance: imbalance, Phases: phases,
+	})
+}
+
+// serial drives the shared-memory engine — no simulated MPI, no machine
+// model — holding one Sim across chunks so the integration state (step
+// counter, adaptive controller) carries over.
+func (x *execution) serial() chunk {
+	var sim *core.Sim
+	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
+		x.env.Recorder.TruncateAfter(b.Step)
+		if sim == nil {
+			var err error
+			if sim, err = core.New(x.cfg, ps); err != nil {
+				return Result{}, err
+			}
+			sim.StepN, sim.T = b.Step, b.Time
+			sim.OnStep = func(info core.StepInfo) {
+				if fi := x.env.FaultInjection; fi != nil {
+					fi(info.Step+1, sim.PS)
+				}
+				phases := make(map[string]float64, len(info.PhaseSeconds))
+				for ph, v := range info.PhaseSeconds {
+					phases[string(ph)] = v
+				}
+				x.record(info.StepReport, sim.Conservation(), sim.PS, 0, phases)
+			}
+		}
+		sim.Ctx = ctx
+		startStep, startT := sim.StepN, sim.T
+		_, runErr := sim.Run(steps, 0)
+		cancelled := runErr != nil && ctx.Err() != nil
+		if runErr != nil && !cancelled {
+			return Result{}, runErr
+		}
+		sim.Synchronize()
+		return Result{
+			PS:        sim.PS,
+			Steps:     sim.StepN - startStep,
+			SimTime:   sim.T - startT,
+			Cancelled: cancelled,
+		}, nil
+	}
+}
+
+// distributed drives the simulated-MPI engine under the job's run shape:
+// one chunk is one RunParallelCapture of up to ChunkSteps steps, which
+// returns the merged, synchronized state.
+func (x *execution) distributed() (chunk, error) {
+	machine, cost, cores, err := x.env.Shape(x.spec, x.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
+		x.env.Recorder.TruncateAfter(b.Step)
+		merged, res, err := core.RunParallelCapture(core.ParallelConfig{
+			Core:         x.cfg,
+			Machine:      machine,
+			Cores:        cores,
+			RanksPerNode: x.spec.RanksPerNode,
+			Decomp:       domain.MortonSFC,
+			Cost:         cost,
+			Steps:        steps,
+			Ctx:          ctx,
+			OnSample: func(st core.StepStats) {
+				rep := st.StepReport // counts from the chunk's start
+				rep.Step += b.Step
+				rep.Time += b.Time
+				x.record(rep, st.Cons, nil, st.Imbalance, map[string]float64{
+					telemetry.PhaseCompute:    st.ComputeSeconds,
+					telemetry.PhaseHalo:       st.HaloSeconds,
+					telemetry.PhaseCollective: st.CollectiveSeconds,
+				})
+			},
+		}, ps)
+		if err != nil && (res == nil || !res.Cancelled) {
+			return Result{}, err
+		}
+		return Result{
+			PS:        merged,
+			Steps:     res.StepsCompleted,
+			SimTime:   res.SimTime,
+			Cancelled: res.Cancelled,
+			Timing:    res.Timing,
+		}, nil
+	}, nil
+}
+
+// evaluate scores a completed run against the scenario's analytic reference
+// and acceptance thresholds. A report is always produced — scenarios without
+// a reference are scored on conservation alone.
+func (x *execution) evaluate(sc *scenario.Scenario, res Result) *verify.Report {
+	sol, refErr := sc.BuildReference(x.spec.Params)
+	thr := sc.Accept
+	if v := x.spec.Verify; v != nil {
+		// The spec's verification section overrides the registered trim
+		// quantiles; it is covered by the canonical hash, so a persisted
+		// report always matches its spec.
+		if v.TrimQuantile > 0 {
+			thr.TrimQuantile = v.TrimQuantile
+		}
+		if v.TrimDensity > 0 {
+			thr.TrimQuantileDensity = v.TrimDensity
+		}
+		if v.TrimVelocity > 0 {
+			thr.TrimQuantileVelocity = v.TrimVelocity
+		}
+		if v.TrimPressure > 0 {
+			thr.TrimQuantilePressure = v.TrimPressure
+		}
+	}
+	return verify.Evaluate(verify.Input{
+		Scenario: x.spec.Scenario,
+		PS:       res.PS,
+		SimTime:  res.SimTime,
+		Solution: sol,
+		// A failed reference construction fails the report's checks, not
+		// degrades the acceptance bar to conservation-only.
+		ReferenceErr: refErr,
+		EOS:          x.cfg.SPH.EOS,
+		Thresholds:   thr,
+		Initial:      x.initial,
+		HaveInitial:  true,
+	})
+}
+
+// base is the global position a chunk starts from: completed steps and
 // accumulated simulation time.
-type Base struct {
+type base struct {
 	Step int
 	Time float64
 }
 
-// ChunkResult reports one executed chunk: the (possibly re-merged)
-// particle state, steps completed within the chunk, simulation time
-// advanced within the chunk, and whether the chunk stopped on
-// cancellation.
-type ChunkResult struct {
-	PS        *part.Set
-	Steps     int
-	SimTime   float64
-	Cancelled bool
-	// Timing is the chunk's per-phase modeled timing breakdown; engines
-	// without a machine model (the serial backend) leave it nil.
-	Timing *core.RunTiming
-}
+// chunk advances the simulation by up to `steps` steps from `ps` at `b` and
+// reports that stretch alone: the state, the steps and simulation time it
+// added, its modeled timing. It observes ctx at step boundaries and returns
+// Cancelled (not an error) when interrupted, and always a synchronized
+// state: that is what gets checkpointed, and what gets verified.
+type chunk func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error)
 
-// Chunk advances the simulation by up to `steps` steps from `ps` at
-// `base`. Implementations must observe ctx at step boundaries and return
-// Cancelled (not an error) when interrupted; the state they return must be
-// consistent — synchronized if the engine needs it — because the loop
-// checkpoints it.
-type Chunk func(ctx context.Context, ps *part.Set, base Base, steps int) (ChunkResult, error)
-
-// Options configures one loop execution.
-type Options struct {
-	// Ctx cancels the loop cooperatively; the zero value never cancels.
-	Ctx context.Context
-	// Checkpointer persists state between chunks; nil disables both
-	// checkpointing and resume.
-	Checkpointer *ft.Checkpointer
-	// Resume attempts to restore the newest checkpoint before running.
-	Resume bool
-	// MustResume makes a failed restore an error instead of a fresh start
-	// (the CLI's -restart contract).
-	MustResume bool
-	// TotalSteps is the run length including any restored steps.
-	TotalSteps int
-	// ChunkSteps is the checkpoint interval; <= 0 runs one monolithic
-	// chunk (no interim checkpoints).
-	ChunkSteps int
-	// OnRestore observes a successful checkpoint restore before the first
-	// chunk runs.
-	OnRestore func(step int, simTime float64)
-	// Clock overrides the time source of the phase breakdown (tests); nil
-	// means time.Now.
-	Clock func() time.Time
-}
-
-// PhaseSeconds is the loop's wall-clock breakdown: time spent restoring
-// the checkpoint, executing chunks, and writing interim checkpoints. It is
-// the execution half of a job's lifecycle trace (internal/obs SpanSet);
-// the server adds the queue-wait, verify, and persist phases around it.
-type PhaseSeconds struct {
-	Restore    float64 `json:"restore,omitempty"`
-	Run        float64 `json:"run"`
-	Checkpoint float64 `json:"checkpoint,omitempty"`
-}
-
-// Result is the loop outcome.
-type Result struct {
-	// PS is the final particle state (at the last completed chunk
-	// boundary when cancelled).
-	PS *part.Set
-	// Start is the step the run began from (> 0 after a restore).
-	Start int
-	// Steps counts completed steps including restored ones; SimTime is
-	// the matching simulation time.
-	Steps   int
-	SimTime float64
-	// Cancelled reports a cooperative interruption; the caller decides
-	// whether to checkpoint, requeue, or surface it.
-	Cancelled bool
-	// Restored reports that the run resumed from a checkpoint.
-	Restored bool
-	// Timing accumulates the chunks' per-phase timing breakdowns; nil when
-	// the engine reports none. Restored steps contribute nothing (their
-	// timing was spent — and recorded — by the run that checkpointed them).
-	Timing *core.RunTiming
-	// Phases is the loop's real wall-clock breakdown (as opposed to
-	// Timing's modeled clocks): restore, chunk execution, and interim
-	// checkpoint writes.
-	Phases PhaseSeconds
-}
-
-// Run executes the loop: optional restore, then chunks of ChunkSteps with
-// a checkpoint between consecutive chunks, until TotalSteps, cancellation,
-// or an error. Interim checkpoint failures are errors (a run that cannot
-// honor its durability contract must not keep computing past it).
-func Run(opts Options, ps *part.Set, chunk Chunk) (Result, error) {
-	ctx := opts.Ctx
+// loop is the chunked checkpoint/resume loop: optional restore, then chunks
+// of ChunkSteps with a checkpoint between consecutive chunks, until total
+// steps, cancellation, or an error. An interim checkpoint failure is one: a
+// run that cannot honor its durability contract must not compute past it.
+func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
+	ctx := env.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = time.Now
-	}
 	res := Result{PS: ps}
 
-	if ck := opts.Checkpointer; ck != nil && opts.Resume {
-		restoreStart := clock()
+	if ck := env.Checkpointer; ck != nil && env.Resume {
+		sp := obs.StartSpan(PhaseRestore, env.Clock)
 		restored, step, simTime, err := ck.Restore()
-		res.Phases.Restore = clock().Sub(restoreStart).Seconds()
+		if d := sp.End(); d > 0 {
+			res.Phases.Add(PhaseRestore, d)
+		}
 		switch {
-		case err == nil && step > 0 && step <= opts.TotalSteps:
-			res.PS, res.Start, res.Steps, res.SimTime = restored, step, step, simTime
-			res.Restored = true
-			if opts.OnRestore != nil {
-				opts.OnRestore(step, simTime)
+		case err == nil && step > 0 && step <= total:
+			res.PS, res.Steps, res.SimTime = restored, step, simTime
+			if env.OnRestore != nil {
+				env.OnRestore(step, simTime)
 			}
-		case opts.MustResume:
+		case env.MustResume:
 			if err == nil {
-				return res, fmt.Errorf("runloop: checkpoint at step %d unusable for a %d-step run", step, opts.TotalSteps)
+				return res, fmt.Errorf("runloop: checkpoint at step %d unusable for a %d-step run", step, total)
 			}
 			return res, fmt.Errorf("runloop: restore: %w", err)
 		}
 	}
 
-	for res.Steps < opts.TotalSteps {
+	res.Phases.AddSeconds(PhaseRun, 0)
+	for res.Steps < total {
 		select {
 		case <-ctx.Done():
 			res.Cancelled = true
 			return res, nil
 		default:
 		}
-		n := opts.TotalSteps - res.Steps
-		if opts.ChunkSteps > 0 && n > opts.ChunkSteps {
-			n = opts.ChunkSteps
+		n := total - res.Steps
+		if env.ChunkSteps > 0 && n > env.ChunkSteps {
+			n = env.ChunkSteps
 		}
-		chunkStart := clock()
-		cr, err := chunk(ctx, res.PS, Base{Step: res.Steps, Time: res.SimTime}, n)
-		res.Phases.Run += clock().Sub(chunkStart).Seconds()
+		sp := obs.StartSpan(PhaseRun, env.Clock)
+		cr, err := run(ctx, res.PS, base{Step: res.Steps, Time: res.SimTime}, n)
+		sp.EndTo(&res.Phases)
 		if err != nil && !cr.Cancelled {
 			return res, err
 		}
@@ -172,14 +391,60 @@ func Run(opts Options, ps *part.Set, chunk Chunk) (Result, error) {
 			res.Cancelled = true
 			return res, nil
 		}
-		if ck := opts.Checkpointer; ck != nil && res.Steps < opts.TotalSteps {
-			ckStart := clock()
+		if ck := env.Checkpointer; ck != nil && res.Steps < total {
+			sp := obs.StartSpan(PhaseCheckpoint, env.Clock)
 			err := ck.Write(0, res.Steps, res.SimTime, res.PS)
-			res.Phases.Checkpoint += clock().Sub(ckStart).Seconds()
+			if d := sp.End(); d > 0 {
+				res.Phases.Add(PhaseCheckpoint, d)
+			}
 			if err != nil {
 				return res, fmt.Errorf("runloop: checkpoint at step %d: %w", res.Steps, err)
 			}
 		}
 	}
 	return res, nil
+}
+
+// Measured reassembles a run's measured trace from what it leaves behind —
+// the telemetry track's per-step phase seconds, the timing record's
+// per-rank totals (nil for a serial run) and the wall-clock lifecycle — for
+// a completed job's persisted artifacts and a local run's result alike.
+func Measured(track telemetry.Track, timing *core.RunTiming, lifecycle []obs.Phase) trace.Measured {
+	in := trace.MeasuredInput{Lifecycle: lifecycle}
+	// The engine timeline starts where the run phase does: lifecycle
+	// phases recorded before it (queue-wait, restore) shift it right.
+	for _, ph := range lifecycle {
+		if ph.Name == PhaseRun {
+			break
+		}
+		in.Offset += ph.Seconds
+	}
+	if timing != nil {
+		in.Ranks = timing.PerRank
+	}
+	for _, sm := range track.Samples {
+		switch {
+		case len(sm.Phases) == 0:
+		case len(in.Ranks) > 0:
+			in.Steps = append(in.Steps, trace.StepClassSeconds{
+				Step:       sm.Step,
+				Compute:    sm.Phases[telemetry.PhaseCompute],
+				Halo:       sm.Phases[telemetry.PhaseHalo],
+				Collective: sm.Phases[telemetry.PhaseCollective],
+			})
+		default:
+			names := make([]string, 0, len(sm.Phases))
+			for ph := range sm.Phases {
+				names = append(names, ph)
+			}
+			// The engine's phase letters (A..J) sort into execution order.
+			sort.Strings(names)
+			st := trace.SerialStep{Step: sm.Step}
+			for _, ph := range names {
+				st.Phases = append(st.Phases, trace.PhaseSpan{Phase: ph, Seconds: sm.Phases[ph]})
+			}
+			in.Serial = append(in.Serial, st)
+		}
+	}
+	return trace.BuildMeasured(in)
 }

@@ -13,12 +13,12 @@ import (
 // fakeChunk advances a counter instead of a simulation: each "step" costs
 // 0.5 time units, and the particle state's first ID records the step count
 // so checkpoints are distinguishable.
-func fakeChunk(t *testing.T, calls *[]Base) Chunk {
-	return func(ctx context.Context, ps *part.Set, base Base, steps int) (ChunkResult, error) {
-		*calls = append(*calls, base)
+func fakeChunk(t *testing.T, calls *[]base) chunk {
+	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
+		*calls = append(*calls, b)
 		out := ps.Clone()
-		out.ID[0] = int64(base.Step + steps)
-		return ChunkResult{PS: out, Steps: steps, SimTime: 0.5 * float64(steps)}, nil
+		out.ID[0] = int64(b.Step + steps)
+		return Result{PS: out, Steps: steps, SimTime: 0.5 * float64(steps)}, nil
 	}
 }
 
@@ -39,18 +39,18 @@ func ck(t *testing.T) *ft.Checkpointer {
 }
 
 func TestRunChunksAndCheckpoints(t *testing.T) {
-	var calls []Base
+	var calls []base
 	c := ck(t)
-	res, err := Run(Options{
-		Checkpointer: c, TotalSteps: 10, ChunkSteps: 4,
-	}, newSet(), fakeChunk(t, &calls))
+	res, err := loop(Env{
+		Checkpointer: c, ChunkSteps: 4,
+	}, 10, newSet(), fakeChunk(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 10 || res.SimTime != 5 || res.Cancelled || res.Restored {
+	if res.Steps != 10 || res.SimTime != 5 || res.Cancelled {
 		t.Fatalf("result %+v, want 10 steps, simTime 5", res)
 	}
-	want := []Base{{0, 0}, {4, 2}, {8, 4}}
+	want := []base{{0, 0}, {4, 2}, {8, 4}}
 	if len(calls) != len(want) {
 		t.Fatalf("chunk calls %+v, want %+v", calls, want)
 	}
@@ -71,7 +71,7 @@ func TestRunChunksAndCheckpoints(t *testing.T) {
 }
 
 func TestRunResumesFromCheckpoint(t *testing.T) {
-	var calls []Base
+	var calls []base
 	c := ck(t)
 	st := newSet()
 	st.ID[0] = 6
@@ -79,20 +79,20 @@ func TestRunResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var restored []int
-	res, err := Run(Options{
-		Checkpointer: c, Resume: true, TotalSteps: 10, ChunkSteps: 4,
+	res, err := loop(Env{
+		Checkpointer: c, Resume: true, ChunkSteps: 4,
 		OnRestore: func(step int, simTime float64) { restored = append(restored, step) },
-	}, newSet(), fakeChunk(t, &calls))
+	}, 10, newSet(), fakeChunk(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Restored || res.Start != 6 || res.Steps != 10 || res.SimTime != 5 {
-		t.Fatalf("result %+v, want restored start=6 steps=10 simTime=5", res)
+	if res.Steps != 10 || res.SimTime != 5 {
+		t.Fatalf("result %+v, want steps=10 simTime=5", res)
 	}
 	if len(restored) != 1 || restored[0] != 6 {
 		t.Fatalf("OnRestore calls %v, want [6]", restored)
 	}
-	if len(calls) != 1 || calls[0] != (Base{6, 3}) {
+	if len(calls) != 1 || calls[0] != (base{6, 3}) {
 		t.Fatalf("chunk calls %+v, want one chunk from base {6 3}", calls)
 	}
 }
@@ -105,38 +105,38 @@ func TestRunIgnoresOversizedCheckpointUnlessMustResume(t *testing.T) {
 	// Without MustResume a checkpoint beyond TotalSteps means a fresh run
 	// (the server's semantics: the spec hash owns the directory, so this
 	// only happens across spec changes).
-	var calls []Base
-	res, err := Run(Options{
-		Checkpointer: c, Resume: true, TotalSteps: 10, ChunkSteps: 0,
-	}, newSet(), fakeChunk(t, &calls))
-	if err != nil || res.Restored || res.Steps != 10 {
-		t.Fatalf("res=%+v err=%v, want fresh 10-step run", res, err)
+	var calls []base
+	res, err := loop(Env{
+		Checkpointer: c, Resume: true, ChunkSteps: 0,
+	}, 10, newSet(), fakeChunk(t, &calls))
+	if err != nil || res.Steps != 10 || len(calls) != 1 || calls[0] != (base{}) {
+		t.Fatalf("res=%+v err=%v calls=%+v, want fresh 10-step run", res, err, calls)
 	}
 	// With MustResume it is an explicit error.
-	if _, err := Run(Options{
-		Checkpointer: c, Resume: true, MustResume: true, TotalSteps: 10,
-	}, newSet(), fakeChunk(t, &calls)); err == nil {
+	if _, err := loop(Env{
+		Checkpointer: c, Resume: true, MustResume: true,
+	}, 10, newSet(), fakeChunk(t, &calls)); err == nil {
 		t.Fatal("oversized checkpoint accepted under MustResume")
 	}
 	// MustResume with no checkpoint at all is also an error.
-	if _, err := Run(Options{
-		Checkpointer: ck(t), Resume: true, MustResume: true, TotalSteps: 10,
-	}, newSet(), fakeChunk(t, &calls)); err == nil {
+	if _, err := loop(Env{
+		Checkpointer: ck(t), Resume: true, MustResume: true,
+	}, 10, newSet(), fakeChunk(t, &calls)); err == nil {
 		t.Fatal("missing checkpoint accepted under MustResume")
 	}
 }
 
 func TestRunStopsOnCancelledChunk(t *testing.T) {
-	var calls []Base
-	cancelAfter := func(ctx context.Context, ps *part.Set, base Base, steps int) (ChunkResult, error) {
-		calls = append(calls, base)
-		if base.Step >= 4 {
+	var calls []base
+	cancelAfter := func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
+		calls = append(calls, b)
+		if b.Step >= 4 {
 			// Simulate an engine observing cancellation mid-chunk.
-			return ChunkResult{PS: ps, Steps: 1, SimTime: 0.5, Cancelled: true}, nil
+			return Result{PS: ps, Steps: 1, SimTime: 0.5, Cancelled: true}, nil
 		}
-		return ChunkResult{PS: ps, Steps: steps, SimTime: 0.5 * float64(steps)}, nil
+		return Result{PS: ps, Steps: steps, SimTime: 0.5 * float64(steps)}, nil
 	}
-	res, err := Run(Options{TotalSteps: 12, ChunkSteps: 4}, newSet(), cancelAfter)
+	res, err := loop(Env{ChunkSteps: 4}, 12, newSet(), cancelAfter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +147,9 @@ func TestRunStopsOnCancelledChunk(t *testing.T) {
 
 func TestRunPropagatesChunkError(t *testing.T) {
 	boom := errors.New("engine exploded")
-	_, err := Run(Options{TotalSteps: 4}, newSet(),
-		func(ctx context.Context, ps *part.Set, base Base, steps int) (ChunkResult, error) {
-			return ChunkResult{}, boom
+	_, err := loop(Env{}, 4, newSet(),
+		func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
+			return Result{}, boom
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the chunk error", err)
@@ -159,8 +159,8 @@ func TestRunPropagatesChunkError(t *testing.T) {
 func TestRunObservesContextBeforeChunk(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var calls []Base
-	res, err := Run(Options{Ctx: ctx, TotalSteps: 4}, newSet(), fakeChunk(t, &calls))
+	var calls []base
+	res, err := loop(Env{Ctx: ctx}, 4, newSet(), fakeChunk(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,14 @@ const (
 	rmGCPauses   = "/gc/pauses:seconds"
 )
 
-// Lifecycle phase names of a job's span trace, in execution order. The
-// queue-wait → restore → run → checkpoint → verify phases are persisted
-// inside the job's report JSON (phasePersist happens after the report is
-// written, so it only exists in the registry's job_phase_seconds
-// histogram).
+// The two lifecycle phases a server adds around the executor's (restore,
+// run, checkpoint, verify: runloop.Phase*). Queue-wait through verify are
+// persisted inside the job's report JSON; persist happens after the report
+// is written, so it only exists in the registry's job_phase_seconds
+// histogram.
 const (
-	phaseQueueWait  = "queue-wait"
-	phaseRestore    = "restore"
-	phaseRun        = "run"
-	phaseCheckpoint = "checkpoint"
-	phaseVerify     = "verify"
-	phasePersist    = "persist"
+	phaseQueueWait = "queue-wait"
+	phasePersist   = "persist"
 )
 
 // metrics bundles the server's registry handles. Families are registered
@@ -52,6 +48,9 @@ type metrics struct {
 	jobsDone      *obs.CounterVec   // jobs_terminal_total{state}
 	jobRestarts   *obs.Counter      // job_restarts_total
 	jobPhase      *obs.HistogramVec // job_phase_seconds{phase}
+	// persistFailures counts artifacts of completed jobs the store refused
+	// (the job is served from memory; the loss shows here).
+	persistFailures *obs.CounterVec // job_persist_failures_total{artifact}
 
 	// Sweep fan-out attribution (convergence + scaling experiments).
 	sweeps          *obs.CounterVec // sweeps_total{kind}
@@ -130,6 +129,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"wall-clock seconds jobs spend per lifecycle phase "+
 				"(queue-wait, restore, run, checkpoint, verify, persist)",
 			nil, "phase"),
+		persistFailures: reg.Counter("job_persist_failures_total",
+			"completed-job artifacts the result store failed to write, by artifact "+
+				"(snapshot, report, telemetry); the job is still served from memory",
+			"artifact"),
 
 		sweeps: reg.Counter("sweeps_total",
 			"experiment sweeps started, by kind (convergence, scaling)", "kind"),
@@ -304,14 +307,6 @@ func (s *Server) collect() {
 	}
 
 	m.collectRuntime()
-}
-
-// recordJobPhases feeds a completed lifecycle trace into the per-phase
-// histogram (the aggregate the /statusz phase table and /metricsz expose).
-func (s *Server) recordJobPhases(spans *obs.SpanSet) {
-	for _, p := range spans.Phases {
-		s.met.jobPhase.With(p.Name).Observe(p.Seconds)
-	}
 }
 
 // Registry exposes the server's metrics registry (the serve binary hangs

@@ -28,10 +28,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/codes"
 	"repro/internal/conserve"
 	"repro/internal/core"
-	"repro/internal/domain"
 	"repro/internal/experiments"
 	"repro/internal/ft"
 	"repro/internal/obs"
@@ -697,8 +695,11 @@ func (s *Server) checkpointer(job *Job) *ft.Checkpointer {
 	}}}
 }
 
-// run executes one job to a terminal state (or back into the queue after a
-// simulated kill).
+// run takes one queued job through its lifecycle. This is the claim stage:
+// it moves the job to running, records the queue wait, wires cancel and
+// kill to the run's context, contains engine panics, and then hands the
+// outcome of execute to requeue (after a simulated kill), complete, or a
+// failed or cancelled terminal state.
 func (s *Server) run(job *Job) {
 	s.mu.Lock()
 	if job.State != StateQueued { // cancelled while waiting
@@ -706,6 +707,7 @@ func (s *Server) run(job *Job) {
 		return
 	}
 	job.State = StateRunning
+	job.Progress = Progress{Total: job.Spec.Steps}
 	if !job.submittedAt.IsZero() {
 		job.spans.AddSeconds(phaseQueueWait, s.now().Sub(job.submittedAt).Seconds())
 	}
@@ -717,23 +719,8 @@ func (s *Server) run(job *Job) {
 		}
 		cancel(cause)
 	}
-	spec := job.Spec
 	s.mu.Unlock()
 	defer cancel(nil)
-
-	// finish is the job's terminal transition.
-	finish := func(state JobState, msg string) {
-		s.mu.Lock()
-		job.cancel = nil
-		s.jobs.finishLocked(job, state, msg, s.now())
-		s.mu.Unlock()
-		s.met.jobsDone.With(string(state)).Inc()
-	}
-	fail := func(err error) {
-		finish(StateFailed, err.Error())
-		s.log.Error("job failed", "job", job.ID, "hash", job.Hash,
-			"scenario", spec.Scenario, "error", err)
-	}
 
 	// A panicking engine must fail this job, never the process. The compute
 	// fan-outs rethrow worker-goroutine panics on this goroutine
@@ -748,32 +735,51 @@ func (s *Server) run(job *Job) {
 		running := job.State == StateRunning
 		s.mu.Unlock()
 		if running {
-			fail(fmt.Errorf("job panicked: %v", v))
+			s.fail(job, fmt.Errorf("job panicked: %v", v))
 			return
 		}
 		s.log.Error("panic after job left the running state",
 			"job", job.ID, "state", string(job.State), "panic", fmt.Sprint(v))
 	}()
 
-	sc, err := scenario.Get(spec.Scenario)
-	if err != nil {
-		fail(err)
-		return
+	res, err := s.execute(ctx, job)
+	switch {
+	case err != nil:
+		s.fail(job, err)
+	case !res.Cancelled:
+		s.complete(job, res)
+	case errors.Is(context.Cause(ctx), errKilled):
+		s.requeue(job, res)
+	default:
+		s.finish(job, StateCancelled, "")
+		s.log.Info("job cancelled", "job", job.ID, "hash", job.Hash, "step", res.Steps)
 	}
-	ps, cfg, err := sc.Generate(spec.Params)
-	if err != nil {
-		fail(err)
-		return
-	}
-	// Conservation reference for the verification report: the freshly
-	// generated t=0 state (before any checkpoint restore replaces it).
-	initial := conserve.Measure(ps, nil)
+}
 
+// finish is a running job's terminal transition.
+func (s *Server) finish(job *Job, state JobState, msg string) {
 	s.mu.Lock()
-	job.Progress = Progress{Total: spec.Steps}
+	job.cancel = nil
+	s.jobs.finishLocked(job, state, msg, s.now())
+	s.mu.Unlock()
+	s.met.jobsDone.With(string(state)).Inc()
+}
+
+func (s *Server) fail(job *Job, err error) {
+	s.finish(job, StateFailed, err.Error())
+	s.log.Error("job failed", "job", job.ID, "hash", job.Hash,
+		"scenario", job.Spec.Scenario, "error", err)
+}
+
+// execute runs the job's spec through the executor cmd/sphexa runs through
+// too (internal/runloop), in a server's environment: checkpoints under
+// DataDir at the server's interval, always resuming; the job's flight
+// recorder; progress published per step.
+func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) {
+	s.mu.Lock()
 	// The flight recorder is created once per Job and survives
-	// kill-requeues: the requeued Job re-enters run() with its recorder
-	// intact, and each chunk truncates it to the chunk's base step before
+	// kill-requeues: the requeued Job comes back with its recorder intact,
+	// and the executor truncates it to each chunk's base step before
 	// re-feeding — so the final track matches an uninterrupted run's.
 	if job.rec == nil {
 		tcfg := s.opts.Telemetry
@@ -795,141 +801,103 @@ func (s *Server) run(job *Job) {
 	rec := job.rec
 	s.mu.Unlock()
 
-	chunk, err := s.buildChunk(job, spec, cfg, initial, rec)
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	res, err := runloop.Run(runloop.Options{
-		Ctx:          ctx,
-		Checkpointer: s.checkpointer(job),
-		Resume:       true,
-		TotalSteps:   spec.Steps,
-		ChunkSteps:   s.opts.CheckpointEvery,
-		Clock:        s.now,
+	total := job.Spec.Steps
+	res, err := runloop.Execute(job.Spec, runloop.Env{
+		Ctx:            ctx,
+		Clock:          s.now,
+		Machine:        s.opts.Machine,
+		Cost:           s.opts.Cost,
+		Checkpointer:   s.checkpointer(job),
+		Resume:         true,
+		ChunkSteps:     s.opts.CheckpointEvery,
+		Recorder:       rec,
+		FaultInjection: s.opts.FaultInjection,
 		OnRestore: func(step int, simTime float64) {
 			s.mu.Lock()
-			job.Progress = Progress{Step: step, Total: spec.Steps, SimTime: simTime}
+			job.Progress = Progress{Step: step, Total: total, SimTime: simTime}
 			s.mu.Unlock()
 		},
-	}, ps, chunk)
-	// Fold the loop's wall-clock breakdown into the lifecycle trace before
-	// branching: killed runs accumulate their partial work across attempts.
-	// Phases the run never entered (no restore, no interim checkpoint) stay
-	// out of the trace.
-	if v := res.Phases.Restore; v > 0 {
-		job.spans.AddSeconds(phaseRestore, v)
-	}
-	job.spans.AddSeconds(phaseRun, res.Phases.Run)
-	if v := res.Phases.Checkpoint; v > 0 {
-		job.spans.AddSeconds(phaseCheckpoint, v)
-	}
-	if err != nil {
-		fail(err)
-		return
-	}
-	simTime := res.SimTime
-
-	if res.Cancelled {
-		cause := context.Cause(ctx)
-		if errors.Is(cause, errKilled) {
-			// Simulated crash: checkpoint what we have and requeue.
-			if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
-				_ = ck.Write(0, res.Steps, simTime, res.PS)
-			}
+		OnStep: func(rep core.StepReport, _ conserve.State, _ *part.Set) {
 			s.mu.Lock()
-			job.State = StateQueued
-			job.killed = false
-			job.cancel = nil
-			job.Restarts++
-			job.submittedAt = s.now()
-			requeued := false
-			select {
-			case s.queue <- job:
-				requeued = true
-			default:
-			}
-			if !requeued {
-				s.jobs.finishLocked(job, StateFailed, "requeue after kill failed: queue full", s.now())
-			}
+			job.Progress.Step = rep.Step + 1
+			job.Progress.SimTime = rep.Time
+			job.Progress.DT = rep.DT
 			s.mu.Unlock()
-			if requeued {
-				s.met.jobRestarts.Inc()
-				s.log.Info("job requeued after kill", "job", job.ID,
-					"hash", job.Hash, "restarts", job.Restarts, "step", res.Steps)
-			} else {
-				s.met.jobsDone.With(string(StateFailed)).Inc()
-				s.log.Error("job failed", "job", job.ID, "hash", job.Hash, "error", job.Err)
-			}
-			return
-		}
-		finish(StateCancelled, "")
-		s.log.Info("job cancelled", "job", job.ID, "hash", job.Hash, "step", res.Steps)
-		return
+		},
+	})
+	// The lifecycle trace spans attempts: a killed run's partial work stays
+	// in it when the requeued job adds its own.
+	for _, p := range res.Phases.Phases {
+		job.spans.AddSeconds(p.Name, p.Seconds)
 	}
+	return res, err
+}
 
+// requeue is the simulated crash: checkpoint what the interrupted run has
+// and put the job back in the queue, to resume from there.
+func (s *Server) requeue(job *Job, res runloop.Result) {
+	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
+		_ = ck.Write(0, res.Steps, res.SimTime, res.PS)
+	}
+	s.mu.Lock()
+	job.State = StateQueued
+	job.killed = false
+	job.cancel = nil
+	job.Restarts++
+	job.submittedAt = s.now()
+	requeued := false
+	select {
+	case s.queue <- job:
+		requeued = true
+	default:
+		s.jobs.finishLocked(job, StateFailed, "requeue after kill failed: queue full", s.now())
+	}
+	s.mu.Unlock()
+	if requeued {
+		s.met.jobRestarts.Inc()
+		s.log.Info("job requeued after kill", "job", job.ID,
+			"hash", job.Hash, "restarts", job.Restarts, "step", res.Steps)
+	} else {
+		s.met.jobsDone.With(string(StateFailed)).Inc()
+		s.log.Error("job failed", "job", job.ID, "hash", job.Hash, "error", job.Err)
+	}
+}
+
+// complete turns a finished run into the job's result: encode the snapshot,
+// render report and track once (the bytes every later fetch and cache hit
+// serves), persist them, and finish the job.
+func (s *Server) complete(job *Job, res runloop.Result) {
 	var buf bytes.Buffer
 	if _, err := res.PS.WriteTo(&buf); err != nil {
-		fail(fmt.Errorf("encoding snapshot: %w", err))
+		s.fail(job, fmt.Errorf("encoding snapshot: %w", err))
 		return
 	}
 	result := &cachedResult{
 		snapshot:  buf.Bytes(),
 		particles: res.PS.NLocal,
 		checksum:  res.PS.Checksum(),
-		simTime:   simTime,
-		steps:     spec.Steps,
+		simTime:   res.SimTime,
+		steps:     job.Spec.Steps,
 	}
-	vspan := obs.StartSpan(phaseVerify, s.now)
-	rep := evaluateReport(sc, spec, cfg, res.PS, simTime, initial)
-	vspan.EndTo(&job.spans)
 	// The marshaled report carries the lifecycle trace recorded so far
 	// (queue-wait through verify); it is persisted once, so a cache-hit
 	// resubmission serves the identical bytes. The persist phase below is
 	// necessarily measured after the marshal and lives only in the
 	// registry's job_phase_seconds histogram.
-	result.report, result.summary = marshalReport(rep, res.Timing, &job.spans)
-	// Render the flight-recorder track once; these bytes are what cache-hit
-	// resubmissions serve verbatim (in memory and, below, from the store).
-	track := rec.TrackSnapshot()
+	result.report, result.summary = marshalReport(res.Report, res.Timing, &job.spans)
+	track := job.rec.TrackSnapshot()
 	if b, err := json.Marshal(track); err == nil {
 		result.telemetry = b
 		result.telemetryStatus = track.Status
 	}
 	pspan := obs.StartSpan(phasePersist, s.now)
-	if st := s.opts.Store; st != nil {
-		err := st.Put(store.Meta{
-			Hash:      job.Hash,
-			Particles: result.particles,
-			Steps:     result.steps,
-			SimTime:   result.simTime,
-			Checksum:  result.checksum,
-		}, result.snapshot)
-		if err == nil {
-			// The disk copy is authoritative; the memory layer keeps only
-			// metadata. If the Put failed — or the store's own eviction
-			// policy immediately dropped the entry (snapshot larger than
-			// the whole byte budget) — keep the bytes in memory so the
-			// completed job's snapshot stays fetchable. (Has, not Get: an
-			// internal existence check must not skew the hit-rate metric.)
-			if st.Has(job.Hash) {
-				result.snapshot = nil
-				if result.report != nil {
-					// Persist the report next to the snapshot; the memory
-					// copy stays for fast metrics serving either way.
-					_ = st.PutReport(job.Hash, result.report)
-				}
-				if result.telemetry != nil {
-					_ = st.PutTelemetry(job.Hash, result.telemetry)
-				}
-			}
-		}
+	if s.opts.Store != nil {
+		s.persist(job, result)
 	}
 
 	s.mu.Lock()
 	s.jobs.cacheLocked(job.Hash, result)
-	job.Progress = Progress{Step: spec.Steps, Total: spec.Steps, SimTime: simTime, DT: job.Progress.DT}
+	job.Progress = Progress{Step: job.Spec.Steps, Total: job.Spec.Steps, SimTime: res.SimTime, DT: job.Progress.DT}
 	job.Verify = result.summary
 	if result.telemetryStatus != "" {
 		job.TelemetryStatus = result.telemetryStatus
@@ -938,226 +906,59 @@ func (s *Server) run(job *Job) {
 	s.jobs.finishLocked(job, StateCompleted, "", s.now())
 	s.mu.Unlock()
 
-	s.recordJobPhases(&job.spans)
+	for _, p := range job.spans.Phases {
+		s.met.jobPhase.With(p.Name).Observe(p.Seconds)
+	}
 	s.met.jobPhase.With(phasePersist).Observe(pspan.End().Seconds())
 	s.met.jobsDone.With(string(StateCompleted)).Inc()
 	pass := result.summary != nil && result.summary.Pass
 	s.log.Info("job completed", "job", job.ID, "hash", job.Hash,
-		"scenario", spec.Scenario, "steps", spec.Steps, "particles", result.particles,
+		"scenario", job.Spec.Scenario, "steps", job.Spec.Steps, "particles", result.particles,
 		"pass", pass, "restarts", job.Restarts,
-		"queueWaitS", job.spans.Seconds(phaseQueueWait), "runS", job.spans.Seconds(phaseRun))
+		"queueWaitS", job.spans.Seconds(phaseQueueWait), "runS", job.spans.Seconds(runloop.PhaseRun))
 }
 
-// buildChunk resolves the job's execution section into a runloop chunk:
-// the shared-memory driver, or the simulated-MPI driver under the job's run
-// shape.
-func (s *Server) buildChunk(job *Job, spec scenario.JobSpec, cfg core.Config,
-	initial conserve.State, rec *telemetry.Recorder) (runloop.Chunk, error) {
-
-	if spec.Exec.Backend == scenario.BackendSerial {
-		return s.serialChunk(job, cfg, initial, rec), nil
+// persist writes the result into the store. Once the snapshot is on disk
+// that copy is authoritative and the memory layer keeps only metadata; if
+// the Put failed — or the store's own eviction policy immediately dropped
+// the entry (snapshot larger than the whole byte budget) — the bytes stay
+// in memory so the completed job's snapshot stays fetchable. (Has, not Get:
+// an internal existence check must not skew the hit-rate metric.) The
+// report and the track are persisted next to the snapshot; their memory
+// copies stay for fast serving either way. A failed write is logged and
+// counted, and the job completes, served from memory.
+func (s *Server) persist(job *Job, result *cachedResult) {
+	st := s.opts.Store
+	failed := func(artifact string, err error) {
+		s.met.persistFailures.With(artifact).Inc()
+		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
+			"artifact", artifact, "error", err)
 	}
-
-	machine, cost, cores, err := s.runShape(spec, cfg)
+	err := st.Put(store.Meta{
+		Hash:      job.Hash,
+		Particles: result.particles,
+		Steps:     result.steps,
+		SimTime:   result.simTime,
+		Checksum:  result.checksum,
+	}, result.snapshot)
 	if err != nil {
-		return nil, err
+		failed("snapshot", err)
+		return
 	}
-
-	// One chunk = one distributed engine run of up to CheckpointEvery
-	// steps; the shared loop (internal/runloop) handles restore and
-	// interim checkpoints — the same path cmd/sphexa interrupts through.
-	return func(ctx context.Context, cps *part.Set, base runloop.Base, steps int) (runloop.ChunkResult, error) {
-		// Each chunk re-executes steps base.Step+1 onward; truncating the
-		// recorder to the base keeps the re-fed series identical to an
-		// uninterrupted run's (checkpoint-resume determinism).
-		rec.TruncateAfter(base.Step)
-		pcfg := core.ParallelConfig{
-			Core:         cfg,
-			Machine:      machine,
-			Cores:        cores,
-			RanksPerNode: spec.RanksPerNode,
-			Decomp:       domain.MortonSFC,
-			Cost:         cost,
-			Steps:        steps,
-			Ctx:          ctx,
-			OnSample: func(st core.StepStats) {
-				rep := st.StepReport // counts from the chunk's start
-				rep.Step += base.Step
-				rep.Time += base.Time
-				s.recordStep(job, rec, initial, rep, st.Cons, st.Imbalance, map[string]float64{
-					telemetry.PhaseCompute:    st.ComputeSeconds,
-					telemetry.PhaseHalo:       st.HaloSeconds,
-					telemetry.PhaseCollective: st.CollectiveSeconds,
-				})
-			},
-		}
-		merged, res, err := core.RunParallelCapture(pcfg, cps)
-		if err != nil && (res == nil || !res.Cancelled) {
-			return runloop.ChunkResult{}, err
-		}
-		return runloop.ChunkResult{
-			PS:        merged,
-			Steps:     res.StepsCompleted,
-			SimTime:   res.SimTime,
-			Cancelled: res.Cancelled,
-			Timing:    res.Timing,
-		}, nil
-	}, nil
-}
-
-// serialChunk runs the job on the shared-memory engine (core.Sim) — no
-// simulated MPI, no machine model — holding one Sim across chunks so the
-// integration state (half-kick phase, step counter) carries over; the
-// state handed back at each boundary is synchronized for checkpointing.
-func (s *Server) serialChunk(job *Job, cfg core.Config,
-	initial conserve.State, rec *telemetry.Recorder) runloop.Chunk {
-
-	var sim *core.Sim
-	return func(ctx context.Context, cps *part.Set, base runloop.Base, steps int) (runloop.ChunkResult, error) {
-		rec.TruncateAfter(base.Step)
-		if sim == nil {
-			var err error
-			sim, err = core.New(cfg, cps)
-			if err != nil {
-				return runloop.ChunkResult{}, err
-			}
-			sim.StepN, sim.T = base.Step, base.Time
-			sim.OnStep = func(info core.StepInfo) {
-				if fi := s.opts.FaultInjection; fi != nil {
-					fi(info.Step+1, sim.PS)
-				}
-				phases := make(map[string]float64, len(info.PhaseSeconds))
-				for ph, v := range info.PhaseSeconds {
-					phases[string(ph)] = v
-				}
-				s.recordStep(job, rec, initial, info.StepReport, sim.Conservation(), 0, phases)
-			}
-		}
-		sim.Ctx = ctx
-		startStep, startT := sim.StepN, sim.T
-		_, runErr := sim.Run(steps, 0)
-		cancelled := runErr != nil && ctx.Err() != nil
-		if runErr != nil && !cancelled {
-			return runloop.ChunkResult{}, runErr
-		}
-		sim.Synchronize()
-		return runloop.ChunkResult{
-			PS:        sim.PS,
-			Steps:     sim.StepN - startStep,
-			SimTime:   sim.T - startT,
-			Cancelled: cancelled,
-		}, nil
+	if !st.Has(job.Hash) {
+		return
 	}
-}
-
-// recordStep publishes one completed step of either backend: the job's
-// progress and one flight-recorder sample. rep counts steps (zero-based) and
-// time from the start of the job; the recorder and the progress view count
-// completed steps. phases and imbalance are the backend's own: wall-clock
-// workflow letters and 0 (not sampled) on the serial backend, modeled clock
-// classes and max/mean rank compute on the distributed one.
-func (s *Server) recordStep(job *Job, rec *telemetry.Recorder, initial conserve.State,
-	rep core.StepReport, cons conserve.State, imbalance float64, phases map[string]float64) {
-
-	s.mu.Lock()
-	job.Progress.Step = rep.Step + 1
-	job.Progress.SimTime = rep.Time
-	job.Progress.DT = rep.DT
-	s.mu.Unlock()
-	d := conserve.Compare(initial, cons)
-	rec.Add(telemetry.Sample{
-		Step: rep.Step + 1, Time: rep.Time, DT: rep.DT,
-		MassDrift:     d.Mass,
-		MomentumDrift: d.Momentum,
-		AngMomDrift:   d.AngMom,
-		EnergyDrift:   d.Energy,
-		HMin:          rep.HMin,
-		HMax:          rep.HMax,
-		NbrMin:        rep.MinNeighbors,
-		NbrMax:        rep.MaxNeighbors,
-		NbrMean:       rep.MeanNeighbors,
-		Imbalance:     imbalance,
-		Phases:        phases,
-	})
-}
-
-// runShape resolves the execution section of a distributed job, for the run
-// and for its modeled POP prediction alike: the named machine model and
-// parent-code cost calibration, else the server's defaults, on at least one
-// core. Exec was validated at submission, so name resolution cannot fail
-// for canonical specs.
-func (s *Server) runShape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine, core.CodeCost, int, error) {
-	machine, cost := s.opts.Machine, s.opts.Cost
-	if name := spec.Exec.Machine; name != "" {
-		m, err := perfmodel.ByName(name)
-		if err != nil {
-			return nil, cost, 0, err
-		}
-		machine = m
-	}
-	if name := spec.Exec.Cost; name != "" {
-		code, err := codes.ByName(name)
-		if err != nil {
-			return nil, cost, 0, err
-		}
-		cost = code.Cost(calibrationTest(cfg))
-	}
-	return machine, cost, max(spec.Cores, 1), nil
-}
-
-// calibrationTest picks which of the two calibrated paper tests a parent
-// code's cost constants are taken from. The two calibrations differ by the
-// presence of the gravity phases, so the choice keys on the workload's
-// actual physics (the scenario-built config), not on its registry name —
-// any self-gravitating scenario gets the Evrard constants.
-func calibrationTest(cfg core.Config) codes.Test {
-	if cfg.Gravity {
-		return codes.Evrard
-	}
-	return codes.SquarePatch
-}
-
-// evaluateReport evaluates the verification report for a completed run:
-// analytic reference (when the scenario registers one), error norms,
-// plateau estimate, conservation drift, and the acceptance checks. A
-// report is always produced — scenarios without a reference are scored on
-// conservation alone.
-func evaluateReport(sc *scenario.Scenario, spec scenario.JobSpec, cfg core.Config,
-	ps *part.Set, simTime float64, initial conserve.State) *verify.Report {
-
-	sol, refErr := sc.BuildReference(spec.Params)
-	thr := sc.Accept
-	if v := spec.Verify; v != nil {
-		// The spec's verification section overrides the registered trim
-		// quantiles; it is covered by the canonical hash, so the persisted
-		// report always matches its spec.
-		if v.TrimQuantile > 0 {
-			thr.TrimQuantile = v.TrimQuantile
-		}
-		if v.TrimDensity > 0 {
-			thr.TrimQuantileDensity = v.TrimDensity
-		}
-		if v.TrimVelocity > 0 {
-			thr.TrimQuantileVelocity = v.TrimVelocity
-		}
-		if v.TrimPressure > 0 {
-			thr.TrimQuantilePressure = v.TrimPressure
+	result.snapshot = nil
+	if result.report != nil {
+		if err := st.PutReport(job.Hash, result.report); err != nil {
+			failed("report", err)
 		}
 	}
-	return verify.Evaluate(verify.Input{
-		Scenario: spec.Scenario,
-		PS:       ps,
-		SimTime:  simTime,
-		Solution: sol,
-		// A failed reference construction fails the report's checks
-		// loudly (mirroring the CLI) rather than silently degrading the
-		// registered acceptance bar to conservation-only.
-		ReferenceErr: refErr,
-		EOS:          cfg.SPH.EOS,
-		Thresholds:   thr,
-		Initial:      initial,
-		HaveInitial:  true,
-	})
+	if result.telemetry != nil {
+		if err := st.PutTelemetry(job.Hash, result.telemetry); err != nil {
+			failed("telemetry", err)
+		}
+	}
 }
 
 // marshalReport renders the persisted report JSON: the verification report

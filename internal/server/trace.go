@@ -3,13 +3,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/sph"
 	"repro/internal/telemetry"
@@ -73,59 +73,11 @@ func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
 		}
 	}
 
-	in := trace.MeasuredInput{}
+	var lifecycle []obs.Phase
 	if rep.Spans != nil {
-		// The engine timeline starts where the run span does: lifecycle
-		// phases recorded before it (queue-wait, restore) shift it right.
-		seenRun := false
-		for _, ph := range rep.Spans.Phases {
-			in.Lifecycle = append(in.Lifecycle, trace.LifecycleSpan{
-				Name: ph.Name, Seconds: ph.Seconds,
-			})
-			if ph.Name == phaseRun {
-				seenRun = true
-			}
-			if !seenRun {
-				in.Offset += ph.Seconds
-			}
-		}
+		lifecycle = rep.Spans.Phases
 	}
-
-	if rep.Timing != nil && len(rep.Timing.PerRank) > 0 {
-		in.Ranks = rep.Timing.PerRank
-		for _, sm := range tk.Samples {
-			if len(sm.Phases) == 0 {
-				continue
-			}
-			in.Steps = append(in.Steps, trace.StepClassSeconds{
-				Step:       sm.Step,
-				Compute:    sm.Phases[telemetry.PhaseCompute],
-				Halo:       sm.Phases[telemetry.PhaseHalo],
-				Collective: sm.Phases[telemetry.PhaseCollective],
-			})
-		}
-	} else {
-		for _, sm := range tk.Samples {
-			if len(sm.Phases) == 0 {
-				continue
-			}
-			names := make([]string, 0, len(sm.Phases))
-			for ph := range sm.Phases {
-				names = append(names, ph)
-			}
-			// The engine's phase letters (A..J) sort into execution order.
-			sort.Strings(names)
-			st := trace.SerialStep{Step: sm.Step}
-			for _, ph := range names {
-				st.Phases = append(st.Phases, trace.PhaseSpan{
-					Phase: ph, Seconds: sm.Phases[ph],
-				})
-			}
-			in.Serial = append(in.Serial, st)
-		}
-	}
-
-	m := trace.BuildMeasured(in)
+	m := runloop.Measured(tk, rep.Timing, lifecycle)
 	pop := &trace.POPComparison{Measured: m.Metrics.Report()}
 	if rep.Timing != nil {
 		if modeled, err := s.modeledPOP(spec); err == nil {
@@ -180,7 +132,7 @@ func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	machine, cost, cores, err := s.runShape(spec, cfg)
+	machine, cost, cores, err := runloop.Env{Machine: s.opts.Machine, Cost: s.opts.Cost}.Shape(spec, cfg)
 	if err != nil {
 		return trace.Metrics{}, err
 	}

@@ -7,6 +7,8 @@
 // fetches rebuild identical traces.
 package trace
 
+import "repro/internal/obs"
+
 // Frozen phase names of reassembled parallel-engine slices — one per
 // RankTotals class. The telemetry package's sample keys are these constants.
 const (
@@ -56,13 +58,6 @@ type SerialStep struct {
 	Phases []PhaseSpan
 }
 
-// LifecycleSpan is one server lifecycle phase (queue-wait, restore, run,
-// checkpoint, verify) in recorded order.
-type LifecycleSpan struct {
-	Name    string
-	Seconds float64
-}
-
 // MeasuredInput carries the persisted artifacts a trace reassembles from.
 // Exactly one engine record should be present: Ranks (+ optional Steps)
 // for a parallel run, Serial for a serial one.
@@ -74,8 +69,9 @@ type MeasuredInput struct {
 	Steps []StepClassSeconds
 	// Serial is the serial engine's per-step phase record.
 	Serial []SerialStep
-	// Lifecycle is the job's server-side span record in recorded order.
-	Lifecycle []LifecycleSpan
+	// Lifecycle is the job's wall-clock span record (queue-wait, restore,
+	// run, checkpoint, verify) in recorded order.
+	Lifecycle []obs.Phase
 	// Offset places the engine timeline at the point the lifecycle
 	// reached its run phase, so engine slices nest under the lifecycle
 	// track's run span in a viewer.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func sampleInput() MeasuredInput {
@@ -18,7 +20,7 @@ func sampleInput() MeasuredInput {
 			{Step: 2, Compute: 3.0, Halo: 0.6, Collective: 0.5},
 			{Step: 3, Compute: 2.0, Halo: 0.35, Collective: 0.35},
 		},
-		Lifecycle: []LifecycleSpan{
+		Lifecycle: []obs.Phase{
 			{Name: "queue-wait", Seconds: 0.01},
 			{Name: "run", Seconds: 4.75},
 			{Name: "verify", Seconds: 0.002},
@@ -140,7 +142,7 @@ func TestBuildMeasuredSerial(t *testing.T) {
 			{Step: 1, Phases: []PhaseSpan{{"A", 0.1}, {"B", 0.2}, {"E", 0.3}}},
 			{Step: 2, Phases: []PhaseSpan{{"A", 0.1}, {"B", 0.0}, {"E", 0.25}}},
 		},
-		Lifecycle: []LifecycleSpan{{Name: "run", Seconds: 0.95}},
+		Lifecycle: []obs.Phase{{Name: "run", Seconds: 0.95}},
 	}
 	m := BuildMeasured(in)
 	// Zero-duration phases are dropped: 3 + 2 intervals.
