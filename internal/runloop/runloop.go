@@ -357,7 +357,7 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 			return res, fmt.Errorf("runloop: restore: %w", err)
 		}
 	}
-
+	// The run phase exists even if no chunk runs: Measured nests under it.
 	res.Phases.AddSeconds(PhaseRun, 0)
 	for res.Steps < total {
 		select {

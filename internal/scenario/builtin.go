@@ -17,9 +17,12 @@ import (
 	"repro/internal/verify"
 )
 
-// baseConfig assembles the engine defaults every scenario shares (SPHYNX's
-// Table 1 column: sinc-5 kernel, IAD, generalized volume elements); callers
-// override any of these on the returned Config.
+// baseConfig assembles the engine defaults every scenario shares: the SPH
+// numerics of SPHYNX's Table 1 column (sinc-5 kernel, IAD, generalized
+// volume elements). Its gravity is not among them — GravOrder stays at its
+// zero value, Monopole, where Table 1 lists a 4-pole expansion; the flip is
+// owed under the Evrard energy gate (ROADMAP item 1). Callers override any
+// of these on the returned Config.
 func baseConfig(p Params, pbc tree.PBC, box sfc.Box, e eos.EOS) core.Config {
 	return core.Config{
 		SPH: sph.Params{

@@ -48,9 +48,7 @@ type metrics struct {
 	jobsDone      *obs.CounterVec   // jobs_terminal_total{state}
 	jobRestarts   *obs.Counter      // job_restarts_total
 	jobPhase      *obs.HistogramVec // job_phase_seconds{phase}
-	// persistFailures counts artifacts of completed jobs the store refused
-	// (the job is served from memory; the loss shows here).
-	persistFailures *obs.CounterVec // job_persist_failures_total{artifact}
+	persistFails  *obs.CounterVec   // job_persist_failures_total{artifact}
 
 	// Sweep fan-out attribution (convergence + scaling experiments).
 	sweeps          *obs.CounterVec // sweeps_total{kind}
@@ -129,7 +127,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"wall-clock seconds jobs spend per lifecycle phase "+
 				"(queue-wait, restore, run, checkpoint, verify, persist)",
 			nil, "phase"),
-		persistFailures: reg.Counter("job_persist_failures_total",
+		persistFails: reg.Counter("job_persist_failures_total",
 			"completed-job artifacts the result store failed to write, by artifact "+
 				"(snapshot, report, telemetry); the job is still served from memory",
 			"artifact"),

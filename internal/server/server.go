@@ -1,9 +1,9 @@
 // Package server turns the mini-app into simulation-as-a-service: an HTTP
 // job subsystem that accepts named scenario specs (internal/scenario), runs
-// them through the distributed engine (core.RunParallelCapture) on a bounded
-// worker pool, streams per-step progress, caches completed results by
-// canonical spec hash, and serves final particle snapshots in the part
-// binary checkpoint format. Long jobs checkpoint through internal/ft at a
+// them through the job executor (internal/runloop) on a bounded worker
+// pool, streams per-step progress, caches completed results by canonical
+// spec hash, and serves final particle snapshots in the part binary
+// checkpoint format. Long jobs checkpoint through internal/ft at a
 // configurable step interval, so a killed job resumes from its last
 // checkpoint instead of recomputing from scratch.
 //
@@ -920,17 +920,16 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 
 // persist writes the result into the store. Once the snapshot is on disk
 // that copy is authoritative and the memory layer keeps only metadata; if
-// the Put failed — or the store's own eviction policy immediately dropped
-// the entry (snapshot larger than the whole byte budget) — the bytes stay
-// in memory so the completed job's snapshot stays fetchable. (Has, not Get:
-// an internal existence check must not skew the hit-rate metric.) The
-// report and the track are persisted next to the snapshot; their memory
-// copies stay for fast serving either way. A failed write is logged and
-// counted, and the job completes, served from memory.
+// the Put failed — or the store's eviction policy dropped the entry at once
+// (snapshot larger than the whole byte budget) — the bytes stay in memory
+// so the snapshot stays fetchable. (Has, not Get: an internal existence
+// check must not skew the hit-rate metric.) Report and track go next to
+// the snapshot, their memory copies staying for fast serving. A failed
+// write is logged and counted; the job completes, served from memory.
 func (s *Server) persist(job *Job, result *cachedResult) {
 	st := s.opts.Store
 	failed := func(artifact string, err error) {
-		s.met.persistFailures.With(artifact).Inc()
+		s.met.persistFails.With(artifact).Inc()
 		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
 			"artifact", artifact, "error", err)
 	}

@@ -61,7 +61,7 @@ func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
 
 	var rep struct {
 		Timing *core.RunTiming `json:"timing"`
-		Spans  *obs.SpanSet    `json:"spans"`
+		Spans  obs.SpanSet     `json:"spans"`
 	}
 	if err := json.Unmarshal(report, &rep); err != nil {
 		return nil, fmt.Errorf("server: decoding persisted report: %w", err)
@@ -73,11 +73,7 @@ func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
 		}
 	}
 
-	var lifecycle []obs.Phase
-	if rep.Spans != nil {
-		lifecycle = rep.Spans.Phases
-	}
-	m := runloop.Measured(tk, rep.Timing, lifecycle)
+	m := runloop.Measured(tk, rep.Timing, rep.Spans.Phases)
 	pop := &trace.POPComparison{Measured: m.Metrics.Report()}
 	if rep.Timing != nil {
 		if modeled, err := s.modeledPOP(spec); err == nil {
@@ -128,10 +124,6 @@ func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	rp, err := sc.Resolve(spec.Params)
-	if err != nil {
-		return trace.Metrics{}, err
-	}
 	machine, cost, cores, err := runloop.Env{Machine: s.opts.Machine, Cost: s.opts.Cost}.Shape(spec, cfg)
 	if err != nil {
 		return trace.Metrics{}, err
@@ -141,8 +133,8 @@ func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 		Cost:         cost,
 		Cores:        cores,
 		RanksPerNode: spec.RanksPerNode,
-		N:            rp.N,
-		NNeighbors:   rp.NNeighbors,
+		N:            spec.Params.N, // canonical: already resolved
+		NNeighbors:   spec.Params.NNeighbors,
 		Steps:        spec.Steps,
 		Gravity:      cfg.Gravity,
 		IAD:          cfg.SPH.Gradients == sph.IAD,
