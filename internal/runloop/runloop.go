@@ -60,10 +60,10 @@ type Env struct {
 	Resume, MustResume bool
 	// OnRestore observes a successful restore before the first chunk runs.
 	OnRestore func(step int, simTime float64)
-	// Recorder receives one sample per completed step. It outlives the
-	// execution: every chunk truncates it to the chunk's base step before
-	// re-feeding, so a killed and resumed run's track equals an
-	// uninterrupted one's.
+	// Recorder receives one sample per completed step; nil records none. It
+	// outlives the execution: it is truncated to every chunk's base step
+	// before the chunk re-feeds it, so a killed and resumed run's track
+	// equals an uninterrupted one's.
 	Recorder *telemetry.Recorder
 	// FaultInjection, when non-nil, is called after every serial-backend
 	// step, before the step is measured, with the 1-based step and the
@@ -181,6 +181,9 @@ func (x *execution) record(rep core.StepReport, cons conserve.State, ps *part.Se
 	if x.env.OnStep != nil {
 		x.env.OnStep(rep, cons, ps)
 	}
+	if x.env.Recorder == nil {
+		return
+	}
 	d := conserve.Compare(x.initial, cons)
 	x.env.Recorder.Add(telemetry.Sample{
 		Step: rep.Step + 1, Time: rep.Time, DT: rep.DT,
@@ -197,7 +200,6 @@ func (x *execution) record(rep core.StepReport, cons conserve.State, ps *part.Se
 func (x *execution) serial() chunk {
 	var sim *core.Sim
 	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
-		x.env.Recorder.TruncateAfter(b.Step)
 		if sim == nil {
 			var err error
 			if sim, err = core.New(x.cfg, ps); err != nil {
@@ -241,7 +243,6 @@ func (x *execution) distributed() (chunk, error) {
 		return nil, err
 	}
 	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
-		x.env.Recorder.TruncateAfter(b.Step)
 		merged, res, err := core.RunParallelCapture(core.ParallelConfig{
 			Core:         x.cfg,
 			Machine:      machine,
@@ -369,6 +370,9 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 		n := total - res.Steps
 		if env.ChunkSteps > 0 && n > env.ChunkSteps {
 			n = env.ChunkSteps
+		}
+		if env.Recorder != nil {
+			env.Recorder.TruncateAfter(res.Steps)
 		}
 		sp := obs.StartSpan(PhaseRun, env.Clock)
 		cr, err := run(ctx, res.PS, base{Step: res.Steps, Time: res.SimTime}, n)

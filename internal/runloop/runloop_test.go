@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/conserve"
+	"repro/internal/core"
 	"repro/internal/ft"
 	"repro/internal/part"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
 )
 
 // fakeChunk advances a counter instead of a simulation: each "step" costs
@@ -166,5 +171,50 @@ func TestRunObservesContextBeforeChunk(t *testing.T) {
 	}
 	if !res.Cancelled || len(calls) != 0 {
 		t.Fatalf("res=%+v calls=%d, want immediate cancellation with no chunks", res, len(calls))
+	}
+}
+
+// TestExecuteWithoutRecorder: a nil Env.Recorder means no telemetry, like
+// every other nil Env field means "off" — the run completes with a report
+// and the final state of a recorded run, and OnStep still sees every step.
+func TestExecuteWithoutRecorder(t *testing.T) {
+	params := scenario.Params{N: 216, NNeighbors: 20}
+	for name, spec := range map[string]scenario.JobSpec{
+		"serial": {
+			Spec: scenario.Spec{Scenario: "sod", Params: params, Steps: 2},
+			Exec: scenario.Exec{Backend: scenario.BackendSerial},
+		},
+		"cores-2": {
+			Spec: scenario.Spec{Scenario: "sod", Params: params, Steps: 2, Cores: 2, RanksPerNode: 2},
+			Exec: scenario.Exec{Machine: "daint"},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := spec.Canonical()
+			if err != nil {
+				t.Fatal(err)
+			}
+			recorded, err := Execute(spec, Env{Recorder: telemetry.NewRecorder(telemetry.Config{})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := Execute(spec, Env{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.Report == nil || bare.Steps != spec.Steps {
+				t.Fatalf("zero Env: report %v after %d steps, want a report after %d", bare.Report, bare.Steps, spec.Steps)
+			}
+			if got, want := bare.PS.Checksum(), recorded.PS.Checksum(); got != want {
+				t.Fatalf("zero Env: final checksum %016x, with a recorder %016x", got, want)
+			}
+			var steps atomic.Int32
+			if _, err := Execute(spec, Env{OnStep: func(core.StepReport, conserve.State, *part.Set) { steps.Add(1) }}); err != nil {
+				t.Fatal(err)
+			}
+			if int(steps.Load()) != spec.Steps {
+				t.Fatalf("OnStep saw %d steps without a recorder, want %d", steps.Load(), spec.Steps)
+			}
+		})
 	}
 }
