@@ -83,7 +83,7 @@ func Decompose(m Method, ps *part.Set, box sfc.Box, nranks int, weights []float6
 			curve = sfc.Hilbert
 		}
 		keys := sfc.Keys(curve, box, ps.Pos[:n])
-		perm := sfc.SortByKey(keys)
+		perm := sfc.ParallelSortByKey(keys, 0)
 		var w []float64
 		if weights != nil {
 			w = make([]float64, n)

@@ -3,6 +3,7 @@ package domain
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/part"
@@ -45,6 +46,57 @@ func TestDecomposeCoversAllMethods(t *testing.T) {
 			// Near-equal unit-weight split.
 			if imb := asg.Imbalance(nr, nil); imb > 1.15 {
 				t.Errorf("%v/%d: imbalance %g", m, nr, imb)
+			}
+		}
+	}
+}
+
+// TestSFCAssignmentMatchesStableSortReference: the decomposition orders SFC
+// keys with the tree's radix sort. Half the points share 25 positions, so
+// runs of a hundred equal keys straddle the cuts and the assignment depends
+// on the sort being stable; the reference is a sort.SliceStable of the keys.
+func TestSFCAssignmentMatchesStableSortReference(t *testing.T) {
+	const n, nranks = 5000, 7
+	rng := rand.New(rand.NewSource(19))
+	ps, box := randomSet(n, rng)
+	for i := n / 2; i < n; i++ {
+		ps.Pos[i] = ps.Pos[rng.Intn(25)]
+	}
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 0.5 + rng.Float64()
+	}
+	for _, m := range []Method{MortonSFC, HilbertSFC} {
+		curve := sfc.Morton
+		if m == HilbertSFC {
+			curve = sfc.Hilbert
+		}
+		keys := sfc.Keys(curve, box, ps.Pos[:n])
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
+		for _, w := range [][]float64{nil, weights} {
+			var sorted []float64
+			if w != nil {
+				sorted = make([]float64, n)
+				for k, i := range perm {
+					sorted[k] = w[i]
+				}
+			}
+			bounds := sfc.Partition(n, nranks, sorted)
+			want := make(Assignment, n)
+			for r := 0; r < nranks; r++ {
+				for k := bounds[r]; k < bounds[r+1]; k++ {
+					want[perm[k]] = r
+				}
+			}
+			got := Decompose(m, ps, box, nranks, w)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v weighted=%v: particle %d on rank %d, reference %d", m, w != nil, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -8,7 +8,6 @@ package sfc
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/vec"
 )
@@ -233,17 +232,6 @@ func Keys(c Curve, b Box, pos []vec.V3) []Key {
 		out[i] = Encode(c, b, p)
 	}
 	return out
-}
-
-// SortByKey returns the permutation that sorts items by the given keys
-// (stable, so equal keys keep input order).
-func SortByKey(keys []Key) []int {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	return idx
 }
 
 // Partition splits n key-sorted items into nparts contiguous ranges with

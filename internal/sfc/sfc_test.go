@@ -189,17 +189,6 @@ func TestCurveString(t *testing.T) {
 	}
 }
 
-func TestSortByKey(t *testing.T) {
-	keys := []Key{5, 1, 3, 1}
-	idx := SortByKey(keys)
-	want := []int{1, 3, 2, 0} // stable: the two 1s keep order
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("SortByKey = %v, want %v", idx, want)
-		}
-	}
-}
-
 func TestPartitionUnitWeights(t *testing.T) {
 	bounds := Partition(10, 2, nil)
 	if bounds[0] != 0 || bounds[1] != 5 || bounds[2] != 10 {
