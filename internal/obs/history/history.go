@@ -6,11 +6,10 @@
 // robust-estimation idiom the registry's own summaries use.
 //
 // Memory stays bounded the way the telemetry flight recorder's does:
-// each series keeps at most MaxSamples points under stride-doubling
-// downsampling (when the buffer fills, every other retained point is
-// dropped and the keep-stride doubles), so the retained set is a pure
-// function of how many ticks have elapsed — old history thins, recent
-// history stays dense, and nothing ever grows without bound.
+// each series keeps at most MaxSamples points in an obs.Ring keyed by tick,
+// so the retained set is a pure function of how many ticks have elapsed —
+// old history thins, recent history stays dense, and nothing ever grows
+// without bound.
 package history
 
 import (
@@ -115,10 +114,10 @@ type Store struct {
 	prevTime time.Time
 }
 
-// buf is one series' ring state.
+// buf is one series: its identity (s.Samples stays empty) and its ring.
 type buf struct {
-	s      Series
-	stride int
+	s    Series
+	ring *obs.Ring[Sample]
 }
 
 // New builds a store over the registry.
@@ -172,7 +171,7 @@ func (st *Store) Sample() {
 			k := key(fam.Name, sr.Labels)
 			b, ok := st.series[k]
 			if !ok {
-				b = &buf{stride: 1, s: Series{
+				b = &buf{ring: obs.NewRing[Sample](st.max), s: Series{
 					Name:       fam.Name,
 					Type:       fam.Type,
 					LabelNames: fam.LabelNames,
@@ -202,32 +201,10 @@ func (st *Store) Sample() {
 			default: // gauge
 				p.Value = sr.Value
 			}
-			b.add(p, st.max)
+			b.ring.Add(p.Tick, p)
 		}
 	}
 	st.prevTime = now
-}
-
-// add appends under the stride-doubling retention rule: a point is kept
-// iff its tick falls on the current stride grid; when the buffer fills,
-// the stride doubles and off-grid points compact away (telemetry's
-// recorder uses the identical scheme).
-func (b *buf) add(p Sample, max int) {
-	if (p.Tick-1)%b.stride != 0 {
-		return
-	}
-	b.s.Samples = append(b.s.Samples, p)
-	for len(b.s.Samples) > max {
-		b.stride *= 2
-		kept := b.s.Samples[:0]
-		for _, q := range b.s.Samples {
-			if (q.Tick-1)%b.stride == 0 {
-				kept = append(kept, q)
-			}
-		}
-		b.s.Samples = kept
-	}
-	b.s.Stride = b.stride
 }
 
 // Query returns the retained history for the selection, series in
@@ -265,7 +242,8 @@ func (st *Store) Query(sel Selection) Snapshot {
 			continue
 		}
 		s := b.s
-		samples := s.Samples
+		s.Stride = b.ring.Stride()
+		samples := b.ring.Items()
 		if cutoff > 0 {
 			i := 0
 			for i < len(samples) && samples[i].Unix < cutoff {
@@ -274,9 +252,6 @@ func (st *Store) Query(sel Selection) Snapshot {
 			samples = samples[i:]
 		}
 		s.Samples = append([]Sample(nil), samples...)
-		if s.Stride == 0 {
-			s.Stride = b.stride
-		}
 		out.Series = append(out.Series, s)
 	}
 	return out
@@ -298,22 +273,10 @@ func (st *Store) At(name string, age time.Duration) (Sample, bool) {
 	}
 	var best Sample
 	found := false
-	for _, p := range b.s.Samples {
+	for _, p := range b.ring.Items() {
 		if p.Unix <= target {
 			best, found = p, true
 		}
 	}
 	return best, found
-}
-
-// Latest returns the newest retained sample of the named unlabeled
-// series.
-func (st *Store) Latest(name string) (Sample, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	b, ok := st.series[key(name, nil)]
-	if !ok || len(b.s.Samples) == 0 {
-		return Sample{}, false
-	}
-	return b.s.Samples[len(b.s.Samples)-1], true
 }

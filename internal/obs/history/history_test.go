@@ -202,9 +202,9 @@ func TestAtAndLatest(t *testing.T) {
 	if _, ok := st.At("missing", 0); ok {
 		t.Error("At unknown series should miss")
 	}
-	last, ok := st.Latest("g")
-	if !ok || last.Value != 5 {
-		t.Fatalf("Latest = %+v ok=%v", last, ok)
+	// Age zero is the newest sample.
+	if last, ok := st.At("g", 0); !ok || last.Value != 5 {
+		t.Fatalf("At(0) = %+v ok=%v, want the latest value 5", last, ok)
 	}
 }
 

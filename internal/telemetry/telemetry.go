@@ -5,11 +5,8 @@
 // watchdogs evaluated against it.
 //
 // The recorder keeps a fixed-size retained series no matter how many steps
-// are fed: a sample is retained iff (Step-1) % stride == 0, and the stride
-// doubles (with in-place compaction) whenever the retained series outgrows
-// its bound. Because the stride is monotone in the number of steps fed and
-// retention depends only on the step number, the retained series after
-// feeding steps 1..N is a pure function of N — identical across chunk
+// are fed: samples live in an obs.Ring keyed by step, so the retained series
+// after feeding steps 1..N is a pure function of N — identical across chunk
 // boundaries and across checkpoint-resume (TruncateAfter restores the exact
 // prefix state, keeping the stride). That determinism is what makes the
 // persisted track content-address-stable.
@@ -25,6 +22,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -147,9 +145,8 @@ type Track struct {
 type Recorder struct {
 	mu       sync.Mutex
 	cfg      Config
-	stride   int
-	samples  []Sample // retained series, ascending Step; guarded by mu
-	last     Sample   // latest fed sample (may not be retained)
+	ring     *obs.Ring[Sample] // retained series, keyed by Step; guarded by mu
+	last     Sample            // latest fed sample (may not be retained)
 	haveLast bool
 	trips    []string
 	tripped  map[string]bool
@@ -161,7 +158,7 @@ func NewRecorder(cfg Config) *Recorder {
 		cfg.MaxSamples = 256
 	}
 	cfg.Watchdogs.defaults()
-	return &Recorder{cfg: cfg, stride: 1, tripped: map[string]bool{}}
+	return &Recorder{cfg: cfg, ring: obs.NewRing[Sample](cfg.MaxSamples), tripped: map[string]bool{}}
 }
 
 // Add feeds one completed step. Samples must arrive in ascending Step order
@@ -179,19 +176,7 @@ func (r *Recorder) Add(s Sample) {
 	s = sanitize(s)
 	r.last = s
 	r.haveLast = true
-	if (s.Step-1)%r.stride == 0 {
-		r.samples = append(r.samples, s)
-		for len(r.samples) > r.cfg.MaxSamples {
-			r.stride *= 2
-			kept := r.samples[:0]
-			for _, k := range r.samples {
-				if (k.Step-1)%r.stride == 0 {
-					kept = append(kept, k)
-				}
-			}
-			r.samples = kept
-		}
-	}
+	r.ring.Add(s.Step, s)
 	onTrip := r.cfg.OnTrip
 	r.mu.Unlock()
 	if onTrip != nil {
@@ -202,23 +187,15 @@ func (r *Recorder) Add(s Sample) {
 }
 
 // TruncateAfter drops every sample past step — the checkpoint-restore hook:
-// a job resumed from step k re-executes (and re-feeds) steps k+1 onward.
-// The stride deliberately stays: it is monotone in the number of steps fed,
-// which is what keeps the final retained series identical to an
-// uninterrupted run's.
+// a job resumed from step k re-executes (and re-feeds) steps k+1 onward,
+// and ends with the retained series of an uninterrupted run.
 func (r *Recorder) TruncateAfter(step int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	kept := r.samples[:0]
-	for _, s := range r.samples {
-		if s.Step <= step {
-			kept = append(kept, s)
-		}
-	}
-	r.samples = kept
+	r.ring.TruncateAfter(step)
 	if r.haveLast && r.last.Step > step {
-		if len(r.samples) > 0 {
-			r.last = r.samples[len(r.samples)-1]
+		if kept := r.ring.Items(); len(kept) > 0 {
+			r.last = kept[len(kept)-1]
 		} else {
 			r.haveLast = false
 		}
@@ -252,9 +229,9 @@ func (r *Recorder) TrackSnapshot() Track {
 	defer r.mu.Unlock()
 	t := Track{
 		Status:     StatusOK,
-		Stride:     r.stride,
+		Stride:     r.ring.Stride(),
 		MaxSamples: r.cfg.MaxSamples,
-		Samples:    append([]Sample(nil), r.samples...),
+		Samples:    append([]Sample(nil), r.ring.Items()...),
 	}
 	if len(r.trips) > 0 {
 		t.Status = StatusTripped
@@ -280,6 +257,7 @@ func (r *Recorder) watchLocked(s Sample) []string {
 		fired = append(fired, kind)
 	}
 	wd := r.cfg.Watchdogs
+	retained := r.ring.Items()
 
 	if !sampleFinite(s) {
 		trip(KindNaN)
@@ -287,14 +265,14 @@ func (r *Recorder) watchLocked(s Sample) []string {
 	if wd.MaxImbalance > 0 && s.Imbalance > wd.MaxImbalance {
 		trip(KindImbalance)
 	}
-	if len(r.samples) >= wd.MinSamples {
+	if len(retained) >= wd.MinSamples {
 		if wd.DTCollapse > 0 {
-			if med := r.trimmedMedianDTLocked(); med > 0 && s.DT >= 0 && s.DT < wd.DTCollapse*med {
+			if med := trimmedMedianDT(retained); med > 0 && s.DT >= 0 && s.DT < wd.DTCollapse*med {
 				trip(KindDTCollapse)
 			}
 		}
 		if wd.MaxDriftSlope > 0 {
-			if slope := trimmedDriftSlope(r.samples); math.Abs(slope) > wd.MaxDriftSlope {
+			if slope := trimmedDriftSlope(retained); math.Abs(slope) > wd.MaxDriftSlope {
 				trip(KindDriftSlope)
 			}
 		}
@@ -345,12 +323,12 @@ func sanitize(s Sample) Sample {
 	return s
 }
 
-// trimmedMedianDTLocked is the median dt of the retained series after trimming
+// trimmedMedianDT is the median dt of the retained series after trimming
 // the top and bottom deciles — one transient dt spike cannot move the
 // collapse baseline.
-func (r *Recorder) trimmedMedianDTLocked() float64 {
-	dts := make([]float64, 0, len(r.samples))
-	for _, s := range r.samples {
+func trimmedMedianDT(samples []Sample) float64 {
+	dts := make([]float64, 0, len(samples))
+	for _, s := range samples {
 		if !math.IsNaN(s.DT) && !math.IsInf(s.DT, 0) {
 			dts = append(dts, s.DT)
 		}

@@ -45,54 +45,6 @@ func TestDownsamplingBoundedAndEndpointsPreserved(t *testing.T) {
 	}
 }
 
-func TestDownsamplingDeterministicAcrossChunkBoundaries(t *testing.T) {
-	const n = 777
-	whole := NewRecorder(Config{MaxSamples: 32})
-	feed(whole, 1, n)
-
-	chunked := NewRecorder(Config{MaxSamples: 32})
-	for _, cut := range []int{1, 2, 3, 50, 51, 400, 401, 640, n} {
-		start := 1
-		if len(chunked.samples) > 0 {
-			if last, ok := chunked.Latest(); ok {
-				start = last.Step + 1
-			}
-		}
-		feed(chunked, start, cut)
-	}
-
-	a, b := whole.TrackSnapshot(), chunked.TrackSnapshot()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("chunked feed diverged:\nwhole:   %+v\nchunked: %+v", a, b)
-	}
-}
-
-func TestTruncateAfterMatchesUninterruptedRun(t *testing.T) {
-	const n = 1500
-	for _, kill := range []int{1, 17, 300, 1024, 1499} {
-		fresh := NewRecorder(Config{MaxSamples: 48})
-		feed(fresh, 1, n)
-
-		// Run past the kill point, then "restore from checkpoint" at an
-		// earlier step and replay — the checkpoint-resume path.
-		resumed := NewRecorder(Config{MaxSamples: 48})
-		feed(resumed, 1, kill+37)
-		restoreStep := kill / 2
-		resumed.TruncateAfter(restoreStep)
-		feed(resumed, restoreStep+1, n)
-
-		a, b := fresh.TrackSnapshot(), resumed.TrackSnapshot()
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("kill=%d: resumed track diverged from fresh run", kill)
-		}
-		aj, _ := json.Marshal(a)
-		bj, _ := json.Marshal(b)
-		if string(aj) != string(bj) {
-			t.Fatalf("kill=%d: JSON renderings differ", kill)
-		}
-	}
-}
-
 func TestTruncateAfterZeroResetsSeries(t *testing.T) {
 	r := NewRecorder(Config{MaxSamples: 16})
 	feed(r, 1, 100)
