@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"repro/internal/codes"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/pkg/client"
 )
@@ -64,7 +65,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("Figure 4 reproduction: SPHYNX Evrard time-step at %d cores (16 ranks x 12 threads)\n", res.CoresUsed)
-	fmt.Printf("phases: A=tree B=neighbors+h E=density F=eos G=IAD H=momentum/energy I=gravity J=update\n\n")
+	fmt.Print("phases:")
+	for _, ph := range res.Phases {
+		fmt.Printf(" %s=%s", ph.Phase, core.PhaseID(ph.Phase).Label())
+	}
+	fmt.Print("\n\n")
 	fmt.Println(res.Timeline)
 	fmt.Println("Per-phase totals across ranks (simulated seconds):")
 	fmt.Printf("%12s %14s %14s %14s\n", "phase", "compute", "mpi", "other")

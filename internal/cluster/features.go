@@ -123,8 +123,10 @@ func featureSchema(groups []string) []feature {
 		)
 	}
 	if want[GroupPhases] {
-		for _, phase := range []string{"queue-wait", "restore", "run", "checkpoint", "verify"} {
-			phase := phase
+		for _, phase := range obs.LifecyclePhases {
+			if phase == obs.PhasePersist {
+				continue // measured after the report is written, so never in one
+			}
 			out = append(out, feature{"phase." + phase, GroupPhases,
 				func(d *reportDoc, _ map[string]bool) float64 { return phaseShare(d, phase) }})
 		}

@@ -83,6 +83,16 @@ const (
 	PhaseUpdate    PhaseID = "J" // new time-step + position/velocity update
 )
 
+var phaseLabels = map[PhaseID]string{
+	PhaseTree: "tree", PhaseNeighbors: "neighbors+h", PhaseDensity: "density",
+	PhaseEOS: "eos", PhaseIAD: "IAD", PhaseForces: "momentum/energy",
+	PhaseGravity: "gravity", PhaseUpdate: "update",
+}
+
+// Label names the phase in words, for the legend of a timeline that shows
+// the letters.
+func (p PhaseID) Label() string { return phaseLabels[p] }
+
 // StepReport is the part of a step's report the two drivers fill the same
 // way. Step and Time count from the driver's own origin: a Sim's StepN and T
 // (which a caller may seed to resume), zero for a distributed run.

@@ -11,6 +11,28 @@ import (
 	"time"
 )
 
+// The lifecycle phases of a served job, in the order a job enters them.
+// Restore, run, checkpoint and verify are the executor's (internal/runloop
+// records them for a local run too); a server adds queue-wait before and
+// persist after. Queue-wait through verify are persisted inside the job's
+// report JSON; persist happens after the report is written, so it exists
+// only in the registry's job_phase_seconds histogram.
+const (
+	PhaseQueueWait  = "queue-wait"
+	PhaseRestore    = "restore"
+	PhaseRun        = "run"
+	PhaseCheckpoint = "checkpoint"
+	PhaseVerify     = "verify"
+	PhasePersist    = "persist"
+)
+
+// LifecyclePhases lists the lifecycle phases in order: what /statusz prints,
+// what job_phase_seconds{phase} is labeled with, and (minus persist) the
+// phase features of a cluster analysis.
+var LifecyclePhases = []string{
+	PhaseQueueWait, PhaseRestore, PhaseRun, PhaseCheckpoint, PhaseVerify, PhasePersist,
+}
+
 // Phase is one named stage of a traced lifecycle, in seconds.
 type Phase struct {
 	Name    string  `json:"name"`

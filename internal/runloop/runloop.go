@@ -29,14 +29,6 @@ import (
 	"repro/internal/verify"
 )
 
-// The wall-clock phases of Result.Phases, in the order a run enters them.
-const (
-	PhaseRestore    = "restore"
-	PhaseRun        = "run"
-	PhaseCheckpoint = "checkpoint"
-	PhaseVerify     = "verify"
-)
-
 // Env is what the caller owns around one execution.
 type Env struct {
 	// Ctx cancels the run cooperatively at the next step boundary; nil
@@ -96,8 +88,8 @@ type Result struct {
 	// Report scores the final state; nil unless the run completed.
 	Report *verify.Report
 	// Phases is the wall-clock lifecycle of this execution: restore, run,
-	// checkpoint, verify. Restore and checkpoint are left out when they
-	// took no time (a run with no checkpointer never enters them).
+	// checkpoint, verify (obs.Phase*). Restore and checkpoint are left out
+	// when they took no time (a run with no checkpointer never enters them).
 	Phases obs.SpanSet
 }
 
@@ -127,7 +119,7 @@ func Execute(spec scenario.JobSpec, env Env) (Result, error) {
 	if err != nil || res.Cancelled {
 		return res, err
 	}
-	vspan := obs.StartSpan(PhaseVerify, env.Clock)
+	vspan := obs.StartSpan(obs.PhaseVerify, env.Clock)
 	res.Report = x.evaluate(sc, res)
 	vspan.EndTo(&res.Phases)
 	return res, nil
@@ -257,9 +249,9 @@ func (x *execution) distributed() (chunk, error) {
 				rep.Step += b.Step
 				rep.Time += b.Time
 				x.record(rep, st.Cons, nil, st.Imbalance, map[string]float64{
-					telemetry.PhaseCompute:    st.ComputeSeconds,
-					telemetry.PhaseHalo:       st.HaloSeconds,
-					telemetry.PhaseCollective: st.CollectiveSeconds,
+					trace.PhaseCompute:    st.ComputeSeconds,
+					trace.PhaseHalo:       st.HaloSeconds,
+					trace.PhaseCollective: st.CollectiveSeconds,
 				})
 			},
 		}, ps)
@@ -340,10 +332,10 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 	res := Result{PS: ps}
 
 	if ck := env.Checkpointer; ck != nil && env.Resume {
-		sp := obs.StartSpan(PhaseRestore, env.Clock)
+		sp := obs.StartSpan(obs.PhaseRestore, env.Clock)
 		restored, step, simTime, err := ck.Restore()
 		if d := sp.End(); d > 0 {
-			res.Phases.Add(PhaseRestore, d)
+			res.Phases.Add(obs.PhaseRestore, d)
 		}
 		switch {
 		case err == nil && step > 0 && step <= total:
@@ -359,7 +351,7 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 		}
 	}
 	// The run phase exists even if no chunk runs: Measured nests under it.
-	res.Phases.AddSeconds(PhaseRun, 0)
+	res.Phases.AddSeconds(obs.PhaseRun, 0)
 	for res.Steps < total {
 		select {
 		case <-ctx.Done():
@@ -374,7 +366,7 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 		if env.Recorder != nil {
 			env.Recorder.TruncateAfter(res.Steps)
 		}
-		sp := obs.StartSpan(PhaseRun, env.Clock)
+		sp := obs.StartSpan(obs.PhaseRun, env.Clock)
 		cr, err := run(ctx, res.PS, base{Step: res.Steps, Time: res.SimTime}, n)
 		sp.EndTo(&res.Phases)
 		if err != nil && !cr.Cancelled {
@@ -396,10 +388,10 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 			return res, nil
 		}
 		if ck := env.Checkpointer; ck != nil && res.Steps < total {
-			sp := obs.StartSpan(PhaseCheckpoint, env.Clock)
+			sp := obs.StartSpan(obs.PhaseCheckpoint, env.Clock)
 			err := ck.Write(0, res.Steps, res.SimTime, res.PS)
 			if d := sp.End(); d > 0 {
-				res.Phases.Add(PhaseCheckpoint, d)
+				res.Phases.Add(obs.PhaseCheckpoint, d)
 			}
 			if err != nil {
 				return res, fmt.Errorf("runloop: checkpoint at step %d: %w", res.Steps, err)
@@ -418,7 +410,7 @@ func Measured(track telemetry.Track, timing *core.RunTiming, lifecycle []obs.Pha
 	// The engine timeline starts where the run phase does: lifecycle
 	// phases recorded before it (queue-wait, restore) shift it right.
 	for _, ph := range lifecycle {
-		if ph.Name == PhaseRun {
+		if ph.Name == obs.PhaseRun {
 			break
 		}
 		in.Offset += ph.Seconds
@@ -432,9 +424,9 @@ func Measured(track telemetry.Track, timing *core.RunTiming, lifecycle []obs.Pha
 		case len(in.Ranks) > 0:
 			in.Steps = append(in.Steps, trace.StepClassSeconds{
 				Step:       sm.Step,
-				Compute:    sm.Phases[telemetry.PhaseCompute],
-				Halo:       sm.Phases[telemetry.PhaseHalo],
-				Collective: sm.Phases[telemetry.PhaseCollective],
+				Compute:    sm.Phases[trace.PhaseCompute],
+				Halo:       sm.Phases[trace.PhaseHalo],
+				Collective: sm.Phases[trace.PhaseCollective],
 			})
 		default:
 			names := make([]string, 0, len(sm.Phases))

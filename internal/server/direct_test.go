@@ -13,6 +13,7 @@ import (
 	"repro/internal/part"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -118,9 +119,9 @@ func runDirect(t *testing.T, s *Server, spec scenario.JobSpec, killAt int) direc
 				rep.Step += baseStep
 				rep.Time += baseTime
 				rec.Add(directSample(initial, rep, st.Cons, st.Imbalance, map[string]float64{
-					telemetry.PhaseCompute:    st.ComputeSeconds,
-					telemetry.PhaseHalo:       st.HaloSeconds,
-					telemetry.PhaseCollective: st.CollectiveSeconds,
+					trace.PhaseCompute:    st.ComputeSeconds,
+					trace.PhaseHalo:       st.HaloSeconds,
+					trace.PhaseCollective: st.CollectiveSeconds,
 				}))
 			},
 		}, ps)

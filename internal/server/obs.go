@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	rm "runtime/metrics"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -13,16 +14,6 @@ const (
 	rmGoroutines = "/sched/goroutines:goroutines"
 	rmHeapBytes  = "/memory/classes/heap/objects:bytes"
 	rmGCPauses   = "/gc/pauses:seconds"
-)
-
-// The two lifecycle phases a server adds around the executor's (restore,
-// run, checkpoint, verify: runloop.Phase*). Queue-wait through verify are
-// persisted inside the job's report JSON; persist happens after the report
-// is written, so it only exists in the registry's job_phase_seconds
-// histogram.
-const (
-	phaseQueueWait = "queue-wait"
-	phasePersist   = "persist"
 )
 
 // metrics bundles the server's registry handles. Families are registered
@@ -124,8 +115,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		jobRestarts: reg.Counter("job_restarts_total",
 			"job resumptions after a simulated kill").With(),
 		jobPhase: reg.Histogram("job_phase_seconds",
-			"wall-clock seconds jobs spend per lifecycle phase "+
-				"(queue-wait, restore, run, checkpoint, verify, persist)",
+			"wall-clock seconds jobs spend per lifecycle phase ("+
+				strings.Join(obs.LifecyclePhases, ", ")+")",
 			nil, "phase"),
 		persistFails: reg.Counter("job_persist_failures_total",
 			"completed-job artifacts the result store failed to write, by artifact "+

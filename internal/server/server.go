@@ -709,7 +709,7 @@ func (s *Server) run(job *Job) {
 	job.State = StateRunning
 	job.Progress = Progress{Total: job.Spec.Steps}
 	if !job.submittedAt.IsZero() {
-		job.spans.AddSeconds(phaseQueueWait, s.now().Sub(job.submittedAt).Seconds())
+		job.spans.AddSeconds(obs.PhaseQueueWait, s.now().Sub(job.submittedAt).Seconds())
 	}
 	ctx, cancel := context.WithCancelCause(s.ctx)
 	job.cancel = func() {
@@ -890,7 +890,7 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		result.telemetry = b
 		result.telemetryStatus = track.Status
 	}
-	pspan := obs.StartSpan(phasePersist, s.now)
+	pspan := obs.StartSpan(obs.PhasePersist, s.now)
 	if s.opts.Store != nil {
 		s.persist(job, result)
 	}
@@ -909,13 +909,13 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 	for _, p := range job.spans.Phases {
 		s.met.jobPhase.With(p.Name).Observe(p.Seconds)
 	}
-	s.met.jobPhase.With(phasePersist).Observe(pspan.End().Seconds())
+	s.met.jobPhase.With(obs.PhasePersist).Observe(pspan.End().Seconds())
 	s.met.jobsDone.With(string(StateCompleted)).Inc()
 	pass := result.summary != nil && result.summary.Pass
 	s.log.Info("job completed", "job", job.ID, "hash", job.Hash,
 		"scenario", job.Spec.Scenario, "steps", job.Spec.Steps, "particles", result.particles,
 		"pass", pass, "restarts", job.Restarts,
-		"queueWaitS", job.spans.Seconds(phaseQueueWait), "runS", job.spans.Seconds(runloop.PhaseRun))
+		"queueWaitS", job.spans.Seconds(obs.PhaseQueueWait), "runS", job.spans.Seconds(obs.PhaseRun))
 }
 
 // persist writes the result into the store. Once the snapshot is on disk

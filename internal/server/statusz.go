@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/runloop"
 )
 
 // handleStatusz serves the human-readable operational snapshot: uptime,
@@ -90,8 +89,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	// every executed job).
 	if f, ok := byName["job_phase_seconds"]; ok && len(f.Series) > 0 {
 		fmt.Fprintf(tw, "\nphase\tjobs\ttotal\tmean\n")
-		for _, phase := range []string{phaseQueueWait, runloop.PhaseRestore, runloop.PhaseRun,
-			runloop.PhaseCheckpoint, runloop.PhaseVerify, phasePersist} {
+		for _, phase := range obs.LifecyclePhases {
 			for _, series := range f.Series {
 				if series.Labels[0] != phase || series.Hist == nil {
 					continue

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Sample is one step's physics snapshot. Step is the 1-based count of
@@ -54,21 +53,12 @@ type Sample struct {
 
 	// Phases holds per-subsystem seconds for the step: the workflow phase
 	// letters (A..J, wall-clock) on the serial backend, the phase classes
-	// (compute/halo/collective, simulated clock) on the distributed one.
+	// (trace.PhaseCompute, PhaseHalo, PhaseCollective; simulated clock) on
+	// the distributed one, so a persisted track and the trace rebuilt from
+	// it agree by construction.
 	// Go marshals map keys sorted, so the JSON rendering is stable.
 	Phases map[string]float64 `json:"phases,omitempty"`
 }
-
-// Frozen phase keys of a distributed-backend sample's Phases map — the
-// per-step class sums the parallel engine reports. They are the trace
-// package's slice names, so a persisted track and the trace rebuilt from it
-// agree by construction; renaming one is a wire-format change, not a
-// refactor.
-const (
-	PhaseCompute    = trace.PhaseCompute
-	PhaseHalo       = trace.PhaseHalo
-	PhaseCollective = trace.PhaseCollective
-)
 
 // Watchdog kinds, the label values of telemetry_watchdog_trips_total.
 const (

@@ -10,7 +10,8 @@ package trace
 import "repro/internal/obs"
 
 // Frozen phase names of reassembled parallel-engine slices — one per
-// RankTotals class. The telemetry package's sample keys are these constants.
+// RankTotals class, and the keys of a distributed-backend telemetry sample's
+// Phases map: renaming one is a wire-format change, not a refactor.
 const (
 	PhaseCompute    = "compute"
 	PhaseHalo       = "halo"
