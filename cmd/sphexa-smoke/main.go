@@ -786,9 +786,6 @@ func runObservability(addr string, timeout time.Duration) error {
 		"# TYPE http_request_duration_seconds histogram",
 		"jobs_submitted_total",
 		`job_phase_seconds_count{phase="run"}`,
-		// Removed-alias family: zero series, but HELP/TYPE must keep
-		// rendering for dashboards keyed on it.
-		"deprecated_requests_total",
 		"# TYPE telemetry_watchdog_trips_total counter",
 		"workers_total",
 	} {

@@ -47,8 +47,7 @@ type AnomalyMark struct {
 var analysisKind = kind[cluster.Spec, AnalysisView]{
 	noun: "cluster analysis", body: "cluster spec",
 	prefix: "cls", route: "/v1/analytics/cluster", listKey: "analyses",
-	counters: (*metrics).analyticsLifecycle,
-	plan:     planAnalysis,
+	plan: planAnalysis,
 	aggregate: func(_ *Server, rec *derived[cluster.Spec]) (any, error) {
 		return cluster.Analyze(rec.Spec, rec.input.([]cluster.JobData))
 	},

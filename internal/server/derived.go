@@ -29,8 +29,6 @@ type kind[S, V any] struct {
 	// prefix is the id prefix ("exp" gives exp-%06d), route the collection
 	// path, listKey the page envelope's array key.
 	prefix, route, listKey string
-	// counters picks the kind's lifecycle counter families.
-	counters func(*metrics) lifecycleVecs
 
 	// plan validates and canonicalizes a submission and names its inputs.
 	// It runs without the server lock and may read the store.
@@ -104,15 +102,11 @@ type resourceView interface {
 type Derived[S any, V resourceView] struct {
 	s    *Server
 	kind kind[S, V]
-	met  lifecycleVecs
 	tab  table[*derived[S], []byte] // guarded by mu
 }
 
 func newDerived[S any, V resourceView](s *Server, k kind[S, V]) Derived[S, V] {
-	return Derived[S, V]{
-		s: s, kind: k, met: k.counters(s.met),
-		tab: table[*derived[S], []byte]{prefix: k.prefix},
-	}
+	return Derived[S, V]{s: s, kind: k, tab: table[*derived[S], []byte]{prefix: k.prefix}}
 }
 
 // Submit resolves a submission like a job: an active identical one
@@ -169,15 +163,12 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 		Spec:   p.spec, Members: members, Inputs: p.inputs, input: p.input,
 	}
 	d.tab.registerLocked(rec)
-	d.met.inc(d.met.submitted)
 	if hit {
 		rec.CacheHit, rec.Result, rec.input = true, raw, nil
 		d.tab.finishLocked(rec, StateCompleted, "", s.now())
 		if apply != nil {
 			apply(s, rec.ID)
 		}
-		d.met.inc(d.met.cacheHits)
-		d.met.inc(d.met.terminal, string(StateCompleted))
 	} else {
 		go d.collect(rec)
 	}
@@ -217,12 +208,6 @@ func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 		view, err := d.s.Submit(ms.spec)
 		if err != nil {
 			return nil, fmt.Errorf("server: submitting %s member %s: %w", d.kind.noun, ms.label, err)
-		}
-		// Attribute the fan-out: these job submissions belong to this kind,
-		// not to ad-hoc clients.
-		d.met.inc(d.met.members)
-		if view.CacheHit {
-			d.met.inc(d.met.memberHits)
 		}
 		members = append(members, member{
 			memberSpec: ms, n: view.Spec.Params.N,
@@ -302,7 +287,6 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	}
 	s.mu.Unlock()
 
-	d.met.inc(d.met.terminal, string(state))
 	if err != nil {
 		s.log.Error(d.kind.noun+" failed", "id", rec.ID, "hash", rec.Hash, "error", msg)
 		return

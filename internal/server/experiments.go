@@ -15,7 +15,6 @@ type ExperimentView = SweepView[experiments.Sweep]
 var convergenceKind = kind[experiments.Sweep, ExperimentView]{
 	noun: "experiment", body: "sweep",
 	prefix: "exp", route: "/v1/experiments", listKey: "experiments",
-	counters:  func(m *metrics) lifecycleVecs { return m.sweepLifecycle("convergence") },
 	plan:      planConvergence,
 	aggregate: aggregateConvergence,
 	view:      sweepViewLocked[experiments.Sweep],

@@ -69,8 +69,7 @@ import (
 //
 // The pre-/v1 unversioned aliases (POST /jobs, GET /storez, ...) served
 // through PR 6 with "Deprecation: true" headers are removed; requests to
-// them now 404. The deprecated_requests_total metric family stays
-// registered (with zero series) so dashboards keyed on it keep resolving.
+// them now 404.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 

@@ -98,49 +98,23 @@ func TestMiddlewareLabelsAndHeaders(t *testing.T) {
 	}
 }
 
-// TestDeprecatedFamilyKeptWithZeroSeries pins satellite #2 of the removal:
-// the unversioned aliases are gone, but the deprecated_requests_total family
-// stays registered (zero series) so dashboards keyed on it keep resolving,
-// and the new telemetry_watchdog_trips_total family is registered alongside.
-func TestDeprecatedFamilyKeptWithZeroSeries(t *testing.T) {
+// TestRemovedAliasRoutes404: the unversioned pre-/v1 aliases are gone.
+func TestRemovedAliasRoutes404(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Traffic to a former alias 404s and must not mint a series.
-	for i := 0; i < 3; i++ {
-		resp, err := http.Get(ts.URL + "/healthz")
+	for _, alias := range []string{"/healthz", "/jobs", "/storez"} {
+		resp, err := http.Get(ts.URL + alias)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("/healthz status %d, want 404", resp.StatusCode)
+			t.Fatalf("%s status %d, want 404", alias, resp.StatusCode)
 		}
-	}
-	if _, ok := familyValue(t, s.Registry(), "deprecated_requests_total", "/healthz"); ok {
-		t.Fatal("deprecated_requests_total minted a series for a removed route")
-	}
-
-	// Both families still expose HELP/TYPE on /metricsz even with no series.
-	resp, err := http.Get(ts.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	body := string(b)
-	for _, fam := range []string{"deprecated_requests_total", "telemetry_watchdog_trips_total"} {
-		if !strings.Contains(body, "# TYPE "+fam+" counter") {
-			t.Fatalf("/metricsz missing %s family:\n%s", fam, body)
-		}
-	}
-
-	// And /statusz no longer renders a deprecated-route table.
-	if sb := statuszBody(t, ts); strings.Contains(sb, "deprecated route") {
-		t.Fatalf("/statusz still renders a deprecated-route table:\n%s", sb)
 	}
 }
 

@@ -17,7 +17,6 @@ type ScalingView = SweepView[experiments.ScalingSweep]
 var scalingKind = kind[experiments.ScalingSweep, ScalingView]{
 	noun: "scaling experiment", body: "scaling sweep",
 	prefix: "scl", route: "/v1/scaling", listKey: "scaling",
-	counters:  func(m *metrics) lifecycleVecs { return m.sweepLifecycle("scaling") },
 	plan:      planScaling,
 	aggregate: aggregateScaling,
 	view:      sweepViewLocked[experiments.ScalingSweep],

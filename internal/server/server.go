@@ -420,7 +420,6 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	s.met.jobsSubmitted.Inc()
 	if hit {
 		s.jobs.finishLocked(job, StateCompleted, "", s.now())
-		s.met.jobCacheHits.Inc()
 		s.met.jobsDone.With(string(StateCompleted)).Inc()
 	}
 	v := s.jobViewLocked(job)
@@ -854,7 +853,6 @@ func (s *Server) requeue(job *Job, res runloop.Result) {
 	}
 	s.mu.Unlock()
 	if requeued {
-		s.met.jobRestarts.Inc()
 		s.log.Info("job requeued after kill", "job", job.ID,
 			"hash", job.Hash, "restarts", job.Restarts, "step", res.Steps)
 	} else {

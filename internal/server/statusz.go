@@ -142,15 +142,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(tw, "%s\t%.0f\n", series.Labels[0], series.Value)
 		}
 	}
-
-	// The unversioned alias routes are removed; the family stays registered
-	// for dashboards and renders here only if traffic somehow appears.
-	if f, ok := byName["deprecated_requests_total"]; ok && len(f.Series) > 0 {
-		fmt.Fprintf(tw, "\ndeprecated route\thits\n")
-		for _, series := range f.Series {
-			fmt.Fprintf(tw, "%s\t%.0f\n", series.Labels[0], series.Value)
-		}
-	}
 }
 
 // handleMetricsz serves the registry in the Prometheus text exposition
