@@ -8,7 +8,7 @@ import (
 )
 
 // ObsNames enforces the internal/obs metric naming scheme at every
-// Registry constructor call, and the frozen-name rule on trace slice
+// Registry constructor call, and the frozen-category rule on trace slice
 // emission.
 //
 // The telemetry surface (/metricsz Prometheus exposition, /statusz
@@ -19,14 +19,12 @@ import (
 // statically known — dynamic names are unbounded-cardinality bugs.
 //
 // The trace export surface (GET /v1/jobs/{id}/trace, -trace-out) obeys the
-// same discipline: every category passed to Perfetto.Slice/SliceData must
-// be a compile-time constant, and Slice names too — slice names carried by
-// recorded data must go through SliceData, so a grep for the constants
-// enumerates the static slice vocabulary.
+// same discipline: every category passed to Perfetto.SliceData must be a
+// compile-time constant (slice names are recorded data).
 var ObsNames = &Analyzer{
 	Name: "obsnames",
 	Doc: "obs Registry metric names must be constant and follow the suffix scheme (counters _total; histograms _seconds/_bytes); " +
-		"label names must be constants; trace Slice categories and names must be constants (SliceData for data-carried names)",
+		"label names must be constants; trace slice categories must be constants",
 	Run: runObsNames,
 }
 
@@ -42,8 +40,8 @@ func runObsNames(p *Pass) error {
 			case fn == nil:
 			case isRegistryMethod(p, fn):
 				checkMetricCall(p, call, fn.Name())
-			case isPerfettoMethod(p, fn):
-				checkSliceCall(p, call, fn.Name())
+			case isPerfettoSliceData(p, fn):
+				checkSliceCall(p, call)
 			}
 			return true
 		})
@@ -115,12 +113,10 @@ func checkMetricCall(p *Pass, call *ast.CallExpr, kind string) {
 	}
 }
 
-// isPerfettoMethod reports whether fn is Slice/SliceData on the trace
-// Perfetto builder.
-func isPerfettoMethod(p *Pass, fn *types.Func) bool {
-	switch fn.Name() {
-	case "Slice", "SliceData":
-	default:
+// isPerfettoSliceData reports whether fn is SliceData on the trace Perfetto
+// builder.
+func isPerfettoSliceData(p *Pass, fn *types.Func) bool {
+	if fn.Name() != "SliceData" {
 		return false
 	}
 	named := recvNamed(fn)
@@ -131,22 +127,15 @@ func isPerfettoMethod(p *Pass, fn *types.Func) bool {
 	return pkg != nil && (pkg.Path() == p.Module+"/internal/trace" || pkg.Name() == "trace")
 }
 
-// checkSliceCall enforces the frozen-name rule on trace slice emission:
-// Slice(cat, name, ...) takes two constants; SliceData(cat, name, ...)
-// requires only the category constant — its name is recorded data.
-func checkSliceCall(p *Pass, call *ast.CallExpr, kind string) {
+// checkSliceCall enforces the frozen-category rule on trace slice emission:
+// SliceData(cat, name, ...) takes a constant category.
+func checkSliceCall(p *Pass, call *ast.CallExpr) {
 	if len(call.Args) == 0 {
 		return
 	}
 	if _, ok := constString(p, call.Args[0]); !ok {
 		p.Reportf(call.Args[0].Pos(),
-			"%s trace category must be a compile-time constant string (categories are frozen API, like metric families)", kind)
-	}
-	if kind == "Slice" && len(call.Args) > 1 {
-		if _, ok := constString(p, call.Args[1]); !ok {
-			p.Reportf(call.Args[1].Pos(),
-				"Slice name must be a compile-time constant string (use SliceData when the name comes from recorded data)")
-		}
+			"SliceData trace category must be a compile-time constant string (categories are frozen API, like metric families)")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obsnames is the obsnames fixture: metric and label names on the
 // obs Registry constructors must be compile-time constants following the
-// Prometheus suffix scheme, and trace slice categories/names must be
-// constants (SliceData for names carried by recorded data).
+// Prometheus suffix scheme, and trace slice categories must be constants
+// (slice names are recorded data).
 package obsnames
 
 import (
@@ -27,9 +27,8 @@ func spread(r *obs.Registry, labels []string) {
 }
 
 func emit(p *trace.Perfetto, phase string) {
-	p.Slice(trace.CatPhase, "compute", 1, 0, 0, 1, nil)
-	p.Slice("cat-"+phase, "compute", 1, 0, 0, 1, nil) // want "trace category must be a compile-time constant"
-	p.Slice(trace.CatPhase, phase, 1, 0, 0, 1, nil)   // want "Slice name must be a compile-time constant"
+	p.SliceData(trace.CatPhase, "compute", 1, 0, 0, 1, nil)
+	p.SliceData("cat-"+phase, "compute", 1, 0, 0, 1, nil) // want "trace category must be a compile-time constant"
 	p.SliceData(trace.CatLifecycle, phase, 0, 0, 0, 1, nil)
 	p.SliceData(phase, "queue-wait", 0, 0, 0, 1, nil) // want "trace category must be a compile-time constant"
 }

@@ -129,48 +129,6 @@ func (h *Histogram) Observe(v float64) {
 	h.next = (h.next + 1) % reservoirSize
 }
 
-// Merge accumulates another histogram into h. The bucket layouts must
-// match; mismatched layouts are rejected with an error (merging
-// incompatible distributions would silently corrupt both). The source is
-// copied under its own lock first, so concurrent cross-merges cannot
-// deadlock.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	oBounds := append([]float64(nil), o.bounds...)
-	oCounts := append([]uint64(nil), o.counts...)
-	oCount, oSum := o.count, o.sum
-	oSamples := append([]float64(nil), o.samples...)
-	o.mu.Unlock()
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.bounds) != len(oBounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(oBounds))
-	}
-	for i, b := range h.bounds {
-		if b != oBounds[i] {
-			return fmt.Errorf("obs: merging histograms with mismatched bucket %d (%g vs %g)", i, b, oBounds[i])
-		}
-	}
-	for i, c := range oCounts {
-		h.counts[i] += c
-	}
-	h.count += oCount
-	h.sum += oSum
-	for _, v := range oSamples {
-		if len(h.samples) < reservoirSize {
-			h.samples = append(h.samples, v)
-		} else {
-			h.samples[h.next] = v
-		}
-		h.next = (h.next + 1) % reservoirSize
-	}
-	return nil
-}
-
 // Summary is a point-in-time digest of a histogram: total count and sum
 // from the full stream, quantiles and the trimmed mean from the reservoir.
 type Summary struct {

@@ -69,49 +69,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks that merging preserves counts, sums, and the
-// reservoir, and rejects mismatched bucket layouts.
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram([]float64{1, 2})
-	b := NewHistogram([]float64{1, 2})
-	a.Observe(0.5)
-	a.Observe(1.5)
-	b.Observe(1.5)
-	b.Observe(3)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	_, cum, count, sum := a.snapshot()
-	if count != 4 {
-		t.Fatalf("merged count = %d, want 4", count)
-	}
-	if want := 0.5 + 1.5 + 1.5 + 3; math.Abs(sum-want) > 1e-12 {
-		t.Fatalf("merged sum = %v, want %v", sum, want)
-	}
-	wantCum := []uint64{1, 3, 4}
-	for i, w := range wantCum {
-		if cum[i] != w {
-			t.Errorf("merged cumulative[%d] = %d, want %d", i, cum[i], w)
-		}
-	}
-	// Reservoir carried over: quantiles see all four samples.
-	if s := a.Summarize(1); s.Max != 3 {
-		t.Errorf("merged max = %v, want 3", s.Max)
-	}
-
-	c := NewHistogram([]float64{1, 2, 3})
-	if err := a.Merge(c); err == nil {
-		t.Fatal("merging mismatched bucket layouts did not error")
-	}
-	d := NewHistogram([]float64{1, 5})
-	if err := a.Merge(d); err == nil {
-		t.Fatal("merging mismatched bucket bounds did not error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("merging nil errored: %v", err)
-	}
-}
-
 // TestTrimmedSummaryUnderOutliers is the robust-estimation contract: a few
 // gross outliers move the plain mean but not the trimmed mean or p50.
 func TestTrimmedSummaryUnderOutliers(t *testing.T) {

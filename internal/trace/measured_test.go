@@ -245,11 +245,11 @@ func TestDocumentSchema(t *testing.T) {
 
 func TestInstrumentedSliceSkipsZeroDur(t *testing.T) {
 	var p Perfetto
-	p.Slice(CatPhase, PhaseCompute, 1, 0, 0, 0, nil)
+	p.SliceData(CatPhase, PhaseCompute, 1, 0, 0, 0, nil)
 	if len(p.Events()) != 0 {
 		t.Fatalf("zero-duration slice emitted: %+v", p.Events())
 	}
-	p.Slice(CatPhase, PhaseCompute, 1, 0, 0.5, 0.25, nil)
+	p.SliceData(CatPhase, PhaseCompute, 1, 0, 0.5, 0.25, nil)
 	ev := p.Events()[0]
 	if ev.TS != 0.5e6 || ev.Dur != 0.25e6 {
 		t.Fatalf("microsecond conversion wrong: %+v", ev)

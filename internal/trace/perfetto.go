@@ -13,9 +13,9 @@ package trace
 import "fmt"
 
 // Frozen trace categories. The obsnames analyzer requires every category
-// passed to Slice/SliceData to be a compile-time constant, the same
-// frozen-name rule metric families obey — renaming a category is an API
-// change, not a refactor.
+// passed to SliceData to be a compile-time constant, the same frozen-name
+// rule metric families obey — renaming a category is an API change, not a
+// refactor.
 const (
 	// CatPhase tags engine execution slices (hydro phases, halo exchange,
 	// collectives).
@@ -65,23 +65,12 @@ func (p *Perfetto) Thread(pid, tid int, name string) {
 	})
 }
 
-// Slice emits one complete ("X") slice. start and dur are seconds;
+// SliceData emits one complete ("X") slice. start and dur are seconds;
 // zero-duration slices are dropped — they carry no information and clutter
-// the viewer. The category AND the name must be compile-time constant
-// strings (enforced by the obsnames analyzer); use SliceData when the name
-// comes from recorded data.
-func (p *Perfetto) Slice(cat, name string, pid, tid int, start, dur float64, args map[string]string) {
-	p.emit(cat, name, pid, tid, start, dur, args)
-}
-
-// SliceData is Slice for names carried by measured artifacts (phase
-// letters of a serial run, lifecycle span names of a persisted report) —
-// the category must still be a frozen constant, the name may be data.
+// the viewer. The category must be a frozen constant (enforced by the
+// obsnames analyzer); the name is carried by measured artifacts (phase
+// letters of a serial run, lifecycle span names of a persisted report).
 func (p *Perfetto) SliceData(cat, name string, pid, tid int, start, dur float64, args map[string]string) {
-	p.emit(cat, name, pid, tid, start, dur, args)
-}
-
-func (p *Perfetto) emit(cat, name string, pid, tid int, start, dur float64, args map[string]string) {
 	if dur <= 0 {
 		return
 	}

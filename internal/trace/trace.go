@@ -97,13 +97,6 @@ func (t *Tracer) Intervals() []Interval {
 	return append([]Interval(nil), t.intervals...)
 }
 
-// Reset discards all recorded intervals.
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.intervals = t.intervals[:0]
-	t.mu.Unlock()
-}
-
 // Metrics are the POP multiplicative efficiency model values (all in [0,1]
 // for well-formed traces; paper §5.2 discusses exactly these).
 type Metrics struct {

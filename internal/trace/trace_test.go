@@ -18,10 +18,6 @@ func TestRecordAndIntervals(t *testing.T) {
 	if ivs[1].Start != 1 || ivs[1].End != 2 {
 		t.Fatalf("reversed interval not normalized: %+v", ivs[1])
 	}
-	tr.Reset()
-	if len(tr.Intervals()) != 0 {
-		t.Fatal("reset did not clear")
-	}
 }
 
 func TestConcurrentRecord(t *testing.T) {
