@@ -1,7 +1,10 @@
-// Package ic generates initial conditions for the validation and acceptance
-// tests of the mini-app (paper Table 5): the rotating square patch
-// (Colagrossi 2005) and the Evrard collapse (Evrard 1988), plus a uniform
-// cube and a Sedov-Taylor blast used by unit tests and extension studies.
+// Package ic generates the initial conditions behind the registered
+// scenarios, eight generators in all: the paper's two acceptance tests
+// (Table 5) — the rotating square patch (Colagrossi 2005) and the Evrard
+// collapse (Evrard 1988) — a uniform cube, and the workloads with an
+// analytic reference or a known instability: the Sedov-Taylor blast, the Sod
+// shock tube (sod.go), the Noh implosion and the Kelvin-Helmholtz shear layer
+// (noh.go), and the Gresho-Chan vortex (gresho.go).
 package ic
 
 import (
