@@ -76,7 +76,7 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "persistent result store directory (empty keeps results in memory only)")
 		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
-		storeMax = flag.Int64("store-max-bytes", 0, "cap on total stored snapshot bytes, LRU-evicted (0 = unbounded)")
+		storeMax = flag.Int64("store-max-bytes", 0, "cap on total stored bytes (snapshots plus their report and telemetry attachments), LRU-evicted (0 = unbounded)")
 		sweep    = flag.Duration("store-sweep", time.Minute,
 			"interval between background TTL/LRU eviction sweeps of the result store (0 leaves eviction to submissions/reads)")
 		pprofAddr = flag.String("pprof-addr", "",

@@ -916,45 +916,30 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		"queueWaitS", job.spans.Seconds(obs.PhaseQueueWait), "runS", job.spans.Seconds(obs.PhaseRun))
 }
 
-// persist writes the result into the store. Once the snapshot is on disk
-// that copy is authoritative and the memory layer keeps only metadata; if
-// the Put failed — or the store's eviction policy dropped the entry at once
-// (snapshot larger than the whole byte budget) — the bytes stay in memory
-// so the snapshot stays fetchable. (Has, not Get: an internal existence
-// check must not skew the hit-rate metric.) Report and track go next to
-// the snapshot, their memory copies staying for fast serving. A failed
-// write is logged and counted; the job completes, served from memory.
+// persist writes the result into the store as one record: snapshot, report
+// and track in one call, one eviction pass, one index write. If the entry
+// is live after that pass the disk copy of the snapshot is authoritative
+// and the memory layer keeps only metadata; if the snapshot could not be
+// written, or the pass evicted the record at once (larger than the whole
+// byte budget), the bytes stay in memory so the snapshot stays fetchable.
+// Report and track keep their memory copies for fast serving. Each artifact
+// the store failed to write is logged and counted; the job completes,
+// served from memory.
 func (s *Server) persist(job *Job, result *cachedResult) {
-	st := s.opts.Store
-	failed := func(artifact string, err error) {
-		s.met.persistFails.With(artifact).Inc()
-		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
-			"artifact", artifact, "error", err)
-	}
-	err := st.Put(store.Meta{
+	kept, errs := s.opts.Store.PutResult(store.Meta{
 		Hash:      job.Hash,
 		Particles: result.particles,
 		Steps:     result.steps,
 		SimTime:   result.simTime,
 		Checksum:  result.checksum,
-	}, result.snapshot)
-	if err != nil {
-		failed("snapshot", err)
-		return
+	}, result.snapshot, result.report, result.telemetry)
+	for _, e := range errs {
+		s.met.persistFails.With(e.Artifact).Inc()
+		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
+			"artifact", e.Artifact, "error", e.Err)
 	}
-	if !st.Has(job.Hash) {
-		return
-	}
-	result.snapshot = nil
-	if result.report != nil {
-		if err := st.PutReport(job.Hash, result.report); err != nil {
-			failed("report", err)
-		}
-	}
-	if result.telemetry != nil {
-		if err := st.PutTelemetry(job.Hash, result.telemetry); err != nil {
-			failed("telemetry", err)
-		}
+	if kept {
+		result.snapshot = nil
 	}
 }
 
@@ -1071,15 +1056,12 @@ var profileMu sync.Mutex
 // Profile captures a CPU profile of the serving process for d (clamped to
 // [0, 30s]; non-positive means 1s) attributed to the job — most useful
 // while the job is running, but valid any time (the profile records
-// whatever the process is doing). When the job's result is persisted, the
-// capture is also stored as the entry's profile artifact; the bytes are
-// returned either way.
+// whatever the process is doing). The capture is returned, not kept.
 func (s *Server) Profile(id string, d time.Duration) ([]byte, error) {
 	view, ok := s.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: no job %q", ErrNotFound, id)
 	}
-	hash := view.Hash
 	if d <= 0 {
 		d = time.Second
 	}
@@ -1100,12 +1082,7 @@ func (s *Server) Profile(id string, d time.Duration) ([]byte, error) {
 	case <-s.ctx.Done():
 	}
 	pprof.StopCPUProfile()
-	b := buf.Bytes()
-
-	if st := s.opts.Store; st != nil && st.Has(hash) {
-		_ = st.PutProfile(hash, b)
-	}
-	s.log.Info("cpu profile captured", "job", id, "hash", hash,
-		"seconds", d.Seconds(), "bytes", len(b))
-	return b, nil
+	s.log.Info("cpu profile captured", "job", id, "hash", view.Hash,
+		"seconds", d.Seconds(), "bytes", buf.Len())
+	return buf.Bytes(), nil
 }

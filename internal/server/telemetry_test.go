@@ -350,8 +350,9 @@ func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
 }
 
 // TestProfileCaptureAndPersistence: POST-driven CPU profile capture returns
-// gzipped pprof bytes, persists them next to a stored result, rejects
-// concurrent captures, and validates its parameters.
+// gzipped pprof bytes for a job whose result is persisted, rejects
+// concurrent captures, and validates its parameters. (The capture itself
+// is returned, not kept: nothing ever read a stored one back.)
 func TestProfileCaptureAndPersistence(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -366,7 +367,7 @@ func TestProfileCaptureAndPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
 
 	b, err := s.Profile(view.ID, 50*time.Millisecond)
 	if err != nil {
@@ -376,11 +377,6 @@ func TestProfileCaptureAndPersistence(t *testing.T) {
 	// it-parses check that needs no profile-format dependency.
 	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
 		t.Fatalf("profile is not gzipped pprof data: % x", b[:min(8, len(b))])
-	}
-	// The capture is persisted as the stored entry's profile artifact.
-	stored, ok := st.ReadProfile(final.Hash)
-	if !ok || len(stored) == 0 {
-		t.Fatal("profile not persisted to the store")
 	}
 
 	// Unknown job.

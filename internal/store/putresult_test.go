@@ -1,0 +1,270 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// tree reads every file under dir, keyed by its path relative to dir.
+func tree(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// writeTree is tree's inverse: it writes files (slash-separated paths
+// relative to dir) under dir.
+func writeTree(t testing.TB, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPutResultEqualsThreeCalls: there is one write path. Under a fixed
+// clock and no cap, one PutResult and the Put → PutReport → PutTelemetry
+// sequence leave the same files, byte for byte — index.json included — and
+// the same Stats.
+func TestPutResultEqualsThreeCalls(t *testing.T) {
+	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
+		// Bookkeeping a caller has no business setting: both paths ignore it.
+		Size: 7, ReportSize: 9, TelemetryCRC: 11}
+	snapshot := []byte("SPH1 snapshot payload")
+	report := []byte(`{"reference":"sedov","pass":true}`)
+	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
+
+	open := func() (*Store, string) {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{Now: newClock().now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, dir
+	}
+	one, oneDir := open()
+	kept, errs := one.PutResult(meta, snapshot, report, track)
+	if !kept || len(errs) != 0 {
+		t.Fatalf("PutResult kept=%v errs=%v on an unbounded store", kept, errs)
+	}
+	three, threeDir := open()
+	if err := three.Put(meta, snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := three.PutReport(meta.Hash, report); err != nil {
+		t.Fatal(err)
+	}
+	if err := three.PutTelemetry(meta.Hash, track); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b := tree(t, oneDir), tree(t, threeDir)
+	if len(a) != 4 {
+		t.Errorf("PutResult left %d files, want index + object + report + track", len(a))
+	}
+	for name, want := range b {
+		if got, ok := a[name]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("%s differs between the one call and the three:\n%s\n--\n%s", name, got, want)
+		}
+	}
+	for name := range a {
+		if _, ok := b[name]; !ok {
+			t.Errorf("PutResult left %s, the three calls did not", name)
+		}
+	}
+	if sa, sb := one.Stats(), three.Stats(); sa != sb {
+		t.Errorf("Stats differ:\n%+v\n%+v", sa, sb)
+	}
+	if got, ok := one.ReadTelemetry(meta.Hash); !ok || !bytes.Equal(got, track) {
+		t.Error("track written by PutResult does not read back")
+	}
+}
+
+// TestPutResultEvictedByOwnPass: a record larger than the budget is written,
+// counted, and evicted by the one pass that follows — PutResult says so, and
+// nothing of the record stays on disk or in the accounting.
+func TestPutResultEvictedByOwnPass(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxBytes: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot alone fits; snapshot + report + track (160) does not.
+	kept, errs := s.PutResult(Meta{Hash: "aaaa"}, bytes.Repeat([]byte("s"), 100),
+		bytes.Repeat([]byte("r"), 30), bytes.Repeat([]byte("t"), 30))
+	if kept || len(errs) != 0 {
+		t.Fatalf("PutResult kept=%v errs=%v, want an evicted record and no write error", kept, errs)
+	}
+	if s.Len() != 0 || s.TotalBytes() != 0 {
+		t.Errorf("store holds %d entries / %d bytes after evicting its only record", s.Len(), s.TotalBytes())
+	}
+	if got := diskBytesAll(t, dir); got != 0 {
+		t.Errorf("%d bytes of the evicted record left on disk", got)
+	}
+	if st := s.Stats(); st.Puts != 1 || st.Evictions != 1 {
+		t.Errorf("stats %+v, want one put and one eviction", st)
+	}
+
+	// A record that fits is kept, and a failed attachment is reported by
+	// name while the rest of the record stays.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "reports"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, Options{MaxBytes: 120}); err != nil {
+		t.Fatal(err)
+	}
+	kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk"))
+	if !kept || len(errs) != 1 || errs[0].Artifact != "report" || errs[0].Err == nil {
+		t.Fatalf("PutResult kept=%v errs=%v, want the record kept and one report error", kept, errs)
+	}
+	if _, ok := s.ReadReport("bbbb"); ok {
+		t.Error("a report that was never written is served")
+	}
+	if got, ok := s.ReadTelemetry("bbbb"); !ok || string(got) != "trk" {
+		t.Error("the track written after the failed report is lost")
+	}
+}
+
+// parentIndex is an index.json as the build before the profile attachment
+// was deleted wrote it (Put, PutReport, PutTelemetry, PutProfile under a
+// fixed clock).
+const parentIndex = `{
+  "version": 1,
+  "entries": {
+    "ab12cd34": {
+      "hash": "ab12cd34",
+      "particles": 216,
+      "steps": 2,
+      "simTime": 0.125,
+      "checksum": 42,
+      "size": 21,
+      "crc": 13976548776490360967,
+      "createdAt": 1000000,
+      "lastUsed": 1000000,
+      "reportSize": 33,
+      "reportCRC": 3095550026494226785,
+      "telemetrySize": 38,
+      "telemetryCRC": 373139986806398433,
+      "profileSize": 4,
+      "profileCRC": 16053425590499601753
+    }
+  }
+}`
+
+// TestParentFormatDirectoryOpens: a data directory written with the profile
+// attachment opens with the same entry, serves report and track byte for
+// byte, loses its profiles/ directory and re-saves an index without the
+// profile keys.
+func TestParentFormatDirectoryOpens(t *testing.T) {
+	dir := t.TempDir()
+	report := []byte(`{"reference":"sedov","pass":true}`)
+	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
+	writeTree(t, dir, map[string][]byte{
+		"index.json":              []byte(parentIndex),
+		"objects/ab/ab12cd34.sph": []byte("SPH1 snapshot payload"),
+		"reports/ab12cd34.json":   report,
+		"telemetry/ab12cd34.json": track,
+		"profiles/ab12cd34.pprof": {0x1f, 0x8b, 0x08, 0x00},
+		"profiles/feedbeef.pprof": {0x1f, 0x8b},
+	})
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok := s.Get("ab12cd34")
+	want := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
+		Size: 21, CRC: 13976548776490360967, CreatedAt: 1000000, LastUsed: m.LastUsed,
+		ReportSize: 33, ReportCRC: 3095550026494226785, TelemetrySize: 38, TelemetryCRC: 373139986806398433}
+	if !ok || s.Len() != 1 || m != want {
+		t.Fatalf("entry after open %+v (ok=%v, %d entries), want %+v", m, ok, s.Len(), want)
+	}
+	if got, ok := s.ReadReport("ab12cd34"); !ok || !bytes.Equal(got, report) {
+		t.Errorf("report after open %q ok=%v", got, ok)
+	}
+	if got, ok := s.ReadTelemetry("ab12cd34"); !ok || !bytes.Equal(got, track) {
+		t.Errorf("track after open %q ok=%v", got, ok)
+	}
+	if got := s.TotalBytes(); got != 21+33+38 {
+		t.Errorf("TotalBytes = %d, want 92: the dropped profile's 4 bytes are not ours any more", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "profiles")); !os.IsNotExist(err) {
+		t.Errorf("profiles/ survived the open: %v", err)
+	}
+	idx, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(idx), "profile") {
+		t.Errorf("re-saved index still carries profile keys:\n%s", idx)
+	}
+	if want := strings.Replace(parentIndex, `,
+      "profileSize": 4,
+      "profileCRC": 16053425590499601753`, "", 1); string(idx) != want {
+		t.Errorf("re-saved index is not the parent's minus the profile keys:\n%s", idx)
+	}
+}
+
+// TestPutResultConcurrent: writers and readers from several goroutines over
+// a cap that forces evictions; the accounting still equals the disk, the
+// cap holds, and every record that reports kept-and-still-live reads back
+// whole. Run under -race.
+func TestPutResultConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{MaxBytes: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				hash := fmt.Sprintf("%02x%02x", g, i)
+				snap := bytes.Repeat([]byte{byte('a' + g)}, 100)
+				if _, errs := s.PutResult(Meta{Hash: hash}, snap, []byte("report "+hash), []byte("track "+hash)); len(errs) != 0 {
+					t.Errorf("PutResult %s: %v", hash, errs)
+				}
+				// The entry may be evicted by another writer at any time;
+				// when it is served, it is served whole.
+				if got, _, err := s.ReadObject(hash); err == nil && !bytes.Equal(got, snap) {
+					t.Errorf("entry %s serves a torn snapshot", hash)
+				}
+				if got, ok := s.ReadReport(hash); ok && string(got) != "report "+hash {
+					t.Errorf("entry %s serves report %q", hash, got)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := s.TotalBytes(), diskBytesAll(t, dir); got != want || got > 2000 {
+		t.Errorf("tracked total %d, on disk %d, cap 2000", got, want)
+	}
+	if st := s.Stats(); st.Puts != 100 || int(st.Puts-st.Evictions) != st.Entries {
+		t.Errorf("stats %+v: puts - evictions should be the live entries", st)
+	}
+}

@@ -7,19 +7,19 @@
 // longer match their recorded CRC are quarantined, not trusted and not
 // fatal — the store degrades to recomputation, never to corrupt data.
 //
+// A stored result is one record — the snapshot plus its report and
+// telemetry attachments — and PutResult writes it as one: each file, then
+// one eviction pass and one index write under one lock hold. Put, PutReport
+// and PutTelemetry enter the same write path with part of a record.
+//
 // Layout under the root directory:
 //
 //	index.json             entry metadata (rewritten atomically on mutation)
 //	objects/ab/abcd….sph   snapshot payloads (part binary checkpoint format),
-//	                       sharded by the first two hash characters so no
-//	                       single directory accumulates tens of thousands of
-//	                       entries; a pre-sharding flat layout
-//	                       (objects/abcd….sph) migrates transparently on Open
-//	reports/<hash>.json    verification reports attached to entries, served
-//	                       byte-identically across restarts
-//	telemetry/<hash>.json  step-telemetry tracks (downsampled flight-recorder
-//	                       series), same byte-identity contract as reports
-//	profiles/<hash>.pprof  on-demand CPU profiles captured against an entry
+//	                       sharded by the first two hash characters; a flat
+//	                       objects/abcd….sph layout migrates on Open
+//	reports/<hash>.json    verification reports
+//	telemetry/<hash>.json  step-telemetry tracks
 //	quarantine/            corrupt or unindexed objects moved aside on detection
 package store
 
@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -60,21 +61,37 @@ type Meta struct {
 	// TTL (idle expiry) and the LRU eviction order.
 	CreatedAt int64 `json:"createdAt"`
 	LastUsed  int64 `json:"lastUsed"`
-	// ReportSize and ReportCRC track the entry's verification report file
-	// (reports/<hash>.json), attached by PutReport; zero means none. The
-	// report is served byte-for-byte and evicted with its entry, and its
-	// size counts against MaxBytes like every other byte the store owns.
-	ReportSize int64  `json:"reportSize,omitempty"`
-	ReportCRC  uint64 `json:"reportCRC,omitempty"`
-	// TelemetrySize and TelemetryCRC track the entry's step-telemetry track
-	// (telemetry/<hash>.json), attached by PutTelemetry — same byte-identity
-	// and eviction contract as the report.
+	// The size and CRC of the entry's report and telemetry attachments
+	// (see attachment); size zero means none.
+	ReportSize    int64  `json:"reportSize,omitempty"`
+	ReportCRC     uint64 `json:"reportCRC,omitempty"`
 	TelemetrySize int64  `json:"telemetrySize,omitempty"`
 	TelemetryCRC  uint64 `json:"telemetryCRC,omitempty"`
-	// ProfileSize and ProfileCRC track the entry's most recent CPU profile
-	// (profiles/<hash>.pprof), attached by PutProfile.
-	ProfileSize int64  `json:"profileSize,omitempty"`
-	ProfileCRC  uint64 `json:"profileCRC,omitempty"`
+}
+
+// attachment is one kind of file kept beside a snapshot under the same
+// hash: written with it or after it, served byte for byte (including across
+// restarts) or not at all, evicted with its entry, and counted against
+// MaxBytes like every other byte the store owns. All attachment handling
+// ranges over the attachments table; a kind is one row there plus its
+// size/CRC pair in Meta.
+type attachment struct {
+	// name is the artifact's name in errors; the file is <dir>/<hash><ext>.
+	name, dir, ext string
+	// slot is where an entry records this kind's size and CRC.
+	slot func(*Meta) (size *int64, crc *uint64)
+}
+
+const (
+	kindReport = iota
+	kindTelemetry
+)
+
+var attachments = [...]attachment{
+	kindReport: {"report", "reports", ".json",
+		func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC }},
+	kindTelemetry: {"telemetry", "telemetry", ".json",
+		func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC }},
 }
 
 // Options bounds the store.
@@ -82,9 +99,9 @@ type Options struct {
 	// TTL evicts entries idle (not Put or read) for longer than this;
 	// 0 disables expiry.
 	TTL time.Duration
-	// MaxBytes caps the total bytes on disk — objects plus report,
-	// telemetry, and profile attachments; least-recently-used entries are
-	// evicted to stay under it. 0 disables the cap.
+	// MaxBytes caps the total bytes on disk — objects plus report and
+	// telemetry attachments; least-recently-used entries are evicted to
+	// stay under it. 0 disables the cap.
 	MaxBytes int64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
@@ -99,15 +116,9 @@ type Store struct {
 	mu      sync.Mutex
 	entries map[string]*Meta // guarded by mu
 	total   int64            // sum of entry bytes: objects plus attachments; guarded by mu
-	// quarantined counts objects moved aside by the last Open or by a
-	// failed read since.
-	quarantined int
-	// hits and misses count result lookups (Get and OpenObject) since
-	// this instance opened; the /storez endpoint derives the hit rate.
-	hits, misses uint64
-	// puts and evictions count writes and policy removals (TTL + LRU)
-	// since this instance opened, for the serving layer's telemetry.
-	puts, evictions uint64
+	// counts holds the since-open counters of Stats (Hits, Misses,
+	// Quarantined, Puts, Evictions); Stats derives its other fields.
+	counts Stats // guarded by mu
 }
 
 type indexFile struct {
@@ -125,101 +136,80 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.Now = time.Now
 	}
 	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}}
-	if err := os.MkdirAll(s.objectsDir(), 0o755); err != nil {
-		return nil, fmt.Errorf("store: creating %s: %w", s.objectsDir(), err)
-	}
 
-	// Transparent migration of the pre-sharding flat layout: objects used
-	// to live directly at objects/<hash>.sph. Move each into its shard
-	// directory before verification — the index records no paths, so it
-	// stays byte-compatible across the migration. A file that cannot be
-	// migrated is quarantined, never left invisible at the flat path (the
-	// unindexed-object sweep only scans shard directories, so an orphan
-	// there would silently shadow a droppable entry forever).
-	if names, err := filepath.Glob(filepath.Join(s.objectsDir(), "*.sph")); err == nil {
-		for _, path := range names {
-			hash := fileHash(path)
-			dst := s.objectPath(hash)
-			if dst == path {
-				continue
-			}
-			if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-				s.quarantineFileLocked(path, hash)
-				continue
-			}
-			if err := os.Rename(path, dst); err != nil {
-				s.quarantineFileLocked(path, hash)
-			}
+	// Objects used to live flat at objects/<hash>.sph. Move each into its
+	// shard directory before verification; the index records no paths, so
+	// it is unchanged by the move. A file that cannot be moved is
+	// quarantined, never left at the flat path, which the unindexed-object
+	// sweep below does not scan.
+	flat, _ := filepath.Glob(filepath.Join(s.objectsDir(), "*.sph"))
+	for _, path := range flat {
+		hash := fileHash(path, ".sph")
+		dst := s.objectPath(hash)
+		if dst != path && (os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil) {
+			s.quarantineLocked(path, hash)
 		}
 	}
 
-	idx, err := readIndex(s.indexPath())
-	if err != nil {
-		// A corrupt index is recoverable: quarantine every object (their
-		// provenance is unverifiable) and start empty.
-		idx = &indexFile{Entries: map[string]*Meta{}}
+	// A missing or corrupt index is recoverable: start empty, and the sweep
+	// below quarantines every object (their provenance is unverifiable).
+	var idx indexFile
+	if b, err := os.ReadFile(s.indexPath()); err != nil || json.Unmarshal(b, &idx) != nil {
+		idx = indexFile{}
 	}
 
 	for hash, m := range idx.Entries {
 		path := s.objectPath(hash)
+		if fileHash(path, ".sph") != hash {
+			continue // not a key a write produced; the file answers to its own name
+		}
 		crc, size, err := fileCRC(path)
-		if err != nil || crc != m.CRC || size != m.Size {
+		// A null entry vouches for nothing: its object goes the way of a
+		// corrupt one.
+		if err != nil || m == nil || crc != m.CRC || size != m.Size {
 			if err == nil {
-				s.quarantineLocked(hash)
+				s.quarantineLocked(path, hash)
 			}
 			continue
 		}
 		m.Hash = hash
 		// Attachments stay CRC-verified lazily on read; here just reconcile
-		// the recorded sizes against the files on disk so the byte
-		// accounting backing the MaxBytes cap starts truthful.
-		reconcile := func(apath string, asize *int64, acrc *uint64) {
-			if *asize == 0 {
-				return
-			}
-			fi, err := os.Stat(apath)
-			if err != nil || fi.Size() != *asize {
-				_ = os.Remove(apath)
+		// the recorded sizes against the files on disk — a file the entry
+		// does not record included — so the byte accounting backing the
+		// MaxBytes cap starts truthful.
+		for i := range attachments {
+			k := &attachments[i]
+			asize, acrc := k.slot(m)
+			if fi, err := os.Stat(s.attachmentPath(k, hash)); err != nil || fi.Size() != *asize {
+				_ = os.Remove(s.attachmentPath(k, hash))
 				*asize, *acrc = 0, 0
 			}
 		}
-		reconcile(s.reportPath(hash), &m.ReportSize, &m.ReportCRC)
-		reconcile(s.telemetryPath(hash), &m.TelemetrySize, &m.TelemetryCRC)
-		reconcile(s.profilePath(hash), &m.ProfileSize, &m.ProfileCRC)
 		s.entries[hash] = m
 		s.total += entryBytes(m)
 	}
 
 	// Objects on disk that the index does not vouch for are quarantined.
-	if names, err := filepath.Glob(filepath.Join(s.objectsDir(), "*", "*.sph")); err == nil {
-		for _, path := range names {
-			hash := fileHash(path)
-			if _, ok := s.entries[hash]; !ok {
-				s.quarantineLocked(hash)
-			}
+	sharded, _ := filepath.Glob(filepath.Join(s.objectsDir(), "*", "*.sph"))
+	for _, path := range sharded {
+		if hash := fileHash(path, ".sph"); s.entries[hash] == nil {
+			s.quarantineLocked(path, hash)
 		}
 	}
-
-	// Report, telemetry, and profile files whose entry is gone (object
-	// lost, entry dropped above) are stale; remove them so the attachment
-	// directories track the index.
-	for _, sweep := range []struct{ glob, ext string }{
-		{filepath.Join(s.reportsDir(), "*.json"), ".json"},
-		{filepath.Join(s.telemetryDir(), "*.json"), ".json"},
-		{filepath.Join(s.profilesDir(), "*.pprof"), ".pprof"},
-	} {
-		names, err := filepath.Glob(sweep.glob)
-		if err != nil {
-			continue
-		}
-		for _, path := range names {
-			base := filepath.Base(path)
-			hash := base[:len(base)-len(sweep.ext)]
-			if _, ok := s.entries[hash]; !ok {
+	// Attachment files whose entry is gone (object lost, entry dropped
+	// above) are stale: the attachment directories track the index.
+	for i := range attachments {
+		k := &attachments[i]
+		stale, _ := filepath.Glob(s.attachmentPath(k, "*"))
+		for _, path := range stale {
+			if s.entries[fileHash(path, k.ext)] == nil {
 				_ = os.Remove(path)
 			}
 		}
 	}
+	// Earlier builds kept a CPU profile per entry that nothing read back;
+	// its index keys are dropped by the decode above, its files here.
+	_ = os.RemoveAll(filepath.Join(s.dir, "profiles"))
 
 	s.evictLocked(s.opts.Now())
 	if err := s.saveIndexLocked(); err != nil {
@@ -231,47 +221,21 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) indexPath() string  { return filepath.Join(s.dir, "index.json") }
 func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
 
-// objectPath shards the objects directory by the first two hash characters
-// (objects/ab/abcd….sph), so entry counts in the tens of thousands never
-// pile into one directory.
+// objectPath shards the objects directory by the first two hash characters,
+// so entry counts in the tens of thousands never pile into one directory.
 func (s *Store) objectPath(h string) string {
 	if len(h) < 2 {
 		return filepath.Join(s.objectsDir(), h+".sph")
 	}
 	return filepath.Join(s.objectsDir(), h[:2], h+".sph")
 }
-func (s *Store) reportsDir() string { return filepath.Join(s.dir, "reports") }
-func (s *Store) reportPath(h string) string {
-	return filepath.Join(s.reportsDir(), h+".json")
-}
-func (s *Store) telemetryDir() string { return filepath.Join(s.dir, "telemetry") }
-func (s *Store) telemetryPath(h string) string {
-	return filepath.Join(s.telemetryDir(), h+".json")
-}
-func (s *Store) profilesDir() string { return filepath.Join(s.dir, "profiles") }
-func (s *Store) profilePath(h string) string {
-	return filepath.Join(s.profilesDir(), h+".pprof")
+func (s *Store) attachmentPath(k *attachment, h string) string {
+	return filepath.Join(s.dir, k.dir, h+k.ext)
 }
 
-// fileHash recovers the hash from an object path ("<hash>.sph").
-func fileHash(path string) string {
-	base := filepath.Base(path)
-	return base[:len(base)-len(".sph")]
-}
-
-func readIndex(path string) (*indexFile, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var idx indexFile
-	if err := json.Unmarshal(b, &idx); err != nil {
-		return nil, fmt.Errorf("store: corrupt index %s: %w", path, err)
-	}
-	if idx.Entries == nil {
-		idx.Entries = map[string]*Meta{}
-	}
-	return &idx, nil
+// fileHash recovers the hash from a stored file's path ("<hash><ext>").
+func fileHash(path, ext string) string {
+	return strings.TrimSuffix(filepath.Base(path), ext)
 }
 
 // saveIndexLocked rewrites index.json atomically.
@@ -280,11 +244,24 @@ func (s *Store) saveIndexLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	return writeAtomic(s.indexPath(), b)
+}
+
+// writeAtomic replaces path with data: a temp file beside it, then a
+// rename, so a reader sees the old bytes or the new ones, never a torn file.
+func writeAtomic(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("store: creating %s: %w", filepath.Dir(path), err)
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return fmt.Errorf("store: writing %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, s.indexPath())
+	return nil
 }
 
 // fileCRC returns the CRC-64/ECMA and size of the file's bytes.
@@ -296,43 +273,39 @@ func fileCRC(path string) (uint64, int64, error) {
 	defer f.Close()
 	h := crc64.New(crcTable)
 	n, err := io.Copy(h, f)
-	if err != nil {
-		return 0, 0, err
-	}
-	return h.Sum64(), n, nil
+	return h.Sum64(), n, err
 }
 
-// quarantineLocked moves an object aside instead of deleting it, so corrupt
-// data remains inspectable but is never served.
-func (s *Store) quarantineLocked(hash string) {
-	s.quarantineFileLocked(s.objectPath(hash), hash)
-}
-
-// quarantineFileLocked quarantines an object file at an explicit path (the
-// canonical sharded location, or a flat-layout file that failed migration).
-func (s *Store) quarantineFileLocked(path, hash string) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		_ = os.Remove(path)
-		return
-	}
-	dst := filepath.Join(qdir, hash+".sph")
-	if err := os.Rename(path, dst); err != nil {
+// quarantineLocked moves the object file at path (its shard location, or a
+// flat-layout file that failed migration) aside instead of deleting it, so
+// corrupt data remains inspectable but is never served.
+func (s *Store) quarantineLocked(path, hash string) {
+	dst := filepath.Join(s.dir, "quarantine", hash+".sph")
+	if os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil {
 		_ = os.Remove(path)
 	}
 	// A quarantined object always accompanies a dropped entry; its
 	// attachments are meaningless without the snapshot they describe.
-	_ = os.Remove(s.reportPath(hash))
-	_ = os.Remove(s.telemetryPath(hash))
-	_ = os.Remove(s.profilePath(hash))
-	s.quarantined++
+	s.removeAttachmentFiles(hash)
+	s.counts.Quarantined++
 }
 
-// entryBytes is everything the entry holds on disk: the snapshot object
-// plus its report, telemetry, and profile attachments. This is the unit the
-// MaxBytes cap and the total accounting work in.
+// removeAttachmentFiles deletes whatever attachment files exist for hash.
+func (s *Store) removeAttachmentFiles(hash string) {
+	for i := range attachments {
+		_ = os.Remove(s.attachmentPath(&attachments[i], hash))
+	}
+}
+
+// entryBytes is everything the entry holds on disk, object plus
+// attachments: the unit the MaxBytes cap and the total accounting work in.
 func entryBytes(m *Meta) int64 {
-	return m.Size + m.ReportSize + m.TelemetrySize + m.ProfileSize
+	total := m.Size
+	for i := range attachments {
+		size, _ := attachments[i].slot(m)
+		total += *size
+	}
+	return total
 }
 
 // removeLocked evicts an entry and deletes its object and attachment files.
@@ -342,9 +315,7 @@ func (s *Store) removeLocked(hash string) {
 		delete(s.entries, hash)
 	}
 	_ = os.Remove(s.objectPath(hash))
-	_ = os.Remove(s.reportPath(hash))
-	_ = os.Remove(s.telemetryPath(hash))
-	_ = os.Remove(s.profilePath(hash))
+	s.removeAttachmentFiles(hash)
 }
 
 // evictLocked applies the TTL then the size cap: expired entries go first,
@@ -355,104 +326,131 @@ func (s *Store) evictLocked(now time.Time) {
 		for hash, m := range s.entries {
 			if m.LastUsed < cutoff {
 				s.removeLocked(hash)
-				s.evictions++
+				s.counts.Evictions++
 			}
 		}
 	}
 	if s.opts.MaxBytes <= 0 || s.total <= s.opts.MaxBytes {
 		return
 	}
-	type cand struct {
-		hash     string
-		lastUsed int64
-	}
-	order := make([]cand, 0, len(s.entries))
-	for hash, m := range s.entries {
-		order = append(order, cand{hash, m.LastUsed})
+	order := make([]*Meta, 0, len(s.entries))
+	for _, m := range s.entries {
+		order = append(order, m)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if order[i].lastUsed != order[j].lastUsed {
-			return order[i].lastUsed < order[j].lastUsed
-		}
-		return order[i].hash < order[j].hash
+		a, b := order[i], order[j]
+		return a.LastUsed < b.LastUsed || a.LastUsed == b.LastUsed && a.Hash < b.Hash
 	})
-	for _, c := range order {
+	for _, m := range order {
 		if s.total <= s.opts.MaxBytes {
 			break
 		}
-		s.removeLocked(c.hash)
-		s.evictions++
+		s.removeLocked(m.Hash)
+		s.counts.Evictions++
 	}
 }
 
-// Put stores snapshot under meta.Hash, replacing any existing entry. The
-// write is atomic (temp file in the objects directory, then rename), the
-// index is persisted, and the eviction policy runs afterwards — so the
-// on-disk total never exceeds MaxBytes once Put returns. Note that under a
-// tight cap the just-written entry itself may be evicted (a snapshot larger
-// than the whole budget is never retained).
+// ArtifactError names one part of a result ("snapshot", "report",
+// "telemetry", or the "index" that records them) a write could not put on
+// disk, and why.
+type ArtifactError struct {
+	Artifact string
+	Err      error
+}
+
+// PutResult stores a whole result under meta.Hash in one write: snapshot,
+// report and telemetry track (nil means none), then one eviction pass and
+// one index write. kept reports whether the entry is live afterwards: under
+// a tight cap the pass may evict the record it just wrote, and a caller
+// holding the bytes in memory should then keep them. errs lists what could
+// not be written; a failed snapshot stops the write, a failed attachment
+// leaves the rest of the record stored and served.
+func (s *Store) PutResult(meta Meta, snapshot, report, telemetry []byte) (kept bool, errs []ArtifactError) {
+	return s.write(meta.Hash, &meta, snapshot, [len(attachments)][]byte{kindReport: report, kindTelemetry: telemetry})
+}
+
+// Put stores snapshot under meta.Hash with no attachments, replacing any
+// existing entry.
 func (s *Store) Put(meta Meta, snapshot []byte) error {
-	if meta.Hash == "" {
-		return fmt.Errorf("store: Put with empty hash")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	path := s.objectPath(meta.Hash)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating %s: %w", filepath.Dir(path), err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, snapshot, 0o644); err != nil {
-		return fmt.Errorf("store: writing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-
-	now := s.opts.Now().Unix()
-	if old, ok := s.entries[meta.Hash]; ok {
-		// An overwrite replaces the Meta wholesale: the old attachments no
-		// longer describe the new snapshot, so their files must go too —
-		// leaving them on disk would leak bytes invisible to the accounting.
-		s.total -= entryBytes(old)
-		if old.ReportSize > 0 {
-			_ = os.Remove(s.reportPath(meta.Hash))
-		}
-		if old.TelemetrySize > 0 {
-			_ = os.Remove(s.telemetryPath(meta.Hash))
-		}
-		if old.ProfileSize > 0 {
-			_ = os.Remove(s.profilePath(meta.Hash))
-		}
-	}
-	// Attachment bookkeeping is owned by the store: a fresh Put starts with
-	// none regardless of what the caller's Meta claims.
-	meta.ReportSize, meta.ReportCRC = 0, 0
-	meta.TelemetrySize, meta.TelemetryCRC = 0, 0
-	meta.ProfileSize, meta.ProfileCRC = 0, 0
-	meta.Size = int64(len(snapshot))
-	meta.CRC = crc64.Checksum(snapshot, crcTable)
-	meta.CreatedAt = now
-	meta.LastUsed = now
-	s.entries[meta.Hash] = &meta
-	s.total += meta.Size
-	s.puts++
-
-	s.evictLocked(s.opts.Now())
-	return s.saveIndexLocked()
+	return firstErr(s.PutResult(meta, snapshot, nil, nil))
 }
 
-// Has reports whether hash is currently live. Unlike Get it neither counts
-// toward the hit/miss metrics nor refreshes the entry's LRU position — it
-// is for internal bookkeeping (e.g. the job server checking whether a
-// just-Put entry survived its own eviction pass), not for serving traffic.
-func (s *Store) Has(hash string) bool {
+// PutReport attaches a verification report to an existing entry.
+func (s *Store) PutReport(hash string, report []byte) error {
+	return firstErr(s.write(hash, nil, nil, [len(attachments)][]byte{kindReport: report}))
+}
+
+// PutTelemetry attaches a step-telemetry track to an existing entry.
+func (s *Store) PutTelemetry(hash string, track []byte) error {
+	return firstErr(s.write(hash, nil, nil, [len(attachments)][]byte{kindTelemetry: track}))
+}
+
+// firstErr is a write's outcome for a caller that wrote one artifact.
+func firstErr(_ bool, errs []ArtifactError) error {
+	if len(errs) == 0 {
+		return nil
+	}
+	return errs[0].Err
+}
+
+// write is the one write path. With meta non-nil, snapshot becomes the
+// entry's object and the entry is replaced wholesale; each non-nil element
+// of att is then written into that slot of the new (or, with meta nil, the
+// existing) entry, its size and CRC recorded. The eviction pass and the
+// index write follow under the same lock hold, so the on-disk total never
+// exceeds MaxBytes once write returns.
+func (s *Store) write(hash string, meta *Meta, snapshot []byte, att [len(attachments)][]byte) (kept bool, errs []ArtifactError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.entries[hash]
-	return ok
+	m := s.entries[hash]
+	switch {
+	case hash == "":
+		return false, []ArtifactError{{"snapshot", fmt.Errorf("store: write with empty hash")}}
+	case meta == nil && m == nil:
+		return false, []ArtifactError{{"snapshot", fmt.Errorf("store: attachment for unknown entry %s", hash)}}
+	case meta != nil:
+		if err := writeAtomic(s.objectPath(hash), snapshot); err != nil {
+			return false, []ArtifactError{{"snapshot", err}}
+		}
+		if m != nil {
+			// The old attachments describe the replaced snapshot: their
+			// files go too, or they would leak bytes invisible to the
+			// accounting.
+			s.total -= entryBytes(m)
+			s.removeAttachmentFiles(hash)
+		}
+		// Bookkeeping is owned by the store: a fresh entry starts with no
+		// attachments regardless of what the caller's Meta claims.
+		m = meta
+		for i := range attachments {
+			size, crc := attachments[i].slot(m)
+			*size, *crc = 0, 0
+		}
+		m.Size, m.CRC = int64(len(snapshot)), crc64.Checksum(snapshot, crcTable)
+		m.CreatedAt = s.opts.Now().Unix()
+		m.LastUsed = m.CreatedAt
+		s.entries[hash] = m
+		s.total += m.Size
+		s.counts.Puts++
+	}
+	for i, data := range att {
+		if data == nil {
+			continue
+		}
+		k := &attachments[i]
+		if err := writeAtomic(s.attachmentPath(k, hash), data); err != nil {
+			errs = append(errs, ArtifactError{k.name, err})
+			continue
+		}
+		size, crc := k.slot(m)
+		s.total += int64(len(data)) - *size
+		*size, *crc = int64(len(data)), crc64.Checksum(data, crcTable)
+	}
+	s.evictLocked(s.opts.Now())
+	if err := s.saveIndexLocked(); err != nil {
+		errs = append(errs, ArtifactError{"index", err})
+	}
+	return s.entries[hash] == m, errs
 }
 
 // Get returns the entry's metadata and marks it used (refreshing its LRU and
@@ -462,10 +460,10 @@ func (s *Store) Get(hash string) (Meta, bool) {
 	defer s.mu.Unlock()
 	m, ok := s.touchLocked(hash)
 	if !ok {
-		s.misses++
+		s.counts.Misses++
 		return Meta{}, false
 	}
-	s.hits++
+	s.counts.Hits++
 	return *m, true
 }
 
@@ -491,39 +489,34 @@ func (s *Store) touchLocked(hash string) (*Meta, bool) {
 
 // OpenObject returns the entry's object file positioned at the start, after
 // verifying the file bytes against the recorded CRC — callers stream the
-// snapshot straight from disk. A corrupt object is quarantined and reported
-// as an error; the caller should treat it as a miss and recompute.
+// snapshot straight from disk. A corrupt object is quarantined, a lost one
+// forgotten, and either reported as an error; the caller should treat it as
+// a miss and recompute.
 func (s *Store) OpenObject(hash string) (*os.File, Meta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.touchLocked(hash)
 	if !ok {
-		s.misses++
+		s.counts.Misses++
 		return nil, Meta{}, fmt.Errorf("store: no entry %s", hash)
 	}
-	f, err := os.Open(s.objectPath(hash))
+	path := s.objectPath(hash)
+	crc, n, err := fileCRC(path)
+	if err == nil && (crc != m.CRC || n != m.Size) {
+		err = fmt.Errorf("failed CRC verification, quarantined")
+		s.quarantineLocked(path, hash)
+	}
+	var f *os.File
+	if err == nil {
+		f, err = os.Open(path)
+	}
 	if err != nil {
-		s.misses++
+		s.counts.Misses++
 		s.removeLocked(hash)
 		_ = s.saveIndexLocked()
-		return nil, Meta{}, fmt.Errorf("store: entry %s lost: %w", hash, err)
+		return nil, Meta{}, fmt.Errorf("store: entry %s: %w", hash, err)
 	}
-	h := crc64.New(crcTable)
-	n, err := io.Copy(h, f)
-	if err != nil || h.Sum64() != m.CRC || n != m.Size {
-		f.Close()
-		s.misses++
-		s.total -= entryBytes(m)
-		delete(s.entries, hash)
-		s.quarantineLocked(hash)
-		_ = s.saveIndexLocked()
-		return nil, Meta{}, fmt.Errorf("store: entry %s failed CRC verification, quarantined", hash)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, Meta{}, err
-	}
-	s.hits++
+	s.counts.Hits++
 	return f, *m, nil
 }
 
@@ -535,10 +528,7 @@ func (s *Store) ReadObject(hash string) ([]byte, Meta, error) {
 	}
 	defer f.Close()
 	b, err := io.ReadAll(f)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	return b, m, nil
+	return b, m, err
 }
 
 // Sweep applies the TTL + size eviction policy now (Put and Open already do;
@@ -557,8 +547,7 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// TotalBytes returns the tracked on-disk size of all live entries —
-// snapshot objects plus their report, telemetry, and profile attachments.
+// TotalBytes returns the tracked on-disk size of all live entries.
 func (s *Store) TotalBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -583,154 +572,70 @@ func (s *Store) ReportHashes() []string {
 	return out
 }
 
-// Quarantined reports how many objects this store instance has moved to
-// quarantine (at Open or on a failed read).
+// Quarantined reports how many objects this instance moved to quarantine.
 func (s *Store) Quarantined() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quarantined
+	return s.counts.Quarantined
 }
 
-// TTL exposes the configured idle expiry (0 = none); the job server reuses
-// it to prune its job table in lockstep with the result store.
-func (s *Store) TTL() time.Duration { return s.opts.TTL }
-
-// putAttachment writes an attachment file atomically (temp + rename) for an
-// existing entry and records its size and CRC through the provided
-// accessors — the shared machinery behind PutReport, PutTelemetry, and
-// PutProfile. set returns the size the slot held before, so the byte
-// accounting tracks replacement as well as first attachment; the eviction
-// policy runs afterwards because attachment bytes count against MaxBytes.
-func (s *Store) putAttachment(hash, kind, path string, data []byte, set func(m *Meta, size int64, crc uint64) (old int64)) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.entries[hash]
-	if !ok {
-		return fmt.Errorf("store: Put%s for unknown entry %s", kind, hash)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating %s: %w", filepath.Dir(path), err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: writing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	old := set(m, int64(len(data)), crc64.Checksum(data, crcTable))
-	s.total += int64(len(data)) - old
-	s.evictLocked(s.opts.Now())
-	return s.saveIndexLocked()
-}
-
-// readAttachment returns attachment bytes verified against the recorded
-// size and CRC (fetched via get). A missing or corrupt file is dropped (its
-// Meta fields zeroed via clear) and reported as absent — never served wrong.
-func (s *Store) readAttachment(hash, path string, get func(m *Meta) (int64, uint64), clear func(m *Meta)) ([]byte, bool) {
+// readAttachment returns the entry's attachment bytes of one kind, verified
+// against the recorded size and CRC. A missing or corrupt file is dropped
+// (its slot zeroed) and reported as absent — never served wrong.
+func (s *Store) readAttachment(kind int, hash string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.entries[hash]
 	if !ok {
 		return nil, false
 	}
-	size, crc := get(m)
-	if size == 0 {
+	k := &attachments[kind]
+	size, crc := k.slot(m)
+	if *size == 0 {
 		return nil, false
 	}
+	path := s.attachmentPath(k, hash)
 	b, err := os.ReadFile(path)
-	if err != nil || int64(len(b)) != size || crc64.Checksum(b, crcTable) != crc {
+	if err != nil || int64(len(b)) != *size || crc64.Checksum(b, crcTable) != *crc {
 		_ = os.Remove(path)
-		clear(m)
-		s.total -= size
+		s.total -= *size
+		*size, *crc = 0, 0
 		_ = s.saveIndexLocked()
 		return nil, false
 	}
 	return b, true
 }
 
-// PutReport attaches a verification report to an existing entry. The file
-// is written atomically next to the snapshot (reports/<hash>.json) with its
-// CRC recorded in the entry, so ReadReport returns exactly these bytes —
-// including across restarts — or nothing.
-func (s *Store) PutReport(hash string, report []byte) error {
-	return s.putAttachment(hash, "Report", s.reportPath(hash), report,
-		func(m *Meta, size int64, crc uint64) (old int64) {
-			old, m.ReportSize, m.ReportCRC = m.ReportSize, size, crc
-			return old
-		})
-}
-
-// ReadReport returns the entry's verification report bytes, verified
-// against the recorded CRC.
+// ReadReport returns the entry's verification report bytes.
 func (s *Store) ReadReport(hash string) ([]byte, bool) {
-	return s.readAttachment(hash, s.reportPath(hash),
-		func(m *Meta) (int64, uint64) { return m.ReportSize, m.ReportCRC },
-		func(m *Meta) { m.ReportSize, m.ReportCRC = 0, 0 })
+	return s.readAttachment(kindReport, hash)
 }
 
-// PutTelemetry attaches a step-telemetry track to an existing entry —
-// same atomic-write, CRC-verified, byte-identical contract as PutReport.
-func (s *Store) PutTelemetry(hash string, track []byte) error {
-	return s.putAttachment(hash, "Telemetry", s.telemetryPath(hash), track,
-		func(m *Meta, size int64, crc uint64) (old int64) {
-			old, m.TelemetrySize, m.TelemetryCRC = m.TelemetrySize, size, crc
-			return old
-		})
-}
-
-// ReadTelemetry returns the entry's telemetry track bytes, verified against
-// the recorded CRC.
+// ReadTelemetry returns the entry's telemetry track bytes.
 func (s *Store) ReadTelemetry(hash string) ([]byte, bool) {
-	return s.readAttachment(hash, s.telemetryPath(hash),
-		func(m *Meta) (int64, uint64) { return m.TelemetrySize, m.TelemetryCRC },
-		func(m *Meta) { m.TelemetrySize, m.TelemetryCRC = 0, 0 })
+	return s.readAttachment(kindTelemetry, hash)
 }
 
-// PutProfile attaches a CPU profile to an existing entry; a later capture
-// replaces the previous one (the profile is point-in-time evidence, not an
-// accumulating log).
-func (s *Store) PutProfile(hash string, profile []byte) error {
-	return s.putAttachment(hash, "Profile", s.profilePath(hash), profile,
-		func(m *Meta, size int64, crc uint64) (old int64) {
-			old, m.ProfileSize, m.ProfileCRC = m.ProfileSize, size, crc
-			return old
-		})
-}
-
-// ReadProfile returns the entry's most recent CPU profile bytes, verified
-// against the recorded CRC.
-func (s *Store) ReadProfile(hash string) ([]byte, bool) {
-	return s.readAttachment(hash, s.profilePath(hash),
-		func(m *Meta) (int64, uint64) { return m.ProfileSize, m.ProfileCRC },
-		func(m *Meta) { m.ProfileSize, m.ProfileCRC = 0, 0 })
-}
-
-// Stats is the /storez metrics snapshot.
+// Stats is the GET /v1/store metrics snapshot.
 type Stats struct {
 	// Entries counts live entries; Bytes is their total on-disk footprint
 	// (objects plus attachments — the number the MaxBytes cap governs).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// ObjectBytes, ReportBytes, TelemetryBytes, and ProfileBytes break
-	// Bytes down by what the disk actually holds.
+	// ObjectBytes, ReportBytes and TelemetryBytes break Bytes down by what
+	// the disk actually holds.
 	ObjectBytes    int64 `json:"objectBytes"`
 	ReportBytes    int64 `json:"reportBytes"`
 	TelemetryBytes int64 `json:"telemetryBytes"`
-	ProfileBytes   int64 `json:"profileBytes"`
-	// Reports counts entries with an attached verification report;
-	// Telemetry and Profiles count the other attachment kinds.
+	// Reports and Telemetry count entries with that attachment.
 	Reports   int `json:"reports"`
 	Telemetry int `json:"telemetry"`
-	Profiles  int `json:"profiles"`
 	// Hits and Misses count result lookups since this instance opened;
 	// HitRate is their ratio (0 with no traffic).
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hitRate"`
-	// Quarantined counts objects this instance moved aside as corrupt or
-	// unvouched-for.
+	// Quarantined counts objects moved aside as corrupt or unvouched-for.
 	Quarantined int `json:"quarantined"`
 	// Puts and Evictions count writes and TTL/LRU policy removals since
 	// this instance opened.
@@ -742,32 +647,23 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
-		Entries:     len(s.entries),
-		Bytes:       s.total,
-		Hits:        s.hits,
-		Misses:      s.misses,
-		Quarantined: s.quarantined,
-		Puts:        s.puts,
-		Evictions:   s.evictions,
-	}
+	st := s.counts
+	st.Entries, st.Bytes = len(s.entries), s.total
+	perKind := [len(attachments)]struct {
+		bytes *int64
+		n     *int
+	}{kindReport: {&st.ReportBytes, &st.Reports}, kindTelemetry: {&st.TelemetryBytes, &st.Telemetry}}
 	for _, m := range s.entries {
 		st.ObjectBytes += m.Size
-		if m.ReportSize > 0 {
-			st.Reports++
-			st.ReportBytes += m.ReportSize
-		}
-		if m.TelemetrySize > 0 {
-			st.Telemetry++
-			st.TelemetryBytes += m.TelemetrySize
-		}
-		if m.ProfileSize > 0 {
-			st.Profiles++
-			st.ProfileBytes += m.ProfileSize
+		for i := range attachments {
+			if size, _ := attachments[i].slot(m); *size > 0 {
+				*perKind[i].n++
+				*perKind[i].bytes += *size
+			}
 		}
 	}
-	if total := s.hits + s.misses; total > 0 {
-		st.HitRate = float64(s.hits) / float64(total)
+	if total := st.Hits + st.Misses; total > 0 {
+		st.HitRate = float64(st.Hits) / float64(total)
 	}
 	return st
 }
