@@ -3,6 +3,7 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/vec"
 )
@@ -24,18 +25,47 @@ type Sedov struct {
 	// 0 disables the bound.
 	RValid float64
 
-	// Alpha is the computed energy integral: E = Alpha * rho0 * R^5 / t^2.
-	Alpha float64
+	// The gamma-only part, Alpha included, shared with every other Sedov of
+	// this gamma.
+	*sedovProfile
+	pAmbient float64
+}
 
-	// Similarity profile sampled uniformly in x = ln(xi), descending from
-	// x=0 (the shock, xi=1) in steps of -dx.
+// sedovProfile is the part of the solution that depends on gamma alone: the
+// similarity profile sampled uniformly in x = ln(xi), descending from x=0
+// (the shock, xi=1) in steps of -dx, and its energy integral. It is built
+// once per gamma per process and never written afterwards, so every Sedov
+// of that gamma shares one.
+type sedovProfile struct {
+	gamma float64
+	// Alpha is the computed energy integral: E = Alpha * rho0 * R^5 / t^2.
+	Alpha      float64
 	dx         float64
 	v, lg, lz  []float64 // V, ln G, ln Z at x_i = -i*dx
 	dvE        [3]float64
 	xMin       float64
-	pAmbient   float64
 	selfSimJ   int
 	selfSimDel float64
+}
+
+// sedovProfiles holds the profile of every gamma asked for so far. The
+// registered scenarios pass 5/3 only, so it holds one entry.
+var (
+	sedovMu       sync.Mutex
+	sedovProfiles = map[float64]*sedovProfile{} // guarded by sedovMu
+)
+
+// profileFor returns the shared profile for gamma, integrating it on the
+// first request.
+func profileFor(gamma float64) *sedovProfile {
+	sedovMu.Lock()
+	defer sedovMu.Unlock()
+	p := sedovProfiles[gamma]
+	if p == nil {
+		p = integrate(gamma)
+		sedovProfiles[gamma] = p
+	}
+	return p
 }
 
 const (
@@ -43,27 +73,22 @@ const (
 	sedovDX    = 1e-3
 )
 
-// NewSedov integrates the self-similar profile for the given blast.
+// NewSedov returns the solution for the given blast over the self-similar
+// profile of its gamma.
 func NewSedov(e, rho0, gamma float64, center vec.V3, rValid float64) (*Sedov, error) {
 	if e <= 0 || rho0 <= 0 {
 		return nil, fmt.Errorf("analytic: sedov requires positive energy and density (E=%g rho0=%g)", e, rho0)
 	}
-	if gamma <= 1 {
+	if !(gamma > 1) { // NaN included: it would never find its own cache entry
 		return nil, fmt.Errorf("analytic: sedov gamma %g <= 1", gamma)
 	}
-	s := &Sedov{
-		E: e, Rho0: rho0, Gamma: gamma, Center: center, RValid: rValid,
-		selfSimJ: 3, dx: sedovDX,
-	}
-	s.selfSimDel = 2.0 / float64(s.selfSimJ+2)
-	s.integrate()
-	return s, nil
+	return &Sedov{E: e, Rho0: rho0, Gamma: gamma, Center: center, RValid: rValid, sedovProfile: profileFor(gamma)}, nil
 }
 
 // derivs evaluates the self-similar ODE right-hand side at state
 // y = (V, ln G, ln Z), with x = ln xi the independent variable.
-func (s *Sedov) derivs(y [3]float64) [3]float64 {
-	g := s.Gamma
+func (s *sedovProfile) derivs(y [3]float64) [3]float64 {
+	g := s.gamma
 	j := float64(s.selfSimJ)
 	del := s.selfSimDel
 	V := y[0]
@@ -78,8 +103,9 @@ func (s *Sedov) derivs(y [3]float64) [3]float64 {
 
 // integrate runs RK4 from the shock (x=0) inward and computes alpha from
 // the energy integral of the resulting profile.
-func (s *Sedov) integrate() {
-	g := s.Gamma
+func integrate(g float64) *sedovProfile {
+	s := &sedovProfile{gamma: g, selfSimJ: 3, dx: sedovDX}
+	s.selfSimDel = 2.0 / float64(s.selfSimJ+2)
 	// Strong-shock boundary conditions at xi = 1.
 	y := [3]float64{
 		2 / (g + 1),
@@ -127,6 +153,7 @@ func (s *Sedov) integrate() {
 	}
 	// alpha = S_j * delta^2 * I with S_3 = 4*pi.
 	s.Alpha = 4 * math.Pi * s.selfSimDel * s.selfSimDel * integral
+	return s
 }
 
 // ShockRadius returns R(t) = (E t^2 / (alpha rho0))^(1/5).

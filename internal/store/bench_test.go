@@ -1,0 +1,76 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/crc64"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// BenchmarkPutResult: one PutResult of a record the size serve-cold stores
+// (the N=216 snapshot, its report and its track: 45 011 bytes) into a store
+// that already holds 64 or 4096 results. What a write costs must not depend
+// on how many results came before it: the two sub-benchmarks read within
+// 1.5× of each other, where a store that rewrites its index per write
+// differs by the index size. ns/op is three file creations on whatever disk
+// the temp directory is on, and wanders with it; index-B/op — the bytes
+// index.log grew by plus every index.json a write left — is exact.
+func BenchmarkPutResult(b *testing.B) {
+	snapshot := bytes.Repeat([]byte{'s'}, 42580)
+	report := bytes.Repeat([]byte{'r'}, 1644)
+	track := bytes.Repeat([]byte{'t'}, 787)
+	for _, entries := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			// The standing results are written as files and an index, not by
+			// PutResult, so the set-up costs the same on both sides of a
+			// comparison; their objects are tiny, only their number matters.
+			idx := indexFile{Version: 1, Entries: map[string]*Meta{}}
+			files := map[string][]byte{}
+			for i := 0; i < entries; i++ {
+				hash := fmt.Sprintf("%02x%062x", i%256, i)
+				obj := []byte("SPH1 " + hash)
+				idx.Entries[hash] = &Meta{Hash: hash, Particles: 216, Steps: 2, Size: int64(len(obj)),
+					CRC: crc64.Checksum(obj, crcTable), CreatedAt: 1_000_000, LastUsed: 1_000_000}
+				files["objects/"+hash[:2]+"/"+hash+".sph"] = obj
+			}
+			var err error
+			if files["index.json"], err = json.Marshal(idx); err != nil {
+				b.Fatal(err)
+			}
+			dir := b.TempDir()
+			writeTree(b, dir, files)
+			s, err := Open(dir, Options{})
+			if err != nil || s.Len() != entries {
+				b.Fatalf("Open: %v, %d entries, want %d", err, s.Len(), entries)
+			}
+			// A write that rewrites index.json also grows it (one more
+			// entry), so a changed size is a rewrite of that many bytes.
+			size := func(name string) int64 {
+				if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
+					return fi.Size()
+				}
+				return 0
+			}
+			var indexBytes int64
+			jsonSize, logSize := size("index.json"), size("index.log")
+			b.SetBytes(int64(len(snapshot) + len(report) + len(track)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				meta := Meta{Hash: fmt.Sprintf("ff%062x", i), Particles: 216, Steps: 2}
+				if kept, errs := s.PutResult(meta, snapshot, report, track); !kept || len(errs) != 0 {
+					b.Fatalf("PutResult: kept=%v errs=%v", kept, errs)
+				}
+				if n := size("index.json"); n != jsonSize {
+					indexBytes, jsonSize = indexBytes+n, n
+				}
+				if n := size("index.log"); n != logSize {
+					indexBytes, logSize = indexBytes+max(n-logSize, 0), n
+				}
+			}
+			b.ReportMetric(float64(indexBytes)/float64(b.N), "index-B/op")
+		})
+	}
+}

@@ -28,6 +28,7 @@ func FuzzOpenIndex(f *testing.F) {
 		[]byte(`{"pass":true}`), []byte(`{"status":"ok"}`))
 	seed.PutResult(Meta{Hash: "bbbb2222", Particles: 27, Steps: 2}, []byte("SPH1 second snapshot, longer"),
 		[]byte(`{"pass":false}`), nil)
+	seed.Sweep() // compacted: index.json holds both records and no index.log overrides it
 	files := tree(f, seedDir)
 	f.Add(files["index.json"])
 
@@ -73,5 +74,38 @@ func FuzzOpenIndex(f *testing.F) {
 		if !reflect.DeepEqual(live, relive) {
 			t.Errorf("first Open kept %q, the second %q", live, relive)
 		}
+	})
+}
+
+// journalFuzzDir is FuzzJournalReplay's directory — the two records of
+// FuzzOpenIndex, compacted, so index.json is valid and vouches for both —
+// and the log those two writes left before the compaction.
+func journalFuzzDir(t testing.TB) (files map[string][]byte, log []byte) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Now: newClock().now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.PutResult(Meta{Hash: "aaaa1111", Particles: 8, Steps: 1}, []byte("SPH1 first snapshot"),
+		[]byte(`{"pass":true}`), []byte(`{"status":"ok"}`))
+	s.PutResult(Meta{Hash: "bbbb2222", Particles: 27, Steps: 2}, []byte("SPH1 second snapshot, longer"),
+		[]byte(`{"pass":false}`), nil)
+	log = tree(t, dir)["index.log"]
+	s.Sweep()
+	return tree(t, dir), log
+}
+
+// FuzzJournalReplay: Open over that directory with arbitrary bytes as
+// index.log. Whatever the log says, the invariants of FuzzOpenIndex hold
+// (checkOpenInvariants). The checked-in corpus
+// (testdata/fuzz/FuzzJournalReplay) is cut from the real log: the log
+// itself (two puts the index already holds), a torn tail, a bad CRC, a del
+// of a live and of an unknown hash, puts whose hash aliases another entry's
+// object path, a put repeated, and puts that lie about their sizes.
+func FuzzJournalReplay(f *testing.F) {
+	files, log := journalFuzzDir(f)
+	f.Add(log)
+	f.Fuzz(func(t *testing.T, log []byte) {
+		openOver(t, files, log)
 	})
 }

@@ -48,7 +48,8 @@ func writeTree(t testing.TB, dir string, files map[string][]byte) {
 // TestPutResultEqualsThreeCalls: there is one write path. Under a fixed
 // clock and no cap, one PutResult and the Put → PutReport → PutTelemetry
 // sequence leave the same files, byte for byte — index.json included — and
-// the same Stats.
+// the same Stats, once Sweep has compacted one journal record on the one
+// side and three on the other into the index (and deleted the log).
 func TestPutResultEqualsThreeCalls(t *testing.T) {
 	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
 		// Bookkeeping a caller has no business setting: both paths ignore it.
@@ -81,6 +82,8 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	one.Sweep()
+	three.Sweep()
 	a, b := tree(t, oneDir), tree(t, threeDir)
 	if len(a) != 4 {
 		t.Errorf("PutResult left %d files, want index + object + report + track", len(a))

@@ -9,12 +9,23 @@
 //
 // A stored result is one record — the snapshot plus its report and
 // telemetry attachments — and PutResult writes it as one: each file, then
-// one eviction pass and one index write under one lock hold. Put, PutReport
-// and PutTelemetry enter the same write path with part of a record.
+// one eviction pass and one journal append under one lock hold. Put,
+// PutReport and PutTelemetry enter the same write path with part of a record.
+//
+// The index is index.json plus a journal, index.log: a mutation appends the
+// entries it changed (journal.go has the record format), so a write's cost
+// does not depend on how many results the store holds. Compaction — rewrite
+// index.json, delete the log — runs at the end of Open, from Sweep, and when
+// the log passes twice the live entries plus compactSlack records. Open
+// replays the log over index.json up to its first bad frame (a torn tail
+// loses the records after the tear; an unreadable index.json makes the log
+// meaningless and the store opens empty), then checks the result against the
+// files. Nothing is fsynced: it survives a killed process, not a power cut.
 //
 // Layout under the root directory:
 //
-//	index.json             entry metadata (rewritten atomically on mutation)
+//	index.json             entry metadata as of the last compaction
+//	index.log              CRC-framed put/del records since then
 //	objects/ab/abcd….sph   snapshot payloads (part binary checkpoint format),
 //	                       sharded by the first two hash characters; a flat
 //	                       objects/abcd….sph layout migrates on Open
@@ -119,6 +130,13 @@ type Store struct {
 	// counts holds the since-open counters of Stats (Hits, Misses,
 	// Quarantined, Puts, Evictions); Stats derives its other fields.
 	counts Stats // guarded by mu
+
+	// The journal (journal.go): hashes changed since the last append, the
+	// append handle, records in index.log, and "an append failed part-way".
+	dirty      []string // guarded by mu
+	log        *os.File // guarded by mu
+	logRecords int      // guarded by mu
+	logTorn    bool     // guarded by mu
 }
 
 type indexFile struct {
@@ -126,11 +144,12 @@ type indexFile struct {
 	Entries map[string]*Meta `json:"entries"`
 }
 
-// Open loads (or initializes) a store rooted at dir. Every indexed object is
-// re-verified against its recorded CRC: corrupt or missing-from-index files
-// are moved to the quarantine directory and dropped, then the TTL and size
-// policies are applied — so a freshly opened store is always consistent and
-// within budget.
+// Open loads (or initializes) a store rooted at dir: index.json, then the
+// records of index.log on top of it. Every indexed object is re-verified
+// against its recorded CRC: corrupt or missing-from-index files are moved to
+// the quarantine directory and dropped, then the TTL and size policies are
+// applied and the result compacted — so a freshly opened store is always
+// consistent, within budget, and has no log.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -151,11 +170,25 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 
-	// A missing or corrupt index is recoverable: start empty, and the sweep
-	// below quarantines every object (their provenance is unverifiable).
+	// Temp files of writes a killed process never renamed belong to no entry.
+	for _, glob := range []string{"*.tmp", "*/*.tmp", "objects/*/*.tmp"} {
+		stray, _ := filepath.Glob(filepath.Join(s.dir, glob))
+		for _, path := range stray {
+			_ = os.Remove(path)
+		}
+	}
+
+	// A missing or corrupt index is recoverable: start empty (the log means
+	// nothing without it), and the sweep below quarantines every object
+	// (their provenance is unverifiable).
 	var idx indexFile
 	if b, err := os.ReadFile(s.indexPath()); err != nil || json.Unmarshal(b, &idx) != nil {
 		idx = indexFile{}
+	} else if log, err := os.ReadFile(s.logPath()); err == nil {
+		if idx.Entries == nil {
+			idx.Entries = map[string]*Meta{}
+		}
+		replay(log, idx.Entries)
 	}
 
 	for hash, m := range idx.Entries {
@@ -219,6 +252,7 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 func (s *Store) indexPath() string  { return filepath.Join(s.dir, "index.json") }
+func (s *Store) logPath() string    { return filepath.Join(s.dir, "index.log") }
 func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
 
 // objectPath shards the objects directory by the first two hash characters,
@@ -238,13 +272,24 @@ func fileHash(path, ext string) string {
 	return strings.TrimSuffix(filepath.Base(path), ext)
 }
 
-// saveIndexLocked rewrites index.json atomically.
+// saveIndexLocked is compaction, O(entries) and never per write: index.json
+// rewritten atomically, then the log deleted. Killed in between, the stale log
+// replays at the next Open and costs at most a recompute (see journalLocked).
 func (s *Store) saveIndexLocked() error {
 	b, err := json.MarshalIndent(indexFile{Version: 1, Entries: s.entries}, "", "  ")
 	if err != nil {
 		return err
 	}
-	return writeAtomic(s.indexPath(), b)
+	if err := writeAtomic(s.indexPath(), b); err != nil {
+		return err
+	}
+	_ = s.log.Close() // nil before the first append; the index holds all it held
+	s.log = nil
+	s.dirty, s.logRecords, s.logTorn = s.dirty[:0], 0, false
+	if err := os.Remove(s.logPath()); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	return nil
 }
 
 // writeAtomic replaces path with data: a temp file beside it, then a
@@ -255,6 +300,7 @@ func writeAtomic(path string, data []byte) error {
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
 		return fmt.Errorf("store: writing %s: %w", tmp, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -313,6 +359,7 @@ func (s *Store) removeLocked(hash string) {
 	if m, ok := s.entries[hash]; ok {
 		s.total -= entryBytes(m)
 		delete(s.entries, hash)
+		s.dirty = append(s.dirty, hash)
 	}
 	_ = os.Remove(s.objectPath(hash))
 	s.removeAttachmentFiles(hash)
@@ -360,7 +407,7 @@ type ArtifactError struct {
 
 // PutResult stores a whole result under meta.Hash in one write: snapshot,
 // report and telemetry track (nil means none), then one eviction pass and
-// one index write. kept reports whether the entry is live afterwards: under
+// one index.log append. kept reports whether the entry is live afterwards: under
 // a tight cap the pass may evict the record it just wrote, and a caller
 // holding the bytes in memory should then keep them. errs lists what could
 // not be written; a failed snapshot stops the write, a failed attachment
@@ -397,7 +444,7 @@ func firstErr(_ bool, errs []ArtifactError) error {
 // entry's object and the entry is replaced wholesale; each non-nil element
 // of att is then written into that slot of the new (or, with meta nil, the
 // existing) entry, its size and CRC recorded. The eviction pass and the
-// index write follow under the same lock hold, so the on-disk total never
+// journal append follow under the same lock hold, so the on-disk total never
 // exceeds MaxBytes once write returns.
 func (s *Store) write(hash string, meta *Meta, snapshot []byte, att [len(attachments)][]byte) (kept bool, errs []ArtifactError) {
 	s.mu.Lock()
@@ -446,8 +493,9 @@ func (s *Store) write(hash string, meta *Meta, snapshot []byte, att [len(attachm
 		s.total += int64(len(data)) - *size
 		*size, *crc = int64(len(data)), crc64.Checksum(data, crcTable)
 	}
+	s.dirty = append(s.dirty, hash)
 	s.evictLocked(s.opts.Now())
-	if err := s.saveIndexLocked(); err != nil {
+	if err := s.journalLocked(); err != nil {
 		errs = append(errs, ArtifactError{"index", err})
 	}
 	return s.entries[hash] == m, errs
@@ -468,10 +516,10 @@ func (s *Store) Get(hash string) (Meta, bool) {
 }
 
 // touchLocked looks up hash, applying TTL expiry and refreshing LastUsed.
-// The refresh is in-memory only — rewriting the whole index on every read
-// would put O(entries) disk I/O on the hot lookup path; the new timestamp
-// is persisted by the next mutation (Put, eviction, Sweep). Across a crash
-// the LRU/TTL order is therefore approximate, never the served bytes.
+// The refresh is in-memory only — a disk write on every read would put I/O
+// on the hot lookup path; the new timestamp is persisted by the entry's next
+// record or the next compaction. Across a crash the LRU/TTL order is
+// therefore approximate, never the served bytes.
 func (s *Store) touchLocked(hash string) (*Meta, bool) {
 	m, ok := s.entries[hash]
 	if !ok {
@@ -480,7 +528,8 @@ func (s *Store) touchLocked(hash string) (*Meta, bool) {
 	now := s.opts.Now()
 	if s.opts.TTL > 0 && m.LastUsed < now.Add(-s.opts.TTL).Unix() {
 		s.removeLocked(hash)
-		_ = s.saveIndexLocked()
+		s.counts.Evictions++
+		_ = s.journalLocked() // a lost record costs a re-eviction at the next Open
 		return nil, false
 	}
 	m.LastUsed = now.Unix()
@@ -513,7 +562,7 @@ func (s *Store) OpenObject(hash string) (*os.File, Meta, error) {
 	if err != nil {
 		s.counts.Misses++
 		s.removeLocked(hash)
-		_ = s.saveIndexLocked()
+		_ = s.journalLocked() // a lost record leaves an entry the next Open drops again
 		return nil, Meta{}, fmt.Errorf("store: entry %s: %w", hash, err)
 	}
 	s.counts.Hits++
@@ -531,13 +580,13 @@ func (s *Store) ReadObject(hash string) ([]byte, Meta, error) {
 	return b, m, err
 }
 
-// Sweep applies the TTL + size eviction policy now (Put and Open already do;
-// Sweep lets long-lived owners expire idle entries without traffic).
+// Sweep applies the TTL + size eviction policy now — Put and Open already do;
+// Sweep is for owners without traffic — and compacts the log into index.json.
 func (s *Store) Sweep() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.evictLocked(s.opts.Now())
-	_ = s.saveIndexLocked()
+	_ = s.saveIndexLocked() // the log still holds what the index now lacks
 }
 
 // Len returns the number of live entries.
@@ -600,7 +649,8 @@ func (s *Store) readAttachment(kind int, hash string) ([]byte, bool) {
 		_ = os.Remove(path)
 		s.total -= *size
 		*size, *crc = 0, 0
-		_ = s.saveIndexLocked()
+		s.dirty = append(s.dirty, hash)
+		_ = s.journalLocked() // a lost record leaves a slot the next Open clears again
 		return nil, false
 	}
 	return b, true
