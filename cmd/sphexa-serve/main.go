@@ -134,8 +134,9 @@ func run(addr string, workers, queue int, dataDir string, ckptEvery int, machine
 		}
 		opts.Store = st
 		opts.JobTTL = storeTTL
+		ss := st.Stats()
 		fmt.Printf("sphexa-serve: result store %s (%d entries, %d bytes, %d quarantined)\n",
-			storeDir, st.Len(), st.TotalBytes(), st.Quarantined())
+			storeDir, ss.Entries, ss.Bytes, ss.Quarantined)
 		if sweep > 0 {
 			// Background eviction sweep: without it, TTL/LRU evictions only
 			// run on submissions and reads, so an idle server never expires

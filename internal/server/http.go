@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -648,23 +647,30 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, view JobView) {
 	id := view.ID
-	rc, size, ok := s.SnapshotReader(id)
-	if !ok {
-		if view.State == StateCompleted {
-			// Completed, but the result store has since evicted (or
-			// quarantined) the snapshot: resubmitting the spec recomputes.
-			writeError(w, http.StatusGone, CodeGone,
-				fmt.Sprintf("job %s snapshot no longer in the result store; resubmit to recompute", id), nil)
-			return
-		}
+	write, size, ok := s.snapshotBody(id)
+	if !ok && view.State != StateCompleted {
 		writeError(w, http.StatusConflict, CodeConflict,
 			fmt.Sprintf("job %s is %s; snapshot requires completed", id, view.State),
 			map[string]any{"state": string(view.State)})
 		return
 	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.sph", id))
-	_, _ = io.Copy(w, rc)
+	if ok {
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("Content-Length", strconv.FormatInt(size, 10))
+		h.Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.sph", id))
+		n, err := write(w)
+		if err == nil {
+			return
+		}
+		if n > 0 {
+			panic(http.ErrAbortHandler) // part is out: a short body, never a whole wrong one
+		}
+		h.Del("Content-Length")
+		h.Del("Content-Disposition")
+	}
+	// Completed, but the result store has evicted, lost or (on this very
+	// read) quarantined the snapshot: resubmitting the spec recomputes.
+	writeError(w, http.StatusGone, CodeGone,
+		fmt.Sprintf("job %s snapshot no longer in the result store; resubmit to recompute", id), nil)
 }

@@ -81,7 +81,7 @@ func lifecycleStore(t *testing.T, dir string, clock *testClock) *store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() > 0 {
+	if st.Stats().Entries > 0 {
 		return st
 	}
 	for i := 0; i < 12; i++ {

@@ -86,8 +86,8 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK, start: start, clock: s.now}
 		s.met.httpInflight.Add(1)
+		defer s.met.httpInflight.Add(-1) // also when a handler aborts with http.ErrAbortHandler
 		next.ServeHTTP(sr, r)
-		s.met.httpInflight.Add(-1)
 
 		elapsed := s.now().Sub(start).Seconds()
 		route := routeLabel(r)

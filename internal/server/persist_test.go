@@ -76,8 +76,8 @@ func TestRestartServesStoredResult(t *testing.T) {
 	ts1.Close()
 	s1.Close()
 
-	if st1.Len() != 1 {
-		t.Fatalf("store holds %d entries after completion, want 1", st1.Len())
+	if st1.Stats().Entries != 1 {
+		t.Fatalf("store holds %d entries after completion, want 1", st1.Stats().Entries)
 	}
 
 	// "Restart": a brand-new store handle and server over the same dir.
@@ -85,8 +85,8 @@ func TestRestartServesStoredResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Len() != 1 {
-		t.Fatalf("reopened store holds %d entries, want 1", st2.Len())
+	if st2.Stats().Entries != 1 {
+		t.Fatalf("reopened store holds %d entries, want 1", st2.Stats().Entries)
 	}
 	s2 := New(Options{Workers: 2, Store: st2})
 	defer s2.Close()
@@ -158,8 +158,8 @@ func TestCorruptStoredResultRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Quarantined() != 1 {
-		t.Fatalf("quarantined %d, want 1", st2.Quarantined())
+	if st2.Stats().Quarantined != 1 {
+		t.Fatalf("quarantined %d, want 1", st2.Stats().Quarantined)
 	}
 	s2 := New(Options{Workers: 1, Store: st2})
 	defer s2.Close()
@@ -378,8 +378,8 @@ func TestOversizedSnapshotStaysFetchable(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-	if st.Len() != 0 {
-		t.Fatalf("store retained %d entries over a 10-byte budget", st.Len())
+	if st.Stats().Entries != 0 {
+		t.Fatalf("store retained %d entries over a 10-byte budget", st.Stats().Entries)
 	}
 	snap, ok := s.Snapshot(view.ID)
 	if !ok {

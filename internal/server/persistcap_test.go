@@ -56,7 +56,7 @@ func TestCompletedSnapshotSurvivesTightCap(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Error("snapshot served under the tight cap differs from the unbounded run's")
 	}
-	if n := tight.TotalBytes(); n > sizes.ObjectBytes+sizes.ReportBytes/2 {
+	if n := tight.Stats().Bytes; n > sizes.ObjectBytes+sizes.ReportBytes/2 {
 		t.Errorf("store holds %d bytes over its cap", n)
 	}
 }

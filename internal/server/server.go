@@ -137,6 +137,10 @@ type JobView struct {
 // verification report rides along: bytes for GET /jobs/{id}/metrics, the
 // summary for job-view rollups.
 type cachedResult struct {
+	// spec and hash are shared by every cache-hit job (equal hashes mean
+	// equal canonical specs), which then keeps no decoded copy of its own.
+	spec      scenario.JobSpec
+	hash      string
 	snapshot  []byte // part.Set binary encoding; nil when store-backed
 	particles int
 	checksum  uint64
@@ -386,7 +390,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	// Resolve the result cache with the server lock released: the store
 	// can touch disk (expiry eviction, index rewrite) and must not stall
 	// running jobs' progress updates behind it.
-	res, hit := s.resolveResult(hash)
+	res, hit := s.resolveResult(cspec, hash)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -401,6 +405,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	job := &Job{record: record{Hash: hash, State: StateQueued}, Spec: cspec}
 	job.Progress.Total = cspec.Steps
 	if hit {
+		job.Spec, job.Hash = res.spec, res.hash
 		job.CacheHit = true
 		job.Progress = Progress{Step: res.steps, Total: res.steps, SimTime: res.simTime}
 		job.Verify = res.summary
@@ -452,9 +457,9 @@ func (s *Server) SubmitBatch(specs []scenario.JobSpec) []BatchItem {
 
 // resolveResult consults the in-memory cache layer (under the server lock),
 // then the persistent store (outside it — the store does its own locking);
-// store hits are promoted into memory as metadata. A memory entry whose
-// backing object was evicted from the store is dropped (miss).
-func (s *Server) resolveResult(hash string) (*cachedResult, bool) {
+// store hits are promoted into memory as metadata (and spec). A memory
+// entry whose backing object was evicted from the store is dropped (miss).
+func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResult, bool) {
 	st := s.opts.Store
 	s.mu.Lock()
 	res, ok := s.jobs.cachedLocked(hash)
@@ -478,6 +483,7 @@ func (s *Server) resolveResult(hash string) (*cachedResult, bool) {
 		return res, true
 	}
 	res = &cachedResult{
+		spec: spec, hash: hash,
 		particles: m.Particles,
 		checksum:  m.Checksum,
 		simTime:   m.SimTime,
@@ -627,23 +633,21 @@ func (s *Server) DeleteJob(id string) error {
 // Snapshot returns the completed job's final particle state in the part
 // binary checkpoint format, materialized in memory.
 func (s *Server) Snapshot(id string) ([]byte, bool) {
-	rc, _, ok := s.SnapshotReader(id)
+	write, size, ok := s.snapshotBody(id)
 	if !ok {
 		return nil, false
 	}
-	defer rc.Close()
-	b, err := io.ReadAll(rc)
-	if err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := write(buf); err != nil {
 		return nil, false
 	}
-	return b, true
+	return buf.Bytes(), true
 }
 
-// SnapshotReader returns a stream of the completed job's snapshot plus its
-// byte size. With a store attached the stream is the store's CRC-verified
-// object file — the bytes go from disk to the client without re-encoding
-// (and without being held in the server's memory).
-func (s *Server) SnapshotReader(id string) (io.ReadCloser, int64, bool) {
+// snapshotBody returns the completed job's snapshot size and a function that
+// writes it: from the memory copy, or Store.WriteObject, which reads and
+// CRC-verifies the file in one pass outside the store's lock.
+func (s *Server) snapshotBody(id string) (write func(io.Writer) (int64, error), size int64, ok bool) {
 	s.mu.Lock()
 	job, ok := s.jobs.getLocked(id)
 	if !ok || job.State != StateCompleted {
@@ -655,16 +659,14 @@ func (s *Server) SnapshotReader(id string) (io.ReadCloser, int64, bool) {
 	s.mu.Unlock()
 
 	if hit && res.snapshot != nil {
-		return io.NopCloser(bytes.NewReader(res.snapshot)), int64(len(res.snapshot)), true
+		return bytes.NewReader(res.snapshot).WriteTo, int64(len(res.snapshot)), true
 	}
-	if s.opts.Store == nil {
+	st := s.opts.Store
+	if st == nil {
 		return nil, 0, false
 	}
-	f, m, err := s.opts.Store.OpenObject(hash)
-	if err != nil {
-		return nil, 0, false
-	}
-	return f, m.Size, true
+	m, ok := st.Get(hash)
+	return func(w io.Writer) (int64, error) { return st.WriteObject(m, w) }, m.Size, ok
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
@@ -871,6 +873,7 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		return
 	}
 	result := &cachedResult{
+		spec: job.Spec, hash: job.Hash,
 		snapshot:  buf.Bytes(),
 		particles: res.PS.NLocal,
 		checksum:  res.PS.Checksum(),

@@ -43,8 +43,8 @@ func BenchmarkPutResult(b *testing.B) {
 			dir := b.TempDir()
 			writeTree(b, dir, files)
 			s, err := Open(dir, Options{})
-			if err != nil || s.Len() != entries {
-				b.Fatalf("Open: %v, %d entries, want %d", err, s.Len(), entries)
+			if err != nil || s.Stats().Entries != entries {
+				b.Fatalf("Open: %v, %d entries, want %d", err, s.Stats().Entries, entries)
 			}
 			// A write that rewrites index.json also grows it (one more
 			// entry), so a changed size is a rewrite of that many bytes.
@@ -73,4 +73,48 @@ func BenchmarkPutResult(b *testing.B) {
 			b.ReportMetric(float64(indexBytes)/float64(b.N), "index-B/op")
 		})
 	}
+}
+
+// BenchmarkReadObject: one ReadObject of a snapshot the size serve-warm
+// serves (42 580 bytes). read-B/op — the bytes the process read from files
+// per call, rchar of /proc/self/io — is exact: the object's size for a read
+// that verifies the bytes it returns in the same pass, twice that for one
+// that checksums the file and then reads it again. ns/op is the page cache.
+func BenchmarkReadObject(b *testing.B) {
+	if _, err := os.Stat("/proc/self/io"); err != nil {
+		b.Skip("no /proc/self/io to count read bytes with")
+	}
+	s, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snapshot := bytes.Repeat([]byte{'s'}, 42580)
+	hash := fmt.Sprintf("ab%062x", 1)
+	if err := s.Put(Meta{Hash: hash, Particles: 216, Steps: 2}, snapshot); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(snapshot)))
+	_, start := rchar(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, _, err := s.ReadObject(hash); err != nil || len(got) != len(snapshot) {
+			b.Fatalf("ReadObject: %d bytes, %v", len(got), err)
+		}
+	}
+	b.StopTimer()
+	end, _ := rchar(b)
+	b.ReportMetric(float64(end-start)/float64(b.N), "read-B/op")
+}
+
+// rchar returns the bytes this process had read through read(2) before this
+// call's own read of /proc/self/io, and after it.
+func rchar(b *testing.B) (before, after int64) {
+	raw, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := fmt.Sscanf(string(raw), "rchar: %d", &before); err != nil {
+		b.Fatalf("parsing /proc/self/io: %v", err)
+	}
+	return before, before + int64(len(raw))
 }

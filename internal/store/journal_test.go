@@ -82,8 +82,8 @@ func checkOpenInvariants(t *testing.T, dir string) *Store {
 	if err != nil {
 		t.Fatalf("second Open: %v", err)
 	}
-	if relive := liveHashes(again); !reflect.DeepEqual(live, relive) || again.Quarantined() != 0 {
-		t.Errorf("first Open kept %q, the second %q (and quarantined %d)", live, relive, again.Quarantined())
+	if relive := liveHashes(again); !reflect.DeepEqual(live, relive) || again.Stats().Quarantined != 0 {
+		t.Errorf("first Open kept %q, the second %q (and quarantined %d)", live, relive, again.Stats().Quarantined)
 	}
 	return s
 }
@@ -108,8 +108,8 @@ func wantPrefix(t *testing.T, s *Store, dir string, files map[string][]byte, has
 	if live := liveHashes(s); !reflect.DeepEqual(live, append([]string{}, hashes[:k]...)) {
 		t.Errorf("live entries %q, want %q", live, hashes[:k])
 	}
-	if s.Quarantined() != len(hashes)-k {
-		t.Errorf("quarantined %d objects, want %d", s.Quarantined(), len(hashes)-k)
+	if s.Stats().Quarantined != len(hashes)-k {
+		t.Errorf("quarantined %d objects, want %d", s.Stats().Quarantined, len(hashes)-k)
 	}
 	for i, hash := range hashes {
 		obj := files["objects/"+hash[:2]+"/"+hash+".sph"]
@@ -200,8 +200,8 @@ func TestReplayedPutNeedsItsObject(t *testing.T) {
 	if live := liveHashes(s); !reflect.DeepEqual(live, hashes[2:]) {
 		t.Errorf("live entries %q, want only %q", live, hashes[2:])
 	}
-	if s.Quarantined() != 1 {
-		t.Errorf("quarantined %d, want the corrupt object alone (a missing one has nothing to move)", s.Quarantined())
+	if s.Stats().Quarantined != 1 {
+		t.Errorf("quarantined %d, want the corrupt object alone (a missing one has nothing to move)", s.Stats().Quarantined)
 	}
 	for _, hash := range hashes[:2] {
 		if _, err := os.Stat(filepath.Join(dir, "reports", hash+".json")); !os.IsNotExist(err) {
@@ -247,8 +247,8 @@ func TestUnsweptStoreReopens(t *testing.T) {
 	for hash, m := range again.entries {
 		got[hash] = *m
 	}
-	if !reflect.DeepEqual(got, want) || again.Quarantined() != 0 {
-		t.Errorf("reopened store holds\n%+v\nwant\n%+v\n(quarantined %d)", got, want, again.Quarantined())
+	if !reflect.DeepEqual(got, want) || again.Stats().Quarantined != 0 {
+		t.Errorf("reopened store holds\n%+v\nwant\n%+v\n(quarantined %d)", got, want, again.Stats().Quarantined)
 	}
 }
 
@@ -275,8 +275,8 @@ func TestLogCompactsItself(t *testing.T) {
 	if most != 2+compactSlack {
 		t.Errorf("the log peaked at %d records, want 2·1 + %d", most, compactSlack)
 	}
-	if again := checkOpenInvariants(t, dir); again.Len() != 1 {
-		t.Errorf("%d entries after the compactions, want 1", again.Len())
+	if again := checkOpenInvariants(t, dir); again.Stats().Entries != 1 {
+		t.Errorf("%d entries after the compactions, want 1", again.Stats().Entries)
 	}
 }
 
@@ -305,8 +305,8 @@ func TestFailedWriteLeavesNoTempFile(t *testing.T) {
 	if _, err := os.Lstat(tmp); !os.IsNotExist(err) {
 		t.Errorf("the failed write left %s behind: %v", tmp, err)
 	}
-	if s.Len() != 0 || s.TotalBytes() != 0 {
-		t.Errorf("the failed write is accounted: %d entries, %d bytes", s.Len(), s.TotalBytes())
+	if s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
+		t.Errorf("the failed write is accounted: %d entries, %d bytes", s.Stats().Entries, s.Stats().Bytes)
 	}
 
 	strays := []string{"index.json.tmp", "objects/bb/bbbb.sph.tmp", "objects/cccc.sph.tmp", "reports/bbbb.json.tmp", "telemetry/bbbb.json.tmp"}
@@ -371,16 +371,16 @@ func TestStaleLogBesideNewIndex(t *testing.T) {
 	files := tree(t, dir)
 
 	same, _ := openOver(t, files, whole)
-	if live := liveHashes(same); !reflect.DeepEqual(live, []string{"aaaa1111", "bbbb2222"}) || same.Quarantined() != 0 {
-		t.Errorf("a log the index had absorbed changed it: live %q, quarantined %d", live, same.Quarantined())
+	if live := liveHashes(same); !reflect.DeepEqual(live, []string{"aaaa1111", "bbbb2222"}) || same.Stats().Quarantined != 0 {
+		t.Errorf("a log the index had absorbed changed it: live %q, quarantined %d", live, same.Stats().Quarantined)
 	}
 	if m, ok := same.Get("bbbb2222"); !ok || m.Steps != 2 {
 		t.Errorf("the overwritten entry after the replay: %+v ok=%v", m, ok)
 	}
 
 	reverted, rdir := openOver(t, files, older)
-	if live := liveHashes(reverted); !reflect.DeepEqual(live, []string{"aaaa1111"}) || reverted.Quarantined() != 1 {
-		t.Errorf("an older put over a newer object: live %q, quarantined %d, want the entry dropped", live, reverted.Quarantined())
+	if live := liveHashes(reverted); !reflect.DeepEqual(live, []string{"aaaa1111"}) || reverted.Stats().Quarantined != 1 {
+		t.Errorf("an older put over a newer object: live %q, quarantined %d, want the entry dropped", live, reverted.Stats().Quarantined)
 	}
 	if got, err := os.ReadFile(filepath.Join(rdir, "quarantine", "bbbb2222.sph")); err != nil || string(got) != "SPH1 second, overwritten" {
 		t.Errorf("the object the older put disowned is not in quarantine: %q, %v", got, err)
@@ -416,7 +416,7 @@ func TestAppendPrecedesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	again := checkOpenInvariants(t, dir)
-	if got, _, err := again.ReadObject("aaaa"); err != nil || string(got) != "SPH1 past the rule" || again.Quarantined() != 0 {
-		t.Errorf("the write whose compaction failed, after a reopen: %q, %v (quarantined %d)", got, err, again.Quarantined())
+	if got, _, err := again.ReadObject("aaaa"); err != nil || string(got) != "SPH1 past the rule" || again.Stats().Quarantined != 0 {
+		t.Errorf("the write whose compaction failed, after a reopen: %q, %v (quarantined %d)", got, err, again.Stats().Quarantined)
 	}
 }

@@ -121,8 +121,8 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	if kept || len(errs) != 0 {
 		t.Fatalf("PutResult kept=%v errs=%v, want an evicted record and no write error", kept, errs)
 	}
-	if s.Len() != 0 || s.TotalBytes() != 0 {
-		t.Errorf("store holds %d entries / %d bytes after evicting its only record", s.Len(), s.TotalBytes())
+	if s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
+		t.Errorf("store holds %d entries / %d bytes after evicting its only record", s.Stats().Entries, s.Stats().Bytes)
 	}
 	if got := diskBytesAll(t, dir); got != 0 {
 		t.Errorf("%d bytes of the evicted record left on disk", got)
@@ -202,8 +202,8 @@ func TestParentFormatDirectoryOpens(t *testing.T) {
 	want := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
 		Size: 21, CRC: 13976548776490360967, CreatedAt: 1000000, LastUsed: m.LastUsed,
 		ReportSize: 33, ReportCRC: 3095550026494226785, TelemetrySize: 38, TelemetryCRC: 373139986806398433}
-	if !ok || s.Len() != 1 || m != want {
-		t.Fatalf("entry after open %+v (ok=%v, %d entries), want %+v", m, ok, s.Len(), want)
+	if !ok || s.Stats().Entries != 1 || m != want {
+		t.Fatalf("entry after open %+v (ok=%v, %d entries), want %+v", m, ok, s.Stats().Entries, want)
 	}
 	if got, ok := s.ReadReport("ab12cd34"); !ok || !bytes.Equal(got, report) {
 		t.Errorf("report after open %q ok=%v", got, ok)
@@ -211,7 +211,7 @@ func TestParentFormatDirectoryOpens(t *testing.T) {
 	if got, ok := s.ReadTelemetry("ab12cd34"); !ok || !bytes.Equal(got, track) {
 		t.Errorf("track after open %q ok=%v", got, ok)
 	}
-	if got := s.TotalBytes(); got != 21+33+38 {
+	if got := s.Stats().Bytes; got != 21+33+38 {
 		t.Errorf("TotalBytes = %d, want 92: the dropped profile's 4 bytes are not ours any more", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "profiles")); !os.IsNotExist(err) {
@@ -264,7 +264,7 @@ func TestPutResultConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got, want := s.TotalBytes(), diskBytesAll(t, dir); got != want || got > 2000 {
+	if got, want := s.Stats().Bytes, diskBytesAll(t, dir); got != want || got > 2000 {
 		t.Errorf("tracked total %d, on disk %d, cap 2000", got, want)
 	}
 	if st := s.Stats(); st.Puts != 100 || int(st.Puts-st.Evictions) != st.Entries {

@@ -1,16 +1,15 @@
 // Package store is the persistent, content-addressed result store of the
 // simulation service: completed snapshots keyed by canonical spec hash
 // (scenario.Spec.Hash), written atomically (temp file + rename), read back
-// with whole-file CRC verification, and bounded by a combined TTL +
-// size-capped LRU eviction policy. A server restart reopens the same
-// directory and serves prior results as cache hits; entries whose bytes no
-// longer match their recorded CRC are quarantined, not trusted and not
-// fatal — the store degrades to recomputation, never to corrupt data.
+// in one CRC-verified pass outside the lock (readFile), and bounded by a
+// combined TTL + size-capped LRU eviction policy. A server restart reopens
+// the same directory and serves prior results as cache hits; entries whose
+// bytes no longer match their recorded CRC are quarantined, not trusted and
+// not fatal — the store degrades to recomputation, never to corrupt data.
 //
-// A stored result is one record — the snapshot plus its report and
-// telemetry attachments — and PutResult writes it as one: each file, then
-// one eviction pass and one journal append under one lock hold. Put,
-// PutReport and PutTelemetry enter the same write path with part of a record.
+// A stored result is one record — the snapshot plus its report and telemetry
+// attachments — and PutResult writes it as one, under one lock hold: each
+// file, one eviction pass, one journal append. Reads lock for the lookup only.
 //
 // The index is index.json plus a journal, index.log: a mutation appends the
 // entries it changed (journal.go has the record format), so a write's cost
@@ -35,7 +34,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
@@ -196,11 +197,11 @@ func Open(dir string, opts Options) (*Store, error) {
 		if fileHash(path, ".sph") != hash {
 			continue // not a key a write produced; the file answers to its own name
 		}
-		crc, size, err := fileCRC(path)
-		// A null entry vouches for nothing: its object goes the way of a
-		// corrupt one.
-		if err != nil || m == nil || crc != m.CRC || size != m.Size {
-			if err == nil {
+		if m == nil {
+			m = &Meta{Size: -1} // vouches for nothing: its object goes the way of a corrupt one
+		}
+		if _, err := readFile(path, m.Size, m.CRC, io.Discard); err != nil {
+			if err == errCorrupt {
 				s.quarantineLocked(path, hash)
 			}
 			continue
@@ -294,12 +295,14 @@ func (s *Store) saveIndexLocked() error {
 
 // writeAtomic replaces path with data: a temp file beside it, then a
 // rename, so a reader sees the old bytes or the new ones, never a torn file.
+// The directory is created only when the first attempt finds it missing.
 func writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("store: creating %s: %w", filepath.Dir(path), err)
-	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	err := os.WriteFile(tmp, data, 0o644)
+	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(path), 0o755) == nil {
+		err = os.WriteFile(tmp, data, 0o644)
+	}
+	if err != nil {
 		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
 		return fmt.Errorf("store: writing %s: %w", tmp, err)
 	}
@@ -310,16 +313,40 @@ func writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// fileCRC returns the CRC-64/ECMA and size of the file's bytes.
-func fileCRC(path string) (uint64, int64, error) {
+// readChunk bounds the bytes a read holds at once.
+const readChunk = 64 << 10
+
+// readFile's verdicts on a file that cannot be served.
+var errCorrupt, errLost = errors.New("failed CRC verification"), errors.New("object file missing")
+
+// readFile is the store's one read, run without s.mu: path in one pass, in
+// chunks of at most readChunk bytes written to w; no byte of the final chunk
+// is written before size and CRC-64 are known to match. It returns errLost
+// if the file will not open, errCorrupt on a mismatch, or w's error.
+func readFile(path string, size int64, crc uint64, w io.Writer) (n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, err
+		return 0, errLost
 	}
 	defer f.Close()
-	h := crc64.New(crcTable)
-	n, err := io.Copy(h, f)
-	return h.Sum64(), n, err
+	buf := make([]byte, max(0, min(size, readChunk)+1))
+	var sum uint64
+	for left := size; left >= 0; left -= readChunk {
+		chunk, final := buf[:min(left, readChunk)], left <= readChunk
+		if final {
+			chunk = buf[:left+1] // one byte past the recorded size: a longer file fills it
+		}
+		k, rerr := io.ReadFull(f, chunk)
+		sum = crc64.Update(sum, crcTable, chunk[:k])
+		if final && (int64(k) != left || sum != crc) || !final && rerr != nil {
+			return n, errCorrupt
+		}
+		k, err = w.Write(chunk[:k])
+		if n += int64(k); err != nil || final {
+			return n, err
+		}
+	}
+	return n, errCorrupt // a negative size vouches for no file
 }
 
 // quarantineLocked moves the object file at path (its shard location, or a
@@ -536,48 +563,40 @@ func (s *Store) touchLocked(hash string) (*Meta, bool) {
 	return m, true
 }
 
-// OpenObject returns the entry's object file positioned at the start, after
-// verifying the file bytes against the recorded CRC — callers stream the
-// snapshot straight from disk. A corrupt object is quarantined, a lost one
-// forgotten, and either reported as an error; the caller should treat it as
-// a miss and recompute.
-func (s *Store) OpenObject(hash string) (*os.File, Meta, error) {
+// WriteObject writes the object of m, an entry as Get returned it, to w
+// through readFile. A failed read is a miss: an entry still recording m's
+// size and CRC is quarantined (corrupt) or forgotten (lost) and journaled;
+// one a write replaced meanwhile is left alone.
+func (s *Store) WriteObject(m Meta, w io.Writer) (int64, error) {
+	path := s.objectPath(m.Hash)
+	n, err := readFile(path, m.Size, m.CRC, w)
+	if err != errCorrupt && err != errLost {
+		return n, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.touchLocked(hash)
-	if !ok {
-		s.counts.Misses++
-		return nil, Meta{}, fmt.Errorf("store: no entry %s", hash)
-	}
-	path := s.objectPath(hash)
-	crc, n, err := fileCRC(path)
-	if err == nil && (crc != m.CRC || n != m.Size) {
-		err = fmt.Errorf("failed CRC verification, quarantined")
-		s.quarantineLocked(path, hash)
-	}
-	var f *os.File
-	if err == nil {
-		f, err = os.Open(path)
-	}
-	if err != nil {
-		s.counts.Misses++
-		s.removeLocked(hash)
+	s.counts.Hits, s.counts.Misses = s.counts.Hits-1, s.counts.Misses+1 // Get counted a hit
+	if e := s.entries[m.Hash]; e != nil && e.CRC == m.CRC && e.Size == m.Size {
+		if err == errCorrupt {
+			s.quarantineLocked(path, m.Hash)
+		}
+		s.removeLocked(m.Hash)
 		_ = s.journalLocked() // a lost record leaves an entry the next Open drops again
-		return nil, Meta{}, fmt.Errorf("store: entry %s: %w", hash, err)
 	}
-	s.counts.Hits++
-	return f, *m, nil
+	return n, fmt.Errorf("store: entry %s: %w", m.Hash, err)
 }
 
-// ReadObject is OpenObject materialized: the verified snapshot bytes.
+// ReadObject is Get, then WriteObject into one buffer: the verified bytes.
 func (s *Store) ReadObject(hash string) ([]byte, Meta, error) {
-	f, m, err := s.OpenObject(hash)
-	if err != nil {
+	m, ok := s.Get(hash)
+	if !ok {
+		return nil, Meta{}, fmt.Errorf("store: no entry %s", hash)
+	}
+	b := bytes.NewBuffer(make([]byte, 0, m.Size))
+	if _, err := s.WriteObject(m, b); err != nil {
 		return nil, Meta{}, err
 	}
-	defer f.Close()
-	b, err := io.ReadAll(f)
-	return b, m, err
+	return b.Bytes(), m, nil
 }
 
 // Sweep applies the TTL + size eviction policy now — Put and Open already do;
@@ -589,25 +608,9 @@ func (s *Store) Sweep() {
 	_ = s.saveIndexLocked() // the log still holds what the index now lacks
 }
 
-// Len returns the number of live entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// TotalBytes returns the tracked on-disk size of all live entries.
-func (s *Store) TotalBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// ReportHashes enumerates the hashes of every live entry that has an
-// attached verification report, in sorted order. This is the analytics
-// query path: it neither counts toward hit/miss metrics nor refreshes LRU
-// positions — enumerating the corpus must not perturb the eviction order
-// the serving traffic established.
+// ReportHashes lists, sorted, every live entry with a verification report:
+// the analytics query, which counts no hit or miss and refreshes no LRU
+// position, so enumerating the corpus leaves the serving eviction order be.
 func (s *Store) ReportHashes() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -621,39 +624,36 @@ func (s *Store) ReportHashes() []string {
 	return out
 }
 
-// Quarantined reports how many objects this instance moved to quarantine.
-func (s *Store) Quarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts.Quarantined
-}
-
-// readAttachment returns the entry's attachment bytes of one kind, verified
-// against the recorded size and CRC. A missing or corrupt file is dropped
-// (its slot zeroed) and reported as absent — never served wrong.
+// readAttachment returns the entry's attachment bytes of one kind, read and
+// verified outside the lock. A missing or corrupt file is reported absent,
+// never served wrong; if its slot still records the size and CRC the read
+// checked against, the file is dropped and the slot zeroed.
 func (s *Store) readAttachment(kind int, hash string) ([]byte, bool) {
+	k, seen := &attachments[kind], Meta{}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.entries[hash]
-	if !ok {
-		return nil, false
+	m := s.entries[hash]
+	if m != nil {
+		seen = *m
 	}
-	k := &attachments[kind]
-	size, crc := k.slot(m)
+	s.mu.Unlock()
+	size, crc := k.slot(&seen)
 	if *size == 0 {
 		return nil, false
 	}
-	path := s.attachmentPath(k, hash)
-	b, err := os.ReadFile(path)
-	if err != nil || int64(len(b)) != *size || crc64.Checksum(b, crcTable) != *crc {
+	path, b := s.attachmentPath(k, hash), bytes.NewBuffer(make([]byte, 0, *size))
+	if _, err := readFile(path, *size, *crc, b); err == nil {
+		return b.Bytes(), true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ps, pc := k.slot(m); s.entries[hash] == m && *ps == *size && *pc == *crc {
 		_ = os.Remove(path)
 		s.total -= *size
-		*size, *crc = 0, 0
+		*ps, *pc = 0, 0
 		s.dirty = append(s.dirty, hash)
 		_ = s.journalLocked() // a lost record leaves a slot the next Open clears again
-		return nil, false
 	}
-	return b, true
+	return nil, false
 }
 
 // ReadReport returns the entry's verification report bytes.

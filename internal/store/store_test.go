@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -96,7 +97,7 @@ func TestReopenServesPriorEntries(t *testing.T) {
 	if !bytes.Equal(got, payload) || m.Particles != 256 {
 		t.Fatal("reopened entry does not match what was stored")
 	}
-	if q := s2.Quarantined(); q != 0 {
+	if q := s2.Stats().Quarantined; q != 0 {
 		t.Fatalf("clean reopen quarantined %d objects", q)
 	}
 }
@@ -126,8 +127,8 @@ func TestTTLExpiry(t *testing.T) {
 	if _, ok := s.Get("bbbb"); !ok {
 		t.Fatal("bbbb was recently used and must survive")
 	}
-	if s.Len() != 1 {
-		t.Fatalf("store holds %d entries, want 1", s.Len())
+	if s.Stats().Entries != 1 {
+		t.Fatalf("store holds %d entries, want 1", s.Stats().Entries)
 	}
 	if _, err := os.Stat(objPath(dir, "aaaa")); !os.IsNotExist(err) {
 		t.Fatal("expired object file still on disk")
@@ -136,8 +137,8 @@ func TestTTLExpiry(t *testing.T) {
 	// Sweep expires without traffic.
 	clock.advance(2 * time.Hour)
 	s.Sweep()
-	if s.Len() != 0 {
-		t.Fatalf("sweep left %d entries", s.Len())
+	if s.Stats().Entries != 0 {
+		t.Fatalf("sweep left %d entries", s.Stats().Entries)
 	}
 
 	// Reopen applies the TTL too.
@@ -147,8 +148,8 @@ func TestTTLExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 0 {
-		t.Fatalf("reopen kept %d expired entries", s2.Len())
+	if s2.Stats().Entries != 0 {
+		t.Fatalf("reopen kept %d expired entries", s2.Stats().Entries)
 	}
 }
 
@@ -237,7 +238,7 @@ func TestCorruptEntryQuarantinedOnReopen(t *testing.T) {
 	if _, ok := s2.Get("bbbb"); !ok {
 		t.Fatal("intact entry lost during quarantine")
 	}
-	if q := s2.Quarantined(); q != 1 {
+	if q := s2.Stats().Quarantined; q != 1 {
 		t.Fatalf("quarantined %d objects, want 1", q)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", "aaaa.sph")); err != nil {
@@ -269,7 +270,7 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	if _, ok := s.Get("aaaa"); ok {
 		t.Fatal("corrupt entry still indexed after failed read")
 	}
-	if s.Quarantined() != 1 {
+	if s.Stats().Quarantined != 1 {
 		t.Fatal("corrupt object not quarantined")
 	}
 }
@@ -290,11 +291,11 @@ func TestUnindexedObjectQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("store holds %d entries, want 1", s2.Len())
+	if s2.Stats().Entries != 1 {
+		t.Fatalf("store holds %d entries, want 1", s2.Stats().Entries)
 	}
-	if s2.Quarantined() != 1 {
-		t.Fatalf("quarantined %d, want 1 (the stray)", s2.Quarantined())
+	if s2.Stats().Quarantined != 1 {
+		t.Fatalf("quarantined %d, want 1 (the stray)", s2.Stats().Quarantined)
 	}
 }
 
@@ -314,11 +315,11 @@ func TestCorruptIndexRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over corrupt index: %v", err)
 	}
-	if s2.Len() != 0 {
-		t.Fatalf("recovered store holds %d entries, want 0", s2.Len())
+	if s2.Stats().Entries != 0 {
+		t.Fatalf("recovered store holds %d entries, want 0", s2.Stats().Entries)
 	}
-	if s2.Quarantined() != 1 {
-		t.Fatalf("quarantined %d, want 1", s2.Quarantined())
+	if s2.Stats().Quarantined != 1 {
+		t.Fatalf("quarantined %d, want 1", s2.Stats().Quarantined)
 	}
 }
 
@@ -331,7 +332,7 @@ func TestPutReplacesExisting(t *testing.T) {
 	}
 	put(t, s, "aaaa", 100)
 	put(t, s, "aaaa", 40)
-	if got := s.TotalBytes(); got != 40 {
+	if got := s.Stats().Bytes; got != 40 {
 		t.Fatalf("total %d after replacement, want 40", got)
 	}
 	b, _, err := s.ReadObject("aaaa")
@@ -493,8 +494,8 @@ func TestFlatLayoutMigratesToShards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over flat layout: %v", err)
 	}
-	if s2.Len() != 3 || s2.Quarantined() != 0 {
-		t.Fatalf("migrated store: %d entries, %d quarantined; want 3, 0", s2.Len(), s2.Quarantined())
+	if s2.Stats().Entries != 3 || s2.Stats().Quarantined != 0 {
+		t.Fatalf("migrated store: %d entries, %d quarantined; want 3, 0", s2.Stats().Entries, s2.Stats().Quarantined)
 	}
 	for hash, want := range payloads {
 		got, _, err := s2.ReadObject(hash)
@@ -526,8 +527,8 @@ func TestStatsCounters(t *testing.T) {
 	s.Get("aaaa")                                         // hit
 	s.Get("nope")                                         // miss
 	s.Get("aaaa")                                         // hit
-	if _, _, err := s.OpenObject("missing"); err == nil { // miss
-		t.Fatal("OpenObject for a missing entry succeeded")
+	if _, _, err := s.ReadObject("missing"); err == nil { // miss
+		t.Fatal("ReadObject for a missing entry succeeded")
 	}
 	st := s.Stats()
 	// Bytes is the full on-disk footprint: the 100-byte object plus the
@@ -663,7 +664,7 @@ func TestCapIncludesAttachmentBytes(t *testing.T) {
 	if _, _, err := s.ReadObject("bbbb"); err != nil {
 		t.Error("recently-used entry bbbb evicted instead of the LRU one")
 	}
-	if got, want := s.TotalBytes(), diskBytesAll(t, dir); got != want {
+	if got, want := s.Stats().Bytes, diskBytesAll(t, dir); got != want {
 		t.Errorf("tracked total %d != on-disk total %d", got, want)
 	}
 }
@@ -684,7 +685,7 @@ func TestTotalBytesTracksAttachmentsAcrossReopen(t *testing.T) {
 	if err := s.PutTelemetry("aaaa", bytes.Repeat([]byte("t"), 60)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TotalBytes(); got != 200 {
+	if got := s.Stats().Bytes; got != 200 {
 		t.Fatalf("TotalBytes = %d, want 200 (100 object + 40 report + 60 telemetry)", got)
 	}
 
@@ -692,7 +693,7 @@ func TestTotalBytesTracksAttachmentsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.TotalBytes(); got != 200 {
+	if got := s2.Stats().Bytes; got != 200 {
 		t.Errorf("TotalBytes after reopen = %d, want 200", got)
 	}
 
@@ -705,7 +706,7 @@ func TestTotalBytesTracksAttachmentsAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s3.TotalBytes(); got != 140 {
+	if got := s3.Stats().Bytes; got != 140 {
 		t.Errorf("TotalBytes after losing telemetry file = %d, want 140", got)
 	}
 	if _, ok := s3.ReadTelemetry("aaaa"); ok {
@@ -728,7 +729,7 @@ func TestPutOverwriteDropsStaleAttachments(t *testing.T) {
 	}
 	put(t, s, "aaaa", 50) // overwrite
 
-	if got := s.TotalBytes(); got != 50 {
+	if got := s.Stats().Bytes; got != 50 {
 		t.Errorf("TotalBytes after overwrite = %d, want 50", got)
 	}
 	if _, ok := s.ReadReport("aaaa"); ok {
@@ -737,7 +738,7 @@ func TestPutOverwriteDropsStaleAttachments(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "reports", "aaaa.json")); !os.IsNotExist(err) {
 		t.Errorf("stale report file left on disk: %v", err)
 	}
-	if got, want := s.TotalBytes(), diskBytesAll(t, dir); got != want {
+	if got, want := s.Stats().Bytes, diskBytesAll(t, dir); got != want {
 		t.Errorf("tracked total %d != on-disk total %d", got, want)
 	}
 }
@@ -766,5 +767,94 @@ func TestReportHashes(t *testing.T) {
 	after := s.Stats()
 	if before.Hits != after.Hits || before.Misses != after.Misses {
 		t.Error("ReportHashes perturbed the hit/miss counters")
+	}
+}
+
+// TestWriteObjectHoldsBackFinalChunk: WriteObject writes no byte of the final
+// chunk before the whole file has matched its recorded size and CRC. A
+// one-chunk object that is corrupt, or longer or shorter than recorded,
+// writes nothing; a longer object writes its earlier chunks and stops. Each
+// time the entry is quarantined.
+func TestWriteObjectHoldsBackFinalChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		size   int
+		damage func([]byte) []byte
+		sent   int64
+	}{
+		{"one chunk, first byte", 1000, func(b []byte) []byte { b[0] ^= 1; return b }, 0},
+		{"one chunk, last byte", 1000, func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, 0},
+		{"one chunk, a byte longer", 1000, func(b []byte) []byte { return append(b, 's') }, 0},
+		{"one chunk, a byte shorter", 1000, func(b []byte) []byte { return b[:len(b)-1] }, 0},
+		{"exactly one chunk, last byte", readChunk, func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, 0},
+		{"exactly two chunks, last byte", 2 * readChunk, func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, readChunk},
+		{"three chunks, first byte", 2*readChunk + 10, func(b []byte) []byte { b[0] ^= 1; return b }, 2 * readChunk},
+		{"three chunks, last byte", 2*readChunk + 10, func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, 2 * readChunk},
+		{"three chunks, a byte shorter", 2*readChunk + 10, func(b []byte) []byte { return b[:len(b)-1] }, 2 * readChunk},
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := put(t, s, "aaaa", tc.size)
+		m, ok := s.Get("aaaa")
+		if !ok {
+			t.Fatal("no entry")
+		}
+		var sound bytes.Buffer
+		if n, err := s.WriteObject(m, &sound); err != nil || n != int64(tc.size) || !bytes.Equal(sound.Bytes(), payload) {
+			t.Fatalf("%s: the sound object wrote %d bytes, %v", tc.name, n, err)
+		}
+		if err := os.WriteFile(objPath(dir, "aaaa"), tc.damage(bytes.Clone(payload)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		n, err := s.WriteObject(m, &got)
+		if err == nil || n != tc.sent || int64(got.Len()) != tc.sent {
+			t.Errorf("%s: wrote %d bytes (%d counted), %v; want %d and an error", tc.name, got.Len(), n, err, tc.sent)
+		}
+		if s.Stats().Quarantined != 1 || s.Stats().Entries != 0 {
+			t.Errorf("%s: %d quarantined, %d entries; want the entry quarantined", tc.name, s.Stats().Quarantined, s.Stats().Entries)
+		}
+	}
+}
+
+// TestObjectLostBetweenLookupAndRead: an object file removed after
+// Get found its entry is a miss, not a quarantine; and a read that
+// finds the entry already replaced by another write leaves that entry be.
+func TestObjectLostBetweenLookupAndRead(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, "aaaa", 64)
+	m, ok := s.Get("aaaa")
+	if !ok {
+		t.Fatal("no entry")
+	}
+	if err := os.Remove(objPath(dir, "aaaa")); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if n, err := s.WriteObject(m, &got); err == nil || n != 0 || got.Len() != 0 {
+		t.Errorf("lost object: wrote %d bytes, %v", got.Len(), err)
+	}
+	if st := s.Stats(); st.Quarantined != 0 || st.Entries != 0 || st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("lost object: %+v, want a miss, no entry, nothing quarantined", st)
+	}
+
+	put(t, s, "bbbb", 64)
+	stale, ok := s.Get("bbbb")
+	if !ok {
+		t.Fatal("no entry")
+	}
+	replacement := put(t, s, "bbbb", 80)
+	if _, err := s.WriteObject(stale, io.Discard); err == nil {
+		t.Error("a read against the replaced entry's size succeeded")
+	}
+	if b, _, err := s.ReadObject("bbbb"); err != nil || !bytes.Equal(b, replacement) || s.Stats().Quarantined != 0 {
+		t.Errorf("the replacing write was undone by a stale read: %v, %d quarantined", err, s.Stats().Quarantined)
 	}
 }
