@@ -48,8 +48,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -114,7 +116,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.String("kernel", "", scenarioChoice+"SPH kernel (m4, wendland-c2/c4/c6, sinc-<n>)")
 	fs.String("gradients", "", scenarioChoice+"gradient mode: iad or kd (kernel derivatives)")
 	fs.String("volumes", "", scenarioChoice+"volume elements: generalized or standard")
-	fs.String("stepping", "", scenarioChoice+"time stepping: global, individual, adaptive")
+	fs.String("stepping", "", scenarioChoice+"time stepping: global or adaptive")
 	fs.String("multipoles", "", scenarioChoice+"gravity expansion: monopole, quadrupole, hexadecapole")
 	fs.Int("workers", 0, "worker threads (all cores when not given)")
 	fs.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable checkpointing into this directory")
@@ -160,7 +162,7 @@ var (
 	gradientModes = map[string]sph.GradientMode{
 		"iad": sph.IAD, "kd": sph.KernelDerivatives, "kernel-derivatives": sph.KernelDerivatives}
 	volumeModes   = map[string]sph.VolumeMode{"generalized": sph.GeneralizedVolume, "standard": sph.StandardVolume}
-	steppingModes = map[string]ts.Mode{"global": ts.Global, "individual": ts.Individual, "adaptive": ts.Adaptive}
+	steppingModes = map[string]ts.Mode{"global": ts.Global, "adaptive": ts.Adaptive}
 	multipoles    = map[string]gravity.Order{
 		"monopole": gravity.Monopole, "quadrupole": gravity.Quadrupole, "hexadecapole": gravity.Hexadecapole}
 )
@@ -168,7 +170,8 @@ var (
 func choice[T any](flagName, v string, spellings map[string]T) (T, error) {
 	x, ok := spellings[v]
 	if !ok {
-		return x, fmt.Errorf("unknown -%s %q", flagName, v)
+		return x, fmt.Errorf("unknown -%s %q (have %s)", flagName, v,
+			strings.Join(slices.Sorted(maps.Keys(spellings)), ", "))
 	}
 	return x, nil
 }
@@ -290,7 +293,7 @@ func runLocal(o *options) (runloop.Result, error) {
 	var ck *ft.Checkpointer
 	chunkSteps := 0 // without a checkpoint directory the run is one chunk
 	if o.ckptDir != "" {
-		ck, chunkSteps = ft.NewTwoLevel(o.ckptDir), o.ckptEvery
+		ck, chunkSteps = &ft.Checkpointer{Dir: o.ckptDir}, o.ckptEvery
 	}
 
 	// SIGINT/SIGTERM cancel the run cooperatively at the next step
@@ -355,7 +358,7 @@ func runLocal(o *options) (runloop.Result, error) {
 		// worth a checkpoint (and -restart rejects one): rerunning from
 		// scratch loses nothing.
 		if ck != nil && res.Steps > 0 {
-			if err := ck.Write(0, res.Steps, res.SimTime, res.PS); err != nil {
+			if err := ck.Write(res.Steps, res.SimTime, res.PS); err != nil {
 				return res, fmt.Errorf("checkpoint on interrupt: %w", err)
 			}
 			fmt.Printf("interrupted at step %d (t=%.6f); checkpoint written, resume with -restart\n",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,5 +135,19 @@ func TestUnsetEngineFlagsInheritScenario(t *testing.T) {
 	want.SPH.Kernel, want.SPH.Gradients = cfg.SPH.Kernel, cfg.SPH.Gradients
 	if !reflect.DeepEqual(cfg, want) {
 		t.Errorf("flags that were not given edited the scenario's config:\ngot  %+v\nwant %+v", cfg, want)
+	}
+}
+
+// TestSteppingIndividualRejected: the engine advances every particle by one
+// step, so -stepping takes the two global modes only and says which.
+func TestSteppingIndividualRejected(t *testing.T) {
+	_, err := parseFlags([]string{"-stepping", "individual"})
+	if err == nil {
+		t.Fatal("-stepping individual accepted")
+	}
+	for _, want := range []string{"global", "adaptive"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -149,17 +149,6 @@ func featureSchema(groups []string) []feature {
 	return out
 }
 
-// FeatureNames returns the column names the given canonical groups produce,
-// before constant-column dropping — the documented feature-vector schema.
-func FeatureNames(groups []string) []string {
-	schema := featureSchema(groups)
-	names := make([]string, len(schema))
-	for i, f := range schema {
-		names[i] = f.name
-	}
-	return names
-}
-
 // matrix is the extracted fleet: one row per decodable job, column names,
 // and the per-row identity (hash + scenario from the report header).
 type matrix struct {

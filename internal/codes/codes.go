@@ -4,8 +4,9 @@
 // (cosmology, Charm++/C++, SFC decomposition + dynamic load balancing +
 // 16-pole gravity + individual time-steps), and SPH-flow (industrial CFD,
 // Fortran, MPI-only, ORB decomposition). Each model wires the mini-app
-// engine exactly as Table 1 specifies and carries calibrated cost constants
-// that reproduce the per-step magnitudes of Figures 1-3.
+// engine as Table 1 specifies, except that ChaNGa runs global time-steps
+// (the engine has no individual ones), and carries calibrated cost
+// constants that reproduce the per-step magnitudes of Figures 1-3.
 package codes
 
 import (
@@ -38,14 +39,16 @@ type Code struct {
 	Name    string
 	Version string
 
-	// Table 1 (physics).
-	KernelName  string
-	Gradients   sph.GradientMode
-	Volumes     sph.VolumeMode
-	Stepping    ts.Mode
-	GravityDesc string
-	GravOrder   gravity.Order
-	HasGravity  bool
+	// Table 1 (physics). The Desc strings are the paper's cells; the other
+	// fields are what the engine runs.
+	KernelName   string
+	Gradients    sph.GradientMode
+	Volumes      sph.VolumeMode
+	Stepping     ts.Mode
+	SteppingDesc string
+	GravityDesc  string
+	GravOrder    gravity.Order
+	HasGravity   bool
 
 	// Table 3 (computer science).
 	DecompDesc      string
@@ -71,7 +74,7 @@ func SPHYNX() *Code {
 	return &Code{
 		Name: "SPHYNX", Version: "1.3.1",
 		KernelName: "sinc-5", Gradients: sph.IAD, Volumes: sph.GeneralizedVolume,
-		Stepping: ts.Global, GravityDesc: "Multipoles (4-pole)",
+		Stepping: ts.Global, SteppingDesc: "Equal or Variable Global", GravityDesc: "Multipoles (4-pole)",
 		GravOrder: gravity.Quadrupole, HasGravity: true,
 		DecompDesc: "Straightforward", Decomp: domain.MortonSFC,
 		LoadBalancing: "None (static)", DynamicLB: false,
@@ -86,7 +89,7 @@ func ChaNGa() *Code {
 	return &Code{
 		Name: "ChaNGa", Version: "3.3",
 		KernelName: "wendland-c2", Gradients: sph.KernelDerivatives, Volumes: sph.StandardVolume,
-		Stepping: ts.Individual, GravityDesc: "Multipoles (16-pole)",
+		Stepping: ts.Global, SteppingDesc: "Equal or Variable Individual", GravityDesc: "Multipoles (16-pole)",
 		GravOrder: gravity.Hexadecapole, HasGravity: true,
 		DecompDesc: "Space Filling Curve", Decomp: domain.HilbertSFC,
 		LoadBalancing: "Dynamic", DynamicLB: true,
@@ -101,7 +104,7 @@ func SPHflow() *Code {
 	return &Code{
 		Name: "SPH-flow", Version: "17.6",
 		KernelName: "wendland-c2", Gradients: sph.KernelDerivatives, Volumes: sph.StandardVolume,
-		Stepping: ts.Adaptive, GravityDesc: "No",
+		Stepping: ts.Adaptive, SteppingDesc: "Equal or Adaptive Global", GravityDesc: "No",
 		HasGravity: false,
 		DecompDesc: "Orthogonal Recursive Bisection", Decomp: domain.ORB,
 		LoadBalancing: "Local-Inner-Outer", DynamicLB: false,

@@ -45,8 +45,13 @@ func TestTable1Fidelity(t *testing.T) {
 	if ch.Gradients != sph.KernelDerivatives || ch.Volumes != sph.StandardVolume {
 		t.Error("ChaNGa must use kernel derivatives + standard volumes")
 	}
-	if ch.Stepping != ts.Individual {
-		t.Error("ChaNGa must use individual time steps")
+	// The engine has no individual time-steps: ChaNGa runs global ones,
+	// and its Table 1 cell is still the paper's.
+	if ch.Stepping != ts.Global {
+		t.Error("ChaNGa must run global time steps")
+	}
+	if !strings.Contains(Table1(), "Equal or Variable Individual") || ch.SteppingDesc != "Equal or Variable Individual" {
+		t.Errorf("ChaNGa Table 1 time-stepping = %q, want the paper's Equal or Variable Individual", ch.SteppingDesc)
 	}
 	if !strings.Contains(ch.GravityDesc, "16-pole") {
 		t.Errorf("ChaNGa gravity = %q", ch.GravityDesc)
@@ -162,7 +167,7 @@ func TestTablesRender(t *testing.T) {
 		}
 	}
 	t4 := Table4()
-	for _, want := range []string{"Daly", "self-scheduling", "64-bit", "Silent"} {
+	for _, want := range []string{"Daly", "re-decomposition", "64-bit", "Silent"} {
 		if !strings.Contains(t4, want) {
 			t.Errorf("Table 4 missing %q", want)
 		}

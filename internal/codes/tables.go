@@ -3,8 +3,6 @@ package codes
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/ts"
 )
 
 // kernelDisplay maps internal kernel names to the paper's Table 1 spelling.
@@ -33,17 +31,6 @@ func volumeDisplay(c *Code) string {
 	return "Standard"
 }
 
-func steppingDisplay(c *Code) string {
-	switch c.Stepping {
-	case ts.Global:
-		return "Equal or Variable Global"
-	case ts.Individual:
-		return "Equal or Variable Individual"
-	default:
-		return "Equal or Adaptive Global"
-	}
-}
-
 // Table1 renders the paper's Table 1: differences and similarities between
 // the parent codes (physics).
 func Table1() string {
@@ -54,7 +41,7 @@ func Table1() string {
 	for _, c := range []*Code{SPHYNX(), ChaNGa(), SPHflow()} {
 		fmt.Fprintf(&sb, "%-10s %-8s %-20s %-20s %-12s %-30s %-18s %-22s\n",
 			c.Name, c.Version, kernelDisplay(c), gradientDisplay(c), volumeDisplay(c),
-			steppingDisplay(c), "Tree Walk", c.GravityDesc)
+			c.SteppingDesc, "Tree Walk", c.GravityDesc)
 	}
 	return sb.String()
 }
@@ -69,7 +56,7 @@ func Table2() string {
 		{"Gradients", "IAD, Kernel derivatives"},
 		{"Volume Elements", "Generalized, Standard"},
 		{"Mass of Particles", "Equal, Variable"},
-		{"Time-Stepping", "Equal, Variable (individual), and Adaptive"},
+		{"Time-Stepping", "Equal (global) and Adaptive"},
 		{"Neighbour Discovery", "Global/Individual Tree Walk (linear octree)"},
 		{"Self-Gravity", "Multipoles (monopole / 4-pole / 16-pole)"},
 	}
@@ -102,8 +89,8 @@ func Table4() string {
 	rows := [][2]string{
 		{"Domain Decomposition", "Orthogonal Recursive Bisection, Space Filling Curves (Morton, Hilbert)"},
 		{"Parallelization", "Simulated MPI (goroutine ranks) + intra-rank threading"},
-		{"Load Balancing", "DLB with self-scheduling (static/SS/GSS/TSS/FAC/AWF) + weighted re-decomposition"},
-		{"Checkpoint-Restart", "Optimal (Daly) interval, multilevel (local+global tiers)"},
+		{"Load Balancing", "Dynamic re-decomposition weighted by per-particle neighbor counts"},
+		{"Checkpoint-Restart", "Optimal (Daly) interval; one directory keeping the two newest"},
 		{"Error Detection", "Silent-data-corruption detectors (structural, conservation, replication)"},
 		{"Precision", "64-bit"},
 		{"Language", "Go (reference reproduction of the C++ mini-app design)"},

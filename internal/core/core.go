@@ -45,8 +45,8 @@ type Config struct {
 	Eps       float64 // Plummer softening
 	G         float64 // gravitational constant
 
-	// Stepping selects the time-step mode (Table 2: equal, variable
-	// individual, adaptive).
+	// Stepping selects the time-step mode: global (Table 2's equal) or
+	// adaptive. Every particle advances by the same step in both.
 	Stepping ts.Mode
 	// MaxDT caps the time step (0 = uncapped).
 	MaxDT float64

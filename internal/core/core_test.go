@@ -201,24 +201,6 @@ func TestSquarePatchRotates(t *testing.T) {
 	}
 }
 
-func TestIndividualSteppingAssignsRungs(t *testing.T) {
-	sim := evrardSim(t, 1500)
-	sim.Cfg.Stepping = ts.Individual
-	sim.st.ctrl = ts.NewController(ts.Individual)
-	if _, err := sim.Run(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	// The 1/r density profile spans a wide dynamic range of h and c, so
-	// multiple rungs must be in use.
-	seen := map[int8]bool{}
-	for i := 0; i < sim.PS.NLocal; i++ {
-		seen[sim.PS.Bin[i]] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("individual stepping used %d rungs, want >= 2", len(seen))
-	}
-}
-
 func TestStepInfoAccounting(t *testing.T) {
 	sim := evrardSim(t, 1000)
 	info, err := sim.Step()

@@ -42,13 +42,13 @@ func TestCheckpointRestartDeterminism(t *testing.T) {
 	}
 
 	// Checkpointed: 3 steps, write, restore into a fresh sim, 3 more.
-	ck := ft.NewTwoLevel(t.TempDir())
+	ck := &ft.Checkpointer{Dir: t.TempDir()}
 	half := build()
 	if _, err := half.Run(3, 0); err != nil {
 		t.Fatal(err)
 	}
 	half.Synchronize()
-	if err := ck.Write(0, half.StepN, half.T, half.PS); err != nil {
+	if err := ck.Write(half.StepN, half.T, half.PS); err != nil {
 		t.Fatal(err)
 	}
 	set, step, simTime, err := ck.Restore()

@@ -172,15 +172,6 @@ func Split(ps *part.Set, asg Assignment, nranks int) []*part.Set {
 	return out
 }
 
-// Counts returns per-rank particle counts of an assignment.
-func (a Assignment) Counts(nranks int) []int {
-	c := make([]int, nranks)
-	for _, r := range a {
-		c[r]++
-	}
-	return c
-}
-
 // Imbalance returns max/mean of the per-rank total weights (1 = perfect).
 func (a Assignment) Imbalance(nranks int, weights []float64) float64 {
 	w := make([]float64, nranks)
@@ -265,7 +256,3 @@ func PlanHalo(local *part.Set, peerBoxes []AABB, self int, margin float64, pbc t
 // HaloBytesPerParticle is the modeled wire size of one full ghost particle
 // (position, velocity, mass, h, rho, u, id).
 const HaloBytesPerParticle = 3*8 + 3*8 + 8 + 8 + 8 + 8 + 8
-
-// HaloUpdateBytesPerParticle is the modeled wire size of a ghost refresh
-// (rho, P, c, VE plus the IAD matrix when in use).
-const HaloUpdateBytesPerParticle = 4*8 + 6*8

@@ -1,6 +1,6 @@
 // Package eos provides the equations of state used by the SPH-EXA test
-// cases: an ideal gas (Evrard collapse, gamma = 5/3 per paper §5.1), an
-// isothermal gas, and the weakly-compressible Tait equation customary for
+// cases: an ideal gas (Evrard collapse, gamma = 5/3 per paper §5.1) and
+// the weakly-compressible Tait equation customary for
 // free-surface CFD tests such as the rotating square patch.
 package eos
 
@@ -50,28 +50,6 @@ func (g IdealGas) SoundSpeed(rho, u float64) float64 {
 	}
 	return math.Sqrt(g.Gamma * (g.Gamma - 1) * u)
 }
-
-// Isothermal is P = c0^2 rho with constant sound speed c0.
-type Isothermal struct {
-	C0 float64
-}
-
-// NewIsothermal returns an isothermal EOS with sound speed c0 > 0.
-func NewIsothermal(c0 float64) Isothermal {
-	if c0 <= 0 {
-		panic(fmt.Sprintf("eos: isothermal sound speed %g <= 0", c0))
-	}
-	return Isothermal{C0: c0}
-}
-
-// Name implements EOS.
-func (i Isothermal) Name() string { return fmt.Sprintf("isothermal-%.4g", i.C0) }
-
-// Pressure implements EOS.
-func (i Isothermal) Pressure(rho, u float64) float64 { return i.C0 * i.C0 * rho }
-
-// SoundSpeed implements EOS.
-func (i Isothermal) SoundSpeed(rho, u float64) float64 { return i.C0 }
 
 // Tait is the weakly-compressible equation of state
 //

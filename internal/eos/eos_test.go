@@ -42,25 +42,6 @@ func TestIdealGasPanics(t *testing.T) {
 	NewIdealGas(1)
 }
 
-func TestIsothermal(t *testing.T) {
-	i := NewIsothermal(2)
-	if got := i.Pressure(3, 99); got != 12 {
-		t.Errorf("Pressure = %g, want 12", got)
-	}
-	if got := i.SoundSpeed(3, 99); got != 2 {
-		t.Errorf("SoundSpeed = %g, want 2", got)
-	}
-}
-
-func TestIsothermalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("c0=0 did not panic")
-		}
-	}()
-	NewIsothermal(0)
-}
-
 func TestTaitReferenceState(t *testing.T) {
 	ta := NewTait(1000, 50, 7)
 	// At the reference density, pressure is zero.
@@ -115,7 +96,6 @@ func TestNames(t *testing.T) {
 		want string
 	}{
 		{NewIdealGas(5.0 / 3.0), "ideal-1.667"},
-		{NewIsothermal(1), "isothermal-1"},
 		{NewTait(1, 10, 7), "tait-7"},
 	}
 	for _, c := range cases {

@@ -1,8 +1,9 @@
 // Package ft implements the fault-tolerance features the mini-app commits
-// to in paper Table 4: checkpoint/restart at the optimal (Young/Daly)
-// interval, multilevel checkpointing across storage tiers [7, 20], and
-// silent-data-corruption detection [6, 44] via structural checks, checksum
-// replication, and physics-based conservation bounds.
+// to in paper Table 4: checkpoint/restart, with the optimal (Young/Daly)
+// interval as a model, and silent-data-corruption detection [6, 44] via
+// structural checks, checksum replication, and physics-based conservation
+// bounds. Checkpoints go to one directory that keeps the two newest, so a
+// corrupted newest checkpoint still leaves an older one to restore.
 package ft
 
 import (
@@ -32,60 +33,31 @@ func DalyInterval(checkpointCost, mtbf float64) float64 {
 	return mtbf
 }
 
-// Level describes one checkpoint storage tier of a multilevel scheme:
-// cheaper tiers absorb frequent failures, expensive tiers survive broader
-// ones (e.g. node-local SSD vs parallel filesystem).
-type Level struct {
-	Name string
-	// Dir is the directory for this tier's checkpoint files.
-	Dir string
-	// WriteCost is the modeled seconds to write one checkpoint.
-	WriteCost float64
-	// MTBF is the mean time between failures this tier protects against.
-	MTBF float64
-	// Keep is how many checkpoints to retain (>=1).
-	Keep int
-}
+// keep is how many checkpoints a directory retains: the newest, and one to
+// fall back on when the newest is corrupt.
+const keep = 2
 
-// Checkpointer writes and restores particle-set checkpoints across one or
-// more levels.
+// Checkpointer writes particle-set checkpoints into Dir and restores the
+// newest valid one.
 type Checkpointer struct {
-	Levels []Level
+	Dir string
 }
 
-// NewTwoLevel returns the classic two-tier configuration rooted at dir:
-// a fast "local" tier (frequent, absorbs process failures) and a slow
-// "global" tier (rare, absorbs node loss).
-func NewTwoLevel(dir string) *Checkpointer {
-	return &Checkpointer{Levels: []Level{
-		{Name: "local", Dir: filepath.Join(dir, "local"), WriteCost: 0.5, MTBF: 4 * 3600, Keep: 2},
-		{Name: "global", Dir: filepath.Join(dir, "global"), WriteCost: 30, MTBF: 24 * 3600, Keep: 1},
-	}}
+// list returns the directory's checkpoint files, oldest first: the step in
+// a name is zero-padded, so name order is step order.
+func (c *Checkpointer) list() []string {
+	files, _ := filepath.Glob(filepath.Join(c.Dir, "ckpt-*.sph")) // the pattern is valid
+	sort.Strings(files)
+	return files
 }
 
-// Interval returns each level's Daly-optimal checkpoint interval in
-// simulated seconds.
-func (c *Checkpointer) Interval(level int) float64 {
-	l := c.Levels[level]
-	return DalyInterval(l.WriteCost, l.MTBF)
-}
-
-type meta struct {
-	Step int
-	Time float64
-}
-
-func (c *Checkpointer) fileName(level int, step int) string {
-	return filepath.Join(c.Levels[level].Dir, fmt.Sprintf("ckpt-%09d.sph", step))
-}
-
-// Write checkpoints ps at the given step and simulation time into the level.
-func (c *Checkpointer) Write(level, step int, simTime float64, ps *part.Set) error {
-	l := c.Levels[level]
-	if err := os.MkdirAll(l.Dir, 0o755); err != nil {
-		return fmt.Errorf("ft: creating %s tier: %w", l.Name, err)
+// Write checkpoints ps at the given step and simulation time, then removes
+// all but the newest keep checkpoints.
+func (c *Checkpointer) Write(step int, simTime float64, ps *part.Set) error {
+	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
+		return fmt.Errorf("ft: creating checkpoint directory: %w", err)
 	}
-	path := c.fileName(level, step)
+	path := filepath.Join(c.Dir, fmt.Sprintf("ckpt-%09d.sph", step))
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -106,64 +78,32 @@ func (c *Checkpointer) Write(level, step int, simTime float64, ps *part.Set) err
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return c.prune(level)
-}
-
-// prune removes old checkpoints beyond the level's Keep count.
-func (c *Checkpointer) prune(level int) error {
-	l := c.Levels[level]
-	if l.Keep < 1 {
-		return nil
-	}
-	entries, err := filepath.Glob(filepath.Join(l.Dir, "ckpt-*.sph"))
-	if err != nil {
-		return err
-	}
-	sort.Strings(entries)
-	for len(entries) > l.Keep {
-		if err := os.Remove(entries[0]); err != nil {
+	files := c.list()
+	for len(files) > keep {
+		if err := os.Remove(files[0]); err != nil {
 			return err
 		}
-		entries = entries[1:]
+		files = files[1:]
 	}
 	return nil
 }
 
-// Restore loads the newest valid checkpoint across all levels, preferring
-// the most recent step; corrupted files (checksum mismatch) are skipped —
-// that is the whole point of multilevel checkpointing.
+// Restore loads the newest valid checkpoint. A corrupted file (checksum
+// mismatch) is skipped in favor of the older one kept beside it.
 func (c *Checkpointer) Restore() (*part.Set, int, float64, error) {
-	type cand struct {
-		path string
-		step int
-	}
-	var cands []cand
-	for level := range c.Levels {
-		entries, err := filepath.Glob(filepath.Join(c.Levels[level].Dir, "ckpt-*.sph"))
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			var step int
-			if _, err := fmt.Sscanf(filepath.Base(e), "ckpt-%d.sph", &step); err == nil {
-				cands = append(cands, cand{e, step})
-			}
-		}
-	}
-	if len(cands) == 0 {
+	files := c.list()
+	if len(files) == 0 {
 		return nil, 0, 0, fmt.Errorf("ft: no checkpoints found")
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].step > cands[j].step })
 	var firstErr error
-	for _, cd := range cands {
-		ps, step, simTime, err := readCheckpoint(cd.path)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	for i := len(files) - 1; i >= 0; i-- {
+		ps, step, simTime, err := readCheckpoint(files[i])
+		if err == nil {
+			return ps, step, simTime, nil
 		}
-		return ps, step, simTime, nil
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
 	return nil, 0, 0, fmt.Errorf("ft: all checkpoints corrupted (first error: %w)", firstErr)
 }
@@ -248,11 +188,9 @@ func (d *ConservationDetector) Check(ps *part.Set, st conserve.State) Verdict {
 
 // ReplicaDetector compares state checksums computed by independent replicas
 // of the same computation (selective replication, paper §5: "combination of
-// selective replication, ABFT, and optimal checkpointing").
+// selective replication, ABFT, and optimal checkpointing"). It needs the
+// replicas' checksums, so it is not a Detector of one state.
 type ReplicaDetector struct{}
-
-// Name implements Detector.
-func (ReplicaDetector) Name() string { return "replication" }
 
 // CompareReplicas returns a verdict from N replica checksums: any
 // disagreement flags corruption (with 2 replicas detection only; with >= 3,
@@ -279,12 +217,6 @@ func (ReplicaDetector) CompareReplicas(sums []uint64) Verdict {
 		detail += fmt.Sprintf("; majority %#x recoverable", best)
 	}
 	return Verdict{Corrupted: true, Detector: "replication", Detail: detail}
-}
-
-// Check implements Detector trivially (replication needs explicit replica
-// checksums; use CompareReplicas).
-func (r ReplicaDetector) Check(ps *part.Set, _ conserve.State) Verdict {
-	return Verdict{Detector: "replication"}
 }
 
 // Suite runs detectors in order and returns the first corruption verdict.

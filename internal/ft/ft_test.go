@@ -52,10 +52,9 @@ func TestDalyInterval(t *testing.T) {
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c := NewTwoLevel(dir)
+	c := &Checkpointer{Dir: t.TempDir()}
 	ps := testSet(100, 1)
-	if err := c.Write(0, 7, 1.25, ps); err != nil {
+	if err := c.Write(7, 1.25, ps); err != nil {
 		t.Fatal(err)
 	}
 	got, step, simTime, err := c.Restore()
@@ -71,14 +70,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestRestorePrefersNewest(t *testing.T) {
-	dir := t.TempDir()
-	c := NewTwoLevel(dir)
+	c := &Checkpointer{Dir: t.TempDir()}
 	ps := testSet(50, 2)
-	if err := c.Write(1, 10, 1, ps); err != nil {
+	if err := c.Write(10, 1, ps); err != nil {
 		t.Fatal(err)
 	}
 	ps.U[0] = 99
-	if err := c.Write(0, 20, 2, ps); err != nil {
+	if err := c.Write(20, 2, ps); err != nil {
 		t.Fatal(err)
 	}
 	got, step, _, err := c.Restore()
@@ -90,41 +88,41 @@ func TestRestorePrefersNewest(t *testing.T) {
 	}
 }
 
+// TestRestoreSkipsCorrupted: one directory keeps the two newest
+// checkpoints, so a flipped byte in the newest restores the older one.
 func TestRestoreSkipsCorrupted(t *testing.T) {
 	dir := t.TempDir()
-	c := NewTwoLevel(dir)
+	c := &Checkpointer{Dir: dir}
 	ps := testSet(50, 3)
-	if err := c.Write(1, 10, 1, ps); err != nil {
-		t.Fatal(err)
+	for _, step := range []int{10, 20, 30} {
+		if err := c.Write(step, float64(step), ps); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := c.Write(0, 20, 2, ps); err != nil {
-		t.Fatal(err)
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.sph"))
+	if len(files) != 2 {
+		t.Fatalf("directory keeps %d checkpoints, want 2", len(files))
 	}
-	// Corrupt the newest (local, step 20) checkpoint.
-	files, _ := filepath.Glob(filepath.Join(dir, "local", "ckpt-*.sph"))
-	if len(files) != 1 {
-		t.Fatalf("local tier has %d files", len(files))
-	}
-	data, err := os.ReadFile(files[0])
+	newest := filepath.Join(dir, "ckpt-000000030.sph")
+	data, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Multilevel promise: restore falls back to the older global checkpoint.
-	_, step, _, err := c.Restore()
+	got, step, simTime, err := c.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 10 {
-		t.Fatalf("restored step %d, want fallback to 10", step)
+	if step != 20 || simTime != 20 || got.Checksum() != ps.Checksum() {
+		t.Fatalf("restored step %d t=%g, want the older checkpoint (20)", step, simTime)
 	}
 }
 
 func TestRestoreNoCheckpoints(t *testing.T) {
-	c := NewTwoLevel(t.TempDir())
+	c := &Checkpointer{Dir: t.TempDir()}
 	if _, _, _, err := c.Restore(); err == nil {
 		t.Fatal("restore from nothing succeeded")
 	}
@@ -132,15 +130,14 @@ func TestRestoreNoCheckpoints(t *testing.T) {
 
 func TestPruneKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	c := NewTwoLevel(dir)
-	c.Levels[0].Keep = 2
+	c := &Checkpointer{Dir: dir}
 	ps := testSet(10, 4)
 	for s := 1; s <= 5; s++ {
-		if err := c.Write(0, s, float64(s), ps); err != nil {
+		if err := c.Write(s, float64(s), ps); err != nil {
 			t.Fatal(err)
 		}
 	}
-	files, _ := filepath.Glob(filepath.Join(dir, "local", "ckpt-*.sph"))
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.sph"))
 	if len(files) != 2 {
 		t.Fatalf("kept %d checkpoints, want 2", len(files))
 	}
@@ -150,13 +147,6 @@ func TestPruneKeepsNewest(t *testing.T) {
 	}
 	if step != 5 {
 		t.Fatalf("restored %d, want 5", step)
-	}
-}
-
-func TestIntervalPerLevel(t *testing.T) {
-	c := NewTwoLevel(t.TempDir())
-	if c.Interval(0) >= c.Interval(1) {
-		t.Errorf("local interval %g not shorter than global %g", c.Interval(0), c.Interval(1))
 	}
 }
 
@@ -259,13 +249,12 @@ func TestInjectBitFlipChangesState(t *testing.T) {
 }
 
 func BenchmarkCheckpointWrite10k(b *testing.B) {
-	dir := b.TempDir()
-	c := NewTwoLevel(dir)
+	c := &Checkpointer{Dir: b.TempDir()}
 	ps := testSet(10000, 10)
 	b.SetBytes(int64(ps.EncodedSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Write(0, i, 0, ps); err != nil {
+		if err := c.Write(i, 0, ps); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -321,12 +321,3 @@ func Direct(pos []vec.V3, mass []float64, g, eps float64, workers int) *Result {
 	res.ParticleInteractions = int64(n) * int64(n-1)
 	return res
 }
-
-// PotentialEnergy returns E_pot = 1/2 sum_i m_i phi_i.
-func PotentialEnergy(mass []float64, pot []float64) float64 {
-	var e float64
-	for i, m := range mass {
-		e += m * pot[i]
-	}
-	return e / 2
-}

@@ -91,7 +91,8 @@ func TestTwoBodyExact(t *testing.T) {
 	if math.Abs(res.Pot[0]+3) > 1e-14 || math.Abs(res.Pot[1]+2) > 1e-14 {
 		t.Fatalf("two-body pot = %v, %v", res.Pot[0], res.Pot[1])
 	}
-	if e := PotentialEnergy(mass, res.Pot); math.Abs(e+6) > 1e-12 {
+	// E_pot = 1/2 sum_i m_i phi_i.
+	if e := (mass[0]*res.Pot[0] + mass[1]*res.Pot[1]) / 2; math.Abs(e+6) > 1e-12 {
 		t.Fatalf("E_pot = %g, want -6", e)
 	}
 }

@@ -347,6 +347,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// SelfW returns W(0,h), the central value used in density self-contribution.
-func SelfW(k Kernel, h float64) float64 { return k.W(0, h) }

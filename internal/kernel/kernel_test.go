@@ -214,13 +214,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestSelfW(t *testing.T) {
-	k := NewM4()
-	if got, want := SelfW(k, 2.0), k.W(0, 2.0); got != want {
-		t.Errorf("SelfW = %g, want %g", got, want)
-	}
-}
-
 // Property: for every kernel, W is non-negative, finite, and zero outside
 // support, for arbitrary positive r and h.
 func TestKernelProperties(t *testing.T) {

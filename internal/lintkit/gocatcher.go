@@ -27,10 +27,11 @@ var GoCatcher = &Analyzer{
 }
 
 // goCatcherScope is the set of package names under the analyzer's
-// contract: the compute fan-outs (par, tree, sph, gravity, simmpi, core)
-// and the serving layer that launches workers and collectors.
+// contract: the compute fan-outs (par, sfc, tree, sph, gravity, simmpi,
+// core) and the serving layer that launches workers and collectors.
 var goCatcherScope = map[string]bool{
 	"par":     true,
+	"sfc":     true,
 	"tree":    true,
 	"sph":     true,
 	"gravity": true,

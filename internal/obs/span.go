@@ -5,11 +5,7 @@
 // the server persists next to the verification report.
 package obs
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // The lifecycle phases of a served job, in the order a job enters them.
 // Restore, run, checkpoint and verify are the executor's (internal/runloop
@@ -82,33 +78,6 @@ func (ss *SpanSet) Seconds(name string) float64 {
 		}
 	}
 	return 0
-}
-
-// ServerTiming renders the set as an RFC 9211-style Server-Timing header
-// value: `queue-wait;dur=1.2, run;dur=340.5` (durations in milliseconds).
-// Phase names are sanitized to header-token characters.
-func (ss *SpanSet) ServerTiming() string {
-	parts := make([]string, 0, len(ss.Phases))
-	for _, p := range ss.Phases {
-		parts = append(parts, fmt.Sprintf("%s;dur=%.1f", headerToken(p.Name), p.Seconds*1e3))
-	}
-	return strings.Join(parts, ", ")
-}
-
-// headerToken keeps only RFC 7230 token characters (letters, digits, and
-// common symbol characters), mapping everything else to '-'.
-func headerToken(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('-')
-		}
-	}
-	return b.String()
 }
 
 // Span measures one in-progress stage; construct with StartSpan and finish

@@ -20,8 +20,8 @@ import (
 //	crc     uint64  CRC-64/ECMA over everything after the magic
 //
 // The trailing checksum lets restart distinguish a truncated or corrupted
-// checkpoint from a valid one, which the multilevel checkpointing layer in
-// internal/ft relies on.
+// checkpoint from a valid one: internal/ft then restores the older
+// checkpoint it keeps beside the newest.
 
 const encodeMagic = 0x53504831 // "SPH1"
 

@@ -35,7 +35,7 @@ type Set struct {
 	C    []float64 // sound speed
 	VE   []float64 // generalized volume element (SPHYNX); m/rho when standard
 	NN   []int32   // neighbor count from the last search
-	Bin  []int8    // individual-time-step bin (power-of-two rung); 0 = base step
+	Bin  []int8    // always 0 (no individual time-steps); kept because snapshots encode it
 	Tau  []vec.Sym33
 }
 
@@ -135,27 +135,6 @@ func (s *Set) GrowGhosts(n int) int {
 	old := s.Len()
 	s.resizeAll(old + n)
 	return old
-}
-
-// Swap exchanges particles i and j across every field. It implements the
-// sort interface contract so a Set can be reordered in place (e.g. by SFC
-// key during domain decomposition).
-func (s *Set) Swap(i, j int) {
-	s.ID[i], s.ID[j] = s.ID[j], s.ID[i]
-	s.Pos[i], s.Pos[j] = s.Pos[j], s.Pos[i]
-	s.Vel[i], s.Vel[j] = s.Vel[j], s.Vel[i]
-	s.Acc[i], s.Acc[j] = s.Acc[j], s.Acc[i]
-	s.Mass[i], s.Mass[j] = s.Mass[j], s.Mass[i]
-	s.H[i], s.H[j] = s.H[j], s.H[i]
-	s.Rho[i], s.Rho[j] = s.Rho[j], s.Rho[i]
-	s.U[i], s.U[j] = s.U[j], s.U[i]
-	s.DU[i], s.DU[j] = s.DU[j], s.DU[i]
-	s.P[i], s.P[j] = s.P[j], s.P[i]
-	s.C[i], s.C[j] = s.C[j], s.C[i]
-	s.VE[i], s.VE[j] = s.VE[j], s.VE[i]
-	s.NN[i], s.NN[j] = s.NN[j], s.NN[i]
-	s.Bin[i], s.Bin[j] = s.Bin[j], s.Bin[i]
-	s.Tau[i], s.Tau[j] = s.Tau[j], s.Tau[i]
 }
 
 // CopyFrom copies particle src of o into slot dst of s.

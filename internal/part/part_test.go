@@ -27,7 +27,7 @@ func randomSet(n int, rng *rand.Rand) *Set {
 		s.VE[i] = rng.Float64()
 		s.NN[i] = int32(rng.Intn(200))
 		s.Bin[i] = int8(rng.Intn(8))
-		s.Tau[i] = vec.Outer(vec.V3{X: rng.Float64(), Y: 1, Z: 2})
+		s.Tau[i] = vec.Sym33{}.AddScaledOuter(1, vec.V3{X: rng.Float64(), Y: 1, Z: 2})
 	}
 	return s
 }
@@ -61,20 +61,6 @@ func TestGhosts(t *testing.T) {
 	s.GrowGhosts(2)
 	if s.Len() != 12 {
 		t.Fatalf("regrow: Len=%d", s.Len())
-	}
-}
-
-func TestSwap(t *testing.T) {
-	s := randomSet(3, rand.New(rand.NewSource(2)))
-	a0, a2 := s.Pos[0], s.Pos[2]
-	m0, m2 := s.Mass[0], s.Mass[2]
-	s.Swap(0, 2)
-	if s.Pos[0] != a2 || s.Pos[2] != a0 || s.Mass[0] != m2 || s.Mass[2] != m0 {
-		t.Fatal("swap did not exchange fields")
-	}
-	s.Swap(0, 2)
-	if s.Pos[0] != a0 || s.Mass[2] != m2 {
-		t.Fatal("double swap not identity")
 	}
 }
 
@@ -289,12 +275,5 @@ func BenchmarkEncode(b *testing.B) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSwap(b *testing.B) {
-	s := randomSet(1000, rand.New(rand.NewSource(13)))
-	for i := 0; i < b.N; i++ {
-		s.Swap(i%999, (i+1)%999)
 	}
 }

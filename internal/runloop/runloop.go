@@ -389,7 +389,7 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 		}
 		if ck := env.Checkpointer; ck != nil && res.Steps < total {
 			sp := obs.StartSpan(obs.PhaseCheckpoint, env.Clock)
-			err := ck.Write(0, res.Steps, res.SimTime, res.PS)
+			err := ck.Write(res.Steps, res.SimTime, res.PS)
 			if d := sp.End(); d > 0 {
 				res.Phases.Add(obs.PhaseCheckpoint, d)
 			}

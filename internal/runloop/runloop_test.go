@@ -38,9 +38,7 @@ func newSet() *part.Set {
 
 func ck(t *testing.T) *ft.Checkpointer {
 	t.Helper()
-	return &ft.Checkpointer{Levels: []ft.Level{{
-		Name: "local", Dir: filepath.Join(t.TempDir(), "ck"), Keep: 2,
-	}}}
+	return &ft.Checkpointer{Dir: filepath.Join(t.TempDir(), "ck")}
 }
 
 func TestRunChunksAndCheckpoints(t *testing.T) {
@@ -80,7 +78,7 @@ func TestRunResumesFromCheckpoint(t *testing.T) {
 	c := ck(t)
 	st := newSet()
 	st.ID[0] = 6
-	if err := c.Write(0, 6, 3, st); err != nil {
+	if err := c.Write(6, 3, st); err != nil {
 		t.Fatal(err)
 	}
 	var restored []int
@@ -104,7 +102,7 @@ func TestRunResumesFromCheckpoint(t *testing.T) {
 
 func TestRunIgnoresOversizedCheckpointUnlessMustResume(t *testing.T) {
 	c := ck(t)
-	if err := c.Write(0, 50, 25, newSet()); err != nil {
+	if err := c.Write(50, 25, newSet()); err != nil {
 		t.Fatal(err)
 	}
 	// Without MustResume a checkpoint beyond TotalSteps means a fresh run

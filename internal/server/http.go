@@ -601,9 +601,9 @@ func (s *Server) telemetryFrame(id string) (telemetryEvent, bool) {
 }
 
 // handleProfile serves POST /v1/jobs/{id}/profile?seconds=N: capture a CPU
-// profile of the serving process attributed to the job, persist it as the
-// entry's profile artifact when the result is stored, and return the pprof
-// bytes. Captures are serialized process-wide (409 while one is running).
+// profile of the serving process attributed to the job and return the pprof
+// bytes; nothing is kept. Captures are serialized process-wide (409 while
+// one is running).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	seconds := 1

@@ -682,18 +682,13 @@ func (s *Server) Done(id string) (<-chan struct{}, bool) {
 
 func (v JobView) meta() (string, JobState) { return v.Hash, v.State }
 
-// checkpointer returns the job's ft stack, or nil when checkpointing is
-// disabled. A single fast tier suffices: the server directory plays the
-// "node-local" role and jobs are re-queued, not migrated.
+// checkpointer returns the job's checkpoint directory under the data
+// directory, or nil when checkpointing is disabled.
 func (s *Server) checkpointer(job *Job) *ft.Checkpointer {
 	if s.opts.DataDir == "" {
 		return nil
 	}
-	return &ft.Checkpointer{Levels: []ft.Level{{
-		Name: "local",
-		Dir:  filepath.Join(s.opts.DataDir, job.Hash),
-		Keep: 2,
-	}}}
+	return &ft.Checkpointer{Dir: filepath.Join(s.opts.DataDir, job.Hash)}
 }
 
 // run takes one queued job through its lifecycle. This is the claim stage:
@@ -838,7 +833,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 // and put the job back in the queue, to resume from there.
 func (s *Server) requeue(job *Job, res runloop.Result) {
 	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
-		_ = ck.Write(0, res.Steps, res.SimTime, res.PS)
+		_ = ck.Write(res.Steps, res.SimTime, res.PS)
 	}
 	s.mu.Lock()
 	job.State = StateQueued

@@ -357,9 +357,7 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 	}
 
 	// The checkpoint the resume consumed must exist and carry a mid-run step.
-	ck := &ft.Checkpointer{Levels: []ft.Level{{
-		Name: "local", Dir: filepath.Join(dir, final.Hash), Keep: 2,
-	}}}
+	ck := &ft.Checkpointer{Dir: filepath.Join(dir, final.Hash)}
 	ps, step, simTime, err := ck.Restore()
 	if err != nil {
 		t.Fatalf("no readable checkpoint after kill/resume: %v", err)

@@ -2,7 +2,8 @@ package sfc
 
 import (
 	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // ParallelSortByKey returns the permutation that sorts items by key using a
@@ -12,7 +13,8 @@ import (
 // keys is the dominant cost of building a linear octree, so the mini-app
 // parallelizes exactly this step.
 //
-// The sort is stable. workers <= 0 selects GOMAXPROCS.
+// The sort is stable. workers <= 0 selects GOMAXPROCS. A panic in a worker
+// is rethrown on the caller's goroutine (par.Range).
 func ParallelSortByKey(keys []Key, workers int) []int {
 	n := len(keys)
 	idx := make([]int, n)
@@ -25,13 +27,7 @@ func ParallelSortByKey(keys []Key, workers int) []int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n/1024 {
-		w := n / 1024
-		if w < 1 {
-			w = 1
-		}
-		workers = w
-	}
+	workers = max(1, min(workers, n/1024))
 
 	const digitBits = 11
 	const radix = 1 << digitBits
@@ -49,31 +45,17 @@ func ParallelSortByKey(keys []Key, workers int) []int {
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * digitBits)
 
-		// Phase 1: per-worker digit histograms.
-		var wg sync.WaitGroup
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			h := hist[w]
-			for d := range h {
-				h[d] = 0
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int, h []int) {
-				defer wg.Done()
-				for _, i := range src[lo:hi] {
-					h[(uint64(keys[i])>>shift)&mask]++
-				}
-			}(lo, hi, h)
+		// Phase 1: per-worker digit histograms. A worker whose chunk is
+		// empty is not called, so every histogram is cleared here.
+		for _, h := range hist {
+			clear(h)
 		}
-		wg.Wait()
+		par.Range(n, workers, func(w, lo, hi int) {
+			h := hist[w]
+			for _, i := range src[lo:hi] {
+				h[(uint64(keys[i])>>shift)&mask]++
+			}
+		})
 
 		// Phase 2: exclusive prefix sum across (digit, worker) in digit-major
 		// order, giving each worker its scatter base per digit. Serial: radix
@@ -88,26 +70,14 @@ func ParallelSortByKey(keys []Key, workers int) []int {
 		}
 
 		// Phase 3: stable parallel scatter.
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
+		par.Range(n, workers, func(w, lo, hi int) {
+			h := hist[w]
+			for _, i := range src[lo:hi] {
+				d := (uint64(keys[i]) >> shift) & mask
+				dst[h[d]] = i
+				h[d]++
 			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int, h []int) {
-				defer wg.Done()
-				for _, i := range src[lo:hi] {
-					d := (uint64(keys[i]) >> shift) & mask
-					dst[h[d]] = i
-					h[d]++
-				}
-			}(lo, hi, hist[w])
-		}
-		wg.Wait()
+		})
 		src, dst = dst, src
 	}
 	// passes is even, so the result landed back in idx.

@@ -50,13 +50,6 @@ func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborLis
 	return findNeighbors(ps, tr, p, p.HMaxIter)
 }
 
-// BuildNeighborList builds the CSR neighbor list at the current smoothing
-// lengths, without adapting them — used after a checkpoint restart (h is
-// already converged) and by tests that pin h.
-func BuildNeighborList(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
-	return findNeighbors(ps, tr, p, 0)
-}
-
 // walkMargin is how far beyond the support radius a particle's tree walk
 // reaches while its h may still change. A pass of the h iteration whose
 // support fits inside the last walk filters that walk's hits by distance

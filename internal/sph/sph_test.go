@@ -389,7 +389,7 @@ func TestComputeIADFallbackOnDegenerate(t *testing.T) {
 		ps.VE[i] = 1
 	}
 	tr := BuildTree(ps, p)
-	nl := BuildNeighborList(ps, tr, p)
+	nl := findNeighbors(ps, tr, p, 0) // h pinned
 	fb := ComputeIAD(ps, nl, p)
 	if fb != 5 {
 		t.Fatalf("collinear config: %d fallbacks, want 5", fb)
@@ -480,8 +480,8 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 
 	tr := BuildTree(ps, p)
 	checkCSR(t, "UpdateSmoothingLengths", ps, UpdateSmoothingLengths(ps, tr, p), p)
-	nl := BuildNeighborList(ps, tr, p)
-	checkCSR(t, "BuildNeighborList", ps, nl, p)
+	nl := findNeighbors(ps, tr, p, 0)
+	checkCSR(t, "findNeighbors at fixed h", ps, nl, p)
 	if nl.Count(bad) != 0 {
 		t.Errorf("NaN particle has %d neighbors, want 0", nl.Count(bad))
 	}

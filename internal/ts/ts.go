@@ -1,7 +1,9 @@
 // Package ts implements time-step control for the mini-app. Paper Table 2
 // lists three modes for SPH-EXA: equal (global) steps as in SPHYNX, variable
 // individual (per-particle, power-of-two block) steps as in ChaNGa, and
-// adaptive stepping as in SPH-flow.
+// adaptive stepping as in SPH-flow. The engine advances every particle by
+// one step, so this package provides the two global modes; per-particle
+// rungs would need an integrator that sub-steps.
 package ts
 
 import (
@@ -17,9 +19,6 @@ type Mode int
 const (
 	// Global advances every particle with the minimum stable step.
 	Global Mode = iota
-	// Individual assigns each particle a power-of-two subdivision (rung) of
-	// the base step and advances only active rungs each sub-step.
-	Individual
 	// Adaptive advances globally but lets the step grow and shrink smoothly
 	// (bounded rate), the strategy of CFD codes like SPH-flow.
 	Adaptive
@@ -30,8 +29,6 @@ func (m Mode) String() string {
 	switch m {
 	case Global:
 		return "global"
-	case Individual:
-		return "individual"
 	case Adaptive:
 		return "adaptive"
 	}
@@ -48,9 +45,6 @@ type Controller struct {
 	AccelFactor float64
 	// MaxGrowth bounds dt growth per step in Adaptive mode (e.g. 1.1).
 	MaxGrowth float64
-	// MaxRung bounds the individual-step hierarchy depth (2^MaxRung
-	// subdivisions of the base step).
-	MaxRung int8
 
 	prev float64
 }
@@ -62,7 +56,6 @@ func NewController(mode Mode) *Controller {
 		Courant:     0.3,
 		AccelFactor: 0.25,
 		MaxGrowth:   1.1,
-		MaxRung:     6,
 	}
 }
 
@@ -82,62 +75,24 @@ func (c *Controller) ParticleDT(ps *part.Set, i int, vsig float64) float64 {
 	return dt
 }
 
-// Step computes the next base time step and, in Individual mode, assigns
-// per-particle rungs into ps.Bin (step 5 of Algorithm 1).
-// vsig is the maximum signal speed from the force evaluation.
-// It returns the base step (the step the whole system will be advanced by).
+// Step computes the next time step of the whole system (step 5 of
+// Algorithm 1): the smallest particle step, which Adaptive mode lets grow
+// by at most MaxGrowth over the previous one. vsig is the maximum signal
+// speed from the force evaluation.
 func (c *Controller) Step(ps *part.Set, vsig float64) float64 {
-	minDT := math.Inf(1)
-	maxDT := 0.0
-	n := ps.NLocal
-	dts := make([]float64, n)
-	for i := 0; i < n; i++ {
-		dt := c.ParticleDT(ps, i, vsig)
-		dts[i] = dt
-		if dt < minDT {
-			minDT = dt
-		}
-		if dt > maxDT && !math.IsInf(dt, 1) {
-			maxDT = dt
+	dt := math.Inf(1)
+	for i := 0; i < ps.NLocal; i++ {
+		// Not the min builtin: a NaN particle step must not become the step.
+		if pdt := c.ParticleDT(ps, i, vsig); pdt < dt {
+			dt = pdt
 		}
 	}
-	if math.IsInf(minDT, 1) || minDT <= 0 {
-		minDT = 1e-6 // degenerate state: fall back to a tiny positive step
+	if math.IsInf(dt, 1) || dt <= 0 {
+		dt = 1e-6 // degenerate state: fall back to a tiny positive step
 	}
-
-	switch c.Mode {
-	case Individual:
-		// The base step is the largest particle step, clamped so the hierarchy
-		// depth does not exceed MaxRung; each particle gets the deepest rung
-		// whose sub-step is <= its stable step.
-		base := maxDT
-		if base <= 0 {
-			base = minDT
-		}
-		limit := base / float64(int64(1)<<uint(c.MaxRung))
-		if minDT < limit {
-			base = minDT * float64(int64(1)<<uint(c.MaxRung))
-		}
-		for i := 0; i < n; i++ {
-			rung := int8(0)
-			sub := base
-			for sub > dts[i] && rung < c.MaxRung {
-				sub /= 2
-				rung++
-			}
-			ps.Bin[i] = rung
-		}
-		c.prev = base
-		return base
-	case Adaptive:
-		dt := minDT
-		if c.prev > 0 && dt > c.prev*c.MaxGrowth {
-			dt = c.prev * c.MaxGrowth
-		}
-		c.prev = dt
-		return dt
-	default: // Global
-		c.prev = minDT
-		return minDT
+	if c.Mode == Adaptive && c.prev > 0 && dt > c.prev*c.MaxGrowth {
+		dt = c.prev * c.MaxGrowth
 	}
+	c.prev = dt
+	return dt
 }

@@ -66,38 +66,6 @@ func TestAdaptiveGrowthBounded(t *testing.T) {
 	}
 }
 
-func TestIndividualRungAssignment(t *testing.T) {
-	c := NewController(Individual)
-	// Particle 0 can take a large step; particle 1 needs one 8x smaller.
-	ps := stateWith([]float64{0.8, 0.1}, []vec.V3{{}, {}})
-	base := c.Step(ps, 10)
-	if base <= 0 {
-		t.Fatalf("base dt = %g", base)
-	}
-	if ps.Bin[0] >= ps.Bin[1] {
-		t.Fatalf("rungs not ordered by stability: bin0=%d bin1=%d", ps.Bin[0], ps.Bin[1])
-	}
-	// Each particle's sub-step must be stable.
-	for i := 0; i < 2; i++ {
-		sub := base / float64(int64(1)<<uint(ps.Bin[i]))
-		stable := c.ParticleDT(ps, i, 10)
-		if sub > stable*(1+1e-12) && ps.Bin[i] < c.MaxRung {
-			t.Fatalf("particle %d sub-step %g exceeds stable %g", i, sub, stable)
-		}
-	}
-}
-
-func TestIndividualRungCap(t *testing.T) {
-	c := NewController(Individual)
-	c.MaxRung = 3
-	// Enormous dynamic range: rung must clamp at MaxRung.
-	ps := stateWith([]float64{10, 1e-6}, []vec.V3{{}, {}})
-	c.Step(ps, 1)
-	if ps.Bin[1] > 3 {
-		t.Fatalf("rung %d exceeds cap 3", ps.Bin[1])
-	}
-}
-
 func TestDegenerateStateFallback(t *testing.T) {
 	c := NewController(Global)
 	ps := stateWith([]float64{0.1}, []vec.V3{{}})
@@ -108,7 +76,7 @@ func TestDegenerateStateFallback(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	for _, m := range []Mode{Global, Individual, Adaptive, Mode(9)} {
+	for _, m := range []Mode{Global, Adaptive, Mode(9)} {
 		if m.String() == "" {
 			t.Fatalf("empty name for mode %d", m)
 		}

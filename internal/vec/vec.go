@@ -46,15 +46,6 @@ func (v V3) Norm2() float64 { return v.Dot(v) }
 // Norm returns |v|.
 func (v V3) Norm() float64 { return math.Sqrt(v.Norm2()) }
 
-// Normalized returns v/|v|. The zero vector is returned unchanged.
-func (v V3) Normalized() V3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // MulAdd returns v + s*w without intermediate allocation semantics; it is the
 // fused update used by the integrators.
 func (v V3) MulAdd(s float64, w V3) V3 {
@@ -85,21 +76,6 @@ func (v V3) Comp(i int) float64 {
 	panic("vec: component index out of range")
 }
 
-// SetComp returns a copy of v with component i replaced by x.
-func (v V3) SetComp(i int, x float64) V3 {
-	switch i {
-	case 0:
-		v.X = x
-	case 1:
-		v.Y = x
-	case 2:
-		v.Z = x
-	default:
-		panic("vec: component index out of range")
-	}
-	return v
-}
-
 // IsFinite reports whether every component is finite (no NaN or Inf).
 // Silent-data-corruption detectors use it as a cheap sanity predicate.
 func (v V3) IsFinite() bool {
@@ -115,15 +91,6 @@ func (v V3) IsFinite() bool {
 //	| XZ YZ ZZ |
 type Sym33 struct {
 	XX, XY, XZ, YY, YZ, ZZ float64
-}
-
-// Outer returns the symmetric outer product r r^T.
-func Outer(r V3) Sym33 {
-	return Sym33{
-		XX: r.X * r.X, XY: r.X * r.Y, XZ: r.X * r.Z,
-		YY: r.Y * r.Y, YZ: r.Y * r.Z,
-		ZZ: r.Z * r.Z,
-	}
 }
 
 // Add returns m + n.
@@ -186,6 +153,3 @@ func (m Sym33) Inverse() (Sym33, bool) {
 		ZZ: (m.XX*m.YY - m.XY*m.XY) * inv,
 	}, true
 }
-
-// Identity returns the 3x3 identity matrix.
-func Identity() Sym33 { return Sym33{XX: 1, YY: 1, ZZ: 1} }
