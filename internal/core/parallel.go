@@ -91,6 +91,10 @@ type ParallelConfig struct {
 	// lands in the rank Collective totals, preserving the clock
 	// decomposition invariant).
 	OnSample func(StepStats)
+
+	// dropScratch makes every rank forget its stepper's scratch after each
+	// step: the reference the kept scratch is tested against.
+	dropScratch bool
 }
 
 // StepStats is the per-step reduced physics snapshot OnSample delivers:

@@ -27,6 +27,14 @@ type rank struct {
 	plan      domain.HaloPlan
 	ghostFrom []int
 
+	// Scratch kept like the stepper's: the owned smoothing lengths a halo
+	// retry restarts from and, on rank 0, the gathered particles and tree of
+	// the replicated gravity solver.
+	hOrig []float64
+	gp    []vec.V3
+	gm    []float64
+	gws   sph.Workspace
+
 	// Phase-class baselines for sample's per-step deltas. Read before the
 	// sampling collectives run, so a sampling collective's own cost is
 	// charged to the following step's delta, never the current one.
@@ -79,6 +87,9 @@ func (k *rank) loop() {
 		}
 		if cfg.DynamicLB && k.res.Ranks > 1 {
 			k.comm(PhaseUpdate, k.rebalance)
+		}
+		if cfg.dropScratch {
+			k.st.dropScratch()
 		}
 	}
 	// The returned state is at one time level, like Sim.Synchronize's. The
@@ -189,7 +200,7 @@ func (k *rank) exchange(ph PhaseID, bytesPerParticle float64) {
 func (k *rank) haloNeighbors() {
 	r, local := k.r, k.st.ps
 	local.DropGhosts()
-	hOrig := append([]float64(nil), local.H[:local.NLocal]...)
+	k.hOrig = append(k.hOrig[:0], local.H[:local.NLocal]...)
 	k.st.extrema()
 	hmax := k.st.ext.HMax
 	for attempt := 0; attempt < 4; attempt++ {
@@ -201,7 +212,7 @@ func (k *rank) haloNeighbors() {
 			}
 			if attempt > 0 {
 				local.DropGhosts()
-				copy(local.H[:local.NLocal], hOrig)
+				copy(local.H[:local.NLocal], k.hOrig)
 			}
 			peerBoxes := make([]domain.AABB, k.res.Ranks)
 			ghmax := 0.0
@@ -245,15 +256,14 @@ func (k *rank) gravity() {
 		bytes := int(float64(local.NLocal) * 32 * k.cfg.WorkScale)
 		gathered := r.Allgather(local, bytes)
 		if r.ID == 0 {
-			var gp []vec.V3
-			var gm []float64
+			k.gp, k.gm = k.gp[:0], k.gm[:0]
 			for _, g := range gathered {
 				peer := g.(*part.Set)
-				gp = append(gp, peer.Pos[:peer.NLocal]...)
-				gm = append(gm, peer.Mass[:peer.NLocal]...)
+				k.gp = append(k.gp, peer.Pos[:peer.NLocal]...)
+				k.gm = append(k.gm, peer.Mass[:peer.NLocal]...)
 			}
-			gt := sph.BuildTree(&part.Set{NLocal: len(gp), Pos: gp}, &k.p)
-			k.gravSolver, k.gravN = k.st.gravSolver(gt, gp, gm), len(gp)
+			gt := k.gws.BuildTree(&part.Set{NLocal: len(k.gp), Pos: k.gp}, &k.p)
+			k.gravSolver, k.gravN = k.st.gravSolver(gt, k.gp, k.gm), len(k.gp)
 		}
 		r.Barrier() // publish solver
 	})

@@ -35,6 +35,14 @@ type stepper struct {
 
 	lastDT   float64
 	haveKick bool // whether a completing half-kick is pending
+
+	// The step's scratch. Each buffer keeps its capacity from step to step,
+	// never its contents, so a step allocates only when it outgrows every
+	// step before it: tr and nl live in ws, pot in gravRes.
+	ws      sph.Workspace
+	grav    gravity.Solver
+	gravRes gravity.Result
+	targets []int32
 }
 
 // phaseRunner executes one workflow phase on behalf of a driver, which
@@ -43,8 +51,8 @@ type phaseRunner func(ph PhaseID, fn func())
 
 // neighbors runs phases A–D over the set as it stands (ghosts included).
 func (st *stepper) neighbors(run phaseRunner) {
-	run(PhaseTree, func() { st.tr = sph.BuildTree(st.ps, st.p) })
-	run(PhaseNeighbors, func() { st.nl = sph.UpdateSmoothingLengths(st.ps, st.tr, st.p) })
+	run(PhaseTree, func() { st.tr = st.ws.BuildTree(st.ps, st.p) })
+	run(PhaseNeighbors, func() { st.nl = st.ws.UpdateSmoothingLengths(st.ps, st.tr, st.p) })
 	st.extrema()
 }
 
@@ -78,20 +86,21 @@ func (st *stepper) extrema() {
 // naming that group, so a driver with ghosts can bring the owners' values to
 // their replicas first; a driver without ghosts has nothing to do there.
 func (st *stepper) hydro(run phaseRunner, refresh func(PhaseID)) {
-	run(PhaseDensity, func() { sph.Density(st.ps, st.nl, st.p) })
+	run(PhaseDensity, func() { st.ws.Density(st.ps, st.nl, st.p) })
 	run(PhaseEOS, func() { sph.EquationOfState(st.ps, st.p) })
 	refresh(PhaseDensity)
 	if st.p.Gradients == sph.IAD {
 		run(PhaseIAD, func() { st.iadFallbacks = sph.ComputeIAD(st.ps, st.nl, st.p) })
 		refresh(PhaseIAD)
 	}
-	run(PhaseForces, func() { st.forces = sph.MomentumEnergy(st.ps, st.nl, st.p) })
+	run(PhaseForces, func() { st.forces = st.ws.MomentumEnergy(st.ps, st.nl, st.p) })
 }
 
-// gravSolver configures the multipole solver of phase I over a tree and the
-// positions and masses it was built from.
+// gravSolver configures the stepper's multipole solver of phase I over a
+// tree and the positions and masses it was built from.
 func (st *stepper) gravSolver(tr *tree.Tree, pos []vec.V3, mass []float64) *gravity.Solver {
-	s := gravity.NewSolver(tr, pos, mass)
+	s := &st.grav
+	s.Reset(tr, pos, mass)
 	s.Order = st.cfg.GravOrder
 	s.Theta = st.cfg.Theta
 	s.Eps = st.cfg.Eps
@@ -103,12 +112,12 @@ func (st *stepper) gravSolver(tr *tree.Tree, pos []vec.V3, mass []float64) *grav
 // keeps their potential. The owned particles are solver's particles
 // offset..offset+NLocal.
 func (st *stepper) gravitate(solver *gravity.Solver, offset int) *gravity.Result {
-	ps := st.ps
-	targets := make([]int32, ps.NLocal)
-	for i := range targets {
-		targets[i] = int32(offset + i)
+	ps, res := st.ps, &st.gravRes
+	st.targets = st.targets[:0]
+	for i := range ps.NLocal {
+		st.targets = append(st.targets, int32(offset+i))
 	}
-	res := solver.Accelerations(targets, st.p.Workers)
+	solver.AccelerationsInto(res, st.targets, st.p.Workers)
 	for i := 0; i < ps.NLocal; i++ {
 		ps.Acc[i] = ps.Acc[i].Add(res.Acc[i])
 	}
@@ -150,9 +159,15 @@ func (st *stepper) advance(dt float64) {
 	}
 	st.wrap()
 	st.lastDT, st.haveKick = dt, true
-	// Nothing reads this step's tree and neighbour list any more; holding
-	// them while the next step builds its own would double their footprint.
-	st.tr, st.nl = nil, nil
+	// Nothing reads this step's tree and neighbour list any more. They stay
+	// where they are: the next step rebuilds both in the same arrays, by the
+	// scratch rule keep capacity, not contents.
+}
+
+// dropScratch forgets the step's scratch, leaving the stepper as a new one
+// would start its next step.
+func (st *stepper) dropScratch() {
+	st.ws, st.grav, st.gravRes, st.targets = sph.Workspace{}, gravity.Solver{}, gravity.Result{}, nil
 }
 
 // synchronize completes a pending half-kick, bringing velocities and

@@ -3,6 +3,8 @@ package gravity
 import (
 	"math"
 	"runtime"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/tree"
@@ -10,8 +12,8 @@ import (
 )
 
 // Solver evaluates self-gravity on a particle set through a Barnes-Hut walk
-// over an octree built by internal/tree. Construct one per step with
-// NewSolver (moment computation), then call Accelerations.
+// over an octree built by internal/tree. Construct one with NewSolver (moment
+// computation), or Reset a kept one each step, then call Accelerations.
 type Solver struct {
 	tr      *tree.Tree
 	pos     []vec.V3
@@ -33,20 +35,20 @@ type Solver struct {
 // solver. pos and mass are indexed by the same particle indices tr was built
 // from.
 func NewSolver(tr *tree.Tree, pos []vec.V3, mass []float64) *Solver {
-	s := &Solver{
-		tr:    tr,
-		pos:   pos,
-		mass:  mass,
-		Order: Hexadecapole,
-		Theta: 0.6,
-		Eps:   0,
-		G:     1,
-	}
-	s.moments = make([]Moments, len(tr.Nodes))
+	s := &Solver{Order: Hexadecapole, Theta: 0.6, G: 1}
+	s.Reset(tr, pos, mass)
+	return s
+}
+
+// Reset points s at a new tree and particle set and recomputes the moments
+// in the capacity of the previous ones. Order, Theta, Eps and G are kept.
+func (s *Solver) Reset(tr *tree.Tree, pos []vec.V3, mass []float64) {
+	s.tr, s.pos, s.mass = tr, pos, mass
+	s.moments = slices.Grow(s.moments[:0], len(tr.Nodes))[:len(tr.Nodes)]
+	clear(s.moments)
 	if len(tr.Nodes) > 0 {
 		s.computeMoments(0)
 	}
-	return s
 }
 
 // computeMoments fills moments[ni] bottom-up: leaves from particles (P2M),
@@ -108,35 +110,40 @@ type Result struct {
 // Accelerations evaluates gravity for the targets (particle indices).
 // workers <= 0 uses GOMAXPROCS. Self-interaction is excluded.
 func (s *Solver) Accelerations(targets []int32, workers int) *Result {
+	res := new(Result)
+	s.AccelerationsInto(res, targets, workers)
+	return res
+}
+
+// AccelerationsInto is Accelerations writing into res, whose slices keep
+// their capacity. Solvers are read-only here: ranks share one.
+func (s *Solver) AccelerationsInto(res *Result, targets []int32, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	res := &Result{
-		Acc: make([]vec.V3, len(targets)),
-		Pot: make([]float64, len(targets)),
+	n := len(targets)
+	res.Acc, res.Pot = slices.Grow(res.Acc[:0], n)[:n], slices.Grow(res.Pot[:0], n)[:n]
+	if len(s.tr.Nodes) == 0 {
+		clear(res.Acc)
+		clear(res.Pot)
+		res.NodeInteractions, res.ParticleInteractions = 0, 0
+		return
 	}
-	if len(s.tr.Nodes) == 0 || len(targets) == 0 {
-		return res
-	}
-	// Interaction counts per worker: a local in the loop, stored once to the
-	// worker's slot, summed after the join (the par.Range accumulator rule).
-	nis, pis := make([]int64, workers), make([]int64, workers)
-	par.Range(len(targets), workers, func(w, lo, hi int) {
+	// Interaction counts: a local in the loop, added once after it (the
+	// par.Range accumulator rule); integer sums do not depend on the order.
+	var nodes, pairs atomic.Int64
+	par.Range(n, workers, func(_, lo, hi int) {
 		var ni, pi int64
 		for t := lo; t < hi; t++ {
 			a, p, n1, n2 := s.walk(0, targets[t])
-			res.Acc[t] = a
-			res.Pot[t] = p
+			res.Acc[t], res.Pot[t] = a, p
 			ni += n1
 			pi += n2
 		}
-		nis[w], pis[w] = ni, pi
+		nodes.Add(ni)
+		pairs.Add(pi)
 	})
-	for w := range nis {
-		res.NodeInteractions += nis[w]
-		res.ParticleInteractions += pis[w]
-	}
-	return res
+	res.NodeInteractions, res.ParticleInteractions = nodes.Load(), pairs.Load()
 }
 
 // walk traverses the tree for particle idx, returning acceleration,

@@ -10,6 +10,7 @@ package part
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -46,77 +47,29 @@ func New(n int) *Set {
 	return s
 }
 
+// resizeAll sets every column's length to n. A column keeps its capacity
+// when it shrinks, and grows by append's amortized rule, so ghost counts that
+// wander from step to step stop reallocating once the largest has been seen.
+// Slots beyond the old length are zero only where newly allocated.
 func (s *Set) resizeAll(n int) {
-	resizeI64 := func(p *[]int64) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]int64, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeV3 := func(p *[]vec.V3) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]vec.V3, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeF := func(p *[]float64) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]float64, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeI32 := func(p *[]int32) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]int32, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeI8 := func(p *[]int8) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]int8, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeSym := func(p *[]vec.Sym33) {
-		if cap(*p) >= n {
-			*p = (*p)[:n]
-		} else {
-			np := make([]vec.Sym33, n)
-			copy(np, *p)
-			*p = np
-		}
-	}
-	resizeI64(&s.ID)
-	resizeV3(&s.Pos)
-	resizeV3(&s.Vel)
-	resizeV3(&s.Acc)
-	resizeF(&s.Mass)
-	resizeF(&s.H)
-	resizeF(&s.Rho)
-	resizeF(&s.U)
-	resizeF(&s.DU)
-	resizeF(&s.P)
-	resizeF(&s.C)
-	resizeF(&s.VE)
-	resizeI32(&s.NN)
-	resizeI8(&s.Bin)
-	resizeSym(&s.Tau)
+	resize(&s.ID, n)
+	resize(&s.Pos, n)
+	resize(&s.Vel, n)
+	resize(&s.Acc, n)
+	resize(&s.Mass, n)
+	resize(&s.H, n)
+	resize(&s.Rho, n)
+	resize(&s.U, n)
+	resize(&s.DU, n)
+	resize(&s.P, n)
+	resize(&s.C, n)
+	resize(&s.VE, n)
+	resize(&s.NN, n)
+	resize(&s.Bin, n)
+	resize(&s.Tau, n)
 }
+
+func resize[T any](p *[]T, n int) { *p = slices.Grow((*p)[:0], n)[:n] }
 
 // Len returns the total particle count including ghosts.
 func (s *Set) Len() int { return len(s.Pos) }

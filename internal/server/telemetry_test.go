@@ -271,7 +271,10 @@ func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := sedovSpec(2000)
+	// The job must still be running when Cancel lands. At even 0.1 ms a
+	// step it would outlast the 60 s deadline below, so it cannot complete
+	// first and end the stream with a completed frame instead.
+	spec := sedovSpec(1 << 20)
 	spec.Params.N = 1000
 	spec.Params.NNeighbors = 30
 	view, err := s.Submit(spec)

@@ -2,6 +2,7 @@ package sfc
 
 import (
 	"runtime"
+	"slices"
 
 	"repro/internal/par"
 )
@@ -16,8 +17,22 @@ import (
 // The sort is stable. workers <= 0 selects GOMAXPROCS. A panic in a worker
 // is rethrown on the caller's goroutine (par.Range).
 func ParallelSortByKey(keys []Key, workers int) []int {
+	return new(Sorter).Sort(keys, workers)
+}
+
+// Sorter is ParallelSortByKey with its buffers kept from one sort to the
+// next: it allocates only when a sort is larger than any before it.
+type Sorter struct {
+	idx, tmp []int
+	hist     [][]int // hist[w][d] = count of digit d in worker w's chunk
+}
+
+// Sort is ParallelSortByKey. The permutation it returns is the Sorter's own
+// and is overwritten by the next Sort.
+func (s *Sorter) Sort(keys []Key, workers int) []int {
 	n := len(keys)
-	idx := make([]int, n)
+	s.idx, s.tmp = slices.Grow(s.idx[:0], n)[:n], slices.Grow(s.tmp[:0], n)[:n]
+	idx := s.idx
 	for i := range idx {
 		idx[i] = i
 	}
@@ -34,14 +49,12 @@ func ParallelSortByKey(keys []Key, workers int) []int {
 	const mask = radix - 1
 	const passes = (63 + digitBits - 1) / digitBits // 6
 
-	tmp := make([]int, n)
-	// hist[w][d] = count of digit d in worker w's chunk.
-	hist := make([][]int, workers)
-	for w := range hist {
-		hist[w] = make([]int, radix)
+	for len(s.hist) < workers {
+		s.hist = append(s.hist, make([]int, radix))
 	}
+	hist := s.hist[:workers]
 
-	src, dst := idx, tmp
+	src, dst := idx, s.tmp
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * digitBits)
 

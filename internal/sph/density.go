@@ -2,6 +2,8 @@ package sph
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -23,6 +25,11 @@ import (
 //	kappa_i = sum_j X_j W_ij(h_i) (self included),
 //	V_i = X_i / kappa_i, rho_i = m_i / V_i.
 func Density(ps *part.Set, nl *NeighborList, p *Params) {
+	new(Workspace).Density(ps, nl, p)
+}
+
+// Density is Density with X in the workspace.
+func (ws *Workspace) Density(ps *part.Set, nl *NeighborList, p *Params) {
 	n := ps.NLocal
 	needBootstrap := false
 	if p.Volumes == GeneralizedVolume {
@@ -48,7 +55,8 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 	}
 
 	// Generalized volume elements: X from the current density estimate.
-	x := make([]float64, ps.Len())
+	ws.x = slices.Grow(ws.x[:0], ps.Len())[:ps.Len()]
+	x := ws.x
 	for i := range x {
 		if ps.Rho[i] > 0 {
 			x[i] = ps.Mass[i] / ps.Rho[i]
@@ -96,8 +104,8 @@ func EquationOfState(ps *part.Set, p *Params) {
 func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
 	workers := p.workers()
 	prof := kernel.ProfileOf(p.Kernel)
-	fallbacks := make([]int, workers)
-	par.Range(ps.NLocal, workers, func(w, lo, hi int) {
+	var fallbacks atomic.Int64 // integer sums do not depend on the order
+	par.Range(ps.NLocal, workers, func(_, lo, hi int) {
 		failed := 0
 		for i := lo; i < hi; i++ {
 			h, pos := ps.H[i], ps.Pos[i]
@@ -120,13 +128,9 @@ func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
 			}
 			ps.Tau[i] = inv
 		}
-		fallbacks[w] = failed
+		fallbacks.Add(int64(failed))
 	})
-	total := 0
-	for _, f := range fallbacks {
-		total += f
-	}
-	return total
+	return int(fallbacks.Load())
 }
 
 // isWellConditioned rejects tau matrices whose determinant is tiny relative

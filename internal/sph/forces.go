@@ -2,6 +2,7 @@ package sph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -37,20 +38,42 @@ type ForceStats struct {
 //
 // Pi_ij is the Monaghan-Gingold artificial viscosity.
 func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
+	return new(Workspace).MomentumEnergy(ps, nl, p)
+}
+
+// MomentumEnergy is MomentumEnergy with its per-particle factors and
+// per-worker stats in the workspace.
+func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 	workers := p.workers()
 	prof := kernel.ProfileOf(p.Kernel)
-	useIAD := p.Gradients == IAD
 	eta2 := p.EtaVisc * p.EtaVisc
 
-	stats := make([]ForceStats, workers)
+	// Each particle's factors once, from the values its pairs would compute.
+	n := ps.Len()
+	ws.pr, ws.norm = slices.Grow(ws.pr[:0], n)[:n], slices.Grow(ws.norm[:0], n)[:n]
+	ws.iad = slices.Grow(ws.iad[:0], n)[:n]
+	pr, norm, iad := ws.pr, ws.norm, ws.iad
+	for j := range n {
+		pr[j] = ps.P[j] / (ps.Rho[j] * ps.Rho[j])
+		iad[j] = p.Gradients == IAD && ps.Tau[j] != (vec.Sym33{})
+		if iad[j] {
+			norm[j] = prof.Norm(ps.H[j])
+		} else {
+			norm[j] = prof.GradNorm(ps.H[j])
+		}
+	}
+
+	stats := slices.Grow(ws.stats[:0], workers)[:workers]
+	clear(stats)
+	ws.stats = stats
 	par.Range(ps.NLocal, workers, func(w, lo, hi int) {
 		var st ForceStats
 		for i := lo; i < hi; i++ {
 			hi1, pos, vel := ps.H[i], ps.Pos[i], ps.Vel[i]
 			rhoi := ps.Rho[i]
-			pri := ps.P[i] / (rhoi * rhoi)
+			pri := pr[i]
 			ci := ps.C[i]
-			Ci := ps.Tau[i]
+			Ci := &ps.Tau[i]
 
 			var acc vec.V3
 			var du float64
@@ -62,10 +85,10 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 				}
 				r := math.Sqrt(r2)
 				rhoj := ps.Rho[j]
-				prj := ps.P[j] / (rhoj * rhoj)
+				prj := pr[j]
 
-				ai := pairGradient(prof, useIAD, Ci, hi1, d, r)
-				aj := pairGradient(prof, useIAD, ps.Tau[j], ps.H[j], d, r)
+				ai := pairGradient(prof, iad[i], Ci, norm[i], hi1, d, r)
+				aj := pairGradient(prof, iad[j], &ps.Tau[j], norm[j], ps.H[j], d, r)
 
 				// Artificial viscosity (Monaghan & Gingold 1983): active for
 				// approaching pairs, v_ij . x_ij < 0 with x_ij = r_i - r_j = -d.
@@ -118,15 +141,16 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 }
 
 // pairGradient returns the gradient surrogate of the particle with IAD matrix
-// C and smoothing length h for a pair at displacement d = r_j - r_i, |d| = r:
-// C d W(r,h) with IAD, and otherwise, or when the particle's tau was singular
-// (C is zero), the kernel gradient -W'/r * d = |W'| dhat, which points from i
-// toward j (W' < 0 inside support). Each particle's term is chosen by that
-// particle alone, so i's and j's loops agree and the pair force stays
-// antisymmetric when one of the two falls back.
-func pairGradient(prof kernel.Profile, iad bool, C vec.Sym33, h float64, d vec.V3, r float64) vec.V3 {
-	if iad && C != (vec.Sym33{}) {
-		return C.MulVec(d).Scale(prof.Norm(h) * prof.W(r/h))
+// C, kernel norm and smoothing length h for a pair at displacement
+// d = r_j - r_i, |d| = r: C d W(r,h) when iad, and otherwise (IAD is off, or
+// the particle's tau was singular and C is zero) the kernel gradient
+// -W'/r * d = |W'| dhat, which points from i toward j (W' < 0 inside
+// support). Each particle's term is chosen by that particle alone, so i's and
+// j's loops agree and the pair force stays antisymmetric when one of the two
+// falls back.
+func pairGradient(prof kernel.Profile, iad bool, C *vec.Sym33, norm, h float64, d vec.V3, r float64) vec.V3 {
+	if iad {
+		return C.MulVec(d).Scale(norm * prof.W(r/h))
 	}
-	return d.Scale(-(prof.GradNorm(h) * prof.DW(r/h)) / r)
+	return d.Scale(-(norm * prof.DW(r/h)) / r)
 }

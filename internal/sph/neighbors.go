@@ -2,6 +2,7 @@ package sph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/par"
@@ -30,15 +31,43 @@ func (nl *NeighborList) Of(i int) []int32 {
 	return nl.Nbr[nl.Offsets[i]:nl.Offsets[i+1]]
 }
 
+// Workspace is the scratch of the step kernels, kept from one step to the
+// next. The rule is keep capacity, not contents: every buffer is refilled
+// from scratch each step, so a step allocates only when it outgrows every
+// step before it. The package's functions each run on a throwaway Workspace;
+// a driver that steps keeps one and calls its methods. A Workspace serves
+// one caller at a time, and what its methods return lives in it until the
+// next call.
+type Workspace struct {
+	tree    tree.Tree
+	nl      NeighborList
+	hits    [][]tree.Hit // one walk buffer per worker
+	regions []region
+	x       []float64 // the generalized volume elements' X
+	stats   []ForceStats
+
+	// The force loop's per-particle factors, owned and ghost: P/rho^2, the
+	// norm of the particle's gradient surrogate (sigma/h^3 for IAD,
+	// sigma/h^4 for the kernel derivative) and whether it is IAD.
+	pr, norm []float64
+	iad      []bool
+}
+
 // BuildTree constructs the octree for the particle set under params (step 1
 // of Algorithm 1).
 func BuildTree(ps *part.Set, p *Params) *tree.Tree {
-	return tree.Build(ps.Pos, tree.Options{
+	return new(Workspace).BuildTree(ps, p)
+}
+
+// BuildTree is BuildTree in the workspace's tree.
+func (ws *Workspace) BuildTree(ps *part.Set, p *Params) *tree.Tree {
+	ws.tree.Rebuild(ps.Pos, tree.Options{
 		LeafCap: p.LeafCap,
 		Workers: p.Workers,
 		PBC:     p.PBC,
 		Box:     p.Box,
 	})
+	return &ws.tree
 }
 
 // UpdateSmoothingLengths iterates each owned particle's h until its neighbor
@@ -47,7 +76,12 @@ func BuildTree(ps *part.Set, p *Params) *tree.Tree {
 // given neighbor number, which determines h). Returns the neighbor list at
 // the final smoothing lengths.
 func UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
-	return findNeighbors(ps, tr, p, p.HMaxIter)
+	return new(Workspace).UpdateSmoothingLengths(ps, tr, p)
+}
+
+// UpdateSmoothingLengths is UpdateSmoothingLengths in the workspace's list.
+func (ws *Workspace) UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Params) *NeighborList {
+	return ws.findNeighbors(ps, tr, p, p.HMaxIter)
 }
 
 // walkMargin is how far beyond the support radius a particle's tree walk
@@ -66,14 +100,15 @@ const walkMargin = 1.03
 // head-room, and the regions are then closed up in place. A worker that
 // outgrows its region keeps the rest of its range in a spill slice, and the
 // list is assembled in an exactly sized array instead.
-func findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *NeighborList {
+func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *NeighborList {
 	n := ps.NLocal
 	workers := p.workers()
 	target := float64(p.NNeighbors)
 
 	// Until the counts are known, Offsets holds the start of each particle's
 	// share of the regions.
-	nl := &NeighborList{Offsets: make([]int32, n+1)}
+	nl := &ws.nl
+	nl.Offsets, nl.Walks = slices.Grow(nl.Offsets[:0], n+1)[:n+1], 0
 	for i := 0; i < n; i++ {
 		e := ps.NN[i]
 		if e <= 0 {
@@ -83,18 +118,22 @@ func findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *Neighbo
 		}
 		nl.Offsets[i+1] = nl.Offsets[i] + e + e/16 + 1
 	}
-	nbr := make([]int32, nl.Offsets[n])
-	type region struct {
-		list, spill []int32
-		walks       int64
+	nbr := nl.Nbr[:0]
+	if cap(nbr) < int(nl.Offsets[n]) {
+		nbr = make([]int32, nl.Offsets[n]) // exactly: it is the largest buffer
 	}
-	regions := make([]region, workers)
+	nbr = nbr[:nl.Offsets[n]]
+	for len(ws.hits) < workers {
+		ws.hits = append(ws.hits, make([]tree.Hit, 0, 4*p.NNeighbors))
+	}
+	regions := slices.Grow(ws.regions[:0], workers)[:workers]
+	clear(regions)
 
 	par.Range(n, workers, func(w, lo, hi int) {
 		list := nbr[nl.Offsets[lo]:nl.Offsets[lo]:nl.Offsets[hi]]
 		var spill []int32
 		var walks int64
-		wide := make([]tree.Hit, 0, 4*p.NNeighbors)
+		wide := ws.hits[w]
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			reach := -1.0 // radius of the walk that filled wide
@@ -152,7 +191,7 @@ func findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *Neighbo
 			}
 			ps.NN[i] = int32(len(*dst) - start)
 		}
-		regions[w] = region{list, spill, walks}
+		regions[w], ws.hits[w] = region{list, spill, walks}, wide
 	})
 
 	var total int32
@@ -174,6 +213,12 @@ func findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *Neighbo
 		at += copy(nbr[at:], reg.spill)
 		nl.Walks += reg.walks
 	}
-	nl.Nbr = nbr[:total]
+	nl.Nbr, ws.regions = nbr[:total], regions
 	return nl
+}
+
+// region is one worker's share of the neighbour list under construction.
+type region struct {
+	list, spill []int32
+	walks       int64
 }

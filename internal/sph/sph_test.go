@@ -389,7 +389,7 @@ func TestComputeIADFallbackOnDegenerate(t *testing.T) {
 		ps.VE[i] = 1
 	}
 	tr := BuildTree(ps, p)
-	nl := findNeighbors(ps, tr, p, 0) // h pinned
+	nl := new(Workspace).findNeighbors(ps, tr, p, 0) // h pinned
 	fb := ComputeIAD(ps, nl, p)
 	if fb != 5 {
 		t.Fatalf("collinear config: %d fallbacks, want 5", fb)
@@ -429,9 +429,12 @@ func BenchmarkMomentumEnergy32k(b *testing.B) {
 	nl := UpdateSmoothingLengths(ps, tr, p)
 	Density(ps, nl, p)
 	EquationOfState(ps, p)
+	var ws Workspace // a stepper's: its factor columns are allocated once
+	ws.MomentumEnergy(ps, nl, p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MomentumEnergy(ps, nl, p)
+		ws.MomentumEnergy(ps, nl, p)
 	}
 }
 
@@ -480,7 +483,7 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 
 	tr := BuildTree(ps, p)
 	checkCSR(t, "UpdateSmoothingLengths", ps, UpdateSmoothingLengths(ps, tr, p), p)
-	nl := findNeighbors(ps, tr, p, 0)
+	nl := new(Workspace).findNeighbors(ps, tr, p, 0)
 	checkCSR(t, "findNeighbors at fixed h", ps, nl, p)
 	if nl.Count(bad) != 0 {
 		t.Errorf("NaN particle has %d neighbors, want 0", nl.Count(bad))
@@ -510,7 +513,8 @@ func disorderedCube(p *Params) *part.Set {
 // TestNeighborSearchIndependentOfWorkersAndHints: the smoothing lengths and
 // the list depend on neither the worker count nor the previous step's counts
 // that size the workers' regions — including hints so low that every worker
-// overflows its region.
+// overflows its region — nor on what an earlier search left in the
+// workspace: the cases run back to back through one, high hints first.
 func TestNeighborSearchIndependentOfWorkersAndHints(t *testing.T) {
 	p := cubeParams(t)
 	p.Workers = 1
@@ -521,17 +525,18 @@ func TestNeighborSearchIndependentOfWorkersAndHints(t *testing.T) {
 		t.Errorf("%.2f tree walks per particle, want between 1 and 2", perParticle)
 	}
 
+	var ws Workspace
 	for _, tc := range []struct {
 		name    string
 		workers int
 		hint    int32
-	}{{"workers=4", 4, 0}, {"workers=4, hints too low", 4, 1}, {"workers=1, hints too low", 1, 1}, {"workers=3, hints high", 3, 500}} {
+	}{{"workers=3, hints high", 3, 500}, {"workers=4", 4, 0}, {"workers=4, hints too low", 4, 1}, {"workers=1, hints too low", 1, 1}} {
 		p.Workers = tc.workers
 		ps := disorderedCube(p)
 		for i := range ps.NN {
 			ps.NN[i] = tc.hint
 		}
-		nl := UpdateSmoothingLengths(ps, BuildTree(ps, p), p)
+		nl := ws.UpdateSmoothingLengths(ps, ws.BuildTree(ps, p), p)
 		if !slices.Equal(ps.H, ref.H) || !slices.Equal(nl.Offsets, refNL.Offsets) || !slices.Equal(nl.Nbr, refNL.Nbr) {
 			t.Errorf("%s: H, Offsets or Nbr differ from the single-worker search", tc.name)
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/par"
 	"repro/internal/sfc"
@@ -73,7 +74,11 @@ type Tree struct {
 	Box   sfc.Box
 	pos   []vec.V3
 	pbc   PBC
-	keys  []sfc.Key
+	keys  []sfc.Key // in Morton order
+
+	// Scratch kept by Rebuild: the keys in particle order and the sort.
+	raw    []sfc.Key
+	sorter sfc.Sorter
 }
 
 // Options configures tree construction.
@@ -89,6 +94,15 @@ type Options struct {
 
 // Build constructs an octree over pos.
 func Build(pos []vec.V3, opt Options) *Tree {
+	t := new(Tree)
+	t.Rebuild(pos, opt)
+	return t
+}
+
+// Rebuild makes t the octree over pos, as Build would, in the capacity of
+// t's arrays: a tree rebuilt every step allocates only when it outgrows
+// every earlier build.
+func (t *Tree) Rebuild(pos []vec.V3, opt Options) {
 	leafCap := opt.LeafCap
 	if leafCap <= 0 {
 		leafCap = DefaultLeafCap
@@ -103,25 +117,24 @@ func Build(pos []vec.V3, opt Options) *Tree {
 		box = sfc.NewBox(lo, hi)
 	}
 
-	t := &Tree{Box: box, pos: pos, pbc: opt.PBC}
+	t.Box, t.pos, t.pbc = box, pos, opt.PBC
 	n := len(pos)
-	t.keys = make([]sfc.Key, n)
+	t.raw = slices.Grow(t.raw[:0], n)[:n]
 
 	// Parallel key computation.
 	par.Range(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			t.keys[i] = sfc.Encode(sfc.Morton, box, pos[i])
+			t.raw[i] = sfc.Encode(sfc.Morton, box, pos[i])
 		}
 	})
 
-	perm := sfc.ParallelSortByKey(t.keys, workers)
-	t.Index = make([]int32, n)
-	sorted := make([]sfc.Key, n)
+	perm := t.sorter.Sort(t.raw, workers)
+	t.Index = slices.Grow(t.Index[:0], n)[:n]
+	t.keys = slices.Grow(t.keys[:0], n)[:n]
 	for i, p := range perm {
 		t.Index[i] = int32(p)
-		sorted[i] = t.keys[p]
+		t.keys[i] = t.raw[p]
 	}
-	t.keys = sorted
 
 	// Root cell: the quantization cube.
 	half := box.Size / 2
@@ -132,9 +145,8 @@ func Build(pos []vec.V3, opt Options) *Tree {
 		Count:      int32(n),
 		FirstChild: -1,
 	}
-	t.Nodes = append(t.Nodes, root)
+	t.Nodes = append(t.Nodes[:0], root)
 	t.split(0, 3*(sfc.Bits-1), leafCap)
-	return t
 }
 
 // split recursively subdivides node ni. shift is the bit position of the
