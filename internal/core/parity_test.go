@@ -10,6 +10,7 @@ import (
 	"repro/internal/gravity"
 	"repro/internal/ic"
 	"repro/internal/kernel"
+	"repro/internal/par"
 	"repro/internal/part"
 	"repro/internal/perfmodel"
 	"repro/internal/sph"
@@ -242,5 +243,55 @@ func TestSampleCarriesPotential(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestStepIndependentOfWorkers: which goroutine computes a particle, and in
+// what order the fan-out hands out its chunks, does not reach the result.
+// Evrard (gravity, IAD) and a periodic Sedov blast end bit-identical for any
+// worker count and with the chunks claimed last to first.
+func TestStepIndependentOfWorkers(t *testing.T) {
+	sedov := func() (Config, *part.Set) {
+		cfg, _ := parityCases[1].gen(sph.IAD)
+		ps, _, _ := ic.Sedov(11, 40, 1)
+		return cfg, ps
+	}
+	cases := []struct {
+		name string
+		gen  func() (Config, *part.Set)
+	}{
+		{"evrard", func() (Config, *part.Set) { return parityCases[0].gen(sph.IAD) }},
+		{"sedov", sedov},
+	}
+	const steps = 6
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			end := func(workers int, reverse bool) uint64 {
+				par.ReverseClaims(reverse)
+				defer par.ReverseClaims(false)
+				cfg, ps := c.gen()
+				cfg.SPH.Workers = workers
+				sim, err := New(cfg, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range steps {
+					if _, err := sim.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sim.PS.Checksum()
+			}
+			want := end(1, false)
+			for _, run := range []struct {
+				workers int
+				reverse bool
+			}{{2, false}, {3, false}, {8, false}, {3, true}} {
+				if got := end(run.workers, run.reverse); got != want {
+					t.Errorf("%d workers (reverse claims %v): checksum %016x, one worker %016x",
+						run.workers, run.reverse, got, want)
+				}
+			}
+		})
 	}
 }

@@ -12,13 +12,13 @@ import (
 
 // Bounds of one steady-state step of the evrard parity case (1500
 // particles, IAD, quadrupole gravity). Measured on linux/amd64, Go 1.24: a
-// Sim.Step with four workers makes 68 allocations of 3.5 KB in all, one
-// rank's step 61 of 3 KB. Before the stepper kept its scratch they were 101
-// of 484 KB and 110 of 627 KB. What is left is par.Range's goroutines, the
-// collectives' messages and StepInfo's map.
+// Sim.Step with four workers makes 48 allocations of 2.0 KB in all, one
+// rank's step 44-45 of 1.5 KB: par.Range's state and goroutines, the
+// closures handed to it, the collectives' messages and StepInfo's map. The
+// bounds leave 8 allocations and 2 KB of head-room.
 const (
-	maxStepAllocs = 80
-	maxStepBytes  = 32 << 10
+	maxStepAllocs = 56
+	maxStepBytes  = 4 << 10
 )
 
 // TestStepSteadyStateAllocs: once its buffers have grown to the problem, a

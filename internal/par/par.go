@@ -1,16 +1,16 @@
-// Package par contains the panic-containment primitive shared by the
-// goroutine fan-outs in the compute kernels (tree build, neighbor search,
-// forces, gravity). A physics blowup — a NaN position feeding an index
-// computation, a corrupt neighbor list — must surface as a panic on the
-// CALLER's goroutine, where the serving layer can recover it and fail the
-// one job, never as an unrecoverable crash of a detached worker goroutine
-// that takes the whole process down.
+// Package par is the compute kernels' one fan-out (tree build, neighbor
+// search, forces, gravity) and its panic containment. A physics blowup — a
+// NaN position feeding an index computation, a corrupt neighbor list — must
+// surface as a panic on the CALLER's goroutine, where the serving layer can
+// recover it and fail the one job, never as an unrecoverable crash of a
+// detached worker goroutine that takes the whole process down.
 package par
 
 import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Panic is a panic captured on a worker goroutine, rethrown on the caller's
@@ -62,33 +62,76 @@ func (c *Catcher) Rethrow() {
 	}
 }
 
-// Range splits [0, n) into at most `workers` contiguous chunks, runs
-// fn(w, lo, hi) for chunk w on its own goroutine and waits; a worker panic is
-// rethrown on the calling goroutine. Small ranges and workers <= 1 run inline
-// as chunk 0.
+// Chunk is how many indices a fan-out worker claims at a time: Range calls
+// fn on [k*Chunk, min((k+1)*Chunk, n)) for every k, except on its inline
+// path.
+const Chunk = 32
+
+// Range runs fn over [0, n) and waits; a worker panic is rethrown on the
+// calling goroutine. min(workers, chunks) workers, the caller one of them,
+// claim chunks of Chunk indices from a shared counter, so a worker whose
+// chunks are cheap takes more of them. Small ranges and workers <= 1 run
+// inline as one call fn(0, 0, n).
 //
-// The rule for fn: a per-worker accumulator (a running maximum, a counter) is
-// a local of fn, stored to its slot w once, after the loop. Slots of adjacent
-// workers share a cache line, so an accumulator updated through a pointer
-// into a per-worker slice inside the loop makes every worker's store
-// invalidate the others' line on each iteration.
+// The rule for fn: fn may run several times for the same w, on disjoint
+// ranges, but never twice at once, so w indexes a per-worker slot (a walk
+// buffer, an accumulator) that needs no lock. An accumulator (a running
+// maximum, a counter) is a local of fn, merged into slot w once per call,
+// after the loop, by an operation whose result does not depend on which
+// chunks w got or in what order (a maximum, an integer sum). Slots of
+// adjacent workers share a cache line, so an accumulator updated through a
+// pointer into a per-worker slice inside the loop makes every worker's
+// store invalidate the others' line on each iteration.
 func Range(n, workers int, fn func(w, lo, hi int)) {
 	if workers <= 1 || n < 64 {
 		fn(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	var c Catcher
-	chunk := (n + workers - 1) / workers
-	for w := 0; w*chunk < n; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer c.Catch()
-			fn(w, lo, hi)
-		}()
+	f := &fanOut{fn: fn, n: n, chunks: (n + Chunk - 1) / Chunk, reverse: reverse.Load()}
+	workers = min(workers, f.chunks)
+	f.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go f.work(w)
 	}
-	wg.Wait()
-	c.Rethrow()
+	f.work(0)
+	f.wg.Wait()
+	f.c.Rethrow()
 }
+
+// fanOut is one Range call's state, shared by its workers.
+type fanOut struct {
+	wg      sync.WaitGroup
+	c       Catcher
+	next    atomic.Int64 // chunks claimed so far
+	fn      func(w, lo, hi int)
+	n       int
+	chunks  int
+	reverse bool
+}
+
+// work runs as worker w until every chunk is claimed. A panic stops this
+// worker only; the others finish the chunks left.
+func (f *fanOut) work(w int) {
+	defer f.wg.Done()
+	defer f.c.Catch()
+	for {
+		k := int(f.next.Add(1)) - 1
+		if k >= f.chunks {
+			return
+		}
+		if f.reverse {
+			k = f.chunks - 1 - k
+		}
+		f.fn(w, k*Chunk, min((k+1)*Chunk, f.n))
+	}
+}
+
+// reverse makes fan-outs claim their chunks last to first.
+var reverse atomic.Bool
+
+// ReverseClaims makes every fan-out that starts after it claim its chunks
+// from the last to the first when on is true, and restores the forward
+// order when it is false. A result that depends on the order chunks run in
+// (a float summed across chunks, a slot written once per worker) then
+// changes, which is what tests use it to show.
+func ReverseClaims(on bool) { reverse.Store(on) }

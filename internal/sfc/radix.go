@@ -24,7 +24,7 @@ func ParallelSortByKey(keys []Key, workers int) []int {
 // next: it allocates only when a sort is larger than any before it.
 type Sorter struct {
 	idx, tmp []int
-	hist     [][]int // hist[w][d] = count of digit d in worker w's chunk
+	hist     [][]int // hist[k][d] = count of digit d in part k
 }
 
 // Sort is ParallelSortByKey. The permutation it returns is the Sorter's own
@@ -42,55 +42,65 @@ func (s *Sorter) Sort(keys []Key, workers int) []int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(1, min(workers, n/1024))
+	// The keys are cut into parts, fixed for every pass, so that each
+	// part's scatter base per digit comes from the same partition its
+	// histogram counted. Each part is one fan-out chunk: Range then runs
+	// parts*par.Chunk indices, enough to leave its inline path once there
+	// are two parts.
+	parts := max(1, min(workers, n/1024))
+	size := (n + parts - 1) / parts
 
 	const digitBits = 11
 	const radix = 1 << digitBits
 	const mask = radix - 1
 	const passes = (63 + digitBits - 1) / digitBits // 6
 
-	for len(s.hist) < workers {
+	for len(s.hist) < parts {
 		s.hist = append(s.hist, make([]int, radix))
 	}
-	hist := s.hist[:workers]
+	hist := s.hist[:parts]
 
+	var shift uint
 	src, dst := idx, s.tmp
-	for pass := 0; pass < passes; pass++ {
-		shift := uint(pass * digitBits)
-
-		// Phase 1: per-worker digit histograms. A worker whose chunk is
-		// empty is not called, so every histogram is cleared here.
-		for _, h := range hist {
+	part := func(k int) []int { return src[k*size : min((k+1)*size, n)] }
+	// Phase 1: per-part digit histograms.
+	count := func(_, lo, hi int) {
+		for k := lo / par.Chunk; k*par.Chunk < hi; k++ {
+			h := hist[k]
 			clear(h)
-		}
-		par.Range(n, workers, func(w, lo, hi int) {
-			h := hist[w]
-			for _, i := range src[lo:hi] {
+			for _, i := range part(k) {
 				h[(uint64(keys[i])>>shift)&mask]++
 			}
-		})
-
-		// Phase 2: exclusive prefix sum across (digit, worker) in digit-major
-		// order, giving each worker its scatter base per digit. Serial: radix
-		// * workers is small.
-		total := 0
-		for d := 0; d < radix; d++ {
-			for w := 0; w < workers; w++ {
-				c := hist[w][d]
-				hist[w][d] = total
-				total += c
-			}
 		}
-
-		// Phase 3: stable parallel scatter.
-		par.Range(n, workers, func(w, lo, hi int) {
-			h := hist[w]
-			for _, i := range src[lo:hi] {
+	}
+	// Phase 3: stable parallel scatter.
+	scatter := func(_, lo, hi int) {
+		for k := lo / par.Chunk; k*par.Chunk < hi; k++ {
+			h := hist[k]
+			for _, i := range part(k) {
 				d := (uint64(keys[i]) >> shift) & mask
 				dst[h[d]] = i
 				h[d]++
 			}
-		})
+		}
+	}
+	for pass := 0; pass < passes; pass++ {
+		shift = uint(pass * digitBits)
+		par.Range(parts*par.Chunk, workers, count)
+
+		// Phase 2: exclusive prefix sum across (digit, part) in digit-major
+		// order, giving each part its scatter base per digit. Serial: radix
+		// * parts is small.
+		total := 0
+		for d := 0; d < radix; d++ {
+			for k := 0; k < parts; k++ {
+				c := hist[k][d]
+				hist[k][d] = total
+				total += c
+			}
+		}
+
+		par.Range(parts*par.Chunk, workers, scatter)
 		src, dst = dst, src
 	}
 	// passes is even, so the result landed back in idx.

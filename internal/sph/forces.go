@@ -129,7 +129,8 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 				st.MaxVSignal = 2 * ci
 			}
 		}
-		stats[w] = st
+		stats[w].MaxVSignal = math.Max(stats[w].MaxVSignal, st.MaxVSignal)
+		stats[w].Interactions += st.Interactions
 	})
 
 	var total ForceStats

@@ -95,11 +95,11 @@ const walkMargin = 1.03
 // and writes the list at the resulting h from the hits of the last pass, so
 // counts and entries cannot disagree.
 //
-// Each worker writes the lists of its particle range back to back into its
+// Each fan-out chunk writes the lists of its particles back to back into its
 // own region of one shared array, sized from the previous step's counts plus
-// head-room, and the regions are then closed up in place. A worker that
-// outgrows its region keeps the rest of its range in a spill slice, and the
-// list is assembled in an exactly sized array instead.
+// head-room, and the regions are then closed up in place, in index order. A
+// chunk that outgrows its region keeps the rest of its particles in a spill
+// slice, and the list is assembled in an exactly sized array instead.
 func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIter int) *NeighborList {
 	n := ps.NLocal
 	workers := p.workers()
@@ -126,7 +126,8 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 	for len(ws.hits) < workers {
 		ws.hits = append(ws.hits, make([]tree.Hit, 0, 4*p.NNeighbors))
 	}
-	regions := slices.Grow(ws.regions[:0], workers)[:workers]
+	chunks := (n + par.Chunk - 1) / par.Chunk
+	regions := slices.Grow(ws.regions[:0], chunks)[:chunks]
 	clear(regions)
 
 	par.Range(n, workers, func(w, lo, hi int) {
@@ -191,7 +192,7 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 			}
 			ps.NN[i] = int32(len(*dst) - start)
 		}
-		regions[w], ws.hits[w] = region{list, spill, walks}, wide
+		regions[lo/par.Chunk], ws.hits[w] = region{list, spill, walks}, wide
 	})
 
 	var total int32
@@ -217,7 +218,7 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 	return nl
 }
 
-// region is one worker's share of the neighbour list under construction.
+// region is one chunk's share of the neighbour list under construction.
 type region struct {
 	list, spill []int32
 	walks       int64

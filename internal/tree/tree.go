@@ -40,15 +40,25 @@ func (p PBC) None() bool { return !p.X && !p.Y && !p.Z }
 // Wrap returns the minimum-image displacement for d = a - b.
 func (p PBC) Wrap(d vec.V3) vec.V3 {
 	if p.X && p.L.X > 0 {
-		d.X -= p.L.X * math.Round(d.X/p.L.X)
+		d.X = wrap(d.X, p.L.X)
 	}
 	if p.Y && p.L.Y > 0 {
-		d.Y -= p.L.Y * math.Round(d.Y/p.L.Y)
+		d.Y = wrap(d.Y, p.L.Y)
 	}
 	if p.Z && p.L.Z > 0 {
-		d.Z -= p.L.Z * math.Round(d.Z/p.L.Z)
+		d.Z = wrap(d.Z, p.L.Z)
 	}
 	return d
+}
+
+// wrap is d - l*Round(d/l), bit for bit, without the division when |d| is
+// well inside half a period, where the rounding is ±0 and the subtraction
+// leaves d but turns -0 into +0, as d + 0 does.
+func wrap(d, l float64) float64 {
+	if math.Abs(d) < 0.5*l {
+		return d + 0
+	}
+	return d - l*math.Round(d/l)
 }
 
 // Node is one octree cell. Particles of the node are
@@ -354,7 +364,7 @@ func (t *Tree) MaxDepth() int {
 	walk = func(ni, d int) int {
 		nd := &t.Nodes[ni]
 		if nd.IsLeaf() {
-			return d
+			return d + 0
 		}
 		max := d
 		for c := nd.FirstChild; c < nd.FirstChild+8; c++ {

@@ -196,6 +196,30 @@ func TestBallSearchPeriodicMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestWrapEqualsDivisionForm: the minimum image without the division agrees
+// bit for bit with d - L*Round(d/L), the sign of a zero included, on random
+// displacements and on the edges of the shortcut.
+func TestWrapEqualsDivisionForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, l := range []float64{1, 2, 0.3, 1e-9, 7e12, 1 + 0x1p-52} {
+		ds := []float64{0, math.Copysign(0, -1), 0.49 * l, -0.49 * l, 0.5 * l, -0.5 * l, l, -l,
+			math.Nextafter(0.49*l, 0), math.Nextafter(-0.49*l, 0), math.Nextafter(0.5*l, 0), math.Nextafter(-0.5*l, 0),
+			math.Nextafter(0.5*l, 1), 1.5 * l,
+			1e300, -1e300, 1e17 * l, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+		for range 20000 {
+			ds = append(ds, (rng.Float64()-0.5)*l*math.Pow(2, float64(rng.Intn(12)-4)))
+		}
+		for _, d := range ds {
+			want := d - l*math.Round(d/l)
+			got := wrap(d, l)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("wrap(%g, %g) = %g (%016x), division form %g (%016x)",
+					d, l, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestPBCWrap(t *testing.T) {
 	pbc := PBC{Z: true, L: vec.V3{Z: 2}}
 	d := pbc.Wrap(vec.V3{Z: 1.9})
