@@ -2,9 +2,10 @@
 // versioned /v1 HTTP API over the scenario registry and both execution
 // engines. Jobs are submitted as typed JobSpecs (scenario spec + execution
 // section choosing the serial or distributed backend, machine model, and
-// parent-code cost calibration — all covered by the spec hash), executed
-// on a bounded worker pool, checkpointed for crash recovery, cached by
-// spec hash, and their final particle snapshots served in the part binary
+// parent-code cost calibration — all covered by the spec hash; an empty
+// section is the same fixed default on every server), executed on a
+// bounded worker pool, checkpointed for crash recovery, cached by spec
+// hash, and their final particle snapshots served in the part binary
 // checkpoint format. Completed jobs are scored against their scenario's
 // analytic reference (GET /v1/jobs/{id}/metrics), and POST /v1/experiments
 // runs whole N-convergence sweeps server-side, persisting the norm-vs-N
@@ -25,19 +26,18 @@
 // recorder (conservation drift, dt, smoothing-length and neighbor extrema,
 // rank imbalance, per-phase timings) served by GET /v1/jobs/{id}/telemetry
 // and streamed live over GET /v1/jobs/{id}/telemetry/events; physics
-// watchdogs (NaN, drift slope, dt collapse, imbalance) mark the job and
-// count trips in telemetry_watchdog_trips_total. POST
+// watchdogs (NaN, drift slope, dt collapse, imbalance; fixed thresholds)
+// mark the job and count trips in telemetry_watchdog_trips_total. POST
 // /v1/jobs/{id}/profile captures an on-demand CPU profile. GET
 // /v1/jobs/{id}/trace exports a completed job's measured timeline —
 // reassembled deterministically from its persisted timing record, span
 // trace, and telemetry track — as Perfetto-loadable Chrome trace-event
 // JSON or an ASCII Paraver rendering, with POP efficiency metrics computed
 // from the real intervals beside the modeled prediction. A background
-// sampler (-history-interval, -history-samples) feeds an in-process
-// metrics-history ring served by GET /v1/metrics/history and the /statusz
-// trend columns. Structured request/lifecycle logs go to stderr
-// (-log-level), and -pprof-addr exposes net/http/pprof on a separate
-// listener.
+// sampler (-history-interval) feeds an in-process metrics-history ring
+// served by GET /v1/metrics/history and the /statusz trend columns.
+// Structured request/lifecycle logs go to stderr (-log-level), and
+// -pprof-addr exposes net/http/pprof on a separate listener.
 //
 //	sphexa-serve -addr :8080 -workers 4 -data-dir /var/lib/sphexa \
 //	    -store-dir /var/lib/sphexa/results -store-ttl 168h -store-max-bytes 1073741824
@@ -59,7 +59,6 @@ import (
 	"time"
 
 	"repro/internal/part"
-	"repro/internal/perfmodel"
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -72,7 +71,6 @@ func main() {
 		queue     = flag.Int("queue", 64, "maximum queued jobs")
 		dataDir   = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
 		ckptEvery = flag.Int("checkpoint-every", 10, "steps between job checkpoints")
-		machine   = flag.String("machine", "pizdaint", "modeled machine for distributed runs")
 		storeDir  = flag.String("store-dir", "", "persistent result store directory (empty keeps results in memory only)")
 		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
@@ -84,8 +82,6 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "minimum structured log level: debug, info, warn, error")
 		histEvery = flag.Duration("history-interval", 0,
 			"metrics-history sampling interval for GET /v1/metrics/history and the /statusz trend columns (0 = default 5s, negative disables the sampler)")
-		histSamples = flag.Int("history-samples", 0,
-			"retained samples per metrics-history series before stride-doubling downsampling (0 = default 512)")
 
 		injectNanN = flag.Int("inject-nan-n", 0,
 			"TESTING ONLY: poison serial-backend runs whose realized particle count matches this requested N with a NaN internal energy (0 disables)")
@@ -95,23 +91,18 @@ func main() {
 			"scenario used to resolve -inject-nan-n to a realized particle count")
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *queue, *dataDir, *ckptEvery, *machine,
-		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel,
-		*histEvery, *histSamples,
+	if err := run(*addr, *workers, *queue, *dataDir, *ckptEvery,
+		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel, *histEvery,
 		*injectNanN, *injectNanStep, *injectNanScenario); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers, queue int, dataDir string, ckptEvery int, machine,
+func run(addr string, workers, queue int, dataDir string, ckptEvery int,
 	storeDir string, storeTTL time.Duration, storeMax int64, sweep time.Duration,
-	pprofAddr, logLevel string, histEvery time.Duration, histSamples int,
+	pprofAddr, logLevel string, histEvery time.Duration,
 	injectNanN, injectNanStep int, injectNanScenario string) error {
-	m, err := perfmodel.ByName(machine)
-	if err != nil {
-		return err
-	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(logLevel)); err != nil {
 		return fmt.Errorf("parsing -log-level: %w", err)
@@ -122,10 +113,8 @@ func run(addr string, workers, queue int, dataDir string, ckptEvery int, machine
 		QueueDepth:      queue,
 		DataDir:         dataDir,
 		CheckpointEvery: ckptEvery,
-		Machine:         m,
 		Logger:          logger,
 		HistoryInterval: histEvery,
-		HistorySamples:  histSamples,
 	}
 	if storeDir != "" {
 		st, err := store.Open(storeDir, store.Options{TTL: storeTTL, MaxBytes: storeMax})

@@ -95,8 +95,8 @@ func main() {
 		nbrs     = flag.Int("neighbors", 30, "neighbor target per member job")
 		cores    = flag.Int("cores", 4, "modeled cores per member job")
 		timeout  = flag.Duration("timeout", 10*time.Minute, "overall deadline")
-		minOrder = flag.Float64("min-order", 0.05, "lower bound on the fitted convergence order")
-		maxOrder = flag.Float64("max-order", 8, "upper bound on the fitted convergence order")
+		minOrder = flag.Float64("min-order", 0.2, "lower bound on the fitted convergence order (the calibrated band CI checks)")
+		maxOrder = flag.Float64("max-order", 4, "upper bound on the fitted convergence order (the calibrated band CI checks)")
 
 		sclCores  = flag.String("scaling-cores", "12,48,192", "core-count ladder of the scaling sweep contract check")
 		sclN      = flag.Int("scaling-n", 4000, "particle count of the scaling sweep members")

@@ -130,9 +130,9 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.spec.Exec.Backend, "backend", "",
 		"execution backend of a -server job: parallel (default) or serial")
 	fs.StringVar(&o.spec.Exec.Machine, "machine", "",
-		"modeled machine of a -server job (daint, marenostrum; empty = server default)")
+		"modeled machine of a -server job (daint, marenostrum; empty = daint)")
 	fs.StringVar(&o.spec.Exec.Cost, "cost", "",
-		"parent-code cost calibration of a -server job (sphynx, changa, sphflow; empty = server default)")
+		"parent-code cost calibration of a -server job (sphynx, changa, sphflow; empty = a neutral calibration)")
 	fs.IntVar(&o.spec.Cores, "cores", 0, "modeled core count of a -server job")
 	fs.BoolVar(&o.tailTelemetry, "telemetry", false,
 		"tail the live step-telemetry stream of a -server job (drift, dt, watchdogs)")
@@ -303,7 +303,7 @@ func runLocal(o *options) (runloop.Result, error) {
 	runCtx, abort := context.WithCancelCause(sigCtx)
 	defer abort(nil)
 
-	rec := telemetry.NewRecorder(telemetry.Config{})
+	rec := telemetry.NewRecorder(nil)
 	var first, last conserve.State
 	var suite *ft.Suite
 	armed := false

@@ -82,7 +82,7 @@ func TestLocalVerifiesTheStateTheServerVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := runloop.Execute(canonical, runloop.Env{Recorder: telemetry.NewRecorder(telemetry.Config{})})
+	direct, err := runloop.Execute(canonical, runloop.Env{Recorder: telemetry.NewRecorder(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

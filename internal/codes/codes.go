@@ -14,11 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domain"
-	"repro/internal/eos"
 	"repro/internal/gravity"
-	"repro/internal/ic"
 	"repro/internal/kernel"
-	"repro/internal/part"
 	"repro/internal/perfmodel"
 	"repro/internal/sph"
 	"repro/internal/ts"
@@ -151,47 +148,25 @@ func CanonicalName(name string) (string, error) {
 	return "", fmt.Errorf("codes: unknown code %q (have sphynx, changa, sphflow)", name)
 }
 
-// Generate builds the initial conditions of a test at n particles with this
-// code's neighbor target.
-func (c *Code) Generate(test Test, n int) (*part.Set, core.Config, error) {
-	var cfg core.Config
+// Configure applies the code's Table 1 numerics to a workload's config:
+// kernel, gradients, volumes and stepping, and the multipole order of a
+// self-gravitating one. A code without self-gravity refuses such a
+// workload: the Evrard test was only performed by the astrophysical codes
+// (paper §5.1).
+func (c *Code) Configure(cfg *core.Config) error {
+	if cfg.Gravity && !c.HasGravity {
+		return fmt.Errorf("codes: %s has no self-gravity; the Evrard test was only performed by the astrophysical codes (paper §5.1)", c.Name)
+	}
 	k, err := kernel.New(c.KernelName)
 	if err != nil {
-		return nil, cfg, err
+		return err
 	}
-	switch test {
-	case SquarePatch:
-		sp := ic.DefaultSquarePatch(n)
-		sp.NNeighbors = c.NNeighbors
-		ps, pbc, box := sp.Generate()
-		cfg = core.Config{
-			SPH: sph.Params{
-				Kernel: k, EOS: eos.NewTait(sp.Rho0, sp.SoundSpeed, 7),
-				NNeighbors: c.NNeighbors, Gradients: c.Gradients, Volumes: c.Volumes,
-				PBC: pbc, Box: box,
-			},
-			Stepping: c.Stepping,
-		}
-		return ps, cfg, nil
-	case Evrard:
-		if !c.HasGravity {
-			return nil, cfg, fmt.Errorf("codes: %s has no self-gravity; the Evrard test was only performed by the astrophysical codes (paper §5.1)", c.Name)
-		}
-		ev := ic.DefaultEvrard(n)
-		ev.NNeighbors = c.NNeighbors
-		ps, pbc, box := ev.Generate()
-		cfg = core.Config{
-			SPH: sph.Params{
-				Kernel: k, EOS: eos.NewIdealGas(5.0 / 3.0),
-				NNeighbors: c.NNeighbors, Gradients: c.Gradients, Volumes: c.Volumes,
-				PBC: pbc, Box: box,
-			},
-			Gravity: true, GravOrder: c.GravOrder, Theta: 0.6, Eps: 0.02, G: 1,
-			Stepping: c.Stepping,
-		}
-		return ps, cfg, nil
+	cfg.SPH.Kernel, cfg.SPH.Gradients, cfg.SPH.Volumes = k, c.Gradients, c.Volumes
+	cfg.Stepping = c.Stepping
+	if cfg.Gravity {
+		cfg.GravOrder = c.GravOrder
 	}
-	return nil, cfg, fmt.Errorf("codes: unknown test %q", test)
+	return nil
 }
 
 // Cost returns the calibrated cost constants of the code for a test.

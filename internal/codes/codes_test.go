@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/domain"
+	"repro/internal/gravity"
 	"repro/internal/perfmodel"
 	"repro/internal/sph"
 	"repro/internal/ts"
@@ -75,41 +77,41 @@ func TestTable1Fidelity(t *testing.T) {
 	}
 }
 
+// TestGenerateConfigs: Configure applies a code's Table 1 numerics and
+// leaves the workload's physics alone; only the astrophysical codes take a
+// self-gravitating workload such as the Evrard test (paper §5.1).
 func TestGenerateConfigs(t *testing.T) {
 	for _, c := range All() {
-		ps, cfg, err := c.Generate(SquarePatch, 1000)
-		if err != nil {
-			t.Fatalf("%s square: %v", c.Name, err)
+		for _, grav := range []bool{false, true} {
+			cfg := core.Config{Gravity: grav, Theta: 0.6, Eps: 0.02}
+			err := c.Configure(&cfg)
+			if grav && !c.HasGravity {
+				if err == nil {
+					t.Errorf("%s accepted a self-gravitating workload (it has no gravity)", c.Name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s gravity=%v: %v", c.Name, grav, err)
+			}
+			if cfg.SPH.Kernel == nil || cfg.SPH.Kernel.Name() != c.KernelName {
+				t.Errorf("%s: kernel %v, want %s", c.Name, cfg.SPH.Kernel, c.KernelName)
+			}
+			if cfg.SPH.Gradients != c.Gradients || cfg.SPH.Volumes != c.Volumes || cfg.Stepping != c.Stepping {
+				t.Errorf("%s: gradients/volumes/stepping %v/%v/%v, want %v/%v/%v", c.Name,
+					cfg.SPH.Gradients, cfg.SPH.Volumes, cfg.Stepping, c.Gradients, c.Volumes, c.Stepping)
+			}
+			want := gravity.Monopole // a workload without gravity keeps its zero order
+			if grav {
+				want = c.GravOrder
+			}
+			if cfg.GravOrder != want {
+				t.Errorf("%s gravity=%v: multipole order %v, want %v", c.Name, grav, cfg.GravOrder, want)
+			}
+			if cfg.Gravity != grav || cfg.Theta != 0.6 || cfg.Eps != 0.02 {
+				t.Errorf("%s: Configure edited the workload's physics: %+v", c.Name, cfg)
+			}
 		}
-		if ps.NLocal == 0 {
-			t.Fatalf("%s square: empty ICs", c.Name)
-		}
-		if cfg.Gravity {
-			t.Errorf("%s square: gravity enabled (square patch has none)", c.Name)
-		}
-		if cfg.SPH.Kernel == nil || cfg.SPH.EOS == nil {
-			t.Fatalf("%s square: incomplete config", c.Name)
-		}
-	}
-	// Evrard only for the astro codes (paper §5.1).
-	for _, name := range []string{"sphynx", "changa"} {
-		c, _ := ByName(name)
-		ps, cfg, err := c.Generate(Evrard, 1000)
-		if err != nil {
-			t.Fatalf("%s evrard: %v", c.Name, err)
-		}
-		if !cfg.Gravity {
-			t.Errorf("%s evrard: gravity off", c.Name)
-		}
-		if ps.NLocal == 0 {
-			t.Fatal("empty Evrard ICs")
-		}
-	}
-	if _, _, err := SPHflow().Generate(Evrard, 1000); err == nil {
-		t.Error("SPH-flow accepted the Evrard test (it has no gravity)")
-	}
-	if _, _, err := SPHYNX().Generate(Test("sedov"), 1000); err == nil {
-		t.Error("unknown test accepted")
 	}
 }
 

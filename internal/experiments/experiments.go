@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/codes"
 	"repro/internal/core"
+	"repro/internal/part"
 	"repro/internal/perfmodel"
 	"repro/internal/scenario"
 	"repro/internal/trace"
@@ -107,7 +108,7 @@ func runLadder(codeName string, test codes.Test, machines []string, perCore int,
 				n = perCore * cores
 				execN = min(opt.ExecN*cores/opt.Cores[0], 8*opt.ExecN)
 			}
-			ps, coreCfg, err := code.Generate(test, execN)
+			ps, coreCfg, err := generate(code, test, execN)
 			if err != nil {
 				return nil, err
 			}
@@ -130,6 +131,24 @@ func runLadder(codeName string, test codes.Test, machines []string, perCore int,
 		}
 	}
 	return BuildScalingResult(sw, members)
+}
+
+// generate builds a paper test at n particles as a parent code runs it: the
+// scenario registry's initial conditions and physics at the code's neighbor
+// target, then the code's Table 1 numerics.
+func generate(code *codes.Code, test codes.Test, n int) (*part.Set, core.Config, error) {
+	sc, err := scenario.Get(string(test))
+	if err != nil {
+		return nil, core.Config{}, err
+	}
+	ps, cfg, err := sc.Generate(scenario.Params{N: n, NNeighbors: code.NNeighbors})
+	if err != nil {
+		return nil, core.Config{}, err
+	}
+	if err := code.Configure(&cfg); err != nil {
+		return nil, core.Config{}, err
+	}
+	return ps, cfg, nil
 }
 
 // bothMachines are the paper's two systems; as the arms of one result they
@@ -191,7 +210,7 @@ func Fig4(opt Options) (*Fig4Result, error) {
 	opt.defaults()
 	code, _ := codes.ByName("sphynx")
 	machine, _ := perfmodel.ByName("daint")
-	ps, coreCfg, err := code.Generate(codes.Evrard, opt.ExecN)
+	ps, coreCfg, err := generate(code, codes.Evrard, opt.ExecN)
 	if err != nil {
 		return nil, err
 	}

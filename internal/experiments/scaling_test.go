@@ -230,7 +230,7 @@ func TestRunParallelTimingInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, cfg, err := code.Generate(codes.SquarePatch, 1000)
+	ps, cfg, err := generate(code, codes.SquarePatch, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

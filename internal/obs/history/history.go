@@ -6,10 +6,10 @@
 // robust-estimation idiom the registry's own summaries use.
 //
 // Memory stays bounded the way the telemetry flight recorder's does:
-// each series keeps at most MaxSamples points in an obs.Ring keyed by tick,
-// so the retained set is a pure function of how many ticks have elapsed —
-// old history thins, recent history stays dense, and nothing ever grows
-// without bound.
+// each series keeps at most DefaultMaxSamples points in an obs.Ring keyed
+// by tick, so the retained set is a pure function of how many ticks have
+// elapsed — old history thins, recent history stays dense, and nothing
+// ever grows without bound.
 package history
 
 import (
@@ -89,9 +89,6 @@ type Config struct {
 	// store itself does not tick — the owner calls Sample — but the
 	// cadence is reported in snapshots and drives window alignment.
 	Interval time.Duration
-	// MaxSamples bounds each series' retained points (default
-	// DefaultMaxSamples, minimum 2).
-	MaxSamples int
 	// Clock overrides the time source (tests); nil means time.Now.
 	Clock func() time.Time
 }
@@ -101,7 +98,7 @@ type Config struct {
 type Store struct {
 	reg      *obs.Registry
 	interval time.Duration
-	max      int
+	max      int // DefaultMaxSamples; the package's tests lower it
 	clock    func() time.Time
 
 	mu     sync.Mutex
@@ -125,12 +122,6 @@ func New(reg *obs.Registry, cfg Config) *Store {
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = DefaultMaxSamples
-	}
-	if cfg.MaxSamples < 2 {
-		cfg.MaxSamples = 2
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = time.Now
@@ -138,7 +129,7 @@ func New(reg *obs.Registry, cfg Config) *Store {
 	return &Store{
 		reg:      reg,
 		interval: cfg.Interval,
-		max:      cfg.MaxSamples,
+		max:      DefaultMaxSamples,
 		clock:    clock,
 		series:   map[string]*buf{},
 		prev:     map[string]float64{},

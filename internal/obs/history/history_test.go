@@ -17,7 +17,8 @@ func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 func newFixture() (*obs.Registry, *Store, *fakeClock) {
 	reg := obs.NewRegistry()
 	clock := &fakeClock{now: time.Unix(1_000_000, 0)}
-	st := New(reg, Config{Interval: time.Second, MaxSamples: 8, Clock: clock.Now})
+	st := New(reg, Config{Interval: time.Second, Clock: clock.Now})
+	st.max = 8
 	return reg, st, clock
 }
 
@@ -90,7 +91,7 @@ func TestHistogramDigest(t *testing.T) {
 }
 
 func TestStrideDoublingBoundsMemory(t *testing.T) {
-	reg, st, clock := newFixture() // MaxSamples 8
+	reg, st, clock := newFixture() // bound 8
 	g := reg.Gauge("g", "test").With()
 	for i := 0; i < 1000; i++ {
 		g.Set(float64(i))

@@ -36,10 +36,6 @@ type Env struct {
 	Ctx context.Context
 	// Clock is the time source of Result.Phases; nil means time.Now.
 	Clock func() time.Time
-	// Machine and Cost are the modeled machine and phase-rate calibration
-	// of a distributed run whose spec names none.
-	Machine *perfmodel.Machine
-	Cost    core.CodeCost
 	// Configure, when non-nil, sees the generated workload once, before the
 	// engine is built, and may edit its config (the CLI's engine flags).
 	Configure func(cfg *core.Config, ps *part.Set)
@@ -126,11 +122,13 @@ func Execute(spec scenario.JobSpec, env Env) (Result, error) {
 }
 
 // Shape resolves the execution section of a distributed job, for the run
-// and for its modeled POP prediction alike: the named machine model and
-// parent-code cost calibration, else the environment's, on at least one
-// core. Names are validated when a spec is canonicalized.
-func (env Env) Shape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine, core.CodeCost, int, error) {
-	machine, cost := env.Machine, env.Cost
+// and for its modeled POP prediction alike: the named machine model (Piz
+// Daint when empty) and parent-code cost calibration (neutralCost when
+// empty), on at least one core. It is the only place an empty exec section
+// is resolved, so a stored result is a function of its spec alone. Names
+// are validated when a spec is canonicalized.
+func Shape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine, core.CodeCost, int, error) {
+	machine, cost := perfmodel.PizDaint(), neutralCost()
 	if name := spec.Exec.Machine; name != "" {
 		m, err := perfmodel.ByName(name)
 		if err != nil {
@@ -153,6 +151,16 @@ func (env Env) Shape(spec scenario.JobSpec, cfg core.Config) (*perfmodel.Machine
 		cost = code.Cost(test)
 	}
 	return machine, cost, max(spec.Cores, 1), nil
+}
+
+// neutralCost is the phase-rate calibration of a spec that names no parent
+// code; it only shapes the modeled clocks, not the physics.
+func neutralCost() core.CodeCost {
+	return core.CodeCost{
+		TreeRate: 1e6, SearchRate: 5e6, PairRate: 2e6, EOSRate: 1e8,
+		GravNodeRate: 3e6, GravPairRate: 3e6, UpdateRate: 1e8,
+		HSweeps: 3,
+	}
 }
 
 // execution is the state both engine drivers share.
@@ -230,7 +238,7 @@ func (x *execution) serial() chunk {
 // one chunk is one RunParallelCapture of up to ChunkSteps steps, which
 // returns the merged, synchronized state.
 func (x *execution) distributed() (chunk, error) {
-	machine, cost, cores, err := x.env.Shape(x.spec, x.cfg)
+	machine, cost, cores, err := Shape(x.spec, x.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -192,7 +192,7 @@ func TestExecuteWithoutRecorder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recorded, err := Execute(spec, Env{Recorder: telemetry.NewRecorder(telemetry.Config{})})
+			recorded, err := Execute(spec, Env{Recorder: telemetry.NewRecorder(nil)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,12 +28,13 @@ type Exec struct {
 	// Backend selects the engine: "parallel" (default) or "serial".
 	Backend string `json:"backend,omitempty"`
 	// Machine names the modeled machine (perfmodel.ByName) for the parallel
-	// backend; empty selects the server-wide default. Aliases canonicalize
-	// ("pizdaint" and "daint" are the same machine, and hash identically).
+	// backend; empty means Piz Daint (runloop.Shape), yet hashes apart from
+	// an explicit "daint". Aliases canonicalize ("pizdaint" and "daint" are
+	// the same machine, and hash identically).
 	Machine string `json:"machine,omitempty"`
 	// Cost names a parent-code cost calibration (codes.ByName) for the
-	// parallel backend's modeled phase rates; empty selects the server-wide
-	// default (a neutral calibration).
+	// parallel backend's modeled phase rates; empty means the neutral
+	// calibration (runloop.Shape).
 	Cost string `json:"cost,omitempty"`
 }
 
@@ -83,9 +84,9 @@ func (e Exec) Canonical() (Exec, error) {
 type JobSpec struct {
 	Spec
 	// Exec selects the backend; the zero value (omitted section) is the
-	// parallel engine with the server-wide defaults. omitzero keeps the
-	// canonical encoding of the default section byte-identical to a bare
-	// Spec, which is what preserves legacy hashes.
+	// parallel engine on Piz Daint with the neutral calibration. omitzero
+	// keeps the canonical encoding of the default section byte-identical
+	// to a bare Spec, which is what preserves legacy hashes.
 	Exec Exec `json:"exec,omitzero"`
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/domain"
 	"repro/internal/part"
+	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -59,7 +60,11 @@ func runDirect(t *testing.T, s *Server, spec scenario.JobSpec, killAt int) direc
 		t.Fatal(err)
 	}
 	initial := conserve.Measure(ps, nil)
-	rec := telemetry.NewRecorder(telemetry.Config{})
+	rec := telemetry.NewRecorder(nil)
+	machine, cost, _, err := runloop.Shape(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var sim *core.Sim
 	var timing *core.RunTiming
@@ -107,11 +112,11 @@ func runDirect(t *testing.T, s *Server, spec scenario.JobSpec, killAt int) direc
 		baseStep, baseTime := done, simTime
 		merged, res, err := core.RunParallelCapture(core.ParallelConfig{
 			Core:         cfg,
-			Machine:      s.opts.Machine,
+			Machine:      machine,
 			Cores:        max(spec.Cores, 1),
 			RanksPerNode: spec.RanksPerNode,
 			Decomp:       domain.MortonSFC,
-			Cost:         s.opts.Cost,
+			Cost:         cost,
 			Steps:        n,
 			Ctx:          context.Background(),
 			OnSample: func(st core.StepStats) {

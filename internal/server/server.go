@@ -35,7 +35,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/history"
 	"repro/internal/part"
-	"repro/internal/perfmodel"
 	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -166,12 +165,6 @@ type Options struct {
 	DataDir string
 	// CheckpointEvery is the step interval between checkpoints (default 10).
 	CheckpointEvery int
-	// Machine is the modeled machine for distributed runs (default
-	// perfmodel.PizDaint()).
-	Machine *perfmodel.Machine
-	// Cost calibrates modeled phase rates; the zero value selects a
-	// neutral default.
-	Cost core.CodeCost
 	// Store persists completed results across restarts; nil keeps the
 	// legacy memory-only cache.
 	Store *store.Store
@@ -180,15 +173,9 @@ type Options struct {
 	JobTTL time.Duration
 	// Clock overrides the time source (tests); nil means time.Now.
 	Clock func() time.Time
-	// Registry receives the server's metrics; nil allocates a private one
-	// (each Server owns its families either way — /metricsz serves them).
-	Registry *obs.Registry
 	// Logger receives structured request/job lifecycle lines; nil discards
 	// them (tests stay quiet; the serve binary passes a real handler).
 	Logger *slog.Logger
-	// Telemetry tunes the per-job flight recorder (sample bound, watchdog
-	// thresholds); the zero value selects the package defaults.
-	Telemetry telemetry.Config
 	// FaultInjection, when non-nil, is called before every serial-backend
 	// telemetry sample with the 1-based step and the live particle state —
 	// a test hook for corrupting state to exercise the physics watchdogs.
@@ -197,9 +184,6 @@ type Options struct {
 	// history.DefaultInterval); negative disables the background sampler
 	// (tests then drive SampleHistory by hand).
 	HistoryInterval time.Duration
-	// HistorySamples bounds each history series' retained points (default
-	// history.DefaultMaxSamples).
-	HistorySamples int
 }
 
 // Server owns the resource tables, the result cache, and the worker pool.
@@ -244,16 +228,6 @@ var errKilled = errors.New("server: job killed")
 // ErrQueueFull rejects submissions beyond QueueDepth (HTTP 503).
 var ErrQueueFull = errors.New("server: job queue full")
 
-// defaultCost is a neutral phase-rate calibration for service runs; it only
-// shapes the modeled clocks, not the physics.
-func defaultCost() core.CodeCost {
-	return core.CodeCost{
-		TreeRate: 1e6, SearchRate: 5e6, PairRate: 2e6, EOSRate: 1e8,
-		GravNodeRate: 3e6, GravPairRate: 3e6, UpdateRate: 1e8,
-		HSweeps: 3,
-	}
-}
-
 // New starts a Server and its worker pool.
 func New(opts Options) *Server {
 	if opts.Workers <= 0 {
@@ -265,21 +239,13 @@ func New(opts Options) *Server {
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 10
 	}
-	if opts.Machine == nil {
-		opts.Machine = perfmodel.PizDaint()
-	}
-	if opts.Cost.PairRate == 0 {
-		opts.Cost = defaultCost()
-	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
-	}
-	if opts.Registry == nil {
-		opts.Registry = obs.NewRegistry()
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	reg := obs.NewRegistry()
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:      opts,
@@ -289,17 +255,16 @@ func New(opts Options) *Server {
 		ctx:       ctx,
 		stop:      stop,
 		now:       opts.Clock,
-		met:       newMetrics(opts.Registry),
+		met:       newMetrics(reg),
 		log:       opts.Logger,
 	}
 	s.Experiments = newDerived(s, convergenceKind)
 	s.Scaling = newDerived(s, scalingKind)
 	s.Analyses = newDerived(s, analysisKind)
 	s.started = s.now()
-	s.hist = history.New(opts.Registry, history.Config{
-		Interval:   opts.HistoryInterval,
-		MaxSamples: opts.HistorySamples,
-		Clock:      opts.Clock,
+	s.hist = history.New(reg, history.Config{
+		Interval: opts.HistoryInterval,
+		Clock:    opts.Clock,
 	})
 	if opts.HistoryInterval >= 0 {
 		s.samplerDone = make(chan struct{})
@@ -778,20 +743,14 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 	// and the executor truncates it to each chunk's base step before
 	// re-feeding — so the final track matches an uninterrupted run's.
 	if job.rec == nil {
-		tcfg := s.opts.Telemetry
-		userTrip := tcfg.OnTrip
-		tcfg.OnTrip = func(kind string) {
+		job.rec = telemetry.NewRecorder(func(kind string) {
 			s.met.watchdogTrips.With(kind).Inc()
 			s.mu.Lock()
 			job.TelemetryStatus = telemetry.StatusTripped
 			s.mu.Unlock()
 			s.log.Warn("telemetry watchdog tripped", "job", job.ID,
 				"hash", job.Hash, "kind", kind)
-			if userTrip != nil {
-				userTrip(kind)
-			}
-		}
-		job.rec = telemetry.NewRecorder(tcfg)
+		})
 		job.TelemetryStatus = telemetry.StatusOK
 	}
 	rec := job.rec
@@ -801,8 +760,6 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 	res, err := runloop.Execute(job.Spec, runloop.Env{
 		Ctx:            ctx,
 		Clock:          s.now,
-		Machine:        s.opts.Machine,
-		Cost:           s.opts.Cost,
 		Checkpointer:   s.checkpointer(job),
 		Resume:         true,
 		ChunkSteps:     s.opts.CheckpointEvery,

@@ -268,6 +268,63 @@ func TestExecMachineAndCostDispatch(t *testing.T) {
 	}
 }
 
+// TestEmptyExecIsPizDaint pins what an empty exec section means: the same
+// job as exec.machine "daint" under a different hash, so a stored result
+// depends on its spec alone. Both persist equal timing blocks and render
+// equal modeled POP lines; a MareNostrum job shows that the comparison can
+// tell two machines apart.
+func TestEmptyExecIsPizDaint(t *testing.T) {
+	s := New(Options{Workers: 1, HistoryInterval: -1})
+	defer s.Close()
+
+	run := func(machine string) (hash string, timing json.RawMessage, modeled string) {
+		t.Helper()
+		spec := sedovSpec(2)
+		spec.Cores = 24 // two ranks on Piz Daint, one on MareNostrum 4
+		spec.Exec.Machine = machine
+		view, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+		report, _ := s.Metrics(view.ID)
+		var rep struct {
+			Timing json.RawMessage `json:"timing"`
+		}
+		if err := json.Unmarshal(report, &rep); err != nil || rep.Timing == nil {
+			t.Fatalf("%q: report timing: %v", machine, err)
+		}
+		paraver, _, err := s.Trace(view.ID, TraceFormatParaver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(paraver), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "modeled ") {
+				modeled = line
+			}
+		}
+		if modeled == "" {
+			t.Fatalf("%q: no modeled POP line in\n%s", machine, paraver)
+		}
+		return view.Hash, rep.Timing, modeled
+	}
+	emptyHash, emptyTiming, emptyPOP := run("")
+	daintHash, daintTiming, daintPOP := run("daint")
+	if emptyHash == daintHash {
+		t.Fatal("an empty exec section hashed as exec.machine \"daint\"")
+	}
+	if !bytes.Equal(emptyTiming, daintTiming) {
+		t.Errorf("timing differs:\n empty %s\n daint %s", emptyTiming, daintTiming)
+	}
+	if emptyPOP != daintPOP {
+		t.Errorf("modeled POP differs:\n empty %s\n daint %s", emptyPOP, daintPOP)
+	}
+	_, mnTiming, mnPOP := run("marenostrum")
+	if bytes.Equal(mnTiming, daintTiming) || mnPOP == daintPOP {
+		t.Errorf("MareNostrum 4 rendered Piz Daint's timing or modeled POP:\n %s", mnPOP)
+	}
+}
+
 // TestEventsStream: the SSE endpoint delivers progress frames and ends with
 // the terminal state.
 func TestEventsStream(t *testing.T) {

@@ -48,7 +48,7 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 	if report == nil {
 		return nil, true, nil
 	}
-	b, err := s.renderTrace(view.Spec, view.Hash, format, report, track)
+	b, err := renderTrace(view.Spec, view.Hash, format, report, track)
 	return b, true, err
 }
 
@@ -56,7 +56,7 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 // everything it reads is either persisted under the job's hash or part of
 // the canonical spec, which is what makes the output reproducible across
 // cache hits and server restarts.
-func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
+func renderTrace(spec scenario.JobSpec, hash, format string,
 	report, track []byte) ([]byte, error) {
 
 	var rep struct {
@@ -76,7 +76,7 @@ func (s *Server) renderTrace(spec scenario.JobSpec, hash, format string,
 	m := runloop.Measured(tk, rep.Timing, rep.Spans.Phases)
 	pop := &trace.POPComparison{Measured: m.Metrics.Report()}
 	if rep.Timing != nil {
-		if modeled, err := s.modeledPOP(spec); err == nil {
+		if modeled, err := modeledPOP(spec); err == nil {
 			r := modeled.Report()
 			pop.Modeled = &r
 		}
@@ -115,7 +115,7 @@ func trackBackend(spec scenario.JobSpec, timing *core.RunTiming) string {
 // modeledPOP computes the closed-form POP prediction for the job's shape,
 // resolving machine, cost calibration, and scenario physics exactly as the
 // run itself did — the "modeled" column next to the measured metrics.
-func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
+func modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 	sc, err := scenario.Get(spec.Scenario)
 	if err != nil {
 		return trace.Metrics{}, err
@@ -124,7 +124,7 @@ func (s *Server) modeledPOP(spec scenario.JobSpec) (trace.Metrics, error) {
 	if err != nil {
 		return trace.Metrics{}, err
 	}
-	machine, cost, cores, err := runloop.Env{Machine: s.opts.Machine, Cost: s.opts.Cost}.Shape(spec, cfg)
+	machine, cost, cores, err := runloop.Shape(spec, cfg)
 	if err != nil {
 		return trace.Metrics{}, err
 	}

@@ -74,50 +74,27 @@ const (
 	StatusTripped = "tripped"
 )
 
-// WatchdogConfig tunes the physics watchdogs. Zero values select defaults;
-// negative thresholds disable the corresponding watchdog.
-type WatchdogConfig struct {
-	// MaxDriftSlope bounds the magnitude of the robust (least-trimmed)
-	// per-step slope of the worst conservation drift (default 0.01 — the
-	// run loses 1% of a conserved quantity per step).
-	MaxDriftSlope float64
-	// DTCollapse trips when a step's dt falls below this fraction of the
-	// trimmed median dt of the retained series (default 0.01).
-	DTCollapse float64
-	// MaxImbalance bounds max/mean per-rank compute seconds (default 16).
-	MaxImbalance float64
-	// MinSamples is how many retained samples the slope and dt watchdogs
-	// need before judging (default 8) — early-transient steps are noisy.
-	MinSamples int
-}
-
-func (w *WatchdogConfig) defaults() {
-	if w.MaxDriftSlope == 0 {
-		w.MaxDriftSlope = 0.01
-	}
-	if w.DTCollapse == 0 {
-		w.DTCollapse = 0.01
-	}
-	if w.MaxImbalance == 0 {
-		w.MaxImbalance = 16
-	}
-	if w.MinSamples <= 0 {
-		w.MinSamples = 8
-	}
-}
-
-// Config configures a Recorder.
-type Config struct {
-	// MaxSamples bounds the retained series (default 256). The rendered
-	// track holds at most MaxSamples+1 samples (the latest sample is always
-	// appended when not already retained).
-	MaxSamples int
-	Watchdogs  WatchdogConfig
-	// OnTrip, when non-nil, observes the first trip of each watchdog kind
-	// (latched: later violations of an already-tripped kind are silent).
-	// It is called without the recorder lock held.
-	OnTrip func(kind string)
-}
+// The recorder's bound and the watchdog thresholds are constants: a
+// persisted track and its trips are features of the fleet analysis, so they
+// depend on the fed steps alone, never on the server that recorded them.
+const (
+	// maxSamples bounds the retained series. The rendered track holds at
+	// most maxSamples+1 samples (the latest sample is always appended when
+	// not already retained).
+	maxSamples = 256
+	// maxDriftSlope bounds the magnitude of the robust (least-trimmed)
+	// per-step slope of the worst conservation drift: the run loses 1% of a
+	// conserved quantity per step.
+	maxDriftSlope = 0.01
+	// dtCollapse trips when a step's dt falls below this fraction of the
+	// trimmed median dt of the retained series.
+	dtCollapse = 0.01
+	// maxImbalance bounds max/mean per-rank compute seconds.
+	maxImbalance = 16
+	// minSamples is how many retained samples the slope and dt watchdogs
+	// need before judging — early-transient steps are noisy.
+	minSamples = 8
+)
 
 // Track is the rendered (and persisted) form of a recorder: the bounded
 // downsampled series plus the watchdog verdict.
@@ -134,7 +111,7 @@ type Track struct {
 // (the run loop writes, HTTP handlers read).
 type Recorder struct {
 	mu       sync.Mutex
-	cfg      Config
+	onTrip   func(kind string) // set once by NewRecorder; read without mu
 	ring     *obs.Ring[Sample] // retained series, keyed by Step; guarded by mu
 	last     Sample            // latest fed sample (may not be retained)
 	haveLast bool
@@ -142,13 +119,12 @@ type Recorder struct {
 	tripped  map[string]bool
 }
 
-// NewRecorder builds a recorder; zero config fields select defaults.
-func NewRecorder(cfg Config) *Recorder {
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 256
-	}
-	cfg.Watchdogs.defaults()
-	return &Recorder{cfg: cfg, ring: obs.NewRing[Sample](cfg.MaxSamples), tripped: map[string]bool{}}
+// NewRecorder builds a recorder. onTrip, when non-nil, observes the first
+// trip of each watchdog kind (latched: later violations of an
+// already-tripped kind are silent); it is called without the recorder lock
+// held.
+func NewRecorder(onTrip func(kind string)) *Recorder {
+	return &Recorder{onTrip: onTrip, ring: obs.NewRing[Sample](maxSamples), tripped: map[string]bool{}}
 }
 
 // Add feeds one completed step. Samples must arrive in ascending Step order
@@ -167,11 +143,10 @@ func (r *Recorder) Add(s Sample) {
 	r.last = s
 	r.haveLast = true
 	r.ring.Add(s.Step, s)
-	onTrip := r.cfg.OnTrip
 	r.mu.Unlock()
-	if onTrip != nil {
+	if r.onTrip != nil {
 		for _, kind := range fired {
-			onTrip(kind)
+			r.onTrip(kind)
 		}
 	}
 }
@@ -220,7 +195,7 @@ func (r *Recorder) TrackSnapshot() Track {
 	t := Track{
 		Status:     StatusOK,
 		Stride:     r.ring.Stride(),
-		MaxSamples: r.cfg.MaxSamples,
+		MaxSamples: maxSamples,
 		Samples:    append([]Sample(nil), r.ring.Items()...),
 	}
 	if len(r.trips) > 0 {
@@ -246,25 +221,20 @@ func (r *Recorder) watchLocked(s Sample) []string {
 		r.trips = append(r.trips, kind)
 		fired = append(fired, kind)
 	}
-	wd := r.cfg.Watchdogs
 	retained := r.ring.Items()
 
 	if !sampleFinite(s) {
 		trip(KindNaN)
 	}
-	if wd.MaxImbalance > 0 && s.Imbalance > wd.MaxImbalance {
+	if s.Imbalance > maxImbalance {
 		trip(KindImbalance)
 	}
-	if len(retained) >= wd.MinSamples {
-		if wd.DTCollapse > 0 {
-			if med := trimmedMedianDT(retained); med > 0 && s.DT >= 0 && s.DT < wd.DTCollapse*med {
-				trip(KindDTCollapse)
-			}
+	if len(retained) >= minSamples {
+		if med := trimmedMedianDT(retained); med > 0 && s.DT >= 0 && s.DT < dtCollapse*med {
+			trip(KindDTCollapse)
 		}
-		if wd.MaxDriftSlope > 0 {
-			if slope := trimmedDriftSlope(retained); math.Abs(slope) > wd.MaxDriftSlope {
-				trip(KindDriftSlope)
-			}
+		if slope := trimmedDriftSlope(retained); math.Abs(slope) > maxDriftSlope {
+			trip(KindDriftSlope)
 		}
 	}
 	return fired

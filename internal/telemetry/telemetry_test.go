@@ -24,11 +24,11 @@ func feed(r *Recorder, from, to int) {
 }
 
 func TestDownsamplingBoundedAndEndpointsPreserved(t *testing.T) {
-	for _, n := range []int{1, 5, 64, 100, 257, 1000, 4096, 5000} {
-		r := NewRecorder(Config{MaxSamples: 64})
+	for _, n := range []int{1, 5, maxSamples, maxSamples + 1, 1000, 4096, 5000} {
+		r := NewRecorder(nil)
 		feed(r, 1, n)
 		tr := r.TrackSnapshot()
-		if len(tr.Samples) > 64+1 {
+		if len(tr.Samples) > maxSamples+1 {
 			t.Fatalf("n=%d: %d samples exceeds bound", n, len(tr.Samples))
 		}
 		if tr.Samples[0].Step != 1 {
@@ -46,8 +46,8 @@ func TestDownsamplingBoundedAndEndpointsPreserved(t *testing.T) {
 }
 
 func TestTruncateAfterZeroResetsSeries(t *testing.T) {
-	r := NewRecorder(Config{MaxSamples: 16})
-	feed(r, 1, 100)
+	r := NewRecorder(nil)
+	feed(r, 1, 4*maxSamples)
 	r.TruncateAfter(0)
 	if _, ok := r.Latest(); ok {
 		t.Fatal("latest sample survived full truncation")
@@ -64,7 +64,7 @@ func TestTruncateAfterZeroResetsSeries(t *testing.T) {
 
 func TestNaNWatchdogTripsOnceAndLatches(t *testing.T) {
 	var fired []string
-	r := NewRecorder(Config{MaxSamples: 16, OnTrip: func(k string) { fired = append(fired, k) }})
+	r := NewRecorder(func(k string) { fired = append(fired, k) })
 	feed(r, 1, 10)
 	bad := mkSample(11)
 	bad.EnergyDrift = math.NaN()
@@ -87,7 +87,7 @@ func TestNaNWatchdogTripsOnceAndLatches(t *testing.T) {
 
 func TestDriftSlopeWatchdogIgnoresSingleSpike(t *testing.T) {
 	// A lone corrupted drift value must be trimmed away, not fitted.
-	r := NewRecorder(Config{MaxSamples: 64})
+	r := NewRecorder(nil)
 	for s := 1; s <= 40; s++ {
 		smp := mkSample(s)
 		if s == 20 {
@@ -100,7 +100,7 @@ func TestDriftSlopeWatchdogIgnoresSingleSpike(t *testing.T) {
 	}
 
 	// A genuine sustained slope must trip it.
-	r2 := NewRecorder(Config{MaxSamples: 64})
+	r2 := NewRecorder(nil)
 	for s := 1; s <= 40; s++ {
 		smp := mkSample(s)
 		smp.EnergyDrift = 0.05 * float64(s)
@@ -112,7 +112,7 @@ func TestDriftSlopeWatchdogIgnoresSingleSpike(t *testing.T) {
 }
 
 func TestDTCollapseWatchdog(t *testing.T) {
-	r := NewRecorder(Config{MaxSamples: 64})
+	r := NewRecorder(nil)
 	feed(r, 1, 20)
 	bad := mkSample(21)
 	bad.DT = 1e-9
@@ -133,41 +133,31 @@ func TestDTCollapseWatchdog(t *testing.T) {
 }
 
 func TestImbalanceWatchdog(t *testing.T) {
-	r := NewRecorder(Config{MaxSamples: 64, Watchdogs: WatchdogConfig{MaxImbalance: 2}})
+	r := NewRecorder(nil)
 	s := mkSample(1)
-	s.Imbalance = 3.5
+	s.Imbalance = maxImbalance // at the bound: not a trip
+	r.Add(s)
+	if status, trips := r.Status(); status != StatusOK {
+		t.Fatalf("imbalance at the bound tripped: %v", trips)
+	}
+	s = mkSample(2)
+	s.Imbalance = 2 * maxImbalance
 	r.Add(s)
 	if status, trips := r.Status(); status != StatusTripped || trips[0] != KindImbalance {
 		t.Fatalf("imbalance not caught: %q %v", status, trips)
 	}
 	// Serial runs report 0 and must never trip.
-	r2 := NewRecorder(Config{MaxSamples: 64, Watchdogs: WatchdogConfig{MaxImbalance: 2}})
+	r2 := NewRecorder(nil)
 	feed(r2, 1, 50)
 	if status, _ := r2.Status(); status != StatusOK {
 		t.Fatal("zero imbalance tripped the watchdog")
 	}
 }
 
-func TestWatchdogsDisabledByNegativeThresholds(t *testing.T) {
-	r := NewRecorder(Config{MaxSamples: 64, Watchdogs: WatchdogConfig{
-		MaxDriftSlope: -1, DTCollapse: -1, MaxImbalance: -1,
-	}})
-	for s := 1; s <= 30; s++ {
-		smp := mkSample(s)
-		smp.EnergyDrift = float64(s) // wild drift
-		smp.DT = 1e-12
-		smp.Imbalance = 100
-		r.Add(smp)
-	}
-	if status, trips := r.Status(); status != StatusOK {
-		t.Fatalf("disabled watchdogs tripped: %v", trips)
-	}
-}
-
 func TestTrackJSONDeterministic(t *testing.T) {
 	mk := func() []byte {
-		r := NewRecorder(Config{MaxSamples: 24})
-		for s := 1; s <= 333; s++ {
+		r := NewRecorder(nil)
+		for s := 1; s <= 3*maxSamples+77; s++ {
 			smp := mkSample(s)
 			smp.Phases = map[string]float64{"compute": 0.9, "halo": 0.05, "collective": 0.05}
 			r.Add(smp)
@@ -185,14 +175,15 @@ func TestTrackJSONDeterministic(t *testing.T) {
 }
 
 func TestLatestReflectsMostRecentAdd(t *testing.T) {
-	r := NewRecorder(Config{MaxSamples: 8})
+	r := NewRecorder(nil)
 	if _, ok := r.Latest(); ok {
 		t.Fatal("empty recorder claims a latest sample")
 	}
-	feed(r, 1, 100)
+	n := 2*maxSamples + 3 // past the bound, and not on the stride
+	feed(r, 1, n)
 	last, ok := r.Latest()
-	if !ok || last.Step != 100 {
-		t.Fatalf("latest = %+v ok=%v, want step 100", last, ok)
+	if !ok || last.Step != n {
+		t.Fatalf("latest = %+v ok=%v, want step %d", last, ok, n)
 	}
 }
 
@@ -200,7 +191,7 @@ func TestLatestReflectsMostRecentAdd(t *testing.T) {
 // watchdog but the stored track must still be valid JSON — the raw values
 // are scrubbed to 0 after the watchdogs ran.
 func TestNonFiniteSamplesStillEncode(t *testing.T) {
-	r := NewRecorder(Config{})
+	r := NewRecorder(nil)
 	s := mkSample(1)
 	s.EnergyDrift = math.NaN()
 	s.HMax = math.Inf(1)
