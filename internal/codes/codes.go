@@ -150,13 +150,8 @@ func CanonicalName(name string) (string, error) {
 
 // Configure applies the code's Table 1 numerics to a workload's config:
 // kernel, gradients, volumes and stepping, and the multipole order of a
-// self-gravitating one. A code without self-gravity refuses such a
-// workload: the Evrard test was only performed by the astrophysical codes
-// (paper §5.1).
+// self-gravitating one.
 func (c *Code) Configure(cfg *core.Config) error {
-	if cfg.Gravity && !c.HasGravity {
-		return fmt.Errorf("codes: %s has no self-gravity; the Evrard test was only performed by the astrophysical codes (paper §5.1)", c.Name)
-	}
 	k, err := kernel.New(c.KernelName)
 	if err != nil {
 		return err

@@ -135,8 +135,16 @@ func runLadder(codeName string, test codes.Test, machines []string, perCore int,
 
 // generate builds a paper test at n particles as a parent code runs it: the
 // scenario registry's initial conditions and physics at the code's neighbor
-// target, then the code's Table 1 numerics.
+// target, then the code's Table 1 numerics. It refuses, before building any
+// particle, a test outside the paper's two, which no cost calibration fits,
+// and the Evrard test for a code without self-gravity (paper §5.1).
 func generate(code *codes.Code, test codes.Test, n int) (*part.Set, core.Config, error) {
+	switch {
+	case test != codes.SquarePatch && test != codes.Evrard:
+		return nil, core.Config{}, fmt.Errorf("experiments: unknown test %q (have %s, %s)", test, codes.SquarePatch, codes.Evrard)
+	case test == codes.Evrard && !code.HasGravity:
+		return nil, core.Config{}, fmt.Errorf("experiments: %s has no self-gravity; the Evrard test was only performed by the astrophysical codes (paper §5.1)", code.Name)
+	}
 	sc, err := scenario.Get(string(test))
 	if err != nil {
 		return nil, core.Config{}, err

@@ -200,6 +200,9 @@ func TestRunScalingErrors(t *testing.T) {
 	if _, err := RunScaling("sphflow", codes.Evrard, daint, fastOpt()); err == nil {
 		t.Error("SPH-flow Evrard accepted (no gravity)")
 	}
+	if _, err := RunScaling("sphynx", codes.Test("sedov"), daint, fastOpt()); err == nil {
+		t.Error("test outside the paper's two accepted (no calibration fits it)")
+	}
 }
 
 // TestWeakScaling: at fixed particles-per-core, time per step should stay
