@@ -6,7 +6,7 @@
 //	sphexa-scaling -fig 1                      # all Figure 1 curves
 //	sphexa-scaling -code changa -test square   # one curve
 //	sphexa-scaling -code sphynx -test evrard -machine marenostrum -exec-n 32000
-//	sphexa-scaling -machines daint,marenostrum # two machines as paired arms
+//	sphexa-scaling -machine daint,marenostrum  # two machines as paired arms
 //
 // With -server set, the sweep runs as a first-class scaling experiment on a
 // sphexa-serve instance (POST /v1/scaling) instead of in-process: members
@@ -16,7 +16,7 @@
 //
 //	sphexa-scaling -server http://127.0.0.1:8080 -scenario sod \
 //	    -n 8000 -steps 5 -cores 12,48,192
-//	sphexa-scaling -server ... -machines daint,marenostrum   # paired arms
+//	sphexa-scaling -server ... -machine daint,marenostrum    # paired arms
 package main
 
 import (
@@ -39,17 +39,16 @@ func main() {
 		fig     = flag.Int("fig", 0, "reproduce a whole paper figure (1, 2, or 3); 0 = single curve")
 		code    = flag.String("code", "sphynx", "parent code: sphynx, changa, sphflow (server mode: cost calibration)")
 		test    = flag.String("test", "square", "test case: square, evrard")
-		machine = flag.String("machine", "daint", "machine model: daint, marenostrum")
+		machine = flag.String("machine", "daint", "machine model: daint, marenostrum; a comma list runs paired arms on one ladder")
 		n       = flag.Int("n", experiments.PaperN, "modeled particle count (server mode default: 8000, executed for real)")
 		execN   = flag.Int("exec-n", 64000, "executed particle count (work scaled to -n)")
 		steps   = flag.Int("steps", experiments.PaperSteps, "time steps per point")
 		cores   = flag.String("cores", "", "comma-separated core counts (default: the figure's ladder; server mode: 12,48,192)")
 		weak    = flag.Int("weak", 0, "run WEAK scaling at this many particles/core instead (the paper's declared future work)")
 
-		server   = flag.String("server", "", "run the sweep remotely on this sphexa-serve base URL (POST /v1/scaling)")
-		scen     = flag.String("scenario", "sod", "server mode: registry scenario to scale")
-		machines = flag.String("machines", "", "comma-separated machine list for a paired comparison on one ladder (overrides -machine)")
-		timeout  = flag.Duration("timeout", 15*time.Minute, "server mode: overall deadline")
+		server  = flag.String("server", "", "run the sweep remotely on this sphexa-serve base URL (POST /v1/scaling)")
+		scen    = flag.String("scenario", "sod", "server mode: registry scenario to scale")
+		timeout = flag.Duration("timeout", 15*time.Minute, "server mode: overall deadline")
 	)
 	flag.Parse()
 
@@ -70,6 +69,7 @@ func main() {
 		return out
 	}
 
+	machines := strings.Split(strings.ReplaceAll(*machine, " ", ""), ",")
 	if *server != "" {
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -78,7 +78,7 @@ func main() {
 		// rather than silently ignore them.
 		for _, offline := range []string{"fig", "test", "exec-n"} {
 			if set[offline] {
-				fail(fmt.Errorf("-%s is offline-only; with -server use -scenario, -cores, -n, -steps, -weak, -machines", offline))
+				fail(fmt.Errorf("-%s is offline-only; with -server use -scenario, -cores, -n, -steps, -weak, -machine", offline))
 			}
 		}
 		// The offline defaults model 1e6 particles via WorkScale; server
@@ -90,7 +90,7 @@ func main() {
 		if *cores != "" {
 			ladder = parseCores(*cores)
 		}
-		if err := runRemote(*server, *scen, *code, *machine, *machines,
+		if err := runRemote(*server, *scen, *code, machines,
 			ladder, *n, *steps, *weak, *timeout); err != nil {
 			fail(err)
 		}
@@ -102,10 +102,6 @@ func main() {
 		opt.Cores = parseCores(*cores)
 	}
 
-	arms := []string{*machine}
-	if *machines != "" {
-		arms = strings.Split(strings.ReplaceAll(*machines, " ", ""), ",")
-	}
 	one := func(r *experiments.ScalingResult, err error) ([]*experiments.ScalingResult, error) {
 		return []*experiments.ScalingResult{r}, err
 	}
@@ -115,9 +111,9 @@ func main() {
 	)
 	switch {
 	case *weak > 0:
-		results, err = one(experiments.RunWeakScaling(*code, codes.Test(*test), arms, *weak, opt))
+		results, err = one(experiments.RunWeakScaling(*code, codes.Test(*test), machines, *weak, opt))
 	case *fig == 0:
-		results, err = one(experiments.RunScaling(*code, codes.Test(*test), arms, opt))
+		results, err = one(experiments.RunScaling(*code, codes.Test(*test), machines, opt))
 	case *fig == 1:
 		results, err = experiments.Fig1(opt)
 	case *fig == 2:
@@ -137,8 +133,8 @@ func main() {
 }
 
 // runRemote submits the ladder as a /v1/scaling experiment and prints the
-// aggregated result.
-func runRemote(addr, scen, cost, machine, machines string,
+// aggregated result: one machine is the base's, several are paired arms.
+func runRemote(addr, scen, cost string, machines []string,
 	ladder []int, n, steps, weak int, timeout time.Duration) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -148,7 +144,7 @@ func runRemote(addr, scen, cost, machine, machines string,
 	sw := experiments.ScalingSweep{
 		Base: scenario.JobSpec{
 			Spec: scenario.Spec{Scenario: scen, Params: scenario.Params{N: n}, Steps: steps},
-			Exec: scenario.Exec{Machine: machine, Cost: cost},
+			Exec: scenario.Exec{Machine: machines[0], Cost: cost},
 		},
 		Cores: ladder,
 	}
@@ -157,11 +153,11 @@ func runRemote(addr, scen, cost, machine, machines string,
 		sw.ParticlesPerCore = weak
 		sw.Base.Params.N = 0 // the ladder defines it
 	}
-	if machines != "" {
+	if len(machines) > 1 {
 		sw.Base.Exec = scenario.Exec{}
-		for _, m := range strings.Split(machines, ",") {
+		for _, m := range machines {
 			sw.Arms = append(sw.Arms, experiments.ScalingArm{
-				Exec: scenario.Exec{Machine: strings.TrimSpace(m), Cost: cost},
+				Exec: scenario.Exec{Machine: m, Cost: cost},
 			})
 		}
 	}

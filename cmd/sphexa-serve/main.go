@@ -39,6 +39,12 @@
 // Structured request/lifecycle logs go to stderr (-log-level), and
 // -pprof-addr exposes net/http/pprof on a separate listener.
 //
+// Jobs checkpoint every -checkpoint-every steps, by default
+// runloop.DefaultChunkSteps like the sphexa CLI, so a local run and the same
+// spec served on the serial backend are the same run. -inject-nan is for the
+// contract smoke only: it installs server.NaNFault, which poisons the one
+// serial sedov run the smoke's analytics leg expects to be flagged.
+//
 //	sphexa-serve -addr :8080 -workers 4 -data-dir /var/lib/sphexa \
 //	    -store-dir /var/lib/sphexa/results -store-ttl 168h -store-max-bytes 1073741824
 //
@@ -50,7 +56,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	_ "net/http/pprof" // registered on DefaultServeMux; exposed only via -pprof-addr
 	"os"
@@ -58,7 +63,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/part"
+	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -70,7 +75,7 @@ func main() {
 		workers   = flag.Int("workers", 2, "concurrent simulation workers")
 		queue     = flag.Int("queue", 64, "maximum queued jobs")
 		dataDir   = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "steps between job checkpoints")
+		ckptEvery = flag.Int("checkpoint-every", runloop.DefaultChunkSteps, "steps between job checkpoints")
 		storeDir  = flag.String("store-dir", "", "persistent result store directory (empty keeps results in memory only)")
 		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
@@ -83,17 +88,14 @@ func main() {
 		histEvery = flag.Duration("history-interval", 0,
 			"metrics-history sampling interval for GET /v1/metrics/history and the /statusz trend columns (0 = default 5s, negative disables the sampler)")
 
-		injectNanN = flag.Int("inject-nan-n", 0,
-			"TESTING ONLY: poison serial-backend runs whose realized particle count matches this requested N with a NaN internal energy (0 disables)")
-		injectNanStep = flag.Int("inject-nan-step", 1,
-			"step after which -inject-nan-n poisons the run")
-		injectNanScenario = flag.String("inject-nan-scenario", "sedov",
-			"scenario used to resolve -inject-nan-n to a realized particle count")
+		injectNaN = flag.Bool("inject-nan", false, fmt.Sprintf(
+			"TESTING ONLY: poison serial runs of %d particles with a NaN internal energy after step %d (server.NaNFault, the contract smoke's known anomaly)",
+			server.NaNFaultN, server.NaNFaultStep))
 	)
 	flag.Parse()
 	if err := run(*addr, *workers, *queue, *dataDir, *ckptEvery,
 		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel, *histEvery,
-		*injectNanN, *injectNanStep, *injectNanScenario); err != nil {
+		*injectNaN); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-serve:", err)
 		os.Exit(1)
 	}
@@ -101,8 +103,7 @@ func main() {
 
 func run(addr string, workers, queue int, dataDir string, ckptEvery int,
 	storeDir string, storeTTL time.Duration, storeMax int64, sweep time.Duration,
-	pprofAddr, logLevel string, histEvery time.Duration,
-	injectNanN, injectNanStep int, injectNanScenario string) error {
+	pprofAddr, logLevel string, histEvery time.Duration, injectNaN bool) error {
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(logLevel)); err != nil {
 		return fmt.Errorf("parsing -log-level: %w", err)
@@ -146,29 +147,11 @@ func run(addr string, workers, queue int, dataDir string, ckptEvery int,
 			}()
 		}
 	}
-	if injectNanN > 0 {
-		// Fault injection for analytics smoke tests: a NaN poisoned into
-		// one designated run gives the fleet-clustering endpoint a known
-		// anomaly to find. The requested N is resolved through the scenario
-		// generator once at startup (generators round to lattice sides), so
-		// the hook can match executing runs by realized particle count.
-		sc, err := scenario.Get(injectNanScenario)
-		if err != nil {
-			return fmt.Errorf("-inject-nan-scenario: %w", err)
-		}
-		ps, _, err := sc.Generate(scenario.Params{N: injectNanN})
-		if err != nil {
-			return fmt.Errorf("resolving -inject-nan-n: %w", err)
-		}
-		target := ps.NLocal
-		opts.FaultInjection = func(step int, ps *part.Set) {
-			if step == injectNanStep && ps.NLocal == target {
-				ps.U[0] = math.NaN()
-			}
-		}
+	if injectNaN {
+		// A known anomaly for the fleet-analytics leg of the contract smoke.
+		opts.FaultInjection = server.NaNFault
 		logger.Warn("fault injection armed: NaN internal energy",
-			"scenario", injectNanScenario, "requestedN", injectNanN,
-			"realizedN", target, "step", injectNanStep)
+			"scenario", "sedov", "requestedN", server.NaNFaultN, "step", server.NaNFaultStep)
 	}
 	srv := server.New(opts)
 	defer srv.Close()

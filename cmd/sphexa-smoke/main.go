@@ -32,30 +32,34 @@
 //     trace through an identical cache-hit resubmission returns
 //     byte-identical JSON; and GET /v1/metrics/history serves the sampled
 //     Go-runtime series with at least 256 retained slots;
-//  8. with -analytics-nan-n set (and the server started with the matching
-//     -inject-nan-n/-inject-nan-step fault injection), fleet analytics work
-//     end to end: a seeded sedov fleet with one NaN-poisoned member is
+//  8. fleet analytics work end to end: a seeded sedov fleet with one
+//     member NaN-poisoned by the server's fault hook (server.NaNFault) is
 //     clustered by POST /v1/analytics/cluster and the improper noise
 //     component flags exactly the poisoned run — on the result, the job
 //     view, /statusz, and /metricsz — with the identical resubmission
 //     served as a cache hit.
 //
-// Any regression exits non-zero, which is what CI keys on.
+// The server must run with -inject-nan (and -history-interval 1s, so the
+// history leg sees samples soon); without the hook the analytics leg fails
+// with "sphexa-serve was not started with -inject-nan". Every workload size
+// and calibrated band is a constant below, and -addr is the only flag. Any
+// regression exits non-zero, which is what CI keys on.
 //
-//	sphexa-smoke -addr http://127.0.0.1:8080 -ns 500,1000,2000 -steps 10
+//	sphexa-serve -addr 127.0.0.1:8080 -store-dir /tmp/store -history-interval 1s -inject-nan &
+//	sphexa-smoke -addr http://127.0.0.1:8080
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -65,9 +69,32 @@ import (
 	"repro/internal/lintkit"
 	"repro/internal/obs/history"
 	"repro/internal/scenario"
+	"repro/internal/server"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/pkg/client"
 )
+
+// The contract's workloads and calibrated bands.
+const (
+	scen                    = "sod" // swept; needs an analytic reference
+	steps, neighbors, cores = 10, 30, 4
+	minOrder, maxOrder      = 0.2, 4.0 // fitted convergence order; measured ~1.0
+	scalingN, scalingSteps  = 4000, 5
+	maxSerial               = 0.6 // fitted Amdahl serial fraction; measured ~0.01
+	traceN                  = 1000
+	fleet, fleetN           = 10, 216          // healthy analytics members
+	timeout                 = 10 * time.Minute // per leg
+)
+
+var (
+	ns           = []int{500, 1000, 2000} // convergence ladder
+	scalingCores = []int{12, 48, 192}     // modeled Piz Daint ladder
+)
+
+// errNotInjected is the analytics leg's failure when the poisoned member ran
+// clean: the server lacks its fault hook, so there is no anomaly to find.
+var errNotInjected = errors.New("sphexa-serve was not started with -inject-nan")
 
 // printLintSuite prints the static-analysis suite the build carries and
 // fails if the analyzer registry ever shrinks below the contract: a
@@ -87,54 +114,20 @@ func printLintSuite() error {
 }
 
 func main() {
-	var (
-		addr     = flag.String("addr", "http://127.0.0.1:8080", "sphexa-serve base URL")
-		scen     = flag.String("scenario", "sod", "scenario to sweep (needs an analytic reference)")
-		nsCSV    = flag.String("ns", "500,1000,2000", "comma-separated particle-count ladder")
-		steps    = flag.Int("steps", 10, "steps per member job")
-		nbrs     = flag.Int("neighbors", 30, "neighbor target per member job")
-		cores    = flag.Int("cores", 4, "modeled cores per member job")
-		timeout  = flag.Duration("timeout", 10*time.Minute, "overall deadline")
-		minOrder = flag.Float64("min-order", 0.2, "lower bound on the fitted convergence order (the calibrated band CI checks)")
-		maxOrder = flag.Float64("max-order", 4, "upper bound on the fitted convergence order (the calibrated band CI checks)")
-
-		sclCores  = flag.String("scaling-cores", "12,48,192", "core-count ladder of the scaling sweep contract check")
-		sclN      = flag.Int("scaling-n", 4000, "particle count of the scaling sweep members")
-		sclSteps  = flag.Int("scaling-steps", 5, "steps per scaling sweep member")
-		maxSerial = flag.Float64("max-serial", 0.6, "upper bound on the fitted Amdahl serial fraction")
-
-		traceN = flag.Int("trace-n", 1000, "particle count of the trace-export contract job")
-
-		anaNanN = flag.Int("analytics-nan-n", 0,
-			"particle count of the poisoned analytics fleet member; must match the server's -inject-nan-n (0 skips the analytics leg)")
-		anaFleet = flag.Int("analytics-fleet", 10, "healthy members in the seeded analytics fleet")
-		anaN     = flag.Int("analytics-n", 216, "particle count of the healthy analytics fleet members")
-		anaSteps = flag.Int("analytics-steps", 3,
-			"steps per analytics fleet member; the server's -inject-nan-step should equal this so the poison lands after the final step")
-	)
+	addr := flag.String("addr", "http://127.0.0.1:8080", "sphexa-serve base URL")
 	flag.Parse()
 	if err := printLintSuite(); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
 		os.Exit(1)
 	}
-	if err := run(*addr, *scen, *nsCSV, *steps, *nbrs, *cores, *timeout, *minOrder, *maxOrder); err != nil {
-		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
-		os.Exit(1)
-	}
-	if err := runScaling(*addr, *scen, *sclCores, *sclN, *sclSteps, *nbrs, *timeout, *maxSerial); err != nil {
-		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
-		os.Exit(1)
-	}
-	if err := runObservability(*addr, *timeout); err != nil {
-		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
-		os.Exit(1)
-	}
-	if err := runTraceHistory(*addr, *scen, *traceN, *steps, *nbrs, *cores, *timeout); err != nil {
-		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
-		os.Exit(1)
-	}
-	if *anaNanN > 0 {
-		if err := runAnalytics(*addr, *timeout, *anaNanN, *anaFleet, *anaN, *anaSteps); err != nil {
+	c := client.New(*addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
+	for _, leg := range []func(ctx context.Context, c *client.Client, addr string) error{
+		runConvergence, runScaling, runObservability, runTraceHistory, runAnalytics,
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		err := leg(ctx, c, *addr)
+		cancel()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
 			os.Exit(1)
 		}
@@ -142,32 +135,11 @@ func main() {
 	fmt.Println("sphexa-smoke: PASS")
 }
 
-func parseInts(csv, flagName string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(csv, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad %s entry %q: %w", flagName, f, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func run(addr, scen, nsCSV string, steps, nbrs, cores int,
-	timeout time.Duration, minOrder, maxOrder float64) error {
-
-	ns, err := parseInts(nsCSV, "-ns")
-	if err != nil {
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	c := client.New(addr)
-
+// runConvergence drives the /v1/experiments contract (legs 1-4 above).
+func runConvergence(ctx context.Context, c *client.Client, addr string) error {
 	// The server may still be binding its listener (CI starts it in the
 	// background); retry the health probe briefly.
+	var err error
 	for i := 0; i < 50; i++ {
 		if err = c.Health(ctx); err == nil {
 			break
@@ -185,7 +157,7 @@ func run(addr, scen, nsCSV string, steps, nbrs, cores int,
 	sweep := experiments.Sweep{
 		Base: scenario.JobSpec{Spec: scenario.Spec{
 			Scenario: scen,
-			Params:   scenario.Params{NNeighbors: nbrs},
+			Params:   scenario.Params{NNeighbors: neighbors},
 			Steps:    steps,
 			Cores:    cores,
 		}},
@@ -315,34 +287,24 @@ func run(addr, scen, nsCSV string, steps, nbrs, cores int,
 // runScaling drives the /v1/scaling contract: a small strong-scaling sweep
 // on a modeled Piz Daint ladder must return paper-shaped curves, and its
 // identical resubmission must be a store-level cache hit.
-func runScaling(addr, scen, coresCSV string, n, steps, nbrs int,
-	timeout time.Duration, maxSerial float64) error {
-
-	ladder, err := parseInts(coresCSV, "-scaling-cores")
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	c := client.New(addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
-
+func runScaling(ctx context.Context, c *client.Client, _ string) error {
 	sweep := experiments.ScalingSweep{
 		Base: scenario.JobSpec{
 			Spec: scenario.Spec{
 				Scenario: scen,
-				Params:   scenario.Params{N: n, NNeighbors: nbrs},
-				Steps:    steps,
+				Params:   scenario.Params{N: scalingN, NNeighbors: neighbors},
+				Steps:    scalingSteps,
 			},
 			Exec: scenario.Exec{Machine: "daint"},
 		},
-		Cores: ladder,
+		Cores: scalingCores,
 	}
 
 	scl, err := c.SubmitScaling(ctx, sweep)
 	if err != nil {
 		return fmt.Errorf("submitting scaling sweep: %w", err)
 	}
-	fmt.Printf("scaling %s (%s, N=%d, cores=%v): %s\n", scl.ID, scen, n, ladder, scl.State)
+	fmt.Printf("scaling %s (%s, N=%d, cores=%v): %s\n", scl.ID, scen, scalingN, scalingCores, scl.State)
 	if scl, err = c.WaitScaling(ctx, scl.ID); err != nil {
 		return fmt.Errorf("waiting for scaling sweep: %w", err)
 	}
@@ -353,8 +315,8 @@ func runScaling(addr, scen, coresCSV string, n, steps, nbrs int,
 	if res == nil {
 		return fmt.Errorf("completed scaling sweep carries no result")
 	}
-	if len(res.Arms) != 1 || len(res.Arms[0].Points) != len(ladder) {
-		return fmt.Errorf("result shape: %d arms, want 1 with %d points", len(res.Arms), len(ladder))
+	if len(res.Arms) != 1 || len(res.Arms[0].Points) != len(scalingCores) {
+		return fmt.Errorf("result shape: %d arms, want 1 with %d points", len(res.Arms), len(scalingCores))
 	}
 	pts := res.Arms[0].Points
 	for i, p := range pts {
@@ -405,14 +367,10 @@ func runScaling(addr, scen, coresCSV string, n, steps, nbrs int,
 // byte-identically through a cache-hit resubmission; the metrics-history
 // endpoint must serve the sampled Go-runtime series under its retention
 // contract.
-func runTraceHistory(addr, scen string, n, steps, nbrs, cores int, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	c := client.New(addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
-
+func runTraceHistory(ctx context.Context, c *client.Client, _ string) error {
 	spec := scenario.JobSpec{Spec: scenario.Spec{
 		Scenario: scen,
-		Params:   scenario.Params{N: n, NNeighbors: nbrs},
+		Params:   scenario.Params{N: traceN, NNeighbors: neighbors},
 		Steps:    steps,
 		Cores:    cores,
 	}}
@@ -572,16 +530,13 @@ func runTraceHistory(addr, scen string, n, steps, nbrs, cores int, timeout time.
 // features, and the improper noise component must flag exactly the poisoned
 // run — on the analysis result, on the flagged job's view, and on the
 // /statusz + /metricsz rollups — with the identical resubmission served as
-// a cache hit. Requires sphexa-serve started with -inject-nan-n nanN and
-// -inject-nan-step equal to the fleet's step count.
-func runAnalytics(addr string, timeout time.Duration, nanN, fleet, healthyN, steps int) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	c := client.New(addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
-
+// a cache hit. The poisoned member is the run server.NaNFault matches, so
+// its telemetry must have tripped, or the server lacks -inject-nan.
+func runAnalytics(ctx context.Context, c *client.Client, addr string) error {
 	// Seed the verification fleet: healthy members across a gentle blast
 	// energy ramp (distinct specs, smoothly varying physics) plus the one
-	// member whose particle count the server's injection hook poisons.
+	// member whose particle count the server's injection hook poisons. All
+	// run server.NaNFaultStep steps, so the poison lands after the final one.
 	member := func(n int, energy float64) scenario.JobSpec {
 		return scenario.JobSpec{
 			Spec: scenario.Spec{
@@ -590,20 +545,20 @@ func runAnalytics(addr string, timeout time.Duration, nanN, fleet, healthyN, ste
 					N: n, NNeighbors: 20,
 					Extra: map[string]float64{"energy": energy},
 				},
-				Steps: steps,
+				Steps: server.NaNFaultStep,
 			},
 			Exec: scenario.Exec{Backend: scenario.BackendSerial},
 		}
 	}
 	var ids []string
 	for i := 0; i < fleet; i++ {
-		j, err := c.Submit(ctx, member(healthyN, 1+0.005*float64(i)))
+		j, err := c.Submit(ctx, member(fleetN, 1+0.005*float64(i)))
 		if err != nil {
 			return fmt.Errorf("seeding analytics fleet: %w", err)
 		}
 		ids = append(ids, j.ID)
 	}
-	nanJob, err := c.Submit(ctx, member(nanN, 1))
+	nanJob, err := c.Submit(ctx, member(server.NaNFaultN, 1))
 	if err != nil {
 		return fmt.Errorf("seeding poisoned member: %w", err)
 	}
@@ -616,8 +571,12 @@ func runAnalytics(addr string, timeout time.Duration, nanN, fleet, healthyN, ste
 		if j.State != client.StateCompleted {
 			return fmt.Errorf("fleet member %s ended %s: %s", id, j.State, j.Error)
 		}
+		if id == nanJob.ID && j.Telemetry != telemetry.StatusTripped {
+			return fmt.Errorf("%w: the poisoned member %s (sedov, N=%d) has telemetry %q, want %q",
+				errNotInjected, id, server.NaNFaultN, j.Telemetry, telemetry.StatusTripped)
+		}
 	}
-	fmt.Printf("analytics fleet: %d healthy + 1 poisoned (N=%d) completed\n", fleet, nanN)
+	fmt.Printf("analytics fleet: %d healthy + 1 poisoned (N=%d) completed\n", fleet, server.NaNFaultN)
 
 	// Cluster on physics features only — phase time shares are wall-clock
 	// scheduling noise on a shared CI worker pool.
@@ -715,10 +674,7 @@ func runAnalytics(addr string, timeout time.Duration, nanN, fleet, healthyN, ste
 // runObservability checks the telemetry surfaces against the traffic the
 // earlier legs generated: request tracing headers, the /statusz snapshot,
 // and the /metricsz Prometheus exposition.
-func runObservability(addr string, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-
+func runObservability(ctx context.Context, _ *client.Client, addr string) error {
 	get := func(path, requestID string) (*http.Response, string, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
 		if err != nil {

@@ -12,11 +12,13 @@
 //
 // The flags build one JobSpec for both modes. A local run goes through the
 // executor the job server runs its jobs through (internal/runloop), on the
-// shared-memory engine, so at equal chunk size (-checkpoint-every against
-// the server's) a local run and a served `-backend serial` job are the same
-// run: same final state, same verification report. The scenario supplies
-// the whole engine configuration; -kernel, -gradients, -volumes, -stepping,
-// -multipoles and -workers edit it, and only those actually given do.
+// shared-memory engine, so at equal chunk size a local run and a served
+// `-backend serial` job are the same run: same final state, same
+// verification report. Both sides default -checkpoint-every to
+// runloop.DefaultChunkSteps; without -checkpoint-dir the local run is one
+// chunk, which equals the server's up to that many steps. The scenario
+// supplies the whole engine configuration; -kernel, -gradients, -volumes,
+// -stepping, -multipoles and -workers edit it, and only those given do.
 // SIGINT/SIGTERM interrupt at a step boundary — the state is synchronized,
 // checkpointed (when enabled), and the conservation summary still prints —
 // and -restart resumes from the newest checkpoint toward the same -steps.
@@ -120,7 +122,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.String("multipoles", "", scenarioChoice+"gravity expansion: monopole, quadrupole, hexadecapole")
 	fs.Int("workers", 0, "worker threads (all cores when not given)")
 	fs.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable checkpointing into this directory")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", 5, "steps between checkpoints")
+	fs.IntVar(&o.ckptEvery, "checkpoint-every", runloop.DefaultChunkSteps, "steps between checkpoints")
 	fs.BoolVar(&o.restart, "restart", false, "restore from the newest checkpoint before running")
 	fs.BoolVar(&o.sdc, "sdc", true, "run silent-data-corruption detectors every step")
 	fs.BoolVar(&o.verify, "verify", false,

@@ -33,10 +33,9 @@ func local(t *testing.T, args ...string) (runloop.Result, scenario.JobSpec) {
 }
 
 // served runs the spec as a job of an in-process server with the default
-// checkpoint interval (10 steps; the local runs below have no checkpoint
-// directory and at most 10 steps, so both sides run one chunk) and returns
-// its persisted report without the trailing wall-clock spans, and its
-// snapshot.
+// checkpoint interval (runloop.DefaultChunkSteps, the local default too) and
+// returns its persisted report without the trailing wall-clock spans, and
+// its snapshot.
 func served(t *testing.T, spec scenario.JobSpec) ([]byte, *part.Set) {
 	t.Helper()
 	s := server.New(server.Options{Workers: 1})
@@ -90,6 +89,25 @@ func TestLocalVerifiesTheStateTheServerVerifies(t *testing.T) {
 		t.Errorf("local report differs from the executor's:\nlocal:    %+v\nexecutor: %+v", res.Report, direct.Report)
 	}
 
+	got, err := json.Marshal(res.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ps := served(t, spec)
+	if !bytes.Equal(got, want) {
+		t.Errorf("local report differs from the served serial job's:\nlocal:  %s\nserved: %s", got, want)
+	}
+	if res.PS.Checksum() != ps.Checksum() {
+		t.Errorf("local final state %016x, served %016x", res.PS.Checksum(), ps.Checksum())
+	}
+}
+
+// TestCheckpointedLocalRunIsServed: at the default checkpoint interval a
+// checkpointed local run chunks like the server, so a run longer than one
+// chunk is still the served serial job — same report, same final state.
+func TestCheckpointedLocalRunIsServed(t *testing.T) {
+	res, spec := local(t, "-scenario", "sod", "-n", "1000", "-steps", "12", "-neighbors", "30",
+		"-checkpoint-dir", t.TempDir())
 	got, err := json.Marshal(res.Report)
 	if err != nil {
 		t.Fatal(err)

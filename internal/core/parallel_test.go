@@ -108,11 +108,11 @@ func TestParallelTracerPopulates(t *testing.T) {
 	if m.CommEfficiency <= 0 || m.CommEfficiency > 1+1e-9 {
 		t.Errorf("comm efficiency %g out of (0,1]", m.CommEfficiency)
 	}
-	tl := cfg.Tracer.Timeline(80)
+	tl := trace.TimelineOf(cfg.Tracer.Intervals(), 80)
 	if len(tl) == 0 {
 		t.Error("empty timeline")
 	}
-	breakdown := cfg.Tracer.PhaseBreakdown()
+	breakdown := trace.PhaseBreakdownOf(cfg.Tracer.Intervals())
 	if len(breakdown) < 5 {
 		t.Errorf("phase breakdown has %d phases", len(breakdown))
 	}

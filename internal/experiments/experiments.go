@@ -238,9 +238,10 @@ func Fig4(opt Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ivs := tr.Intervals()
 	return &Fig4Result{
-		Timeline:  tr.Timeline(100),
-		Phases:    tr.PhaseBreakdown(),
+		Timeline:  trace.TimelineOf(ivs, 100),
+		Phases:    trace.PhaseBreakdownOf(ivs),
 		Metrics:   trace.POP(res.Timing.PerRank, res.Timing.Seconds),
 		StepsRun:  1,
 		CoresUsed: 192,

@@ -29,6 +29,11 @@ import (
 	"repro/internal/verify"
 )
 
+// DefaultChunkSteps is the checkpoint interval of the job server and of the
+// CLI when none is given: chunk ends synchronize the state, so a local run
+// and a served job are the same run only at the same chunk size.
+const DefaultChunkSteps = 10
+
 // Env is what the caller owns around one execution.
 type Env struct {
 	// Ctx cancels the run cooperatively at the next step boundary; nil

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -22,7 +21,8 @@ import (
 // serial sedov run (serial, so the fault-injection hook can reach it). The
 // blast energy is the fleet's healthy variation: each job is a distinct
 // spec (its own hash and stored result) whose physics differs smoothly, so
-// feature columns vary without hiding the injected anomalies.
+// feature columns vary without hiding the injected anomalies. It runs
+// NaNFaultStep steps, so the injections land after the final step.
 func clusterFleetSpec(n int, energy float64) scenario.JobSpec {
 	return scenario.JobSpec{
 		Spec: scenario.Spec{
@@ -31,7 +31,7 @@ func clusterFleetSpec(n int, energy float64) scenario.JobSpec {
 				N: n, NNeighbors: 20,
 				Extra: map[string]float64{"energy": energy},
 			},
-			Steps: 3,
+			Steps: NaNFaultStep,
 		},
 		Exec: scenario.Exec{Backend: scenario.BackendSerial},
 	}
@@ -51,22 +51,17 @@ func TestClusterAnalyticsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The injection hook keys on the realized particle count (the healthy
+	// The injection hooks key on the realized particle count (the healthy
 	// fleet runs at N=216, the anomalies at distinct cube counts). Both
 	// corruptions land after the final step, so the dynamics stay finite
 	// and the jobs still complete through verification: the NaN run is
-	// poisoned with a NaN internal energy, the regression run has every
-	// velocity scaled 10x — a gross, untrimmable error against the
-	// reference plus a huge kinetic-energy conservation drift.
-	const nanN, badN = 125, 512
+	// the one NaNFault poisons with a NaN internal energy, the regression
+	// run has every velocity scaled 10x — a gross, untrimmable error
+	// against the reference plus a huge kinetic-energy conservation drift.
+	const nanN, badN = NaNFaultN, 512
 	inject := func(step int, ps *part.Set) {
-		if step != 3 {
-			return
-		}
-		switch ps.NLocal {
-		case nanN:
-			ps.U[0] = math.NaN()
-		case badN:
+		NaNFault(step, ps)
+		if step == NaNFaultStep && ps.NLocal == badN {
 			for i := range ps.Vel {
 				ps.Vel[i] = ps.Vel[i].Scale(10)
 			}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"path/filepath"
 	"runtime/pprof"
 	"sync"
@@ -163,7 +164,8 @@ type Options struct {
 	// DataDir roots per-job checkpoint directories; empty disables
 	// checkpointing (jobs then restart from step 0 after a kill).
 	DataDir string
-	// CheckpointEvery is the step interval between checkpoints (default 10).
+	// CheckpointEvery is the step interval between checkpoints (default
+	// runloop.DefaultChunkSteps).
 	CheckpointEvery int
 	// Store persists completed results across restarts; nil keeps the
 	// legacy memory-only cache.
@@ -178,12 +180,31 @@ type Options struct {
 	Logger *slog.Logger
 	// FaultInjection, when non-nil, is called before every serial-backend
 	// telemetry sample with the 1-based step and the live particle state —
-	// a test hook for corrupting state to exercise the physics watchdogs.
+	// a test hook for corrupting state to exercise the physics watchdogs
+	// (NaNFault is the one sphexa-serve -inject-nan installs).
 	FaultInjection func(step int, ps *part.Set)
 	// HistoryInterval is the metrics-history sampling cadence (default
 	// history.DefaultInterval); negative disables the background sampler
 	// (tests then drive SampleHistory by hand).
 	HistoryInterval time.Duration
+}
+
+// The poisoned run: the one known anomaly fleet analytics must flag end to
+// end. A serial sedov job requesting NaNFaultN particles (the 5³ lattice,
+// realized exactly) run for NaNFaultStep steps gets a NaN internal energy
+// after its final step, so it still completes with its telemetry tripped.
+const (
+	NaNFaultN    = 125
+	NaNFaultStep = 3
+)
+
+// NaNFault is the FaultInjection hook that poisons the designated run. The
+// executor calls it on the serial backend only, where it matches the run by
+// realized particle count.
+func NaNFault(step int, ps *part.Set) {
+	if step == NaNFaultStep && ps.NLocal == NaNFaultN {
+		ps.U[0] = math.NaN()
+	}
 }
 
 // Server owns the resource tables, the result cache, and the worker pool.
@@ -237,7 +258,7 @@ func New(opts Options) *Server {
 		opts.QueueDepth = 64
 	}
 	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 10
+		opts.CheckpointEvery = runloop.DefaultChunkSteps
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now

@@ -244,6 +244,47 @@ func TestNaNInjectionTripsWatchdog(t *testing.T) {
 	}
 }
 
+// TestNaNFaultHook: the hook sphexa-serve -inject-nan installs poisons the
+// one run the contract smoke expects flagged — a serial sedov job at
+// NaNFaultN run for NaNFaultStep steps — and no fleet member beside it:
+// not the healthy N=216 members, not a parallel-backend job at the same N.
+func TestNaNFaultHook(t *testing.T) {
+	sc, err := scenario.Get("sedov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, _, err := sc.Generate(scenario.Params{N: NaNFaultN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.NLocal != NaNFaultN {
+		t.Fatalf("sedov at N=%d realizes %d particles", NaNFaultN, ps.NLocal)
+	}
+
+	s := New(Options{Workers: 2, FaultInjection: NaNFault})
+	defer s.Close()
+	parallel := clusterFleetSpec(NaNFaultN, 1)
+	parallel.Exec = scenario.Exec{}
+	for _, c := range []struct {
+		name string
+		spec scenario.JobSpec
+		want string
+	}{
+		{"poisoned member", clusterFleetSpec(NaNFaultN, 1), telemetry.StatusTripped},
+		{"healthy member", clusterFleetSpec(216, 1), telemetry.StatusOK},
+		{"parallel backend", parallel, telemetry.StatusOK},
+	} {
+		view, err := s.Submit(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+		if final.Telemetry != c.want {
+			t.Errorf("%s: telemetry %q, want %q", c.name, final.Telemetry, c.want)
+		}
+	}
+}
+
 // readSSEFrame scans an event stream for the next "data: " frame and
 // decodes it as a telemetryEvent.
 func readSSEFrame(t *testing.T, sc *bufio.Scanner) (telemetryEvent, bool) {

@@ -272,20 +272,3 @@ func TestMetricsReport(t *testing.T) {
 		}
 	}
 }
-
-// Interval-slice package functions must agree with the Tracer methods they
-// back.
-func TestIntervalFunctionsMatchTracer(t *testing.T) {
-	tr := New()
-	tr.Record(0, "A", Compute, 0, 2)
-	tr.Record(1, "A", Compute, 0, 1)
-	tr.Record(1, "A", MPI, 1, 2)
-	ivs := tr.Intervals()
-	if TimelineOf(ivs, 20) != tr.Timeline(20) {
-		t.Error("TimelineOf != Tracer.Timeline")
-	}
-	a, b := PhaseBreakdownOf(ivs), tr.PhaseBreakdown()
-	if len(a) != len(b) || a[0] != b[0] {
-		t.Error("PhaseBreakdownOf != Tracer.PhaseBreakdown")
-	}
-}

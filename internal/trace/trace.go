@@ -161,14 +161,11 @@ func GlobalEfficiency(ref, cur Metrics, loadRatio float64) float64 {
 	return cur.ParallelEfficiency * ComputationScalability(ref, cur, loadRatio)
 }
 
-// Timeline renders an ASCII Paraver-style visualization: one row per rank,
-// time bucketed into `width` columns, each cell showing the dominant state
-// ('#'=compute, 'M'=MPI, 's'=sync, 'f'=fork-join, '.'=idle), topped by a
-// phase ruler (the paper's A..J annotations).
-func (t *Tracer) Timeline(width int) string { return TimelineOf(t.Intervals(), width) }
-
-// TimelineOf renders the ASCII Paraver-style timeline for an interval
-// slice (see Tracer.Timeline).
+// TimelineOf renders an interval slice as an ASCII Paraver-style
+// visualization: one row per rank, time bucketed into `width` columns, each
+// cell showing the dominant state ('#'=compute, 'M'=MPI, 's'=sync,
+// 'f'=fork-join, '.'=idle), topped by a phase ruler (the paper's A..J
+// annotations).
 func TimelineOf(ivs []Interval, width int) string {
 	if len(ivs) == 0 || width <= 0 {
 		return "(empty trace)\n"
@@ -260,12 +257,8 @@ func TimelineOf(ivs []Interval, width int) string {
 	return sb.String()
 }
 
-// PhaseBreakdown sums time per phase per state across ranks, sorted by
-// phase label — the numeric companion to the timeline.
-func (t *Tracer) PhaseBreakdown() []PhaseStat { return PhaseBreakdownOf(t.Intervals()) }
-
-// PhaseBreakdownOf aggregates an interval slice per phase per state (see
-// Tracer.PhaseBreakdown).
+// PhaseBreakdownOf sums an interval slice's time per phase per state across
+// ranks, sorted by phase label — the numeric companion to the timeline.
 func PhaseBreakdownOf(ivs []Interval) []PhaseStat {
 	agg := map[string]*PhaseStat{}
 	for _, iv := range ivs {

@@ -112,7 +112,7 @@ func TestTimelineRendering(t *testing.T) {
 	tr.Record(0, "E", MPI, 2, 4)
 	tr.Record(1, "A", Compute, 0, 1)
 	tr.Record(1, "A", Idle, 1, 4)
-	out := tr.Timeline(40)
+	out := TimelineOf(tr.Intervals(), 40)
 	if !strings.Contains(out, "r0") || !strings.Contains(out, "r1") {
 		t.Fatalf("missing rank rows:\n%s", out)
 	}
@@ -135,11 +135,11 @@ func TestTimelineRendering(t *testing.T) {
 
 func TestTimelineEmpty(t *testing.T) {
 	tr := New()
-	if out := tr.Timeline(10); !strings.Contains(out, "empty") {
+	if out := TimelineOf(tr.Intervals(), 10); !strings.Contains(out, "empty") {
 		t.Errorf("empty timeline = %q", out)
 	}
 	tr.Record(0, "A", Compute, 0, 1)
-	if out := tr.Timeline(0); !strings.Contains(out, "empty") {
+	if out := TimelineOf(tr.Intervals(), 0); !strings.Contains(out, "empty") {
 		t.Errorf("zero-width timeline = %q", out)
 	}
 }
@@ -150,7 +150,7 @@ func TestPhaseBreakdown(t *testing.T) {
 	tr.Record(1, "A", Compute, 0, 2)
 	tr.Record(0, "I", MPI, 3, 5)
 	tr.Record(0, "", Sync, 5, 6)
-	stats := tr.PhaseBreakdown()
+	stats := PhaseBreakdownOf(tr.Intervals())
 	if len(stats) != 3 {
 		t.Fatalf("%d phases", len(stats))
 	}
