@@ -170,6 +170,17 @@ func (s *Set) WriteTo(w io.Writer) (int64, error) {
 	return int64(s.EncodedSize()), nil
 }
 
+// FrameChecksum returns the payload checksum a WriteTo frame carries in its
+// last 8 bytes: the Checksum of the set that wrote it, without encoding the
+// set a second time. It does not verify the frame; a frame too short to hold
+// a checksum gives 0.
+func FrameChecksum(frame []byte) uint64 {
+	if len(frame) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(frame[len(frame)-8:])
+}
+
 // EncodedSize returns the exact byte size WriteTo will produce.
 func (s *Set) EncodedSize() int {
 	n := s.Len()

@@ -245,6 +245,28 @@ func TestChecksumDetectsFieldChange(t *testing.T) {
 	}
 }
 
+// TestFrameChecksumIsChecksum: the checksum read from an encoded frame is
+// the set's Checksum, ghosts included.
+func TestFrameChecksumIsChecksum(t *testing.T) {
+	s := randomSet(16, rand.New(rand.NewSource(5)))
+	base := s.GrowGhosts(3)
+	for i := base; i < s.Len(); i++ {
+		s.CopyFrom(i, s, i-base)
+		s.Pos[i].X += 1
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FrameChecksum(buf.Bytes()), s.Checksum(); got != want {
+		t.Errorf("FrameChecksum = %#x, Checksum = %#x", got, want)
+	}
+	s.Pos[base].X += 1 // a ghost is part of the payload
+	if s.Checksum() == FrameChecksum(buf.Bytes()) {
+		t.Error("Checksum is blind to a ghost")
+	}
+}
+
 // Property: encode/decode is the identity on random small sets.
 func TestEncodePropertyRoundTrip(t *testing.T) {
 	f := func(seed int64, nn uint8) bool {

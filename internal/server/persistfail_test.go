@@ -12,20 +12,23 @@ import (
 	"repro/internal/store"
 )
 
-// TestJobPersistFailureIsSeen: a completed job whose report the store
+// TestJobPersistFailureIsSeen: a completed job whose record the store
 // cannot write is still completed and served from memory, and the loss is
 // visible — one WARN line naming job, hash and artifact, one tick of
-// job_persist_failures_total{artifact} — instead of silent. After a restart
-// the stored entry serves its snapshot and no report, never a torn one.
+// job_persist_failures_total{artifact} — instead of silent. A record is
+// stored whole or not at all: after a restart the store holds nothing of
+// the job, and the resubmission recomputes the same snapshot, report and
+// track.
 func TestJobPersistFailureIsSeen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The store creates reports/ on first use; a regular file in its place
-	// fails every report write (as root too, which a chmod would not).
-	if err := os.WriteFile(filepath.Join(dir, "reports"), nil, 0o644); err != nil {
+	// The store creates objects/ on first use; a regular file in its place
+	// fails every record write (as root too, which a chmod would not).
+	objects := filepath.Join(dir, "objects")
+	if err := os.WriteFile(objects, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs lockedBuffer
@@ -40,13 +43,15 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	if !ok || report == nil {
 		t.Fatal("completed job serves no report after the store refused it")
 	}
-	if v, _ := familyValue(t, s.Registry(), "job_persist_failures_total", "report"); v != 1 {
-		t.Errorf("job_persist_failures_total{report} = %v, want 1", v)
+	track, ok := s.Telemetry(view.ID)
+	if !ok || track == nil {
+		t.Fatal("completed job serves no track after the store refused it")
 	}
-	for _, artifact := range []string{"snapshot", "telemetry"} {
-		if v, _ := familyValue(t, s.Registry(), "job_persist_failures_total", artifact); v != 0 {
-			t.Errorf("job_persist_failures_total{%s} = %v, want 0", artifact, v)
-		}
+	if v, _ := familyValue(t, s.Registry(), "job_persist_failures_total", "record"); v != 1 {
+		t.Errorf("job_persist_failures_total{record} = %v, want 1", v)
+	}
+	if v, _ := familyValue(t, s.Registry(), "job_persist_failures_total", "index"); v != 0 {
+		t.Errorf("job_persist_failures_total{index} = %v, want 0", v)
 	}
 	var warn string
 	for _, line := range strings.Split(logs.String(), "\n") {
@@ -54,7 +59,7 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 			warn = line
 		}
 	}
-	for _, want := range []string{"level=WARN", "job=" + view.ID, "hash=" + view.Hash, "artifact=report"} {
+	for _, want := range []string{"level=WARN", "job=" + view.ID, "hash=" + view.Hash, "artifact=record"} {
 		if !strings.Contains(warn, want) {
 			t.Errorf("persist-failure log line %q lacks %q", warn, want)
 		}
@@ -65,9 +70,15 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	}
 	s.Close()
 
+	if err := os.Remove(objects); err != nil {
+		t.Fatal(err)
+	}
 	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := st2.Stats().Entries; n != 0 {
+		t.Fatalf("the store holds %d entries of a record it could not write", n)
 	}
 	s2 := New(Options{Workers: 1, Store: st2})
 	defer s2.Close()
@@ -75,16 +86,17 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.CacheHit {
-		t.Fatal("restart over the same store did not serve the stored snapshot")
+	if again.CacheHit {
+		t.Fatal("a record the store could not write is a cache hit after the restart")
 	}
+	waitState(t, s2, again.ID, StateCompleted, 60*time.Second)
 	if snap2, ok := s2.Snapshot(again.ID); !ok || !bytes.Equal(snap, snap2) {
-		t.Error("snapshot served after the restart differs from the completed job's")
+		t.Error("the recomputed snapshot differs from the completed job's")
 	}
-	if report, ok := s2.Metrics(again.ID); !ok || report != nil {
-		t.Errorf("after the restart the entry serves report %q (ok=%v), want none", report, ok)
+	if report2, ok := s2.Metrics(again.ID); !ok || report2 == nil {
+		t.Error("the recomputed job serves no report")
 	}
-	if track, ok := s2.Telemetry(again.ID); !ok || track == nil {
-		t.Error("the telemetry track, which was persisted, is gone after the restart")
+	if track2, ok := s2.Telemetry(again.ID); !ok || track2 == nil {
+		t.Error("the recomputed job serves no track")
 	}
 }

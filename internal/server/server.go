@@ -849,7 +849,7 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		spec: job.Spec, hash: job.Hash,
 		snapshot:  buf.Bytes(),
 		particles: res.PS.NLocal,
-		checksum:  res.PS.Checksum(),
+		checksum:  part.FrameChecksum(buf.Bytes()),
 		simTime:   res.SimTime,
 		steps:     job.Spec.Steps,
 	}
@@ -893,14 +893,14 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 }
 
 // persist writes the result into the store as one record: snapshot, report
-// and track in one call, one eviction pass, one index write. If the entry
-// is live after that pass the disk copy of the snapshot is authoritative
-// and the memory layer keeps only metadata; if the snapshot could not be
-// written, or the pass evicted the record at once (larger than the whole
-// byte budget), the bytes stay in memory so the snapshot stays fetchable.
-// Report and track keep their memory copies for fast serving. Each artifact
-// the store failed to write is logged and counted; the job completes,
-// served from memory.
+// and track in one call and one file, stored whole or not at all, then one
+// eviction pass and one index write. If the entry is live after that pass
+// the disk copy of the snapshot is authoritative and the memory layer keeps
+// only metadata; if the record could not be written, or the pass evicted it
+// at once (larger than the whole byte budget), the bytes stay in memory so
+// the snapshot stays fetchable. Report and track keep their memory copies
+// for fast serving. What the store failed to write (the record or the index
+// entry) is logged and counted; the job completes, served from memory.
 func (s *Server) persist(job *Job, result *cachedResult) {
 	kept, errs := s.opts.Store.PutResult(store.Meta{
 		Hash:      job.Hash,

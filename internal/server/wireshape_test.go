@@ -84,7 +84,7 @@ var wireKinds = []wireKind{
 	{
 		name: "experiment", route: "/v1/experiments", listKey: "experiments",
 		unknownCode: "unknown_experiment", unknownID: "exp-999999",
-		body:       `{"base":` + fmt.Sprintf(slowSedov, 3) + `,"ns":[300,600]}`,
+		body:       `{"base":` + fmt.Sprintf(slowSedov, 3) + `,"ns":[4000,8000]}`,
 		running:    "id sweep hash state cacheHit members",
 		completed:  "id sweep hash state cacheHit members result",
 		cacheHit:   "id sweep hash state cacheHit result",
@@ -93,7 +93,7 @@ var wireKinds = []wireKind{
 	{
 		name: "scaling", route: "/v1/scaling", listKey: "scaling",
 		unknownCode: "unknown_scaling", unknownID: "scl-999999",
-		body:       `{"base":` + fmt.Sprintf(slowSedov, 6) + `,"cores":[12,24]}`,
+		body:       `{"base":` + fmt.Sprintf(slowSedov, 120) + `,"cores":[12,24]}`,
 		running:    "id sweep hash state cacheHit members",
 		completed:  "id sweep hash state cacheHit members result",
 		cacheHit:   "id sweep hash state cacheHit result",

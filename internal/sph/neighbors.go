@@ -89,7 +89,13 @@ func (ws *Workspace) UpdateSmoothingLengths(ps *part.Set, tr *tree.Tree, p *Para
 // support fits inside the last walk filters that walk's hits by distance
 // (tree.BallSearch guarantees the same hits in the same order as a walk at
 // the smaller radius), so a particle walks again only when h outgrows it.
-const walkMargin = 1.03
+// A particle with no previous count, or whose last count fell short of the
+// target by more than HTolerance, has an h that is about to grow: its walks
+// reach shortWalkMargin instead, so the growth fits inside the first one.
+const (
+	walkMargin      = 1.03
+	shortWalkMargin = 1.25
+)
 
 // findNeighbors runs up to maxIter smoothing-length passes per owned particle
 // and writes the list at the resulting h from the hits of the last pass, so
@@ -138,6 +144,10 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
 			reach := -1.0 // radius of the walk that filled wide
+			margin := walkMargin
+			if float64(ps.NN[i]) < target*(1-p.HTolerance) { // NN is 0 with no previous count
+				margin = shortWalkMargin
+			}
 			var r2 float64
 			var within int // hits of wide inside the support, self included
 			for iter := 0; ; iter++ {
@@ -145,7 +155,7 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 				if !(r <= reach) {
 					reach = r
 					if iter < maxIter {
-						reach *= walkMargin
+						reach *= margin
 					}
 					wide = tr.BallSearch(ps.Pos[i], reach, wide[:0])
 					walks++

@@ -15,7 +15,7 @@ import (
 // that already holds 64 or 4096 results. What a write costs must not depend
 // on how many results came before it: the two sub-benchmarks read within
 // 1.5× of each other, where a store that rewrites its index per write
-// differs by the index size. ns/op is three file creations on whatever disk
+// differs by the index size. ns/op is one file creation on whatever disk
 // the temp directory is on, and wanders with it; index-B/op — the bytes
 // index.log grew by plus every index.json a write left — is exact.
 func BenchmarkPutResult(b *testing.B) {

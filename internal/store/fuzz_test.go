@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -107,5 +109,69 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(log)
 	f.Fuzz(func(t *testing.T, log []byte) {
 		openOver(t, files, log)
+	})
+}
+
+// FuzzRecordRegions: Open over a directory whose one indexed record is
+// damaged one way: how%3 is 0 to truncate it to at bytes, 1 to extend it by
+// extra, 2 to flip the bits of extra[0] (or the low bit) in its byte at%len.
+// Open must not panic or fail and keeps the invariants of FuzzOpenIndex
+// (checkOpenInvariants); a region is served only when it is the bytes that
+// were written; and while the snapshot region is intact, it is served, and
+// so is every other intact region: a bad report or telemetry region never
+// hides a good one. The checked-in corpus (testdata/fuzz/FuzzRecordRegions)
+// cuts the record inside and at the end of each region, extends it, and
+// flips a byte of each region.
+func FuzzRecordRegions(f *testing.F) {
+	const hash = "aaaa1111"
+	written := [len(regions)][]byte{[]byte("SPH1 the snapshot"), []byte(`{"pass":true}`), []byte(`{"status":"ok"}`)}
+	dir := f.TempDir()
+	s, err := Open(dir, Options{Now: newClock().now})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.PutResult(Meta{Hash: hash, Particles: 8, Steps: 1}, written[0], written[1], written[2])
+	s.Sweep()
+	files := tree(f, dir)
+	name := "objects/aa/" + hash + ".sph"
+	record := files[name]
+
+	f.Fuzz(func(t *testing.T, how uint8, at uint16, extra []byte) {
+		rec := bytes.Clone(record)
+		switch how % 3 {
+		case 0:
+			rec = rec[:min(int(at), len(rec))]
+		case 1:
+			rec = append(rec, extra...)
+		case 2:
+			mask := byte(1)
+			if len(extra) > 0 && extra[0] != 0 {
+				mask = extra[0]
+			}
+			rec[int(at)%len(rec)] ^= mask
+		}
+		damaged := maps.Clone(files)
+		damaged[name] = rec
+		dir := t.TempDir()
+		writeTree(t, dir, damaged)
+		s := checkOpenInvariants(t, dir)
+
+		snap, _, err := s.ReadObject(hash)
+		got := [len(regions)][]byte{snap}
+		got[regionReport], _ = s.ReadReport(hash)
+		got[regionTelemetry], _ = s.ReadTelemetry(hash)
+		var off int
+		for k := range regions {
+			intact := len(rec) >= off+len(written[k]) && bytes.Equal(rec[off:off+len(written[k])], written[k])
+			off += len(written[k])
+			switch {
+			case got[k] != nil && !bytes.Equal(got[k], written[k]):
+				t.Errorf("region %d serves %q, %q was written", k, got[k], written[k])
+			case err == nil && intact && got[k] == nil:
+				t.Errorf("region %d is intact but not served beside the snapshot", k)
+			case k == regionSnapshot && intact && err != nil:
+				t.Errorf("a damaged attachment hid the intact snapshot: %v", err)
+			}
+		}
 	})
 }

@@ -101,8 +101,8 @@ func openOver(t *testing.T, files map[string][]byte, log []byte) (*Store, string
 }
 
 // wantPrefix: the store holds exactly hashes[:k], each served whole, and
-// the object of every later hash sits in quarantine, not deleted, with its
-// attachments gone.
+// the record of every later hash sits in quarantine, not deleted, and
+// nowhere else.
 func wantPrefix(t *testing.T, s *Store, dir string, files map[string][]byte, hashes []string, k int) {
 	t.Helper()
 	if live := liveHashes(s); !reflect.DeepEqual(live, append([]string{}, hashes[:k]...)) {
@@ -114,7 +114,7 @@ func wantPrefix(t *testing.T, s *Store, dir string, files map[string][]byte, has
 	for i, hash := range hashes {
 		obj := files["objects/"+hash[:2]+"/"+hash+".sph"]
 		if i < k {
-			if got, ok := s.ReadReport(hash); !ok || !bytes.Equal(got, files["reports/"+hash+".json"]) {
+			if got, ok := s.ReadReport(hash); !ok || string(got) != `{"pass":true,"of":"`+hash+`"}` {
 				t.Errorf("entry %s lost its report: %q ok=%v", hash, got, ok)
 			}
 			continue
@@ -122,8 +122,8 @@ func wantPrefix(t *testing.T, s *Store, dir string, files map[string][]byte, has
 		if got, err := os.ReadFile(filepath.Join(dir, "quarantine", hash+".sph")); err != nil || !bytes.Equal(got, obj) {
 			t.Errorf("object %s, which no record vouches for, is not in quarantine: %v", hash, err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, "reports", hash+".json")); !os.IsNotExist(err) {
-			t.Errorf("report of the unvouched %s survived: %v", hash, err)
+		if _, err := os.Stat(objPath(dir, hash)); !os.IsNotExist(err) {
+			t.Errorf("record of the unvouched %s left in objects/: %v", hash, err)
 		}
 	}
 }
@@ -160,9 +160,9 @@ func TestLogBadFrameEndsReplay(t *testing.T) {
 	}
 }
 
-// TestFilesWithoutRecordQuarantined: a process killed between the renames
-// and the append leaves files no record names. The object is quarantined,
-// the attachments removed, and the hash is a miss that can be written again.
+// TestFilesWithoutRecordQuarantined: a process killed between the rename
+// and the append leaves a record file no journal record names. It is
+// quarantined, and the hash is a miss that can be written again.
 func TestFilesWithoutRecordQuarantined(t *testing.T) {
 	files, hashes := journaled(t, 2)
 	log := files["index.log"]
@@ -204,8 +204,8 @@ func TestReplayedPutNeedsItsObject(t *testing.T) {
 		t.Errorf("quarantined %d, want the corrupt object alone (a missing one has nothing to move)", s.Stats().Quarantined)
 	}
 	for _, hash := range hashes[:2] {
-		if _, err := os.Stat(filepath.Join(dir, "reports", hash+".json")); !os.IsNotExist(err) {
-			t.Errorf("report of the dropped %s survived: %v", hash, err)
+		if _, err := os.Stat(objPath(dir, hash)); !os.IsNotExist(err) {
+			t.Errorf("record of the dropped %s left in objects/: %v", hash, err)
 		}
 	}
 }
@@ -225,9 +225,7 @@ func TestUnsweptStoreReopens(t *testing.T) {
 		s.PutResult(Meta{Hash: hash, Steps: i}, bytes.Repeat([]byte{'s'}, 60), []byte("report "+hash), []byte("track "+hash))
 	}
 	s.PutResult(Meta{Hash: "0007", Steps: 70}, bytes.Repeat([]byte{'S'}, 61), []byte("report again"), nil)
-	if err := os.WriteFile(filepath.Join(dir, "reports", "0006.json"), []byte("report 000X"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, objPath(dir, "0006"), s.entries["0006"].Size+3) // a byte of its report
 	if _, ok := s.ReadReport("0006"); ok {
 		t.Fatal("a report that fails its CRC is served")
 	}
@@ -382,7 +380,7 @@ func TestStaleLogBesideNewIndex(t *testing.T) {
 	if live := liveHashes(reverted); !reflect.DeepEqual(live, []string{"aaaa1111"}) || reverted.Stats().Quarantined != 1 {
 		t.Errorf("an older put over a newer object: live %q, quarantined %d, want the entry dropped", live, reverted.Stats().Quarantined)
 	}
-	if got, err := os.ReadFile(filepath.Join(rdir, "quarantine", "bbbb2222.sph")); err != nil || string(got) != "SPH1 second, overwritten" {
+	if got, err := os.ReadFile(filepath.Join(rdir, "quarantine", "bbbb2222.sph")); err != nil || !bytes.Equal(got, files["objects/bb/bbbb2222.sph"]) {
 		t.Errorf("the object the older put disowned is not in quarantine: %q, %v", got, err)
 	}
 	if kept, errs := reverted.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 recomputed"), nil, nil); !kept || len(errs) != 0 {

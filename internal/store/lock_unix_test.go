@@ -1,0 +1,131 @@
+//go:build unix
+
+package store
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
+	"syscall"
+	"testing"
+	"time"
+)
+
+// TestRecordWriteOutsideTheLock: a PutResult held inside its record write —
+// its temp file is a FIFO nobody reads yet — does not hold the store. Get,
+// Stats, ReadReport and a PutResult of another hash complete meanwhile, and
+// the held hash serves its earlier record whole. A second writer of the held
+// hash waits for the first instead of sharing its temp file. Released (the
+// reader takes part of the record and hangs up), the held write fails,
+// stores nothing and leaves no temp file, and the second writer's record is
+// then stored whole.
+func TestRecordWriteOutsideTheLock(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const held = "aaaa1111"
+	earlier := []byte("SPH1 earlier")
+	if _, errs := s.PutResult(Meta{Hash: held}, earlier, []byte(`{"pass":true}`), nil); len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	tmp := objPath(dir, held) + ".tmp"
+	if err := syscall.Mkfifo(tmp, 0o644); err != nil {
+		t.Skipf("no FIFO to hold a write in: %v", err)
+	}
+
+	// Larger than a pipe's buffer, so the write blocks until it is read.
+	first := make(chan []ArtifactError, 1)
+	go func() {
+		_, errs := s.PutResult(Meta{Hash: held}, bytes.Repeat([]byte{'x'}, 4<<20), nil, nil)
+		first <- errs
+	}()
+	within(t, "the held write's reservation", func() {
+		for {
+			s.mu.Lock()
+			reserved := s.writing[held]
+			s.mu.Unlock()
+			if reserved {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	newer := []byte("SPH1 newer")
+	second := make(chan []ArtifactError, 1)
+	go func() {
+		_, errs := s.PutResult(Meta{Hash: held}, newer, nil, nil)
+		second <- errs
+	}()
+
+	within(t, "calls beside the held write", func() {
+		if _, ok := s.Get(held); !ok {
+			t.Error("the held hash lost its earlier entry")
+		}
+		if got, _, err := s.ReadObject(held); err != nil || !bytes.Equal(got, earlier) {
+			t.Errorf("the held hash serves %q, %v", got, err)
+		}
+		if got, ok := s.ReadReport(held); !ok || string(got) != `{"pass":true}` {
+			t.Errorf("the held hash's report: %q ok=%v", got, ok)
+		}
+		if kept, errs := s.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 other"), nil, nil); !kept || len(errs) != 0 {
+			t.Errorf("a write of another hash: kept=%v errs=%v", kept, errs)
+		}
+		if st := s.Stats(); st.Entries != 2 {
+			t.Errorf("Stats beside the held write: %+v", st)
+		}
+	})
+	select {
+	case errs := <-second:
+		t.Fatalf("a second writer of the held hash did not wait for the first: %v", errs)
+	default:
+	}
+
+	// Release: read part of the record, then hang up.
+	within(t, "the release", func() {
+		r, err := os.Open(tmp)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = io.ReadFull(r, make([]byte, 1024))
+		r.Close()
+	})
+	var errs []ArtifactError
+	within(t, "the held write", func() { errs = <-first })
+	if len(errs) != 1 || errs[0].Artifact != "record" {
+		t.Errorf("the released write: %v, want one record error", errs)
+	}
+	within(t, "the second write", func() { errs = <-second })
+	if len(errs) != 0 {
+		t.Errorf("the second write: %v", errs)
+	}
+	if got, _, err := s.ReadObject(held); err != nil || !bytes.Equal(got, newer) {
+		t.Errorf("after both writes the held hash serves %q, %v", got, err)
+	}
+	if got, ok := s.ReadReport(held); ok {
+		t.Errorf("the replaced record's report is served: %q", got)
+	}
+	for name := range tree(t, dir) {
+		if filepath.Ext(name) == ".tmp" {
+			t.Errorf("%s left behind", name)
+		}
+	}
+}
+
+// within runs fn and fails the test if it has not returned in ten seconds.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s did not complete: the store is held", what)
+	}
+}

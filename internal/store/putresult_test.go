@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -47,9 +48,10 @@ func writeTree(t testing.TB, dir string, files map[string][]byte) {
 
 // TestPutResultEqualsThreeCalls: there is one write path. Under a fixed
 // clock and no cap, one PutResult and the Put → PutReport → PutTelemetry
-// sequence leave the same files, byte for byte — index.json included — and
-// the same Stats, once Sweep has compacted one journal record on the one
-// side and three on the other into the index (and deleted the log).
+// sequence (which rewrites the record twice) leave the same files, byte for
+// byte — index.json included — and the same Stats, once Sweep has compacted
+// one journal record on the one side and three on the other into the index
+// (and deleted the log).
 func TestPutResultEqualsThreeCalls(t *testing.T) {
 	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
 		// Bookkeeping a caller has no business setting: both paths ignore it.
@@ -85,8 +87,8 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 	one.Sweep()
 	three.Sweep()
 	a, b := tree(t, oneDir), tree(t, threeDir)
-	if len(a) != 4 {
-		t.Errorf("PutResult left %d files, want index + object + report + track", len(a))
+	if len(a) != 2 {
+		t.Errorf("PutResult left %d files, want index + record", len(a))
 	}
 	for name, want := range b {
 		if got, ok := a[name]; !ok || !bytes.Equal(got, want) {
@@ -131,24 +133,31 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 		t.Errorf("stats %+v, want one put and one eviction", st)
 	}
 
-	// A record that fits is kept, and a failed attachment is reported by
-	// name while the rest of the record stays.
+	// A record whose file cannot be written is reported as the record, and
+	// nothing of it is stored; written again once it can be, it is kept
+	// whole.
 	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "reports"), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "objects"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if s, err = Open(dir, Options{MaxBytes: 120}); err != nil {
 		t.Fatal(err)
 	}
 	kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk"))
-	if !kept || len(errs) != 1 || errs[0].Artifact != "report" || errs[0].Err == nil {
-		t.Fatalf("PutResult kept=%v errs=%v, want the record kept and one report error", kept, errs)
+	if kept || len(errs) != 1 || errs[0].Artifact != "record" || errs[0].Err == nil {
+		t.Fatalf("PutResult kept=%v errs=%v, want nothing kept and one record error", kept, errs)
 	}
-	if _, ok := s.ReadReport("bbbb"); ok {
-		t.Error("a report that was never written is served")
+	if _, ok := s.ReadReport("bbbb"); ok || s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
+		t.Errorf("a record that was never written is served or counted: %+v", s.Stats())
+	}
+	if err := os.Remove(filepath.Join(dir, "objects")); err != nil {
+		t.Fatal(err)
+	}
+	if kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk")); !kept || len(errs) != 0 {
+		t.Fatalf("PutResult kept=%v errs=%v once the record can be written", kept, errs)
 	}
 	if got, ok := s.ReadTelemetry("bbbb"); !ok || string(got) != "trk" {
-		t.Error("the track written after the failed report is lost")
+		t.Error("the track of the record written whole is lost")
 	}
 }
 
@@ -229,6 +238,100 @@ func TestParentFormatDirectoryOpens(t *testing.T) {
       "profileCRC": 16053425590499601753`, "", 1); string(idx) != want {
 		t.Errorf("re-saved index is not the parent's minus the profile keys:\n%s", idx)
 	}
+}
+
+// TestParentLayoutFoldsIntoRecords: the directory of
+// TestParentFormatDirectoryOpens, where report and track are files beside
+// the snapshot, opens to one record file: nothing is left under reports/ or
+// telemetry/, the record is snapshot, report and track back to back, and
+// all three serve byte for byte, again after a restart.
+func TestParentLayoutFoldsIntoRecords(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := []byte("SPH1 snapshot payload")
+	report := []byte(`{"reference":"sedov","pass":true}`)
+	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
+	writeTree(t, dir, map[string][]byte{
+		"index.json":              []byte(parentIndex),
+		"objects/ab/ab12cd34.sph": snapshot,
+		"reports/ab12cd34.json":   report,
+		"telemetry/ab12cd34.json": track,
+	})
+	for restart := range 2 {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := tree(t, dir)
+		if len(files) != 2 || !bytes.Equal(files["objects/ab/ab12cd34.sph"], bytes.Join([][]byte{snapshot, report, track}, nil)) {
+			t.Errorf("open %d left %q, want index.json and the record", restart, keys(files))
+		}
+		got, _, err := s.ReadObject("ab12cd34")
+		rep, rok := s.ReadReport("ab12cd34")
+		trk, tok := s.ReadTelemetry("ab12cd34")
+		if err != nil || !bytes.Equal(got, snapshot) || !rok || !bytes.Equal(rep, report) || !tok || !bytes.Equal(trk, track) {
+			t.Errorf("open %d serves %q (%v), %q, %q", restart, got, err, rep, trk)
+		}
+		if st := s.Stats(); st.Bytes != 21+33+38 || st.Quarantined != 0 {
+			t.Errorf("open %d: %+v", restart, st)
+		}
+	}
+}
+
+// TestOneFilePerRecord: after N PutResults the store holds exactly N files
+// under objects/ and nothing beside them, and every region of every record
+// reads back byte for byte after a restart.
+func TestOneFilePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	want := map[string][3][]byte{}
+	for i := range n {
+		hash := fmt.Sprintf("%02x%06d", i*13%256, i)
+		parts := [3][]byte{bytes.Repeat([]byte{'s'}, 100+i), []byte("report " + hash), nil}
+		if i%3 != 0 {
+			parts[2] = []byte("track " + hash) // some records have no track
+		}
+		if kept, errs := s.PutResult(Meta{Hash: hash}, parts[0], parts[1], parts[2]); !kept || len(errs) != 0 {
+			t.Fatalf("PutResult %s: kept=%v errs=%v", hash, kept, errs)
+		}
+		want[hash] = parts
+	}
+	var objects []string
+	for name := range tree(t, dir) {
+		if strings.HasPrefix(name, "objects"+string(filepath.Separator)) {
+			objects = append(objects, name)
+		} else if name != "index.json" && name != "index.log" {
+			t.Errorf("%s beside the records", name)
+		}
+	}
+	if len(objects) != n {
+		t.Errorf("%d files under objects/ after %d PutResults", len(objects), n)
+	}
+	again, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hash, parts := range want {
+		got, _, err := again.ReadObject(hash)
+		rep, _ := again.ReadReport(hash)
+		trk, _ := again.ReadTelemetry(hash)
+		if err != nil || !bytes.Equal(got, parts[0]) || !bytes.Equal(rep, parts[1]) || !bytes.Equal(trk, parts[2]) {
+			t.Errorf("%s after a restart: %q (%v), %q, %q", hash, got, err, rep, trk)
+		}
+	}
+}
+
+// keys lists a tree's file names, sorted.
+func keys(files map[string][]byte) []string {
+	var names []string
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestPutResultConcurrent: writers and readers from several goroutines over

@@ -1,5 +1,5 @@
 // Package store is the persistent, content-addressed result store of the
-// simulation service: completed snapshots keyed by canonical spec hash
+// simulation service: completed results keyed by canonical spec hash
 // (scenario.Spec.Hash), written atomically (temp file + rename), read back
 // in one CRC-verified pass outside the lock (readFile), and bounded by a
 // combined TTL + size-capped LRU eviction policy. A server restart reopens
@@ -7,9 +7,11 @@
 // bytes no longer match their recorded CRC are quarantined, not trusted and
 // not fatal — the store degrades to recomputation, never to corrupt data.
 //
-// A stored result is one record — the snapshot plus its report and telemetry
-// attachments — and PutResult writes it as one, under one lock hold: each
-// file, one eviction pass, one journal append. Reads lock for the lookup only.
+// A stored result is one record, one file: snapshot, report and telemetry
+// track back to back, each region checked against the size and CRC its entry
+// records. A write fills the temp file with the lock released; the rename,
+// the entry, one eviction pass and one journal append share one lock hold,
+// so a record and its index entry appear together. Reads lock for lookups.
 //
 // The index is index.json plus a journal, index.log: a mutation appends the
 // entries it changed (journal.go has the record format), so a write's cost
@@ -25,12 +27,13 @@
 //
 //	index.json             entry metadata as of the last compaction
 //	index.log              CRC-framed put/del records since then
-//	objects/ab/abcd….sph   snapshot payloads (part binary checkpoint format),
-//	                       sharded by the first two hash characters; a flat
-//	                       objects/abcd….sph layout migrates on Open
-//	reports/<hash>.json    verification reports
-//	telemetry/<hash>.json  step-telemetry tracks
-//	quarantine/            corrupt or unindexed objects moved aside on detection
+//	objects/ab/abcd….sph   records: the snapshot (part binary checkpoint
+//	                       format), then the report and the telemetry track;
+//	                       sharded by the first two hash characters. A flat
+//	                       objects/abcd….sph migrates on Open, and so do the
+//	                       reports/ and telemetry/ files an earlier layout
+//	                       kept beside the snapshot: folded into the record
+//	quarantine/            corrupt or unindexed records moved aside on detection
 package store
 
 import (
@@ -64,46 +67,59 @@ type Meta struct {
 	// Checksum is the part payload CRC-64 fingerprint of the particle
 	// state (part.Set.Checksum), used by callers to compare results.
 	Checksum uint64 `json:"checksum"`
-	// Size is the object file size in bytes.
+	// Size is the snapshot region's size in bytes.
 	Size int64 `json:"size"`
-	// CRC is the CRC-64/ECMA of the whole object file; reads verify
-	// against it and quarantine on mismatch.
+	// CRC is the CRC-64/ECMA of the snapshot region; reads verify against
+	// it and quarantine on mismatch.
 	CRC uint64 `json:"crc"`
 	// CreatedAt and LastUsed are unix seconds; LastUsed drives both the
 	// TTL (idle expiry) and the LRU eviction order.
 	CreatedAt int64 `json:"createdAt"`
 	LastUsed  int64 `json:"lastUsed"`
-	// The size and CRC of the entry's report and telemetry attachments
-	// (see attachment); size zero means none.
+	// The size and CRC of the record's report and telemetry regions (see
+	// region); size zero means none.
 	ReportSize    int64  `json:"reportSize,omitempty"`
 	ReportCRC     uint64 `json:"reportCRC,omitempty"`
 	TelemetrySize int64  `json:"telemetrySize,omitempty"`
 	TelemetryCRC  uint64 `json:"telemetryCRC,omitempty"`
 }
 
-// attachment is one kind of file kept beside a snapshot under the same
-// hash: written with it or after it, served byte for byte (including across
-// restarts) or not at all, evicted with its entry, and counted against
-// MaxBytes like every other byte the store owns. All attachment handling
-// ranges over the attachments table; a kind is one row there plus its
-// size/CRC pair in Meta.
-type attachment struct {
-	// name is the artifact's name in errors; the file is <dir>/<hash><ext>.
-	name, dir, ext string
-	// slot is where an entry records this kind's size and CRC.
-	slot func(*Meta) (size *int64, crc *uint64)
+// region is one part of a record, served byte for byte or not at all: the
+// table's regions back to back, in its order, are the record file. legacy is
+// the directory an earlier layout kept the region in, as <legacy>/<hash>.json
+// (Open folds it in); slot is where an entry records its size and CRC.
+type region struct {
+	legacy string
+	slot   func(*Meta) (size *int64, crc *uint64)
 }
 
 const (
-	kindReport = iota
-	kindTelemetry
+	regionSnapshot = iota
+	regionReport
+	regionTelemetry
 )
 
-var attachments = [...]attachment{
-	kindReport: {"report", "reports", ".json",
-		func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC }},
-	kindTelemetry: {"telemetry", "telemetry", ".json",
-		func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC }},
+var regions = [...]region{
+	regionSnapshot:  {"", func(m *Meta) (*int64, *uint64) { return &m.Size, &m.CRC }},
+	regionReport:    {"reports", func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC }},
+	regionTelemetry: {"telemetry", func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC }},
+}
+
+// extent is where a region lies in its record, and its CRC.
+type extent struct {
+	off, size int64
+	crc       uint64
+}
+
+// extents locates every region of m's record; two entries with equal
+// extents record the same regions.
+func (m *Meta) extents() (e [len(regions)]extent) {
+	var off int64
+	for k := range regions {
+		size, crc := regions[k].slot(m)
+		e[k], off = extent{off, *size, *crc}, off+*size
+	}
+	return e
 }
 
 // Options bounds the store.
@@ -111,9 +127,9 @@ type Options struct {
 	// TTL evicts entries idle (not Put or read) for longer than this;
 	// 0 disables expiry.
 	TTL time.Duration
-	// MaxBytes caps the total bytes on disk — objects plus report and
-	// telemetry attachments; least-recently-used entries are evicted to
-	// stay under it. 0 disables the cap.
+	// MaxBytes caps the total bytes on disk — every region of every
+	// record; least-recently-used entries are evicted to stay under it.
+	// 0 disables the cap.
 	MaxBytes int64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
@@ -127,7 +143,11 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*Meta // guarded by mu
-	total   int64            // sum of entry bytes: objects plus attachments; guarded by mu
+	total   int64            // sum of entry bytes, the record files' sizes; guarded by mu
+	// writing reserves a hash while its record is written outside the lock:
+	// a second writer of the hash waits on idle, broadcast as one ends.
+	writing map[string]bool // guarded by mu
+	idle    *sync.Cond
 	// counts holds the since-open counters of Stats (Hits, Misses,
 	// Quarantined, Puts, Evictions); Stats derives its other fields.
 	counts Stats // guarded by mu
@@ -146,16 +166,17 @@ type indexFile struct {
 }
 
 // Open loads (or initializes) a store rooted at dir: index.json, then the
-// records of index.log on top of it. Every indexed object is re-verified
-// against its recorded CRC: corrupt or missing-from-index files are moved to
-// the quarantine directory and dropped, then the TTL and size policies are
-// applied and the result compacted — so a freshly opened store is always
-// consistent, within budget, and has no log.
+// records of index.log on top of it. Every indexed record is re-verified
+// region by region (reconcile): corrupt or missing-from-index files are
+// moved to the quarantine directory and dropped, then the TTL and size
+// policies are applied and the result compacted — so a freshly opened store
+// is always consistent, within budget, and has no log.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}}
+	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}, writing: map[string]bool{}}
+	s.idle = sync.NewCond(&s.mu)
 
 	// Objects used to live flat at objects/<hash>.sph. Move each into its
 	// shard directory before verification; the index records no paths, so
@@ -200,24 +221,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		if m == nil {
 			m = &Meta{Size: -1} // vouches for nothing: its object goes the way of a corrupt one
 		}
-		if _, err := readFile(path, m.Size, m.CRC, io.Discard); err != nil {
+		m.Hash = hash
+		if err := s.reconcile(m); err != nil {
 			if err == errCorrupt {
 				s.quarantineLocked(path, hash)
 			}
 			continue
-		}
-		m.Hash = hash
-		// Attachments stay CRC-verified lazily on read; here just reconcile
-		// the recorded sizes against the files on disk — a file the entry
-		// does not record included — so the byte accounting backing the
-		// MaxBytes cap starts truthful.
-		for i := range attachments {
-			k := &attachments[i]
-			asize, acrc := k.slot(m)
-			if fi, err := os.Stat(s.attachmentPath(k, hash)); err != nil || fi.Size() != *asize {
-				_ = os.Remove(s.attachmentPath(k, hash))
-				*asize, *acrc = 0, 0
-			}
 		}
 		s.entries[hash] = m
 		s.total += entryBytes(m)
@@ -230,20 +239,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.quarantineLocked(path, hash)
 		}
 	}
-	// Attachment files whose entry is gone (object lost, entry dropped
-	// above) are stale: the attachment directories track the index.
-	for i := range attachments {
-		k := &attachments[i]
-		stale, _ := filepath.Glob(s.attachmentPath(k, "*"))
-		for _, path := range stale {
-			if s.entries[fileHash(path, k.ext)] == nil {
-				_ = os.Remove(path)
-			}
-		}
+	// What earlier layouts kept beside the records is folded in above or is
+	// no entry's: attachment files, and CPU profiles nothing read back.
+	for _, old := range []string{"reports", "telemetry", "profiles"} {
+		_ = os.RemoveAll(filepath.Join(s.dir, old))
 	}
-	// Earlier builds kept a CPU profile per entry that nothing read back;
-	// its index keys are dropped by the decode above, its files here.
-	_ = os.RemoveAll(filepath.Join(s.dir, "profiles"))
 
 	s.evictLocked(s.opts.Now())
 	if err := s.saveIndexLocked(); err != nil {
@@ -264,8 +264,45 @@ func (s *Store) objectPath(h string) string {
 	}
 	return filepath.Join(s.objectsDir(), h[:2], h+".sph")
 }
-func (s *Store) attachmentPath(k *attachment, h string) string {
-	return filepath.Join(s.dir, k.dir, h+k.ext)
+
+// reconcile is Open's check of the entry m against its record. The snapshot
+// region must match, or the entry goes (the error says how). An attachment
+// region that fails is dropped — or, where the record is the snapshot alone,
+// read from its file of an earlier layout — unless the record is longer than
+// m says: then it is not m's record, and goes whole. A record that is not
+// exactly the regions kept is rewritten.
+func (s *Store) reconcile(m *Meta) error {
+	path := s.objectPath(m.Hash)
+	fi, err := os.Stat(path)
+	if err != nil {
+		return errLost
+	}
+	longer, folded := fi.Size() > entryBytes(m), false
+	var b bytes.Buffer
+	var off int64 // where the region is in the record m describes
+	for k := range regions {
+		size, crc := regions[k].slot(m)
+		mark := b.Len()
+		_, err := readFile(path, off, *size, *crc, -1, &b)
+		if off += *size; err != nil && k != regionSnapshot && fi.Size() == m.Size {
+			b.Truncate(mark)
+			_, err = readFile(filepath.Join(s.dir, regions[k].legacy, m.Hash+".json"), 0, *size, *crc, *size, &b)
+			folded = folded || err == nil
+		}
+		switch {
+		case err != nil && k == regionSnapshot:
+			return err
+		case err != nil && longer:
+			return errCorrupt
+		case err != nil:
+			b.Truncate(mark)
+			*size, *crc = 0, 0
+		}
+	}
+	if !folded && int64(b.Len()) == fi.Size() {
+		return nil
+	}
+	return writeAtomic(path, b.Bytes())
 }
 
 // fileHash recovers the hash from a stored file's path ("<hash><ext>").
@@ -293,10 +330,21 @@ func (s *Store) saveIndexLocked() error {
 	return nil
 }
 
-// writeAtomic replaces path with data: a temp file beside it, then a
+// writeAtomic replaces path with data: its temp file, <path>.tmp, then a
 // rename, so a reader sees the old bytes or the new ones, never a torn file.
-// The directory is created only when the first attempt finds it missing.
 func writeAtomic(path string, data []byte) error {
+	err := writeTemp(path, data)
+	if err == nil {
+		if err = os.Rename(path+".tmp", path); err != nil {
+			_ = os.Remove(path + ".tmp")
+		}
+	}
+	return err
+}
+
+// writeTemp writes data to path's temp file, creating the directory only
+// when the first attempt finds it missing.
+func writeTemp(path string, data []byte) error {
 	tmp := path + ".tmp"
 	err := os.WriteFile(tmp, data, 0o644)
 	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(path), 0o755) == nil {
@@ -305,10 +353,6 @@ func writeAtomic(path string, data []byte) error {
 	if err != nil {
 		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
 		return fmt.Errorf("store: writing %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return err
 	}
 	return nil
 }
@@ -319,37 +363,46 @@ const readChunk = 64 << 10
 // readFile's verdicts on a file that cannot be served.
 var errCorrupt, errLost = errors.New("failed CRC verification"), errors.New("object file missing")
 
-// readFile is the store's one read, run without s.mu: path in one pass, in
-// chunks of at most readChunk bytes written to w; no byte of the final chunk
-// is written before size and CRC-64 are known to match. It returns errLost
-// if the file will not open, errCorrupt on a mismatch, or w's error.
-func readFile(path string, size int64, crc uint64, w io.Writer) (n int64, err error) {
+// readFile is the store's one read, run without s.mu: the size bytes of
+// path from offset off, in one pass, in chunks of at most readChunk bytes
+// written to w; no byte of the final chunk is written before the CRC-64 is
+// known to match and the file to be total bytes long (total < 0: any
+// length). It returns errLost if the file will not open, errCorrupt on a
+// mismatch, or w's error.
+func readFile(path string, off, size int64, crc uint64, total int64, w io.Writer) (n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, errLost
 	}
 	defer f.Close()
-	buf := make([]byte, max(0, min(size, readChunk)+1))
+	fi, err := f.Stat()
+	if err != nil || off < 0 || size < 0 {
+		return 0, errCorrupt // a negative size vouches for no file
+	}
+	whole, r := total < 0 || fi.Size() == total, io.NewSectionReader(f, off, size)
+	buf := make([]byte, min(size, readChunk))
 	var sum uint64
-	for left := size; left >= 0; left -= readChunk {
+	for left := size; ; left -= readChunk {
 		chunk, final := buf[:min(left, readChunk)], left <= readChunk
-		if final {
-			chunk = buf[:left+1] // one byte past the recorded size: a longer file fills it
-		}
-		k, rerr := io.ReadFull(f, chunk)
+		k, _ := io.ReadFull(r, chunk)
 		sum = crc64.Update(sum, crcTable, chunk[:k])
-		if final && (int64(k) != left || sum != crc) || !final && rerr != nil {
+		if k < len(chunk) || final && (sum != crc || !whole) {
 			return n, errCorrupt
 		}
-		k, err = w.Write(chunk[:k])
+		k, err = w.Write(chunk)
 		if n += int64(k); err != nil || final {
 			return n, err
 		}
 	}
-	return n, errCorrupt // a negative size vouches for no file
 }
 
-// quarantineLocked moves the object file at path (its shard location, or a
+// readRegion reads region k of the record of m through readFile.
+func (s *Store) readRegion(m *Meta, k int, w io.Writer) (int64, error) {
+	e := m.extents()[k]
+	return readFile(s.objectPath(m.Hash), e.off, e.size, e.crc, entryBytes(m), w)
+}
+
+// quarantineLocked moves the record file at path (its shard location, or a
 // flat-layout file that failed migration) aside instead of deleting it, so
 // corrupt data remains inspectable but is never served.
 func (s *Store) quarantineLocked(path, hash string) {
@@ -357,31 +410,17 @@ func (s *Store) quarantineLocked(path, hash string) {
 	if os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil {
 		_ = os.Remove(path)
 	}
-	// A quarantined object always accompanies a dropped entry; its
-	// attachments are meaningless without the snapshot they describe.
-	s.removeAttachmentFiles(hash)
 	s.counts.Quarantined++
 }
 
-// removeAttachmentFiles deletes whatever attachment files exist for hash.
-func (s *Store) removeAttachmentFiles(hash string) {
-	for i := range attachments {
-		_ = os.Remove(s.attachmentPath(&attachments[i], hash))
-	}
-}
-
-// entryBytes is everything the entry holds on disk, object plus
-// attachments: the unit the MaxBytes cap and the total accounting work in.
+// entryBytes is everything the entry holds on disk, the sum of its regions:
+// the unit the MaxBytes cap and the total accounting work in.
 func entryBytes(m *Meta) int64 {
-	total := m.Size
-	for i := range attachments {
-		size, _ := attachments[i].slot(m)
-		total += *size
-	}
-	return total
+	e := m.extents()[len(regions)-1]
+	return e.off + e.size
 }
 
-// removeLocked evicts an entry and deletes its object and attachment files.
+// removeLocked evicts an entry and deletes its record.
 func (s *Store) removeLocked(hash string) {
 	if m, ok := s.entries[hash]; ok {
 		s.total -= entryBytes(m)
@@ -389,7 +428,6 @@ func (s *Store) removeLocked(hash string) {
 		s.dirty = append(s.dirty, hash)
 	}
 	_ = os.Remove(s.objectPath(hash))
-	s.removeAttachmentFiles(hash)
 }
 
 // evictLocked applies the TTL then the size cap: expired entries go first,
@@ -424,23 +462,22 @@ func (s *Store) evictLocked(now time.Time) {
 	}
 }
 
-// ArtifactError names one part of a result ("snapshot", "report",
-// "telemetry", or the "index" that records them) a write could not put on
-// disk, and why.
+// ArtifactError names what a write could not put on disk, and why: the
+// "record" (stored whole or not at all) or the "index" entry recording it.
 type ArtifactError struct {
 	Artifact string
 	Err      error
 }
 
-// PutResult stores a whole result under meta.Hash in one write: snapshot,
+// PutResult stores a whole result under meta.Hash as one record: snapshot,
 // report and telemetry track (nil means none), then one eviction pass and
-// one index.log append. kept reports whether the entry is live afterwards: under
-// a tight cap the pass may evict the record it just wrote, and a caller
-// holding the bytes in memory should then keep them. errs lists what could
-// not be written; a failed snapshot stops the write, a failed attachment
-// leaves the rest of the record stored and served.
+// one index.log append. kept reports whether the entry is live afterwards:
+// under a tight cap the pass may evict the record it just wrote, and a
+// caller holding the bytes in memory should then keep them. errs lists what
+// could not be written; a failed record write stores nothing and leaves any
+// earlier entry of the hash as it was.
 func (s *Store) PutResult(meta Meta, snapshot, report, telemetry []byte) (kept bool, errs []ArtifactError) {
-	return s.write(meta.Hash, &meta, snapshot, [len(attachments)][]byte{kindReport: report, kindTelemetry: telemetry})
+	return s.write(meta.Hash, &meta, [len(regions)][]byte{snapshot, report, telemetry}, nil)
 }
 
 // Put stores snapshot under meta.Hash with no attachments, replacing any
@@ -449,14 +486,14 @@ func (s *Store) Put(meta Meta, snapshot []byte) error {
 	return firstErr(s.PutResult(meta, snapshot, nil, nil))
 }
 
-// PutReport attaches a verification report to an existing entry.
+// PutReport rewrites an existing entry's record with report attached.
 func (s *Store) PutReport(hash string, report []byte) error {
-	return firstErr(s.write(hash, nil, nil, [len(attachments)][]byte{kindReport: report}))
+	return firstErr(s.write(hash, nil, [len(regions)][]byte{regionReport: report}, nil))
 }
 
-// PutTelemetry attaches a step-telemetry track to an existing entry.
+// PutTelemetry rewrites an existing entry's record with track attached.
 func (s *Store) PutTelemetry(hash string, track []byte) error {
-	return firstErr(s.write(hash, nil, nil, [len(attachments)][]byte{kindTelemetry: track}))
+	return firstErr(s.write(hash, nil, [len(regions)][]byte{regionTelemetry: track}, nil))
 }
 
 // firstErr is a write's outcome for a caller that wrote one artifact.
@@ -467,59 +504,76 @@ func firstErr(_ bool, errs []ArtifactError) error {
 	return errs[0].Err
 }
 
-// write is the one write path. With meta non-nil, snapshot becomes the
-// entry's object and the entry is replaced wholesale; each non-nil element
-// of att is then written into that slot of the new (or, with meta nil, the
-// existing) entry, its size and CRC recorded. The eviction pass and the
-// journal append follow under the same lock hold, so the on-disk total never
-// exceeds MaxBytes once write returns.
-func (s *Store) write(hash string, meta *Meta, snapshot []byte, att [len(attachments)][]byte) (kept bool, errs []ArtifactError) {
+// write is the one write path. With meta non-nil the record is parts and
+// replaces any entry of hash. With meta nil it amends the entry of hash (if
+// it still records base's regions, base non-nil): a nil part is read back
+// from the record, dropped if it fails its check. Under a reservation of
+// hash the temp file is filled with the lock released; rename, entry,
+// eviction pass and journal append share one hold, so none is seen alone.
+func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base *Meta) (kept bool, errs []ArtifactError) {
+	if hash == "" {
+		return false, []ArtifactError{{"record", errors.New("store: write with empty hash")}}
+	}
+	s.mu.Lock()
+	for s.writing[hash] {
+		s.idle.Wait()
+	}
+	old := s.entries[hash]
+	if meta == nil && (old == nil || base != nil && old.extents() != base.extents()) {
+		s.mu.Unlock()
+		return false, []ArtifactError{{"record", fmt.Errorf("store: no entry %s to amend", hash)}}
+	}
+	s.writing[hash] = true // old's regions change only under this reservation
+	s.mu.Unlock()
+
+	var err error
+	var crcs [len(regions)]uint64
+	for k := range regions {
+		if meta == nil && parts[k] == nil && err == nil {
+			var b bytes.Buffer
+			if _, rerr := s.readRegion(old, k, &b); rerr == nil {
+				parts[k] = b.Bytes()
+			} else if k == regionSnapshot {
+				err = fmt.Errorf("store: entry %s: %w", hash, rerr)
+			}
+		}
+		crcs[k] = crc64.Checksum(parts[k], crcTable)
+	}
+	path := s.objectPath(hash)
+	if err == nil {
+		err = writeTemp(path, bytes.Join(parts[:], nil))
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.entries[hash]
-	switch {
-	case hash == "":
-		return false, []ArtifactError{{"snapshot", fmt.Errorf("store: write with empty hash")}}
-	case meta == nil && m == nil:
-		return false, []ArtifactError{{"snapshot", fmt.Errorf("store: attachment for unknown entry %s", hash)}}
-	case meta != nil:
-		if err := writeAtomic(s.objectPath(hash), snapshot); err != nil {
-			return false, []ArtifactError{{"snapshot", err}}
-		}
-		if m != nil {
-			// The old attachments describe the replaced snapshot: their
-			// files go too, or they would leak bytes invisible to the
-			// accounting.
-			s.total -= entryBytes(m)
-			s.removeAttachmentFiles(hash)
-		}
-		// Bookkeeping is owned by the store: a fresh entry starts with no
-		// attachments regardless of what the caller's Meta claims.
+	delete(s.writing, hash)
+	s.idle.Broadcast()
+	if err == nil && meta == nil && s.entries[hash] != old {
+		err = fmt.Errorf("store: entry %s removed while being amended", hash)
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	if err != nil {
+		_ = os.Remove(path + ".tmp")
+		return false, []ArtifactError{{"record", err}}
+	}
+	m := old
+	if meta != nil {
 		m = meta
-		for i := range attachments {
-			size, crc := attachments[i].slot(m)
-			*size, *crc = 0, 0
-		}
-		m.Size, m.CRC = int64(len(snapshot)), crc64.Checksum(snapshot, crcTable)
 		m.CreatedAt = s.opts.Now().Unix()
 		m.LastUsed = m.CreatedAt
-		s.entries[hash] = m
-		s.total += m.Size
 		s.counts.Puts++
 	}
-	for i, data := range att {
-		if data == nil {
-			continue
-		}
-		k := &attachments[i]
-		if err := writeAtomic(s.attachmentPath(k, hash), data); err != nil {
-			errs = append(errs, ArtifactError{k.name, err})
-			continue
-		}
-		size, crc := k.slot(m)
-		s.total += int64(len(data)) - *size
-		*size, *crc = int64(len(data)), crc64.Checksum(data, crcTable)
+	if cur := s.entries[hash]; cur != nil {
+		s.total -= entryBytes(cur)
 	}
+	for k := range regions {
+		size, crc := regions[k].slot(m)
+		*size, *crc = int64(len(parts[k])), crcs[k]
+	}
+	s.entries[hash] = m
+	s.total += entryBytes(m)
 	s.dirty = append(s.dirty, hash)
 	s.evictLocked(s.opts.Now())
 	if err := s.journalLocked(); err != nil {
@@ -563,22 +617,21 @@ func (s *Store) touchLocked(hash string) (*Meta, bool) {
 	return m, true
 }
 
-// WriteObject writes the object of m, an entry as Get returned it, to w
+// WriteObject writes the snapshot of m, an entry as Get returned it, to w
 // through readFile. A failed read is a miss: an entry still recording m's
-// size and CRC is quarantined (corrupt) or forgotten (lost) and journaled;
-// one a write replaced meanwhile is left alone.
+// regions is quarantined (corrupt) or forgotten (lost) and journaled; one a
+// write replaced meanwhile is left alone.
 func (s *Store) WriteObject(m Meta, w io.Writer) (int64, error) {
-	path := s.objectPath(m.Hash)
-	n, err := readFile(path, m.Size, m.CRC, w)
+	n, err := s.readRegion(&m, regionSnapshot, w)
 	if err != errCorrupt && err != errLost {
 		return n, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts.Hits, s.counts.Misses = s.counts.Hits-1, s.counts.Misses+1 // Get counted a hit
-	if e := s.entries[m.Hash]; e != nil && e.CRC == m.CRC && e.Size == m.Size {
+	if e := s.entries[m.Hash]; e != nil && e.extents() == m.extents() {
 		if err == errCorrupt {
-			s.quarantineLocked(path, m.Hash)
+			s.quarantineLocked(s.objectPath(m.Hash), m.Hash)
 		}
 		s.removeLocked(m.Hash)
 		_ = s.journalLocked() // a lost record leaves an entry the next Open drops again
@@ -624,56 +677,49 @@ func (s *Store) ReportHashes() []string {
 	return out
 }
 
-// readAttachment returns the entry's attachment bytes of one kind, read and
-// verified outside the lock. A missing or corrupt file is reported absent,
-// never served wrong; if its slot still records the size and CRC the read
-// checked against, the file is dropped and the slot zeroed.
-func (s *Store) readAttachment(kind int, hash string) ([]byte, bool) {
-	k, seen := &attachments[kind], Meta{}
+// readAttachment returns region k of the entry's record, read and verified
+// outside the lock. A region that fails its check is reported absent, never
+// served wrong, and dropped from the record unless a write has replaced the
+// entry since the read.
+func (s *Store) readAttachment(k int, hash string) ([]byte, bool) {
+	var seen Meta
 	s.mu.Lock()
-	m := s.entries[hash]
-	if m != nil {
+	if m := s.entries[hash]; m != nil {
 		seen = *m
 	}
 	s.mu.Unlock()
-	size, crc := k.slot(&seen)
-	if *size == 0 {
+	size := seen.extents()[k].size
+	if size == 0 {
 		return nil, false
 	}
-	path, b := s.attachmentPath(k, hash), bytes.NewBuffer(make([]byte, 0, *size))
-	if _, err := readFile(path, *size, *crc, b); err == nil {
+	b := bytes.NewBuffer(make([]byte, 0, size))
+	if _, err := s.readRegion(&seen, k, b); err == nil {
 		return b.Bytes(), true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ps, pc := k.slot(m); s.entries[hash] == m && *ps == *size && *pc == *crc {
-		_ = os.Remove(path)
-		s.total -= *size
-		*ps, *pc = 0, 0
-		s.dirty = append(s.dirty, hash)
-		_ = s.journalLocked() // a lost record leaves a slot the next Open clears again
-	}
+	var drop [len(regions)][]byte
+	drop[k] = []byte{}
+	s.write(hash, nil, drop, &seen) // a failed drop leaves a region the next Open drops again
 	return nil, false
 }
 
 // ReadReport returns the entry's verification report bytes.
 func (s *Store) ReadReport(hash string) ([]byte, bool) {
-	return s.readAttachment(kindReport, hash)
+	return s.readAttachment(regionReport, hash)
 }
 
 // ReadTelemetry returns the entry's telemetry track bytes.
 func (s *Store) ReadTelemetry(hash string) ([]byte, bool) {
-	return s.readAttachment(kindTelemetry, hash)
+	return s.readAttachment(regionTelemetry, hash)
 }
 
 // Stats is the GET /v1/store metrics snapshot.
 type Stats struct {
 	// Entries counts live entries; Bytes is their total on-disk footprint
-	// (objects plus attachments — the number the MaxBytes cap governs).
+	// (every region of every record — the number the MaxBytes cap governs).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// ObjectBytes, ReportBytes and TelemetryBytes break Bytes down by what
-	// the disk actually holds.
+	// ObjectBytes, ReportBytes and TelemetryBytes break Bytes down by
+	// region: snapshots, reports, tracks.
 	ObjectBytes    int64 `json:"objectBytes"`
 	ReportBytes    int64 `json:"reportBytes"`
 	TelemetryBytes int64 `json:"telemetryBytes"`
@@ -699,18 +745,12 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.counts
 	st.Entries, st.Bytes = len(s.entries), s.total
-	perKind := [len(attachments)]struct {
-		bytes *int64
-		n     *int
-	}{kindReport: {&st.ReportBytes, &st.Reports}, kindTelemetry: {&st.TelemetryBytes, &st.Telemetry}}
 	for _, m := range s.entries {
 		st.ObjectBytes += m.Size
-		for i := range attachments {
-			if size, _ := attachments[i].slot(m); *size > 0 {
-				*perKind[i].n++
-				*perKind[i].bytes += *size
-			}
-		}
+		st.ReportBytes += m.ReportSize
+		st.TelemetryBytes += m.TelemetrySize
+		st.Reports += int(min(m.ReportSize, 1))
+		st.Telemetry += int(min(m.TelemetrySize, 1))
 	}
 	if total := st.Hits + st.Misses; total > 0 {
 		st.HitRate = float64(st.Hits) / float64(total)

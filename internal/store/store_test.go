@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,7 +32,20 @@ func objPath(dir, hash string) string {
 	return filepath.Join(dir, "objects", hash[:2], hash+".sph")
 }
 
-// diskBytes sums the object files actually on disk.
+// flipByte flips one bit of the byte at off in the file at path.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[off] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diskBytes sums the record files actually on disk.
 func diskBytes(t *testing.T, dir string) int64 {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.sph"))
@@ -411,24 +425,22 @@ func TestReportEvictedWithEntryAndCorruptReportDropped(t *testing.T) {
 	if err := s.PutReport("aaaa", []byte(`{"pass":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	// TTL eviction removes the report file with the entry.
+	// TTL eviction removes the record, report included, with the entry.
 	clock.advance(2 * time.Hour)
 	s.Sweep()
-	if _, err := os.Stat(filepath.Join(dir, "reports", "aaaa.json")); !os.IsNotExist(err) {
-		t.Errorf("report file survives entry eviction: %v", err)
+	if _, err := os.Stat(objPath(dir, "aaaa")); !os.IsNotExist(err) {
+		t.Errorf("record survives entry eviction: %v", err)
 	}
 	if _, ok := s.ReadReport("aaaa"); ok {
 		t.Error("evicted entry still serves a report")
 	}
 
-	// A tampered report fails its CRC and is dropped, not served.
+	// A tampered report region fails its CRC and is dropped, not served.
 	put(t, s, "bbbb", 100)
 	if err := s.PutReport("bbbb", []byte(`{"pass":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "reports", "bbbb.json"), []byte(`{"pass":false}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	flipByte(t, objPath(dir, "bbbb"), int64(100+len(`{"pass":`)))
 	if b, ok := s.ReadReport("bbbb"); ok {
 		t.Errorf("tampered report served: %q", b)
 	}
@@ -448,15 +460,22 @@ func TestStaleReportRemovedOnOpen(t *testing.T) {
 	if err := s.PutReport("aaaa", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	// Lose the object: reopening drops the entry and its stale report.
+	// Lose the record: reopening drops the entry, and nothing of it, its
+	// report included, is served or left on disk.
 	if err := os.Remove(objPath(dir, "aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err != nil {
+	s2, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "reports", "aaaa.json")); !os.IsNotExist(err) {
-		t.Errorf("stale report survives reopen: %v", err)
+	if b, ok := s2.ReadReport("aaaa"); ok || s2.Stats().Entries != 0 {
+		t.Errorf("the lost record's report is served: %q (%d entries)", b, s2.Stats().Entries)
+	}
+	for name := range tree(t, dir) {
+		if strings.Contains(name, "aaaa") {
+			t.Errorf("stale %s survives reopen", name)
+		}
 	}
 }
 
@@ -583,22 +602,22 @@ func TestTelemetryAndProfileAttachments(t *testing.T) {
 		t.Fatal("telemetry not byte-identical across reopen")
 	}
 
-	// A corrupt telemetry file is dropped, not served.
-	tp := filepath.Join(dir, "telemetry", "aaaa.json")
-	if err := os.WriteFile(tp, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt telemetry region is dropped, not served; the snapshot
+	// before it stays.
+	flipByte(t, objPath(dir, "aaaa"), 64+3)
 	if _, ok := s2.ReadTelemetry("aaaa"); ok {
 		t.Fatal("corrupt telemetry track served")
 	}
-	if _, err := os.Stat(tp); !os.IsNotExist(err) {
-		t.Fatal("corrupt telemetry track left on disk")
+	if fi, err := os.Stat(objPath(dir, "aaaa")); err != nil || fi.Size() != 64 {
+		t.Fatalf("corrupt telemetry track left on disk: %v", err)
+	}
+	if _, _, err := s2.ReadObject("aaaa"); err != nil {
+		t.Fatalf("the snapshot went with the corrupt track: %v", err)
 	}
 
-	// Stale attachment files (no entry) are swept on open.
-	if err := os.WriteFile(filepath.Join(dir, "telemetry", "zzzz.json"), track, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Stale attachment files of the layout before records (no entry) are
+	// swept on open.
+	writeTree(t, dir, map[string][]byte{"telemetry/zzzz.json": track})
 	if _, err := Open(dir, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -697,9 +716,10 @@ func TestTotalBytesTracksAttachmentsAcrossReopen(t *testing.T) {
 		t.Errorf("TotalBytes after reopen = %d, want 200", got)
 	}
 
-	// Delete the telemetry file behind the store's back: the next Open must
-	// reconcile the accounting back down instead of trusting the index.
-	if err := os.Remove(filepath.Join(dir, "telemetry", "aaaa.json")); err != nil {
+	// Cut the telemetry region off the record behind the store's back: the
+	// next Open must reconcile the accounting back down instead of trusting
+	// the index.
+	if err := os.Truncate(objPath(dir, "aaaa"), 140); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := Open(dir, Options{})
@@ -710,7 +730,10 @@ func TestTotalBytesTracksAttachmentsAcrossReopen(t *testing.T) {
 		t.Errorf("TotalBytes after losing telemetry file = %d, want 140", got)
 	}
 	if _, ok := s3.ReadTelemetry("aaaa"); ok {
-		t.Error("vanished telemetry file still served")
+		t.Error("vanished telemetry region still served")
+	}
+	if b, ok := s3.ReadReport("aaaa"); !ok || len(b) != 40 {
+		t.Errorf("the report before the cut is lost: %q ok=%v", b, ok)
 	}
 }
 
@@ -735,8 +758,8 @@ func TestPutOverwriteDropsStaleAttachments(t *testing.T) {
 	if _, ok := s.ReadReport("aaaa"); ok {
 		t.Error("stale report served after its entry was overwritten")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "reports", "aaaa.json")); !os.IsNotExist(err) {
-		t.Errorf("stale report file left on disk: %v", err)
+	if fi, err := os.Stat(objPath(dir, "aaaa")); err != nil || fi.Size() != 50 {
+		t.Errorf("stale report left on disk in the record: %v", err)
 	}
 	if got, want := s.Stats().Bytes, diskBytesAll(t, dir); got != want {
 		t.Errorf("tracked total %d != on-disk total %d", got, want)
