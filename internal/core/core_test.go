@@ -142,17 +142,21 @@ func TestEvrardConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	drift := conserve.Compare(ref, sim.Conservation())
+	t.Logf("drift %s", drift)
+	// Bounds sit just above the measured drift (energy 0.42%, momentum
+	// and angular momentum <= 3e-17), so a gravity change that alters
+	// which cells a particle sees, not only the rounding, shows here.
 	if drift.Mass != 0 {
 		t.Errorf("mass drift %g, want exact", drift.Mass)
 	}
-	if drift.Momentum > 1e-8 {
-		t.Errorf("momentum drift %g", drift.Momentum)
+	if drift.Momentum > 1e-13 {
+		t.Errorf("momentum drift %g > 1e-13", drift.Momentum)
 	}
-	if drift.Energy > 0.05 {
-		t.Errorf("energy drift %g > 5%% over 15 steps", drift.Energy)
+	if drift.Energy > 0.005 {
+		t.Errorf("energy drift %g > 0.5%% over 15 steps", drift.Energy)
 	}
-	if drift.AngMom > 1e-6 {
-		t.Errorf("angular momentum drift %g", drift.AngMom)
+	if drift.AngMom > 1e-13 {
+		t.Errorf("angular momentum drift %g > 1e-13", drift.AngMom)
 	}
 }
 

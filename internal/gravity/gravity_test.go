@@ -3,8 +3,11 @@ package gravity
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/ic"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -307,5 +310,81 @@ func BenchmarkDirect2k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Direct(pos, mass, 1, 0, 0)
+	}
+}
+
+// TestWalkInteractionsPinned pins which cells every particle of an Evrard
+// sphere interacts with, per multipole order, through the two work counts,
+// and the walk's accuracy against Direct at today's values rounded up in
+// the third significant digit. A walk that keeps the same opening test and
+// leaf rule keeps both counts exactly; only the rounding of the sums moves.
+func TestWalkInteractionsPinned(t *testing.T) {
+	ps, _, box := ic.DefaultEvrard(8000).Generate()
+	pos, mass := ps.Pos[:ps.NLocal], ps.Mass[:ps.NLocal]
+	tr := tree.Build(pos, tree.Options{Box: box})
+	targets := make([]int32, len(pos))
+	for i := range targets {
+		targets[i] = int32(i)
+	}
+	want := Direct(pos, mass, 1, 0.02, 0)
+	for _, c := range []struct {
+		ord    Order
+		maxErr float64
+	}{{Monopole, 0.01062}, {Quadrupole, 0.00495}, {Hexadecapole, 0.000552}} {
+		s := NewSolver(tr, pos, mass)
+		s.Order, s.Theta, s.Eps, s.G = c.ord, 0.6, 0.02, 1
+		got := s.Accelerations(targets, 0)
+		if got.NodeInteractions != 1019728 || got.ParticleInteractions != 4626840 {
+			t.Errorf("%v: %d node and %d pair interactions, want 1019728 and 4626840",
+				c.ord, got.NodeInteractions, got.ParticleInteractions)
+		}
+		e := maxRelAccError(got.Acc, want.Acc)
+		t.Logf("%v: max relative error %.6g", c.ord, e)
+		if e > c.maxErr {
+			t.Errorf("%v: max relative error %g against Direct, want <= %g", c.ord, e, c.maxErr)
+		}
+	}
+}
+
+// TestSharedSolverReaders: AccelerationsInto only reads the solver, so
+// goroutines may share one (every rank reads rank 0's). Four of them, each
+// over a disjoint quarter of the targets, produce exactly the one call over
+// all targets, counts included.
+func TestSharedSolverReaders(t *testing.T) {
+	pos, mass := cluster(2000, rand.New(rand.NewSource(10)))
+	s := NewSolver(tree.Build(pos, tree.Options{}), pos, mass)
+	s.Order, s.Eps = Quadrupole, 0.01
+	targets := make([]int32, len(pos))
+	for i := range targets {
+		targets[i] = int32(i)
+	}
+	want := s.Accelerations(targets, 2)
+
+	const readers = 4
+	parts := make([]Result, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := r*len(targets)/readers, (r+1)*len(targets)/readers
+			s.AccelerationsInto(&parts[r], targets[lo:hi], 2)
+		}()
+	}
+	wg.Wait()
+	var acc []vec.V3
+	var pot []float64
+	var nodes, pairs int64
+	for _, p := range parts {
+		acc, pot = append(acc, p.Acc...), append(pot, p.Pot...)
+		nodes += p.NodeInteractions
+		pairs += p.ParticleInteractions
+	}
+	if !slices.Equal(acc, want.Acc) || !slices.Equal(pot, want.Pot) {
+		t.Error("four readers' accelerations or potentials differ from one call's")
+	}
+	if nodes != want.NodeInteractions || pairs != want.ParticleInteractions {
+		t.Errorf("four readers counted %d nodes and %d pairs, one call %d and %d",
+			nodes, pairs, want.NodeInteractions, want.ParticleInteractions)
 	}
 }
