@@ -165,6 +165,12 @@ type ConservationDetector struct {
 	Tolerance float64
 }
 
+// massTolerance bounds the relative mass drift the conservation detector
+// accepts whatever its Tolerance. Mass is a sum of per-particle constants:
+// summed in a fixed order it does not move at all, and in another order
+// only by rounding, so any larger drift is corruption.
+const massTolerance = 1e-12
+
 // Name implements Detector.
 func (d *ConservationDetector) Name() string { return "conservation" }
 
@@ -174,8 +180,7 @@ func (d *ConservationDetector) Check(ps *part.Set, st conserve.State) Verdict {
 		return Verdict{Corrupted: true, Detector: "conservation", Detail: err.Error()}
 	}
 	drift := conserve.Compare(d.Ref, st)
-	if drift.Mass > d.Tolerance/10 {
-		// Mass is exactly conserved by construction; any drift is corruption.
+	if drift.Mass > massTolerance {
 		return Verdict{Corrupted: true, Detector: "conservation",
 			Detail: fmt.Sprintf("mass drift %.3e", drift.Mass)}
 	}

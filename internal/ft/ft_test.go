@@ -175,9 +175,7 @@ func TestConservationDetector(t *testing.T) {
 	if v := d.Check(ps, conserve.Measure(ps, nil)); v.Corrupted {
 		t.Fatalf("tiny drift flagged: %s", v.Detail)
 	}
-	// Mass corruption is flagged at much tighter tolerance (the detector
-	// threshold is Tolerance/10 on the *total* mass, so a single-particle
-	// upset must be sizable to trip it over 50 particles).
+	// Mass corruption is flagged whatever the tolerance.
 	ps.Mass[0] *= 2
 	if v := d.Check(ps, conserve.Measure(ps, nil)); !v.Corrupted {
 		t.Fatal("mass corruption passed")
