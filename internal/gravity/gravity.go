@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/par"
+	"repro/internal/sfc"
 	"repro/internal/tree"
 	"repro/internal/vec"
 )
@@ -20,6 +21,12 @@ type Solver struct {
 	mass    []float64
 	moments []Moments
 
+	// What the walk reads, packed by Reset: one cell per tree node, the
+	// sources in tree order, and each particle's place in that order.
+	cells []cell
+	srcs  []source
+	place []int32
+
 	// Order is the multipole expansion order used when a node is accepted.
 	Order Order
 	// Theta is the Barnes-Hut opening angle: a node of edge size s at
@@ -31,6 +38,22 @@ type Solver struct {
 	G float64
 }
 
+// cell is what the walk reads of one tree node, in 64 bytes: its moments'
+// COM, mass and RMax, its edge size and its node links.
+type cell struct {
+	COM                      vec.V3
+	Mass                     float64
+	Size                     float64 // 2 * Half
+	RMax                     float64
+	FirstChild, Start, Count int32
+}
+
+// source is one particle as a direct sum reads it.
+type source struct {
+	Pos  vec.V3
+	Mass float64
+}
+
 // NewSolver computes node multipole moments bottom-up over tr and returns a
 // solver. pos and mass are indexed by the same particle indices tr was built
 // from.
@@ -40,14 +63,27 @@ func NewSolver(tr *tree.Tree, pos []vec.V3, mass []float64) *Solver {
 	return s
 }
 
-// Reset points s at a new tree and particle set and recomputes the moments
-// in the capacity of the previous ones. Order, Theta, Eps and G are kept.
+// Reset points s at a new tree and particle set, recomputes the moments and
+// packs the walk's arrays, all in the capacity of the previous ones. Order,
+// Theta, Eps and G are kept.
 func (s *Solver) Reset(tr *tree.Tree, pos []vec.V3, mass []float64) {
 	s.tr, s.pos, s.mass = tr, pos, mass
 	s.moments = slices.Grow(s.moments[:0], len(tr.Nodes))[:len(tr.Nodes)]
 	clear(s.moments)
 	if len(tr.Nodes) > 0 {
 		s.computeMoments(0)
+	}
+	s.cells = slices.Grow(s.cells[:0], len(tr.Nodes))[:len(tr.Nodes)]
+	for i := range tr.Nodes {
+		nd, m := &tr.Nodes[i], &s.moments[i]
+		s.cells[i] = cell{COM: m.COM, Mass: m.Mass, Size: 2 * nd.Half, RMax: m.RMax,
+			FirstChild: nd.FirstChild, Start: nd.Start, Count: nd.Count}
+	}
+	s.srcs = slices.Grow(s.srcs[:0], len(tr.Index))[:len(tr.Index)]
+	s.place = slices.Grow(s.place[:0], len(pos))[:len(pos)]
+	for k, j := range tr.Index {
+		s.srcs[k] = source{Pos: pos[j], Mass: mass[j]}
+		s.place[j] = int32(k)
 	}
 }
 
@@ -123,19 +159,14 @@ func (s *Solver) AccelerationsInto(res *Result, targets []int32, workers int) {
 	}
 	n := len(targets)
 	res.Acc, res.Pot = slices.Grow(res.Acc[:0], n)[:n], slices.Grow(res.Pot[:0], n)[:n]
-	if len(s.tr.Nodes) == 0 {
-		clear(res.Acc)
-		clear(res.Pot)
-		res.NodeInteractions, res.ParticleInteractions = 0, 0
-		return
-	}
 	// Interaction counts: a local in the loop, added once after it (the
 	// par.Range accumulator rule); integer sums do not depend on the order.
 	var nodes, pairs atomic.Int64
 	par.Range(n, workers, func(_, lo, hi int) {
 		var ni, pi int64
 		for t := lo; t < hi; t++ {
-			a, p, n1, n2 := s.walk(0, targets[t])
+			j := targets[t]
+			a, p, n1, n2 := s.walk(s.pos[j], s.place[j])
 			res.Acc[t], res.Pot[t] = a, p
 			ni += n1
 			pi += n2
@@ -146,60 +177,69 @@ func (s *Solver) AccelerationsInto(res *Result, targets []int32, workers int) {
 	res.NodeInteractions, res.ParticleInteractions = nodes.Load(), pairs.Load()
 }
 
-// walk traverses the tree for particle idx, returning acceleration,
-// potential, and interaction counts.
-func (s *Solver) walk(ni int, idx int32) (vec.V3, float64, int64, int64) {
-	nd := &s.tr.Nodes[ni]
-	m := &s.moments[ni]
-	if m.Mass == 0 {
-		return vec.V3{}, 0, 0, 0
+// walk sums over the tree the gravity on the particle at position p and
+// tree place self, returning acceleration, potential and interaction
+// counts. It visits cells depth first in child order from a stack of its
+// own, and sums in visit order.
+func (s *Solver) walk(p vec.V3, self int32) (acc vec.V3, pot float64, nodes, pairs int64) {
+	// Each of the at most sfc.Bits levels below the root pops one cell and
+	// pushes up to eight.
+	var stack [7*sfc.Bits + 1]int32
+	sp := 0
+	if len(s.cells) > 0 && s.cells[0].Mass > 0 {
+		sp = 1
 	}
-	p := s.pos[idx]
-	R := p.Sub(m.COM)
-	dist := R.Norm()
+	e2 := s.Eps * s.Eps
+	for sp > 0 {
+		sp--
+		ni := stack[sp]
+		c := &s.cells[ni]
+		R := p.Sub(c.COM)
+		dist := R.Norm()
 
-	// Multipole acceptance criterion: geometric opening angle with an RMax
-	// guard (a node whose COM sits near its edge must open sooner).
-	size := 2 * nd.Half
-	open := dist*s.Theta <= size || dist <= m.RMax
-	if !nd.IsLeaf() && open {
-		var acc vec.V3
-		var pot float64
-		var niC, piC int64
-		for c := nd.FirstChild; c < nd.FirstChild+8; c++ {
-			a, po, n1, n2 := s.walk(int(c), idx)
+		// Multipole acceptance criterion: geometric opening angle with an
+		// RMax guard (a node whose COM sits near its edge must open sooner).
+		open := dist*s.Theta <= c.Size || dist <= c.RMax
+		leaf := c.FirstChild < 0
+		switch {
+		case !leaf && open:
+			// Children last first, so they pop in child order.
+			for ch := c.FirstChild + 7; ch >= c.FirstChild; ch-- {
+				if s.cells[ch].Mass > 0 {
+					stack[sp] = ch
+					sp++
+				}
+			}
+		case leaf && (open || int(c.Count) <= 8):
+			// Direct summation over the leaf's sources.
+			for k := c.Start; k < c.Start+c.Count; k++ {
+				if k == self {
+					continue
+				}
+				src := &s.srcs[k]
+				d := p.Sub(src.Pos)
+				inv := 1 / math.Sqrt(d.Norm2()+e2)
+				f := -s.G * src.Mass * inv
+				acc = acc.MulAdd(f*inv*inv, d)
+				pot += f
+				pairs++
+			}
+		case s.Order == Monopole:
+			// Accepted at monopole order: the packed cell is all it needs.
+			inv := 1 / math.Sqrt(R.Norm2()+e2)
+			f := -s.G * c.Mass * inv
+			acc = acc.MulAdd(f*inv*inv, R)
+			pot += f
+			nodes++
+		default:
+			// Accepted: evaluate the multipole expansion.
+			a, po := s.evaluate(&s.moments[ni], R)
 			acc = acc.Add(a)
 			pot += po
-			niC += n1
-			piC += n2
+			nodes++
 		}
-		return acc, pot, niC, piC
 	}
-	if nd.IsLeaf() && (open || int(nd.Count) <= 8) {
-		// Direct summation over leaf particles.
-		var acc vec.V3
-		var pot float64
-		var pairs int64
-		e2 := s.Eps * s.Eps
-		for k := nd.Start; k < nd.Start+nd.Count; k++ {
-			j := s.tr.Index[k]
-			if j == idx {
-				continue
-			}
-			d := p.Sub(s.pos[j])
-			r2 := d.Norm2() + e2
-			r1 := math.Sqrt(r2)
-			inv := 1 / r1
-			inv3 := inv / r2
-			acc = acc.MulAdd(-s.G*s.mass[j]*inv3, d)
-			pot -= s.G * s.mass[j] * inv
-			pairs++
-		}
-		return acc, pot, 0, pairs
-	}
-	// Accepted: evaluate the multipole expansion.
-	a, pot := s.evaluate(m, R)
-	return a, pot, 1, 0
+	return acc, pot, nodes, pairs
 }
 
 // evaluate computes acceleration and potential of the node expansion at
