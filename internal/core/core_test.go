@@ -143,9 +143,10 @@ func TestEvrardConservation(t *testing.T) {
 	}
 	drift := conserve.Compare(ref, sim.Conservation())
 	t.Logf("drift %s", drift)
-	// Bounds sit just above the measured drift (energy 0.42%, momentum
-	// and angular momentum <= 3e-17), so a gravity change that alters
-	// which cells a particle sees, not only the rounding, shows here.
+	// The energy bound sits just above the measured 0.42%, and momentum
+	// and angular momentum (measured <= 3e-17) are bounded at 1e-13, so a
+	// gravity change that alters which cells a particle sees, not only
+	// the rounding of its sums, shows here.
 	if drift.Mass != 0 {
 		t.Errorf("mass drift %g, want exact", drift.Mass)
 	}

@@ -14,9 +14,9 @@ import (
 
 // TestMassCheckIsExact: a flip of mantissa bit 30 of one particle's mass
 // moves the total mass of a 1000-particle Sedov run by ~2e-10 relative,
-// two orders below what any other branch sees at the CLI's tolerance of
-// 0.2. The detector's mass branch flags it; the clean run passes every
-// step.
+// far inside the CLI's conservation tolerance of 0.2. The detector's mass
+// branch, which does not scale with that tolerance, flags it; the clean run
+// passes every step.
 func TestMassCheckIsExact(t *testing.T) {
 	const steps, flipAt = 10, 3
 	run := func(flip bool) Verdict {

@@ -243,8 +243,9 @@ func (s *Solver) walk(p vec.V3, self int32) (acc vec.V3, pot float64, nodes, pai
 }
 
 // evaluate computes acceleration and potential of the node expansion at
-// offset R from the node COM (softened monopole; higher moments unsoftened,
-// valid because acceptance implies dist >> eps in practice).
+// offset R from the node COM, at quadrupole order or above (softened
+// monopole; higher moments unsoftened, valid because acceptance implies
+// dist >> eps in practice). walk evaluates monopole cells itself.
 func (s *Solver) evaluate(m *Moments, R vec.V3) (vec.V3, float64) {
 	e2 := s.Eps * s.Eps
 	r2 := R.Norm2() + e2
@@ -258,9 +259,6 @@ func (s *Solver) evaluate(m *Moments, R vec.V3) (vec.V3, float64) {
 	// Monopole.
 	pot := -s.G * m.Mass * inv
 	acc := R.Scale(-s.G * m.Mass * inv3)
-	if s.Order == Monopole {
-		return acc, pot
-	}
 
 	// Quadrupole (raw second moment).
 	q2 := m.M2.MulVec(R).Dot(R) // M2_ij R_i R_j
