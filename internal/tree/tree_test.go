@@ -358,23 +358,7 @@ func TestBallSearchProperties(t *testing.T) {
 		"periodic":   {X: true, Y: true, Z: true, L: one},
 	} {
 		rng := rand.New(rand.NewSource(21))
-		pos := randomPositions(600, rng)
-		for i := 0; i < 60; i++ {
-			p := &pos[rng.Intn(len(pos))]
-			axis := rng.Intn(3)
-			coord := [3]*float64{&p.X, &p.Y, &p.Z}[axis]
-			face := float64(rng.Intn(2))
-			switch i % 3 {
-			case 0: // on a face
-				*coord = face
-			case 1: // coincident with another point
-				*p = pos[rng.Intn(len(pos))]
-			case 2: // outside the box along an open axis
-				if periodic := [3]bool{pbc.X, pbc.Y, pbc.Z}; !periodic[axis] {
-					*coord = face + (2*face-1)*0.3*rng.Float64()
-				}
-			}
-		}
+		pos := propertyCloud(pbc, rng)
 		for _, opt := range []Options{{PBC: pbc, Box: box, LeafCap: 4}, {PBC: pbc, Box: box}} {
 			tr := Build(pos, opt)
 			for trial := 0; trial < 200; trial++ {
@@ -404,6 +388,30 @@ func TestBallSearchProperties(t *testing.T) {
 			}
 		}
 	}
+}
+
+// propertyCloud is 600 random points in the unit cube, 60 of them then
+// moved onto a face, onto another point or — along pbc's open axes — up to
+// 0.3 outside the cube.
+func propertyCloud(pbc PBC, rng *rand.Rand) []vec.V3 {
+	pos := randomPositions(600, rng)
+	for i := 0; i < 60; i++ {
+		p := &pos[rng.Intn(len(pos))]
+		axis := rng.Intn(3)
+		coord := [3]*float64{&p.X, &p.Y, &p.Z}[axis]
+		face := float64(rng.Intn(2))
+		switch i % 3 {
+		case 0: // on a face
+			*coord = face
+		case 1: // coincident with another point
+			*p = pos[rng.Intn(len(pos))]
+		case 2: // outside the box along an open axis
+			if periodic := [3]bool{pbc.X, pbc.Y, pbc.Z}; !periodic[axis] {
+				*coord = face + (2*face-1)*0.3*rng.Float64()
+			}
+		}
+	}
+	return pos
 }
 
 func sortedIdx(hits []Hit) []int32 {
