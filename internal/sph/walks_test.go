@@ -62,3 +62,83 @@ func TestServeColdJobWalksOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborListHasNoDuplicates: once the support radius reaches half a
+// period, two periodic images of a particle's position can both reach a
+// neighbour. Every pair loop measures a listed neighbour through the
+// minimum image, so a neighbour listed twice counts the nearest image twice.
+// The sedov job below (N = 125, 60 neighbours, a spec a served job may ask
+// for) has 2h above half the box from step 6; each list holds a particle at
+// most once, and the counts are the lists' lengths.
+func TestNeighborListHasNoDuplicates(t *testing.T) {
+	sc, err := scenario.Get("sedov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, cfg, err := sc.Generate(scenario.Params{N: 125, NNeighbors: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.New(cfg, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfPeriod := false
+	for step := 0; step < 8; step++ {
+		in := sim.PS.Clone()
+		var ws sph.Workspace
+		nl := ws.UpdateSmoothingLengths(in, ws.BuildTree(in, &sim.Cfg.SPH), &sim.Cfg.SPH)
+		for i := 0; i < in.NLocal; i++ {
+			halfPeriod = halfPeriod || 2*kernel.SupportRadius*in.H[i] >= sim.Cfg.SPH.PBC.L.X
+			list := slices.Clone(nl.Of(i))
+			slices.Sort(list)
+			for j := 1; j < len(list); j++ {
+				if list[j] == list[j-1] {
+					t.Fatalf("step %d: particle %d lists neighbour %d twice (h = %g)", step, i, list[j], in.H[i])
+				}
+			}
+		}
+		if _, err := sim.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !halfPeriod {
+		t.Fatal("no support radius reached half a period: the case no longer tests the images")
+	}
+}
+
+// BenchmarkNeighbors8k times step 2 of Algorithm 1 alone: BuildTree and
+// UpdateSmoothingLengths on one worker, on the state of each engine
+// workload's 8000 particles after 12 steps. Each call starts from that
+// state's smoothing lengths and counts.
+func BenchmarkNeighbors8k(b *testing.B) {
+	for _, name := range []string{"sedov", "evrard", "square"} {
+		b.Run(name, func(b *testing.B) {
+			sc, err := scenario.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ps, cfg, err := sc.Generate(scenario.Params{N: 8000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim, err := core.New(cfg, ps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sim.Run(12, 0); err != nil {
+				b.Fatal(err)
+			}
+			p := sim.Cfg.SPH
+			p.Workers = 1
+			in := sim.PS.Clone()
+			var ws sph.Workspace
+			b.ResetTimer()
+			for range b.N {
+				copy(in.H, sim.PS.H)
+				copy(in.NN, sim.PS.NN)
+				ws.UpdateSmoothingLengths(in, ws.BuildTree(in, &p), &p)
+			}
+		})
+	}
+}

@@ -85,6 +85,8 @@ type Tree struct {
 	pos   []vec.V3
 	pbc   PBC
 	keys  []sfc.Key // in Morton order
+	spos  []vec.V3  // spos[k] = pos[Index[k]]
+	boxes []cellBox // boxes[i] bounds the particles of Nodes[i]
 
 	// Scratch kept by Rebuild: the keys in particle order and the sort.
 	raw    []sfc.Key
@@ -141,9 +143,11 @@ func (t *Tree) Rebuild(pos []vec.V3, opt Options) {
 	perm := t.sorter.Sort(t.raw, workers)
 	t.Index = slices.Grow(t.Index[:0], n)[:n]
 	t.keys = slices.Grow(t.keys[:0], n)[:n]
+	t.spos = slices.Grow(t.spos[:0], n)[:n]
 	for i, p := range perm {
 		t.Index[i] = int32(p)
 		t.keys[i] = t.raw[p]
+		t.spos[i] = pos[p]
 	}
 
 	// Root cell: the quantization cube.
@@ -157,6 +161,44 @@ func (t *Tree) Rebuild(pos []vec.V3, opt Options) {
 	}
 	t.Nodes = append(t.Nodes[:0], root)
 	t.split(0, 3*(sfc.Bits-1), leafCap)
+	t.fitBoxes()
+}
+
+// cellBox is an axis-aligned box, lo > hi when it holds nothing.
+type cellBox struct{ lo, hi vec.V3 }
+
+// fitBoxes sets each node's box to the tightest one around its particles,
+// leaves from their positions and the rest from their children, which come
+// after their parent in Nodes. A NaN coordinate makes the boxes around it
+// NaN, which every search opens.
+func (t *Tree) fitBoxes() {
+	t.boxes = slices.Grow(t.boxes[:0], len(t.Nodes))[:len(t.Nodes)]
+	inf := math.Inf(1)
+	for i := len(t.Nodes) - 1; i >= 0; i-- {
+		nd := &t.Nodes[i]
+		b := cellBox{lo: vec.V3{X: inf, Y: inf, Z: inf}, hi: vec.V3{X: -inf, Y: -inf, Z: -inf}}
+		if nd.IsLeaf() {
+			for _, p := range t.spos[nd.Start : nd.Start+nd.Count] {
+				b.lo, b.hi = b.lo.Min(p), b.hi.Max(p)
+			}
+		} else {
+			for _, c := range t.boxes[nd.FirstChild : nd.FirstChild+8] {
+				b.lo, b.hi = b.lo.Min(c.lo), b.hi.Max(c.hi)
+			}
+		}
+		t.boxes[i] = b
+	}
+}
+
+// dist2 returns the squared distance from p to the box, summed as
+// vec.V3.Norm2 sums: rounding is monotone, so it is never more than the
+// Dist2 of a particle inside. It is +Inf for an empty box and NaN when p or
+// the box has a NaN coordinate.
+func (b *cellBox) dist2(p vec.V3) float64 {
+	dx := max(b.lo.X-p.X, p.X-b.hi.X, 0)
+	dy := max(b.lo.Y-p.Y, p.Y-b.hi.Y, 0)
+	dz := max(b.lo.Z-p.Z, p.Z-b.hi.Z, 0)
+	return dx*dx + dy*dy + dz*dz
 }
 
 // split recursively subdivides node ni. shift is the bit position of the
@@ -225,7 +267,9 @@ func bounds(pos []vec.V3) (lo, hi vec.V3) {
 }
 
 // Hit is one neighbor-search result: the particle index and its squared
-// minimum-image distance from the query center.
+// distance from the query center, measured from the periodic image of the
+// center that was searched (the minimum image whenever the radius is below
+// half a period).
 type Hit struct {
 	Idx   int32
 	Dist2 float64
@@ -234,7 +278,10 @@ type Hit struct {
 // BallSearch appends to out every particle within radius r of center
 // (including a particle exactly at center, i.e. the query particle itself
 // when center is its position) and returns the extended slice. Periodic
-// images are handled per the tree's PBC.
+// images are handled per the tree's PBC, and each particle is reported once:
+// when r reaches half a period, two images of the center can both reach a
+// particle, and only the hit through the image nearest along each axis (the
+// first searched of equals) is kept.
 //
 // Hits come in a fixed order (image by image, each in tree-walk order), and
 // a hit's Dist2 does not depend on r: the hits of a search at r, filtered by
@@ -255,14 +302,41 @@ func (t *Tree) BallSearch(center vec.V3, r float64, out []Hit) []Hit {
 	nx := axisOffsets(&xs, t.pbc.X, center.X, r, t.Box.Lo.X, t.pbc.L.X)
 	ny := axisOffsets(&ys, t.pbc.Y, center.Y, r, t.Box.Lo.Y, t.pbc.L.Y)
 	nz := axisOffsets(&zs, t.pbc.Z, center.Z, r, t.Box.Lo.Z, t.pbc.L.Z)
-	for _, dx := range xs[:nx] {
-		for _, dy := range ys[:ny] {
-			for _, dz := range zs[:nz] {
-				out = t.search(&stack, center.Add(vec.V3{X: dx, Y: dy, Z: dz}), r*r, out)
+	halfPeriod := (nx > 1 && 2*r >= t.pbc.L.X) || (ny > 1 && 2*r >= t.pbc.L.Y) || (nz > 1 && 2*r >= t.pbc.L.Z)
+	for a, dx := range xs[:nx] {
+		for b, dy := range ys[:ny] {
+			for c, dz := range zs[:nz] {
+				from := len(out)
+				image := center.Add(vec.V3{X: dx, Y: dy, Z: dz})
+				out = t.search(&stack, image, r*r, out)
+				if !halfPeriod {
+					continue
+				}
+				kept := from
+				for _, h := range out[from:] {
+					p := t.pos[h.Idx]
+					if nearest(xs[:nx], a, center.X, p.X) && nearest(ys[:ny], b, center.Y, p.Y) && nearest(zs[:nz], c, center.Z, p.Z) {
+						out[kept] = h
+						kept++
+					}
+				}
+				out = out[:kept]
 			}
 		}
 	}
 	return out
+}
+
+// nearest reports whether shifting c by offs[k] brings it nearest to p, as
+// the search computes the offset, and earlier than any equally near shift.
+func nearest(offs []float64, k int, c, p float64) bool {
+	d := math.Abs(c + offs[k] - p)
+	for j, o := range offs {
+		if dj := math.Abs(c + o - p); dj < d || dj == d && j < k {
+			return false
+		}
+	}
+	return true
 }
 
 // axisOffsets fills offs with the image shifts to search along one axis and
@@ -290,61 +364,44 @@ type walkStack [7*sfc.Bits + 1]int32
 // search appends the particles within sqrt(r2) of center (already shifted to
 // the image being searched), walking the tree depth-first in child order.
 //
-// Cells are pruned by their distance from center clamped into the root cell
-// along the open axes. A particle outside a forced box is stored in the cell
-// its clamped position falls in, and clamping brings two points no further
-// apart, so the cell of every particle within the ball is within the ball's
-// radius of the clamped center: the search stays exact for particles that
-// have left the box, from centers inside or outside it.
+// A child is entered unless its box is farther than the radius. The boxes
+// bound the particles themselves, not the cells their keys fall in, so the
+// search is exact for particles outside a forced box and from centers
+// anywhere. Neither loop branches on the data: a child is always written to
+// the stack and kept by advancing the stack pointer, and a leaf writes every
+// candidate and keeps it by advancing the length of out.
 func (t *Tree) search(stack *walkStack, center vec.V3, r2 float64, out []Hit) []Hit {
-	clamped, top := center, t.Box.Lo.Add(vec.V3{X: t.Box.Size, Y: t.Box.Size, Z: t.Box.Size})
-	if !t.pbc.X {
-		clamped.X = math.Min(math.Max(center.X, t.Box.Lo.X), top.X)
-	}
-	if !t.pbc.Y {
-		clamped.Y = math.Min(math.Max(center.Y, t.Box.Lo.Y), top.Y)
-	}
-	if !t.pbc.Z {
-		clamped.Z = math.Min(math.Max(center.Z, t.Box.Lo.Z), top.Z)
-	}
 	stack[0] = 0
 	for sp := 1; sp > 0; {
 		sp--
 		nd := &t.Nodes[stack[sp]]
 		if nd.IsLeaf() {
-			for _, j := range t.Index[nd.Start : nd.Start+nd.Count] {
-				if d2 := center.Sub(t.pos[j]).Norm2(); d2 <= r2 {
-					out = append(out, Hit{Idx: j, Dist2: d2})
+			start, end := nd.Start, nd.Start+nd.Count
+			n := len(out)
+			out = slices.Grow(out, int(nd.Count))[:n+int(nd.Count)]
+			idx := t.Index[start:end]
+			for k, p := range t.spos[start:end] {
+				d2 := center.Sub(p).Norm2()
+				out[n] = Hit{Idx: idx[k], Dist2: d2}
+				if d2 <= r2 {
+					n++
 				}
 			}
+			out = out[:n]
 			continue
 		}
 		// Push the children that the ball touches, last first, so they pop
-		// in child order.
+		// in child order. An empty child's box is infinitely far.
 		for c := nd.FirstChild + 7; c >= nd.FirstChild; c-- {
-			ch := &t.Nodes[c]
-			if ch.Count > 0 && !(cubeDist2(ch.Center, ch.Half, clamped) > r2) {
-				stack[sp] = c
-				sp++
+			stack[sp] = c
+			open := 1
+			if t.boxes[c].dist2(center) > r2 {
+				open = 0
 			}
+			sp += open
 		}
 	}
 	return out
-}
-
-// cubeDist2 returns the squared distance from p to the cube (center, half).
-func cubeDist2(c vec.V3, half float64, p vec.V3) float64 {
-	var d2 float64
-	if d := math.Abs(p.X-c.X) - half; d > 0 {
-		d2 += d * d
-	}
-	if d := math.Abs(p.Y-c.Y) - half; d > 0 {
-		d2 += d * d
-	}
-	if d := math.Abs(p.Z-c.Z) - half; d > 0 {
-		d2 += d * d
-	}
-	return d2
 }
 
 // NLeaves returns the number of leaf nodes.

@@ -174,23 +174,29 @@ func TestBallSearchPeriodicZ(t *testing.T) {
 	}
 }
 
+// TestBallSearchPeriodicMatchesBruteForce: under full and z-only
+// periodicity the hits are the brute-force hits as a multiset, each particle
+// once, up to radii of 0.7 L, where two images of the center reach the same
+// particle.
 func TestBallSearchPeriodicMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pos := randomPositions(400, rng)
 	box := sfc.Box{Lo: vec.V3{}, Size: 1}
-	pbc := PBC{X: true, Y: true, Z: true, L: vec.V3{X: 1, Y: 1, Z: 1}}
-	tr := Build(pos, Options{PBC: pbc, Box: box})
-	for trial := 0; trial < 30; trial++ {
-		c := pos[rng.Intn(len(pos))]
-		r := 0.05 + rng.Float64()*0.1
-		got := hitSet(tr.BallSearch(c, r, nil))
-		want := hitSet(BruteForceBallSearch(pos, pbc, c, r, nil))
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d hits, want %d", trial, len(got), len(want))
-		}
-		for idx := range want {
-			if !got[idx] {
-				t.Fatalf("trial %d: missing periodic neighbor %d", trial, idx)
+	for _, pbc := range []PBC{
+		{X: true, Y: true, Z: true, L: vec.V3{X: 1, Y: 1, Z: 1}},
+		{Z: true, L: vec.V3{Z: 1}},
+	} {
+		tr := Build(pos, Options{PBC: pbc, Box: box, LeafCap: 8})
+		for trial := 0; trial < 60; trial++ {
+			c := pos[rng.Intn(len(pos))]
+			r := 0.05 + rng.Float64()*0.1
+			if trial%2 == 1 {
+				r = 0.7 * rng.Float64()
+			}
+			got := sortedIdx(tr.BallSearch(c, r, nil))
+			want := sortedIdx(BruteForceBallSearch(pos, pbc, c, r, nil))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v, trial %d, r = %g: %d hits, brute force %d", pbc, trial, r, len(got), len(want))
 			}
 		}
 	}
