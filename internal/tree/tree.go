@@ -167,10 +167,8 @@ func (t *Tree) Rebuild(pos []vec.V3, opt Options) {
 // cellBox is an axis-aligned box, lo > hi when it holds nothing.
 type cellBox struct{ lo, hi vec.V3 }
 
-// fitBoxes sets each node's box to the tightest one around its particles,
-// leaves from their positions and the rest from their children, which come
-// after their parent in Nodes. A NaN coordinate makes the boxes around it
-// NaN, which every search opens.
+// fitBoxes fits each node's box around its particles: leaves from their
+// positions, the rest from their children, which follow them in Nodes.
 func (t *Tree) fitBoxes() {
 	t.boxes = slices.Grow(t.boxes[:0], len(t.Nodes))[:len(t.Nodes)]
 	inf := math.Inf(1)
@@ -179,21 +177,25 @@ func (t *Tree) fitBoxes() {
 		b := cellBox{lo: vec.V3{X: inf, Y: inf, Z: inf}, hi: vec.V3{X: -inf, Y: -inf, Z: -inf}}
 		if nd.IsLeaf() {
 			for _, p := range t.spos[nd.Start : nd.Start+nd.Count] {
-				b.lo, b.hi = b.lo.Min(p), b.hi.Max(p)
+				b.grow(p, p)
 			}
 		} else {
 			for _, c := range t.boxes[nd.FirstChild : nd.FirstChild+8] {
-				b.lo, b.hi = b.lo.Min(c.lo), b.hi.Max(c.hi)
+				b.grow(c.lo, c.hi)
 			}
 		}
 		t.boxes[i] = b
 	}
 }
 
-// dist2 returns the squared distance from p to the box, summed as
-// vec.V3.Norm2 sums: rounding is monotone, so it is never more than the
-// Dist2 of a particle inside. It is +Inf for an empty box and NaN when p or
-// the box has a NaN coordinate.
+// grow extends b over [lo, hi]; a NaN makes it NaN, which every search opens.
+func (b *cellBox) grow(lo, hi vec.V3) {
+	b.lo = vec.V3{X: min(b.lo.X, lo.X), Y: min(b.lo.Y, lo.Y), Z: min(b.lo.Z, lo.Z)}
+	b.hi = vec.V3{X: max(b.hi.X, hi.X), Y: max(b.hi.Y, hi.Y), Z: max(b.hi.Z, hi.Z)}
+}
+
+// dist2 is the squared distance from p to the box, summed as Norm2 sums:
+// rounding is monotone, so it never exceeds the Dist2 of a particle inside.
 func (b *cellBox) dist2(p vec.V3) float64 {
 	dx := max(b.lo.X-p.X, p.X-b.hi.X, 0)
 	dy := max(b.lo.Y-p.Y, p.Y-b.hi.Y, 0)
@@ -267,9 +269,7 @@ func bounds(pos []vec.V3) (lo, hi vec.V3) {
 }
 
 // Hit is one neighbor-search result: the particle index and its squared
-// distance from the query center, measured from the periodic image of the
-// center that was searched (the minimum image whenever the radius is below
-// half a period).
+// distance from the periodic image of the query center that was searched.
 type Hit struct {
 	Idx   int32
 	Dist2 float64
@@ -278,10 +278,9 @@ type Hit struct {
 // BallSearch appends to out every particle within radius r of center
 // (including a particle exactly at center, i.e. the query particle itself
 // when center is its position) and returns the extended slice. Periodic
-// images are handled per the tree's PBC, and each particle is reported once:
-// when r reaches half a period, two images of the center can both reach a
-// particle, and only the hit through the image nearest along each axis (the
-// first searched of equals) is kept.
+// images are handled per the tree's PBC. From half a period on, two images
+// can reach one particle; only the hit through the nearest (the first
+// searched of equals) is kept.
 //
 // Hits come in a fixed order (image by image, each in tree-walk order), and
 // a hit's Dist2 does not depend on r: the hits of a search at r, filtered by
@@ -307,20 +306,14 @@ func (t *Tree) BallSearch(center vec.V3, r float64, out []Hit) []Hit {
 		for b, dy := range ys[:ny] {
 			for c, dz := range zs[:nz] {
 				from := len(out)
-				image := center.Add(vec.V3{X: dx, Y: dy, Z: dz})
-				out = t.search(&stack, image, r*r, out)
-				if !halfPeriod {
-					continue
+				out = t.search(&stack, center.Add(vec.V3{X: dx, Y: dy, Z: dz}), r*r, out)
+				if halfPeriod {
+					kept := slices.DeleteFunc(out[from:], func(h Hit) bool {
+						p := t.pos[h.Idx]
+						return !nearest(xs[:nx], a, center.X, p.X) || !nearest(ys[:ny], b, center.Y, p.Y) || !nearest(zs[:nz], c, center.Z, p.Z)
+					})
+					out = out[:from+len(kept)]
 				}
-				kept := from
-				for _, h := range out[from:] {
-					p := t.pos[h.Idx]
-					if nearest(xs[:nx], a, center.X, p.X) && nearest(ys[:ny], b, center.Y, p.Y) && nearest(zs[:nz], c, center.Z, p.Z) {
-						out[kept] = h
-						kept++
-					}
-				}
-				out = out[:kept]
 			}
 		}
 	}
@@ -364,23 +357,19 @@ type walkStack [7*sfc.Bits + 1]int32
 // search appends the particles within sqrt(r2) of center (already shifted to
 // the image being searched), walking the tree depth-first in child order.
 //
-// A child is entered unless its box is farther than the radius. The boxes
-// bound the particles themselves, not the cells their keys fall in, so the
-// search is exact for particles outside a forced box and from centers
-// anywhere. Neither loop branches on the data: a child is always written to
-// the stack and kept by advancing the stack pointer, and a leaf writes every
-// candidate and keeps it by advancing the length of out.
+// A child is entered unless its box, which bounds its particles wherever
+// they are, is farther than the radius. Neither loop branches on the data:
+// a child or a candidate is always written, and kept by advancing the stack
+// pointer or the length of out.
 func (t *Tree) search(stack *walkStack, center vec.V3, r2 float64, out []Hit) []Hit {
 	stack[0] = 0
 	for sp := 1; sp > 0; {
 		sp--
 		nd := &t.Nodes[stack[sp]]
 		if nd.IsLeaf() {
-			start, end := nd.Start, nd.Start+nd.Count
-			n := len(out)
-			out = slices.Grow(out, int(nd.Count))[:n+int(nd.Count)]
-			idx := t.Index[start:end]
-			for k, p := range t.spos[start:end] {
+			n, idx := len(out), t.Index[nd.Start:nd.Start+nd.Count]
+			out = slices.Grow(out, len(idx))[:n+len(idx)]
+			for k, p := range t.spos[nd.Start : nd.Start+nd.Count] {
 				d2 := center.Sub(p).Norm2()
 				out[n] = Hit{Idx: idx[k], Dist2: d2}
 				if d2 <= r2 {
