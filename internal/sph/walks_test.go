@@ -68,8 +68,8 @@ func TestServeColdJobWalksOnce(t *testing.T) {
 // neighbour. Every pair loop measures a listed neighbour through the
 // minimum image, so a neighbour listed twice counts the nearest image twice.
 // The sedov job below (N = 125, 60 neighbours, a spec a served job may ask
-// for) has 2h above half the box from step 6; each list holds a particle at
-// most once, and the counts are the lists' lengths.
+// for) reaches 2h above half the box within eight steps; each list holds a
+// particle at most once.
 func TestNeighborListHasNoDuplicates(t *testing.T) {
 	sc, err := scenario.Get("sedov")
 	if err != nil {
