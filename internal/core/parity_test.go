@@ -280,7 +280,7 @@ func TestStepIndependentOfWorkers(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				return sim.PS.Checksum()
+				return columnsCRC(sim.PS)
 			}
 			want := end(1, false)
 			for _, run := range []struct {
@@ -288,7 +288,7 @@ func TestStepIndependentOfWorkers(t *testing.T) {
 				reverse bool
 			}{{2, false}, {3, false}, {8, false}, {3, true}} {
 				if got := end(run.workers, run.reverse); got != want {
-					t.Errorf("%d workers (reverse claims %v): checksum %016x, one worker %016x",
+					t.Errorf("%d workers (reverse claims %v): columns %016x, one worker %016x",
 						run.workers, run.reverse, got, want)
 				}
 			}

@@ -1,10 +1,12 @@
 package ft
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/conserve"
@@ -118,6 +120,42 @@ func TestRestoreSkipsCorrupted(t *testing.T) {
 	}
 	if step != 20 || simTime != 20 || got.Checksum() != ps.Checksum() {
 		t.Fatalf("restored step %d t=%g, want the older checkpoint (20)", step, simTime)
+	}
+}
+
+// TestRestoreSkipsCorruptParticleCount: the newest checkpoint's particle
+// count has bit 33 flipped. Restore must return the older checkpoint, and
+// must not size a set from the damaged header on the way: a decoder that
+// allocates 2^33 particles before it checks the frame dies of it.
+func TestRestoreSkipsCorruptParticleCount(t *testing.T) {
+	dir := t.TempDir()
+	c := &Checkpointer{Dir: dir}
+	ps := testSet(8, 4)
+	for _, step := range []int{10, 20} {
+		if err := c.Write(step, float64(step), ps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest := filepath.Join(dir, "ckpt-000000020.sph")
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After the text header: magic (4 bytes), nlocal (8), then n, whose
+	// bit 33 is bit 1 of its fifth byte.
+	data[bytes.IndexByte(data, '\n')+1+4+8+4] ^= 1 << 1
+	if err := os.WriteFile(newest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, step, _, err := c.Restore()
+	runtime.ReadMemStats(&after)
+	if err != nil || step != 10 || got.Checksum() != ps.Checksum() {
+		t.Fatalf("restored step %d (err %v), want the older checkpoint (10)", step, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("restore allocated %d bytes for two 8-particle checkpoints", d)
 	}
 }
 

@@ -11,160 +11,91 @@ import (
 	"repro/internal/vec"
 )
 
-// Binary checkpoint format (little-endian):
+// A stored particle record (snapshot, checkpoint, Checksum) holds the state
+// and nothing else: ID, Pos, Vel, Mass, H, Rho and U. Once the leapfrog is
+// synchronized, the next steps read only these. ID names the particle; Pos,
+// Vel, Mass and U are what the equations evolve; H seeds the smoothing-length
+// iteration and Rho the generalized volume X = m/ρ. Every other column (Acc,
+// DU, P, C, VE, NN, Tau) is recomputed by a step before anything reads it.
 //
-//	magic   uint32  'S','P','H','1'
+// Frame layout (little-endian), 88 bytes a particle:
+//
+//	magic   uint32  0x53504832, "SPH2" (so the file starts "2HPS")
 //	nlocal  uint64
 //	n       uint64  (total, including ghosts)
-//	fields  ... fixed order, full-length arrays
+//	columns n values each, in the order record lists them
 //	crc     uint64  CRC-64/ECMA over everything after the magic
 //
-// The trailing checksum lets restart distinguish a truncated or corrupted
-// checkpoint from a valid one: internal/ft then restores the older
+// A frame's length follows from its n, so the decoder checks the length and
+// the checksum before it sizes anything from the header: a damaged frame is
+// an error, never a huge allocation, and internal/ft then restores the older
 // checkpoint it keeps beside the newest.
 
-const encodeMagic = 0x53504831 // "SPH1"
+const encodeMagic = 0x53504832 // "SPH2"
+
+// frameOverhead is the magic, the two counts and the checksum.
+const frameOverhead = 4 + 8 + 8 + 8
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-type crcWriter struct {
-	w   io.Writer
-	crc uint64
+// record returns the stored columns in their one order: ID, then the vec.V3
+// columns, then the float64 columns. Encoder, decoder and EncodedSize all
+// read it.
+func (s *Set) record() ([]int64, [][]vec.V3, [][]float64) {
+	return s.ID, [][]vec.V3{s.Pos, s.Vel}, [][]float64{s.Mass, s.H, s.Rho, s.U}
 }
 
-func (c *crcWriter) Write(p []byte) (int, error) {
-	c.crc = crc64.Update(c.crc, crcTable, p)
-	return c.w.Write(p)
+// particleBytes is one particle's share of a frame.
+func (s *Set) particleBytes() int {
+	_, vs, fs := s.record()
+	return 8 + 24*len(vs) + 8*len(fs)
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint64
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc64.Update(c.crc, crcTable, p[:n])
-	return n, err
-}
-
-func writeF64s(w io.Writer, buf []byte, xs []float64) error {
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readF64s(r io.Reader, buf []byte, xs []float64) error {
-	for i := range xs {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-	}
-	return nil
-}
-
-func writeV3s(w io.Writer, buf []byte, vs []vec.V3) error {
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(v.X))
-		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(v.Y))
-		binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(v.Z))
-		if _, err := w.Write(buf[:24]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readV3s(r io.Reader, buf []byte, vs []vec.V3) error {
-	for i := range vs {
-		if _, err := io.ReadFull(r, buf[:24]); err != nil {
-			return err
-		}
-		vs[i] = vec.V3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(buf[0:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-		}
-	}
-	return nil
-}
-
-// writePayload writes the header counts and all field arrays (everything
-// between the magic and the trailing checksum) to w.
+// writePayload writes the header counts and the record's columns
+// (everything between the magic and the trailing checksum) to w, through a
+// 64 KiB buffer whatever the set's size.
 func (s *Set) writePayload(w io.Writer) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(s.NLocal))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bw := bufio.NewWriterSize(w, 64<<10)
+	var word [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(word[:], x)
+		_, _ = bw.Write(word[:]) // bufio keeps the first error; Flush returns it
 	}
-	binary.LittleEndian.PutUint64(hdr[:], uint64(s.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	put(uint64(s.NLocal))
+	put(uint64(s.Len()))
+	ids, vs, fs := s.record()
+	for _, id := range ids {
+		put(uint64(id))
 	}
-	buf := make([]byte, 48)
-	for _, id := range s.ID {
-		binary.LittleEndian.PutUint64(buf, uint64(id))
-		if _, err := w.Write(buf[:8]); err != nil {
-			return err
+	for _, col := range vs {
+		for _, v := range col {
+			put(math.Float64bits(v.X))
+			put(math.Float64bits(v.Y))
+			put(math.Float64bits(v.Z))
 		}
 	}
-	if err := writeV3s(w, buf, s.Pos); err != nil {
-		return err
-	}
-	if err := writeV3s(w, buf, s.Vel); err != nil {
-		return err
-	}
-	if err := writeV3s(w, buf, s.Acc); err != nil {
-		return err
-	}
-	for _, f := range [][]float64{s.Mass, s.H, s.Rho, s.U, s.DU, s.P, s.C, s.VE} {
-		if err := writeF64s(w, buf[:8], f); err != nil {
-			return err
+	for _, col := range fs {
+		for _, x := range col {
+			put(math.Float64bits(x))
 		}
 	}
-	for _, nn := range s.NN {
-		binary.LittleEndian.PutUint32(buf, uint32(nn))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	for _, b := range s.Bin {
-		buf[0] = byte(b)
-		if _, err := w.Write(buf[:1]); err != nil {
-			return err
-		}
-	}
-	for _, m := range s.Tau {
-		if err := writeF64s(w, buf[:8], []float64{m.XX, m.XY, m.XZ, m.YY, m.YZ, m.ZZ}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return bw.Flush()
 }
 
-// WriteTo serializes the full particle set (including ghosts) to w.
-// It returns the number of payload bytes written.
+// WriteTo writes the set's record (ghosts included) to w as one frame and
+// returns the number of bytes written.
 func (s *Set) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], encodeMagic)
-	if _, err := bw.Write(hdr[:4]); err != nil {
+	var word [8]byte
+	binary.LittleEndian.PutUint32(word[:4], encodeMagic)
+	if _, err := w.Write(word[:4]); err != nil {
 		return 0, err
 	}
-	cw := &crcWriter{w: bw}
-	if err := s.writePayload(cw); err != nil {
+	crc := crc64.New(crcTable)
+	if err := s.writePayload(io.MultiWriter(w, crc)); err != nil {
 		return 0, err
 	}
-	binary.LittleEndian.PutUint64(hdr[:], cw.crc)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
+	binary.LittleEndian.PutUint64(word[:], crc.Sum64())
+	if _, err := w.Write(word[:]); err != nil {
 		return 0, err
 	}
 	return int64(s.EncodedSize()), nil
@@ -183,99 +114,68 @@ func FrameChecksum(frame []byte) uint64 {
 
 // EncodedSize returns the exact byte size WriteTo will produce.
 func (s *Set) EncodedSize() int {
-	n := s.Len()
-	return 4 + 8 + 8 + // magic + nlocal + n
-		n*8 + // ID
-		3*n*24 + // Pos, Vel, Acc
-		8*n*8 + // 8 float64 fields
-		n*4 + n*1 + // NN, Bin
-		n*48 + // Tau
-		8 // crc
+	return frameOverhead + s.Len()*s.particleBytes()
 }
 
-// ReadFrom deserializes a particle set previously written by WriteTo,
-// replacing the receiver's contents. A checksum or framing failure leaves
-// the receiver unspecified and returns an error.
+// ReadFrom reads r to its end as one WriteTo frame and replaces the
+// receiver's contents with it. A frame of any other magic, length or
+// checksum is an error and leaves the receiver as it was; nothing is
+// allocated beyond what the bytes read can fill.
 func (s *Set) ReadFrom(r io.Reader) (int64, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-		return 0, fmt.Errorf("part: reading magic: %w", err)
+	frame, err := io.ReadAll(r)
+	size := int64(len(frame))
+	if err != nil {
+		return size, fmt.Errorf("part: reading frame: %w", err)
 	}
-	if binary.LittleEndian.Uint32(hdr[:4]) != encodeMagic {
-		return 0, fmt.Errorf("part: bad checkpoint magic %#x", binary.LittleEndian.Uint32(hdr[:4]))
+	le := binary.LittleEndian
+	if len(frame) < frameOverhead {
+		return size, fmt.Errorf("part: a %d-byte frame is shorter than its header and checksum", len(frame))
 	}
-	cr := &crcReader{r: br}
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return 0, err
+	if m := le.Uint32(frame); m != encodeMagic {
+		return size, fmt.Errorf("part: frame magic %q, want %q", binary.BigEndian.AppendUint32(nil, m), "SPH2")
 	}
-	nlocal := int(binary.LittleEndian.Uint64(hdr[:]))
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return 0, err
+	nlocal, n, per := le.Uint64(frame[4:]), le.Uint64(frame[12:]), uint64(s.particleBytes())
+	if nlocal > n || n > uint64(len(frame))/per || uint64(len(frame)) != frameOverhead+per*n {
+		return size, fmt.Errorf("part: a %d-byte frame cannot hold nlocal=%d of n=%d particles", len(frame), nlocal, n)
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[:]))
-	if n < 0 || nlocal < 0 || nlocal > n || n > 1<<34 {
-		return 0, fmt.Errorf("part: implausible checkpoint sizes nlocal=%d n=%d", nlocal, n)
+	payload, stored := frame[4:len(frame)-8], le.Uint64(frame[len(frame)-8:])
+	if sum := crc64.Checksum(payload, crcTable); sum != stored {
+		return size, fmt.Errorf("part: frame checksum mismatch: stored %#x computed %#x", stored, sum)
 	}
-	s.resizeAll(n)
-	s.NLocal = nlocal
-	buf := make([]byte, 48)
-	for i := range s.ID {
-		if _, err := io.ReadFull(cr, buf[:8]); err != nil {
-			return 0, err
-		}
-		s.ID[i] = int64(binary.LittleEndian.Uint64(buf))
+	s.resizeAll(int(n))
+	s.NLocal = int(nlocal)
+	p := payload[16:]
+	next := func() uint64 {
+		w := le.Uint64(p)
+		p = p[8:]
+		return w
 	}
-	if err := readV3s(cr, buf, s.Pos); err != nil {
-		return 0, err
+	f64 := func() float64 { return math.Float64frombits(next()) }
+	ids, vs, fs := s.record()
+	for i := range ids {
+		ids[i] = int64(next())
 	}
-	if err := readV3s(cr, buf, s.Vel); err != nil {
-		return 0, err
-	}
-	if err := readV3s(cr, buf, s.Acc); err != nil {
-		return 0, err
-	}
-	for _, f := range [][]float64{s.Mass, s.H, s.Rho, s.U, s.DU, s.P, s.C, s.VE} {
-		if err := readF64s(cr, buf[:8], f); err != nil {
-			return 0, err
+	for _, col := range vs {
+		for i := range col {
+			col[i] = vec.V3{X: f64(), Y: f64(), Z: f64()}
 		}
 	}
-	for i := range s.NN {
-		if _, err := io.ReadFull(cr, buf[:4]); err != nil {
-			return 0, err
+	for _, col := range fs {
+		for i := range col {
+			col[i] = f64()
 		}
-		s.NN[i] = int32(binary.LittleEndian.Uint32(buf))
 	}
-	for i := range s.Bin {
-		if _, err := io.ReadFull(cr, buf[:1]); err != nil {
-			return 0, err
-		}
-		s.Bin[i] = int8(buf[0])
-	}
-	six := make([]float64, 6)
-	for i := range s.Tau {
-		if err := readF64s(cr, buf[:8], six); err != nil {
-			return 0, err
-		}
-		s.Tau[i] = vec.Sym33{XX: six[0], XY: six[1], XZ: six[2], YY: six[3], YZ: six[4], ZZ: six[5]}
-	}
-	want := cr.crc
-	if _, err := io.ReadFull(br, buf[:8]); err != nil {
-		return 0, fmt.Errorf("part: reading checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(buf); got != want {
-		return 0, fmt.Errorf("part: checkpoint checksum mismatch: stored %#x computed %#x", got, want)
-	}
-	return int64(s.EncodedSize()), nil
+	return size, nil
 }
 
 // Checksum returns the CRC-64 of the set's serialized payload, a cheap
 // fingerprint used by replication-based silent-error detection: two replicas
-// with diverging checksums indicate a corrupted computation. The trailing
-// frame checksum is deliberately excluded — hashing a stream that embeds its
-// own CRC yields a payload-independent residue.
+// with diverging checksums indicate a corrupted computation. It covers the
+// stored record only, so it equals FrameChecksum of the set's frame. The
+// trailing frame checksum is deliberately excluded — hashing a stream that
+// embeds its own CRC yields a payload-independent residue.
 func (s *Set) Checksum() uint64 {
-	cw := &crcWriter{w: io.Discard}
-	_ = s.writePayload(cw)
-	return cw.crc
+	crc := crc64.New(crcTable)
+	_ = s.writePayload(crc) // a hash's Write never fails
+	return crc.Sum64()
 }

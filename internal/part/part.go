@@ -18,6 +18,8 @@ import (
 // Set is a structure-of-arrays particle container. All slices always have
 // identical length. The first NLocal entries are owned by the local rank;
 // the rest are ghosts appended by halo exchange and discarded on resize.
+// ID, Pos, Vel, Mass, H, Rho and U are the state a stored record holds
+// (encode.go); the other columns are recomputed by every step.
 type Set struct {
 	// NLocal is the number of locally-owned particles; entries at index
 	// >= NLocal are halo ghosts.
@@ -36,7 +38,6 @@ type Set struct {
 	C    []float64 // sound speed
 	VE   []float64 // generalized volume element (SPHYNX); m/rho when standard
 	NN   []int32   // neighbor count from the last search
-	Bin  []int8    // always 0 (no individual time-steps); kept because snapshots encode it
 	Tau  []vec.Sym33
 }
 
@@ -65,7 +66,6 @@ func (s *Set) resizeAll(n int) {
 	resize(&s.C, n)
 	resize(&s.VE, n)
 	resize(&s.NN, n)
-	resize(&s.Bin, n)
 	resize(&s.Tau, n)
 }
 
@@ -105,7 +105,6 @@ func (s *Set) CopyFrom(dst int, o *Set, src int) {
 	s.C[dst] = o.C[src]
 	s.VE[dst] = o.VE[src]
 	s.NN[dst] = o.NN[src]
-	s.Bin[dst] = o.Bin[src]
 	s.Tau[dst] = o.Tau[src]
 }
 
@@ -151,7 +150,6 @@ func (s *Set) Clone() *Set {
 	copy(out.C, s.C)
 	copy(out.VE, s.VE)
 	copy(out.NN, s.NN)
-	copy(out.Bin, s.Bin)
 	copy(out.Tau, s.Tau)
 	return out
 }
@@ -189,7 +187,7 @@ func (s *Set) Validate() error {
 		"ID": len(s.ID), "Pos": len(s.Pos), "Vel": len(s.Vel), "Acc": len(s.Acc),
 		"Mass": len(s.Mass), "H": len(s.H), "Rho": len(s.Rho), "U": len(s.U),
 		"DU": len(s.DU), "P": len(s.P), "C": len(s.C), "VE": len(s.VE),
-		"NN": len(s.NN), "Bin": len(s.Bin), "Tau": len(s.Tau),
+		"NN": len(s.NN), "Tau": len(s.Tau),
 	}
 	for f, l := range lens {
 		if l != n {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,7 +27,6 @@ func randomSet(n int, rng *rand.Rand) *Set {
 		s.C[i] = rng.Float64()
 		s.VE[i] = rng.Float64()
 		s.NN[i] = int32(rng.Intn(200))
-		s.Bin[i] = int8(rng.Intn(8))
 		s.Tau[i] = vec.Sym33{}.AddScaledOuter(1, vec.V3{X: rng.Float64(), Y: 1, Z: 2})
 	}
 	return s
@@ -179,8 +179,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("n=%d WriteTo: %v", n, err)
 		}
-		if buf.Len() != s.EncodedSize() {
-			t.Errorf("n=%d EncodedSize=%d, wrote %d", n, s.EncodedSize(), buf.Len())
+		if buf.Len() != s.EncodedSize() || buf.Len() != 28+88*n {
+			t.Errorf("n=%d EncodedSize=%d, wrote %d, want 28 + 88 n", n, s.EncodedSize(), buf.Len())
 		}
 		r := New(0)
 		if _, err := r.ReadFrom(&buf); err != nil {
@@ -190,9 +190,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d size mismatch after round trip", n)
 		}
 		for i := 0; i < n; i++ {
-			if r.Pos[i] != s.Pos[i] || r.Mass[i] != s.Mass[i] || r.Tau[i] != s.Tau[i] ||
-				r.ID[i] != s.ID[i] || r.NN[i] != s.NN[i] || r.Bin[i] != s.Bin[i] {
+			if r.ID[i] != s.ID[i] || r.Pos[i] != s.Pos[i] || r.Vel[i] != s.Vel[i] || r.Mass[i] != s.Mass[i] ||
+				r.H[i] != s.H[i] || r.Rho[i] != s.Rho[i] || r.U[i] != s.U[i] {
 				t.Fatalf("n=%d particle %d differs after round trip", n, i)
+			}
+			if r.Acc[i] != (vec.V3{}) || r.DU[i] != 0 || r.NN[i] != 0 || r.Tau[i] != (vec.Sym33{}) {
+				t.Fatalf("n=%d particle %d: a column outside the record was restored", n, i)
 			}
 		}
 	}
@@ -230,6 +233,17 @@ func TestDecodeRejectsBadMagic(t *testing.T) {
 	r := New(0)
 	if _, err := r.ReadFrom(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8})); err == nil {
 		t.Error("garbage accepted")
+	}
+	// A frame with the magic of the older 15-column format: rejected, the
+	// magic named.
+	var buf bytes.Buffer
+	if _, err := randomSet(4, rand.New(rand.NewSource(2))).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	old := buf.Bytes()
+	old[0] = '1'
+	if _, err := r.ReadFrom(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), `"SPH1"`) {
+		t.Errorf("SPH1 frame: error %v, want one naming the magic", err)
 	}
 }
 

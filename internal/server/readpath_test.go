@@ -40,12 +40,12 @@ func fetchSnapshot(ts *httptest.Server, id string) (status int, body []byte, sho
 // TestFlippedSnapshotByteNeverServed: one byte flipped at the first, a
 // middle and the last offset of a stored snapshot, for one that fits a
 // single read chunk (N=216, what serve-warm serves) and one that spans two
-// (N=512). The GET never answers 200 with a full body: a one-chunk object
+// (N=1000, the smallest lattice past 64 KiB at 88 B a particle). The GET never answers 200 with a full body: a one-chunk object
 // gets 410 before any byte is sent, a two-chunk one an aborted response
 // whose body stops short of its Content-Length. Each time the entry is
 // quarantined and the next submit recomputes the same bytes.
 func TestFlippedSnapshotByteNeverServed(t *testing.T) {
-	for _, n := range []int{216, 512} {
+	for _, n := range []int{216, 1000} {
 		spec := sedovSpec(1)
 		spec.Params.N = n
 		dir := t.TempDir()
@@ -65,7 +65,7 @@ func TestFlippedSnapshotByteNeverServed(t *testing.T) {
 			t.Fatal("completed job has no snapshot")
 		}
 		chunked := len(want) > 64<<10
-		if chunked != (n == 512) {
+		if chunked != (n == 1000) {
 			t.Fatalf("N=%d snapshot is %d bytes: the case no longer covers what it is named for", n, len(want))
 		}
 		for i, off := range []int{0, len(want) / 2, len(want) - 1} {
@@ -152,17 +152,29 @@ func TestSnapshotLostUnderLiveEntryIsAMiss(t *testing.T) {
 }
 
 // TestSnapshotReadersBesidePutsUnderCap: snapshot GETs from several clients
-// while jobs complete into a store capped at about two records (N=216:
-// ~45 KB each), so each write's eviction pass removes files that readers
-// are looking up or reading. Every answer is 200 with the job's whole
+// while jobs complete into a store capped at about two records (measured
+// on an unbounded store first), so each write's eviction pass removes files
+// that readers are looking up or reading. Every answer is 200 with the job's whole
 // snapshot, byte for byte, or 410; no read quarantines a sound object.
 // Run under -race -count=10.
 func TestSnapshotReadersBesidePutsUnderCap(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{MaxBytes: 100_000})
+	free, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Options{Workers: 2, Store: st})
+	s := New(Options{Workers: 1, Store: free})
+	view, err := s.Submit(sedovSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	s.Close()
+	record := free.Stats().Bytes
+	st, err := store.Open(t.TempDir(), store.Options{MaxBytes: 2*record + record/4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = New(Options{Workers: 2, Store: st})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -181,6 +193,9 @@ func TestSnapshotReadersBesidePutsUnderCap(t *testing.T) {
 		}
 		want[view.ID] = snap
 		ids = append(ids, view.ID)
+	}
+	if n := st.Stats().Entries; n != 2 {
+		t.Fatalf("a cap of %d bytes keeps %d of three records, want 2: no eviction pressure", 2*record+record/4, n)
 	}
 
 	done := make(chan struct{})

@@ -730,8 +730,8 @@ func (s *Server) run(job *Job) {
 		s.fail(job, err)
 	case !res.Cancelled:
 		s.complete(job, res)
-	case errors.Is(context.Cause(ctx), errKilled):
-		s.requeue(job, res)
+	case errors.Is(context.Cause(ctx), errKilled) && s.requeue(job, res):
+		// Requeued; requeue declines when a Cancel followed the Kill.
 	default:
 		s.finish(job, StateCancelled, "")
 		s.log.Info("job cancelled", "job", job.ID, "hash", job.Hash, "step", res.Steps)
@@ -808,12 +808,19 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 }
 
 // requeue is the simulated crash: checkpoint what the interrupted run has
-// and put the job back in the queue, to resume from there.
-func (s *Server) requeue(job *Job, res runloop.Result) {
+// and put the job back in the queue, to resume from there. It declines, and
+// the job ends cancelled, when a Cancel landed after the Kill: the run's
+// context keeps the Kill as its cause, but interrupt cleared job.killed, and
+// this lock hold is what decides, so a Cancel wins in either order.
+func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
 		_ = ck.Write(res.Steps, res.SimTime, res.PS)
 	}
 	s.mu.Lock()
+	if !job.killed {
+		s.mu.Unlock()
+		return false
+	}
 	job.State = StateQueued
 	job.killed = false
 	job.cancel = nil
@@ -834,6 +841,7 @@ func (s *Server) requeue(job *Job, res runloop.Result) {
 		s.met.jobsDone.With(string(StateFailed)).Inc()
 		s.log.Error("job failed", "job", job.ID, "hash", job.Hash, "error", job.Err)
 	}
+	return true
 }
 
 // complete turns a finished run into the job's result: encode the snapshot,

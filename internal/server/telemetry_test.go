@@ -393,6 +393,60 @@ func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
 	}
 }
 
+// TestCancelAfterKillWins: a Cancel that lands after a Kill, before the
+// killed run returns, ends the job cancelled. The run's context keeps the
+// Kill as its cause, so a run that read only the cause requeued the job and
+// the Cancel was lost. The step hook holds the run while both land.
+func TestCancelAfterKillWins(t *testing.T) {
+	id, release := make(chan string, 1), make(chan struct{})
+	var s *Server
+	interrupted := false // only the one worker goroutine touches it
+	s = New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2,
+		FaultInjection: func(step int, _ *part.Set) {
+			if step != 3 || interrupted {
+				return
+			}
+			interrupted = true
+			<-release
+			job := <-id
+			if err := s.Kill(job); err != nil {
+				t.Errorf("kill: %v", err)
+			}
+			if err := s.Cancel(job); err != nil {
+				t.Errorf("cancel: %v", err)
+			}
+		}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := sedovSpec(8)
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	view, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id <- view.ID
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + view.ID + "/telemetry/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	close(release)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var last telemetryEvent
+	for ev, ok := readSSEFrame(t, sc); ok; ev, ok = readSSEFrame(t, sc) {
+		last = ev
+	}
+	if last.State != StateCancelled {
+		t.Errorf("stream closed after a %q frame, want %q", last.State, StateCancelled)
+	}
+	if final := waitState(t, s, view.ID, StateCancelled, 60*time.Second); final.Restarts != 0 {
+		t.Errorf("cancelled job restarted %d times, want 0", final.Restarts)
+	}
+}
+
 // TestProfileCaptureAndPersistence: POST-driven CPU profile capture returns
 // gzipped pprof bytes for a job whose result is persisted, rejects
 // concurrent captures, and validates its parameters. (The capture itself
