@@ -9,14 +9,15 @@
 // checkpoint format. Completed jobs are scored against their scenario's
 // analytic reference (GET /v1/jobs/{id}/metrics), and POST /v1/experiments
 // runs whole N-convergence sweeps server-side, persisting the norm-vs-N
-// regression like any result. With -store-dir set, completed results and
-// their verification reports persist in a content-addressed disk store
-// (internal/store, objects sharded by hash prefix) bounded by -store-ttl
-// and -store-max-bytes, so identical resubmissions hit disk even across
-// restarts; a background goroutine sweeps the TTL/LRU eviction policy
-// every -store-sweep so idle entries expire without traffic, and
-// GET /v1/store reports store metrics. The pre-/v1 unversioned alias
-// routes are removed — requests to them 404.
+// regression like any result. Completed results and their verification
+// reports persist in a content-addressed disk store (internal/store, objects
+// sharded by hash prefix) under -store-dir, bounded by -store-ttl and
+// -store-max-bytes, so identical resubmissions hit disk even across
+// restarts; an empty -store-dir is a temporary directory removed at exit. A
+// background goroutine sweeps the TTL/LRU eviction policy every
+// -store-sweep so idle entries expire without traffic, terminal jobs leave
+// the job table on the same TTL, and GET /v1/store reports store metrics.
+// The pre-/v1 unversioned alias routes are removed — requests to them 404.
 //
 // Observability: every request carries an X-Request-Id (generated when the
 // client sends none) and a Server-Timing header; GET /statusz serves a
@@ -76,7 +77,7 @@ func main() {
 		queue     = flag.Int("queue", 64, "maximum queued jobs")
 		dataDir   = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
 		ckptEvery = flag.Int("checkpoint-every", runloop.DefaultChunkSteps, "steps between job checkpoints")
-		storeDir  = flag.String("store-dir", "", "persistent result store directory (empty keeps results in memory only)")
+		storeDir  = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
 		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
 		storeMax = flag.Int64("store-max-bytes", 0, "cap on total stored bytes (snapshots plus their report and telemetry attachments), LRU-evicted (0 = unbounded)")
@@ -109,43 +110,49 @@ func run(addr string, workers, queue int, dataDir string, ckptEvery int,
 		return fmt.Errorf("parsing -log-level: %w", err)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	if storeDir == "" {
+		dir, err := os.MkdirTemp("", "sphexa-store-")
+		if err != nil {
+			return fmt.Errorf("creating a temporary result store: %w", err)
+		}
+		defer os.RemoveAll(dir) // deferred first, so it runs after the server has closed
+		storeDir = dir
+	}
+	st, err := store.Open(storeDir, store.Options{TTL: storeTTL, MaxBytes: storeMax})
+	if err != nil {
+		return fmt.Errorf("opening result store: %w", err)
+	}
+	ss := st.Stats()
+	fmt.Printf("sphexa-serve: result store %s (%d entries, %d bytes, %d quarantined)\n",
+		storeDir, ss.Entries, ss.Bytes, ss.Quarantined)
+	if sweep > 0 {
+		// Background eviction sweep: without it, TTL/LRU evictions only
+		// run on submissions and reads, so an idle server never expires
+		// stale entries (and never frees their disk).
+		stopSweep := make(chan struct{})
+		defer close(stopSweep)
+		go func() {
+			ticker := time.NewTicker(sweep)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-stopSweep:
+					return
+				case <-ticker.C:
+					st.Sweep()
+				}
+			}
+		}()
+	}
 	opts := server.Options{
 		Workers:         workers,
 		QueueDepth:      queue,
 		DataDir:         dataDir,
 		CheckpointEvery: ckptEvery,
+		Store:           st,
+		JobTTL:          storeTTL,
 		Logger:          logger,
 		HistoryInterval: histEvery,
-	}
-	if storeDir != "" {
-		st, err := store.Open(storeDir, store.Options{TTL: storeTTL, MaxBytes: storeMax})
-		if err != nil {
-			return fmt.Errorf("opening result store: %w", err)
-		}
-		opts.Store = st
-		opts.JobTTL = storeTTL
-		ss := st.Stats()
-		fmt.Printf("sphexa-serve: result store %s (%d entries, %d bytes, %d quarantined)\n",
-			storeDir, ss.Entries, ss.Bytes, ss.Quarantined)
-		if sweep > 0 {
-			// Background eviction sweep: without it, TTL/LRU evictions only
-			// run on submissions and reads, so an idle server never expires
-			// stale entries (and never frees their disk).
-			stopSweep := make(chan struct{})
-			defer close(stopSweep)
-			go func() {
-				ticker := time.NewTicker(sweep)
-				defer ticker.Stop()
-				for {
-					select {
-					case <-stopSweep:
-						return
-					case <-ticker.C:
-						st.Sweep()
-					}
-				}
-			}()
-		}
 	}
 	if injectNaN {
 		// A known anomaly for the fleet-analytics leg of the contract smoke.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/sph"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 )
 
@@ -38,7 +39,11 @@ func local(t *testing.T, args ...string) (runloop.Result, scenario.JobSpec) {
 // its snapshot.
 func served(t *testing.T, spec scenario.JobSpec) ([]byte, *part.Set) {
 	t.Helper()
-	s := server.New(server.Options{Workers: 1})
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Options{Workers: 1, Store: st})
 	defer s.Close()
 	view, err := s.Submit(spec)
 	if err != nil {

@@ -8,7 +8,6 @@
 //
 //	W(r,h)      = sigma/h^3 * w(q)
 //	dW/dr(r,h)  = sigma/h^4 * w'(q)
-//	dW/dh(r,h)  = -sigma/h^4 * (3 w(q) + q w'(q))
 //
 // where sigma is the 3D normalization constant, determined analytically for
 // the polynomial kernels and by numerical quadrature for the sinc family.
@@ -37,13 +36,11 @@ type Kernel interface {
 	W(r, h float64) float64
 	// GradW evaluates dW/dr. The vector gradient is GradW(r,h) * rhat.
 	GradW(r, h float64) float64
-	// DWDh evaluates dW/dh, needed by grad-h correction terms.
-	DWDh(r, h float64) float64
 }
 
 // base implements Kernel on top of a dimensionless profile w(q), w'(q). W
 // and GradW evaluate the profile from its tabulation; the analytic w and dw
-// are the table's source and serve DWDh.
+// are the table's source.
 type base struct {
 	nm    string
 	sigma float64 // 3D normalization
@@ -114,14 +111,6 @@ func (k *base) GradW(r, h float64) float64 {
 		return 0
 	}
 	return Profile{k}.GradNorm(h) * Profile{k}.DW(r/h)
-}
-
-func (k *base) DWDh(r, h float64) float64 {
-	q := r / h
-	if q >= SupportRadius || h <= 0 {
-		return 0
-	}
-	return -Profile{k}.GradNorm(h) * (3*k.w(q) + q*k.dw(q))
 }
 
 // Profile is the concrete evaluator behind a kernel of this package: its

@@ -59,9 +59,6 @@ func TestCompactSupport(t *testing.T) {
 			if g := k.GradW(q*1.0, 1.0); g != 0 {
 				t.Errorf("%s: GradW(%gh) = %g, want 0", k.Name(), q, g)
 			}
-			if d := k.DWDh(q*1.0, 1.0); d != 0 {
-				t.Errorf("%s: DWDh(%gh) = %g, want 0", k.Name(), q, d)
-			}
 		}
 	}
 }
@@ -103,23 +100,6 @@ func TestGradWMatchesFiniteDifference(t *testing.T) {
 			tol := 1e-5 * (1 + math.Abs(an))
 			if math.Abs(fd-an) > tol {
 				t.Errorf("%s q=%g: GradW analytic %g vs FD %g", k.Name(), q, an, fd)
-			}
-		}
-	}
-}
-
-// TestDWDhMatchesFiniteDifference cross-checks dW/dh.
-func TestDWDhMatchesFiniteDifference(t *testing.T) {
-	const eps = 1e-7
-	for _, k := range allKernels() {
-		for _, q := range []float64{0.1, 0.5, 1.2, 1.9} {
-			h := 0.8
-			r := q * h
-			fd := (k.W(r, h+eps) - k.W(r, h-eps)) / (2 * eps)
-			an := k.DWDh(r, h)
-			tol := 1e-4 * (1 + math.Abs(an))
-			if math.Abs(fd-an) > tol {
-				t.Errorf("%s q=%g: DWDh analytic %g vs FD %g", k.Name(), q, an, fd)
 			}
 		}
 	}

@@ -2,16 +2,10 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"repro/internal/cluster"
 )
-
-// ErrNoStore rejects analytics submissions on a server without a persistent
-// result store: the analysis clusters the *persisted* verification corpus,
-// so there is nothing to cluster without one.
-var ErrNoStore = errors.New("server: no result store attached; analytics requires persisted verification reports")
 
 // AnalysisView is the wire shape of a fleet-clustering analysis (POST
 // /v1/analytics/cluster): the persisted verification corpus — optionally
@@ -77,9 +71,6 @@ var analysisKind = kind[cluster.Spec, AnalysisView]{
 // scenarios completing cannot invalidate a filtered analysis.
 func planAnalysis(s *Server, sp cluster.Spec) (plan[cluster.Spec], error) {
 	var p plan[cluster.Spec]
-	if s.opts.Store == nil {
-		return p, ErrNoStore
-	}
 	csp, err := sp.Canonical()
 	if err != nil {
 		return p, err

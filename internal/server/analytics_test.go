@@ -220,38 +220,19 @@ func TestClusterAnalyticsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClusterAnalyticsValidation covers the request-level failure modes: no
-// store attached, an undersized corpus, and an invalid spec.
+// TestClusterAnalyticsValidation covers the request-level failure modes: an
+// undersized corpus and an invalid spec.
 func TestClusterAnalyticsValidation(t *testing.T) {
-	// No store: analytics has nothing to cluster.
-	s := New(Options{Workers: 1})
+	// An empty corpus: too few reports.
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/analytics/cluster", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), CodeNoStore) {
-		t.Fatalf("no-store submission: status %d body %s", resp.StatusCode, body)
-	}
-
-	// With a store but an empty corpus: too few reports.
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := New(Options{Workers: 1, Store: st})
-	defer s2.Close()
-	if _, err := s2.Analyses.Submit(cluster.Spec{}); err == nil ||
+	if _, err := s.Analyses.Submit(cluster.Spec{}); err == nil ||
 		!strings.Contains(err.Error(), "need at least") {
 		t.Fatalf("empty-corpus submission error = %v", err)
 	}
 
 	// Invalid spec knobs reject before any dataset work.
-	if _, err := s2.Analyses.Submit(cluster.Spec{Features: []string{"no-such-group"}}); err == nil {
+	if _, err := s.Analyses.Submit(cluster.Spec{Features: []string{"no-such-group"}}); err == nil {
 		t.Fatal("unknown feature group accepted")
 	}
 }

@@ -187,11 +187,7 @@ func (d *Derived[S, V]) resolveRawResult(hash string) ([]byte, bool) {
 	if ok {
 		return raw, true
 	}
-	st := s.opts.Store
-	if st == nil {
-		return nil, false
-	}
-	b, _, err := st.ReadObject(hash)
+	b, _, err := s.opts.Store.ReadObject(hash)
 	if err != nil {
 		return nil, false
 	}
@@ -263,12 +259,10 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	if err != nil {
 		state, msg = StateFailed, err.Error()
 	} else {
-		if st := s.opts.Store; st != nil {
-			if perr := st.Put(store.Meta{Hash: rec.Hash}, raw); perr != nil {
-				// Still served from memory, but gone after a restart.
-				s.log.Warn("derived result not persisted", "kind", d.kind.noun,
-					"id", rec.ID, "hash", rec.Hash, "error", perr)
-			}
+		if perr := s.opts.Store.Put(store.Meta{Hash: rec.Hash}, raw); perr != nil {
+			// Still served from memory, but gone after a restart.
+			s.log.Warn("derived result not persisted", "kind", d.kind.noun,
+				"id", rec.ID, "hash", rec.Hash, "error", perr)
 		}
 		if d.kind.applied != nil {
 			apply = d.kind.applied(raw)

@@ -238,6 +238,7 @@ func TestServedEqualsDirect(t *testing.T) {
 			id := make(chan string, 1)
 			killed := false // only the one worker goroutine touches it
 			s = New(Options{
+				Store:   tempStore(t),
 				Workers: 1, DataDir: t.TempDir(), CheckpointEvery: every,
 				FaultInjection: func(step int, _ *part.Set) {
 					if step != tc.killAt || killed {

@@ -185,7 +185,7 @@ func TestExperimentLifecycle(t *testing.T) {
 // TestExperimentValidation: sweeps that cannot converge are rejected up
 // front with the envelope, not discovered mid-run.
 func TestExperimentValidation(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	// A scenario without an analytic reference cannot be swept.
@@ -222,7 +222,7 @@ func TestExperimentValidation(t *testing.T) {
 // TestExperimentActiveCoalescing: two identical sweeps submitted while the
 // first is still running share one experiment record.
 func TestExperimentActiveCoalescing(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	sw := sedovSweep(3, 216, 512)
@@ -252,7 +252,7 @@ func TestExperimentActiveCoalescing(t *testing.T) {
 // TestExperimentMemberFailureFailsExperiment: a sweep whose members cannot
 // run ends failed with a diagnostic, not hung.
 func TestExperimentMemberFailureFailsExperiment(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	// NNeighbors wildly above N makes the member generation/run fail.

@@ -120,7 +120,6 @@ const (
 	CodeGone              = "gone"
 	CodeNoReport          = "no_report"
 	CodeNoTelemetry       = "no_telemetry"
-	CodeNoStore           = "no_store"
 	CodeInternal          = "internal"
 )
 
@@ -151,8 +150,6 @@ func submitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, CodeQueueFull, err.Error(), nil)
 	case errors.Is(err, scenario.ErrUnknown):
 		writeError(w, http.StatusNotFound, CodeUnknownScenario, err.Error(), nil)
-	case errors.Is(err, ErrNoStore):
-		writeError(w, http.StatusNotFound, CodeNoStore, err.Error(), nil)
 	default:
 		writeError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), nil)
 	}
@@ -634,15 +631,9 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// handleStore serves the result-store metrics; without a persistent store
-// attached there is nothing to report.
+// handleStore serves the result-store metrics.
 func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
-	st := s.opts.Store
-	if st == nil {
-		writeError(w, http.StatusNotFound, CodeNoStore, "no result store attached", nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, st.Stats())
+	writeJSON(w, http.StatusOK, s.opts.Store.Stats())
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, view JobView) {

@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // is a reviewed diff of the golden file, and a family nothing reads has
 // nowhere to hide.
 func TestMetricFamilyInventory(t *testing.T) {
-	s := New(Options{})
+	s := New(Options{Store: tempStore(t)})
 	defer s.Close()
 	s.collect()
 

@@ -141,7 +141,7 @@ func TestMetricsEndToEndAndRestart(t *testing.T) {
 // TestMetricsWithoutReference: a scenario with no analytic solution still
 // reports conservation drift (and passes its drift-only thresholds).
 func TestMetricsWithoutReference(t *testing.T) {
-	s := New(Options{Workers: 2})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -177,7 +177,7 @@ func TestMetricsWithoutReference(t *testing.T) {
 }
 
 func TestMetricsErrorStates(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -206,8 +206,4 @@ func TestMetricsErrorStates(t *testing.T) {
 	if err := s.Cancel(view.ID); err != nil {
 		t.Fatal(err)
 	}
-
-	// Store metrics without a store attached.
-	_, err = c.StoreStats(ctx)
-	wantCode(err, CodeNoStore)
 }

@@ -45,7 +45,7 @@ func familyValue(t *testing.T, reg *obs.Registry, name string, labels ...string)
 // their method and status code, request IDs are honored or generated and
 // always echoed, and responses carry Server-Timing.
 func TestMiddlewareLabelsAndHeaders(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -100,7 +100,7 @@ func TestMiddlewareLabelsAndHeaders(t *testing.T) {
 
 // TestRemovedAliasRoutes404: the unversioned pre-/v1 aliases are gone.
 func TestRemovedAliasRoutes404(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -140,7 +140,7 @@ func statuszBody(t *testing.T, ts *httptest.Server) string {
 // per-route latency digest, and the job phase totals; the Prometheus
 // exposition carries the families with correct types.
 func TestStatuszAndMetricsz(t *testing.T) {
-	s := New(Options{Workers: 2, DataDir: t.TempDir()})
+	s := New(Options{Workers: 2, DataDir: t.TempDir(), Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -183,7 +183,7 @@ func TestCorruptStoredResultRecomputed(t *testing.T) {
 // TestBatchSubmission: POST /v1/jobs/batch coalesces duplicates within the
 // array and reports per-item errors without rejecting the batch.
 func TestBatchSubmission(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -244,7 +244,7 @@ func TestBatchSubmission(t *testing.T) {
 // TestListStateFilter: the jobs listing filters by lifecycle state and
 // rejects unknown states.
 func TestListStateFilter(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -199,7 +199,7 @@ func rawScalingResult(base, id string) ([]byte, error) {
 // TestScalingWeakMode runs a weak ladder end to end: member particle
 // counts grow with the machine and the result reports weak efficiencies.
 func TestScalingWeakMode(t *testing.T) {
-	s := New(Options{Workers: 2})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 
 	sw := experiments.ScalingSweep{
@@ -326,7 +326,7 @@ func TestDeleteLifecycles(t *testing.T) {
 // terminal) must yield an already-closed channel, never a nil one that
 // would block the experiment forever.
 func TestMemberDoneVanishedRecord(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	select {
 	case <-s.memberDone("job-999999"):
@@ -339,7 +339,7 @@ func TestMemberDoneVanishedRecord(t *testing.T) {
 // server, deleting the last record carrying a hash drops its cached
 // result; while another record shares the hash, the entry survives.
 func TestDeleteReclaimsCache(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	first, err := s.Submit(sedovSpec(2))

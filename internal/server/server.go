@@ -7,11 +7,12 @@
 // configurable step interval, so a killed job resumes from its last
 // checkpoint instead of recomputing from scratch.
 //
-// When a result store (internal/store) is attached, the in-memory cache is
-// only a metadata layer: snapshot bytes persist on disk, survive restarts,
-// and are streamed straight from the store's CRC-verified object files; the
-// store's TTL + size-capped LRU policy bounds the footprint, and the job
-// table itself is pruned of terminal jobs older than JobTTL.
+// Completed results live in a result store (internal/store), and the
+// in-memory cache is only a metadata layer: snapshot bytes persist on disk,
+// survive restarts, and are streamed straight from the store's CRC-verified
+// object files; the store's TTL + size-capped LRU policy bounds the
+// footprint, and the job table itself is pruned of terminal jobs older than
+// JobTTL.
 package server
 
 import (
@@ -132,8 +133,8 @@ type JobView struct {
 }
 
 // cachedResult is the in-memory layer of the result cache: metadata always,
-// snapshot bytes only when no persistent store backs the server (with a
-// store attached the bytes live on disk and are streamed from there). The
+// snapshot bytes only when the store could not keep them (see persist); the
+// bytes otherwise live on disk and are streamed from there. The
 // verification report rides along: bytes for GET /jobs/{id}/metrics, the
 // summary for job-view rollups.
 type cachedResult struct {
@@ -141,7 +142,7 @@ type cachedResult struct {
 	// equal canonical specs), which then keeps no decoded copy of its own.
 	spec      scenario.JobSpec
 	hash      string
-	snapshot  []byte // part.Set binary encoding; nil when store-backed
+	snapshot  []byte // part.Set binary encoding; nil when the store kept it
 	particles int
 	checksum  uint64
 	simTime   float64
@@ -167,8 +168,8 @@ type Options struct {
 	// CheckpointEvery is the step interval between checkpoints (default
 	// runloop.DefaultChunkSteps).
 	CheckpointEvery int
-	// Store persists completed results across restarts; nil keeps the
-	// legacy memory-only cache.
+	// Store persists completed results across restarts. Required: New
+	// panics without one.
 	Store *store.Store
 	// JobTTL prunes completed/failed/cancelled jobs from the job table
 	// this long after they turned terminal; 0 disables pruning.
@@ -213,7 +214,7 @@ type Server struct {
 
 	mu sync.Mutex
 	// jobs is the job table; its memory layer holds result metadata (and the
-	// snapshot bytes when no store backs the server).
+	// snapshot bytes the store could not keep).
 	jobs table[*Job, *cachedResult] // guarded by mu
 
 	// The derived kinds, one level up from jobs: each fans member jobs out
@@ -249,8 +250,11 @@ var errKilled = errors.New("server: job killed")
 // ErrQueueFull rejects submissions beyond QueueDepth (HTTP 503).
 var ErrQueueFull = errors.New("server: job queue full")
 
-// New starts a Server and its worker pool.
+// New starts a Server and its worker pool. It panics if opts.Store is nil.
 func New(opts Options) *Server {
+	if opts.Store == nil {
+		panic("server: Options.Store is required")
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
@@ -450,11 +454,8 @@ func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResul
 	s.mu.Lock()
 	res, ok := s.jobs.cachedLocked(hash)
 	s.mu.Unlock()
-	if ok && (st == nil || res.snapshot != nil) {
+	if ok && res.snapshot != nil {
 		return res, true
-	}
-	if st == nil {
-		return nil, false
 	}
 	m, inStore := st.Get(hash)
 	if !inStore {
@@ -606,8 +607,8 @@ func (s *Server) interrupt(id string, kill bool) error {
 	return nil
 }
 
-// DeleteJob removes a terminal job record from the job table. With a store
-// attached the result (snapshot, report) stays addressable by spec hash —
+// DeleteJob removes a terminal job record from the job table. The result
+// (snapshot, report) stays addressable by spec hash in the store —
 // resubmitting the identical spec is still a cache hit; deletion forgets
 // the record, not the persisted result.
 func (s *Server) DeleteJob(id string) error {
@@ -648,9 +649,6 @@ func (s *Server) snapshotBody(id string) (write func(io.Writer) (int64, error), 
 		return bytes.NewReader(res.snapshot).WriteTo, int64(len(res.snapshot)), true
 	}
 	st := s.opts.Store
-	if st == nil {
-		return nil, 0, false
-	}
 	m, ok := st.Get(hash)
 	return func(w io.Writer) (int64, error) { return st.WriteObject(m, w) }, m.Size, ok
 }
@@ -873,9 +871,7 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		result.telemetryStatus = track.Status
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
-	if s.opts.Store != nil {
-		s.persist(job, result)
-	}
+	s.persist(job, result)
 
 	s.mu.Lock()
 	s.jobs.cacheLocked(job.Hash, result)
@@ -972,13 +968,11 @@ func (s *Server) persisted(hash string) (report, track []byte) {
 		report, track = res.report, res.telemetry
 	}
 	s.mu.Unlock()
-	if st := s.opts.Store; st != nil {
-		if report == nil {
-			report, _ = st.ReadReport(hash)
-		}
-		if track == nil {
-			track, _ = st.ReadTelemetry(hash)
-		}
+	if report == nil {
+		report, _ = s.opts.Store.ReadReport(hash)
+	}
+	if track == nil {
+		track, _ = s.opts.Store.ReadTelemetry(hash)
 	}
 	return report, track
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,8 +18,20 @@ import (
 	"repro/internal/ft"
 	"repro/internal/part"
 	"repro/internal/scenario"
+	"repro/internal/store"
 	"repro/pkg/client"
 )
+
+// tempStore opens an empty result store in a test temp directory: every
+// server has one.
+func tempStore(t testing.TB) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // sedovSpec is the small, fast canonical job used across the tests.
 func sedovSpec(steps int) scenario.JobSpec {
@@ -74,12 +87,23 @@ func decodeSnapshot(t *testing.T, raw []byte) *part.Set {
 	return ps
 }
 
+// TestNewRequiresStore: a result has one home, the store, so a server
+// without one is a programming error, named as such.
+func TestNewRequiresStore(t *testing.T) {
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "Options.Store") {
+			t.Errorf("New without a store: panic %v, want one naming Options.Store", v)
+		}
+	}()
+	New(Options{Workers: 1}).Close()
+}
+
 // TestSubmitPollSnapshotAndCacheHit is the end-to-end acceptance path: the
 // same Sedov job submitted twice through the client — the first executes
 // the distributed engine, the second is served from the result cache — and
 // both snapshots decode via part with matching CRC and particle count.
 func TestSubmitPollSnapshotAndCacheHit(t *testing.T) {
-	s := New(Options{Workers: 2, DataDir: t.TempDir()})
+	s := New(Options{Workers: 2, DataDir: t.TempDir(), Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -168,7 +192,7 @@ func TestSubmitPollSnapshotAndCacheHit(t *testing.T) {
 // different job: different hash, separately cached result, both backends
 // completing on their own engines.
 func TestBackendChangesHashAndResult(t *testing.T) {
-	s := New(Options{Workers: 2})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 
 	parallel := sedovSpec(2)
@@ -227,7 +251,7 @@ func TestBackendChangesHashAndResult(t *testing.T) {
 // parent-code calibration runs to completion and hashes apart from the
 // default execution.
 func TestExecMachineAndCostDispatch(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(2)
@@ -274,7 +298,7 @@ func TestExecMachineAndCostDispatch(t *testing.T) {
 // equal modeled POP lines; a MareNostrum job shows that the comparison can
 // tell two machines apart.
 func TestEmptyExecIsPizDaint(t *testing.T) {
-	s := New(Options{Workers: 1, HistoryInterval: -1})
+	s := New(Options{Workers: 1, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 
 	run := func(machine string) (hash string, timing json.RawMessage, modeled string) {
@@ -328,7 +352,7 @@ func TestEmptyExecIsPizDaint(t *testing.T) {
 // TestEventsStream: the SSE endpoint delivers progress frames and ends with
 // the terminal state.
 func TestEventsStream(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -375,7 +399,7 @@ func TestEventsStream(t *testing.T) {
 // crash-recovery path driven through the service.
 func TestKillResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2})
+	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(40)
@@ -435,7 +459,7 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 // engine — the checkpoint/resume loop is backend-agnostic.
 func TestSerialBackendKillResumes(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2})
+	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(30)
@@ -478,7 +502,7 @@ func TestSerialBackendKillResumes(t *testing.T) {
 // TestCancelTerminates: explicit cancellation is terminal and frees the
 // hash for resubmission.
 func TestCancelTerminates(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(200)
@@ -514,7 +538,7 @@ func TestCancelTerminates(t *testing.T) {
 // TestSubmitCoalescesActiveDuplicates: submitting a spec identical to a
 // queued/running job returns that job instead of enqueueing a duplicate.
 func TestSubmitCoalescesActiveDuplicates(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(100)
@@ -537,7 +561,7 @@ func TestSubmitCoalescesActiveDuplicates(t *testing.T) {
 // TestErrorEnvelope covers the structured /v1 failure envelope: stable
 // codes, JSON content type, and the client's APIError decoding.
 func TestErrorEnvelope(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -590,10 +614,6 @@ func TestErrorEnvelope(t *testing.T) {
 	_, err = c.Jobs(ctx, client.ListOptions{State: "warp"})
 	wantCode(err, CodeInvalidArgument, http.StatusBadRequest)
 
-	// Store metrics without a store: 404 no_store.
-	_, err = c.StoreStats(ctx)
-	wantCode(err, CodeNoStore, http.StatusNotFound)
-
 	// The envelope itself is well-formed JSON with the error member.
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")
 	if err != nil {
@@ -640,7 +660,7 @@ func TestErrorEnvelope(t *testing.T) {
 // former alias path now 404s with no Deprecation signal, while the /v1
 // routes keep serving.
 func TestLegacyRoutesRemoved(t *testing.T) {
-	s := New(Options{Workers: 1})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -689,7 +709,7 @@ func TestLegacyRoutesRemoved(t *testing.T) {
 // TestListPagination: cursor pagination walks the whole listing in stable
 // order without duplicates.
 func TestListPagination(t *testing.T) {
-	s := New(Options{Workers: 2})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

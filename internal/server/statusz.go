@@ -62,13 +62,9 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(tw, "experiments\t%d convergence, %d scaling\n", nexps, nscls)
 	fmt.Fprintf(tw, "analyses\t%d cluster\n", nclss)
 
-	if st := s.opts.Store; st != nil {
-		stats := st.Stats()
-		fmt.Fprintf(tw, "store\t%d entries, %d bytes, hit rate %.2f, %d puts, %d evictions, %d quarantined\n",
-			stats.Entries, stats.Bytes, stats.HitRate, stats.Puts, stats.Evictions, stats.Quarantined)
-	} else {
-		fmt.Fprintf(tw, "store\tnone (memory-only cache)\n")
-	}
+	stats := s.opts.Store.Stats()
+	fmt.Fprintf(tw, "store\t%d entries, %d bytes, hit rate %.2f, %d puts, %d evictions, %d quarantined\n",
+		stats.Entries, stats.Bytes, stats.HitRate, stats.Puts, stats.Evictions, stats.Quarantined)
 
 	// Per-route latency digest, from the route-aggregated histogram family
 	// (methods and status codes folded together).

@@ -194,8 +194,8 @@ func (t *table[R, C]) pruneLocked(cutoff time.Time) {
 
 // dropLocked forgets the records drop selects, then the memory-layer
 // entries whose hash no longer backs any surviving record — so repeated
-// submit+delete traffic cannot grow the cache without bound. With a store
-// attached the results stay addressable on disk regardless.
+// submit+delete traffic cannot grow the cache without bound. The results
+// stay addressable in the store regardless.
 func (t *table[R, C]) dropLocked(drop func(*record) bool) {
 	kept := t.order[:0]
 	dropped := map[string]bool{}

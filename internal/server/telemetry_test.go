@@ -41,7 +41,7 @@ func decodeTrack(t *testing.T, b []byte) telemetry.Track {
 func TestTelemetryTrackRecordedOnBothBackends(t *testing.T) {
 	for _, backend := range []string{scenario.BackendParallel, scenario.BackendSerial} {
 		t.Run(backend, func(t *testing.T) {
-			s := New(Options{Workers: 1})
+			s := New(Options{Workers: 1, Store: tempStore(t)})
 			defer s.Close()
 			spec := sedovSpec(4)
 			spec.Exec = scenario.Exec{Backend: backend}
@@ -192,6 +192,7 @@ func TestTelemetryByteIdenticalAcrossKillResumeAndRestart(t *testing.T) {
 // the persisted track.
 func TestNaNInjectionTripsWatchdog(t *testing.T) {
 	s := New(Options{
+		Store:   tempStore(t),
 		Workers: 1,
 		// Poison one particle's internal energy right after the final step
 		// completes (so the dynamics stay finite and the job still passes
@@ -261,7 +262,7 @@ func TestNaNFaultHook(t *testing.T) {
 		t.Fatalf("sedov at N=%d realizes %d particles", NaNFaultN, ps.NLocal)
 	}
 
-	s := New(Options{Workers: 2, FaultInjection: NaNFault})
+	s := New(Options{Workers: 2, FaultInjection: NaNFault, Store: tempStore(t)})
 	defer s.Close()
 	parallel := clusterFleetSpec(NaNFaultN, 1)
 	parallel.Exec = scenario.Exec{}
@@ -307,7 +308,7 @@ func readSSEFrame(t *testing.T, sc *bufio.Scanner) (telemetryEvent, bool) {
 // keeps delivering frames across a kill-requeue (the job is not terminal)
 // and closes after the terminal frame of an explicit cancel.
 func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
-	s := New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2})
+	s := New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -401,7 +402,7 @@ func TestCancelAfterKillWins(t *testing.T) {
 	id, release := make(chan string, 1), make(chan struct{})
 	var s *Server
 	interrupted := false // only the one worker goroutine touches it
-	s = New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2,
+	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2,
 		FaultInjection: func(step int, _ *part.Set) {
 			if step != 3 || interrupted {
 				return
@@ -519,6 +520,7 @@ func TestEnginePanicFailsJobNotServer(t *testing.T) {
 	// alive to complete the next job.
 	var fired atomic.Bool
 	s := New(Options{
+		Store:   tempStore(t),
 		Workers: 1,
 		FaultInjection: func(step int, ps *part.Set) {
 			if step == 2 && fired.CompareAndSwap(false, true) {

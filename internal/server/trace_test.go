@@ -201,7 +201,7 @@ func TestTraceEndToEndParallel(t *testing.T) {
 // job; eight ranks, many fetches and a cache-hit resubmission must give one
 // body, whose measured POP block is trace.POP over the persisted timing.
 func TestTraceBytesStableManyRanks(t *testing.T) {
-	s := New(Options{Workers: 2, HistoryInterval: -1})
+	s := New(Options{Workers: 2, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 	spec := sodSpec(4)
 	spec.Cores = 96 // eight 12-core nodes, one rank each
@@ -260,7 +260,7 @@ func TestTraceBytesStableManyRanks(t *testing.T) {
 // real per-step phase letters on one rank-0 track, with no modeled POP
 // column (the serial engine has no machine model to predict under).
 func TestTraceSerialBackend(t *testing.T) {
-	s := New(Options{Workers: 1, HistoryInterval: -1})
+	s := New(Options{Workers: 1, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -314,7 +314,7 @@ func TestTraceSerialBackend(t *testing.T) {
 
 // TestTraceErrorStates pins the error envelope of the trace route.
 func TestTraceErrorStates(t *testing.T) {
-	s := New(Options{Workers: 1, HistoryInterval: -1})
+	s := New(Options{Workers: 1, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -349,7 +349,7 @@ func TestTraceErrorStates(t *testing.T) {
 // TestMetricsHistoryEndpoint drives the sampler by hand (background ticker
 // disabled) and reads the history back through the HTTP surface.
 func TestMetricsHistoryEndpoint(t *testing.T) {
-	s := New(Options{Workers: 1, HistoryInterval: -1})
+	s := New(Options{Workers: 1, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -414,7 +414,7 @@ func TestMetricsHistoryEndpoint(t *testing.T) {
 // TestStatuszTrendColumns: the trend table renders with live values and
 // dashes for history the store does not reach back to.
 func TestStatuszTrendColumns(t *testing.T) {
-	s := New(Options{Workers: 1, HistoryInterval: -1})
+	s := New(Options{Workers: 1, HistoryInterval: -1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"hash/crc64"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -161,9 +163,9 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	}
 }
 
-// parentIndex is an index.json as the build before the profile attachment
-// was deleted wrote it (Put, PutReport, PutTelemetry, PutProfile under a
-// fixed clock).
+// parentIndex is an index.json as a build that kept the report, the track
+// and a profile in files beside the snapshot wrote it (Put, PutReport,
+// PutTelemetry, PutProfile under a fixed clock).
 const parentIndex = `{
   "version": 1,
   "entries": {
@@ -187,92 +189,57 @@ const parentIndex = `{
   }
 }`
 
-// TestParentFormatDirectoryOpens: a data directory written with the profile
-// attachment opens with the same entry, serves report and track byte for
-// byte, loses its profiles/ directory and re-saves an index without the
-// profile keys.
-func TestParentFormatDirectoryOpens(t *testing.T) {
+// TestOlderLayoutOpens: Open reads only the layout it writes. Over a
+// directory of an older build it quarantines the flat objects/<hash>.sph and
+// drops that entry as lost, removes the reports/, telemetry/ and profiles/
+// directories, and serves the snapshot-only record's snapshot with no
+// attachment. The byte count is the bytes under objects/, and a second Open
+// changes nothing.
+func TestOlderLayoutOpens(t *testing.T) {
 	dir := t.TempDir()
-	report := []byte(`{"reference":"sedov","pass":true}`)
-	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
+	snapshot, flat := []byte("SPH1 snapshot payload"), []byte("flat")
+	index := strings.Replace(parentIndex, `"entries": {`, fmt.Sprintf(`"entries": {
+    "cd56ef78": {"hash": "cd56ef78", "size": %d, "crc": %d, "createdAt": 1000000, "lastUsed": 1000000},`,
+		len(flat), crc64.Checksum(flat, crcTable)), 1)
 	writeTree(t, dir, map[string][]byte{
-		"index.json":              []byte(parentIndex),
-		"objects/ab/ab12cd34.sph": []byte("SPH1 snapshot payload"),
-		"reports/ab12cd34.json":   report,
-		"telemetry/ab12cd34.json": track,
-		"profiles/ab12cd34.pprof": {0x1f, 0x8b, 0x08, 0x00},
-		"profiles/feedbeef.pprof": {0x1f, 0x8b},
-	})
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := s.Get("ab12cd34")
-	want := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
-		Size: 21, CRC: 13976548776490360967, CreatedAt: 1000000, LastUsed: m.LastUsed,
-		ReportSize: 33, ReportCRC: 3095550026494226785, TelemetrySize: 38, TelemetryCRC: 373139986806398433}
-	if !ok || s.Stats().Entries != 1 || m != want {
-		t.Fatalf("entry after open %+v (ok=%v, %d entries), want %+v", m, ok, s.Stats().Entries, want)
-	}
-	if got, ok := s.ReadReport("ab12cd34"); !ok || !bytes.Equal(got, report) {
-		t.Errorf("report after open %q ok=%v", got, ok)
-	}
-	if got, ok := s.ReadTelemetry("ab12cd34"); !ok || !bytes.Equal(got, track) {
-		t.Errorf("track after open %q ok=%v", got, ok)
-	}
-	if got := s.Stats().Bytes; got != 21+33+38 {
-		t.Errorf("TotalBytes = %d, want 92: the dropped profile's 4 bytes are not ours any more", got)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "profiles")); !os.IsNotExist(err) {
-		t.Errorf("profiles/ survived the open: %v", err)
-	}
-	idx, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(idx), "profile") {
-		t.Errorf("re-saved index still carries profile keys:\n%s", idx)
-	}
-	if want := strings.Replace(parentIndex, `,
-      "profileSize": 4,
-      "profileCRC": 16053425590499601753`, "", 1); string(idx) != want {
-		t.Errorf("re-saved index is not the parent's minus the profile keys:\n%s", idx)
-	}
-}
-
-// TestParentLayoutFoldsIntoRecords: the directory of
-// TestParentFormatDirectoryOpens, where report and track are files beside
-// the snapshot, opens to one record file: nothing is left under reports/ or
-// telemetry/, the record is snapshot, report and track back to back, and
-// all three serve byte for byte, again after a restart.
-func TestParentLayoutFoldsIntoRecords(t *testing.T) {
-	dir := t.TempDir()
-	snapshot := []byte("SPH1 snapshot payload")
-	report := []byte(`{"reference":"sedov","pass":true}`)
-	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
-	writeTree(t, dir, map[string][]byte{
-		"index.json":              []byte(parentIndex),
+		"index.json":              []byte(index),
 		"objects/ab/ab12cd34.sph": snapshot,
-		"reports/ab12cd34.json":   report,
-		"telemetry/ab12cd34.json": track,
+		"objects/cd56ef78.sph":    flat,
+		"reports/ab12cd34.json":   []byte(`{"reference":"sedov","pass":true}`),
+		"telemetry/ab12cd34.json": []byte(`{"status":"ok","samples":[{"step":1}]}`),
+		"profiles/ab12cd34.pprof": {0x1f, 0x8b, 0x08, 0x00},
 	})
-	for restart := range 2 {
+	var first map[string][]byte
+	for open := range 2 {
 		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		files := tree(t, dir)
-		if len(files) != 2 || !bytes.Equal(files["objects/ab/ab12cd34.sph"], bytes.Join([][]byte{snapshot, report, track}, nil)) {
-			t.Errorf("open %d left %q, want index.json and the record", restart, keys(files))
+		if open == 0 {
+			first = files
+		} else if !reflect.DeepEqual(files, first) {
+			t.Errorf("the second open changed the directory: %q, then %q", keys(first), keys(files))
+		}
+		if want := []string{"index.json", "objects/ab/ab12cd34.sph", "quarantine/cd56ef78.sph"}; !reflect.DeepEqual(keys(files), want) {
+			t.Errorf("open %d left %q, want %q", open, keys(files), want)
+		}
+		for _, old := range []string{"reports", "telemetry", "profiles"} {
+			if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
+				t.Errorf("open %d left %s/: %v", open, old, err)
+			}
+		}
+		if st := s.Stats(); st.Entries != 1 || st.Bytes != diskBytes(t, dir) || st.Quarantined != 1-open {
+			t.Errorf("open %d: %+v, %d bytes under objects/", open, st, diskBytes(t, dir))
+		}
+		if _, ok := s.Get("cd56ef78"); ok {
+			t.Errorf("open %d serves the flat object's entry", open)
 		}
 		got, _, err := s.ReadObject("ab12cd34")
 		rep, rok := s.ReadReport("ab12cd34")
 		trk, tok := s.ReadTelemetry("ab12cd34")
-		if err != nil || !bytes.Equal(got, snapshot) || !rok || !bytes.Equal(rep, report) || !tok || !bytes.Equal(trk, track) {
-			t.Errorf("open %d serves %q (%v), %q, %q", restart, got, err, rep, trk)
-		}
-		if st := s.Stats(); st.Bytes != 21+33+38 || st.Quarantined != 0 {
-			t.Errorf("open %d: %+v", restart, st)
+		if err != nil || !bytes.Equal(got, snapshot) || rok || tok {
+			t.Errorf("open %d serves %q (%v), report %q, track %q", open, got, err, rep, trk)
 		}
 	}
 }

@@ -29,11 +29,13 @@
 //	index.log              CRC-framed put/del records since then
 //	objects/ab/abcd….sph   records: the snapshot (part binary checkpoint
 //	                       format), then the report and the telemetry track;
-//	                       sharded by the first two hash characters. A flat
-//	                       objects/abcd….sph migrates on Open, and so do the
-//	                       reports/ and telemetry/ files an earlier layout
-//	                       kept beside the snapshot: folded into the record
+//	                       sharded by the first two hash characters
 //	quarantine/            corrupt or unindexed records moved aside on detection
+//
+// Open reads only this layout. Of an older one, a flat objects/abcd….sph is
+// quarantined (its entry drops as lost) and the reports/, telemetry/ and
+// profiles/ directories kept beside the records are removed: nothing of
+// theirs is served.
 package store
 
 import (
@@ -84,25 +86,19 @@ type Meta struct {
 	TelemetryCRC  uint64 `json:"telemetryCRC,omitempty"`
 }
 
-// region is one part of a record, served byte for byte or not at all: the
-// table's regions back to back, in its order, are the record file. legacy is
-// the directory an earlier layout kept the region in, as <legacy>/<hash>.json
-// (Open folds it in); slot is where an entry records its size and CRC.
-type region struct {
-	legacy string
-	slot   func(*Meta) (size *int64, crc *uint64)
-}
-
 const (
 	regionSnapshot = iota
 	regionReport
 	regionTelemetry
 )
 
-var regions = [...]region{
-	regionSnapshot:  {"", func(m *Meta) (*int64, *uint64) { return &m.Size, &m.CRC }},
-	regionReport:    {"reports", func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC }},
-	regionTelemetry: {"telemetry", func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC }},
+// regions are the parts of a record, each served byte for byte or not at
+// all: back to back, in this order, they are the record file. Each is where
+// an entry records that region's size and CRC.
+var regions = [...]func(*Meta) (size *int64, crc *uint64){
+	regionSnapshot:  func(m *Meta) (*int64, *uint64) { return &m.Size, &m.CRC },
+	regionReport:    func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC },
+	regionTelemetry: func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC },
 }
 
 // extent is where a region lies in its record, and its CRC.
@@ -116,7 +112,7 @@ type extent struct {
 func (m *Meta) extents() (e [len(regions)]extent) {
 	var off int64
 	for k := range regions {
-		size, crc := regions[k].slot(m)
+		size, crc := regions[k](m)
 		e[k], off = extent{off, *size, *crc}, off+*size
 	}
 	return e
@@ -178,20 +174,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}, writing: map[string]bool{}}
 	s.idle = sync.NewCond(&s.mu)
 
-	// Objects used to live flat at objects/<hash>.sph. Move each into its
-	// shard directory before verification; the index records no paths, so
-	// it is unchanged by the move. A file that cannot be moved is
-	// quarantined, never left at the flat path, which the unindexed-object
-	// sweep below does not scan.
-	flat, _ := filepath.Glob(filepath.Join(s.objectsDir(), "*.sph"))
-	for _, path := range flat {
-		hash := fileHash(path, ".sph")
-		dst := s.objectPath(hash)
-		if dst != path && (os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil) {
-			s.quarantineLocked(path, hash)
-		}
-	}
-
 	// Temp files of writes a killed process never renamed belong to no entry.
 	for _, glob := range []string{"*.tmp", "*/*.tmp", "objects/*/*.tmp"} {
 		stray, _ := filepath.Glob(filepath.Join(s.dir, glob))
@@ -232,15 +214,18 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.total += entryBytes(m)
 	}
 
-	// Objects on disk that the index does not vouch for are quarantined.
-	sharded, _ := filepath.Glob(filepath.Join(s.objectsDir(), "*", "*.sph"))
-	for _, path := range sharded {
-		if hash := fileHash(path, ".sph"); s.entries[hash] == nil {
-			s.quarantineLocked(path, hash)
+	// Objects on disk that the index does not vouch for are quarantined, and
+	// so is a file at another path than its entry's: an older flat layout's.
+	for _, glob := range []string{"*.sph", "*/*.sph"} {
+		objects, _ := filepath.Glob(filepath.Join(s.objectsDir(), glob))
+		for _, path := range objects {
+			if hash := fileHash(path, ".sph"); s.entries[hash] == nil || s.objectPath(hash) != path {
+				s.quarantineLocked(path, hash)
+			}
 		}
 	}
-	// What earlier layouts kept beside the records is folded in above or is
-	// no entry's: attachment files, and CPU profiles nothing read back.
+	// What older layouts kept beside the records is no entry's: attachment
+	// files, and CPU profiles nothing read back.
 	for _, old := range []string{"reports", "telemetry", "profiles"} {
 		_ = os.RemoveAll(filepath.Join(s.dir, old))
 	}
@@ -267,28 +252,23 @@ func (s *Store) objectPath(h string) string {
 
 // reconcile is Open's check of the entry m against its record. The snapshot
 // region must match, or the entry goes (the error says how). An attachment
-// region that fails is dropped — or, where the record is the snapshot alone,
-// read from its file of an earlier layout — unless the record is longer than
-// m says: then it is not m's record, and goes whole. A record that is not
-// exactly the regions kept is rewritten.
+// region that fails is dropped, unless the record is longer than m says:
+// then it is not m's record, and goes whole. A record that is not exactly
+// the regions kept is rewritten.
 func (s *Store) reconcile(m *Meta) error {
 	path := s.objectPath(m.Hash)
 	fi, err := os.Stat(path)
 	if err != nil {
 		return errLost
 	}
-	longer, folded := fi.Size() > entryBytes(m), false
+	longer := fi.Size() > entryBytes(m)
 	var b bytes.Buffer
 	var off int64 // where the region is in the record m describes
 	for k := range regions {
-		size, crc := regions[k].slot(m)
+		size, crc := regions[k](m)
 		mark := b.Len()
 		_, err := readFile(path, off, *size, *crc, -1, &b)
-		if off += *size; err != nil && k != regionSnapshot && fi.Size() == m.Size {
-			b.Truncate(mark)
-			_, err = readFile(filepath.Join(s.dir, regions[k].legacy, m.Hash+".json"), 0, *size, *crc, *size, &b)
-			folded = folded || err == nil
-		}
+		off += *size
 		switch {
 		case err != nil && k == regionSnapshot:
 			return err
@@ -299,7 +279,7 @@ func (s *Store) reconcile(m *Meta) error {
 			*size, *crc = 0, 0
 		}
 	}
-	if !folded && int64(b.Len()) == fi.Size() {
+	if int64(b.Len()) == fi.Size() {
 		return nil
 	}
 	return writeAtomic(path, b.Bytes())
@@ -402,9 +382,9 @@ func (s *Store) readRegion(m *Meta, k int, w io.Writer) (int64, error) {
 	return readFile(s.objectPath(m.Hash), e.off, e.size, e.crc, entryBytes(m), w)
 }
 
-// quarantineLocked moves the record file at path (its shard location, or a
-// flat-layout file that failed migration) aside instead of deleting it, so
-// corrupt data remains inspectable but is never served.
+// quarantineLocked moves the record file at path aside instead of deleting
+// it, so corrupt or unvouched-for data remains inspectable but is never
+// served.
 func (s *Store) quarantineLocked(path, hash string) {
 	dst := filepath.Join(s.dir, "quarantine", hash+".sph")
 	if os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil {
@@ -569,7 +549,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 		s.total -= entryBytes(cur)
 	}
 	for k := range regions {
-		size, crc := regions[k].slot(m)
+		size, crc := regions[k](m)
 		*size, *crc = int64(len(parts[k])), crcs[k]
 	}
 	s.entries[hash] = m

@@ -479,60 +479,6 @@ func TestStaleReportRemovedOnOpen(t *testing.T) {
 	}
 }
 
-// TestFlatLayoutMigratesToShards: a store directory written before object
-// sharding (objects/<hash>.sph) opens cleanly — every object moves into its
-// shard directory (objects/ab/<hash>.sph), the unchanged index format still
-// vouches for it, and the entries serve as if nothing happened.
-func TestFlatLayoutMigratesToShards(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads := map[string][]byte{}
-	for _, hash := range []string{"aaaa", "bbbb", "abcd"} {
-		payloads[hash] = put(t, s1, hash, 64)
-	}
-	if err := s1.PutReport("aaaa", []byte(`{"pass":true}`)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reconstruct the pre-sharding flat layout: move every object back to
-	// objects/<hash>.sph and drop the shard directories, leaving index.json
-	// exactly as a flat-era store would have written it.
-	for hash := range payloads {
-		if err := os.Rename(objPath(dir, hash), filepath.Join(dir, "objects", hash+".sph")); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, "objects", hash[:2])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	s2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("open over flat layout: %v", err)
-	}
-	if s2.Stats().Entries != 3 || s2.Stats().Quarantined != 0 {
-		t.Fatalf("migrated store: %d entries, %d quarantined; want 3, 0", s2.Stats().Entries, s2.Stats().Quarantined)
-	}
-	for hash, want := range payloads {
-		got, _, err := s2.ReadObject(hash)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("entry %s after migration: err=%v, bytes equal=%v", hash, err, bytes.Equal(got, want))
-		}
-		if _, err := os.Stat(objPath(dir, hash)); err != nil {
-			t.Fatalf("object %s not in its shard directory: %v", hash, err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "objects", hash+".sph")); !os.IsNotExist(err) {
-			t.Fatalf("flat object file %s left behind: %v", hash, err)
-		}
-	}
-	if b, ok := s2.ReadReport("aaaa"); !ok || !bytes.Equal(b, []byte(`{"pass":true}`)) {
-		t.Fatalf("report lost across migration: %q ok=%v", b, ok)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/pkg/client"
 )
 
@@ -20,7 +21,11 @@ import (
 // the client against the same handler production serves.
 func newServer(t *testing.T) (*server.Server, *client.Client) {
 	t.Helper()
-	s := server.New(server.Options{Workers: 2})
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := server.New(server.Options{Workers: 2, Store: st})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
