@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"hash/crc64"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -189,26 +188,29 @@ const parentIndex = `{
   }
 }`
 
-// TestOlderLayoutOpens: Open reads only the layout it writes. Over a
-// directory of an older build it quarantines the flat objects/<hash>.sph and
-// drops that entry as lost, removes the reports/, telemetry/ and profiles/
-// directories, and serves the snapshot-only record's snapshot with no
-// attachment. The byte count is the bytes under objects/, and a second Open
-// changes nothing.
-func TestOlderLayoutOpens(t *testing.T) {
-	dir := t.TempDir()
-	snapshot, flat := []byte("SPH1 snapshot payload"), []byte("flat")
-	index := strings.Replace(parentIndex, `"entries": {`, fmt.Sprintf(`"entries": {
-    "cd56ef78": {"hash": "cd56ef78", "size": %d, "crc": %d, "createdAt": 1000000, "lastUsed": 1000000},`,
-		len(flat), crc64.Checksum(flat, crcTable)), 1)
-	writeTree(t, dir, map[string][]byte{
-		"index.json":              []byte(index),
+// parentTree is a data directory of parentIndex: a snapshot-only record,
+// the report and track in files beside it, and CPU profiles.
+func parentTree(snapshot, report, track []byte) map[string][]byte {
+	return map[string][]byte{
+		"index.json":              []byte(parentIndex),
 		"objects/ab/ab12cd34.sph": snapshot,
-		"objects/cd56ef78.sph":    flat,
-		"reports/ab12cd34.json":   []byte(`{"reference":"sedov","pass":true}`),
-		"telemetry/ab12cd34.json": []byte(`{"status":"ok","samples":[{"step":1}]}`),
+		"reports/ab12cd34.json":   report,
+		"telemetry/ab12cd34.json": track,
 		"profiles/ab12cd34.pprof": {0x1f, 0x8b, 0x08, 0x00},
-	})
+		"profiles/feedbeef.pprof": {0x1f, 0x8b},
+	}
+}
+
+// TestParentFormatDirectoryOpens: Open reads only the layout it writes. A
+// data directory of an older build (parentIndex, side files, profiles)
+// opens with the same entry less its attachments, serves the snapshot byte
+// for byte and no report or track, and loses its reports/, telemetry/ and
+// profiles/ directories. The byte count is the bytes under objects/, and a
+// second Open changes nothing.
+func TestParentFormatDirectoryOpens(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := []byte("SPH1 snapshot payload")
+	writeTree(t, dir, parentTree(snapshot, []byte(`{"reference":"sedov","pass":true}`), []byte(`{"status":"ok","samples":[{"step":1}]}`)))
 	var first map[string][]byte
 	for open := range 2 {
 		s, err := Open(dir, Options{})
@@ -221,7 +223,7 @@ func TestOlderLayoutOpens(t *testing.T) {
 		} else if !reflect.DeepEqual(files, first) {
 			t.Errorf("the second open changed the directory: %q, then %q", keys(first), keys(files))
 		}
-		if want := []string{"index.json", "objects/ab/ab12cd34.sph", "quarantine/cd56ef78.sph"}; !reflect.DeepEqual(keys(files), want) {
+		if want := []string{"index.json", "objects/ab/ab12cd34.sph"}; !reflect.DeepEqual(keys(files), want) {
 			t.Errorf("open %d left %q, want %q", open, keys(files), want)
 		}
 		for _, old := range []string{"reports", "telemetry", "profiles"} {
@@ -229,17 +231,68 @@ func TestOlderLayoutOpens(t *testing.T) {
 				t.Errorf("open %d left %s/: %v", open, old, err)
 			}
 		}
-		if st := s.Stats(); st.Entries != 1 || st.Bytes != diskBytes(t, dir) || st.Quarantined != 1-open {
-			t.Errorf("open %d: %+v, %d bytes under objects/", open, st, diskBytes(t, dir))
+		m, ok := s.Get("ab12cd34")
+		want := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
+			Size: 21, CRC: 13976548776490360967, CreatedAt: 1000000, LastUsed: m.LastUsed}
+		if !ok || m != want {
+			t.Errorf("open %d: entry %+v (ok=%v), want %+v", open, m, ok, want)
 		}
-		if _, ok := s.Get("cd56ef78"); ok {
-			t.Errorf("open %d serves the flat object's entry", open)
+		if st := s.Stats(); st.Entries != 1 || st.Bytes != 21 || st.Bytes != diskBytes(t, dir) || st.Quarantined != 0 {
+			t.Errorf("open %d: %+v, %d bytes under objects/", open, st, diskBytes(t, dir))
 		}
 		got, _, err := s.ReadObject("ab12cd34")
 		rep, rok := s.ReadReport("ab12cd34")
 		trk, tok := s.ReadTelemetry("ab12cd34")
 		if err != nil || !bytes.Equal(got, snapshot) || rok || tok {
 			t.Errorf("open %d serves %q (%v), report %q, track %q", open, got, err, rep, trk)
+		}
+	}
+}
+
+// TestParentLayoutFoldsIntoRecords: report and track live only in a
+// record. Open drops the side files of parentTree unread; once the result
+// is stored again, the directory holds the index and one record file,
+// snapshot, report and track back to back, and all three serve byte for
+// byte, again after a restart.
+func TestParentLayoutFoldsIntoRecords(t *testing.T) {
+	dir := t.TempDir()
+	snapshot := []byte("SPH1 snapshot payload")
+	report := []byte(`{"reference":"sedov","pass":true}`)
+	track := []byte(`{"status":"ok","samples":[{"step":1}]}`)
+	writeTree(t, dir, parentTree(snapshot, report, track))
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := s.Get("ab12cd34")
+	if kept, errs := s.PutResult(m, snapshot, report, track); !kept || len(errs) != 0 {
+		t.Fatalf("PutResult kept=%v errs=%v", kept, errs)
+	}
+	for restart := range 2 {
+		if restart > 0 {
+			if s, err = Open(dir, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var names []string
+		for name := range tree(t, dir) {
+			if name != "index.log" {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		record := tree(t, dir)["objects/ab/ab12cd34.sph"]
+		if want := []string{"index.json", "objects/ab/ab12cd34.sph"}; !reflect.DeepEqual(names, want) || !bytes.Equal(record, bytes.Join([][]byte{snapshot, report, track}, nil)) {
+			t.Errorf("open %d left %q, record %q; want index.json and the whole record", restart, names, record)
+		}
+		got, _, err := s.ReadObject("ab12cd34")
+		rep, rok := s.ReadReport("ab12cd34")
+		trk, tok := s.ReadTelemetry("ab12cd34")
+		if err != nil || !bytes.Equal(got, snapshot) || !rok || !bytes.Equal(rep, report) || !tok || !bytes.Equal(trk, track) {
+			t.Errorf("open %d serves %q (%v), %q, %q", restart, got, err, rep, trk)
+		}
+		if st := s.Stats(); st.Bytes != 21+33+38 || st.Quarantined != 0 {
+			t.Errorf("open %d: %+v", restart, st)
 		}
 	}
 }

@@ -479,6 +479,80 @@ func TestStaleReportRemovedOnOpen(t *testing.T) {
 	}
 }
 
+// TestFlatLayoutMigratesToShards: a record is served only from its shard,
+// objects/ab/<hash>.sph. A directory written before sharding, with records
+// flat at objects/<hash>.sph, opens cleanly: each flat file is quarantined
+// whole and its entry drops as lost, a sharded record beside them still
+// serves, and nothing stays at a flat path. A result stored again lands in
+// its shard and serves after a restart.
+func TestFlatLayoutMigratesToShards(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := map[string][]byte{}
+	for _, hash := range []string{"aaaa", "bbbb", "abcd"} {
+		payloads[hash] = put(t, s1, hash, 64)
+	}
+	if err := s1.PutReport("aaaa", []byte(`{"pass":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	flat := map[string][]byte{}
+	for _, hash := range []string{"aaaa", "bbbb"} {
+		if flat[hash], err = os.ReadFile(objPath(dir, hash)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(objPath(dir, hash), filepath.Join(dir, "objects", hash+".sph")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, "objects", hash[:2])); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("open over flat layout: %v", err)
+	}
+	if st := s2.Stats(); st.Entries != 1 || st.Quarantined != 2 || st.Bytes != diskBytes(t, dir) {
+		t.Fatalf("after open: %+v, %d bytes under objects/; want 1 entry, 2 quarantined", st, diskBytes(t, dir))
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "objects", "*.sph")); len(left) != 0 {
+		t.Errorf("flat files left after open: %q", left)
+	}
+	for hash, record := range flat {
+		if _, ok := s2.Get(hash); ok {
+			t.Errorf("open serves the flat record %s", hash)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, "quarantine", hash+".sph")); err != nil || !bytes.Equal(got, record) {
+			t.Errorf("flat record %s not quarantined whole: %v", hash, err)
+		}
+	}
+	if got, _, err := s2.ReadObject("abcd"); err != nil || !bytes.Equal(got, payloads["abcd"]) {
+		t.Errorf("the sharded record beside the flat ones: err=%v, bytes equal=%v", err, bytes.Equal(got, payloads["abcd"]))
+	}
+
+	for hash := range flat {
+		put(t, s2, hash, 64)
+	}
+	s3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s3.Stats(); st.Entries != 3 || st.Quarantined != 0 {
+		t.Errorf("after the results are stored again: %+v", st)
+	}
+	for hash, want := range payloads {
+		if _, err := os.Stat(objPath(dir, hash)); err != nil {
+			t.Errorf("record %s not in its shard directory: %v", hash, err)
+		}
+		if got, _, err := s3.ReadObject(hash); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("entry %s after a restart: err=%v, bytes equal=%v", hash, err, bytes.Equal(got, want))
+		}
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
