@@ -114,3 +114,29 @@ func TestRecordHoldsTheState(t *testing.T) {
 		}
 	}
 }
+
+// TestPairLoopsPinnedOnRanks pins, bit for bit, the end state of each parity
+// case under both gradient modes on 2 ranks, every column of it: there the
+// pair passes also read the ghosts' columns a halo exchange filled. A faster
+// pair loop must leave every CRC where it is (sph.TestPairLoopsPinned pins
+// the loops alone).
+func TestPairLoopsPinnedOnRanks(t *testing.T) {
+	want := map[string]uint64{
+		"evrard-gravity/iad":                0x5aefdcddaa04edda,
+		"evrard-gravity/kernel-derivatives": 0xb4e659a87edbf2e2,
+		"sedov-periodic/iad":                0x21feb35794d0e5d2,
+		"sedov-periodic/kernel-derivatives": 0x115cbb981cdaac64,
+		"square-patch/iad":                  0xabbf2fbb712dc659,
+		"square-patch/kernel-derivatives":   0xb25dbe5138d272d6,
+	}
+	for _, pc := range parityCases {
+		for _, grad := range []sph.GradientMode{sph.IAD, sph.KernelDerivatives} {
+			cfg, ps := pc.gen(grad)
+			end, _ := parityParallel(t, cfg, ps, 2, paritySteps)
+			key := pc.name + "/" + grad.String()
+			if got := columnsCRC(end); got != want[key] {
+				t.Errorf("%s: columns %#016x, pinned %#016x", key, got, want[key])
+			}
+		}
+	}
+}
