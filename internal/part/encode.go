@@ -53,9 +53,9 @@ func (s *Set) particleBytes() int {
 
 // writePayload writes the header counts and the record's columns
 // (everything between the magic and the trailing checksum) to w, through a
-// 64 KiB buffer whatever the set's size.
+// buffer of the payload's size up to 64 KiB.
 func (s *Set) writePayload(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 64<<10)
+	bw := bufio.NewWriterSize(w, min(64<<10, 16+s.Len()*s.particleBytes()))
 	var word [8]byte
 	put := func(x uint64) {
 		binary.LittleEndian.PutUint64(word[:], x)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -298,6 +299,27 @@ func TestEncodePropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChecksumBufferFitsThePayload: Checksum streams the record through a
+// buffer the size of its payload, capped at 64 KiB, so a served 216-particle
+// record (19,024 payload bytes) no longer allocates 64 KiB, and a record of
+// any size allocates no payload-sized buffer.
+func TestChecksumBufferFitsThePayload(t *testing.T) {
+	for _, c := range []struct{ n, most int }{{216, 19024 + 512}, {10000, 64<<10 + 512}} {
+		s := randomSet(c.n, rand.New(rand.NewSource(13)))
+		s.Checksum()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for range runs {
+			s.Checksum()
+		}
+		runtime.ReadMemStats(&after)
+		if got := int(after.TotalAlloc-before.TotalAlloc) / runs; got > c.most {
+			t.Errorf("Checksum of %d particles allocates %d bytes, want at most %d", c.n, got, c.most)
+		}
 	}
 }
 

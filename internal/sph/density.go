@@ -30,25 +30,10 @@ func Density(ps *part.Set, nl *NeighborList, p *Params) {
 
 // Density is Density with X in the workspace.
 func (ws *Workspace) Density(ps *part.Set, nl *NeighborList, p *Params) {
-	n := ps.NLocal
-	needBootstrap := false
-	if p.Volumes == GeneralizedVolume {
-		for i := 0; i < ps.Len(); i++ {
-			if ps.Rho[i] <= 0 {
-				needBootstrap = true
-				break
-			}
-		}
-	}
-
+	needBootstrap := p.Volumes == GeneralizedVolume &&
+		slices.ContainsFunc(ps.Rho[:ps.Len()], func(rho float64) bool { return rho <= 0 })
 	if p.Volumes == StandardVolume || needBootstrap {
-		par.Range(n, p.workers(), func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rho := kernelSum(ps, nl, p, ps.Mass, i)
-				ps.Rho[i] = rho
-				ps.VE[i] = ps.Mass[i] / rho
-			}
-		})
+		kernelSums(ps, nl, p, ps.Mass, false)
 		if p.Volumes == StandardVolume {
 			return
 		}
@@ -64,27 +49,43 @@ func (ws *Workspace) Density(ps *part.Set, nl *NeighborList, p *Params) {
 			x[i] = ps.Mass[i] // ghost without density: mass-proportional
 		}
 	}
-	par.Range(n, p.workers(), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ve := x[i] / kernelSum(ps, nl, p, x, i)
-			ps.VE[i] = ve
-			ps.Rho[i] = ps.Mass[i] / ve
-		}
-	})
+	kernelSums(ps, nl, p, x, true)
 }
 
-// kernelSum returns sum_j a_j W_ij(h_i) over particle i's neighbors, self
-// term included.
-func kernelSum(ps *part.Set, nl *NeighborList, p *Params, a []float64, i int) float64 {
-	prof := kernel.ProfileOf(p.Kernel)
-	h, pos := ps.H[i], ps.Pos[i]
-	norm := prof.Norm(h)
-	sum := a[i] * (norm * prof.W(0))
-	for _, j := range nl.Of(i) {
-		d := p.PBC.Wrap(pos.Sub(ps.Pos[j]))
-		sum += a[j] * (norm * prof.W(d.Norm()/h))
-	}
-	return sum
+// kernelSums takes s_i = sum_j a_j W_ij(h_i) over each owned particle's
+// neighbors, self term included, and sets rho_i = s_i, V_i = m_i/rho_i, or
+// for generalized volumes V_i = a_i/s_i, rho_i = m_i/V_i.
+func kernelSums(ps *part.Set, nl *NeighborList, p *Params, a []float64, generalized bool) {
+	n := ps.Len()
+	prof, mi := kernel.ProfileOf(p.Kernel), newMinImage(p.PBC)
+	pos, h, mass, rho, ve, a := ps.Pos[:n], ps.H[:n], ps.Mass[:n], ps.Rho[:n], ps.VE[:n], a[:n]
+	par.Range(ps.NLocal, p.workers(), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hi1, pi := h[i], pos[i]
+			norm := prof.Norm(hi1)
+			sum := a[i] * (norm * prof.W(0))
+			for _, j := range nl.Of(i) {
+				pj := pos[j]
+				dx, dy, dz := pi.X-pj.X+mi.x.zero, pi.Y-pj.Y+mi.y.zero, pi.Z-pj.Z+mi.z.zero // r_i - r_j
+				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
+					dx -= mi.x.l * math.Round(dx/mi.x.l)
+				}
+				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
+					dy -= mi.y.l * math.Round(dy/mi.y.l)
+				}
+				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
+					dz -= mi.z.l * math.Round(dz/mi.z.l)
+				}
+				sum += a[j] * (norm * prof.W(math.Sqrt(dx*dx+dy*dy+dz*dz)/hi1))
+			}
+			if generalized {
+				v := a[i] / sum
+				ve[i], rho[i] = v, mass[i]/v
+			} else {
+				rho[i], ve[i] = sum, mass[i]/sum
+			}
+		}
+	})
 }
 
 // EquationOfState fills pressure and sound speed from density and internal
@@ -102,31 +103,43 @@ func EquationOfState(ps *part.Set, p *Params) {
 // (degenerate neighbor geometry) get a zero matrix; the force loop falls
 // back to kernel derivatives for them. Returns the number of fallbacks.
 func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
-	workers := p.workers()
-	prof := kernel.ProfileOf(p.Kernel)
+	n := ps.Len()
+	prof, mi := kernel.ProfileOf(p.Kernel), newMinImage(p.PBC)
+	pos, h, ve, tau := ps.Pos[:n], ps.H[:n], ps.VE[:n], ps.Tau[:n]
 	var fallbacks atomic.Int64 // integer sums do not depend on the order
-	par.Range(ps.NLocal, workers, func(_, lo, hi int) {
+	par.Range(ps.NLocal, p.workers(), func(_, lo, hi int) {
 		failed := 0
 		for i := lo; i < hi; i++ {
-			h, pos := ps.H[i], ps.Pos[i]
-			norm := prof.Norm(h)
-			var tau vec.Sym33
+			hi1, pi := h[i], pos[i]
+			norm := prof.Norm(hi1)
+			var xx, xy, xz, yy, yz, zz float64
 			for _, j := range nl.Of(i) {
-				d := p.PBC.Wrap(ps.Pos[j].Sub(pos)) // r_j - r_i
-				s := ps.VE[j] * (norm * prof.W(d.Norm()/h))
-				tau.XX += s * d.X * d.X
-				tau.XY += s * d.X * d.Y
-				tau.XZ += s * d.X * d.Z
-				tau.YY += s * d.Y * d.Y
-				tau.YZ += s * d.Y * d.Z
-				tau.ZZ += s * d.Z * d.Z
+				pj := pos[j]
+				dx, dy, dz := pj.X-pi.X+mi.x.zero, pj.Y-pi.Y+mi.y.zero, pj.Z-pi.Z+mi.z.zero // r_j - r_i
+				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
+					dx -= mi.x.l * math.Round(dx/mi.x.l)
+				}
+				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
+					dy -= mi.y.l * math.Round(dy/mi.y.l)
+				}
+				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
+					dz -= mi.z.l * math.Round(dz/mi.z.l)
+				}
+				s := ve[j] * (norm * prof.W(math.Sqrt(dx*dx+dy*dy+dz*dz)/hi1))
+				xx += s * dx * dx
+				xy += s * dx * dy
+				xz += s * dx * dz
+				yy += s * dy * dy
+				yz += s * dy * dz
+				zz += s * dz * dz
 			}
-			inv, ok := tau.Inverse()
-			if !ok || !isWellConditioned(tau) {
+			t := vec.Sym33{XX: xx, XY: xy, XZ: xz, YY: yy, YZ: yz, ZZ: zz}
+			inv, ok := t.Inverse()
+			if !ok || !isWellConditioned(t) {
 				failed++
 				inv = vec.Sym33{}
 			}
-			ps.Tau[i] = inv
+			tau[i] = inv
 		}
 		fallbacks.Add(int64(failed))
 	})

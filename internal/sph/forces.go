@@ -45,8 +45,8 @@ func MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 // per-worker stats in the workspace.
 func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) ForceStats {
 	workers := p.workers()
-	prof := kernel.ProfileOf(p.Kernel)
-	eta2 := p.EtaVisc * p.EtaVisc
+	prof, mi := kernel.ProfileOf(p.Kernel), newMinImage(p.PBC)
+	eta2, alpha, beta := p.EtaVisc*p.EtaVisc, p.AlphaVisc, p.BetaVisc
 
 	// Each particle's factors once, from the values its pairs would compute.
 	n := ps.Len()
@@ -67,70 +67,96 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 	clear(stats)
 	ws.stats = stats
 	par.Range(ps.NLocal, workers, func(w, lo, hi int) {
-		var st ForceStats
+		// Every column at one length n: one bounds check on j covers them all.
+		pos, vel, h, rho, c, mass := ps.Pos[:n], ps.Vel[:n], ps.H[:n], ps.Rho[:n], ps.C[:n], ps.Mass[:n]
+		tau, pr, norm, iad := ps.Tau[:n], pr[:n], norm[:n], iad[:n]
+		vmax, pairs := stats[w].MaxVSignal, int64(0)
 		for i := lo; i < hi; i++ {
-			hi1, pos, vel := ps.H[i], ps.Pos[i], ps.Vel[i]
-			rhoi := ps.Rho[i]
-			pri := pr[i]
-			ci := ps.C[i]
-			Ci := &ps.Tau[i]
+			hi1, pi, vi := h[i], pos[i], vel[i]
+			rhoi, pri, ci, normi, iadi, Ci := rho[i], pr[i], c[i], norm[i], iad[i], &tau[i]
 
-			var acc vec.V3
-			var du float64
+			var ax, ay, az, du float64
 			for _, j := range nl.Of(i) {
-				d := p.PBC.Wrap(ps.Pos[j].Sub(pos)) // r_j - r_i
-				r2 := d.Norm2()
+				pj := pos[j]
+				dx, dy, dz := pj.X-pi.X+mi.x.zero, pj.Y-pi.Y+mi.y.zero, pj.Z-pi.Z+mi.z.zero // r_j - r_i
+				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
+					dx -= mi.x.l * math.Round(dx/mi.x.l)
+				}
+				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
+					dy -= mi.y.l * math.Round(dy/mi.y.l)
+				}
+				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
+					dz -= mi.z.l * math.Round(dz/mi.z.l)
+				}
+				r2 := dx*dx + dy*dy + dz*dz
 				if r2 == 0 {
 					continue // coincident particles exert no pair force
 				}
 				r := math.Sqrt(r2)
-				rhoj := ps.Rho[j]
-				prj := pr[j]
+				hj, rhoj, prj := h[j], rho[j], pr[j]
 
-				ai := pairGradient(prof, iad[i], Ci, norm[i], hi1, d, r)
-				aj := pairGradient(prof, iad[j], &ps.Tau[j], norm[j], ps.H[j], d, r)
+				// Each particle's gradient surrogate, chosen by that particle
+				// alone so that the pair force stays antisymmetric when one of
+				// the two falls back: C d W(r,h) under IAD, and otherwise (IAD
+				// is off, or tau was singular) the kernel gradient -W'/r d.
+				var aix, aiy, aiz, ajx, ajy, ajz float64
+				if iadi {
+					s := normi * prof.W(r/hi1)
+					aix, aiy, aiz = s*(Ci.XX*dx+Ci.XY*dy+Ci.XZ*dz), s*(Ci.XY*dx+Ci.YY*dy+Ci.YZ*dz), s*(Ci.XZ*dx+Ci.YZ*dy+Ci.ZZ*dz)
+				} else {
+					s := -(normi * prof.DW(r/hi1)) / r
+					aix, aiy, aiz = s*dx, s*dy, s*dz
+				}
+				if Cj := &tau[j]; iad[j] {
+					s := norm[j] * prof.W(r/hj)
+					ajx, ajy, ajz = s*(Cj.XX*dx+Cj.XY*dy+Cj.XZ*dz), s*(Cj.XY*dx+Cj.YY*dy+Cj.YZ*dz), s*(Cj.XZ*dx+Cj.YZ*dy+Cj.ZZ*dz)
+				} else {
+					s := -(norm[j] * prof.DW(r/hj)) / r
+					ajx, ajy, ajz = s*dx, s*dy, s*dz
+				}
 
 				// Artificial viscosity (Monaghan & Gingold 1983): active for
 				// approaching pairs, v_ij . x_ij < 0 with x_ij = r_i - r_j = -d.
-				vij := vel.Sub(ps.Vel[j])
-				vdotx := -vij.Dot(d)
-				csum := ci + ps.C[j]
+				vx, vy, vz := vi.X-vel[j].X, vi.Y-vel[j].Y, vi.Z-vel[j].Z // v_ij
+				vdotx := -(vx*dx + vy*dy + vz*dz)
+				csum := ci + c[j]
 				var piij float64
 				if vdotx < 0 {
-					hbar := 0.5 * (hi1 + ps.H[j])
+					hbar := 0.5 * (hi1 + hj)
 					mu := hbar * vdotx / (r2 + eta2*hbar*hbar)
-					piij = (-p.AlphaVisc*(0.5*csum)*mu + p.BetaVisc*mu*mu) / (0.5 * (rhoi + rhoj))
+					piij = (-alpha*(0.5*csum)*mu + beta*mu*mu) / (0.5 * (rhoi + rhoj))
 					// Signal speed c_i + c_j - 3 min(0, v_ij . rhat_ij).
 					csum -= 3 * (vdotx / r)
 				}
-				if csum > st.MaxVSignal {
-					st.MaxVSignal = csum
+				if csum > vmax {
+					vmax = csum
 				}
 
 				// Pair force: -(P_i/rho_i^2) A_ij - (P_j/rho_j^2) A'_ij,
 				// viscosity on the symmetrized gradient.
-				mj := ps.Mass[j]
-				abar := ai.Add(aj).Scale(0.5)
-				acc = acc.MulAdd(mj*pri, ai.Neg()).
-					MulAdd(mj*prj, aj.Neg()).
-					MulAdd(-mj*piij, abar)
+				mj := mass[j]
+				bx, by, bz := 0.5*(aix+ajx), 0.5*(aiy+ajy), 0.5*(aiz+ajz)
+				si, sj, sv := mj*pri, mj*prj, -mj*piij
+				ax = ax + si*-aix + sj*-ajx + sv*bx
+				ay = ay + si*-aiy + sj*-ajy + sv*by
+				az = az + si*-aiz + sj*-ajz + sv*bz
 
 				// Energy: du_i/dt = sum m_j (P_i/rho_i^2) v_ij.A_ij
 				//                 + 0.5 sum m_j Pi_ij v_ij.Abar.
-				du += mj * pri * vij.Dot(ai)
-				du += 0.5 * mj * piij * vij.Dot(abar)
-				st.Interactions++
+				du += si * (vx*aix + vy*aiy + vz*aiz)
+				du += 0.5 * mj * piij * (vx*bx + vy*by + vz*bz)
+				pairs++
 			}
-			ps.Acc[i] = acc
+			ps.Acc[i] = vec.V3{X: ax, Y: ay, Z: az}
 			ps.DU[i] = du
 			// Self signal speed floor: isolated particles still need a
 			// Courant bound.
-			if 2*ci > st.MaxVSignal {
-				st.MaxVSignal = 2 * ci
+			if 2*ci > vmax {
+				vmax = 2 * ci
 			}
 		}
-		stats[w].MaxVSignal = math.Max(stats[w].MaxVSignal, st.MaxVSignal)
-		stats[w].Interactions += st.Interactions
+		stats[w].MaxVSignal = vmax
+		stats[w].Interactions += pairs
 	})
 
 	var total ForceStats
@@ -139,19 +165,4 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 		total.Interactions += st.Interactions
 	}
 	return total
-}
-
-// pairGradient returns the gradient surrogate of the particle with IAD matrix
-// C, kernel norm and smoothing length h for a pair at displacement
-// d = r_j - r_i, |d| = r: C d W(r,h) when iad, and otherwise (IAD is off, or
-// the particle's tau was singular and C is zero) the kernel gradient
-// -W'/r * d = |W'| dhat, which points from i toward j (W' < 0 inside
-// support). Each particle's term is chosen by that particle alone, so i's and
-// j's loops agree and the pair force stays antisymmetric when one of the two
-// falls back.
-func pairGradient(prof kernel.Profile, iad bool, C *vec.Sym33, norm, h float64, d vec.V3, r float64) vec.V3 {
-	if iad {
-		return C.MulVec(d).Scale(norm * prof.W(r/h))
-	}
-	return d.Scale(-(norm * prof.DW(r/h)) / r)
 }

@@ -43,6 +43,7 @@ type Workspace struct {
 	nl      NeighborList
 	hits    [][]tree.Hit // one walk buffer per worker
 	regions []region
+	cbrt    []float64 // cbrt(NNeighbors/c) at neighbour count c
 	x       []float64 // the generalized volume elements' X
 	stats   []ForceStats
 
@@ -132,6 +133,12 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 	for len(ws.hits) < workers {
 		ws.hits = append(ws.hits, make([]tree.Hit, 0, 4*p.NNeighbors))
 	}
+	// The h iteration's cube roots, by neighbour count, up to twice the target.
+	ws.cbrt = ws.cbrt[:0]
+	for c := range 2 * p.NNeighbors {
+		ws.cbrt = append(ws.cbrt, math.Cbrt(target/float64(c)))
+	}
+	cbrt := ws.cbrt
 	chunks := (n + par.Chunk - 1) / par.Chunk
 	regions := slices.Grow(ws.regions[:0], chunks)[:chunks]
 	clear(regions)
@@ -181,7 +188,12 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 				}
 				// n scales as h^3 at fixed local density: fixed-point step
 				// damped by 1/2 for stability.
-				f := math.Cbrt(target / cnt)
+				var f float64
+				if within-1 < len(cbrt) {
+					f = cbrt[within-1]
+				} else {
+					f = math.Cbrt(target / cnt)
+				}
 				h *= 0.5 * (1 + f)
 			}
 			ps.H[i] = h

@@ -8,6 +8,7 @@ package sph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/eos"
@@ -133,4 +134,24 @@ func (p *Params) Defaults() error {
 		p.HTolerance = 0.05
 	}
 	return nil
+}
+
+// minImage is tree.PBC.Wrap unpacked once per pass, so that a pair loop
+// takes the minimum image inline, bit for bit: d - l Round(d/l) on an axis
+// that wraps (l > 0) once |d| reaches half its period, and otherwise d plus
+// the axis' zero: +0 where it wraps (Wrap's d + 0, which turns -0 into +0)
+// and -0 where it does not, which leaves every d as it is. An axis that does
+// not wrap has an infinite half-period, so a finite d skips it at once.
+type minImage struct{ x, y, z axisImage }
+
+type axisImage struct{ l, half, zero float64 }
+
+func newMinImage(p tree.PBC) minImage {
+	axis := func(wraps bool, l float64) axisImage {
+		if wraps && l > 0 {
+			return axisImage{l, 0.5 * l, 0}
+		}
+		return axisImage{half: math.Inf(1), zero: math.Copysign(0, -1)}
+	}
+	return minImage{axis(p.X, p.L.X), axis(p.Y, p.L.Y), axis(p.Z, p.L.Z)}
 }

@@ -417,6 +417,23 @@ func BenchmarkDensity32k(b *testing.B) {
 	}
 }
 
+func BenchmarkComputeIAD32k(b *testing.B) {
+	p := &Params{Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0), NNeighbors: 100}
+	if err := p.Defaults(); err != nil {
+		b.Fatal(err)
+	}
+	ps, pbc, box := ic.UniformCube(32, p.NNeighbors)
+	p.PBC = pbc
+	p.Box = box
+	tr := BuildTree(ps, p)
+	nl := UpdateSmoothingLengths(ps, tr, p)
+	Density(ps, nl, p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ComputeIAD(ps, nl, p)
+	}
+}
+
 func BenchmarkMomentumEnergy32k(b *testing.B) {
 	p := &Params{Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0), NNeighbors: 100}
 	if err := p.Defaults(); err != nil {
