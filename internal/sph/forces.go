@@ -95,6 +95,23 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 				r := math.Sqrt(r2)
 				hj, rhoj, prj := h[j], rho[j], pr[j]
 
+				// Artificial viscosity (Monaghan & Gingold 1983): active for
+				// approaching pairs, v_ij . x_ij < 0 with x_ij = r_i - r_j = -d.
+				vx, vy, vz := vi.X-vel[j].X, vi.Y-vel[j].Y, vi.Z-vel[j].Z // v_ij
+				vdotx := -(vx*dx + vy*dy + vz*dz)
+				csum := ci + c[j]
+				var piij float64
+				if vdotx < 0 {
+					hbar := 0.5 * (hi1 + hj)
+					mu := hbar * vdotx / (r2 + eta2*hbar*hbar)
+					piij = (-alpha*(0.5*csum)*mu + beta*mu*mu) / (0.5 * (rhoi + rhoj))
+					// Signal speed c_i + c_j - 3 min(0, v_ij . rhat_ij).
+					csum -= 3 * (vdotx / r)
+				}
+				if csum > vmax {
+					vmax = csum
+				}
+
 				// Each particle's gradient surrogate, chosen by that particle
 				// alone so that the pair force stays antisymmetric when one of
 				// the two falls back: C d W(r,h) under IAD, and otherwise (IAD
@@ -113,23 +130,6 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 				} else {
 					s := -(norm[j] * prof.DW(r/hj)) / r
 					ajx, ajy, ajz = s*dx, s*dy, s*dz
-				}
-
-				// Artificial viscosity (Monaghan & Gingold 1983): active for
-				// approaching pairs, v_ij . x_ij < 0 with x_ij = r_i - r_j = -d.
-				vx, vy, vz := vi.X-vel[j].X, vi.Y-vel[j].Y, vi.Z-vel[j].Z // v_ij
-				vdotx := -(vx*dx + vy*dy + vz*dz)
-				csum := ci + c[j]
-				var piij float64
-				if vdotx < 0 {
-					hbar := 0.5 * (hi1 + hj)
-					mu := hbar * vdotx / (r2 + eta2*hbar*hbar)
-					piij = (-alpha*(0.5*csum)*mu + beta*mu*mu) / (0.5 * (rhoi + rhoj))
-					// Signal speed c_i + c_j - 3 min(0, v_ij . rhat_ij).
-					csum -= 3 * (vdotx / r)
-				}
-				if csum > vmax {
-					vmax = csum
 				}
 
 				// Pair force: -(P_i/rho_i^2) A_ij - (P_j/rho_j^2) A'_ij,

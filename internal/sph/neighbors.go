@@ -134,7 +134,7 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 		ws.hits = append(ws.hits, make([]tree.Hit, 0, 4*p.NNeighbors))
 	}
 	// The h iteration's cube roots, by neighbour count, up to twice the target.
-	ws.cbrt = ws.cbrt[:0]
+	ws.cbrt = slices.Grow(ws.cbrt[:0], 2*p.NNeighbors)
 	for c := range 2 * p.NNeighbors {
 		ws.cbrt = append(ws.cbrt, math.Cbrt(target/float64(c)))
 	}
