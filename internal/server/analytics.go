@@ -153,10 +153,16 @@ func (s *Server) applyAnomaliesLocked(analysisID string, res *cluster.Result) {
 // jobViewLocked snapshots a job, decorating it with its anomaly mark when a
 // cluster analysis has flagged its result.
 func (s *Server) jobViewLocked(j *Job) JobView {
-	return JobView{
-		ID: j.ID, Spec: j.Spec, Hash: j.Hash, State: j.State,
-		Progress: j.Progress, Error: j.Err, CacheHit: j.CacheHit,
-		Restarts: j.Restarts, Verify: j.Verify, Telemetry: j.TelemetryStatus,
-		Anomaly: s.anomalies[j.Hash],
+	v := JobView{
+		ID: j.ID, Hash: j.Hash, State: j.State, Error: j.Err, CacheHit: j.CacheHit,
+		Verify: j.verify(), Anomaly: s.anomalies[j.Hash],
 	}
+	if x := j.run; x != nil {
+		v.Spec, v.Progress, v.Restarts, v.Telemetry = x.spec, x.progress, x.restarts, x.telemetryStatus
+	} else {
+		r := j.res
+		v.Spec, v.Telemetry = r.spec, r.telemetryStatus
+		v.Progress = Progress{Step: r.steps, Total: r.steps, SimTime: r.simTime}
+	}
+	return v
 }

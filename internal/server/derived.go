@@ -162,15 +162,14 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 		record: record{Hash: p.hash, State: StateRunning},
 		Spec:   p.spec, Members: members, Inputs: p.inputs, input: p.input,
 	}
-	d.tab.registerLocked(rec)
 	if hit {
-		rec.CacheHit, rec.Result, rec.input = true, raw, nil
-		d.tab.finishLocked(rec, StateCompleted, "", s.now())
-		if apply != nil {
-			apply(s, rec.ID)
-		}
-	} else {
+		rec.record, rec.Result, rec.input = hitRecord(p.hash, s.now()), raw, nil
+	}
+	d.tab.registerLocked(rec)
+	if !hit {
 		go d.collect(rec)
+	} else if apply != nil {
+		apply(s, rec.ID)
 	}
 	v := d.kind.view(s, rec)
 	return &v, nil
@@ -332,8 +331,8 @@ func (d *Derived[S, V]) Delete(id string) error {
 	return d.tab.deleteLocked(id, d.kind.noun)
 }
 
-// memberDone returns the done channel of a member job, or an already-closed
-// one when the record has vanished between Submit and this call — only
+// memberDone returns the done channel of a member job, or the closed one
+// when the record has vanished between Submit and this call — only
 // terminal records are deletable or prunable, so a missing record means the
 // member already finished (its result stays reachable by hash). Without
 // this, a collector would block forever on a nil channel.
@@ -341,9 +340,7 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 	if done, ok := s.Done(id); ok {
 		return done
 	}
-	closed := make(chan struct{})
-	close(closed)
-	return closed
+	return closedDone
 }
 
 // memberReport decodes a finished member's persisted report into v, or
@@ -407,7 +404,7 @@ func sweepViewLocked[S any](s *Server, rec *derived[S]) SweepView[S] {
 		mv := MemberView{Arm: m.armName, Cores: m.cores, N: m.n, JobID: m.jobID, Hash: m.hash}
 		if job, ok := s.jobs.getLocked(m.jobID); ok {
 			mv.State = job.State
-			mv.Verify = job.Verify
+			mv.Verify = job.verify()
 		}
 		v.Members = append(v.Members, mv)
 	}

@@ -67,21 +67,28 @@ type Progress struct {
 
 // Job is one submitted simulation. All mutable fields are guarded by the
 // owning Server's mutex; handlers read them through snapshots. The embedded
-// record carries ID, Hash, State, Err and CacheHit (a job whose result was
-// served from the spec-hash cache without executing).
+// record carries ID, Hash, State, Err and CacheHit. A cache hit is that
+// record and a pointer to the result every job of its hash shares; only a
+// job that is queued carries execution state.
 type Job struct {
 	record
-	Spec     scenario.JobSpec
-	Progress Progress
-	// Restarts counts how many times the job resumed after a kill.
-	Restarts int
-	// Verify is the verification rollup of a completed job (nil until
-	// completion, and for pre-verification store entries).
-	Verify *VerifySummary
-	// TelemetryStatus is the physics-watchdog rollup ("ok" or "tripped");
-	// empty until the job starts executing (or, on a cache hit, when the
-	// stored entry predates telemetry).
-	TelemetryStatus string
+	// res is the completed result, shared through the memory layer by every
+	// job of the hash: set at registration for a cache hit, at completion
+	// for a run.
+	res *cachedResult
+	// run is allocated when the job is queued; a cache hit never is.
+	run *execution
+}
+
+// execution is the state of a job that runs.
+type execution struct {
+	spec     scenario.JobSpec
+	progress Progress
+	// restarts counts how many times the job resumed after a kill.
+	restarts int
+	// telemetryStatus is the physics-watchdog rollup ("ok" or "tripped");
+	// empty until the job starts executing.
+	telemetryStatus string
 
 	// rec is the job's flight recorder, created when execution first starts
 	// and surviving kill-requeues (the same Job object re-enters the queue,
@@ -98,6 +105,24 @@ type Job struct {
 	// spans accumulates the job's lifecycle trace across restart attempts;
 	// the completed trace is persisted inside the report JSON.
 	spans obs.SpanSet
+}
+
+// verify is the job's verification rollup: nil until completion, and for
+// results stored without a report.
+func (j *Job) verify() *VerifySummary {
+	if j.res == nil {
+		return nil
+	}
+	return j.res.summary
+}
+
+// recorder is the job's flight recorder, nil before execution starts and
+// for a cache hit.
+func (j *Job) recorder() *telemetry.Recorder {
+	if j.run == nil {
+		return nil
+	}
+	return j.run.rec
 }
 
 // VerifySummary is the compact verification rollup carried by job views:
@@ -136,10 +161,11 @@ type JobView struct {
 // snapshot bytes only when the store could not keep them (see persist); the
 // bytes otherwise live on disk and are streamed from there. The
 // verification report rides along: bytes for GET /jobs/{id}/metrics, the
-// summary for job-view rollups.
+// summary for job-view rollups. Every completed job of the hash points at
+// its entry, so a cache hit keeps no spec, progress or rollup of its own.
 type cachedResult struct {
 	// spec and hash are shared by every cache-hit job (equal hashes mean
-	// equal canonical specs), which then keeps no decoded copy of its own.
+	// equal canonical specs).
 	spec      scenario.JobSpec
 	hash      string
 	snapshot  []byte // part.Set binary encoding; nil when the store kept it
@@ -392,19 +418,16 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 		return &v, nil
 	}
 
-	job := &Job{record: record{Hash: hash, State: StateQueued}, Spec: cspec}
-	job.Progress.Total = cspec.Steps
+	var job *Job
 	if hit {
-		job.Spec, job.Hash = res.spec, res.hash
-		job.CacheHit = true
-		job.Progress = Progress{Step: res.steps, Total: res.steps, SimTime: res.simTime}
-		job.Verify = res.summary
-		job.TelemetryStatus = res.telemetryStatus
+		job = &Job{record: hitRecord(res.hash, s.now()), res: res}
 	} else {
+		job = &Job{record: record{Hash: hash, State: StateQueued}, run: &execution{
+			spec: cspec, progress: Progress{Total: cspec.Steps}, submittedAt: s.now(),
+		}}
 		// Enqueue before registering, so a rejected submission consumes no
 		// id; the worker that receives the job blocks on s.mu until this
 		// returns.
-		job.submittedAt = s.now()
 		select {
 		case s.queue <- job:
 		default:
@@ -414,7 +437,6 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	s.jobs.registerLocked(job)
 	s.met.jobsSubmitted.Inc()
 	if hit {
-		s.jobs.finishLocked(job, StateCompleted, "", s.now())
 		s.met.jobsDone.With(string(StateCompleted)).Inc()
 	}
 	v := s.jobViewLocked(job)
@@ -593,9 +615,9 @@ func (s *Server) interrupt(id string, kill bool) error {
 	if job.terminal() {
 		return fmt.Errorf("server: job %s already %s", id, job.State)
 	}
-	job.killed = kill
-	if job.cancel != nil {
-		job.cancel() // a kill's errKilled cause makes the run loop requeue
+	job.run.killed = kill
+	if job.run.cancel != nil {
+		job.run.cancel() // a kill's errKilled cause makes the run loop requeue
 		return nil
 	}
 	// Still queued: the worker will observe the terminal state and skip it.
@@ -686,15 +708,16 @@ func (s *Server) run(job *Job) {
 		s.mu.Unlock()
 		return
 	}
+	x := job.run
 	job.State = StateRunning
-	job.Progress = Progress{Total: job.Spec.Steps}
-	if !job.submittedAt.IsZero() {
-		job.spans.AddSeconds(obs.PhaseQueueWait, s.now().Sub(job.submittedAt).Seconds())
+	x.progress = Progress{Total: x.spec.Steps}
+	if !x.submittedAt.IsZero() {
+		x.spans.AddSeconds(obs.PhaseQueueWait, s.now().Sub(x.submittedAt).Seconds())
 	}
 	ctx, cancel := context.WithCancelCause(s.ctx)
-	job.cancel = func() {
+	x.cancel = func() {
 		cause := context.Canceled
-		if job.killed {
+		if x.killed {
 			cause = errKilled
 		}
 		cancel(cause)
@@ -739,7 +762,7 @@ func (s *Server) run(job *Job) {
 // finish is a running job's terminal transition.
 func (s *Server) finish(job *Job, state JobState, msg string) {
 	s.mu.Lock()
-	job.cancel = nil
+	job.run.cancel = nil
 	s.jobs.finishLocked(job, state, msg, s.now())
 	s.mu.Unlock()
 	s.met.jobsDone.With(string(state)).Inc()
@@ -748,7 +771,7 @@ func (s *Server) finish(job *Job, state JobState, msg string) {
 func (s *Server) fail(job *Job, err error) {
 	s.finish(job, StateFailed, err.Error())
 	s.log.Error("job failed", "job", job.ID, "hash", job.Hash,
-		"scenario", job.Spec.Scenario, "error", err)
+		"scenario", job.run.spec.Scenario, "error", err)
 }
 
 // execute runs the job's spec through the executor cmd/sphexa runs through
@@ -756,27 +779,28 @@ func (s *Server) fail(job *Job, err error) {
 // DataDir at the server's interval, always resuming; the job's flight
 // recorder; progress published per step.
 func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) {
+	x := job.run
 	s.mu.Lock()
 	// The flight recorder is created once per Job and survives
 	// kill-requeues: the requeued Job comes back with its recorder intact,
 	// and the executor truncates it to each chunk's base step before
 	// re-feeding — so the final track matches an uninterrupted run's.
-	if job.rec == nil {
-		job.rec = telemetry.NewRecorder(func(kind string) {
+	if x.rec == nil {
+		x.rec = telemetry.NewRecorder(func(kind string) {
 			s.met.watchdogTrips.With(kind).Inc()
 			s.mu.Lock()
-			job.TelemetryStatus = telemetry.StatusTripped
+			x.telemetryStatus = telemetry.StatusTripped
 			s.mu.Unlock()
 			s.log.Warn("telemetry watchdog tripped", "job", job.ID,
 				"hash", job.Hash, "kind", kind)
 		})
-		job.TelemetryStatus = telemetry.StatusOK
+		x.telemetryStatus = telemetry.StatusOK
 	}
-	rec := job.rec
+	rec := x.rec
 	s.mu.Unlock()
 
-	total := job.Spec.Steps
-	res, err := runloop.Execute(job.Spec, runloop.Env{
+	total := x.spec.Steps
+	res, err := runloop.Execute(x.spec, runloop.Env{
 		Ctx:            ctx,
 		Clock:          s.now,
 		Checkpointer:   s.checkpointer(job),
@@ -786,21 +810,21 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 		FaultInjection: s.opts.FaultInjection,
 		OnRestore: func(step int, simTime float64) {
 			s.mu.Lock()
-			job.Progress = Progress{Step: step, Total: total, SimTime: simTime}
+			x.progress = Progress{Step: step, Total: total, SimTime: simTime}
 			s.mu.Unlock()
 		},
 		OnStep: func(rep core.StepReport, _ conserve.State, _ *part.Set) {
 			s.mu.Lock()
-			job.Progress.Step = rep.Step + 1
-			job.Progress.SimTime = rep.Time
-			job.Progress.DT = rep.DT
+			x.progress.Step = rep.Step + 1
+			x.progress.SimTime = rep.Time
+			x.progress.DT = rep.DT
 			s.mu.Unlock()
 		},
 	})
 	// The lifecycle trace spans attempts: a killed run's partial work stays
 	// in it when the requeued job adds its own.
 	for _, p := range res.Phases.Phases {
-		job.spans.AddSeconds(p.Name, p.Seconds)
+		x.spans.AddSeconds(p.Name, p.Seconds)
 	}
 	return res, err
 }
@@ -808,22 +832,23 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 // requeue is the simulated crash: checkpoint what the interrupted run has
 // and put the job back in the queue, to resume from there. It declines, and
 // the job ends cancelled, when a Cancel landed after the Kill: the run's
-// context keeps the Kill as its cause, but interrupt cleared job.killed, and
+// context keeps the Kill as its cause, but interrupt cleared killed, and
 // this lock hold is what decides, so a Cancel wins in either order.
 func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
 		_ = ck.Write(res.Steps, res.SimTime, res.PS)
 	}
+	x := job.run
 	s.mu.Lock()
-	if !job.killed {
+	if !x.killed {
 		s.mu.Unlock()
 		return false
 	}
 	job.State = StateQueued
-	job.killed = false
-	job.cancel = nil
-	job.Restarts++
-	job.submittedAt = s.now()
+	x.killed = false
+	x.cancel = nil
+	x.restarts++
+	x.submittedAt = s.now()
 	requeued := false
 	select {
 	case s.queue <- job:
@@ -834,7 +859,7 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	s.mu.Unlock()
 	if requeued {
 		s.log.Info("job requeued after kill", "job", job.ID,
-			"hash", job.Hash, "restarts", job.Restarts, "step", res.Steps)
+			"hash", job.Hash, "restarts", x.restarts, "step", res.Steps)
 	} else {
 		s.met.jobsDone.With(string(StateFailed)).Inc()
 		s.log.Error("job failed", "job", job.ID, "hash", job.Hash, "error", job.Err)
@@ -846,26 +871,27 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 // render report and track once (the bytes every later fetch and cache hit
 // serves), persist them, and finish the job.
 func (s *Server) complete(job *Job, res runloop.Result) {
+	x := job.run
 	var buf bytes.Buffer
 	if _, err := res.PS.WriteTo(&buf); err != nil {
 		s.fail(job, fmt.Errorf("encoding snapshot: %w", err))
 		return
 	}
 	result := &cachedResult{
-		spec: job.Spec, hash: job.Hash,
+		spec: x.spec, hash: job.Hash,
 		snapshot:  buf.Bytes(),
 		particles: res.PS.NLocal,
 		checksum:  part.FrameChecksum(buf.Bytes()),
 		simTime:   res.SimTime,
-		steps:     job.Spec.Steps,
+		steps:     x.spec.Steps,
 	}
 	// The marshaled report carries the lifecycle trace recorded so far
 	// (queue-wait through verify); it is persisted once, so a cache-hit
 	// resubmission serves the identical bytes. The persist phase below is
 	// necessarily measured after the marshal and lives only in the
 	// registry's job_phase_seconds histogram.
-	result.report, result.summary = marshalReport(res.Report, res.Timing, &job.spans)
-	track := job.rec.TrackSnapshot()
+	result.report, result.summary = marshalReport(res.Report, res.Timing, &x.spans)
+	track := x.rec.TrackSnapshot()
 	if b, err := json.Marshal(track); err == nil {
 		result.telemetry = b
 		result.telemetryStatus = track.Status
@@ -875,25 +901,25 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 
 	s.mu.Lock()
 	s.jobs.cacheLocked(job.Hash, result)
-	job.Progress = Progress{Step: job.Spec.Steps, Total: job.Spec.Steps, SimTime: res.SimTime, DT: job.Progress.DT}
-	job.Verify = result.summary
+	job.res = result
+	x.progress = Progress{Step: x.spec.Steps, Total: x.spec.Steps, SimTime: res.SimTime, DT: x.progress.DT}
 	if result.telemetryStatus != "" {
-		job.TelemetryStatus = result.telemetryStatus
+		x.telemetryStatus = result.telemetryStatus
 	}
-	job.cancel = nil
+	x.cancel = nil
 	s.jobs.finishLocked(job, StateCompleted, "", s.now())
 	s.mu.Unlock()
 
-	for _, p := range job.spans.Phases {
+	for _, p := range x.spans.Phases {
 		s.met.jobPhase.With(p.Name).Observe(p.Seconds)
 	}
 	s.met.jobPhase.With(obs.PhasePersist).Observe(pspan.End().Seconds())
 	s.met.jobsDone.With(string(StateCompleted)).Inc()
 	pass := result.summary != nil && result.summary.Pass
 	s.log.Info("job completed", "job", job.ID, "hash", job.Hash,
-		"scenario", job.Spec.Scenario, "steps", job.Spec.Steps, "particles", result.particles,
-		"pass", pass, "restarts", job.Restarts,
-		"queueWaitS", job.spans.Seconds(obs.PhaseQueueWait), "runS", job.spans.Seconds(obs.PhaseRun))
+		"scenario", x.spec.Scenario, "steps", x.spec.Steps, "particles", result.particles,
+		"pass", pass, "restarts", x.restarts,
+		"queueWaitS", x.spans.Seconds(obs.PhaseQueueWait), "runS", x.spans.Seconds(obs.PhaseRun))
 }
 
 // persist writes the result into the store as one record: snapshot, report
@@ -990,7 +1016,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 		s.mu.Unlock()
 		return nil, false
 	}
-	state, hash, rec := job.State, job.Hash, job.rec
+	state, hash, rec := job.State, job.Hash, job.recorder()
 	s.mu.Unlock()
 
 	if state == StateCompleted {
@@ -1014,7 +1040,7 @@ func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	job, ok := s.jobs.getLocked(id)
 	var rec *telemetry.Recorder
 	if ok {
-		rec = job.rec
+		rec = job.recorder()
 	}
 	s.mu.Unlock()
 	if rec == nil {

@@ -27,6 +27,20 @@ type record struct {
 
 func (r *record) core() *record { return r }
 
+// hitRecord is the record of a cache hit: terminal from the start, so it
+// registers onto the shared closed done channel.
+func hitRecord(hash string, now time.Time) record {
+	return record{Hash: hash, State: StateCompleted, CacheHit: true, doneAt: now}
+}
+
+// closedDone is the done channel of every record that is terminal when it
+// registers. It is closed here, once; finishLocked never sees such a record.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // terminal reports whether the record has reached a final state.
 func (r *record) terminal() bool {
 	switch r.State {
@@ -79,8 +93,9 @@ func (t *table[R, C]) activeLocked(hash string) (R, bool) {
 	return rec, ok
 }
 
-// registerLocked allocates the record's id and done channel and enters it
-// into the table as the active record of its hash.
+// registerLocked allocates the record's id and enters it into the table. A
+// record still to run gets its own done channel and becomes the active
+// record of its hash; one already terminal (a cache hit) shares closedDone.
 func (t *table[R, C]) registerLocked(rec R) {
 	if t.recs == nil {
 		t.recs, t.active = map[string]R{}, map[string]R{}
@@ -88,15 +103,20 @@ func (t *table[R, C]) registerLocked(rec R) {
 	t.nextID++
 	c := rec.core()
 	c.ID = fmt.Sprintf("%s-%06d", t.prefix, t.nextID)
-	c.done = make(chan struct{})
 	t.recs[c.ID] = rec
 	t.order = append(t.order, c.ID)
+	if c.terminal() {
+		c.done = closedDone
+		return
+	}
+	c.done = make(chan struct{})
 	t.active[c.Hash] = rec
 }
 
 // finishLocked is the one terminal transition: state, error and time are
 // set, the hash stops deduplicating, and done is closed — exactly once per
-// record, which callers ensure by finishing only non-terminal records.
+// record, which callers ensure by finishing only non-terminal records (a
+// record registered terminal is never finished).
 func (t *table[R, C]) finishLocked(rec R, state JobState, msg string, now time.Time) {
 	c := rec.core()
 	c.State, c.Err, c.doneAt = state, msg, now
