@@ -66,16 +66,7 @@ func kernelSums(ps *part.Set, nl *NeighborList, p *Params, a []float64, generali
 			sum := a[i] * (norm * prof.W(0))
 			for _, j := range nl.Of(i) {
 				pj := pos[j]
-				dx, dy, dz := pi.X-pj.X+mi.x.zero, pi.Y-pj.Y+mi.y.zero, pi.Z-pj.Z+mi.z.zero // r_i - r_j
-				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
-					dx -= mi.x.l * math.Round(dx/mi.x.l)
-				}
-				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
-					dy -= mi.y.l * math.Round(dy/mi.y.l)
-				}
-				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
-					dz -= mi.z.l * math.Round(dz/mi.z.l)
-				}
+				dx, dy, dz := mi.x.image(pi.X-pj.X), mi.y.image(pi.Y-pj.Y), mi.z.image(pi.Z-pj.Z) // r_i - r_j
 				sum += a[j] * (norm * prof.W(math.Sqrt(dx*dx+dy*dy+dz*dz)/hi1))
 			}
 			if generalized {
@@ -115,16 +106,7 @@ func ComputeIAD(ps *part.Set, nl *NeighborList, p *Params) int {
 			var xx, xy, xz, yy, yz, zz float64
 			for _, j := range nl.Of(i) {
 				pj := pos[j]
-				dx, dy, dz := pj.X-pi.X+mi.x.zero, pj.Y-pi.Y+mi.y.zero, pj.Z-pi.Z+mi.z.zero // r_j - r_i
-				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
-					dx -= mi.x.l * math.Round(dx/mi.x.l)
-				}
-				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
-					dy -= mi.y.l * math.Round(dy/mi.y.l)
-				}
-				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
-					dz -= mi.z.l * math.Round(dz/mi.z.l)
-				}
+				dx, dy, dz := mi.x.image(pj.X-pi.X), mi.y.image(pj.Y-pi.Y), mi.z.image(pj.Z-pi.Z) // r_j - r_i
 				s := ve[j] * (norm * prof.W(math.Sqrt(dx*dx+dy*dy+dz*dz)/hi1))
 				xx += s * dx * dx
 				xy += s * dx * dy

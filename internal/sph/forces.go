@@ -78,16 +78,7 @@ func (ws *Workspace) MomentumEnergy(ps *part.Set, nl *NeighborList, p *Params) F
 			var ax, ay, az, du float64
 			for _, j := range nl.Of(i) {
 				pj := pos[j]
-				dx, dy, dz := pj.X-pi.X+mi.x.zero, pj.Y-pi.Y+mi.y.zero, pj.Z-pi.Z+mi.z.zero // r_j - r_i
-				if !(math.Abs(dx) < mi.x.half) && mi.x.l > 0 {
-					dx -= mi.x.l * math.Round(dx/mi.x.l)
-				}
-				if !(math.Abs(dy) < mi.y.half) && mi.y.l > 0 {
-					dy -= mi.y.l * math.Round(dy/mi.y.l)
-				}
-				if !(math.Abs(dz) < mi.z.half) && mi.z.l > 0 {
-					dz -= mi.z.l * math.Round(dz/mi.z.l)
-				}
+				dx, dy, dz := mi.x.image(pj.X-pi.X), mi.y.image(pj.Y-pi.Y), mi.z.image(pj.Z-pi.Z) // r_j - r_i
 				r2 := dx*dx + dy*dy + dz*dz
 				if r2 == 0 {
 					continue // coincident particles exert no pair force

@@ -98,6 +98,12 @@ const (
 	shortWalkMargin = 1.25
 )
 
+// bracketPass is the first pass (0-based) of the h iteration whose count
+// scan also records its bracket (see hitCounts). Most particles settle
+// within two passes, and for them the wider scan would cost more than it
+// saves.
+const bracketPass = 2
+
 // findNeighbors runs up to maxIter smoothing-length passes per owned particle
 // and writes the list at the resulting h from the hits of the last pass, so
 // counts and entries cannot disagree.
@@ -147,6 +153,7 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 		list := nbr[nl.Offsets[lo]:nl.Offsets[lo]:nl.Offsets[hi]]
 		var spill []int32
 		var walks int64
+		var counts hitCounts
 		wide := ws.hits[w]
 		for i := lo; i < hi; i++ {
 			h := ps.H[i]
@@ -166,14 +173,10 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 					}
 					wide = tr.BallSearch(ps.Pos[i], reach, wide[:0])
 					walks++
+					counts.reset()
 				}
 				r2 = r * r
-				within = 0
-				for k := range wide {
-					if wide[k].Dist2 <= r2 {
-						within++
-					}
-				}
+				within = counts.count(wide, r2, iter >= bracketPass)
 				if iter >= maxIter {
 					break
 				}
@@ -238,6 +241,55 @@ func (ws *Workspace) findNeighbors(ps *part.Set, tr *tree.Tree, p *Params, maxIt
 	}
 	nl.Nbr, ws.regions = nbr[:total], regions
 	return nl
+}
+
+// hitCounts counts the hits of one walk within a squared radius r2, as
+// Dist2 <= r2. A scan asked to keep its bracket also finds the largest Dist2
+// within r2 and the smallest beyond it: no hit lies between the two, so
+// every squared radius in [lo, hi) has the scan's count, and a later pass
+// whose radius falls into a kept bracket skips the scan. The last two
+// brackets are kept, since a lattice shell makes h alternate between two
+// counts. A new walk resets them.
+type hitCounts struct {
+	b    [2]bracket
+	next int // the bracket the next kept scan replaces
+}
+
+type bracket struct {
+	lo, hi float64
+	n      int
+}
+
+// reset forgets both brackets: a zero bracket holds no r2.
+func (c *hitCounts) reset() { *c = hitCounts{} }
+
+func (c *hitCounts) count(hits []tree.Hit, r2 float64, keep bool) int {
+	for _, b := range c.b {
+		if b.lo <= r2 && r2 < b.hi {
+			return b.n
+		}
+	}
+	n := 0
+	if !keep {
+		for k := range hits {
+			if hits[k].Dist2 <= r2 {
+				n++
+			}
+		}
+		return n
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	for k := range hits {
+		if d := hits[k].Dist2; d <= r2 {
+			n++
+			lo = max(lo, d)
+		} else if d < hi { // a NaN Dist2 is in no bracket
+			hi = d
+		}
+	}
+	c.b[c.next] = bracket{lo, hi, n}
+	c.next ^= 1
+	return n
 }
 
 // region is one chunk's share of the neighbour list under construction.

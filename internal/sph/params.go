@@ -141,17 +141,36 @@ func (p *Params) Defaults() error {
 // that wraps (l > 0) once |d| reaches half its period, and otherwise d plus
 // the axis' zero: +0 where it wraps (Wrap's d + 0, which turns -0 into +0)
 // and -0 where it does not, which leaves every d as it is. An axis that does
-// not wrap has an infinite half-period, so a finite d skips it at once.
+// not wrap has a NaN half-period, which no d reaches.
 type minImage struct{ x, y, z axisImage }
 
 type axisImage struct{ l, half, zero float64 }
+
+// image is d's minimum image on the axis. Round(q) is taken as Trunc(q)
+// moved one away from zero when the fraction reaches one half: the same
+// bits for every q (the fraction q - Trunc(q) is exact, and a NaN or
+// infinite q keeps Trunc's result), at a cost that lets image inline.
+// A NaN d skips the branch and stays the NaN the formula would give.
+func (a axisImage) image(d float64) float64 {
+	if d += a.zero; d >= a.half || d <= -a.half {
+		q := d / a.l
+		r := math.Trunc(q)
+		if f := q - r; f >= 0.5 {
+			r++
+		} else if f <= -0.5 {
+			r--
+		}
+		return d - a.l*r
+	}
+	return d
+}
 
 func newMinImage(p tree.PBC) minImage {
 	axis := func(wraps bool, l float64) axisImage {
 		if wraps && l > 0 {
 			return axisImage{l, 0.5 * l, 0}
 		}
-		return axisImage{half: math.Inf(1), zero: math.Copysign(0, -1)}
+		return axisImage{half: math.NaN(), zero: math.Copysign(0, -1)}
 	}
 	return minImage{axis(p.X, p.L.X), axis(p.Y, p.L.Y), axis(p.Z, p.L.Z)}
 }
