@@ -165,7 +165,7 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	if hit {
 		rec.record, rec.Result, rec.input = hitRecord(p.hash, s.now()), raw, nil
 	}
-	d.tab.registerLocked(rec)
+	rec = d.tab.registerLocked(rec)
 	if !hit {
 		go d.collect(rec)
 	} else if apply != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -14,11 +15,14 @@ import (
 )
 
 // TestCacheHitRecordBytes: a cache-hit resubmission keeps a record, not a
-// job. Its id, its table entries and a small struct that points at the
-// per-hash result it shares with every other hit of the hash stay live; no
-// spec, progress, rollups, execution state or done channel of its own. The
-// heap grows by at most 256 bytes per hit over 20,000 hits of one stored
-// spec, measured after a full collection.
+// job, and repeated hits of one hash share it. 20,000 hits of one stored
+// spec leave two records (the run and one hit record) and no heap growth.
+// A hit of a distinct hash registers its own record: its id, its table
+// entries and a small struct that points at the per-hash result, no spec,
+// progress, rollups, execution state or done channel of its own. Over hits
+// of 20,000 distinct hashes whose results are already in the memory layer,
+// the heap grows by at most 256 bytes per record, measured after a full
+// collection.
 func TestCacheHitRecordBytes(t *testing.T) {
 	const hits = 20_000
 	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1})
@@ -33,23 +37,50 @@ func TestCacheHitRecordBytes(t *testing.T) {
 		t.Fatalf("resubmission: %+v, %v; want a cache hit", v, err)
 	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for range hits {
+	growth := func(submit func(i int)) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range hits {
+			submit(i)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / hits
+	}
+	per := growth(func(int) {
 		if _, err := s.Submit(spec); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if n := s.jobsLen(); n != 2 {
+		t.Fatalf("%d job records after %d hits of one spec, want 2", n, hits)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	t.Logf("%.1f live heap bytes per repeated hit", per)
+	if per > 8 {
+		t.Errorf("a repeated hit keeps %.1f heap bytes, want about 0", per)
+	}
+
+	s.mu.Lock()
+	for i := range hits {
+		cspec, hash, err := sedovSpec(3 + i).CanonicalHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.jobs.cacheLocked(hash, &cachedResult{spec: cspec, hash: hash, snapshot: []byte{0}})
+	}
+	s.mu.Unlock()
+	per = growth(func(i int) {
+		if v, err := s.Submit(sedovSpec(3 + i)); err != nil || !v.CacheHit {
+			t.Fatalf("hit %d: %+v, %v; want a cache hit", i, v, err)
+		}
+	})
 	if n := s.jobsLen(); n != hits+2 {
 		t.Fatalf("%d job records, want %d", n, hits+2)
 	}
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / hits
-	t.Logf("%.0f live heap bytes per cache hit", per)
+	t.Logf("%.0f live heap bytes per hit record", per)
 	if per > 256 {
-		t.Errorf("a cache hit keeps %.0f heap bytes, want at most 256", per)
+		t.Errorf("a hit record keeps %.0f heap bytes, want at most 256", per)
 	}
 }
 
@@ -170,5 +201,167 @@ func TestHitRecordsUnderConcurrentTraffic(t *testing.T) {
 	// The server still serves, and the stored result is still a hit.
 	if v, err := s.Submit(spec); err != nil || !v.CacheHit {
 		t.Fatalf("after the traffic: %+v, %v; want a cache hit", v, err)
+	}
+}
+
+// TestHitRecordsCoalesce: repeated hits of a hash share one hit record, the
+// way identical submissions share an active job. Its lifetime restarts at
+// each hit; a DELETE or a JobTTL prune forgets it, and the next hit
+// registers a new id that is still a cache hit. A hit never takes the id of
+// the job that computed the result, and a derived kind coalesces the same
+// way.
+func TestHitRecordsCoalesce(t *testing.T) {
+	const ttl = time.Minute
+	clock := newTestClock()
+	s := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1,
+		JobTTL: ttl, Clock: clock.now})
+	defer s.Close()
+
+	spec := sedovSpec(2)
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, first.ID, StateCompleted, 60*time.Second)
+	hit := func() JobView {
+		t.Helper()
+		v, err := s.Submit(spec)
+		if err != nil || !v.CacheHit || v.State != StateCompleted {
+			t.Fatalf("resubmission: %+v, %v; want a completed cache hit", v, err)
+		}
+		if _, ok := s.Get(v.ID); !ok {
+			t.Fatalf("resubmission returned %s, which is not in the table", v.ID)
+		}
+		return *v
+	}
+	hitEntry := func() (string, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		rec, ok := s.jobs.hits[first.Hash]
+		if !ok {
+			return "", false
+		}
+		return rec.ID, true
+	}
+
+	a := hit()
+	if a.ID == first.ID {
+		t.Fatalf("a hit took the id %s of the job that computed the result", a.ID)
+	}
+	for range 3 {
+		if v := hit(); v.ID != a.ID {
+			t.Fatalf("repeated hit registered %s, want %s", v.ID, a.ID)
+		}
+	}
+
+	if err := s.DeleteJob(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := hitEntry(); ok {
+		t.Fatalf("deleted hit record %s is still its hash's hit entry (%s)", a.ID, id)
+	}
+	b := hit()
+	if b.ID == a.ID || b.ID == first.ID {
+		t.Fatalf("hit after DELETE of %s returned %s", a.ID, b.ID)
+	}
+
+	// A hit inside JobTTL keeps the record alive past its first deadline.
+	clock.advance(ttl * 2 / 3)
+	if v := hit(); v.ID != b.ID {
+		t.Fatalf("hit inside JobTTL registered %s, want %s", v.ID, b.ID)
+	}
+	clock.advance(ttl * 2 / 3)
+	s.ListPage("", "", 1)
+	if _, ok := s.Get(first.ID); ok {
+		t.Fatalf("job %s outlived JobTTL", first.ID)
+	}
+	if _, ok := s.Get(b.ID); !ok {
+		t.Fatalf("hit record %s pruned although hit within JobTTL", b.ID)
+	}
+
+	// JobTTL passes with no hit: the record and its hit entry both go.
+	clock.advance(ttl)
+	s.ListPage("", "", 1)
+	if _, ok := s.Get(b.ID); ok {
+		t.Fatalf("hit record %s outlived JobTTL without a hit", b.ID)
+	}
+	if id, ok := hitEntry(); ok {
+		t.Fatalf("pruned hash still has hit entry %s", id)
+	}
+	if c := hit(); c.ID == b.ID || c.ID == a.ID {
+		t.Fatalf("hit after the prune returned the forgotten id %s", c.ID)
+	}
+
+	sweep := sedovSweep(2, 216, 512, 1000)
+	exp, err := s.Experiments.Submit(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitExperiment(t, s, exp.ID, 120*time.Second); v.State != StateCompleted {
+		t.Fatalf("experiment ended %s: %s", v.State, v.Error)
+	}
+	var ids []string
+	for range 2 {
+		v, err := s.Experiments.Submit(sweep)
+		if err != nil || !v.CacheHit || v.State != StateCompleted {
+			t.Fatalf("experiment resubmission: %+v, %v; want a completed cache hit", v, err)
+		}
+		ids = append(ids, v.ID)
+	}
+	if ids[0] == exp.ID || ids[1] != ids[0] {
+		t.Fatalf("experiment %s resubmitted twice: ids %v, want one hit id of their own", exp.ID, ids)
+	}
+}
+
+// TestPruneCostFlatInTableSize: with JobTTL at a week nothing in the table
+// can have expired, so neither a Submit nor a listing may walk the table. A
+// hit Submit plus a one-record listing costs about the same at 30,000
+// terminal records as at 1,000. Walking all four tables on every call, as
+// pruning did before its watermark, measured 0.10 ms and 6.5 ms.
+func TestPruneCostFlatInTableSize(t *testing.T) {
+	clock := newTestClock()
+	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1,
+		JobTTL: 168 * time.Hour, Clock: clock.now})
+	defer s.Close()
+	spec := sedovSpec(2)
+	first, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, first.ID, StateCompleted, 60*time.Second)
+
+	// fill registers hit records of distinct hashes up to records in all.
+	fill := func(records int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		run, _ := s.jobs.getLocked(first.ID)
+		for i := s.jobs.lenLocked(); i < records; i++ {
+			s.jobs.registerLocked(&Job{record: hitRecord(fmt.Sprintf("fill-%d", i), clock.now()), res: run.res})
+		}
+	}
+	// perOp is the fastest of five rounds, so a collection or a descheduled
+	// round does not count.
+	perOp := func() time.Duration {
+		const ops = 100
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			for range ops {
+				if v, err := s.Submit(spec); err != nil || !v.CacheHit {
+					t.Fatalf("resubmission: %+v, %v; want a cache hit", v, err)
+				}
+				s.ListPage("", "", 1)
+			}
+			best = min(best, time.Since(start)/ops)
+		}
+		return best
+	}
+	fill(1_000)
+	small := perOp()
+	fill(30_000)
+	large := perOp()
+	t.Logf("Submit + ListPage: %v at 1,000 records, %v at 30,000", small, large)
+	if large > 4*small {
+		t.Errorf("Submit + ListPage cost %v at 30,000 records, %v at 1,000: it grows with the table", large, small)
 	}
 }

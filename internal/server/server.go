@@ -11,8 +11,9 @@
 // in-memory cache is only a metadata layer: snapshot bytes persist on disk,
 // survive restarts, and are streamed straight from the store's CRC-verified
 // object files; the store's TTL + size-capped LRU policy bounds the
-// footprint, and the job table itself is pruned of terminal jobs older than
-// JobTTL.
+// footprint. Repeated cache hits of a hash share one hit record, whose
+// lifetime restarts at each hit, so reads do not grow the job table, and
+// the table is pruned of terminal jobs older than JobTTL.
 package server
 
 import (
@@ -68,8 +69,9 @@ type Progress struct {
 // Job is one submitted simulation. All mutable fields are guarded by the
 // owning Server's mutex; handlers read them through snapshots. The embedded
 // record carries ID, Hash, State, Err and CacheHit. A cache hit is that
-// record and a pointer to the result every job of its hash shares; only a
-// job that is queued carries execution state.
+// record and a pointer to the result every job of its hash shares; repeated
+// hits of a hash share one such Job, whose lifetime restarts at each hit.
+// Only a job that is queued carries execution state.
 type Job struct {
 	record
 	// res is the completed result, shared through the memory layer by every
@@ -384,10 +386,11 @@ func (s *Server) worker() {
 
 // Submit canonicalizes and enqueues a job. Identical specs coalesce: a hash
 // matching the result cache or the persistent store completes instantly
-// (cache hit), one matching an active job returns that job instead of
-// enqueueing a duplicate. The canonical hash covers the execution section,
-// so the same scenario under a different backend, machine model, or cost
-// calibration is a different job with its own stored result.
+// (cache hit, returning the hash's hit record if it has one), one matching
+// an active job returns that job instead of enqueueing a duplicate. The
+// canonical hash covers the execution section, so the same scenario under a
+// different backend, machine model, or cost calibration is a different job
+// with its own stored result.
 func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 	cspec, hash, err := spec.CanonicalHash()
 	if err != nil {
@@ -434,7 +437,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
 		}
 	}
-	s.jobs.registerLocked(job)
+	job = s.jobs.registerLocked(job)
 	s.met.jobsSubmitted.Inc()
 	if hit {
 		s.met.jobsDone.With(string(StateCompleted)).Inc()

@@ -21,7 +21,8 @@ type record struct {
 
 	// done is closed when the record reaches a terminal state.
 	done chan struct{}
-	// doneAt is when it did; JobTTL pruning keys on it.
+	// doneAt is when it did, or for a hit record its latest hit; JobTTL
+	// pruning keys on it.
 	doneAt time.Time
 }
 
@@ -55,12 +56,13 @@ func (r *record) terminal() bool {
 type resourceRecord interface{ core() *record }
 
 // table is one resource table: records by id, their submission order, the
-// active (non-terminal) record per hash for dedup, a memory layer of
-// completed results over the store, and the id counter. Server holds one
-// per resource kind. The table owns no lock: every field is guarded by the
-// owning Server's mutex and reached only through the ...Locked methods
-// below. The maps are allocated on first registration, so an unused kind
-// costs nothing at construction.
+// active (non-terminal) record per hash for dedup, the cache-hit record per
+// hash that repeated hits share, a memory layer of completed results over
+// the store, and the id counter. Server holds one per resource kind. The
+// table owns no lock: every field is guarded by the owning Server's mutex
+// and reached only through the ...Locked methods below. The maps are
+// allocated on first registration, so an unused kind costs nothing at
+// construction.
 type table[R resourceRecord, C any] struct {
 	// prefix names the kind in its ids: "<prefix>-%06d", allocated in
 	// submission order.
@@ -68,8 +70,14 @@ type table[R resourceRecord, C any] struct {
 	recs   map[string]R // guarded by mu
 	order  []string     // guarded by mu
 	active map[string]R // guarded by mu
+	hits   map[string]R // guarded by mu
 	cache  map[string]C // guarded by mu
 	nextID int          // guarded by mu
+	// oldest is at or before the earliest doneAt of any terminal record
+	// (zero: none), so pruneLocked can skip a table nothing in it can have
+	// expired from. A hit's refreshed doneAt only rises, and each drop scan
+	// recomputes it.
+	oldest time.Time // guarded by mu
 }
 
 func (t *table[R, C]) getLocked(id string) (R, bool) {
@@ -93,24 +101,41 @@ func (t *table[R, C]) activeLocked(hash string) (R, bool) {
 	return rec, ok
 }
 
-// registerLocked allocates the record's id and enters it into the table. A
-// record still to run gets its own done channel and becomes the active
-// record of its hash; one already terminal (a cache hit) shares closedDone.
-func (t *table[R, C]) registerLocked(rec R) {
+// registerLocked enters rec into the table and returns the record the
+// caller must view. A record still to run gets its own id and done channel
+// and becomes the active record of its hash. One already terminal (a cache
+// hit) shares closedDone and coalesces like an active one: if its hash has
+// a hit record, that record's lifetime restarts at rec's doneAt and it is
+// returned in rec's place, so repeated hits of a hash keep one record.
+func (t *table[R, C]) registerLocked(rec R) R {
 	if t.recs == nil {
-		t.recs, t.active = map[string]R{}, map[string]R{}
+		t.recs, t.active, t.hits = map[string]R{}, map[string]R{}, map[string]R{}
+	}
+	c := rec.core()
+	if c.terminal() {
+		if hit, ok := t.hits[c.Hash]; ok {
+			hit.core().doneAt = c.doneAt
+			return hit
+		}
+		c.done = closedDone
+		t.hits[c.Hash] = rec
+		t.markLocked(c)
+	} else {
+		c.done = make(chan struct{})
+		t.active[c.Hash] = rec
 	}
 	t.nextID++
-	c := rec.core()
 	c.ID = fmt.Sprintf("%s-%06d", t.prefix, t.nextID)
 	t.recs[c.ID] = rec
 	t.order = append(t.order, c.ID)
-	if c.terminal() {
-		c.done = closedDone
-		return
+	return rec
+}
+
+// markLocked lowers the prune watermark to a terminal record's doneAt.
+func (t *table[R, C]) markLocked(c *record) {
+	if c.terminal() && !c.doneAt.IsZero() && (t.oldest.IsZero() || c.doneAt.Before(t.oldest)) {
+		t.oldest = c.doneAt
 	}
-	c.done = make(chan struct{})
-	t.active[c.Hash] = rec
 }
 
 // finishLocked is the one terminal transition: state, error and time are
@@ -121,6 +146,7 @@ func (t *table[R, C]) finishLocked(rec R, state JobState, msg string, now time.T
 	c := rec.core()
 	c.State, c.Err, c.doneAt = state, msg, now
 	delete(t.active, c.Hash)
+	t.markLocked(c)
 	close(c.done)
 }
 
@@ -205,27 +231,41 @@ func (t *table[R, C]) deleteLocked(id, noun string) error {
 	return nil
 }
 
-// pruneLocked drops the terminal records that finished before cutoff.
+// pruneLocked drops the terminal records that finished before cutoff; it
+// returns at once while none can have.
 func (t *table[R, C]) pruneLocked(cutoff time.Time) {
+	if t.oldest.IsZero() || !t.oldest.Before(cutoff) {
+		return
+	}
 	t.dropLocked(func(c *record) bool {
 		return c.terminal() && !c.doneAt.IsZero() && c.doneAt.Before(cutoff)
 	})
 }
 
-// dropLocked forgets the records drop selects, then the memory-layer
-// entries whose hash no longer backs any surviving record — so repeated
-// submit+delete traffic cannot grow the cache without bound. The results
-// stay addressable in the store regardless.
+// dropLocked forgets the records drop selects, a hash's hit entry with its
+// record, then the memory-layer entries whose hash no longer backs any
+// surviving record — so repeated submit+delete traffic cannot grow the
+// cache without bound. The results stay addressable in the store
+// regardless. The scan recomputes the prune watermark from the survivors.
 func (t *table[R, C]) dropLocked(drop func(*record) bool) {
 	kept := t.order[:0]
-	dropped := map[string]bool{}
+	var dropped map[string]bool
+	t.oldest = time.Time{}
 	for _, id := range t.order {
-		if c := t.recs[id].core(); drop(c) {
-			delete(t.recs, id)
-			dropped[c.Hash] = true
+		c := t.recs[id].core()
+		if !drop(c) {
+			kept = append(kept, id)
+			t.markLocked(c)
 			continue
 		}
-		kept = append(kept, id)
+		delete(t.recs, id)
+		if hit, ok := t.hits[c.Hash]; ok && hit.core() == c {
+			delete(t.hits, c.Hash)
+		}
+		if dropped == nil {
+			dropped = map[string]bool{}
+		}
+		dropped[c.Hash] = true
 	}
 	t.order = kept
 	if len(dropped) == 0 {

@@ -340,6 +340,9 @@ func writeTemp(path string, data []byte) error {
 // readChunk bounds the bytes a read holds at once.
 const readChunk = 64 << 10
 
+// readBufs recycles readFile's chunk buffers, so a read allocates none.
+var readBufs = sync.Pool{New: func() any { return new([readChunk]byte) }}
+
 // readFile's verdicts on a file that cannot be served.
 var errCorrupt, errLost = errors.New("failed CRC verification"), errors.New("object file missing")
 
@@ -360,7 +363,9 @@ func readFile(path string, off, size int64, crc uint64, total int64, w io.Writer
 		return 0, errCorrupt // a negative size vouches for no file
 	}
 	whole, r := total < 0 || fi.Size() == total, io.NewSectionReader(f, off, size)
-	buf := make([]byte, min(size, readChunk))
+	pooled := readBufs.Get().(*[readChunk]byte)
+	defer readBufs.Put(pooled)
+	buf := pooled[:]
 	var sum uint64
 	for left := size; ; left -= readChunk {
 		chunk, final := buf[:min(left, readChunk)], left <= readChunk
