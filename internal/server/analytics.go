@@ -159,10 +159,13 @@ func (s *Server) jobViewLocked(j *Job) JobView {
 	}
 	if x := j.run; x != nil {
 		v.Spec, v.Progress, v.Restarts, v.Telemetry = x.spec, x.progress, x.restarts, x.telemetryStatus
-	} else {
-		r := j.res
-		v.Spec, v.Telemetry = r.spec, r.telemetryStatus
-		v.Progress = Progress{Step: r.steps, Total: r.steps, SimTime: r.simTime}
+		return v
+	}
+	r := j.res
+	v.Spec, v.Telemetry = r.spec, r.telemetryStatus
+	v.Progress = Progress{Step: r.steps, Total: r.steps, SimTime: r.simTime}
+	if e := j.end; e != nil {
+		v.Progress.DT, v.Restarts, v.Telemetry = e.dt, e.restarts, e.telemetryStatus
 	}
 	return v
 }

@@ -1,0 +1,270 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/scenario"
+)
+
+// coldSpec is the i-th of a family of distinct tiny sedov jobs: the shape
+// of the serve-cold benchmark workload (216 particles, 2 steps, 4 cores).
+func coldSpec(i int) scenario.JobSpec {
+	spec := sedovSpec(2)
+	spec.Params.Extra = map[string]float64{"energy": 1 + float64(i)*1e-6}
+	return spec
+}
+
+// runCold submits coldSpec(from) … coldSpec(to-1) one at a time and waits
+// for each to complete.
+func runCold(t *testing.T, s *Server, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		v, err := s.Submit(coldSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.CacheHit {
+			t.Fatalf("job %d was a cache hit", i)
+		}
+		waitState(t, s, v.ID, StateCompleted, 60*time.Second)
+	}
+}
+
+// TestCompletedJobBytes: a completed run keeps its record, a pointer to its
+// hash's shared result and the few scalars its view and last telemetry
+// frame read; its execution state (spec copy, flight recorder, spans) is
+// released, and the report and track bytes live in the store once it holds
+// them. Over 300 distinct computed jobs the live heap grows by at most
+// 2.5 KiB per job, measured after a full collection (about 7 KiB while a
+// completed job kept its execution and the memory layer its report and
+// track copies).
+func TestCompletedJobBytes(t *testing.T) {
+	const jobs = 300
+	s := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
+	defer s.Close()
+	runCold(t, s, 0, 20) // lazy set-up: pools, shared profiles, map growth
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runCold(t, s, 20, 20+jobs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / jobs
+	t.Logf("%.0f live heap bytes per completed job", per)
+	if per > 2560 {
+		t.Errorf("a completed job keeps %.0f heap bytes, want at most 2,560", per)
+	}
+}
+
+// lastFrame reads an event stream to its end and returns its last data
+// frame.
+func lastFrame(ts *httptest.Server, path string) ([]byte, error) {
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var last []byte
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if b, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: ")); ok {
+			last = append([]byte(nil), b...)
+		}
+	}
+	if last == nil {
+		return nil, fmt.Errorf("GET %s: no frame (%v)", path, sc.Err())
+	}
+	return last, nil
+}
+
+// terminalFrames follows a job's /events and /telemetry/events streams to
+// their ends.
+func terminalFrames(ts *httptest.Server, id string) (events, telemetry []byte, err error) {
+	if events, err = lastFrame(ts, "/v1/jobs/"+id+"/events"); err != nil {
+		return nil, nil, err
+	}
+	telemetry, err = lastFrame(ts, "/v1/jobs/"+id+"/telemetry/events")
+	return events, telemetry, err
+}
+
+// TestCompletedJobWire: what a completed job serves is what its run
+// produced, wherever it now lives. For the job that computed the result and
+// for a later cache hit of it, /metrics and /telemetry are the stored
+// report and track bytes and /trace is rendered from them; the computed
+// job's view carries the run's last dt, its restarts and its watchdog
+// status, its last /telemetry/events frame the track's last sample, and
+// the last /events frame of either job is its view. A hit's view has no dt
+// and its telemetry frame no sample, as before.
+func TestCompletedJobWire(t *testing.T) {
+	st := tempStore(t)
+	s := New(Options{Store: st, Workers: 1, HistoryInterval: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s (%v)", path, resp.StatusCode, b, err)
+		}
+		return b
+	}
+
+	computed, err := s.Submit(sedovSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type streams struct {
+		events, telemetry []byte
+		err               error
+	}
+	live := make(chan streams, 1)
+	go func() {
+		var out streams
+		out.events, out.telemetry, out.err = terminalFrames(ts, computed.ID)
+		live <- out
+	}()
+	waitState(t, s, computed.ID, StateCompleted, 60*time.Second)
+	hit, err := s.Submit(sedovSpec(3))
+	if err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission: %+v, %v; want a cache hit", hit, err)
+	}
+
+	report, ok := st.ReadReport(computed.Hash)
+	if !ok {
+		t.Fatal("no stored report")
+	}
+	track, ok := st.ReadTelemetry(computed.Hash)
+	if !ok {
+		t.Fatal("no stored track")
+	}
+	var raw struct{ Samples []json.RawMessage }
+	if err := json.Unmarshal(track, &raw); err != nil || len(raw.Samples) == 0 {
+		t.Fatalf("stored track %s: %v", track, err)
+	}
+	tk := decodeTrack(t, track)
+	lastSample := tk.Samples[len(tk.Samples)-1]
+	trace, err := renderTrace(computed.Spec, computed.Hash, TraceFormatPerfetto, report, track)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		id   string
+		dt   float64
+		// sample is the last /telemetry/events frame's sample; nil for none.
+		sample json.RawMessage
+		frames func() streams
+	}{
+		{"computed", computed.ID, lastSample.DT, raw.Samples[len(raw.Samples)-1], func() streams { return <-live }},
+		{"hit", hit.ID, 0, nil, func() (out streams) {
+			out.events, out.telemetry, out.err = terminalFrames(ts, hit.ID)
+			return out
+		}},
+	} {
+		base := "/v1/jobs/" + c.id
+		for _, r := range []struct {
+			path string
+			want []byte
+		}{{"/metrics", report}, {"/telemetry", track}, {"/trace", trace}} {
+			if got := get(base + r.path); !bytes.Equal(got, r.want) {
+				t.Errorf("%s %s: served bytes differ from the stored result's\n got %s\nwant %s", c.name, r.path, got, r.want)
+			}
+		}
+
+		var view bytes.Buffer
+		if err := json.Compact(&view, get(base)); err != nil {
+			t.Fatal(err)
+		}
+		viewBytes := view.Bytes()
+		var v JobView
+		if err := json.Unmarshal(viewBytes, &v); err != nil {
+			t.Fatal(err)
+		}
+		want := Progress{Step: 3, Total: 3, SimTime: lastSample.Time, DT: c.dt}
+		if v.Progress != want || v.Restarts != 0 || v.Telemetry != tk.Status {
+			t.Errorf("%s view: progress %+v, restarts %d, telemetry %q; want %+v, 0, %q",
+				c.name, v.Progress, v.Restarts, v.Telemetry, want, tk.Status)
+		}
+
+		frames := c.frames()
+		if frames.err != nil {
+			t.Fatal(frames.err)
+		}
+		if !bytes.Equal(frames.events, viewBytes) {
+			t.Errorf("%s: last /events frame\n%s\nis not its view\n%s", c.name, frames.events, viewBytes)
+		}
+		var ev struct {
+			Job, State, Telemetry string
+			Sample                json.RawMessage
+		}
+		if err := json.Unmarshal(frames.telemetry, &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Job != c.id || ev.State != string(StateCompleted) || ev.Telemetry != tk.Status || !bytes.Equal(ev.Sample, c.sample) {
+			t.Errorf("%s: last /telemetry/events frame %s, want job %s completed, telemetry %q, sample %s",
+				c.name, frames.telemetry, c.id, tk.Status, c.sample)
+		}
+	}
+}
+
+// TestDerivedMemberBytesPinned: the report and track of a derived
+// resource's members stay in the memory layer, although the store keeps
+// their records, until the collector has read them; then they go.
+func TestDerivedMemberBytesPinned(t *testing.T) {
+	s := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
+	defer s.Close()
+	gate := newAggregateGate()
+	gateAggregate(&s.Experiments, gate)
+	exp, err := s.Experiments.Submit(sedovSweep(2, 150, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(hash string) (stored, report, track bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		res, ok := s.jobs.cachedLocked(hash)
+		return ok && res.snapshot == nil, ok && res.report != nil, ok && res.telemetry != nil
+	}
+
+	<-gate.entered
+	for _, m := range exp.Members {
+		if stored, report, track := held(m.Hash); !stored || !report || !track {
+			t.Errorf("member %s before its collector read it: stored %v, report held %v, track held %v; want all",
+				m.JobID, stored, report, track)
+		}
+	}
+	close(gate.release)
+	if v := waitExperiment(t, s, exp.ID, 60*time.Second); v.State != StateCompleted {
+		t.Fatalf("experiment ended %s: %s", v.State, v.Error)
+	}
+	for _, m := range exp.Members {
+		if _, report, track := held(m.Hash); report || track {
+			t.Errorf("member %s after its collector read it: report held %v, track held %v; want neither",
+				m.JobID, report, track)
+		}
+	}
+	s.mu.Lock()
+	pins := len(s.pins)
+	s.mu.Unlock()
+	if pins != 0 {
+		t.Errorf("%d hashes still pinned after the collector finished", pins)
+	}
+}

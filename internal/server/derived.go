@@ -106,7 +106,7 @@ type Derived[S any, V resourceView] struct {
 }
 
 func newDerived[S any, V resourceView](s *Server, k kind[S, V]) Derived[S, V] {
-	return Derived[S, V]{s: s, kind: k, tab: table[*derived[S], []byte]{prefix: k.prefix}}
+	return Derived[S, V]{s: s, kind: k, tab: table[*derived[S], []byte]{prefix: k.prefix, expires: s.opts.JobTTL > 0}}
 }
 
 // Submit resolves a submission like a job: an active identical one
@@ -155,6 +155,9 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	defer s.mu.Unlock()
 	if active, ok := d.tab.activeLocked(p.hash); ok {
 		// An identical submission raced in; its members coalesced with ours.
+		for _, m := range members {
+			s.unpinLocked(m.hash)
+		}
 		v := d.kind.view(s, active)
 		return &v, nil
 	}
@@ -197,11 +200,14 @@ func (d *Derived[S, V]) resolveRawResult(hash string) ([]byte, bool) {
 }
 
 // fanOut submits the planned members in order and binds each to its job.
+// Each member's hash stays pinned until the record's collector has read its
+// report (see Server.complete); a failed fan-out unpins what it pinned.
 func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 	members := make([]member, 0, len(specs))
 	for _, ms := range specs {
-		view, err := d.s.Submit(ms.spec)
+		view, err := d.s.submit(ms.spec, true)
 		if err != nil {
+			d.s.unpin(members)
 			return nil, fmt.Errorf("server: submitting %s member %s: %w", d.kind.noun, ms.label, err)
 		}
 		members = append(members, member{
@@ -215,6 +221,7 @@ func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 // collect waits for every member to reach a terminal state, aggregates, and
 // finishes the record.
 func (d *Derived[S, V]) collect(rec *derived[S]) {
+	defer d.s.unpin(rec.Members)
 	// Contain collector panics: a bad member report or a degenerate fleet
 	// must fail this one record, never the process. If the record already
 	// went terminal there is nothing left to fail (done closes exactly once).
@@ -341,6 +348,27 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 		return done
 	}
 	return closedDone
+}
+
+// unpin releases the members' hashes (see submit).
+func (s *Server) unpin(members []member) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range members {
+		s.unpinLocked(m.hash)
+	}
+}
+
+// unpinLocked releases one pin of hash. With the last one the memory layer
+// drops the report and track of a result the store holds.
+func (s *Server) unpinLocked(hash string) {
+	if s.pins[hash]--; s.pins[hash] > 0 {
+		return
+	}
+	delete(s.pins, hash)
+	if res, ok := s.jobs.cachedLocked(hash); ok && res.snapshot == nil {
+		res.report, res.telemetry = nil, nil
+	}
 }
 
 // memberReport decodes a finished member's persisted report into v, or

@@ -84,6 +84,16 @@ func TestCacheHitRecordBytes(t *testing.T) {
 	}
 }
 
+// cachedLenLocked counts the table's memory-layer results.
+func (t *table[R, C]) cachedLenLocked() (n int) {
+	for _, e := range t.hashes {
+		if e.cached {
+			n++
+		}
+	}
+	return n
+}
+
 // jobsLen is the job table's size.
 func (s *Server) jobsLen() int {
 	s.mu.Lock()
@@ -237,11 +247,11 @@ func TestHitRecordsCoalesce(t *testing.T) {
 	hitEntry := func() (string, bool) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		rec, ok := s.jobs.hits[first.Hash]
-		if !ok {
+		e := s.jobs.hashes[first.Hash]
+		if e == nil || e.hit == nil {
 			return "", false
 		}
-		return rec.ID, true
+		return e.hit.ID, true
 	}
 
 	a := hit()
@@ -314,54 +324,112 @@ func TestHitRecordsCoalesce(t *testing.T) {
 }
 
 // TestPruneCostFlatInTableSize: with JobTTL at a week nothing in the table
-// can have expired, so neither a Submit nor a listing may walk the table. A
-// hit Submit plus a one-record listing costs about the same at 30,000
-// terminal records as at 1,000. Walking all four tables on every call, as
-// pruning did before its watermark, measured 0.10 ms and 6.5 ms.
+// can have expired, so neither a Submit nor a listing may walk the table,
+// and when one record expires per call, the prune pops that one record off
+// the expiry order. A hit Submit plus a one-record listing costs about the
+// same at 30,000 terminal records as at 1,000. Walking all four tables on
+// every call, as pruning did before its watermark, measured 0.10 ms and
+// 6.5 ms; walking the job table once per expiry, as pruning did before its
+// expiry order, 11.7 ms at 30,000.
 func TestPruneCostFlatInTableSize(t *testing.T) {
-	clock := newTestClock()
-	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1,
-		JobTTL: 168 * time.Hour, Clock: clock.now})
-	defer s.Close()
-	spec := sedovSpec(2)
-	first, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, first.ID, StateCompleted, 60*time.Second)
+	const ttl = 168 * time.Hour
+	for _, c := range []struct {
+		name string
+		// tick is how far the clock moves per op. The fill records of the
+		// expiring case are a millisecond apart, the first one JobTTL old,
+		// so each op expires one.
+		tick time.Duration
+	}{{"nothing-expires", 0}, {"one-expires-per-op", time.Millisecond}} {
+		t.Run(c.name, func(t *testing.T) {
+			clock := newTestClock()
+			s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1,
+				JobTTL: ttl, Clock: clock.now})
+			defer s.Close()
+			spec := sedovSpec(2)
+			first, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, first.ID, StateCompleted, 60*time.Second)
 
-	// fill registers hit records of distinct hashes up to records in all.
-	fill := func(records int) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		run, _ := s.jobs.getLocked(first.ID)
-		for i := s.jobs.lenLocked(); i < records; i++ {
-			s.jobs.registerLocked(&Job{record: hitRecord(fmt.Sprintf("fill-%d", i), clock.now()), res: run.res})
-		}
+			// fill registers hit records of distinct hashes up to records in
+			// all.
+			stamp := clock.now()
+			if c.tick > 0 {
+				stamp = stamp.Add(-ttl)
+			}
+			fill := func(records int) {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				run, _ := s.jobs.getLocked(first.ID)
+				for i := s.jobs.lenLocked(); i < records; i++ {
+					stamp = stamp.Add(c.tick)
+					s.jobs.registerLocked(&Job{record: hitRecord(fmt.Sprintf("fill-%d-%d", records, i), stamp), res: run.res})
+				}
+			}
+			// perOp is the fastest of five rounds, so a collection or a
+			// descheduled round does not count.
+			perOp := func() time.Duration {
+				const ops = 100
+				best := time.Duration(math.MaxInt64)
+				for range 5 {
+					start := time.Now()
+					for range ops {
+						clock.advance(c.tick)
+						if v, err := s.Submit(spec); err != nil || !v.CacheHit {
+							t.Fatalf("resubmission: %+v, %v; want a cache hit", v, err)
+						}
+						s.ListPage("", "", 1)
+					}
+					best = min(best, time.Since(start)/ops)
+				}
+				return best
+			}
+			fill(1_000)
+			small := perOp()
+			fill(30_000)
+			large := perOp()
+			t.Logf("Submit + ListPage: %v at 1,000 records, %v at 30,000 (%d left)", small, large, s.jobsLen())
+			if large > 4*small {
+				t.Errorf("Submit + ListPage cost %v at 30,000 records, %v at 1,000: it grows with the table", large, small)
+			}
+		})
 	}
-	// perOp is the fastest of five rounds, so a collection or a descheduled
-	// round does not count.
-	perOp := func() time.Duration {
+}
+
+// TestListCursorCostFlat: a listing finds its cursor by binary search, so
+// one page after a cursor near the end of 30,000 records costs about what
+// one after the first record does (walking the table from its start to the
+// cursor measured 2.4 ms against 0.5 µs).
+func TestListCursorCostFlat(t *testing.T) {
+	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1})
+	defer s.Close()
+	var ids []string
+	s.mu.Lock()
+	for i := range 30_000 {
+		rec := s.jobs.registerLocked(&Job{record: hitRecord(fmt.Sprintf("fill-%d", i), time.Now()),
+			res: &cachedResult{}})
+		ids = append(ids, rec.ID)
+	}
+	s.mu.Unlock()
+	perOp := func(cursor, want string) time.Duration {
 		const ops = 100
 		best := time.Duration(math.MaxInt64)
 		for range 5 {
 			start := time.Now()
 			for range ops {
-				if v, err := s.Submit(spec); err != nil || !v.CacheHit {
-					t.Fatalf("resubmission: %+v, %v; want a cache hit", v, err)
+				if page, _ := s.ListPage("", cursor, 1); len(page) != 1 || page[0].ID != want {
+					t.Fatalf("page after %s: %+v, want %s", cursor, page, want)
 				}
-				s.ListPage("", "", 1)
 			}
 			best = min(best, time.Since(start)/ops)
 		}
 		return best
 	}
-	fill(1_000)
-	small := perOp()
-	fill(30_000)
-	large := perOp()
-	t.Logf("Submit + ListPage: %v at 1,000 records, %v at 30,000", small, large)
-	if large > 4*small {
-		t.Errorf("Submit + ListPage cost %v at 30,000 records, %v at 1,000: it grows with the table", large, small)
+	near := len(ids) - 10
+	start, end := perOp(ids[0], ids[1]), perOp(ids[near], ids[near+1])
+	t.Logf("one page after the first record %v, after the %dth %v", start, near+1, end)
+	if end > 4*start {
+		t.Errorf("a cursor near the end costs %v, at the start %v: the listing walks to its cursor", end, start)
 	}
 }

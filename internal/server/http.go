@@ -480,8 +480,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, view JobV
 		return
 	}
 	if report == nil {
-		writeError(w, http.StatusNotFound, CodeNoReport,
-			fmt.Sprintf("job %s has no verification report recorded", id), nil)
+		s.writeNoResult(w, view, "report", CodeNoReport, "has no verification report recorded")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -500,8 +499,12 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if track == nil {
-		writeError(w, http.StatusNotFound, CodeNoTelemetry,
-			fmt.Sprintf("job %s has no telemetry recorded", id), nil)
+		view, ok := s.Get(id)
+		if !ok {
+			unknownJob(w, id)
+			return
+		}
+		s.writeNoResult(w, view, "telemetry", CodeNoTelemetry, "has no telemetry recorded")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -539,8 +542,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request, view JobVie
 		return
 	}
 	if b == nil {
-		writeError(w, http.StatusNotFound, CodeNoReport,
-			fmt.Sprintf("job %s has no report recorded to derive a trace from", id), nil)
+		s.writeNoResult(w, view, "report", CodeNoReport, "has no report recorded to derive a trace from")
 		return
 	}
 	if format == TraceFormatParaver {
@@ -662,6 +664,23 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, view Job
 	}
 	// Completed, but the result store has evicted, lost or (on this very
 	// read) quarantined the snapshot: resubmitting the spec recomputes.
+	writeGone(w, id, "snapshot")
+}
+
+// writeGone answers 410 for a completed job whose result (what names the
+// part asked for) the store no longer holds.
+func writeGone(w http.ResponseWriter, id, what string) {
 	writeError(w, http.StatusGone, CodeGone,
-		fmt.Sprintf("job %s snapshot no longer in the result store; resubmit to recompute", id), nil)
+		fmt.Sprintf("job %s %s no longer in the result store; resubmit to recompute", id, what), nil)
+}
+
+// writeNoResult answers for a job without the report or track asked for:
+// 410 gone, as for its snapshot, when the job completed and its result is
+// held nowhere any more, else 404 with code and "job <id> <msg>".
+func (s *Server) writeNoResult(w http.ResponseWriter, view JobView, what, code, msg string) {
+	if view.State == StateCompleted && s.evicted(view.Hash) {
+		writeGone(w, view.ID, what)
+		return
+	}
+	writeError(w, http.StatusNotFound, code, fmt.Sprintf("job %s %s", view.ID, msg), nil)
 }

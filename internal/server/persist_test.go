@@ -396,9 +396,10 @@ func TestOversizedSnapshotStaysFetchable(t *testing.T) {
 	}
 }
 
-// TestStoreEvictionSurfacesAsGone: a completed job whose snapshot the store
-// has evicted answers 410 gone on the snapshot endpoint, and a resubmission
-// of the spec recomputes instead of cache-hitting.
+// TestStoreEvictionSurfacesAsGone: a completed job whose result the store
+// has evicted answers 410 gone on the snapshot, metrics, telemetry and
+// trace endpoints, and a resubmission of the spec recomputes instead of
+// cache-hitting.
 func TestStoreEvictionSurfacesAsGone(t *testing.T) {
 	clock := newTestClock()
 	st, err := store.Open(t.TempDir(), store.Options{TTL: time.Hour, Now: clock.now})
@@ -423,10 +424,20 @@ func TestStoreEvictionSurfacesAsGone(t *testing.T) {
 
 	clock.advance(2 * time.Hour)
 	st.Sweep()
-	_, err = c.Snapshot(ctx, view.ID)
-	var apiErr *client.APIError
-	if err == nil || !errors.As(err, &apiErr) || apiErr.Code != CodeGone {
-		t.Fatalf("evicted snapshot fetch error %v, want gone envelope", err)
+	for _, r := range []struct {
+		name  string
+		fetch func(context.Context, string) ([]byte, error)
+	}{
+		{"snapshot", c.Snapshot},
+		{"metrics", c.RawMetrics},
+		{"telemetry", c.RawTelemetry},
+		{"trace", func(ctx context.Context, id string) ([]byte, error) { return c.RawJobTrace(ctx, id, "") }},
+	} {
+		_, err = r.fetch(ctx, view.ID)
+		var apiErr *client.APIError
+		if err == nil || !errors.As(err, &apiErr) || apiErr.Code != CodeGone {
+			t.Fatalf("evicted %s fetch error %v, want gone envelope", r.name, err)
+		}
 	}
 
 	again, err := s.Submit(sedovSpec(1))

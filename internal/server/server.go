@@ -8,16 +8,18 @@
 // checkpoint instead of recomputing from scratch.
 //
 // Completed results live in a result store (internal/store), and the
-// in-memory cache is only a metadata layer: snapshot bytes persist on disk,
-// survive restarts, and are streamed straight from the store's CRC-verified
-// object files; the store's TTL + size-capped LRU policy bounds the
-// footprint. Repeated cache hits of a hash share one hit record, whose
+// in-memory cache is a metadata layer: snapshot, report and track bytes
+// persist on disk, survive restarts, and are read from the store's
+// CRC-verified records; the store's TTL + size-capped LRU policy bounds
+// the footprint. A completed job is a record and a pointer to its hash's
+// shared result; repeated cache hits of a hash share one hit record, whose
 // lifetime restarts at each hit, so reads do not grow the job table, and
 // the table is pruned of terminal jobs older than JobTTL.
 package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,18 +70,31 @@ type Progress struct {
 
 // Job is one submitted simulation. All mutable fields are guarded by the
 // owning Server's mutex; handlers read them through snapshots. The embedded
-// record carries ID, Hash, State, Err and CacheHit. A cache hit is that
-// record and a pointer to the result every job of its hash shares; repeated
-// hits of a hash share one such Job, whose lifetime restarts at each hit.
-// Only a job that is queued carries execution state.
+// record carries ID, Hash, State, Err and CacheHit. A completed job is that
+// record and a pointer to the result every job of its hash shares (plus the
+// outcome of its run if it ran); repeated hits of a hash share one such Job,
+// whose lifetime restarts at each hit. Any other job that ran carries its
+// execution state: a failed or cancelled one serves its live telemetry as a
+// post-mortem.
 type Job struct {
 	record
 	// res is the completed result, shared through the memory layer by every
 	// job of the hash: set at registration for a cache hit, at completion
 	// for a run.
 	res *cachedResult
-	// run is allocated when the job is queued; a cache hit never is.
+	// run is allocated when the job is queued, released when it completes.
 	run *execution
+	// end is what a completed run keeps of its execution.
+	end *outcome
+}
+
+// outcome is what a completed run keeps of its execution: the scalars its
+// view and its last telemetry frame read.
+type outcome struct {
+	dt              float64 // the last step's
+	restarts        int
+	telemetryStatus string
+	last            *telemetry.Sample // the flight recorder's latest; nil if none
 }
 
 // execution is the state of a job that runs.
@@ -159,12 +174,12 @@ type JobView struct {
 	Anomaly *AnomalyMark `json:"anomaly,omitempty"`
 }
 
-// cachedResult is the in-memory layer of the result cache: metadata always,
-// snapshot bytes only when the store could not keep them (see persist); the
-// bytes otherwise live on disk and are streamed from there. The
-// verification report rides along: bytes for GET /jobs/{id}/metrics, the
-// summary for job-view rollups. Every completed job of the hash points at
-// its entry, so a cache hit keeps no spec, progress or rollup of its own.
+// cachedResult is the in-memory layer of the result cache: metadata and
+// rollups always; snapshot, report and track bytes only while the store
+// does not keep the record (see complete), after a cache hit promoted the
+// report and track back, or while a derived collector still has to read
+// them (pins). Every completed job of the hash points at its entry, so a
+// completed job keeps no spec, progress or rollup of its own.
 type cachedResult struct {
 	// spec and hash are shared by every cache-hit job (equal hashes mean
 	// equal canonical specs).
@@ -175,10 +190,10 @@ type cachedResult struct {
 	checksum  uint64
 	simTime   float64
 	steps     int
-	report    []byte // verification Report JSON; nil if none recorded
-	summary   *VerifySummary
-	// telemetry is the persisted flight-recorder track JSON (nil if none);
-	// served byte-identically on cache hits, like the report.
+	// report (verification Report JSON) and telemetry (flight-recorder
+	// track JSON) are served byte-identically on cache hits.
+	report          []byte
+	summary         *VerifySummary
 	telemetry       []byte
 	telemetryStatus string
 }
@@ -254,6 +269,9 @@ type Server struct {
 	// pruning and apply to cache-hit resubmissions — that the most recent
 	// covering analysis assigned to the improper noise component.
 	anomalies map[string]*AnomalyMark // guarded by mu
+	// pins counts, per hash, the derived collectors still to read its
+	// report (see submit).
+	pins map[string]int // guarded by mu
 
 	queue   chan *Job
 	ctx     context.Context
@@ -302,8 +320,9 @@ func New(opts Options) *Server {
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:      opts,
-		jobs:      table[*Job, *cachedResult]{prefix: "job"},
+		jobs:      table[*Job, *cachedResult]{prefix: "job", expires: opts.JobTTL > 0},
 		anomalies: map[string]*AnomalyMark{},
+		pins:      map[string]int{},
 		queue:     make(chan *Job, opts.QueueDepth),
 		ctx:       ctx,
 		stop:      stop,
@@ -392,6 +411,12 @@ func (s *Server) worker() {
 // different backend, machine model, or cost calibration is a different job
 // with its own stored result.
 func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
+	return s.submit(spec, false)
+}
+
+// submit is Submit; with pin set, a returned view's hash stays pinned
+// until unpin (a derived member's, until its collector has read it).
+func (s *Server) submit(spec scenario.JobSpec, pin bool) (*JobView, error) {
 	cspec, hash, err := spec.CanonicalHash()
 	if err != nil {
 		return nil, err
@@ -399,6 +424,9 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 
 	s.mu.Lock()
 	s.pruneLocked()
+	if pin {
+		s.pins[hash]++
+	}
 	if active, ok := s.jobs.activeLocked(hash); ok {
 		v := s.jobViewLocked(active)
 		s.mu.Unlock()
@@ -434,6 +462,9 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 		select {
 		case s.queue <- job:
 		default:
+			if pin {
+				s.unpinLocked(hash)
+			}
 			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
 		}
 	}
@@ -472,12 +503,15 @@ func (s *Server) SubmitBatch(specs []scenario.JobSpec) []BatchItem {
 
 // resolveResult consults the in-memory cache layer (under the server lock),
 // then the persistent store (outside it — the store does its own locking);
-// store hits are promoted into memory as metadata (and spec). A memory
-// entry whose backing object was evicted from the store is dropped (miss).
+// store hits are promoted into memory as metadata (and spec), with the
+// report and track bytes, so a hit hash's reads are served from memory. A
+// memory entry whose backing object was evicted from the store is dropped
+// (miss).
 func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResult, bool) {
 	st := s.opts.Store
 	s.mu.Lock()
 	res, ok := s.jobs.cachedLocked(hash)
+	promoted := ok && (res.report != nil || res.telemetry != nil)
 	s.mu.Unlock()
 	if ok && res.snapshot != nil {
 		return res, true
@@ -491,34 +525,32 @@ func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResul
 		}
 		return nil, false
 	}
-	if ok {
+	if promoted {
 		return res, true
 	}
-	res = &cachedResult{
-		spec: spec, hash: hash,
-		particles: m.Particles,
-		checksum:  m.Checksum,
-		simTime:   m.SimTime,
-		steps:     m.Steps,
-	}
-	// Promote the persisted verification report (if the entry has one) so
-	// cache-hit jobs carry the rollup and serve metrics without recompute.
+	var report, track []byte
 	if m.ReportSize > 0 {
-		if b, ok := st.ReadReport(hash); ok {
-			res.report = b
-			res.summary = parseSummary(b)
-		}
+		report, _ = st.ReadReport(hash)
 	}
-	// Same for the persisted telemetry track: the bytes are served verbatim
-	// on cache hits, the status feeds the job-view rollup.
 	if m.TelemetrySize > 0 {
-		if b, ok := st.ReadTelemetry(hash); ok {
-			res.telemetry = b
-			res.telemetryStatus = parseTrackStatus(b)
+		track, _ = st.ReadTelemetry(hash)
+	}
+	if !ok {
+		res = &cachedResult{
+			spec: spec, hash: hash,
+			particles:       m.Particles,
+			checksum:        m.Checksum,
+			simTime:         m.SimTime,
+			steps:           m.Steps,
+			summary:         parseSummary(report),
+			telemetryStatus: parseTrackStatus(track),
 		}
 	}
 	s.mu.Lock()
-	s.jobs.cacheLocked(hash, res)
+	res.report, res.telemetry = report, track
+	if !ok {
+		s.jobs.cacheLocked(hash, res)
+	}
 	s.mu.Unlock()
 	return res, true
 }
@@ -900,15 +932,25 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 		result.telemetryStatus = track.Status
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
-	s.persist(job, result)
+	kept := s.persist(job, result)
+	last, ran := x.rec.Latest()
 
 	s.mu.Lock()
-	s.jobs.cacheLocked(job.Hash, result)
-	job.res = result
-	x.progress = Progress{Step: x.spec.Steps, Total: x.spec.Steps, SimTime: res.SimTime, DT: x.progress.DT}
-	if result.telemetryStatus != "" {
-		x.telemetryStatus = result.telemetryStatus
+	// The store's copies are authoritative once it keeps the record; a
+	// pinned hash keeps its report and track until its collector read them.
+	if kept {
+		result.snapshot = nil
+		if s.pins[job.Hash] == 0 {
+			result.report, result.telemetry = nil, nil
+		}
 	}
+	s.jobs.cacheLocked(job.Hash, result)
+	end := &outcome{dt: x.progress.DT, restarts: x.restarts,
+		telemetryStatus: cmp.Or(result.telemetryStatus, x.telemetryStatus)}
+	if ran {
+		end.last = &last
+	}
+	job.res, job.run, job.end = result, nil, end
 	x.cancel = nil
 	s.jobs.finishLocked(job, StateCompleted, "", s.now())
 	s.mu.Unlock()
@@ -927,14 +969,13 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 
 // persist writes the result into the store as one record: snapshot, report
 // and track in one call and one file, stored whole or not at all, then one
-// eviction pass and one index write. If the entry is live after that pass
-// the disk copy of the snapshot is authoritative and the memory layer keeps
-// only metadata; if the record could not be written, or the pass evicted it
-// at once (larger than the whole byte budget), the bytes stay in memory so
-// the snapshot stays fetchable. Report and track keep their memory copies
-// for fast serving. What the store failed to write (the record or the index
-// entry) is logged and counted; the job completes, served from memory.
-func (s *Server) persist(job *Job, result *cachedResult) {
+// eviction pass and one index write. It reports whether the entry is live
+// after that pass; if the record could not be written, or the pass evicted
+// it at once (larger than the whole byte budget), the bytes stay in memory
+// so the result stays fetchable. What the store failed to write (the
+// record or the index entry) is logged and counted; the job completes,
+// served from memory.
+func (s *Server) persist(job *Job, result *cachedResult) (kept bool) {
 	kept, errs := s.opts.Store.PutResult(store.Meta{
 		Hash:      job.Hash,
 		Particles: result.particles,
@@ -947,9 +988,7 @@ func (s *Server) persist(job *Job, result *cachedResult) {
 		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
 			"artifact", e.Artifact, "error", e.Err)
 	}
-	if kept {
-		result.snapshot = nil
-	}
+	return kept
 }
 
 // marshalReport renders the persisted report JSON: the verification report
@@ -1006,6 +1045,20 @@ func (s *Server) persisted(hash string) (report, track []byte) {
 	return report, track
 }
 
+// evicted reports whether a completed result is held nowhere any more: the
+// memory layer does not keep its bytes and the store has dropped its entry.
+// Its snapshot, report, track and trace then answer 410 gone.
+func (s *Server) evicted(hash string) bool {
+	s.mu.Lock()
+	res, ok := s.jobs.cachedLocked(hash)
+	s.mu.Unlock()
+	if ok && res.snapshot != nil {
+		return false
+	}
+	_, held := s.opts.Store.Get(hash)
+	return !held
+}
+
 // Telemetry returns the job's flight-recorder track JSON. Completed jobs
 // serve the persisted track verbatim (byte-identical across cache hits and
 // store restarts); running, killed-requeued, failed, and cancelled jobs
@@ -1036,16 +1089,20 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 	return b, true
 }
 
-// TelemetryLatest returns the most recent flight-recorder sample of a live
-// job (the SSE stream's per-frame payload).
+// TelemetryLatest returns the most recent flight-recorder sample of a job
+// that executed (the SSE stream's per-frame payload).
 func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	s.mu.Lock()
 	job, ok := s.jobs.getLocked(id)
 	var rec *telemetry.Recorder
+	var end *outcome
 	if ok {
-		rec = job.recorder()
+		rec, end = job.recorder(), job.end
 	}
 	s.mu.Unlock()
+	if end != nil && end.last != nil {
+		return *end.last, true
+	}
 	if rec == nil {
 		return telemetry.Sample{}, false
 	}

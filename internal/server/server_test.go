@@ -180,7 +180,7 @@ func TestSubmitPollSnapshotAndCacheHit(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	cached := len(s.jobs.cache)
+	cached := s.jobs.cachedLenLocked()
 	s.mu.Unlock()
 	if cached != 1 {
 		t.Fatalf("cache holds %d entries, want 1", cached)
@@ -218,7 +218,7 @@ func TestBackendChangesHashAndResult(t *testing.T) {
 
 	// Distinct results cached under distinct hashes.
 	s.mu.Lock()
-	cached := len(s.jobs.cache)
+	cached := s.jobs.cachedLenLocked()
 	s.mu.Unlock()
 	if cached != 2 {
 		t.Fatalf("cache holds %d entries, want 2 (one per backend)", cached)

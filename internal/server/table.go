@@ -1,8 +1,10 @@
 package server
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -34,8 +36,10 @@ func hitRecord(hash string, now time.Time) record {
 	return record{Hash: hash, State: StateCompleted, CacheHit: true, doneAt: now}
 }
 
-// closedDone is the done channel of every record that is terminal when it
-// registers. It is closed here, once; finishLocked never sees such a record.
+// closedDone is the done channel of every terminal record: one terminal when
+// it registers gets it at once, one that finishes once its own is closed,
+// so a finished record keeps no channel. It is closed here, once;
+// finishLocked never sees a record registered terminal.
 var closedDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
@@ -51,33 +55,51 @@ func (r *record) terminal() bool {
 	return false
 }
 
-// resourceRecord is satisfied by every record type through the embedded
-// record.
-type resourceRecord interface{ core() *record }
+// resourceRecord is satisfied by every record type, a pointer, through the
+// embedded record.
+type resourceRecord interface {
+	comparable
+	core() *record
+}
 
-// table is one resource table: records by id, their submission order, the
-// active (non-terminal) record per hash for dedup, the cache-hit record per
-// hash that repeated hits share, a memory layer of completed results over
-// the store, and the id counter. Server holds one per resource kind. The
-// table owns no lock: every field is guarded by the owning Server's mutex
-// and reached only through the ...Locked methods below. The maps are
-// allocated on first registration, so an unused kind costs nothing at
-// construction.
+// table is one resource table: records by id, their submission order, what
+// it knows per hash, the expiry order of its terminal records, and the id
+// counter. Server holds one per resource kind. The table owns no lock: every
+// field is guarded by the owning Server's mutex and reached only through the
+// ...Locked methods below. The maps are allocated on first registration, so
+// an unused kind costs nothing at construction.
 type table[R resourceRecord, C any] struct {
 	// prefix names the kind in its ids: "<prefix>-%06d", allocated in
 	// submission order.
 	prefix string
-	recs   map[string]R // guarded by mu
-	order  []string     // guarded by mu
-	active map[string]R // guarded by mu
-	hits   map[string]R // guarded by mu
-	cache  map[string]C // guarded by mu
-	nextID int          // guarded by mu
-	// oldest is at or before the earliest doneAt of any terminal record
-	// (zero: none), so pruneLocked can skip a table nothing in it can have
-	// expired from. A hit's refreshed doneAt only rises, and each drop scan
-	// recomputes it.
-	oldest time.Time // guarded by mu
+	// expires is set when terminal records expire (JobTTL); only then do
+	// they enter expiry.
+	expires bool
+	recs    map[string]R // guarded by mu
+	// order holds the ids in allocation order, dropped ones too until more
+	// than half are (dead counts them) and it is compacted. next[i] is i
+	// while order[i] lives, else a later position nearer the next live one
+	// (a union-find with path halving), so a listing steps over dropped ids
+	// in amortized constant time.
+	order  []string                    // guarded by mu
+	next   []int32                     // guarded by mu
+	dead   int                         // guarded by mu
+	hashes map[string]*hashEntry[R, C] // guarded by mu
+	expiry expiry                      // guarded by mu
+	nextID int                         // guarded by mu
+}
+
+// hashEntry is what a table keeps per hash: the active (queued or running)
+// record identical submissions coalesce onto, the cache-hit record repeated
+// hits share, how many records carry the hash, and the hash's result in the
+// memory layer over the store. It lives while a record carries the hash or
+// a result is cached, so the memory-layer result goes with the hash's last
+// record.
+type hashEntry[R resourceRecord, C any] struct {
+	active, hit R
+	res         C
+	cached      bool
+	records     int32
 }
 
 func (t *table[R, C]) getLocked(id string) (R, bool) {
@@ -94,11 +116,27 @@ func (t *table[R, C]) eachLocked(visit func(R)) {
 	}
 }
 
+// entryLocked returns the hash's entry, creating it.
+func (t *table[R, C]) entryLocked(hash string) *hashEntry[R, C] {
+	e := t.hashes[hash]
+	if e == nil {
+		if t.hashes == nil {
+			t.hashes = map[string]*hashEntry[R, C]{}
+		}
+		e = &hashEntry[R, C]{}
+		t.hashes[hash] = e
+	}
+	return e
+}
+
 // activeLocked returns the queued or running record carrying hash, if any:
 // identical submissions coalesce onto it instead of registering a duplicate.
 func (t *table[R, C]) activeLocked(hash string) (R, bool) {
-	rec, ok := t.active[hash]
-	return rec, ok
+	var none R
+	if e := t.hashes[hash]; e != nil && e.active != none {
+		return e.active, true
+	}
+	return none, false
 }
 
 // registerLocked enters rec into the table and returns the record the
@@ -109,33 +147,28 @@ func (t *table[R, C]) activeLocked(hash string) (R, bool) {
 // returned in rec's place, so repeated hits of a hash keep one record.
 func (t *table[R, C]) registerLocked(rec R) R {
 	if t.recs == nil {
-		t.recs, t.active, t.hits = map[string]R{}, map[string]R{}, map[string]R{}
+		t.recs = map[string]R{}
 	}
 	c := rec.core()
+	e := t.entryLocked(c.Hash)
+	var none R
 	if c.terminal() {
-		if hit, ok := t.hits[c.Hash]; ok {
-			hit.core().doneAt = c.doneAt
-			return hit
+		if e.hit != none {
+			e.hit.core().doneAt = c.doneAt
+			return e.hit
 		}
-		c.done = closedDone
-		t.hits[c.Hash] = rec
-		t.markLocked(c)
+		c.done, e.hit = closedDone, rec
 	} else {
-		c.done = make(chan struct{})
-		t.active[c.Hash] = rec
+		c.done, e.active = make(chan struct{}), rec
 	}
+	e.records++
 	t.nextID++
 	c.ID = fmt.Sprintf("%s-%06d", t.prefix, t.nextID)
 	t.recs[c.ID] = rec
+	t.next = append(t.next, int32(len(t.order)))
 	t.order = append(t.order, c.ID)
+	t.expireLocked(c)
 	return rec
-}
-
-// markLocked lowers the prune watermark to a terminal record's doneAt.
-func (t *table[R, C]) markLocked(c *record) {
-	if c.terminal() && !c.doneAt.IsZero() && (t.oldest.IsZero() || c.doneAt.Before(t.oldest)) {
-		t.oldest = c.doneAt
-	}
 }
 
 // finishLocked is the one terminal transition: state, error and time are
@@ -145,24 +178,36 @@ func (t *table[R, C]) markLocked(c *record) {
 func (t *table[R, C]) finishLocked(rec R, state JobState, msg string, now time.Time) {
 	c := rec.core()
 	c.State, c.Err, c.doneAt = state, msg, now
-	delete(t.active, c.Hash)
-	t.markLocked(c)
+	if e := t.hashes[c.Hash]; e != nil && e.active == rec {
+		var none R
+		e.active = none
+	}
+	t.expireLocked(c)
 	close(c.done)
+	c.done = closedDone
 }
 
-func (t *table[R, C]) cachedLocked(hash string) (C, bool) {
-	res, ok := t.cache[hash]
-	return res, ok
+func (t *table[R, C]) cachedLocked(hash string) (res C, ok bool) {
+	if e := t.hashes[hash]; e != nil && e.cached {
+		return e.res, true
+	}
+	return res, false
 }
 
 func (t *table[R, C]) cacheLocked(hash string, res C) {
-	if t.cache == nil {
-		t.cache = map[string]C{}
-	}
-	t.cache[hash] = res
+	e := t.entryLocked(hash)
+	e.res, e.cached = res, true
 }
 
-func (t *table[R, C]) uncacheLocked(hash string) { delete(t.cache, hash) }
+func (t *table[R, C]) uncacheLocked(hash string) {
+	if e := t.hashes[hash]; e != nil {
+		var none C
+		e.res, e.cached = none, false
+		if e.records == 0 {
+			delete(t.hashes, hash)
+		}
+	}
+}
 
 // DefaultPageLimit and MaxPageLimit bound one page of a cursor-paginated
 // listing.
@@ -188,17 +233,20 @@ func cursorAfter(id, cursor string) bool {
 // after the cursor id (empty = from the beginning); a non-empty state keeps
 // only records currently in it. limit is clamped to the page bounds. The
 // returned cursor addresses the next page and is empty when the listing is
-// exhausted. IDs are allocated in submission order, so a cursor naming a
-// since-pruned record still orders correctly against the survivors.
+// exhausted. order holds the IDs in allocation order, so the cursor is
+// found by binary search, and a cursor naming a since-pruned record still
+// orders correctly against the survivors. A state filter still walks every
+// record after the cursor until the page is full.
 func (t *table[R, C]) pageLocked(state JobState, cursor string, limit int) (page []R, next string) {
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
 	limit = min(limit, MaxPageLimit)
 	page = make([]R, 0, limit)
-	for _, id := range t.order {
-		rec := t.recs[id]
-		if cursor != "" && !cursorAfter(id, cursor) || state != "" && rec.core().State != state {
+	from := sort.Search(len(t.order), func(i int) bool { return cursor == "" || cursorAfter(t.order[i], cursor) })
+	for i := t.liveLocked(from); i < len(t.order); i = t.liveLocked(i + 1) {
+		rec := t.recs[t.order[i]]
+		if state != "" && rec.core().State != state {
 			continue
 		}
 		if len(page) == limit {
@@ -227,54 +275,102 @@ func (t *table[R, C]) deleteLocked(id, noun string) error {
 	if c := rec.core(); !c.terminal() {
 		return fmt.Errorf("%s %s is %s, %w", noun, id, c.State, ErrNotTerminal)
 	}
-	t.dropLocked(func(c *record) bool { return c.ID == id })
+	t.dropLocked(id)
 	return nil
 }
 
-// pruneLocked drops the terminal records that finished before cutoff; it
-// returns at once while none can have.
-func (t *table[R, C]) pruneLocked(cutoff time.Time) {
-	if t.oldest.IsZero() || !t.oldest.Before(cutoff) {
-		return
+// expireLocked enters a terminal record into the expiry order.
+func (t *table[R, C]) expireLocked(c *record) {
+	if t.expires && c.terminal() {
+		heap.Push(&t.expiry, expiring{c.doneAt, c.ID})
 	}
-	t.dropLocked(func(c *record) bool {
-		return c.terminal() && !c.doneAt.IsZero() && c.doneAt.Before(cutoff)
-	})
 }
 
-// dropLocked forgets the records drop selects, a hash's hit entry with its
-// record, then the memory-layer entries whose hash no longer backs any
-// surviving record — so repeated submit+delete traffic cannot grow the
-// cache without bound. The results stay addressable in the store
-// regardless. The scan recomputes the prune watermark from the survivors.
-func (t *table[R, C]) dropLocked(drop func(*record) bool) {
-	kept := t.order[:0]
-	var dropped map[string]bool
-	t.oldest = time.Time{}
-	for _, id := range t.order {
-		c := t.recs[id].core()
-		if !drop(c) {
-			kept = append(kept, id)
-			t.markLocked(c)
+// pruneLocked drops the terminal records that finished before cutoff. It
+// pops only expired entries off the expiry order, so it costs what it
+// drops. A hit refreshes its record's doneAt without moving the entry,
+// which goes back in at the new time when it surfaces; the entry of a
+// deleted record is discarded.
+func (t *table[R, C]) pruneLocked(cutoff time.Time) {
+	for len(t.expiry) > 0 && t.expiry[0].at.Before(cutoff) {
+		x := heap.Pop(&t.expiry).(expiring)
+		rec, ok := t.recs[x.id]
+		if !ok {
 			continue
 		}
-		delete(t.recs, id)
-		if hit, ok := t.hits[c.Hash]; ok && hit.core() == c {
-			delete(t.hits, c.Hash)
+		if c := rec.core(); !c.doneAt.Equal(x.at) {
+			heap.Push(&t.expiry, expiring{c.doneAt, x.id})
+			continue
 		}
-		if dropped == nil {
-			dropped = map[string]bool{}
+		t.dropLocked(x.id)
+	}
+}
+
+// dropLocked forgets one record, its hash's hit entry if it is that
+// record, and the hash's entry with its memory-layer result once no record
+// carries the hash — so repeated submit+delete traffic cannot grow the
+// cache without bound. The result stays addressable in the store
+// regardless.
+func (t *table[R, C]) dropLocked(id string) {
+	rec := t.recs[id]
+	hash := rec.core().Hash
+	delete(t.recs, id)
+	e := t.hashes[hash]
+	if e.hit == rec {
+		var none R
+		e.hit = none
+	}
+	if e.records--; e.records == 0 {
+		delete(t.hashes, hash)
+	}
+	p := sort.Search(len(t.order), func(i int) bool { return !cursorAfter(id, t.order[i]) })
+	t.next[p] = int32(p + 1)
+	if t.dead++; t.dead > len(t.order)/2 {
+		kept := t.order[:0]
+		for _, id := range t.order {
+			if _, ok := t.recs[id]; ok {
+				kept = append(kept, id)
+			}
 		}
-		dropped[c.Hash] = true
+		clear(t.order[len(kept):])
+		t.order, t.next, t.dead = kept, t.next[:len(kept)], 0
+		for i := range t.next {
+			t.next[i] = int32(i)
+		}
 	}
-	t.order = kept
-	if len(dropped) == 0 {
-		return
+}
+
+// liveLocked returns the first position from i on whose record lives, or
+// len(order).
+func (t *table[R, C]) liveLocked(i int) int {
+	for i < len(t.next) && int(t.next[i]) != i {
+		j := int(t.next[i])
+		if j < len(t.next) {
+			t.next[i] = t.next[j]
+		}
+		i = j
 	}
-	for _, id := range kept {
-		delete(dropped, t.recs[id].core().Hash)
-	}
-	for hash := range dropped {
-		delete(t.cache, hash)
-	}
+	return i
+}
+
+// expiring is an entry of a table's expiry order: a terminal record's id
+// and its doneAt when it entered.
+type expiring struct {
+	at time.Time
+	id string
+}
+
+// expiry is a min-heap of entries by time, for container/heap.
+type expiry []expiring
+
+func (h expiry) Len() int           { return len(h) }
+func (h expiry) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h expiry) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *expiry) Push(x any)        { *h = append(*h, x.(expiring)) }
+func (h *expiry) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	old[len(old)-1] = expiring{}
+	*h = old[:len(old)-1]
+	return x
 }
