@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc64"
 	"math"
 	"testing"
 
@@ -87,18 +90,35 @@ func statesByID(ps *part.Set) map[int64]particleState {
 	return m
 }
 
-// parityParallel runs the distributed engine over ranks ranks of the Piz
-// Daint model (12 cores a node, one rank a node) and returns the merged end
-// state with every step's reduced sample.
-func parityParallel(t *testing.T, core Config, ps *part.Set, ranks, steps int) (*part.Set, []StepStats) {
+// layout is how a distributed run is laid out: the rank count, the
+// decomposition, and whether the ranks rebalance after every step.
+type layout struct {
+	ranks   int
+	decomp  domain.Method
+	dynamic bool
+}
+
+func (l layout) String() string {
+	s := fmt.Sprintf("%d %s ranks", l.ranks, l.decomp)
+	if l.dynamic {
+		s += " rebalanced"
+	}
+	return s
+}
+
+// parityRun runs the distributed engine laid out as l over the Piz Daint
+// model (12 cores a node, one rank a node) and returns the merged end state,
+// the run's result and every step's reduced sample.
+func parityRun(t *testing.T, core Config, ps *part.Set, l layout, steps int) (*part.Set, *ParallelResult, []StepStats) {
 	t.Helper()
 	var samples []StepStats
 	end, res, err := RunParallelCapture(ParallelConfig{
 		Core:         core,
 		Machine:      perfmodel.PizDaint(),
-		Cores:        12 * ranks,
+		Cores:        12 * l.ranks,
 		RanksPerNode: 1,
-		Decomp:       domain.MortonSFC,
+		Decomp:       l.decomp,
+		DynamicLB:    l.dynamic,
 		Cost:         testCost(),
 		Steps:        steps,
 		OnSample:     func(st StepStats) { samples = append(samples, st) },
@@ -106,16 +126,38 @@ func parityParallel(t *testing.T, core Config, ps *part.Set, ranks, steps int) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ranks != ranks || res.StepsCompleted != steps {
-		t.Fatalf("ran %d steps on %d ranks, want %d on %d", res.StepsCompleted, res.Ranks, steps, ranks)
+	if res.Ranks != l.ranks || res.StepsCompleted != steps {
+		t.Fatalf("ran %d steps on %d ranks, want %d on %d", res.StepsCompleted, res.Ranks, steps, l.ranks)
 	}
+	return end, res, samples
+}
+
+// parityParallel is parityRun on ranks Morton ranks, without the result.
+func parityParallel(t *testing.T, core Config, ps *part.Set, ranks, steps int) (*part.Set, []StepStats) {
+	t.Helper()
+	end, _, samples := parityRun(t, core, ps, layout{ranks: ranks, decomp: domain.MortonSFC}, steps)
 	return end, samples
 }
 
+// rankLayouts are the layouts a distributed run must not be able to tell
+// apart from the serial run: a decomposition only partitions the work.
+var rankLayouts = func() []layout {
+	var ls []layout
+	for _, m := range []domain.Method{domain.MortonSFC, domain.HilbertSFC} {
+		for _, n := range []int{2, 3, 8, 16} {
+			ls = append(ls, layout{ranks: n, decomp: m})
+		}
+	}
+	return append(ls, layout{4, domain.HilbertSFC, true}, layout{8, domain.HilbertSFC, true})
+}()
+
 // TestEnginesAgree is the contract the two drivers of Algorithm 1 are kept
 // under: on one rank the simulated-MPI engine is the shared-memory engine
-// bit for bit — final state and every step's reported extrema — and on four
-// ranks it differs only by floating-point summation order.
+// bit for bit — final state and every step's reported extrema — and at
+// every rank count, under Morton and Hilbert decompositions and with
+// dynamic load balancing, every particle's position, velocity, u, h and
+// neighbour count still equal the serial run's bit for bit. Only the
+// storage order of the merged set differs.
 func TestEnginesAgree(t *testing.T) {
 	for _, pc := range parityCases {
 		for _, grad := range []sph.GradientMode{sph.IAD, sph.KernelDerivatives} {
@@ -152,32 +194,67 @@ func TestEnginesAgree(t *testing.T) {
 					}
 				}
 
-				end4, _ := parityParallel(t, cfg, ps.Clone(), 4, paritySteps)
-				got4 := statesByID(end4)
-				if len(got4) != len(want) {
-					t.Fatalf("4 ranks: %d particles, want %d", len(got4), len(want))
-				}
-				worst := 0.0
-				for id, w := range want {
-					g, ok := got4[id]
-					if !ok {
-						t.Fatalf("4 ranks: particle %d missing", id)
+				for _, l := range rankLayouts {
+					end, _, _ := parityRun(t, cfg, ps.Clone(), l, paritySteps)
+					got := statesByID(end)
+					if len(got) != len(want) {
+						t.Errorf("%s: %d particles, want %d", l, len(got), len(want))
+						continue
 					}
-					for k := range w.v {
-						if d := math.Abs(g.v[k]-w.v[k]) / (math.Abs(w.v[k]) + 1e-3); d > worst {
-							worst = d
+					differ, first := 0, int64(-1)
+					for id, w := range want {
+						if g, ok := got[id]; !ok || g != w {
+							if differ++; first < 0 || id < first {
+								first = id
+							}
 						}
 					}
-					if g.nn != w.nn {
-						t.Errorf("4 ranks: particle %d has %d neighbours, serial %d", id, g.nn, w.nn)
+					if differ > 0 {
+						t.Errorf("%s: %d of %d particles differ from the serial run; particle %d = %+v, serial %+v",
+							l, differ, len(want), first, got[first], want[first])
 					}
-				}
-				if worst > 1e-8 {
-					t.Errorf("4 ranks: worst relative state deviation from serial = %g", worst)
 				}
 			})
 		}
 	}
+}
+
+// TestRankTimingPinned pins, bit for bit, the modeled clocks of each parity
+// case under both gradient modes on 4 Morton ranks: every rank's Compute,
+// Halo, Collective and Seconds, and the run's Seconds. TestEnginesAgree
+// cannot see them — no particle's state reads a clock — so this is what
+// keeps a rewrite of the simulated-MPI runtime from moving the scaling
+// figures unnoticed.
+func TestRankTimingPinned(t *testing.T) {
+	want := map[string]uint64{
+		"evrard-gravity/iad":                0x3e3fd5db4580fa48,
+		"evrard-gravity/kernel-derivatives": 0xfe7001c94790bda5,
+		"sedov-periodic/iad":                0x8c810e8f980eba69,
+		"sedov-periodic/kernel-derivatives": 0xf034a85ae82bdddf,
+		"square-patch/iad":                  0xa7f8e2f468855d38,
+		"square-patch/kernel-derivatives":   0x25dd73a7e300cbe7,
+	}
+	for _, pc := range parityCases {
+		for _, grad := range []sph.GradientMode{sph.IAD, sph.KernelDerivatives} {
+			cfg, ps := pc.gen(grad)
+			_, res, _ := parityRun(t, cfg, ps, layout{ranks: 4, decomp: domain.MortonSFC}, paritySteps)
+			key := pc.name + "/" + grad.String()
+			if got := timingCRC(res.Timing); got != want[key] {
+				t.Errorf("%s: timing %#016x, pinned %#016x", key, got, want[key])
+			}
+		}
+	}
+}
+
+// timingCRC fingerprints a run's modeled clocks bit for bit.
+func timingCRC(rt *RunTiming) uint64 {
+	h := crc64.New(crc64.MakeTable(crc64.ECMA))
+	clocks := []float64{rt.Seconds}
+	for _, r := range rt.PerRank {
+		clocks = append(clocks, r.Compute, r.Halo, r.Collective, r.Seconds)
+	}
+	_ = binary.Write(h, binary.LittleEndian, clocks)
+	return h.Sum64()
 }
 
 // TestChunkedRunEndsSynchronized: the state a distributed run returns is at

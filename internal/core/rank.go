@@ -67,7 +67,7 @@ func (k *rank) loop() {
 		if cfg.Cost.FixedPerStep > 0 {
 			// Runtime overhead closes the step; the trace draws it with J.
 			t0 := r.Clock()
-			r.Compute(cfg.Cost.FixedPerStep, nil)
+			r.Compute(cfg.Cost.FixedPerStep)
 			k.record(PhaseUpdate, trace.Compute, t0)
 		}
 
@@ -140,7 +140,7 @@ func (k *rank) comm(ph PhaseID, fn func()) {
 // spend charges ops operations of phase ph at rate to the modeled clock.
 func (k *rank) spend(ph PhaseID, t0, ops, rate float64) {
 	sec := k.cfg.Machine.PhaseSeconds(ops*k.cfg.WorkScale, rate, k.res.ThreadsPerRank, k.cfg.Cost.SerialFraction[ph])
-	k.r.Compute(sec, nil)
+	k.r.Compute(sec)
 	k.record(ph, trace.Compute, t0)
 }
 

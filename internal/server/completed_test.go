@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/scenario"
+	"repro/internal/store"
 )
 
 // coldSpec is the i-th of a family of distinct tiny sedov jobs: the shape
@@ -40,8 +41,7 @@ func runCold(t *testing.T, s *Server, from, to int) {
 }
 
 // TestCompletedJobBytes: a completed run keeps its record, a pointer to its
-// hash's shared result and the few scalars its view and last telemetry
-// frame read; its execution state (spec copy, flight recorder, spans) is
+// hash's shared result and the few scalars its view reads; its execution state (spec copy, flight recorder, spans) is
 // released, and the report and track bytes live in the store once it holds
 // them. Over 300 distinct computed jobs the live heap grows by at most
 // 2.5 KiB per job, measured after a full collection (about 7 KiB while a
@@ -222,6 +222,67 @@ func TestCompletedJobWire(t *testing.T) {
 			t.Errorf("%s: last /telemetry/events frame %s, want job %s completed, telemetry %q, sample %s",
 				c.name, frames.telemetry, c.id, tk.Status, c.sample)
 		}
+	}
+}
+
+// TestCompletedFrameFollowsTheTrack: a computed job's last
+// /telemetry/events frame carries the last sample of its hash's track
+// while the store holds the track, and no sample once the track is held
+// nowhere — when its /telemetry answers 410 gone.
+func TestCompletedFrameFollowsTheTrack(t *testing.T) {
+	clock := newTestClock()
+	st, err := store.Open(t.TempDir(), store.Options{TTL: time.Hour, Now: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, Store: st, Clock: clock.now, HistoryInterval: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	view, err := s.Submit(sedovSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	track, ok := st.ReadTelemetry(view.Hash)
+	if !ok {
+		t.Fatal("no stored track")
+	}
+	var raw struct{ Samples []json.RawMessage }
+	if err := json.Unmarshal(track, &raw); err != nil || len(raw.Samples) == 0 {
+		t.Fatalf("stored track %s: %v", track, err)
+	}
+	frameSample := func() json.RawMessage {
+		t.Helper()
+		b, err := lastFrame(ts, "/v1/jobs/"+view.ID+"/telemetry/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev struct {
+			State  JobState
+			Sample json.RawMessage
+		}
+		if err := json.Unmarshal(b, &ev); err != nil || ev.State != StateCompleted {
+			t.Fatalf("frame %s (%v), want a completed job's", b, err)
+		}
+		return ev.Sample
+	}
+	if got, want := frameSample(), raw.Samples[len(raw.Samples)-1]; !bytes.Equal(got, want) {
+		t.Errorf("stored track: frame sample %s, want the track's last %s", got, want)
+	}
+
+	clock.advance(2 * time.Hour)
+	st.Sweep()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + view.ID + "/telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("evicted track: /telemetry %d, want 410", resp.StatusCode)
+	}
+	if got := frameSample(); got != nil {
+		t.Errorf("evicted track: frame sample %s, want none", got)
 	}
 }
 

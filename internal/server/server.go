@@ -89,12 +89,11 @@ type Job struct {
 }
 
 // outcome is what a completed run keeps of its execution: the scalars its
-// view and its last telemetry frame read.
+// view reads. Its last telemetry frame reads the stored track.
 type outcome struct {
 	dt              float64 // the last step's
 	restarts        int
 	telemetryStatus string
-	last            *telemetry.Sample // the flight recorder's latest; nil if none
 }
 
 // execution is the state of a job that runs.
@@ -933,7 +932,6 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
 	kept := s.persist(job, result)
-	last, ran := x.rec.Latest()
 
 	s.mu.Lock()
 	// The store's copies are authoritative once it keeps the record; a
@@ -947,9 +945,6 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 	s.jobs.cacheLocked(job.Hash, result)
 	end := &outcome{dt: x.progress.DT, restarts: x.restarts,
 		telemetryStatus: cmp.Or(result.telemetryStatus, x.telemetryStatus)}
-	if ran {
-		end.last = &last
-	}
 	job.res, job.run, job.end = result, nil, end
 	x.cancel = nil
 	s.jobs.finishLocked(job, StateCompleted, "", s.now())
@@ -1090,18 +1085,26 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 }
 
 // TelemetryLatest returns the most recent flight-recorder sample of a job
-// that executed (the SSE stream's per-frame payload).
+// that executed (the SSE stream's per-frame payload). A completed run's is
+// the last sample of its hash's track, which ends at the last executed
+// step; once the track is held nowhere (its /telemetry answers 410) there
+// is none, as there is none for a cache hit.
 func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	s.mu.Lock()
 	job, ok := s.jobs.getLocked(id)
 	var rec *telemetry.Recorder
-	var end *outcome
+	ran, hash := false, ""
 	if ok {
-		rec, end = job.recorder(), job.end
+		rec, ran, hash = job.recorder(), job.end != nil, job.Hash
 	}
 	s.mu.Unlock()
-	if end != nil && end.last != nil {
-		return *end.last, true
+	if ran {
+		_, b := s.persisted(hash)
+		var track telemetry.Track
+		if json.Unmarshal(b, &track) != nil || len(track.Samples) == 0 {
+			return telemetry.Sample{}, false
+		}
+		return track.Samples[len(track.Samples)-1], true
 	}
 	if rec == nil {
 		return telemetry.Sample{}, false

@@ -9,13 +9,15 @@
 // real computation, modeled network.
 //
 // Semantics follow MPI's eager mode: Send never blocks; Recv(from, tag)
-// blocks until a matching message arrives. Collectives (Barrier, Allreduce,
-// Allgather) synchronize simulated clocks like their MPI counterparts.
+// blocks until a matching message arrives. Collectives (Barrier,
+// AllreduceF64, Allgather) synchronize simulated clocks like their MPI
+// counterparts; all three are one rendezvous, combined in rank order.
 package simmpi
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -63,7 +65,6 @@ func (m AlphaBeta) Collective(n, bytes int) float64 {
 
 type message struct {
 	from, tag int
-	bytes     int
 	data      any
 	arrival   float64 // simulated arrival time at the receiver
 }
@@ -149,14 +150,11 @@ func NewWorld(n int, model CostModel) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("simmpi: world size %d", n))
 	}
-	w := &World{N: n, Model: model}
-	w.boxes = make([]*mailbox, n)
+	w := &World{N: n, Model: model, boxes: make([]*mailbox, n), clocks: make([]float64, n), collVals: make([]any, n)}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 	}
-	w.clocks = make([]float64, n)
 	w.collCond = sync.NewCond(&w.collMu)
-	w.collVals = make([]any, n)
 	return w
 }
 
@@ -189,6 +187,11 @@ func (w *World) Run(fn func(r *Rank)) float64 {
 		}(i)
 	}
 	wg.Wait()
+	return w.maxClock()
+}
+
+// maxClock is the latest rank clock. A NaN clock never wins.
+func (w *World) maxClock() float64 {
 	var max float64
 	for _, c := range w.clocks {
 		if c > max {
@@ -247,12 +250,8 @@ func (r *Rank) Clock() float64 { return r.W.clocks[r.ID] }
 // advance moves the simulated clock forward.
 func (r *Rank) advance(dt float64) { w := r.W; w.clocks[r.ID] += dt }
 
-// Compute charges seconds of useful computation to the simulated clock and
-// runs fn (which performs the real work). fn may be nil for pure modeling.
-func (r *Rank) Compute(seconds float64, fn func()) {
-	if fn != nil {
-		fn()
-	}
+// Compute charges seconds of useful computation to the simulated clock.
+func (r *Rank) Compute(seconds float64) {
 	if seconds < 0 {
 		seconds = 0
 	}
@@ -263,16 +262,13 @@ func (r *Rank) Compute(seconds float64, fn func()) {
 // Send delivers data to rank `to` with a tag. bytes is the modeled payload
 // size (the real data travels by reference; only the clock cares about
 // bytes). Send is eager: it never blocks.
+// A self-send arrives at once; any other arrives after the modeled transfer.
 func (r *Rank) Send(to, tag, bytes int, data any) {
-	if to == r.ID {
-		r.W.boxes[to].put(message{from: r.ID, tag: tag, bytes: bytes, data: data, arrival: r.Clock()})
-		return
+	arrival := r.Clock()
+	if to != r.ID {
+		arrival += r.W.Model.PointToPoint(r.ID, to, bytes)
 	}
-	cost := r.W.Model.PointToPoint(r.ID, to, bytes)
-	// Sender pays a small injection overhead (half the latency term);
-	// arrival is send time plus full cost.
-	arrival := r.Clock() + cost
-	r.W.boxes[to].put(message{from: r.ID, tag: tag, bytes: bytes, data: data, arrival: arrival})
+	r.W.boxes[to].put(message{from: r.ID, tag: tag, data: data, arrival: arrival})
 }
 
 // Recv blocks until a message from `from` with `tag` arrives and returns its
@@ -280,32 +276,59 @@ func (r *Rank) Send(to, tag, bytes int, data any) {
 // idle (wait) time, attributed to CommTime per MPI accounting.
 func (r *Rank) Recv(from, tag int) any {
 	m := r.W.boxes[r.ID].take(from, tag)
-	now := r.Clock()
-	if m.arrival > now {
-		r.IdleTime += m.arrival - now
-		r.advance(m.arrival - now)
-	}
 	// Unpacking overhead is folded into the sender-side cost model.
-	wait := math.Max(0, m.arrival-now)
+	wait := r.waitUntil(m.arrival)
 	r.CommTime += wait
 	r.HaloTime += wait
 	return m.data
 }
 
-// Barrier synchronizes all ranks: every clock advances to the global
-// maximum plus the modeled collective cost.
-func (r *Rank) Barrier() {
-	r.Allreduce(nil, func(a, b any) any { return nil }, 0)
+// waitUntil idles the clock forward to t if it is behind and returns the
+// wait.
+func (r *Rank) waitUntil(t float64) float64 {
+	wait := math.Max(0, t-r.Clock())
+	if wait > 0 {
+		r.IdleTime += wait
+		r.advance(wait)
+	}
+	return wait
 }
 
-// Allreduce combines val across ranks with the reduction op (applied in
-// rank order, making the result deterministic) and returns the result on
-// every rank. bytes models the per-rank payload.
-func (r *Rank) Allreduce(val any, op func(a, b any) any, bytes int) any {
+// Barrier synchronizes all ranks: every clock advances to the global
+// maximum plus the modeled collective cost.
+func (r *Rank) Barrier() { r.collective(nil, 0, func([]any) any { return nil }) }
+
+// AllreduceF64 reduces float64 slices element-wise with op, folding in rank
+// order so the result is deterministic, and returns it on every rank. The
+// result is one slice shared by all ranks: read it, do not write it.
+func (r *Rank) AllreduceF64(vals []float64, op func(a, b float64) float64) []float64 {
+	return r.collective(vals, 8*len(vals), func(deps []any) any {
+		out := slices.Clone(deps[0].([]float64))
+		for _, d := range deps[1:] {
+			for i, v := range d.([]float64) {
+				out[i] = op(out[i], v)
+			}
+		}
+		return out
+	}).([]float64)
+}
+
+// Allgather collects each rank's val into a slice indexed by rank, on every
+// rank. bytes models the per-rank payload. The slice is shared by all
+// ranks: read it, do not write it.
+func (r *Rank) Allgather(val any, bytes int) []any {
+	return r.collective(val, bytes*r.W.N, func(deps []any) any { return slices.Clone(deps) }).([]any)
+}
+
+// collective is the one rendezvous every collective is: each rank deposits
+// val, the last to arrive combines the deposits (indexed by rank; cleared
+// after) and releases the others. Every rank returns the combined value,
+// its clock at the latest rank clock plus the modeled cost for bytes.
+func (r *Rank) collective(val any, bytes int, combine func(deps []any) any) any {
 	w := r.W
 	// The critical section runs in a closure with a deferred unlock so a
-	// panic (an op callback blowing up, or the abort unwind below) never
-	// leaves collMu held — the abort path needs it to release the others.
+	// panic (combine blowing up, or the abort unwind below) never leaves
+	// collMu held — the abort path needs it to release the others.
 	out, maxClock := func() (any, float64) {
 		w.collMu.Lock()
 		defer w.collMu.Unlock()
@@ -316,19 +339,9 @@ func (r *Rank) Allreduce(val any, op func(a, b any) any, bytes int) any {
 		w.collVals[r.ID] = val
 		w.collCount++
 		if w.collCount == w.N {
-			// Last arrival reduces in rank order and releases the others.
-			acc := w.collVals[0]
-			for i := 1; i < w.N; i++ {
-				acc = op(acc, w.collVals[i])
-			}
-			w.collOut = acc
-			var maxClock float64
-			for _, c := range w.clocks {
-				if c > maxClock {
-					maxClock = c
-				}
-			}
-			w.collMax = maxClock
+			w.collOut = combine(w.collVals)
+			clear(w.collVals)
+			w.collMax = w.maxClock()
 			w.collCount = 0
 			w.collGen++
 			w.collCond.Broadcast()
@@ -343,34 +356,16 @@ func (r *Rank) Allreduce(val any, op func(a, b any) any, bytes int) any {
 		return w.collOut, w.collMax
 	}()
 
-	now := r.Clock()
-	if maxClock > now {
-		r.IdleTime += maxClock - now
-		r.advance(maxClock - now)
-	}
+	wait := r.waitUntil(maxClock)
 	cost := w.Model.Collective(w.N, bytes)
 	r.advance(cost)
-	spent := cost + math.Max(0, maxClock-now)
+	spent := cost + wait
 	r.CommTime += spent
 	r.CollectiveTime += spent
 	return out
 }
 
-// AllreduceFlo64 reduces float64 slices element-wise with op.
-func (r *Rank) AllreduceF64(vals []float64, op func(a, b float64) float64) []float64 {
-	out := r.Allreduce(append([]float64(nil), vals...), func(a, b any) any {
-		av := a.([]float64)
-		bv := b.([]float64)
-		res := make([]float64, len(av))
-		for i := range av {
-			res[i] = op(av[i], bv[i])
-		}
-		return res
-	}, 8*len(vals))
-	return out.([]float64)
-}
-
-// MinF64 and friends are the common reductions.
+// MinF64 returns the smaller value.
 func MinF64(a, b float64) float64 {
 	if a < b {
 		return a
@@ -388,39 +383,3 @@ func MaxF64(a, b float64) float64 {
 
 // SumF64 returns the sum.
 func SumF64(a, b float64) float64 { return a + b }
-
-// Allgather collects each rank's val into a slice indexed by rank, on every
-// rank. bytes models the per-rank payload.
-func (r *Rank) Allgather(val any, bytes int) []any {
-	out := r.Allreduce(gatherItem{r.ID, val}, func(a, b any) any {
-		var items []gatherItem
-		switch v := a.(type) {
-		case gatherItem:
-			items = []gatherItem{v}
-		case []gatherItem:
-			items = v
-		}
-		switch v := b.(type) {
-		case gatherItem:
-			items = append(items, v)
-		case []gatherItem:
-			items = append(items, v...)
-		}
-		return items
-	}, bytes*r.W.N)
-	res := make([]any, r.W.N)
-	switch v := out.(type) {
-	case gatherItem:
-		res[v.rank] = v.val
-	case []gatherItem:
-		for _, it := range v {
-			res[it.rank] = it.val
-		}
-	}
-	return res
-}
-
-type gatherItem struct {
-	rank int
-	val  any
-}

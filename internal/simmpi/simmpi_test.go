@@ -85,17 +85,13 @@ func TestClockAdvancesWithCost(t *testing.T) {
 
 func TestComputeAdvancesClock(t *testing.T) {
 	w := NewWorld(1, ZeroCost{})
-	ran := false
 	max := w.Run(func(r *Rank) {
-		r.Compute(0.5, func() { ran = true })
-		r.Compute(0.25, nil)
+		r.Compute(0.5)
+		r.Compute(0.25)
 		if r.ComputeTime != 0.75 {
 			t.Errorf("ComputeTime = %g", r.ComputeTime)
 		}
 	})
-	if !ran {
-		t.Error("compute fn not executed")
-	}
 	if max != 0.75 {
 		t.Errorf("world time = %g, want 0.75", max)
 	}
@@ -123,10 +119,41 @@ func TestAllreduceSumDeterministic(t *testing.T) {
 	})
 }
 
+// TestAllreduceFoldsInRankOrder: the fold is ((v0 op v1) op v2) op v3 on
+// every rank, whatever order the ranks arrive in — the order a result that
+// does not depend on the rank count relies on. With op(a, b) = 10a + b over
+// the values 1…4, the digits of the result spell the order.
+func TestAllreduceFoldsInRankOrder(t *testing.T) {
+	w := NewWorld(4, ZeroCost{})
+	w.Run(func(r *Rank) {
+		time.Sleep(time.Duration(w.N-r.ID) * time.Millisecond) // last rank first
+		got := r.AllreduceF64([]float64{float64(r.ID + 1)}, func(a, b float64) float64 { return 10*a + b })
+		if got[0] != 1234 {
+			t.Errorf("rank %d: fold %g, want 1234", r.ID, got[0])
+		}
+	})
+}
+
+// TestCollectiveKeepsNoDeposits: once a collective has combined, the world
+// holds none of the values deposited into it, so a gathered particle set
+// is not kept alive by the world until the next collective.
+func TestCollectiveKeepsNoDeposits(t *testing.T) {
+	w := NewWorld(3, ZeroCost{})
+	w.Run(func(r *Rank) {
+		r.Allgather(&r.ID, 8)
+		r.AllreduceF64([]float64{1}, SumF64)
+	})
+	for i, v := range w.collVals {
+		if v != nil {
+			t.Errorf("deposit %d still held: %v", i, v)
+		}
+	}
+}
+
 func TestBarrierSynchronizesClocks(t *testing.T) {
 	w := NewWorld(3, ZeroCost{})
 	w.Run(func(r *Rank) {
-		r.Compute(float64(r.ID), nil) // clocks 0, 1, 2
+		r.Compute(float64(r.ID)) // clocks 0, 1, 2
 		r.Barrier()
 		if r.Clock() < 2 {
 			t.Errorf("rank %d clock %g after barrier, want >= 2", r.ID, r.Clock())
@@ -270,7 +297,7 @@ func TestPhaseTimingInvariants(t *testing.T) {
 	w.Run(func(r *Rank) {
 		for step := 0; step < 3; step++ {
 			// Uneven compute creates genuine waits on both paths.
-			r.Compute(float64(r.ID+1)*1e-2, nil)
+			r.Compute(float64(r.ID+1) * 1e-2)
 			next := (r.ID + 1) % w.N
 			prev := (r.ID + w.N - 1) % w.N
 			r.Send(next, 1, 1<<12, r.ID)
