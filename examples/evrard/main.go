@@ -21,7 +21,7 @@ import (
 func main() {
 	ev := ic.DefaultEvrard(8000)
 	ev.NNeighbors = 60
-	ps, pbc, box := ev.Generate()
+	ps, pbc, box := ev.Generate(nil)
 	fmt.Printf("Evrard collapse: %d particles, R=%g, M=%g, u0=%g\n",
 		ps.NLocal, ev.R, ev.M, ev.U0)
 

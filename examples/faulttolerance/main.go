@@ -24,7 +24,7 @@ import (
 func newSim() *core.Sim {
 	ev := ic.DefaultEvrard(4000)
 	ev.NNeighbors = 50
-	ps, pbc, box := ev.Generate()
+	ps, pbc, box := ev.Generate(nil)
 	cfg := core.Config{
 		SPH: sph.Params{
 			Kernel: kernel.NewSinc(5), EOS: eos.NewIdealGas(5.0 / 3.0),

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	// 1. Initial conditions: a 12^3 unit-density cube, fully periodic.
-	ps, pbc, box := ic.UniformCube(12, 60)
+	ps, pbc, box := ic.UniformCube(nil, 12, 60)
 
 	// 2. Physics configuration: M4 cubic-spline kernel, ideal-gas EOS,
 	//    standard volume elements, kernel-derivative gradients.

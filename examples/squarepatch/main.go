@@ -22,7 +22,7 @@ import (
 func main() {
 	sp := ic.DefaultSquarePatch(13824) // 24^3
 	sp.NNeighbors = 60
-	ps, pbc, box := sp.Generate()
+	ps, pbc, box := sp.Generate(nil)
 	fmt.Printf("rotating square patch: %d particles (%d^2 x %d layers), omega=%g rad/s\n",
 		ps.NLocal, sp.NSide, sp.NLayers, sp.Omega)
 

@@ -155,14 +155,21 @@ type Sim struct {
 
 // New builds a simulation over ps (which Sim takes ownership of).
 func New(cfg Config, ps *part.Set) (*Sim, error) {
+	return NewIn(cfg, ps, new(Scratch))
+}
+
+// NewIn is New with the stepper's buffers drawn from sc, which the Sim uses
+// until the next run on sc.
+func NewIn(cfg Config, ps *part.Set, sc *Scratch) (*Sim, error) {
 	if err := cfg.Defaults(); err != nil {
 		return nil, err
 	}
 	if err := ps.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid initial conditions: %w", err)
 	}
+	_, steps := sc.slots(0)
 	s := &Sim{Cfg: cfg, PS: ps}
-	s.st = stepper{cfg: &s.Cfg, p: &s.Cfg.SPH, ps: ps, ctrl: ts.NewController(cfg.Stepping)}
+	s.st = stepper{cfg: &s.Cfg, p: &s.Cfg.SPH, ps: ps, ctrl: ts.NewController(cfg.Stepping), stepScratch: steps[0]}
 	return s, nil
 }
 

@@ -18,7 +18,7 @@ func evrardSim(t *testing.T, n int) *Sim {
 	t.Helper()
 	ev := ic.DefaultEvrard(n)
 	ev.NNeighbors = 50
-	ps, pbc, box := ev.Generate()
+	ps, pbc, box := ev.Generate(nil)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel:     kernel.NewSinc(5),
@@ -45,7 +45,7 @@ func evrardSim(t *testing.T, n int) *Sim {
 }
 
 func TestNewRejectsBadICs(t *testing.T) {
-	ps, pbc, box := ic.UniformCube(4, 40)
+	ps, pbc, box := ic.UniformCube(nil, 4, 40)
 	ps.Mass[0] = -1
 	cfg := Config{SPH: sph.Params{
 		Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(1.4),
@@ -59,7 +59,7 @@ func TestNewRejectsBadICs(t *testing.T) {
 func TestStaticCubeStaysStatic(t *testing.T) {
 	// A uniform periodic box at rest must remain at rest: velocities stay
 	// ~0 and energy is exactly conserved.
-	ps, pbc, box := ic.UniformCube(8, 40)
+	ps, pbc, box := ic.UniformCube(nil, 8, 40)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),
@@ -164,7 +164,7 @@ func TestEvrardConservation(t *testing.T) {
 func TestSquarePatchRotates(t *testing.T) {
 	sp := ic.DefaultSquarePatch(8000) // 20^3
 	sp.NNeighbors = 40
-	ps, pbc, box := sp.Generate()
+	ps, pbc, box := sp.Generate(nil)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel:     kernel.NewWendlandC2(),
@@ -256,7 +256,7 @@ func TestRunHonorsMaxTime(t *testing.T) {
 
 func TestPBCWrapKeepsParticlesInBox(t *testing.T) {
 	sp := ic.DefaultSquarePatch(1000)
-	ps, pbc, box := sp.Generate()
+	ps, pbc, box := sp.Generate(nil)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel: kernel.NewWendlandC2(), EOS: eos.NewTait(1, sp.SoundSpeed, 7),
@@ -285,7 +285,7 @@ func TestEnergyCheckKDKSecondOrder(t *testing.T) {
 	// h-adaptation and neighbor-truncation error floor, so we bound the
 	// drift instead of comparing rates.)
 	drift := func(maxDT float64) float64 {
-		ps, pbc, box := ic.UniformCube(8, 40)
+		ps, pbc, box := ic.UniformCube(nil, 8, 40)
 		for i := 0; i < ps.NLocal; i++ {
 			// Smooth velocity field.
 			ps.Vel[i] = vec.V3{
@@ -329,7 +329,7 @@ func TestEnergyCheckKDKSecondOrder(t *testing.T) {
 func BenchmarkEvrardStep8k(b *testing.B) {
 	ev := ic.DefaultEvrard(8000)
 	ev.NNeighbors = 100
-	ps, pbc, box := ev.Generate()
+	ps, pbc, box := ev.Generate(nil)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel: kernel.NewSinc(5), EOS: eos.NewIdealGas(5.0 / 3.0),

@@ -92,6 +92,9 @@ type ParallelConfig struct {
 	// decomposition invariant).
 	OnSample func(StepStats)
 
+	// Scratch holds the ranks' buffers and the returned state (nil: a new one).
+	Scratch *Scratch
+
 	// dropScratch makes every rank forget its stepper's scratch after each
 	// step: the reference the kept scratch is tested against.
 	dropScratch bool
@@ -173,6 +176,51 @@ type ParallelResult struct {
 	Timing *RunTiming
 }
 
+// Scratch is the memory successive runs on one goroutine reuse: each rank's
+// set and stepper buffers (a Sim uses rank 0's) and the merged state a run
+// returns, valid until the next run on it. A run refills every buffer before
+// reading it, so it computes what it would on a new (zero) Scratch.
+type Scratch struct {
+	sets   []*part.Set
+	steps  []*stepScratch
+	merged part.Set
+	ranks  int // of the last run; 0 for a Sim
+}
+
+// slots returns the sets and stepper buffers of a run on n ranks; n = 0 is
+// a Sim's, which has no set and rank 0's stepper.
+func (sc *Scratch) slots(n int) ([]*part.Set, []*stepScratch) {
+	for len(sc.sets) < max(n, 1) {
+		sc.sets, sc.steps = append(sc.sets, new(part.Set)), append(sc.steps, new(stepScratch))
+	}
+	sc.ranks = n
+	return sc.sets[:n], sc.steps[:max(n, 1)]
+}
+
+// Footprint returns how many particle slots (ghosts included) and
+// neighbour-list entries the last run on sc filled, and how many its
+// buffers hold.
+func (sc *Scratch) Footprint() (parts, partsHeld, nbrs, nbrsHeld int) {
+	for i, s := range sc.sets {
+		if i < sc.ranks {
+			parts += s.Len()
+		}
+		partsHeld += cap(s.Pos)
+	}
+	if sc.ranks > 0 {
+		parts += sc.merged.Len()
+	}
+	partsHeld += cap(sc.merged.Pos)
+	for i, st := range sc.steps {
+		used, held := st.ws.NeighborEntries()
+		if i < max(sc.ranks, 1) {
+			nbrs += used
+		}
+		nbrsHeld += held
+	}
+	return parts, partsHeld, nbrs, nbrsHeld
+}
+
 // parallelRun is what the ranks of one distributed run share: the
 // configuration, every rank's particle set, and the result, which carries
 // the layout and which the ranks fill in (rank 0 the step fields, every rank
@@ -212,8 +260,12 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	}
 	ranks, threads := cfg.Machine.Layout(cfg.Cores, cfg.RanksPerNode)
 
+	if cfg.Scratch == nil {
+		cfg.Scratch = new(Scratch)
+	}
+	locals, _ := cfg.Scratch.slots(ranks)
 	// Initial decomposition (unit weights).
-	asg := domain.Decompose(cfg.Decomp, ps, cfg.Core.SPH.Box, ranks, nil)
+	domain.SplitInto(locals, ps, domain.Decompose(cfg.Decomp, ps, cfg.Core.SPH.Box, ranks, nil))
 	res := &ParallelResult{
 		Cores: cfg.Cores, Ranks: ranks, ThreadsPerRank: threads,
 		Timing: &RunTiming{
@@ -224,7 +276,7 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	run := &parallelRun{
 		cfg: cfg, p: cfg.Core.SPH,
 		byteScale: math.Pow(cfg.WorkScale, 2.0/3.0),
-		locals:    domain.Split(ps, asg, ranks),
+		locals:    locals,
 		res:       res,
 		haloFracs: make([]float64, ranks),
 	}
@@ -249,7 +301,7 @@ func RunParallelCapture(cfg ParallelConfig, ps *part.Set) (*part.Set, *ParallelR
 	}
 	res.HaloFraction /= float64(ranks)
 	res.Timing.Steps = res.StepsCompleted
-	merged := part.New(0)
+	merged := cfg.Scratch.merged.Reset(0)
 	for _, l := range run.locals {
 		merged.AppendOwned(l)
 	}

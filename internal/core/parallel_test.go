@@ -30,7 +30,7 @@ func evrardParallelCfg(t *testing.T, cores int, decomp domain.Method, dynamic bo
 	t.Helper()
 	ev := ic.DefaultEvrard(3000)
 	ev.NNeighbors = 40
-	ps, pbc, box := ev.Generate()
+	ps, pbc, box := ev.Generate(nil)
 	cfg := ParallelConfig{
 		Core: Config{
 			SPH: sph.Params{
@@ -121,7 +121,7 @@ func TestParallelTracerPopulates(t *testing.T) {
 func TestParallelSquarePatchRuns(t *testing.T) {
 	sp := ic.DefaultSquarePatch(8000)
 	sp.NNeighbors = 40
-	ps, pbc, box := sp.Generate()
+	ps, pbc, box := sp.Generate(nil)
 	cfg := ParallelConfig{
 		Core: Config{
 			SPH: sph.Params{

@@ -31,7 +31,7 @@ var parityCases = []parityCase{
 	{"evrard-gravity", func(grad sph.GradientMode) (Config, *part.Set) {
 		ev := ic.DefaultEvrard(1500)
 		ev.NNeighbors = 40
-		ps, pbc, box := ev.Generate()
+		ps, pbc, box := ev.Generate(nil)
 		return Config{
 			SPH: sph.Params{
 				Kernel: kernel.NewSinc(5), EOS: eos.NewIdealGas(5.0 / 3.0),
@@ -43,7 +43,7 @@ var parityCases = []parityCase{
 		}, ps
 	}},
 	{"sedov-periodic", func(grad sph.GradientMode) (Config, *part.Set) {
-		ps, pbc, box := ic.Sedov(10, 40, 1)
+		ps, pbc, box := ic.Sedov(nil, 10, 40, 1)
 		return Config{
 			SPH: sph.Params{
 				Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),
@@ -55,7 +55,7 @@ var parityCases = []parityCase{
 	{"square-patch", func(grad sph.GradientMode) (Config, *part.Set) {
 		sp := ic.DefaultSquarePatch(1000)
 		sp.NNeighbors = 40
-		ps, pbc, box := sp.Generate()
+		ps, pbc, box := sp.Generate(nil)
 		return Config{
 			SPH: sph.Params{
 				Kernel: kernel.NewWendlandC2(), EOS: eos.NewTait(sp.Rho0, sp.SoundSpeed, 7),
@@ -330,7 +330,7 @@ func TestSampleCarriesPotential(t *testing.T) {
 func TestStepIndependentOfWorkers(t *testing.T) {
 	sedov := func() (Config, *part.Set) {
 		cfg, _ := parityCases[1].gen(sph.IAD)
-		ps, _, _ := ic.Sedov(11, 40, 1)
+		ps, _, _ := ic.Sedov(nil, 11, 40, 1)
 		return cfg, ps
 	}
 	cases := []struct {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/part"
 	"repro/internal/sfc"
 	"repro/internal/simmpi"
-	"repro/internal/sph"
 	"repro/internal/trace"
 	"repro/internal/ts"
 	"repro/internal/vec"
@@ -27,14 +26,6 @@ type rank struct {
 	plan      domain.HaloPlan
 	ghostFrom []int
 
-	// Scratch kept like the stepper's: the owned smoothing lengths a halo
-	// retry restarts from and, on rank 0, the gathered particles and tree of
-	// the replicated gravity solver.
-	hOrig []float64
-	gp    []vec.V3
-	gm    []float64
-	gws   sph.Workspace
-
 	// Phase-class baselines for sample's per-step deltas. Read before the
 	// sampling collectives run, so a sampling collective's own cost is
 	// charged to the following step's delta, never the current one.
@@ -44,7 +35,8 @@ type rank struct {
 func newRank(run *parallelRun, r *simmpi.Rank) *rank {
 	return &rank{
 		parallelRun: run, r: r, ghostFrom: make([]int, run.res.Ranks),
-		st: stepper{cfg: &run.cfg.Core, p: &run.p, ps: run.locals[r.ID], ctrl: ts.NewController(run.cfg.Core.Stepping)},
+		st: stepper{cfg: &run.cfg.Core, p: &run.p, ps: run.locals[r.ID], ctrl: ts.NewController(run.cfg.Core.Stepping),
+			stepScratch: run.cfg.Scratch.steps[r.ID]},
 	}
 }
 
@@ -200,7 +192,7 @@ func (k *rank) exchange(ph PhaseID, bytesPerParticle float64) {
 func (k *rank) haloNeighbors() {
 	r, local := k.r, k.st.ps
 	local.DropGhosts()
-	k.hOrig = append(k.hOrig[:0], local.H[:local.NLocal]...)
+	k.st.hOrig = append(k.st.hOrig[:0], local.H[:local.NLocal]...)
 	k.st.extrema()
 	hmax := k.st.ext.HMax
 	for attempt := 0; attempt < 4; attempt++ {
@@ -212,7 +204,7 @@ func (k *rank) haloNeighbors() {
 			}
 			if attempt > 0 {
 				local.DropGhosts()
-				copy(local.H[:local.NLocal], k.hOrig)
+				copy(local.H[:local.NLocal], k.st.hOrig)
 			}
 			peerBoxes := make([]domain.AABB, k.res.Ranks)
 			ghmax := 0.0
@@ -256,14 +248,14 @@ func (k *rank) gravity() {
 		bytes := int(float64(local.NLocal) * 32 * k.cfg.WorkScale)
 		gathered := r.Allgather(local, bytes)
 		if r.ID == 0 {
-			k.gp, k.gm = k.gp[:0], k.gm[:0]
+			k.st.gp, k.st.gm = k.st.gp[:0], k.st.gm[:0]
 			for _, g := range gathered {
 				peer := g.(*part.Set)
-				k.gp = append(k.gp, peer.Pos[:peer.NLocal]...)
-				k.gm = append(k.gm, peer.Mass[:peer.NLocal]...)
+				k.st.gp = append(k.st.gp, peer.Pos[:peer.NLocal]...)
+				k.st.gm = append(k.st.gm, peer.Mass[:peer.NLocal]...)
 			}
-			gt := k.gws.BuildTree(&part.Set{NLocal: len(k.gp), Pos: k.gp}, &k.p)
-			k.gravSolver, k.gravN = k.st.gravSolver(gt, k.gp, k.gm), len(k.gp)
+			gt := k.st.gws.BuildTree(&part.Set{NLocal: len(k.st.gp), Pos: k.st.gp}, &k.p)
+			k.gravSolver, k.gravN = k.st.gravSolver(gt, k.st.gp, k.st.gm), len(k.st.gp)
 		}
 		r.Barrier() // publish solver
 	})
@@ -354,7 +346,7 @@ func (k *rank) sample(step int, simT, dt float64) {
 // rebalance is the dynamic load balancing step: gather all owned particles
 // on rank 0, re-decompose with neighbor-count weights (the per-particle cost
 // proxy), split, and scatter. The collectives carry the modeled traffic
-// cost. The sets are replaced in place, so every rank's stepper keeps its
+// cost. The sets are refilled in place, so every rank's stepper keeps its
 // pointer.
 func (k *rank) rebalance() {
 	local := k.st.ps
@@ -371,9 +363,7 @@ func (k *rank) rebalance() {
 		}
 		lo, hi := merged.Bounds()
 		asg := domain.Decompose(k.cfg.Decomp, merged, sfc.NewBox(lo, hi), k.res.Ranks, weights)
-		for q, s := range domain.Split(merged, asg, k.res.Ranks) {
-			*k.locals[q] = *s
-		}
+		domain.SplitInto(k.locals, merged, asg)
 	}
 	k.r.Barrier()
 }

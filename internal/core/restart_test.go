@@ -19,7 +19,7 @@ func TestCheckpointRestartDeterminism(t *testing.T) {
 	build := func() *Sim {
 		ev := ic.DefaultEvrard(2000)
 		ev.NNeighbors = 40
-		ps, pbc, box := ev.Generate()
+		ps, pbc, box := ev.Generate(nil)
 		cfg := Config{
 			SPH: sph.Params{
 				Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),
@@ -92,7 +92,7 @@ func TestCheckpointRestartDeterminism(t *testing.T) {
 // Sedov point blast must push particles radially outward from the center
 // with no preferred direction.
 func TestSedovBlastExpandsSymmetrically(t *testing.T) {
-	ps, pbc, box := ic.Sedov(12, 50, 1.0)
+	ps, pbc, box := ic.Sedov(nil, 12, 50, 1.0)
 	cfg := Config{
 		SPH: sph.Params{
 			Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),

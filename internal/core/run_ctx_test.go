@@ -13,7 +13,7 @@ import (
 
 func cubeSim(t *testing.T) *Sim {
 	t.Helper()
-	ps, pbc, box := ic.UniformCube(6, 20)
+	ps, pbc, box := ic.UniformCube(nil, 6, 20)
 	cfg := Config{SPH: sph.Params{
 		Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),
 		NNeighbors: 20, PBC: pbc, Box: box,

@@ -36,13 +36,22 @@ type stepper struct {
 	lastDT   float64
 	haveKick bool // whether a completing half-kick is pending
 
-	// The step's scratch. Each buffer keeps its capacity from step to step,
-	// never its contents, so a step allocates only when it outgrows every
-	// step before it: tr and nl live in ws, pot in gravRes.
+	*stepScratch
+}
+
+// stepScratch is a stepper's buffers, which keep their capacity from step to
+// step, never their contents: tr and nl live in ws, pot in gravRes; a rank
+// keeps the h a halo retry restarts from and (rank 0) the gathered
+// particles and tree of the replicated gravity solver.
+type stepScratch struct {
 	ws      sph.Workspace
 	grav    gravity.Solver
 	gravRes gravity.Result
 	targets []int32
+	hOrig   []float64
+	gp      []vec.V3
+	gm      []float64
+	gws     sph.Workspace
 }
 
 // phaseRunner executes one workflow phase on behalf of a driver, which
@@ -167,7 +176,7 @@ func (st *stepper) advance(dt float64) {
 // dropScratch forgets the step's scratch, leaving the stepper as a new one
 // would start its next step.
 func (st *stepper) dropScratch() {
-	st.ws, st.grav, st.gravRes, st.targets = sph.Workspace{}, gravity.Solver{}, gravity.Result{}, nil
+	*st.stepScratch = stepScratch{}
 }
 
 // synchronize completes a pending half-kick, bringing velocities and

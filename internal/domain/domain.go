@@ -160,16 +160,25 @@ func orbSplit(pos []vec.V3, weights []float64, idx []int, rank0, nranks int, asg
 
 // Split materializes per-rank particle sets from an assignment.
 func Split(ps *part.Set, asg Assignment, nranks int) []*part.Set {
-	buckets := make([][]int, nranks)
-	for i := 0; i < ps.NLocal; i++ {
-		r := asg[i]
-		buckets[r] = append(buckets[r], i)
-	}
 	out := make([]*part.Set, nranks)
-	for r := range out {
-		out[r] = ps.Select(buckets[r])
-	}
+	SplitInto(out, ps, asg)
 	return out
+}
+
+// SplitInto refills out[r] (a nil one: a new set) with the owned particles
+// of ps assigned to rank r, in index order.
+func SplitInto(out []*part.Set, ps *part.Set, asg Assignment) {
+	next := make([]int, len(out))
+	for _, r := range asg[:ps.NLocal] {
+		next[r]++
+	}
+	for r := range out {
+		out[r], next[r] = out[r].Reset(next[r]), 0
+	}
+	for i, r := range asg[:ps.NLocal] {
+		out[r].CopyFrom(next[r], ps, i)
+		next[r]++
+	}
 }
 
 // Imbalance returns max/mean of the per-rank total weights (1 = perfect).

@@ -20,7 +20,7 @@ import (
 func TestMassCheckIsExact(t *testing.T) {
 	const steps, flipAt = 10, 3
 	run := func(flip bool) Verdict {
-		ps, pbc, box := ic.Sedov(10, 40, 1)
+		ps, pbc, box := ic.Sedov(nil, 10, 40, 1)
 		sim, err := core.New(core.Config{
 			SPH: sph.Params{
 				Kernel: kernel.NewM4(), EOS: eos.NewIdealGas(5.0 / 3.0),

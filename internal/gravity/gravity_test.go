@@ -319,7 +319,7 @@ func BenchmarkDirect2k(b *testing.B) {
 // the third significant digit. A walk that keeps the same opening test and
 // leaf rule keeps both counts exactly; only the rounding of the sums moves.
 func TestWalkInteractionsPinned(t *testing.T) {
-	ps, _, box := ic.DefaultEvrard(8000).Generate()
+	ps, _, box := ic.DefaultEvrard(8000).Generate(nil)
 	pos, mass := ps.Pos[:ps.NLocal], ps.Mass[:ps.NLocal]
 	tr := tree.Build(pos, tree.Options{Box: box})
 	targets := make([]int32, len(pos))

@@ -41,10 +41,10 @@ func DefaultGresho(n int) Gresho {
 // fully periodic unit cube, with the piecewise-analytic azimuthal velocity
 // and its balancing pressure (via analytic.GreshoVPhi/GreshoPressure)
 // imprinted about the axis through (0.5, 0.5).
-func (gr Gresho) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (gr Gresho) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	nside := gr.NSide
 	n := nside * nside * nside
-	ps := part.New(n)
+	ps := into.Reset(n)
 	dx := 1.0 / float64(nside)
 	cellVol := dx * dx * dx
 	i := 0

@@ -10,7 +10,7 @@ import (
 
 func TestGreshoStructure(t *testing.T) {
 	gr := DefaultGresho(1000)
-	ps, pbc, box := gr.Generate()
+	ps, pbc, box := gr.Generate(nil)
 	if ps.NLocal != gr.NSide*gr.NSide*gr.NSide {
 		t.Fatalf("particle count %d, want %d", ps.NLocal, gr.NSide*gr.NSide*gr.NSide)
 	}
@@ -30,7 +30,7 @@ func TestGreshoStructure(t *testing.T) {
 // u) pressure.
 func TestGreshoMatchesAnalyticProfile(t *testing.T) {
 	gr := DefaultGresho(1000)
-	ps, _, _ := gr.Generate()
+	ps, _, _ := gr.Generate(nil)
 	sol := &analytic.Gresho{Rho0: gr.Rho0, Center: vec.V3{X: 0.5, Y: 0.5}}
 	var peak float64
 	for i := 0; i < ps.NLocal; i++ {

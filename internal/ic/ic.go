@@ -4,7 +4,8 @@
 // collapse (Evrard 1988) — a uniform cube, and the workloads with an
 // analytic reference or a known instability: the Sedov-Taylor blast, the Sod
 // shock tube (sod.go), the Noh implosion and the Kelvin-Helmholtz shear layer
-// (noh.go), and the Gresho-Chan vortex (gresho.go).
+// (noh.go), and the Gresho-Chan vortex (gresho.go). Each fills and returns
+// the set it is given (part.Set.Reset; nil: a new one).
 package ic
 
 import (
@@ -93,12 +94,12 @@ func (sp SquarePatch) Pressure(x, y float64) float64 {
 // quantization box. Positions span [0,L]x[0,L]x[0,Lz); velocities rotate
 // rigidly about the patch center; the pressure field is imprinted through a
 // Tait density perturbation so SPH sees the paper's initial state.
-func (sp SquarePatch) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (sp SquarePatch) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	nx, ny, nz := sp.NSide, sp.NSide, sp.NLayers
 	dx := sp.L / float64(nx)
 	lz := dx * float64(nz)
 	n := nx * ny * nz
-	ps := part.New(n)
+	ps := into.Reset(n)
 
 	gamma := 7.0
 	b := sp.Rho0 * sp.SoundSpeed * sp.SoundSpeed / gamma
@@ -182,7 +183,7 @@ func (ev Evrard) Density(r float64) float64 {
 // on a radially-stretched lattice (deterministic; maps a uniform lattice
 // r -> R (r/R)^(3/2), turning uniform density into the 1/r profile) or by
 // random sampling of the cumulative mass M(<r) = M r^2/R^2.
-func (ev Evrard) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (ev Evrard) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	var pos []vec.V3
 	if ev.RandomSeed >= 0 {
 		rng := rand.New(rand.NewSource(ev.RandomSeed))
@@ -227,7 +228,7 @@ func (ev Evrard) Generate() (*part.Set, tree.PBC, sfc.Box) {
 	if n == 0 {
 		panic(fmt.Sprintf("ic: Evrard sampler produced no particles for N=%d", ev.N))
 	}
-	ps := part.New(n)
+	ps := into.Reset(n)
 	m := ev.M / float64(n)
 	for i := range pos {
 		ps.ID[i] = int64(i)
@@ -245,9 +246,9 @@ func (ev Evrard) Generate() (*part.Set, tree.PBC, sfc.Box) {
 
 // UniformCube fills [0,1)^3 with an n^3 lattice of unit-density equal-mass
 // particles — the simplest fixture for SPH unit tests.
-func UniformCube(nside, nNeighbors int) (*part.Set, tree.PBC, sfc.Box) {
+func UniformCube(into *part.Set, nside, nNeighbors int) (*part.Set, tree.PBC, sfc.Box) {
 	n := nside * nside * nside
-	ps := part.New(n)
+	ps := into.Reset(n)
 	dx := 1.0 / float64(nside)
 	cellVol := dx * dx * dx
 	i := 0
@@ -275,8 +276,8 @@ func UniformCube(nside, nNeighbors int) (*part.Set, tree.PBC, sfc.Box) {
 // Sedov initializes the Sedov-Taylor point blast: a uniform cube with the
 // explosion energy E deposited as internal energy in a kernel-smoothed
 // region around the center. An extension test beyond the paper's two cases.
-func Sedov(nside, nNeighbors int, e float64) (*part.Set, tree.PBC, sfc.Box) {
-	ps, pbc, box := UniformCube(nside, nNeighbors)
+func Sedov(into *part.Set, nside, nNeighbors int, e float64) (*part.Set, tree.PBC, sfc.Box) {
+	ps, pbc, box := UniformCube(into, nside, nNeighbors)
 	for i := 0; i < ps.NLocal; i++ {
 		ps.U[i] = 1e-8
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestSquarePatchCounts(t *testing.T) {
 	sp := DefaultSquarePatch(8000) // 20^3
-	ps, pbc, box := sp.Generate()
+	ps, pbc, box := sp.Generate(nil)
 	if ps.NLocal != sp.NSide*sp.NSide*sp.NLayers {
 		t.Fatalf("generated %d particles, want %d", ps.NLocal, sp.NSide*sp.NSide*sp.NLayers)
 	}
@@ -26,7 +26,7 @@ func TestSquarePatchCounts(t *testing.T) {
 
 func TestSquarePatchVelocityField(t *testing.T) {
 	sp := DefaultSquarePatch(1000)
-	ps, _, _ := sp.Generate()
+	ps, _, _ := sp.Generate(nil)
 	for i := 0; i < ps.NLocal; i++ {
 		x := ps.Pos[i].X - sp.L/2
 		y := ps.Pos[i].Y - sp.L/2
@@ -44,7 +44,7 @@ func TestSquarePatchVelocityField(t *testing.T) {
 func TestSquarePatchRigidRotationIsDivergenceFree(t *testing.T) {
 	// Rigid rotation: velocity magnitude proportional to distance from axis.
 	sp := DefaultSquarePatch(1000)
-	ps, _, _ := sp.Generate()
+	ps, _, _ := sp.Generate(nil)
 	for i := 0; i < ps.NLocal; i += 17 {
 		x := ps.Pos[i].X - sp.L/2
 		y := ps.Pos[i].Y - sp.L/2
@@ -93,7 +93,7 @@ func TestSquarePatchPressureNegativeSomewhere(t *testing.T) {
 
 func TestEvrardMassAndProfile(t *testing.T) {
 	ev := DefaultEvrard(5000)
-	ps, pbc, _ := ev.Generate()
+	ps, pbc, _ := ev.Generate(nil)
 	if !pbc.None() {
 		t.Fatal("Evrard must not be periodic")
 	}
@@ -133,7 +133,7 @@ func TestEvrardMassAndProfile(t *testing.T) {
 func TestEvrardRandomSampler(t *testing.T) {
 	ev := DefaultEvrard(3000)
 	ev.RandomSeed = 12345
-	ps, _, _ := ev.Generate()
+	ps, _, _ := ev.Generate(nil)
 	if ps.NLocal != 3000 {
 		t.Fatalf("random sampler made %d, want 3000", ps.NLocal)
 	}
@@ -144,7 +144,7 @@ func TestEvrardRandomSampler(t *testing.T) {
 		}
 	}
 	// Deterministic for equal seeds.
-	ps2, _, _ := ev.Generate()
+	ps2, _, _ := ev.Generate(nil)
 	if ps.Pos[100] != ps2.Pos[100] {
 		t.Fatal("random sampler not reproducible")
 	}
@@ -152,7 +152,7 @@ func TestEvrardRandomSampler(t *testing.T) {
 
 func TestEvrardInternalEnergy(t *testing.T) {
 	ev := DefaultEvrard(1000)
-	ps, _, _ := ev.Generate()
+	ps, _, _ := ev.Generate(nil)
 	for i := 0; i < ps.NLocal; i++ {
 		if ps.U[i] != ev.U0 {
 			t.Fatalf("u[%d] = %g, want %g", i, ps.U[i], ev.U0)
@@ -174,7 +174,7 @@ func TestEvrardDensityClamp(t *testing.T) {
 }
 
 func TestUniformCube(t *testing.T) {
-	ps, pbc, box := UniformCube(6, 50)
+	ps, pbc, box := UniformCube(nil, 6, 50)
 	if ps.NLocal != 216 {
 		t.Fatalf("cube count %d", ps.NLocal)
 	}
@@ -191,7 +191,7 @@ func TestUniformCube(t *testing.T) {
 
 func TestSedovEnergyDeposit(t *testing.T) {
 	const e = 1.0
-	ps, _, _ := Sedov(8, 50, e)
+	ps, _, _ := Sedov(nil, 8, 50, e)
 	var total float64
 	maxU, cornerU := 0.0, 0.0
 	for i := 0; i < ps.NLocal; i++ {

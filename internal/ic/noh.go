@@ -42,10 +42,10 @@ func DefaultNoh(n int) Noh {
 // [-0.5, 0.5]^3 with velocity -VIn * r_hat toward the origin. The boundary
 // is free (no PBC): the implosion runs until the rarefaction from the cube
 // faces reaches the region of interest.
-func (nh Noh) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (nh Noh) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	nside := nh.NSide
 	n := nside * nside * nside
-	ps := part.New(n)
+	ps := into.Reset(n)
 	dx := 1.0 / float64(nside)
 	cellVol := dx * dx * dx
 	nd := 1 / cellVol
@@ -118,10 +118,10 @@ func DefaultKelvinHelmholtz(n int) KelvinHelmholtz {
 // Generate builds the particle set on an equal-spacing lattice over the
 // fully periodic unit cube; the density contrast is carried by per-particle
 // masses so the slab interface stays noise-free at t=0.
-func (kh KelvinHelmholtz) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (kh KelvinHelmholtz) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	nside := kh.NSide
 	n := nside * nside * nside
-	ps := part.New(n)
+	ps := into.Reset(n)
 	dx := 1.0 / float64(nside)
 	cellVol := dx * dx * dx
 	i := 0

@@ -48,7 +48,7 @@ func DefaultSod(n int) Sod {
 // exact for any RhoL/RhoR ratio). The cross-section is periodic in y and z
 // so the flow stays one-dimensional; x ends are free — the tube is run for
 // times short enough that end effects cannot reach the wave structure.
-func (sd Sod) Generate() (*part.Set, tree.PBC, sfc.Box) {
+func (sd Sod) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	nx := sd.NX
 	ny := nx / 4
 	if ny < 4 {
@@ -60,7 +60,7 @@ func (sd Sod) Generate() (*part.Set, tree.PBC, sfc.Box) {
 	cellVol := dx * dx * dx
 
 	n := nx * ny * nz
-	ps := part.New(n)
+	ps := into.Reset(n)
 	i := 0
 	for iz := 0; iz < nz; iz++ {
 		z := (float64(iz) + 0.5) * dx

@@ -7,7 +7,7 @@ import (
 
 func TestSodStructure(t *testing.T) {
 	sd := DefaultSod(8000)
-	ps, pbc, box := sd.Generate()
+	ps, pbc, box := sd.Generate(nil)
 	if ps.NLocal == 0 {
 		t.Fatal("no particles")
 	}
@@ -30,7 +30,7 @@ func TestSodStructure(t *testing.T) {
 // pressure disequilibrium with the configured ratio.
 func TestSodStates(t *testing.T) {
 	sd := DefaultSod(4000)
-	ps, _, _ := sd.Generate()
+	ps, _, _ := sd.Generate(nil)
 
 	dx := 1.0 / float64(sd.NX)
 	cellVol := dx * dx * dx
@@ -76,7 +76,7 @@ func TestSodStates(t *testing.T) {
 func TestSodCustomStates(t *testing.T) {
 	sd := DefaultSod(2000)
 	sd.RhoR, sd.PR = 0.25, 0.3 // a ratio the equal-mass trick cannot tile
-	ps, _, _ := sd.Generate()
+	ps, _, _ := sd.Generate(nil)
 	if err := ps.Validate(); err != nil {
 		t.Fatal(err)
 	}

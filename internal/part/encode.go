@@ -1,7 +1,6 @@
 package part
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -51,16 +50,9 @@ func (s *Set) particleBytes() int {
 	return 8 + 24*len(vs) + 8*len(fs)
 }
 
-// writePayload writes the header counts and the record's columns
-// (everything between the magic and the trailing checksum) to w, through a
-// buffer of the payload's size up to 64 KiB.
-func (s *Set) writePayload(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, min(64<<10, 16+s.Len()*s.particleBytes()))
-	var word [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(word[:], x)
-		_, _ = bw.Write(word[:]) // bufio keeps the first error; Flush returns it
-	}
+// payload hands put every 8-byte word between the magic and the trailing
+// checksum, in order: the header counts, then the record's columns.
+func (s *Set) payload(put func(uint64)) {
 	put(uint64(s.NLocal))
 	put(uint64(s.Len()))
 	ids, vs, fs := s.record()
@@ -79,7 +71,6 @@ func (s *Set) writePayload(w io.Writer) error {
 			put(math.Float64bits(x))
 		}
 	}
-	return bw.Flush()
 }
 
 // WriteTo writes the set's record (ghosts included) to w as one frame and
@@ -90,15 +81,47 @@ func (s *Set) WriteTo(w io.Writer) (int64, error) {
 	if _, err := w.Write(word[:4]); err != nil {
 		return 0, err
 	}
-	crc := crc64.New(crcTable)
-	if err := s.writePayload(io.MultiWriter(w, crc)); err != nil {
+	crc, err := s.stream(w)
+	if err != nil {
 		return 0, err
 	}
-	binary.LittleEndian.PutUint64(word[:], crc.Sum64())
+	binary.LittleEndian.PutUint64(word[:], crc)
 	if _, err := w.Write(word[:]); err != nil {
 		return 0, err
 	}
 	return int64(s.EncodedSize()), nil
+}
+
+// stream writes the payload to w (nil: nowhere) through a 4 KiB chunk and
+// returns its CRC-64.
+func (s *Set) stream(w io.Writer) (uint64, error) {
+	var crc uint64
+	var err error
+	chunk := make([]byte, 0, 4<<10)
+	flush := func() {
+		crc = crc64.Update(crc, crcTable, chunk)
+		if w != nil && err == nil {
+			_, err = w.Write(chunk)
+		}
+		chunk = chunk[:0]
+	}
+	s.payload(func(x uint64) {
+		if chunk = binary.LittleEndian.AppendUint64(chunk, x); len(chunk) == cap(chunk) {
+			flush()
+		}
+	})
+	flush()
+	return crc, err
+}
+
+// AppendFrame appends the WriteTo frame to b: a b with EncodedSize bytes to
+// spare is not grown.
+func (s *Set) AppendFrame(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, encodeMagic)
+	start := len(b)
+	s.payload(func(x uint64) { b = le.AppendUint64(b, x) })
+	return le.AppendUint64(b, crc64.Checksum(b[start:], crcTable))
 }
 
 // FrameChecksum returns the payload checksum a WriteTo frame carries in its
@@ -175,7 +198,6 @@ func (s *Set) ReadFrom(r io.Reader) (int64, error) {
 // trailing frame checksum is deliberately excluded — hashing a stream that
 // embeds its own CRC yields a payload-independent residue.
 func (s *Set) Checksum() uint64 {
-	crc := crc64.New(crcTable)
-	_ = s.writePayload(crc) // a hash's Write never fails
-	return crc.Sum64()
+	crc, _ := s.stream(nil) // writing nowhere never fails
+	return crc
 }

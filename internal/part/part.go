@@ -42,16 +42,24 @@ type Set struct {
 }
 
 // New returns a Set with n owned particles, all fields zeroed.
-func New(n int) *Set {
-	s := &Set{NLocal: n}
+func New(n int) *Set { return new(Set).Reset(n) }
+
+// Reset makes s a set of n owned particles, every field zero, keeping its
+// columns' capacity, and returns it; a nil s returns New(n).
+func (s *Set) Reset(n int) *Set {
+	if s == nil {
+		return New(n)
+	}
+	s.resizeAll(0)
 	s.resizeAll(n)
+	s.NLocal = n
 	return s
 }
 
 // resizeAll sets every column's length to n. A column keeps its capacity
 // when it shrinks, and grows by append's amortized rule, so ghost counts that
 // wander from step to step stop reallocating once the largest has been seen.
-// Slots beyond the old length are zero only where newly allocated.
+// Slots beyond the old length are zero.
 func (s *Set) resizeAll(n int) {
 	resize(&s.ID, n)
 	resize(&s.Pos, n)
@@ -69,7 +77,11 @@ func (s *Set) resizeAll(n int) {
 	resize(&s.Tau, n)
 }
 
-func resize[T any](p *[]T, n int) { *p = slices.Grow((*p)[:0], n)[:n] }
+func resize[T any](p *[]T, n int) {
+	old := len(*p)
+	*p = slices.Grow((*p)[:0], n)[:n]
+	clear((*p)[min(old, n):])
+}
 
 // Len returns the total particle count including ghosts.
 func (s *Set) Len() int { return len(s.Pos) }

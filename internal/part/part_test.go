@@ -2,8 +2,10 @@ package part
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -302,29 +304,35 @@ func TestEncodePropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChecksumBufferFitsThePayload: Checksum streams the record through a
-// buffer the size of its payload, capped at 64 KiB, so a served 216-particle
-// record (19,024 payload bytes) no longer allocates 64 KiB, and a record of
-// any size allocates no payload-sized buffer. TotalAlloc counts every
-// goroutine's allocations, and other goroutines only add bytes, so the
-// figure is the least per-call mean over several rounds.
+// TestChecksumBufferFitsThePayload: Checksum and WriteTo stream the record
+// through a fixed 4 KiB chunk, so neither a served 216-particle record
+// (19,024 payload bytes) nor a 10,000-particle one allocates a payload-sized
+// buffer. TotalAlloc counts every goroutine's allocations, and other
+// goroutines only add bytes, so the figure is the least per-call mean over
+// several rounds.
 func TestChecksumBufferFitsThePayload(t *testing.T) {
-	for _, c := range []struct{ n, most int }{{216, 19024 + 512}, {10000, 64<<10 + 512}} {
-		s := randomSet(c.n, rand.New(rand.NewSource(13)))
-		s.Checksum()
-		got := math.MaxInt
-		for range 5 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			const runs = 10
-			for range runs {
-				s.Checksum()
+	const most = 4<<10 + 512
+	for _, n := range []int{216, 10000} {
+		s := randomSet(n, rand.New(rand.NewSource(13)))
+		for name, encode := range map[string]func(){
+			"Checksum": func() { s.Checksum() },
+			"WriteTo":  func() { _, _ = s.WriteTo(io.Discard) },
+		} {
+			encode()
+			got := math.MaxInt
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				const runs = 10
+				for range runs {
+					encode()
+				}
+				runtime.ReadMemStats(&after)
+				got = min(got, int(after.TotalAlloc-before.TotalAlloc)/runs)
 			}
-			runtime.ReadMemStats(&after)
-			got = min(got, int(after.TotalAlloc-before.TotalAlloc)/runs)
-		}
-		if got > c.most {
-			t.Errorf("Checksum of %d particles allocates %d bytes, want at most %d", c.n, got, c.most)
+			if got > most {
+				t.Errorf("%s of %d particles allocates %d bytes, want at most %d", name, n, got, most)
+			}
 		}
 	}
 }
@@ -339,5 +347,44 @@ func BenchmarkEncode(b *testing.B) {
 		if _, err := s.WriteTo(&buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendFrameIsWriteTo: AppendFrame appends exactly WriteTo's frame,
+// and into a buffer with EncodedSize bytes to spare it allocates nothing.
+func TestAppendFrameIsWriteTo(t *testing.T) {
+	s := randomSet(300, rand.New(rand.NewSource(5)))
+	s.GrowGhosts(7)
+	var want bytes.Buffer
+	if _, err := s.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	buf := append(make([]byte, 0, 3+s.EncodedSize()), "abc"...)
+	got := s.AppendFrame(buf)
+	if !bytes.Equal(got[3:], want.Bytes()) || string(got[:3]) != "abc" {
+		t.Fatalf("AppendFrame differs from WriteTo (%d vs %d bytes)", len(got)-3, want.Len())
+	}
+	if &got[0] != &buf[0] {
+		t.Error("AppendFrame grew a buffer with EncodedSize bytes to spare")
+	}
+	if allocs := testing.AllocsPerRun(5, func() { s.AppendFrame(buf[:3]) }); allocs > 1 {
+		t.Errorf("AppendFrame into a sized buffer allocates %.0f times", allocs)
+	}
+}
+
+// TestResetZeroesAndKeepsCapacity: Reset leaves n owned particles with every
+// field zero, whatever the set held, in the columns it already had.
+func TestResetZeroesAndKeepsCapacity(t *testing.T) {
+	s := randomSet(50, rand.New(rand.NewSource(6)))
+	s.GrowGhosts(10)
+	pos := &s.Pos[0]
+	if got := s.Reset(40); got != s || s.NLocal != 40 || s.Len() != 40 || &s.Pos[0] != pos {
+		t.Fatalf("Reset(40): NLocal %d, Len %d, same set %v, same columns %v", s.NLocal, s.Len(), got == s, &s.Pos[0] == pos)
+	}
+	if columnsZero := reflect.DeepEqual(s, New(40)); !columnsZero {
+		t.Error("Reset left a non-zero field")
+	}
+	if got := (*Set)(nil).Reset(3); got == nil || got.Len() != 3 {
+		t.Error("a nil set's Reset is not New")
 	}
 }

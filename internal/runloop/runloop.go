@@ -12,6 +12,7 @@ package runloop
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,13 +70,48 @@ type Env struct {
 	// whole set and the hook runs on a rank goroutine while other ranks may
 	// still be working: it must be fast and must not call back into the run.
 	OnStep func(rep core.StepReport, cons conserve.State, ps *part.Set)
+	// Scratch holds the execution's particle sets and engine buffers, and
+	// Result.PS may live in it until the next execution on it. It is owned
+	// by one goroutine, which runs one execution on it at a time and is done
+	// with a result before it starts the next (a server worker, all its
+	// jobs); nil gives the execution a new one.
+	Scratch *Scratch
+}
+
+// Scratch is what successive executions on one goroutine reuse: the
+// generated initial conditions, the engine's buffers and the buffer a result
+// is encoded into. An execution refills whatever it reads, so its result is
+// the one a new Scratch gives. An execution that finds the Scratch holding
+// more than four times the particle slots (ghosts included), neighbour-list
+// entries or snapshot bytes the one before it used starts on a new Scratch.
+type Scratch struct {
+	ic   part.Set
+	core core.Scratch
+	snap []byte
+}
+
+// oversized reports whether sc holds more than four times what its last
+// execution used.
+func (sc *Scratch) oversized() bool {
+	parts, partsHeld, nbrs, nbrsHeld := sc.core.Footprint()
+	parts, partsHeld = parts+sc.ic.Len(), partsHeld+cap(sc.ic.Pos)
+	return partsHeld > 4*parts || nbrsHeld > 4*nbrs || cap(sc.snap) > 4*len(sc.snap)
+}
+
+// Encode returns ps's snapshot frame (part.Set.WriteTo's bytes), encoded
+// into sc's buffer: valid, like a Result.PS in sc, until the next execution
+// on sc.
+func (sc *Scratch) Encode(ps *part.Set) []byte {
+	sc.snap = ps.AppendFrame(slices.Grow(sc.snap[:0], ps.EncodedSize()))
+	return sc.snap
 }
 
 // Result is the outcome of one execution.
 type Result struct {
 	// PS is the final particle state, synchronized — at the step the run
 	// stopped at when Cancelled, which leaves it to the caller to
-	// checkpoint, requeue, or surface the interruption.
+	// checkpoint, requeue, or surface the interruption. It may live in
+	// Env.Scratch: it is valid until the next execution on that Scratch.
 	PS        *part.Set
 	Cancelled bool
 	// Steps counts completed steps including restored ones; SimTime is the
@@ -100,7 +136,12 @@ func Execute(spec scenario.JobSpec, env Env) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ps, cfg, err := sc.Generate(spec.Params)
+	if env.Scratch == nil {
+		env.Scratch = new(Scratch)
+	} else if env.Scratch.oversized() {
+		*env.Scratch = Scratch{}
+	}
+	ps, cfg, err := sc.GenerateInto(spec.Params, &env.Scratch.ic)
 	if err != nil {
 		return Result{}, err
 	}
@@ -207,7 +248,7 @@ func (x *execution) serial() chunk {
 	return func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
 		if sim == nil {
 			var err error
-			if sim, err = core.New(x.cfg, ps); err != nil {
+			if sim, err = core.NewIn(x.cfg, ps, &x.env.Scratch.core); err != nil {
 				return Result{}, err
 			}
 			sim.StepN, sim.T = b.Step, b.Time
@@ -257,6 +298,7 @@ func (x *execution) distributed() (chunk, error) {
 			Cost:         cost,
 			Steps:        steps,
 			Ctx:          ctx,
+			Scratch:      &x.env.Scratch.core,
 			OnSample: func(st core.StepStats) {
 				rep := st.StepReport // counts from the chunk's start
 				rep.Step += b.Step

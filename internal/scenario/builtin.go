@@ -53,13 +53,13 @@ func init() {
 			N: 10000, NNeighbors: 100,
 			Extra: map[string]float64{"u0": 0.05, "radius": 1, "mass": 1},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			ev := ic.DefaultEvrard(p.N)
 			ev.NNeighbors = p.NNeighbors
 			ev.U0 = p.Extra["u0"]
 			ev.R = p.Extra["radius"]
 			ev.M = p.Extra["mass"]
-			ps, pbc, box := ev.Generate()
+			ps, pbc, box := ev.Generate(into)
 			cfg := baseConfig(p, pbc, box, eos.NewIdealGas(5.0/3.0))
 			cfg.Gravity, cfg.Theta, cfg.Eps, cfg.G = true, 0.6, 0.02, 1
 			return ps, cfg, nil
@@ -73,14 +73,14 @@ func init() {
 			N: 10000, NNeighbors: 100,
 			Extra: map[string]float64{"omega": 5, "side": 1, "rho0": 1, "soundSpeed": 50},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			sp := ic.DefaultSquarePatch(p.N)
 			sp.NNeighbors = p.NNeighbors
 			sp.Omega = p.Extra["omega"]
 			sp.L = p.Extra["side"]
 			sp.Rho0 = p.Extra["rho0"]
 			sp.SoundSpeed = p.Extra["soundSpeed"]
-			ps, pbc, box := sp.Generate()
+			ps, pbc, box := sp.Generate(into)
 			return ps, baseConfig(p, pbc, box, eos.NewTait(sp.Rho0, sp.SoundSpeed, 7)), nil
 		},
 	})
@@ -92,8 +92,8 @@ func init() {
 			N: 8000, NNeighbors: 100,
 			Extra: map[string]float64{"energy": 1},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
-			ps, pbc, box := ic.Sedov(cbrtSide(p.N), p.NNeighbors, p.Extra["energy"])
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
+			ps, pbc, box := ic.Sedov(into, cbrtSide(p.N), p.NNeighbors, p.Extra["energy"])
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(5.0/3.0)), nil
 		},
 		// The self-similar profile is exact, but the kernel-smoothed energy
@@ -117,8 +117,8 @@ func init() {
 		Name:        "cube",
 		Description: "Static periodic uniform cube: the equilibrium smoke test",
 		Defaults:    Params{N: 8000, NNeighbors: 100},
-		Build: func(p Params) (*part.Set, core.Config, error) {
-			ps, pbc, box := ic.UniformCube(cbrtSide(p.N), p.NNeighbors)
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
+			ps, pbc, box := ic.UniformCube(into, cbrtSide(p.N), p.NNeighbors)
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(5.0/3.0)), nil
 		},
 		// No analytic profile needed: the equilibrium must simply conserve.
@@ -137,13 +137,13 @@ func init() {
 			N: 8000, NNeighbors: 100,
 			Extra: map[string]float64{"vin": 1, "rho0": 1, "u0": 1e-6},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			nh := ic.DefaultNoh(p.N)
 			nh.NNeighbors = p.NNeighbors
 			nh.VIn = p.Extra["vin"]
 			nh.Rho0 = p.Extra["rho0"]
 			nh.U0 = p.Extra["u0"]
-			ps, pbc, box := nh.Generate()
+			ps, pbc, box := nh.Generate(into)
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(5.0/3.0)), nil
 		},
 		Reference: func(p Params) (analytic.Solution, error) {
@@ -174,7 +174,7 @@ func init() {
 				"rhoL": 1, "pL": 1, "rhoR": 0.125, "pR": 0.1, "gamma": 1.4,
 			},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			sd := ic.DefaultSod(p.N)
 			sd.NNeighbors = p.NNeighbors
 			sd.RhoL = p.Extra["rhoL"]
@@ -189,7 +189,7 @@ func init() {
 					"scenario sod: require gamma > 1 and positive densities/pressures (gamma=%g rhoL=%g rhoR=%g pL=%g pR=%g)",
 					sd.Gamma, sd.RhoL, sd.RhoR, sd.PL, sd.PR)
 			}
-			ps, pbc, box := sd.Generate()
+			ps, pbc, box := sd.Generate(into)
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(sd.Gamma)), nil
 		},
 		Reference: func(p Params) (analytic.Solution, error) {
@@ -219,7 +219,7 @@ func init() {
 				"rhoIn": 2, "rhoOut": 1, "shear": 0.5, "pressure": 2.5, "seed": 0.025,
 			},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			kh := ic.DefaultKelvinHelmholtz(p.N)
 			kh.NNeighbors = p.NNeighbors
 			kh.RhoIn = p.Extra["rhoIn"]
@@ -227,7 +227,7 @@ func init() {
 			kh.VShear = p.Extra["shear"]
 			kh.P0 = p.Extra["pressure"]
 			kh.VSeed = p.Extra["seed"]
-			ps, pbc, box := kh.Generate()
+			ps, pbc, box := kh.Generate(into)
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(kh.Gamma)), nil
 		},
 	})
@@ -239,7 +239,7 @@ func init() {
 			N: 8000, NNeighbors: 100,
 			Extra: map[string]float64{"rho0": 1, "gamma": 5.0 / 3.0},
 		},
-		Build: func(p Params) (*part.Set, core.Config, error) {
+		Build: func(p Params, into *part.Set) (*part.Set, core.Config, error) {
 			gr := ic.DefaultGresho(p.N)
 			gr.NNeighbors = p.NNeighbors
 			gr.Rho0 = p.Extra["rho0"]
@@ -249,7 +249,7 @@ func init() {
 					"scenario gresho: require gamma > 1 and positive density (gamma=%g rho0=%g)",
 					gr.Gamma, gr.Rho0)
 			}
-			ps, pbc, box := gr.Generate()
+			ps, pbc, box := gr.Generate(into)
 			return ps, baseConfig(p, pbc, box, eos.NewIdealGas(gr.Gamma)), nil
 		},
 		// The steady state is its own reference at every time: any drift

@@ -46,8 +46,9 @@ type Scenario struct {
 	// Defaults are the canonical parameters; Generate fills unset fields
 	// from them.
 	Defaults Params
-	// Build realizes the workload from fully-resolved parameters.
-	Build func(p Params) (*part.Set, core.Config, error)
+	// Build realizes the workload from fully-resolved parameters, filling
+	// and returning into (reset first; nil: a new set).
+	Build func(p Params, into *part.Set) (*part.Set, core.Config, error)
 	// Reference, when non-nil, constructs the scenario's analytic
 	// reference solution for fully-resolved parameters; internal/verify
 	// scores final snapshots against it. Scenarios without a closed-form
@@ -110,11 +111,17 @@ func (s *Scenario) extraKeys() []string {
 
 // Generate resolves p against the defaults and builds the workload.
 func (s *Scenario) Generate(p Params) (*part.Set, core.Config, error) {
+	return s.GenerateInto(p, nil)
+}
+
+// GenerateInto is Generate filling into (reset first; nil: a new set), for
+// a caller that keeps one set from workload to workload.
+func (s *Scenario) GenerateInto(p Params, into *part.Set) (*part.Set, core.Config, error) {
 	rp, err := s.Resolve(p)
 	if err != nil {
 		return nil, core.Config{}, err
 	}
-	return s.Build(rp)
+	return s.Build(rp, into)
 }
 
 // --- Registry ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,5 +328,50 @@ func TestDerivedMemberBytesPinned(t *testing.T) {
 	s.mu.Unlock()
 	if pins != 0 {
 		t.Errorf("%d hashes still pinned after the collector finished", pins)
+	}
+}
+
+// TestStoredResultReadsOneRegion: once the memory layer has dropped a stored
+// job's report and track, one GET …/telemetry reads the store's track region
+// alone and one GET …/metrics its report region alone; /trace reads both.
+// The counting reads are installed before the server starts, so its
+// goroutines see them.
+func TestStoredResultReadsOneRegion(t *testing.T) {
+	var reads atomic.Int64
+	defer func(r, k func(*store.Store, string) ([]byte, bool)) { readReport, readTelemetry = r, k }(readReport, readTelemetry)
+	counted := func(read func(*store.Store, string) ([]byte, bool)) func(*store.Store, string) ([]byte, bool) {
+		return func(st *store.Store, hash string) ([]byte, bool) {
+			reads.Add(1)
+			return read(st, hash)
+		}
+	}
+	readReport, readTelemetry = counted(readReport), counted(readTelemetry)
+
+	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	v, err := s.Submit(coldSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, v.ID, StateCompleted, 60*time.Second)
+	for _, c := range []struct {
+		path string
+		want int64
+	}{{"/telemetry", 1}, {"/metrics", 1}, {"/trace", 2}} {
+		before := reads.Load()
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + v.ID + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Fatalf("GET %s: %d, %d bytes", c.path, resp.StatusCode, len(body))
+		}
+		if got := reads.Load() - before; got != c.want {
+			t.Errorf("GET %s read %d store regions, want %d", c.path, got, c.want)
+		}
 	}
 }

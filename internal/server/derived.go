@@ -374,7 +374,7 @@ func (s *Server) unpinLocked(hash string) {
 // memberReport decodes a finished member's persisted report into v, or
 // explains why the member has none to offer.
 func (s *Server) memberReport(m member, v any) error {
-	rep, _ := s.persisted(m.hash)
+	rep, _ := s.persisted(m.hash, true, false)
 	if rep == nil {
 		reason := "no verification report recorded"
 		if view, ok := s.Get(m.jobID); ok && view.State != StateCompleted {

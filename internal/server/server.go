@@ -392,12 +392,13 @@ func (s *Server) SampleHistory() {
 
 func (s *Server) worker() {
 	defer s.workers.Done()
+	sc := new(runloop.Scratch) // every job this worker runs executes on it
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case job := <-s.queue:
-			s.run(job)
+			s.run(job, sc)
 		}
 	}
 }
@@ -735,8 +736,9 @@ func (s *Server) checkpointer(job *Job) *ft.Checkpointer {
 // it moves the job to running, records the queue wait, wires cancel and
 // kill to the run's context, contains engine panics, and then hands the
 // outcome of execute to requeue (after a simulated kill), complete, or a
-// failed or cancelled terminal state.
-func (s *Server) run(job *Job) {
+// failed or cancelled terminal state, all on the worker's goroutine: the
+// run's state lives in the worker's scratch until its next job.
+func (s *Server) run(job *Job, sc *runloop.Scratch) {
 	s.mu.Lock()
 	if job.State != StateQueued { // cancelled while waiting
 		s.mu.Unlock()
@@ -779,12 +781,12 @@ func (s *Server) run(job *Job) {
 			"job", job.ID, "state", string(job.State), "panic", fmt.Sprint(v))
 	}()
 
-	res, err := s.execute(ctx, job)
+	res, err := s.execute(ctx, job, sc)
 	switch {
 	case err != nil:
 		s.fail(job, err)
 	case !res.Cancelled:
-		s.complete(job, res)
+		s.complete(job, res, sc)
 	case errors.Is(context.Cause(ctx), errKilled) && s.requeue(job, res):
 		// Requeued; requeue declines when a Cancel followed the Kill.
 	default:
@@ -811,8 +813,8 @@ func (s *Server) fail(job *Job, err error) {
 // execute runs the job's spec through the executor cmd/sphexa runs through
 // too (internal/runloop), in a server's environment: checkpoints under
 // DataDir at the server's interval, always resuming; the job's flight
-// recorder; progress published per step.
-func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) {
+// recorder; progress published per step; the worker's scratch.
+func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (runloop.Result, error) {
 	x := job.run
 	s.mu.Lock()
 	// The flight recorder is created once per Job and survives
@@ -842,6 +844,7 @@ func (s *Server) execute(ctx context.Context, job *Job) (runloop.Result, error) 
 		ChunkSteps:     s.opts.CheckpointEvery,
 		Recorder:       rec,
 		FaultInjection: s.opts.FaultInjection,
+		Scratch:        sc,
 		OnRestore: func(step int, simTime float64) {
 			s.mu.Lock()
 			x.progress = Progress{Step: step, Total: total, SimTime: simTime}
@@ -901,21 +904,18 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	return true
 }
 
-// complete turns a finished run into the job's result: encode the snapshot,
-// render report and track once (the bytes every later fetch and cache hit
-// serves), persist them, and finish the job.
-func (s *Server) complete(job *Job, res runloop.Result) {
+// complete turns a finished run into the job's result: encode the snapshot
+// into the worker's scratch sc, render report and track once (the bytes
+// every later fetch and cache hit serves), persist them, and finish the
+// job. Only a result the store did not keep copies its snapshot out of sc.
+func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	x := job.run
-	var buf bytes.Buffer
-	if _, err := res.PS.WriteTo(&buf); err != nil {
-		s.fail(job, fmt.Errorf("encoding snapshot: %w", err))
-		return
-	}
+	snap := sc.Encode(res.PS)
 	result := &cachedResult{
 		spec: x.spec, hash: job.Hash,
-		snapshot:  buf.Bytes(),
+		snapshot:  snap,
 		particles: res.PS.NLocal,
-		checksum:  part.FrameChecksum(buf.Bytes()),
+		checksum:  part.FrameChecksum(snap),
 		simTime:   res.SimTime,
 		steps:     x.spec.Steps,
 	}
@@ -932,15 +932,16 @@ func (s *Server) complete(job *Job, res runloop.Result) {
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
 	kept := s.persist(job, result)
+	result.snapshot = nil
+	if !kept {
+		result.snapshot = bytes.Clone(snap)
+	}
 
 	s.mu.Lock()
 	// The store's copies are authoritative once it keeps the record; a
 	// pinned hash keeps its report and track until its collector read them.
-	if kept {
-		result.snapshot = nil
-		if s.pins[job.Hash] == 0 {
-			result.report, result.telemetry = nil, nil
-		}
+	if kept && s.pins[job.Hash] == 0 {
+		result.report, result.telemetry = nil, nil
 	}
 	s.jobs.cacheLocked(job.Hash, result)
 	end := &outcome{dt: x.progress.DT, restarts: x.restarts,
@@ -1016,29 +1017,34 @@ func (s *Server) Metrics(id string) ([]byte, bool) {
 	if !ok || view.State != StateCompleted {
 		return nil, false
 	}
-	report, _ := s.persisted(view.Hash)
+	report, _ := s.persisted(view.Hash, true, false)
 	return report, true
 }
 
-// persisted returns the verification report and telemetry track recorded
-// under a result hash: the memory layer's copies first, the store's
-// otherwise, nil where none was recorded (a result persisted by a build
-// that did not record it). It needs no live job record, so derived
-// resources survive job table pruning.
-func (s *Server) persisted(hash string) (report, track []byte) {
+// persisted returns the verification report (with wantReport) and the
+// telemetry track (with wantTrack) recorded under a result hash: the memory
+// layer's copy first, otherwise one read of the store's region for each
+// wanted, nil where none was recorded (a result persisted by a build that
+// did not record it). It needs no live job record, so derived resources
+// survive job table pruning.
+func (s *Server) persisted(hash string, wantReport, wantTrack bool) (report, track []byte) {
 	s.mu.Lock()
 	if res, ok := s.jobs.cachedLocked(hash); ok {
 		report, track = res.report, res.telemetry
 	}
 	s.mu.Unlock()
-	if report == nil {
-		report, _ = s.opts.Store.ReadReport(hash)
+	if wantReport && report == nil {
+		report, _ = readReport(s.opts.Store, hash)
 	}
-	if track == nil {
-		track, _ = s.opts.Store.ReadTelemetry(hash)
+	if wantTrack && track == nil {
+		track, _ = readTelemetry(s.opts.Store, hash)
 	}
 	return report, track
 }
+
+// readReport and readTelemetry are persisted's two store reads, which
+// TestStoredResultReadsOneRegion counts.
+var readReport, readTelemetry = (*store.Store).ReadReport, (*store.Store).ReadTelemetry
 
 // evicted reports whether a completed result is held nowhere any more: the
 // memory layer does not keep its bytes and the store has dropped its entry.
@@ -1071,7 +1077,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 	s.mu.Unlock()
 
 	if state == StateCompleted {
-		_, track := s.persisted(hash)
+		_, track := s.persisted(hash, false, true)
 		return track, true
 	}
 	if rec == nil {
@@ -1099,7 +1105,7 @@ func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	}
 	s.mu.Unlock()
 	if ran {
-		_, b := s.persisted(hash)
+		_, b := s.persisted(hash, false, true)
 		var track telemetry.Track
 		if json.Unmarshal(b, &track) != nil || len(track.Samples) == 0 {
 			return telemetry.Sample{}, false

@@ -44,7 +44,7 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 	if !ok || view.State != StateCompleted {
 		return nil, false, nil
 	}
-	report, track := s.persisted(view.Hash)
+	report, track := s.persisted(view.Hash, true, true)
 	if report == nil {
 		return nil, true, nil
 	}

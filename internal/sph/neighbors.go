@@ -54,6 +54,12 @@ type Workspace struct {
 	iad      []bool
 }
 
+// NeighborEntries returns the length of the last neighbour list built in
+// ws and the capacity its buffer keeps.
+func (ws *Workspace) NeighborEntries() (used, held int) {
+	return len(ws.nl.Nbr), cap(ws.nl.Nbr)
+}
+
 // BuildTree constructs the octree for the particle set under params (step 1
 // of Algorithm 1).
 func BuildTree(ps *part.Set, p *Params) *tree.Tree {

@@ -32,7 +32,7 @@ func cubeParams(t *testing.T) *Params {
 // preparedCube returns a periodic uniform cube with tree and neighbor list.
 func preparedCube(t *testing.T, nside int, p *Params) (*part.Set, *NeighborList) {
 	t.Helper()
-	ps, pbc, box := ic.UniformCube(nside, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, nside, p.NNeighbors)
 	p.PBC = pbc
 	p.Box = box
 	tr := BuildTree(ps, p)
@@ -352,7 +352,7 @@ func TestExpansionCools(t *testing.T) {
 	// Expansion is incompatible with fixed periodicity; use vacuum
 	// boundaries (free surface).
 	p := cubeParams(t)
-	ps, _, _ := ic.UniformCube(8, p.NNeighbors)
+	ps, _, _ := ic.UniformCube(nil, 8, p.NNeighbors)
 	for i := 0; i < ps.NLocal; i++ {
 		d := ps.Pos[i].Sub(vec.V3{X: 0.5, Y: 0.5, Z: 0.5})
 		ps.Vel[i] = d.Scale(1)
@@ -406,7 +406,7 @@ func BenchmarkDensity32k(b *testing.B) {
 	if err := p.Defaults(); err != nil {
 		b.Fatal(err)
 	}
-	ps, pbc, box := ic.UniformCube(32, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, 32, p.NNeighbors)
 	p.PBC = pbc
 	p.Box = box
 	tr := BuildTree(ps, p)
@@ -422,7 +422,7 @@ func BenchmarkComputeIAD32k(b *testing.B) {
 	if err := p.Defaults(); err != nil {
 		b.Fatal(err)
 	}
-	ps, pbc, box := ic.UniformCube(32, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, 32, p.NNeighbors)
 	p.PBC = pbc
 	p.Box = box
 	tr := BuildTree(ps, p)
@@ -439,7 +439,7 @@ func BenchmarkMomentumEnergy32k(b *testing.B) {
 	if err := p.Defaults(); err != nil {
 		b.Fatal(err)
 	}
-	ps, pbc, box := ic.UniformCube(32, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, 32, p.NNeighbors)
 	p.PBC = pbc
 	p.Box = box
 	tr := BuildTree(ps, p)
@@ -492,7 +492,7 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 	// an empty list, every other list must stay exact, and downstream
 	// kernels must see an empty neighbor set instead of panicking.
 	p := cubeParams(t)
-	ps, pbc, box := ic.UniformCube(8, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, 8, p.NNeighbors)
 	p.PBC = pbc
 	p.Box = box
 	bad := 5
@@ -517,7 +517,7 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 // lengths scattered around the converged value, so the h iteration shrinks
 // some particles, grows others past the walk margin, and leaves some alone.
 func disorderedCube(p *Params) *part.Set {
-	ps, pbc, box := ic.UniformCube(10, p.NNeighbors)
+	ps, pbc, box := ic.UniformCube(nil, 10, p.NNeighbors)
 	p.PBC, p.Box = pbc, box
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < ps.NLocal; i++ {

@@ -322,13 +322,19 @@ func writeAtomic(path string, data []byte) error {
 	return err
 }
 
-// writeTemp writes data to path's temp file, creating the directory only
-// when the first attempt finds it missing.
-func writeTemp(path string, data []byte) error {
-	tmp := path + ".tmp"
-	err := os.WriteFile(tmp, data, 0o644)
+// writeTemp writes parts, back to back, to path's temp file, creating the
+// directory only when the first attempt finds it missing.
+func writeTemp(path string, parts ...[]byte) error {
+	tmp, flag := path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC
+	f, err := os.OpenFile(tmp, flag, 0o644)
 	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(path), 0o755) == nil {
-		err = os.WriteFile(tmp, data, 0o644)
+		f, err = os.OpenFile(tmp, flag, 0o644)
+	}
+	for i := 0; err == nil && i < len(parts); i++ {
+		_, err = f.Write(parts[i])
+	}
+	if f != nil {
+		err = errors.Join(err, f.Close())
 	}
 	if err != nil {
 		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
@@ -526,7 +532,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 	}
 	path := s.objectPath(hash)
 	if err == nil {
-		err = writeTemp(path, bytes.Join(parts[:], nil))
+		err = writeTemp(path, parts[:]...)
 	}
 
 	s.mu.Lock()

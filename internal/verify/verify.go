@@ -274,7 +274,9 @@ func (r *Report) Sanitize() {
 // resolved per-field quantile.
 func evalFields(rep *Report, in Input) {
 	ps := in.PS
-	var eRho, eV, eP []float64
+	n := ps.NLocal
+	errs := make([]float64, 3*n) // one array for the three fields' errors
+	eRho, eV, eP := errs[:0:n], errs[n:n:2*n], errs[2*n:2*n:3*n]
 	var sRho, sV, sP float64
 	if sc, ok := in.Solution.(analytic.ScaledSolution); ok {
 		st := sc.Scales()
