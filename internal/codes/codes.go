@@ -112,9 +112,6 @@ func SPHflow() *Code {
 	}
 }
 
-// All returns the three parent codes in the paper's order.
-func All() []*Code { return []*Code{SPHYNX(), ChaNGa(), SPHflow()} }
-
 // ByName resolves a code model by (case-tolerant) short name.
 func ByName(name string) (*Code, error) {
 	canon, err := CanonicalName(name)

@@ -42,19 +42,6 @@ func (m Method) String() string {
 	return fmt.Sprintf("method(%d)", int(m))
 }
 
-// ByName returns the method for a CLI name.
-func ByName(name string) (Method, error) {
-	switch name {
-	case "orb":
-		return ORB, nil
-	case "sfc-morton", "morton":
-		return MortonSFC, nil
-	case "sfc-hilbert", "hilbert":
-		return HilbertSFC, nil
-	}
-	return 0, fmt.Errorf("domain: unknown decomposition %q (have orb, sfc-morton, sfc-hilbert)", name)
-}
-
 // Assignment maps each particle index to its owning rank.
 type Assignment []int
 

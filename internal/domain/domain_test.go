@@ -187,14 +187,6 @@ func TestMethodNames(t *testing.T) {
 			t.Errorf("empty name for %d", int(m))
 		}
 	}
-	for _, n := range []string{"orb", "sfc-morton", "sfc-hilbert", "hilbert", "morton"} {
-		if _, err := ByName(n); err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
-		}
-	}
-	if _, err := ByName("zorro"); err == nil {
-		t.Error("unknown method accepted")
-	}
 }
 
 func TestAABBContains(t *testing.T) {

@@ -75,6 +75,10 @@ func DefaultSquarePatch(n int) SquarePatch {
 func (sp SquarePatch) Pressure(x, y float64) float64 {
 	var p float64
 	L := sp.L
+	sy := make([]float64, 0, 16) // sin(kn y) of term n at sy[n/2], the same for every m
+	for n := 1; n <= 2*sp.PressureTerms-1; n += 2 {
+		sy = append(sy, math.Sin(float64(n)*math.Pi/L*y))
+	}
 	for m := 1; m <= 2*sp.PressureTerms-1; m += 2 {
 		mf := float64(m)
 		km := mf * math.Pi / L
@@ -84,7 +88,7 @@ func (sp SquarePatch) Pressure(x, y float64) float64 {
 			kn := nf * math.Pi / L
 			coeff := -32 * sp.Omega * sp.Omega / (mf * nf * math.Pi * math.Pi)
 			coeff /= km*km + kn*kn
-			p += coeff * sx * math.Sin(kn*y)
+			p += coeff * sx * sy[n/2]
 		}
 	}
 	return sp.Rho0 * p
@@ -104,7 +108,23 @@ func (sp SquarePatch) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 	gamma := 7.0
 	b := sp.Rho0 * sp.SoundSpeed * sp.SoundSpeed / gamma
 	cellVol := dx * dx * dx
-	nd := 1 / cellVol
+	h := hFromDensity(1/cellVol, sp.NNeighbors)
+
+	// The pressure depends on (x, y) alone, so the series is summed once
+	// per column and its density copied to the column's nz particles.
+	colRho := make([]float64, nx*ny)
+	for iy := 0; iy < ny; iy++ {
+		y := (float64(iy) + 0.5) * dx
+		for ix := 0; ix < nx; ix++ {
+			x := (float64(ix) + 0.5) * dx
+			// Invert Tait: rho = rho0 (1 + P/B)^(1/gamma).
+			ratio := 1 + sp.Pressure(x, y)/b
+			if ratio < 0.1 {
+				ratio = 0.1 // guard: extreme negative pressure corner
+			}
+			colRho[iy*nx+ix] = sp.Rho0 * math.Pow(ratio, 1/gamma)
+		}
+	}
 
 	i := 0
 	for iz := 0; iz < nz; iz++ {
@@ -119,16 +139,10 @@ func (sp SquarePatch) Generate(into *part.Set) (*part.Set, tree.PBC, sfc.Box) {
 				xc := x - sp.L/2
 				yc := y - sp.L/2
 				ps.Vel[i] = vec.V3{X: sp.Omega * yc, Y: -sp.Omega * xc}
-				p0 := sp.Pressure(x, y)
-				// Invert Tait: rho = rho0 (1 + P/B)^(1/gamma).
-				ratio := 1 + p0/b
-				if ratio < 0.1 {
-					ratio = 0.1 // guard: extreme negative pressure corner
-				}
-				rho := sp.Rho0 * math.Pow(ratio, 1/gamma)
+				rho := colRho[iy*nx+ix]
 				ps.Rho[i] = rho
 				ps.Mass[i] = rho * cellVol
-				ps.H[i] = hFromDensity(nd, sp.NNeighbors)
+				ps.H[i] = h
 				ps.U[i] = 0
 				i++
 			}

@@ -278,11 +278,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return defaultRegistry }
-
 // family registers (or fetches) one family; re-registration with a
 // different schema panics — that is a programming error, not runtime state.
 func (r *Registry) family(name, help string, kind metricKind, labelNames []string, buckets []float64) *family {
