@@ -10,10 +10,19 @@
 // analytic reference (GET /v1/jobs/{id}/metrics), and POST /v1/experiments
 // runs whole N-convergence sweeps server-side, persisting the norm-vs-N
 // regression like any result. Completed results and their verification
-// reports persist in a content-addressed disk store (internal/store, objects
-// sharded by hash prefix) under -store-dir, bounded by -store-ttl and
-// -store-max-bytes, so identical resubmissions hit disk even across
-// restarts; an empty -store-dir is a temporary directory removed at exit. A
+// reports persist in a content-addressed disk store (internal/store) under
+// -store-dir, bounded by -store-ttl and -store-max-bytes, so identical
+// resubmissions hit disk even across restarts; an empty -store-dir is a
+// temporary directory removed at exit. A result is one append to the active
+// pack, <store-dir>/packs/<n>.pack, beside index.json and its journal
+// index.log; no result creates a file of its own. -store-max-bytes caps the
+// live record bytes; the dead bytes evictions leave in the packs are
+// compacted away by every sweep and every start, after which the packs hold
+// at most twice the live bytes plus one 4 MiB pack. A record write that fails
+// (a full disk, a short write, packs/ not a directory) stores nothing and
+// the job completes from memory, counted in job_persist_failures_total; a
+// corrupt record is quarantined, never served; a torn tail left by a killed
+// process is dead bytes. The README's fault matrix lists each store row. A
 // background goroutine sweeps the TTL/LRU eviction policy every
 // -store-sweep so idle entries expire without traffic, terminal jobs leave
 // the job table on the same TTL, and GET /v1/store reports store metrics.
@@ -80,7 +89,7 @@ func main() {
 		storeDir  = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
 		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
-		storeMax = flag.Int64("store-max-bytes", 0, "cap on total stored bytes (snapshots plus their report and telemetry attachments), LRU-evicted (0 = unbounded)")
+		storeMax = flag.Int64("store-max-bytes", 0, "cap on live record bytes (snapshots plus their report and telemetry regions), LRU-evicted (0 = unbounded)")
 		sweep    = flag.Duration("store-sweep", time.Minute,
 			"interval between background TTL/LRU eviction sweeps of the result store (0 leaves eviction to submissions/reads)")
 		pprofAddr = flag.String("pprof-addr", "",

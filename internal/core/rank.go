@@ -156,18 +156,16 @@ func (k *rank) charge(ph PhaseID, fn func()) {
 	}
 }
 
-// exchange brings the ghosts up to date for phase ph (whose letter tags the
-// messages): every rank sends each peer the owned particles that peer holds
-// as ghosts and overwrites its own ghosts with what the peers send; the
-// PhaseNeighbors exchange is the one that lays the ghosts out, one block per
-// peer. Particles travel whole and by reference — what a real code would put
-// on the wire at this point is bytesPerParticle, which is all the modeled
-// clock sees.
-func (k *rank) exchange(ph PhaseID, bytesPerParticle float64) {
-	local, tag := k.st.ps, int(ph[0])
+// exchange lays the ghosts out: every rank sends each peer the owned
+// particles that peer holds as ghosts and appends what the peers send, one
+// block per peer. Particles travel whole and by reference — what a real code
+// would put on the wire at this point is domain.HaloBytesPerParticle, which
+// is all the modeled clock sees.
+func (k *rank) exchange() {
+	local, tag := k.st.ps, int(PhaseNeighbors[0])
 	for peer, idxs := range k.plan.ToPeer {
 		if peer != k.r.ID {
-			k.r.Send(peer, tag, int(float64(len(idxs))*bytesPerParticle*k.byteScale), local.Select(idxs))
+			k.r.Send(peer, tag, int(float64(len(idxs))*domain.HaloBytesPerParticle*k.byteScale), local.Select(idxs))
 		}
 	}
 	for peer := range k.plan.ToPeer {
@@ -175,9 +173,7 @@ func (k *rank) exchange(ph PhaseID, bytesPerParticle float64) {
 			continue
 		}
 		sub := k.r.Recv(peer, tag).(*part.Set)
-		if ph == PhaseNeighbors {
-			k.ghostFrom[peer] = local.GrowGhosts(sub.NLocal)
-		}
+		k.ghostFrom[peer] = local.GrowGhosts(sub.NLocal)
 		for i := 0; i < sub.NLocal; i++ {
 			local.CopyFrom(k.ghostFrom[peer]+i, sub, i)
 		}
@@ -217,7 +213,7 @@ func (k *rank) haloNeighbors() {
 			}
 			margin = 2 * ghmax * 1.5
 			k.plan = domain.PlanHalo(local, peerBoxes, r.ID, margin, k.p.PBC)
-			k.exchange(PhaseNeighbors, domain.HaloBytesPerParticle)
+			k.exchange()
 		})
 		k.st.neighbors(k.charge)
 		hmax = r.AllreduceF64([]float64{k.st.ext.HMax}, simmpi.MaxF64)[0]
@@ -228,14 +224,53 @@ func (k *rank) haloNeighbors() {
 	k.haloFracs[r.ID] = float64(local.NGhost()) / math.Max(1, float64(local.NLocal))
 }
 
-// refreshGhosts is the stepper's hydro hook: owners send the named phase
-// group's results to the ranks holding replicas.
+// refreshGhosts is the stepper's hydro hook: owners send the ranks holding
+// replicas the fields the named phase group computed, and only those — rho,
+// P, c, VE and h after E+F, Tau after G — gathered at plan.ToPeer, and each
+// receiver writes them into the ghost slots exchange laid out. Every send is
+// a fresh slice: simmpi passes payloads by reference.
 func (k *rank) refreshGhosts(ph PhaseID) {
+	local, tag := k.st.ps, int(ph[0])
 	bytes := 5 * 8.0 // rho, P, c, VE and h after E+F
 	if ph == PhaseIAD {
 		bytes = 6 * 8 // the symmetric IAD matrix after G
 	}
-	k.comm(ph, func() { k.exchange(ph, bytes) })
+	k.comm(ph, func() {
+		for peer, idxs := range k.plan.ToPeer {
+			if peer == k.r.ID {
+				continue
+			}
+			var payload any
+			if ph == PhaseIAD {
+				tau := make([]vec.Sym33, len(idxs))
+				for j, i := range idxs {
+					tau[j] = local.Tau[i]
+				}
+				payload = tau
+			} else {
+				f := make([]float64, 0, 5*len(idxs))
+				for _, i := range idxs {
+					f = append(f, local.Rho[i], local.P[i], local.C[i], local.VE[i], local.H[i])
+				}
+				payload = f
+			}
+			k.r.Send(peer, tag, int(float64(len(idxs))*bytes*k.byteScale), payload)
+		}
+		for peer := range k.plan.ToPeer {
+			if peer == k.r.ID {
+				continue
+			}
+			g := k.ghostFrom[peer]
+			switch msg := k.r.Recv(peer, tag).(type) {
+			case []vec.Sym33:
+				copy(local.Tau[g:], msg)
+			case []float64:
+				for j := 0; j+5 <= len(msg); j, g = j+5, g+1 {
+					local.Rho[g], local.P[g], local.C[g], local.VE[g], local.H[g] = msg[j], msg[j+1], msg[j+2], msg[j+3], msg[j+4]
+				}
+			}
+		}
+	})
 }
 
 // gravity is phase I with a replicated coarse solver: every rank contributes

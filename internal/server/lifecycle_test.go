@@ -337,12 +337,12 @@ func TestDerivedLifecycleContract(t *testing.T) {
 			first := c.view("POST", k.route, k.body, http.StatusAccepted)
 			<-gate.entered
 			// The members are done and persisted; now the store loses its
-			// object directory to a plain file, so the result's Put fails.
-			objects := filepath.Join(dir, "objects")
-			if err := os.RemoveAll(objects); err != nil {
+			// pack directory to a plain file, so the result's Put fails.
+			packs := filepath.Join(dir, "packs")
+			if err := os.RemoveAll(packs); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(objects, []byte("not a directory"), 0o644); err != nil {
+			if err := os.WriteFile(packs, []byte("not a directory"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			close(gate.release)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -140,17 +141,18 @@ func TestCorruptStoredResultRecomputed(t *testing.T) {
 	waitState(t, s1, view.ID, StateCompleted, 60*time.Second)
 	s1.Close()
 
-	// Flip a byte in the stored object (sharded layout: objects/ab/<hash>.sph).
-	objects, err := filepath.Glob(filepath.Join(storeDir, "objects", "*", "*.sph"))
-	if err != nil || len(objects) != 1 {
-		t.Fatalf("objects on disk: %v (err %v)", objects, err)
+	// Flip a byte in the middle of the stored snapshot, in its pack.
+	m, ok := st1.Get(view.Hash)
+	if !ok {
+		t.Fatal("the completed job's result is not stored")
 	}
-	raw, err := os.ReadFile(objects[0])
+	pack := filepath.Join(storeDir, "packs", fmt.Sprintf("%d.pack", m.Pack))
+	raw, err := os.ReadFile(pack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(objects[0], raw, 0o644); err != nil {
+	raw[m.Off+m.Size/2] ^= 0xFF
+	if err := os.WriteFile(pack, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

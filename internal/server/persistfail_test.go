@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,10 +27,10 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The store creates objects/ on first use; a regular file in its place
+	// The store creates packs/ on first use; a regular file in its place
 	// fails every record write (as root too, which a chmod would not).
-	objects := filepath.Join(dir, "objects")
-	if err := os.WriteFile(objects, nil, 0o644); err != nil {
+	packs := filepath.Join(dir, "packs")
+	if err := os.WriteFile(packs, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs lockedBuffer
@@ -70,7 +72,7 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	}
 	s.Close()
 
-	if err := os.Remove(objects); err != nil {
+	if err := os.Remove(packs); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := store.Open(dir, store.Options{})
@@ -98,5 +100,51 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	}
 	if track2, ok := s2.Telemetry(again.ID); !ok || track2 == nil {
 		t.Error("the recomputed job serves no track")
+	}
+}
+
+// TestServedJobsCreateNoFiles: storing a result appends to a pack and
+// creates no file. After the first job the store directory holds the index,
+// its journal and one pack; 30 more distinct jobs, each stored, leave it
+// with not one file more.
+func TestServedJobsCreateNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, Store: st})
+	defer s.Close()
+	files := func() []string {
+		var names []string
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				names = append(names, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	var first []string
+	for i := range 31 {
+		spec := sedovSpec(1)
+		spec.Params.Extra = map[string]float64{"energy": 1 + float64(i)/64}
+		view, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+		if _, ok := st.Get(view.Hash); !ok {
+			t.Fatalf("job %d's result is not stored", i)
+		}
+		if i == 0 {
+			first = files()
+		}
+	}
+	if after := files(); !reflect.DeepEqual(after, first) {
+		t.Errorf("after the first job the store held %q; 30 jobs later %q", first, after)
 	}
 }

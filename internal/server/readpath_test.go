@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,9 +20,15 @@ import (
 // object under a live entry is damaged or gone, and snapshot readers racing
 // the writes of a byte-capped store.
 
-// objectFile is where the store keeps the snapshot of hash.
-func objectFile(storeDir, hash string) string {
-	return filepath.Join(storeDir, "objects", hash[:2], hash+".sph")
+// objectFile is where the store keeps the snapshot of hash: its pack file,
+// and the snapshot's offset there.
+func objectFile(t *testing.T, st *store.Store, storeDir, hash string) (string, int64) {
+	t.Helper()
+	m, ok := st.Get(hash)
+	if !ok {
+		t.Fatalf("no entry %s", hash)
+	}
+	return filepath.Join(storeDir, "packs", fmt.Sprintf("%d.pack", m.Pack)), m.Off
 }
 
 // fetchSnapshot GETs a job's snapshot and returns the status, the body and
@@ -69,12 +76,12 @@ func TestFlippedSnapshotByteNeverServed(t *testing.T) {
 			t.Fatalf("N=%d snapshot is %d bytes: the case no longer covers what it is named for", n, len(want))
 		}
 		for i, off := range []int{0, len(want) / 2, len(want) - 1} {
-			path := objectFile(dir, view.Hash)
+			path, at := objectFile(t, st, dir, view.Hash)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw[off] ^= 0x01
+			raw[at+int64(off)] ^= 0x01
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +117,7 @@ func TestFlippedSnapshotByteNeverServed(t *testing.T) {
 	}
 }
 
-// TestSnapshotLostUnderLiveEntryIsAMiss: an object file that disappears
+// TestSnapshotLostUnderLiveEntryIsAMiss: a pack that disappears
 // while its entry is live — after the lookup that found it, before the read
 // — is a miss, not a quarantine: 410, nothing in quarantine/, the entry
 // gone, and the next submit recomputes.
@@ -129,8 +136,8 @@ func TestSnapshotLostUnderLiveEntryIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-	if err := os.Remove(objectFile(dir, view.Hash)); err != nil {
-		t.Fatal(err)
+	if path, _ := objectFile(t, st, dir, view.Hash); os.Remove(path) != nil {
+		t.Fatal("cannot remove the pack")
 	}
 	if status, _, _ := fetchSnapshot(ts, view.ID); status != http.StatusGone {
 		t.Errorf("lost object: status %d, want 410", status)

@@ -964,13 +964,13 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 }
 
 // persist writes the result into the store as one record: snapshot, report
-// and track in one call and one file, stored whole or not at all, then one
-// eviction pass and one index write. It reports whether the entry is live
-// after that pass; if the record could not be written, or the pass evicted
-// it at once (larger than the whole byte budget), the bytes stay in memory
-// so the result stays fetchable. What the store failed to write (the
-// record or the index entry) is logged and counted; the job completes,
-// served from memory.
+// and track in one call and one append to a pack, stored whole or not at
+// all, then one eviction pass and one index write. It reports whether the
+// entry is live after that pass; if the record could not be written, or the
+// pass evicted it at once (larger than the whole byte budget), the bytes
+// stay in memory so the result stays fetchable. What the store failed to
+// write (the record or the index entry) is logged and counted; the job
+// completes, served from memory.
 func (s *Server) persist(job *Job, result *cachedResult) (kept bool) {
 	kept, errs := s.opts.Store.PutResult(store.Meta{
 		Hash:      job.Hash,

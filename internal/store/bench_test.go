@@ -15,27 +15,30 @@ import (
 // that already holds 64 or 4096 results. What a write costs must not depend
 // on how many results came before it: the two sub-benchmarks read within
 // 1.5× of each other, where a store that rewrites its index per write
-// differs by the index size. ns/op is one file creation on whatever disk
-// the temp directory is on, and wanders with it; index-B/op — the bytes
-// index.log grew by plus every index.json a write left — is exact.
+// differs by the index size. ns/op is an append to the active pack — one
+// pwrite a region, and a pack's creation once per packLimit bytes — on
+// whatever disk the temp directory is on; index-B/op — the bytes index.log
+// grew by plus every index.json a write left — is exact.
 func BenchmarkPutResult(b *testing.B) {
 	snapshot := bytes.Repeat([]byte{'s'}, 42580)
 	report := bytes.Repeat([]byte{'r'}, 1644)
 	track := bytes.Repeat([]byte{'t'}, 787)
 	for _, entries := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
-			// The standing results are written as files and an index, not by
-			// PutResult, so the set-up costs the same on both sides of a
-			// comparison; their objects are tiny, only their number matters.
+			// The standing results are written as a pack and an index, not
+			// by PutResult, so the set-up costs the same on both sides of a
+			// comparison; their records are tiny, only their number matters.
 			idx := indexFile{Version: 1, Entries: map[string]*Meta{}}
-			files := map[string][]byte{}
+			var pack []byte
 			for i := 0; i < entries; i++ {
 				hash := fmt.Sprintf("%02x%062x", i%256, i)
 				obj := []byte("SPH1 " + hash)
 				idx.Entries[hash] = &Meta{Hash: hash, Particles: 216, Steps: 2, Size: int64(len(obj)),
-					CRC: crc64.Checksum(obj, crcTable), CreatedAt: 1_000_000, LastUsed: 1_000_000}
-				files["objects/"+hash[:2]+"/"+hash+".sph"] = obj
+					CRC: crc64.Checksum(obj, crcTable), CreatedAt: 1_000_000, LastUsed: 1_000_000,
+					Pack: 1, Off: int64(len(pack))}
+				pack = append(pack, obj...)
 			}
+			files := map[string][]byte{"packs/1.pack": pack}
 			var err error
 			if files["index.json"], err = json.Marshal(idx); err != nil {
 				b.Fatal(err)

@@ -13,12 +13,14 @@ import (
 // FuzzOpenIndex: Open over a directory holding two real records and
 // arbitrary bytes as index.json. Whatever the index says, Open must not
 // panic or fail; the accounting must equal both the entries it kept and the
-// bytes actually on disk; every entry it kept must serve a verified object;
+// live regions as the packs hold them, and the packs hold at most twice
+// that plus one pack; every entry it kept must serve a verified object;
 // and a second Open must keep the same entries. The checked-in corpus
 // (testdata/fuzz/FuzzOpenIndex) holds the index of exactly this directory,
 // a truncation of it, a null entry, negative and oversized sizes, an entry
-// that lost a slot its file still fills, a key that aliases another
-// entry's object (alone and beside that entry), and legacy profile keys.
+// that lost a slot its record still fills, a key that is no plain name but
+// names another entry's record (alone and beside that entry), and legacy
+// profile keys.
 func FuzzOpenIndex(f *testing.F) {
 	// The two records, written by a real store under a fixed clock.
 	seedDir := f.TempDir()
@@ -55,8 +57,8 @@ func FuzzOpenIndex(f *testing.F) {
 		if st := s.Stats(); st.Bytes != sum || st.Bytes != st.ObjectBytes+st.ReportBytes+st.TelemetryBytes {
 			t.Errorf("Stats %+v, but the live entries hold %d bytes", st, sum)
 		}
-		if disk := diskBytesAll(t, dir); disk != sum {
-			t.Errorf("accounting says %d bytes, the disk holds %d", sum, disk)
+		if live, packed := liveBytes(t, s), packBytes(t, dir); live != sum || packed > 2*sum+packLimit {
+			t.Errorf("accounting says %d bytes; the live regions hold %d, the packs %d", sum, live, packed)
 		}
 		for _, hash := range live {
 			if _, _, err := s.ReadObject(hash); err != nil {
@@ -102,8 +104,9 @@ func journalFuzzDir(t testing.TB) (files map[string][]byte, log []byte) {
 // (checkOpenInvariants). The checked-in corpus
 // (testdata/fuzz/FuzzJournalReplay) is cut from the real log: the log
 // itself (two puts the index already holds), a torn tail, a bad CRC, a del
-// of a live and of an unknown hash, puts whose hash aliases another entry's
-// object path, a put repeated, and puts that lie about their sizes.
+// of a live and of an unknown hash, puts under a hash that is an old
+// object path or another entry's, a put repeated, and puts that lie about
+// their sizes.
 func FuzzJournalReplay(f *testing.F) {
 	files, log := journalFuzzDir(f)
 	f.Add(log)
@@ -133,7 +136,7 @@ func FuzzRecordRegions(f *testing.F) {
 	s.PutResult(Meta{Hash: hash, Particles: 8, Steps: 1}, written[0], written[1], written[2])
 	s.Sweep()
 	files := tree(f, dir)
-	name := "objects/aa/" + hash + ".sph"
+	name := "packs/1.pack" // the record is the pack's only one
 	record := files[name]
 
 	f.Fuzz(func(t *testing.T, how uint8, at uint16, extra []byte) {

@@ -36,9 +36,11 @@ const compactSlack = 1024
 // journalLocked makes the changes to the dirty hashes durable: one frame per
 // hash with the entry's present state, all in one append to index.log — before
 // the compaction it may set off, so only after a failed append does index.json
-// hold a state the log lacks (a stale put then fails the object's CRC at Open).
+// hold a state the log lacks (a stale put then fails the record's CRC at
+// Open). What is journaled is durable, so the packs it emptied go then.
 func (s *Store) journalLocked() error {
 	if len(s.dirty) == 0 {
+		s.reapLocked()
 		return nil
 	}
 	if s.logTorn {
@@ -70,6 +72,7 @@ func (s *Store) journalLocked() error {
 		return s.saveIndexLocked()
 	}
 	s.dirty = s.dirty[:0]
+	s.reapLocked()
 	return nil
 }
 

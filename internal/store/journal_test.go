@@ -50,7 +50,8 @@ func liveHashes(s *Store) []string {
 
 // checkOpenInvariants opens dir twice and checks what Open promises over any
 // index.json and index.log: it does not fail; the accounting equals the
-// entries it kept and the bytes on disk; every kept entry serves a verified
+// entries it kept and the live regions as the packs hold them, and the packs
+// hold at most twice that plus one pack; every kept entry serves a verified
 // object; the second Open keeps the same entries and finds nothing more to
 // quarantine. It returns the first store.
 func checkOpenInvariants(t *testing.T, dir string) *Store {
@@ -66,8 +67,8 @@ func checkOpenInvariants(t *testing.T, dir string) *Store {
 	if st := s.Stats(); st.Bytes != sum || st.Bytes != st.ObjectBytes+st.ReportBytes+st.TelemetryBytes {
 		t.Errorf("Stats %+v, but the live entries hold %d bytes", st, sum)
 	}
-	if disk := diskBytesAll(t, dir); disk != sum {
-		t.Errorf("accounting says %d bytes, the disk holds %d", sum, disk)
+	if live, packed := liveBytes(t, s), packBytes(t, dir); live != sum || packed > 2*sum+packLimit {
+		t.Errorf("accounting says %d bytes; the live regions hold %d, the packs %d", sum, live, packed)
 	}
 	live := liveHashes(s)
 	for _, hash := range live {
@@ -101,29 +102,23 @@ func openOver(t *testing.T, files map[string][]byte, log []byte) (*Store, string
 }
 
 // wantPrefix: the store holds exactly hashes[:k], each served whole, and
-// the record of every later hash sits in quarantine, not deleted, and
-// nowhere else.
-func wantPrefix(t *testing.T, s *Store, dir string, files map[string][]byte, hashes []string, k int) {
+// the record of every later hash, which no journal record vouches for, is
+// dead bytes: not served, not quarantined.
+func wantPrefix(t *testing.T, s *Store, hashes []string, k int) {
 	t.Helper()
 	if live := liveHashes(s); !reflect.DeepEqual(live, append([]string{}, hashes[:k]...)) {
 		t.Errorf("live entries %q, want %q", live, hashes[:k])
 	}
-	if s.Stats().Quarantined != len(hashes)-k {
-		t.Errorf("quarantined %d objects, want %d", s.Stats().Quarantined, len(hashes)-k)
+	if s.Stats().Quarantined != 0 {
+		t.Errorf("quarantined %d, want the unvouched records dead, not quarantined", s.Stats().Quarantined)
 	}
 	for i, hash := range hashes {
-		obj := files["objects/"+hash[:2]+"/"+hash+".sph"]
-		if i < k {
-			if got, ok := s.ReadReport(hash); !ok || string(got) != `{"pass":true,"of":"`+hash+`"}` {
-				t.Errorf("entry %s lost its report: %q ok=%v", hash, got, ok)
-			}
-			continue
+		got, ok := s.ReadReport(hash)
+		if i < k && (!ok || string(got) != `{"pass":true,"of":"`+hash+`"}`) {
+			t.Errorf("entry %s lost its report: %q ok=%v", hash, got, ok)
 		}
-		if got, err := os.ReadFile(filepath.Join(dir, "quarantine", hash+".sph")); err != nil || !bytes.Equal(got, obj) {
-			t.Errorf("object %s, which no record vouches for, is not in quarantine: %v", hash, err)
-		}
-		if _, err := os.Stat(objPath(dir, hash)); !os.IsNotExist(err) {
-			t.Errorf("record of the unvouched %s left in objects/: %v", hash, err)
+		if i >= k && ok {
+			t.Errorf("the unvouched %s serves its report", hash)
 		}
 	}
 }
@@ -134,8 +129,8 @@ func TestLogTruncatedAtEveryOffset(t *testing.T) {
 	files, hashes := journaled(t, 3)
 	log := files["index.log"]
 	for off := 0; off <= len(log); off++ {
-		s, dir := openOver(t, files, log[:off])
-		wantPrefix(t, s, dir, files, hashes, bytes.Count(log[:off], []byte("\n")))
+		s, _ := openOver(t, files, log[:off])
+		wantPrefix(t, s, hashes, bytes.Count(log[:off], []byte("\n")))
 		if t.Failed() {
 			t.Fatalf("log truncated to %d of %d bytes", off, len(log))
 		}
@@ -152,22 +147,22 @@ func TestLogBadFrameEndsReplay(t *testing.T) {
 	for _, at := range []int{first, first + 16, first + 17, (first + second) / 2, second - 2, second - 1} {
 		bad := append([]byte{}, log...)
 		bad[at] ^= 0x01
-		s, dir := openOver(t, files, bad)
-		wantPrefix(t, s, dir, files, hashes, 1)
+		s, _ := openOver(t, files, bad)
+		wantPrefix(t, s, hashes, 1)
 		if t.Failed() {
 			t.Fatalf("byte %d of the log flipped (middle record is [%d,%d))", at, first, second)
 		}
 	}
 }
 
-// TestFilesWithoutRecordQuarantined: a process killed between the rename
-// and the append leaves a record file no journal record names. It is
-// quarantined, and the hash is a miss that can be written again.
-func TestFilesWithoutRecordQuarantined(t *testing.T) {
+// TestRecordWithoutJournalRecordIsDead: a process killed between the write
+// and the append leaves a record no journal record names. Its bytes are
+// dead, not quarantined, and the hash is a miss that can be written again.
+func TestRecordWithoutJournalRecordIsDead(t *testing.T) {
 	files, hashes := journaled(t, 2)
 	log := files["index.log"]
 	s, dir := openOver(t, files, log[:bytes.IndexByte(log, '\n')+1])
-	wantPrefix(t, s, dir, files, hashes, 1)
+	wantPrefix(t, s, hashes, 1)
 	lost := hashes[1]
 	if _, ok := s.Get(lost); ok {
 		t.Fatalf("%s is served though its record was never written", lost)
@@ -184,15 +179,21 @@ func TestFilesWithoutRecordQuarantined(t *testing.T) {
 	}
 }
 
-// TestReplayedPutNeedsItsObject: a put record vouches for an object only
-// while the object is there and matches; a del record for a hash the index
-// never held is not an error.
+// TestReplayedPutNeedsItsObject: a put record vouches for a record only
+// while its pack is there and the record matches; a del record for a hash
+// the index never held is not an error.
 func TestReplayedPutNeedsItsObject(t *testing.T) {
 	files, hashes := journaled(t, 3)
 	missing, corrupt := hashes[0], hashes[1]
-	delete(files, "objects/"+missing[:2]+"/"+missing+".sph")
-	files["objects/"+corrupt[:2]+"/"+corrupt+".sph"][5] ^= 0xff
-	log, err := appendFrame(files["index.log"], record{Del: "feedbeef"})
+	entries := map[string]*Meta{}
+	replay(files["index.log"], entries)
+	files["packs/1.pack"][entries[corrupt].Off+5] ^= 0xff
+	gone := *entries[missing]
+	gone.Pack = 7 // a pack that is not there
+	log, err := appendFrame(files["index.log"], record{Put: &gone})
+	if err == nil {
+		log, err = appendFrame(log, record{Del: "feedbeef"})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +202,14 @@ func TestReplayedPutNeedsItsObject(t *testing.T) {
 		t.Errorf("live entries %q, want only %q", live, hashes[2:])
 	}
 	if s.Stats().Quarantined != 1 {
-		t.Errorf("quarantined %d, want the corrupt object alone (a missing one has nothing to move)", s.Stats().Quarantined)
+		t.Errorf("quarantined %d, want the corrupt record alone (a missing one has nothing to copy)", s.Stats().Quarantined)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", corrupt+".sph")); err != nil {
+		t.Errorf("the corrupt record is not in quarantine: %v", err)
 	}
 	for _, hash := range hashes[:2] {
-		if _, err := os.Stat(objPath(dir, hash)); !os.IsNotExist(err) {
-			t.Errorf("record of the dropped %s left in objects/: %v", hash, err)
+		if _, ok := s.Get(hash); ok {
+			t.Errorf("the dropped %s is served", hash)
 		}
 	}
 }
@@ -225,13 +229,17 @@ func TestUnsweptStoreReopens(t *testing.T) {
 		s.PutResult(Meta{Hash: hash, Steps: i}, bytes.Repeat([]byte{'s'}, 60), []byte("report "+hash), []byte("track "+hash))
 	}
 	s.PutResult(Meta{Hash: "0007", Steps: 70}, bytes.Repeat([]byte{'S'}, 61), []byte("report again"), nil)
-	flipByte(t, objPath(dir, "0006"), s.entries["0006"].Size+3) // a byte of its report
+	path, off := where(t, s, "0006")
+	flipByte(t, path, off+s.entries["0006"].Size+3) // a byte of its report
 	if _, ok := s.ReadReport("0006"); ok {
 		t.Fatal("a report that fails its CRC is served")
 	}
+	// Where a record lies is the store's to change: Open may compact it.
 	want := map[string]Meta{}
 	for hash, m := range s.entries {
-		want[hash] = *m
+		w := *m
+		w.Pack, w.Off = 0, 0
+		want[hash] = w
 	}
 	if st := s.Stats(); st.Evictions == 0 || len(want) == 0 || want["0007"].Steps != 70 || want["0006"].ReportSize != 0 {
 		t.Fatalf("the set-up did not evict, overwrite and clear a slot: %+v %+v", st, want)
@@ -243,7 +251,9 @@ func TestUnsweptStoreReopens(t *testing.T) {
 	again := checkOpenInvariants(t, dir)
 	got := map[string]Meta{}
 	for hash, m := range again.entries {
-		got[hash] = *m
+		g := *m
+		g.Pack, g.Off = 0, 0
+		got[hash] = g
 	}
 	if !reflect.DeepEqual(got, want) || again.Stats().Quarantined != 0 {
 		t.Errorf("reopened store holds\n%+v\nwant\n%+v\n(quarantined %d)", got, want, again.Stats().Quarantined)
@@ -278,9 +288,10 @@ func TestLogCompactsItself(t *testing.T) {
 	}
 }
 
-// TestFailedWriteLeavesNoTempFile: a write that fails part-way removes its
-// temp file (here a symlink to /dev/full, so the open succeeds and the write
-// does not), and Open removes the temp files a killed process left.
+// TestFailedWriteLeavesNoTempFile: a write that fails (here the active pack
+// is a symlink to /dev/full, so the open succeeds and the write does not)
+// stores nothing and leaves no file behind, and Open removes the temp files
+// a killed process left.
 func TestFailedWriteLeavesNoTempFile(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail a write with")
@@ -290,18 +301,21 @@ func TestFailedWriteLeavesNoTempFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := objPath(dir, "aaaa") + ".tmp"
-	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
+	full := s.packPath(s.active)
+	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Symlink("/dev/full", tmp); err != nil {
+	if err := os.Symlink("/dev/full", full); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(Meta{Hash: "aaaa"}, []byte("SPH1 payload")); err == nil {
 		t.Fatal("a write to a full device succeeded")
 	}
-	if _, err := os.Lstat(tmp); !os.IsNotExist(err) {
-		t.Errorf("the failed write left %s behind: %v", tmp, err)
+	if err := os.Remove(full); err != nil {
+		t.Fatal(err)
+	}
+	if names := keys(tree(t, dir)); !reflect.DeepEqual(names, []string{"index.json"}) {
+		t.Errorf("the failed write left %q", names)
 	}
 	if s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
 		t.Errorf("the failed write is accounted: %d entries, %d bytes", s.Stats().Entries, s.Stats().Bytes)
@@ -311,8 +325,9 @@ func TestFailedWriteLeavesNoTempFile(t *testing.T) {
 	for _, name := range strays {
 		writeTree(t, dir, map[string][]byte{name: []byte("half a file")})
 	}
-	put(t, s, "dddd", 16)
-	if _, err := Open(dir, Options{}); err != nil {
+	want := put(t, s, "dddd", 16)
+	again, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for name := range tree(t, dir) {
@@ -320,8 +335,8 @@ func TestFailedWriteLeavesNoTempFile(t *testing.T) {
 			t.Errorf("Open left the stray %s", name)
 		}
 	}
-	if _, err := os.Stat(objPath(dir, "dddd")); err != nil {
-		t.Errorf("the sweep of temp files took a live object: %v", err)
+	if got, _, err := again.ReadObject("dddd"); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the sweep of temp files took a live record: %v", err)
 	}
 }
 
@@ -351,9 +366,9 @@ func TestExpiryOnReadCountsAsEviction(t *testing.T) {
 // and its delete leaves the new index.json beside the old log. A log that
 // holds all the index holds (every append succeeded) replays to the same
 // entries. A log that lacks the index's last state of a hash (that append
-// failed) reverts the entry to an older put, which the object no longer
-// matches: the entry is dropped and the object quarantined — a recompute,
-// never the old record's sizes over the new bytes.
+// failed) reverts the entry to an older put, whose record its pack still
+// holds, dead but whole: the entry serves that earlier record, byte for
+// byte — never the old record's sizes over the new bytes.
 func TestStaleLogBesideNewIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{Now: newClock().now})
@@ -376,12 +391,12 @@ func TestStaleLogBesideNewIndex(t *testing.T) {
 		t.Errorf("the overwritten entry after the replay: %+v ok=%v", m, ok)
 	}
 
-	reverted, rdir := openOver(t, files, older)
-	if live := liveHashes(reverted); !reflect.DeepEqual(live, []string{"aaaa1111"}) || reverted.Stats().Quarantined != 1 {
-		t.Errorf("an older put over a newer object: live %q, quarantined %d, want the entry dropped", live, reverted.Stats().Quarantined)
+	reverted, _ := openOver(t, files, older)
+	if live := liveHashes(reverted); !reflect.DeepEqual(live, []string{"aaaa1111", "bbbb2222"}) || reverted.Stats().Quarantined != 0 {
+		t.Errorf("an older put beside a newer record: live %q, quarantined %d, want both entries", live, reverted.Stats().Quarantined)
 	}
-	if got, err := os.ReadFile(filepath.Join(rdir, "quarantine", "bbbb2222.sph")); err != nil || !bytes.Equal(got, files["objects/bb/bbbb2222.sph"]) {
-		t.Errorf("the object the older put disowned is not in quarantine: %q, %v", got, err)
+	if got, m, err := reverted.ReadObject("bbbb2222"); err != nil || string(got) != "SPH1 second" || m.Steps != 1 {
+		t.Errorf("the reverted entry serves %q (steps %d), %v; want its earlier record", got, m.Steps, err)
 	}
 	if kept, errs := reverted.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 recomputed"), nil, nil); !kept || len(errs) != 0 {
 		t.Errorf("the recomputed result is not stored: kept=%v errs=%v", kept, errs)

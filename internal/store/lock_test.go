@@ -1,5 +1,3 @@
-//go:build unix
-
 package store
 
 import (
@@ -7,19 +5,25 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"syscall"
 	"testing"
 	"time"
 )
 
+// swapWriteAt makes fn the write seam until the test ends.
+func swapWriteAt(t testing.TB, fn func(f *os.File, b []byte, off int64) (int, error)) {
+	t.Helper()
+	orig := writeAt
+	writeAt = fn
+	t.Cleanup(func() { writeAt = orig })
+}
+
 // TestRecordWriteOutsideTheLock: a PutResult held inside its record write —
-// its temp file is a FIFO nobody reads yet — does not hold the store. Get,
-// Stats, ReadReport and a PutResult of another hash complete meanwhile, and
-// the held hash serves its earlier record whole. A second writer of the held
-// hash waits for the first instead of sharing its temp file. Released (the
-// reader takes part of the record and hangs up), the held write fails,
-// stores nothing and leaves no temp file, and the second writer's record is
-// then stored whole.
+// the write seam waits on the test — does not hold the store. Get, Stats,
+// ReadReport and a PutResult of another hash complete meanwhile, and the
+// held hash serves its earlier record whole. A second writer of the held
+// hash waits for the first instead of racing it. Released (the seam writes
+// part of the record and fails), the held write stores nothing and leaves
+// no file, and the second writer's record is then stored whole.
 func TestRecordWriteOutsideTheLock(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -31,15 +35,20 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 	if _, errs := s.PutResult(Meta{Hash: held}, earlier, []byte(`{"pass":true}`), nil); len(errs) != 0 {
 		t.Fatal(errs)
 	}
-	tmp := objPath(dir, held) + ".tmp"
-	if err := syscall.Mkfifo(tmp, 0o644); err != nil {
-		t.Skipf("no FIFO to hold a write in: %v", err)
-	}
-
-	// Larger than a pipe's buffer, so the write blocks until it is read.
+	// The seam holds the one write of the 4 MiB snapshot.
+	const heldSize = 4 << 20
+	release := make(chan struct{})
+	swapWriteAt(t, func(f *os.File, b []byte, off int64) (int, error) {
+		if len(b) != heldSize {
+			return f.WriteAt(b, off)
+		}
+		<-release
+		n, _ := f.WriteAt(b[:1024], off)
+		return n, io.ErrShortWrite
+	})
 	first := make(chan []ArtifactError, 1)
 	go func() {
-		_, errs := s.PutResult(Meta{Hash: held}, bytes.Repeat([]byte{'x'}, 4<<20), nil, nil)
+		_, errs := s.PutResult(Meta{Hash: held}, bytes.Repeat([]byte{'x'}, heldSize), nil, nil)
 		first <- errs
 	}()
 	within(t, "the held write's reservation", func() {
@@ -83,16 +92,7 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 	default:
 	}
 
-	// Release: read part of the record, then hang up.
-	within(t, "the release", func() {
-		r, err := os.Open(tmp)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		_, _ = io.ReadFull(r, make([]byte, 1024))
-		r.Close()
-	})
+	close(release)
 	var errs []ArtifactError
 	within(t, "the held write", func() { errs = <-first })
 	if len(errs) != 1 || errs[0].Artifact != "record" {
@@ -109,7 +109,7 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 		t.Errorf("the replaced record's report is served: %q", got)
 	}
 	for name := range tree(t, dir) {
-		if filepath.Ext(name) == ".tmp" {
+		if filepath.Dir(name) != "packs" && name != "index.json" && name != "index.log" {
 			t.Errorf("%s left behind", name)
 		}
 	}

@@ -49,10 +49,11 @@ func writeTree(t testing.TB, dir string, files map[string][]byte) {
 
 // TestPutResultEqualsThreeCalls: there is one write path. Under a fixed
 // clock and no cap, one PutResult and the Put → PutReport → PutTelemetry
-// sequence (which rewrites the record twice) leave the same files, byte for
-// byte — index.json included — and the same Stats, once Sweep has compacted
-// one journal record on the one side and three on the other into the index
-// (and deleted the log).
+// sequence (which rewrites the record twice) leave the same files — the
+// index and one pack — the same entry but for where its record lies, the
+// same record bytes and the same Stats, once Sweep has compacted one journal
+// record on the one side and three on the other into the index (and
+// deleted the log).
 func TestPutResultEqualsThreeCalls(t *testing.T) {
 	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
 		// Bookkeeping a caller has no business setting: both paths ignore it.
@@ -87,19 +88,20 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 
 	one.Sweep()
 	three.Sweep()
-	a, b := tree(t, oneDir), tree(t, threeDir)
-	if len(a) != 2 {
-		t.Errorf("PutResult left %d files, want index + record", len(a))
+	if a, b := keys(tree(t, oneDir)), keys(tree(t, threeDir)); !reflect.DeepEqual(a, []string{"index.json", "packs/1.pack"}) || !reflect.DeepEqual(a, b) {
+		t.Errorf("PutResult left %q, the three calls %q; want the index and one pack", a, b)
 	}
-	for name, want := range b {
-		if got, ok := a[name]; !ok || !bytes.Equal(got, want) {
-			t.Errorf("%s differs between the one call and the three:\n%s\n--\n%s", name, got, want)
-		}
+	record := func(s *Store, dir string) (Meta, []byte) {
+		m := *s.entries[meta.Hash]
+		pack := tree(t, dir)[filepath.ToSlash(strings.TrimPrefix(s.packPath(m.Pack), dir+string(filepath.Separator)))]
+		rec := pack[m.Off : m.Off+entryBytes(&m)]
+		m.Pack, m.Off = 0, 0
+		return m, rec
 	}
-	for name := range a {
-		if _, ok := b[name]; !ok {
-			t.Errorf("PutResult left %s, the three calls did not", name)
-		}
+	ma, ra := record(one, oneDir)
+	mb, rb := record(three, threeDir)
+	if ma != mb || !bytes.Equal(ra, rb) {
+		t.Errorf("the one call and the three differ:\n%+v %q\n%+v %q", ma, ra, mb, rb)
 	}
 	if sa, sb := one.Stats(), three.Stats(); sa != sb {
 		t.Errorf("Stats differ:\n%+v\n%+v", sa, sb)
@@ -127,18 +129,18 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	if s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
 		t.Errorf("store holds %d entries / %d bytes after evicting its only record", s.Stats().Entries, s.Stats().Bytes)
 	}
-	if got := diskBytesAll(t, dir); got != 0 {
-		t.Errorf("%d bytes of the evicted record left on disk", got)
+	if got := liveBytes(t, s); got != 0 {
+		t.Errorf("%d bytes of the evicted record still live", got)
 	}
 	if st := s.Stats(); st.Puts != 1 || st.Evictions != 1 {
 		t.Errorf("stats %+v, want one put and one eviction", st)
 	}
 
-	// A record whose file cannot be written is reported as the record, and
+	// A record whose pack cannot be written is reported as the record, and
 	// nothing of it is stored; written again once it can be, it is kept
 	// whole.
 	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "objects"), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "packs"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if s, err = Open(dir, Options{MaxBytes: 120}); err != nil {
@@ -151,7 +153,7 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	if _, ok := s.ReadReport("bbbb"); ok || s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
 		t.Errorf("a record that was never written is served or counted: %+v", s.Stats())
 	}
-	if err := os.Remove(filepath.Join(dir, "objects")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "packs")); err != nil {
 		t.Fatal(err)
 	}
 	if kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk")); !kept || len(errs) != 0 {
@@ -202,10 +204,10 @@ func parentTree(snapshot, report, track []byte) map[string][]byte {
 }
 
 // TestParentFormatDirectoryOpens: Open reads only the layout it writes. A
-// data directory of an older build (parentIndex, side files, profiles)
-// opens with the same entry less its attachments, serves the snapshot byte
-// for byte and no report or track, and loses its reports/, telemetry/ and
-// profiles/ directories. The byte count is the bytes under objects/, and a
+// data directory of an older build (parentIndex, a one-record-a-file
+// objects/ layout, side files, profiles) opens empty: its record is
+// quarantined whole, its entry drops as lost, nothing of it is served, and
+// the objects/, reports/, telemetry/ and profiles/ directories are gone. A
 // second Open changes nothing.
 func TestParentFormatDirectoryOpens(t *testing.T) {
 	dir := t.TempDir()
@@ -223,37 +225,31 @@ func TestParentFormatDirectoryOpens(t *testing.T) {
 		} else if !reflect.DeepEqual(files, first) {
 			t.Errorf("the second open changed the directory: %q, then %q", keys(first), keys(files))
 		}
-		if want := []string{"index.json", "objects/ab/ab12cd34.sph"}; !reflect.DeepEqual(keys(files), want) {
-			t.Errorf("open %d left %q, want %q", open, keys(files), want)
+		if want := []string{"index.json", "quarantine/ab12cd34.sph"}; !reflect.DeepEqual(keys(files), want) || !bytes.Equal(files[want[1]], snapshot) {
+			t.Errorf("open %d left %q, want %q with the record whole", open, keys(files), want)
 		}
-		for _, old := range []string{"reports", "telemetry", "profiles"} {
+		for _, old := range []string{"objects", "reports", "telemetry", "profiles"} {
 			if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
 				t.Errorf("open %d left %s/: %v", open, old, err)
 			}
 		}
-		m, ok := s.Get("ab12cd34")
-		want := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42,
-			Size: 21, CRC: 13976548776490360967, CreatedAt: 1000000, LastUsed: m.LastUsed}
-		if !ok || m != want {
-			t.Errorf("open %d: entry %+v (ok=%v), want %+v", open, m, ok, want)
-		}
-		if st := s.Stats(); st.Entries != 1 || st.Bytes != 21 || st.Bytes != diskBytes(t, dir) || st.Quarantined != 0 {
-			t.Errorf("open %d: %+v, %d bytes under objects/", open, st, diskBytes(t, dir))
+		if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Quarantined != 1-open {
+			t.Errorf("open %d: %+v", open, st)
 		}
 		got, _, err := s.ReadObject("ab12cd34")
 		rep, rok := s.ReadReport("ab12cd34")
 		trk, tok := s.ReadTelemetry("ab12cd34")
-		if err != nil || !bytes.Equal(got, snapshot) || rok || tok {
-			t.Errorf("open %d serves %q (%v), report %q, track %q", open, got, err, rep, trk)
+		if err == nil || rok || tok {
+			t.Errorf("open %d serves %q, report %q, track %q", open, got, rep, trk)
 		}
 	}
 }
 
-// TestParentLayoutFoldsIntoRecords: report and track live only in a
-// record. Open drops the side files of parentTree unread; once the result
-// is stored again, the directory holds the index and one record file,
-// snapshot, report and track back to back, and all three serve byte for
-// byte, again after a restart.
+// TestParentLayoutFoldsIntoRecords: a result lives only in a pack. Once the
+// result of parentTree's quarantined record is stored again, the directory
+// holds the index and one pack, snapshot, report and track back to back,
+// byte for byte the pack a fresh store writes for the same result, and all
+// three serve byte for byte, again after a restart.
 func TestParentLayoutFoldsIntoRecords(t *testing.T) {
 	dir := t.TempDir()
 	snapshot := []byte("SPH1 snapshot payload")
@@ -264,10 +260,16 @@ func TestParentLayoutFoldsIntoRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := s.Get("ab12cd34")
-	if kept, errs := s.PutResult(m, snapshot, report, track); !kept || len(errs) != 0 {
+	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42}
+	if kept, errs := s.PutResult(meta, snapshot, report, track); !kept || len(errs) != 0 {
 		t.Fatalf("PutResult kept=%v errs=%v", kept, errs)
 	}
+	fresh, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.PutResult(meta, snapshot, report, track)
+	freshPack := tree(t, fresh.dir)["packs/1.pack"]
 	for restart := range 2 {
 		if restart > 0 {
 			if s, err = Open(dir, Options{}); err != nil {
@@ -281,9 +283,9 @@ func TestParentLayoutFoldsIntoRecords(t *testing.T) {
 			}
 		}
 		sort.Strings(names)
-		record := tree(t, dir)["objects/ab/ab12cd34.sph"]
-		if want := []string{"index.json", "objects/ab/ab12cd34.sph"}; !reflect.DeepEqual(names, want) || !bytes.Equal(record, bytes.Join([][]byte{snapshot, report, track}, nil)) {
-			t.Errorf("open %d left %q, record %q; want index.json and the whole record", restart, names, record)
+		pack := tree(t, dir)["packs/1.pack"]
+		if want := []string{"index.json", "packs/1.pack", "quarantine/ab12cd34.sph"}; !reflect.DeepEqual(names, want) || !bytes.Equal(pack, bytes.Join([][]byte{snapshot, report, track}, nil)) || !bytes.Equal(pack, freshPack) {
+			t.Errorf("open %d left %q, pack %q; want the index, the quarantined record and the whole record in one pack", restart, names, pack)
 		}
 		got, _, err := s.ReadObject("ab12cd34")
 		rep, rok := s.ReadReport("ab12cd34")
@@ -291,16 +293,16 @@ func TestParentLayoutFoldsIntoRecords(t *testing.T) {
 		if err != nil || !bytes.Equal(got, snapshot) || !rok || !bytes.Equal(rep, report) || !tok || !bytes.Equal(trk, track) {
 			t.Errorf("open %d serves %q (%v), %q, %q", restart, got, err, rep, trk)
 		}
-		if st := s.Stats(); st.Bytes != 21+33+38 || st.Quarantined != 0 {
+		if st := s.Stats(); st.Bytes != 21+33+38 || st.Quarantined != 1-restart {
 			t.Errorf("open %d: %+v", restart, st)
 		}
 	}
 }
 
-// TestOneFilePerRecord: after N PutResults the store holds exactly N files
-// under objects/ and nothing beside them, and every region of every record
-// reads back byte for byte after a restart.
-func TestOneFilePerRecord(t *testing.T) {
+// TestRecordsShareOnePack: after N PutResults the store holds one pack with
+// N records back to back and no other file but the index, and every region
+// of every record reads back byte for byte after a restart.
+func TestRecordsShareOnePack(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -308,6 +310,7 @@ func TestOneFilePerRecord(t *testing.T) {
 	}
 	const n = 20
 	want := map[string][3][]byte{}
+	var packed int
 	for i := range n {
 		hash := fmt.Sprintf("%02x%06d", i*13%256, i)
 		parts := [3][]byte{bytes.Repeat([]byte{'s'}, 100+i), []byte("report " + hash), nil}
@@ -318,17 +321,14 @@ func TestOneFilePerRecord(t *testing.T) {
 			t.Fatalf("PutResult %s: kept=%v errs=%v", hash, kept, errs)
 		}
 		want[hash] = parts
+		packed += len(parts[0]) + len(parts[1]) + len(parts[2])
 	}
-	var objects []string
-	for name := range tree(t, dir) {
-		if strings.HasPrefix(name, "objects"+string(filepath.Separator)) {
-			objects = append(objects, name)
-		} else if name != "index.json" && name != "index.log" {
-			t.Errorf("%s beside the records", name)
-		}
+	files := tree(t, dir)
+	if names := keys(files); !reflect.DeepEqual(names, []string{"index.json", "index.log", "packs/1.pack"}) {
+		t.Errorf("%d PutResults left %q, want the index and one pack", n, names)
 	}
-	if len(objects) != n {
-		t.Errorf("%d files under objects/ after %d PutResults", len(objects), n)
+	if len(files["packs/1.pack"]) != packed {
+		t.Errorf("the pack holds %d bytes, the %d records %d", len(files["packs/1.pack"]), n, packed)
 	}
 	again, err := Open(dir, Options{})
 	if err != nil {
@@ -355,9 +355,9 @@ func keys(files map[string][]byte) []string {
 }
 
 // TestPutResultConcurrent: writers and readers from several goroutines over
-// a cap that forces evictions; the accounting still equals the disk, the
-// cap holds, and every record that reports kept-and-still-live reads back
-// whole. Run under -race.
+// a cap that forces evictions; the accounting still equals the live regions
+// and bounds the packs after a Sweep, the cap holds, and every record that
+// reports kept-and-still-live reads back whole. Run under -race.
 func TestPutResultConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxBytes: 2000})
@@ -387,8 +387,12 @@ func TestPutResultConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got, want := s.Stats().Bytes, diskBytesAll(t, dir); got != want || got > 2000 {
-		t.Errorf("tracked total %d, on disk %d, cap 2000", got, want)
+	if got, want := s.Stats().Bytes, liveBytes(t, s); got != want || got > 2000 {
+		t.Errorf("tracked total %d, live regions %d, cap 2000", got, want)
+	}
+	s.Sweep()
+	if packed := packBytes(t, dir); packed > 2*s.Stats().Bytes+packLimit {
+		t.Errorf("after Sweep the packs hold %d bytes for %d live", packed, s.Stats().Bytes)
 	}
 	if st := s.Stats(); st.Puts != 100 || int(st.Puts-st.Evictions) != st.Entries {
 		t.Errorf("stats %+v: puts - evictions should be the live entries", st)

@@ -1,41 +1,45 @@
 // Package store is the persistent, content-addressed result store of the
 // simulation service: completed results keyed by canonical spec hash
-// (scenario.Spec.Hash), written atomically (temp file + rename), read back
-// in one CRC-verified pass outside the lock (readFile), and bounded by a
-// combined TTL + size-capped LRU eviction policy. A server restart reopens
-// the same directory and serves prior results as cache hits; entries whose
-// bytes no longer match their recorded CRC are quarantined, not trusted and
-// not fatal — the store degrades to recomputation, never to corrupt data.
+// (scenario.Spec.Hash), appended to pack files, read back in one
+// CRC-verified pass outside the lock (readFile), and bounded by a combined
+// TTL + size-capped LRU eviction policy. A restart serves prior results as
+// cache hits; a record that fails its CRC is quarantined, never served.
 //
-// A stored result is one record, one file: snapshot, report and telemetry
-// track back to back, each region checked against the size and CRC its entry
-// records. A write fills the temp file with the lock released; the rename,
-// the entry, one eviction pass and one journal append share one lock hold,
-// so a record and its index entry appear together. Reads lock for lookups.
+// A stored result is one record: snapshot, report and telemetry track back
+// to back at the pack and offset its entry records, each region checked
+// against the size and CRC recorded. A write reserves its range at the end
+// of the active pack under the lock and fills it with the lock released;
+// the entry, one eviction pass and one journal append share the next hold.
+// No write creates a file but a new pack's first. A removal unlinks nothing:
+// its bytes are dead. The active pack rolls at packLimit; a sealed pack with
+// no live record and no write in flight goes once the journal says so; Sweep
+// and Open re-append the live records of each sealed pack under half live.
+// After either, the packs hold at most twice the live bytes (Stats.Bytes,
+// what MaxBytes caps) plus one pack.
 //
-// The index is index.json plus a journal, index.log: a mutation appends the
-// entries it changed (journal.go has the record format), so a write's cost
-// does not depend on how many results the store holds. Compaction — rewrite
-// index.json, delete the log — runs at the end of Open, from Sweep, and when
-// the log passes twice the live entries plus compactSlack records. Open
-// replays the log over index.json up to its first bad frame (a torn tail
-// loses the records after the tear; an unreadable index.json makes the log
-// meaningless and the store opens empty), then checks the result against the
-// files. Nothing is fsynced: it survives a killed process, not a power cut.
+// The index is index.json plus a journal, index.log (journal.go), so a
+// write's cost does not depend on how many results the store holds; Open,
+// Sweep and a log past twice the live entries plus compactSlack records
+// rewrite index.json and delete the log. Open replays the log up to its
+// first bad frame, checks every entry against its pack, and starts a new
+// active pack: bytes a killed write left are dead, named by no entry.
+// Nothing is fsynced: it survives a killed process, not a power cut.
 //
-// Layout under the root directory:
+// Faults: a record write that fails (packs/ not a directory, a full disk, a
+// short write) stores nothing and leaves the hash's earlier entry be; a
+// snapshot that fails its CRC is quarantined with its entry, a failing
+// attachment dropped alone; a pack that is gone is a miss.
 //
-//	index.json             entry metadata as of the last compaction
-//	index.log              CRC-framed put/del records since then
-//	objects/ab/abcd….sph   records: the snapshot (part binary checkpoint
-//	                       format), then the report and the telemetry track;
-//	                       sharded by the first two hash characters
-//	quarantine/            corrupt or unindexed records moved aside on detection
+//	index.json       entry metadata as of the last compaction
+//	index.log        CRC-framed put/del records since then
+//	packs/<n>.pack   records back to back, each the snapshot (part binary
+//	                 checkpoint format), then the report and the track
+//	quarantine/      copies of corrupt records (<hash>.sph); packs no entry
+//	                 names when index.json could not be read
 //
-// Open reads only this layout. Of an older one, a flat objects/abcd….sph is
-// quarantined (its entry drops as lost) and the reports/, telemetry/ and
-// profiles/ directories kept beside the records are removed: nothing of
-// theirs is served.
+// Open reads only this layout: a pack no entry names is deleted, and every
+// file of an older one-record-a-file objects/ layout is quarantined, its
+// entry dropped as lost, and reports/, telemetry/ and profiles/ removed.
 package store
 
 import (
@@ -45,9 +49,11 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -57,7 +63,8 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Meta describes one stored result. The identifying fields (Particles,
 // Steps, SimTime, Checksum) are supplied by the caller at Put time; the
-// bookkeeping fields (Size, CRC, CreatedAt, LastUsed) are owned by the store.
+// bookkeeping fields (Size, CRC, CreatedAt, LastUsed, Pack, Off) are owned
+// by the store.
 type Meta struct {
 	// Hash is the canonical spec hash the entry is addressed by.
 	Hash string `json:"hash"`
@@ -84,6 +91,10 @@ type Meta struct {
 	ReportCRC     uint64 `json:"reportCRC,omitempty"`
 	TelemetrySize int64  `json:"telemetrySize,omitempty"`
 	TelemetryCRC  uint64 `json:"telemetryCRC,omitempty"`
+	// Pack and Off locate the record: packs/<Pack>.pack from byte Off.
+	// Packs count from 1, so an entry of an older layout names none.
+	Pack int64 `json:"pack,omitempty"`
+	Off  int64 `json:"off,omitempty"`
 }
 
 const (
@@ -93,27 +104,27 @@ const (
 )
 
 // regions are the parts of a record, each served byte for byte or not at
-// all: back to back, in this order, they are the record file. Each is where
-// an entry records that region's size and CRC.
+// all: back to back, in this order, they are the record. Each is where an
+// entry records that region's size and CRC.
 var regions = [...]func(*Meta) (size *int64, crc *uint64){
 	regionSnapshot:  func(m *Meta) (*int64, *uint64) { return &m.Size, &m.CRC },
 	regionReport:    func(m *Meta) (*int64, *uint64) { return &m.ReportSize, &m.ReportCRC },
 	regionTelemetry: func(m *Meta) (*int64, *uint64) { return &m.TelemetrySize, &m.TelemetryCRC },
 }
 
-// extent is where a region lies in its record, and its CRC.
+// extent is where a region lies, pack and offset, and its CRC.
 type extent struct {
-	off, size int64
-	crc       uint64
+	pack, off, size int64
+	crc             uint64
 }
 
 // extents locates every region of m's record; two entries with equal
-// extents record the same regions.
+// extents record the same regions in the same place.
 func (m *Meta) extents() (e [len(regions)]extent) {
-	var off int64
+	off := m.Off
 	for k := range regions {
 		size, crc := regions[k](m)
-		e[k], off = extent{off, *size, *crc}, off+*size
+		e[k], off = extent{m.Pack, off, *size, *crc}, off+*size
 	}
 	return e
 }
@@ -123,12 +134,23 @@ type Options struct {
 	// TTL evicts entries idle (not Put or read) for longer than this;
 	// 0 disables expiry.
 	TTL time.Duration
-	// MaxBytes caps the total bytes on disk — every region of every
-	// record; least-recently-used entries are evicted to stay under it.
-	// 0 disables the cap.
+	// MaxBytes caps the live record bytes — every region of every entry's
+	// record, not the dead bytes beside them in the packs; least-recently-
+	// used entries are evicted to stay under it. 0 disables the cap.
 	MaxBytes int64
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
+}
+
+// packLimit is the size past which the active pack takes no further record:
+// the next write starts a new one (a larger record gets a pack of its own).
+const packLimit = 4 << 20
+
+// pack is one pack file's bookkeeping: the bytes reserved in it, the live
+// bytes and records among them, and the writes still filling their range.
+type pack struct {
+	size, live   int64
+	refs, writes int
 }
 
 // Store is a disk-backed content-addressed result store. All methods are
@@ -139,7 +161,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	entries map[string]*Meta // guarded by mu
-	total   int64            // sum of entry bytes, the record files' sizes; guarded by mu
+	total   int64            // the live record bytes, every pack's; guarded by mu
 	// writing reserves a hash while its record is written outside the lock:
 	// a second writer of the hash waits on idle, broadcast as one ends.
 	writing map[string]bool // guarded by mu
@@ -147,6 +169,9 @@ type Store struct {
 	// counts holds the since-open counters of Stats (Hits, Misses,
 	// Quarantined, Puts, Evictions); Stats derives its other fields.
 	counts Stats // guarded by mu
+	// packs holds every pack file by number; new records go to active.
+	packs  map[int64]*pack // guarded by mu
+	active int64           // guarded by mu
 
 	// The journal (journal.go): hashes changed since the last append, the
 	// append handle, records in index.log, and "an append failed part-way".
@@ -162,32 +187,26 @@ type indexFile struct {
 }
 
 // Open loads (or initializes) a store rooted at dir: index.json, then the
-// records of index.log on top of it. Every indexed record is re-verified
-// region by region (reconcile): corrupt or missing-from-index files are
-// moved to the quarantine directory and dropped, then the TTL and size
-// policies are applied and the result compacted — so a freshly opened store
-// is always consistent, within budget, and has no log.
+// records of index.log on top of it. Every entry is re-verified region by
+// region (reconcile), failing attachments dropped by a rewrite; then Open
+// sweeps — so a freshly opened store is consistent, within budget, and has
+// no log.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}, writing: map[string]bool{}}
+	s := &Store{dir: dir, opts: opts, entries: map[string]*Meta{}, writing: map[string]bool{}, packs: map[int64]*pack{}}
 	s.idle = sync.NewCond(&s.mu)
-
-	// Temp files of writes a killed process never renamed belong to no entry.
-	for _, glob := range []string{"*.tmp", "*/*.tmp", "objects/*/*.tmp"} {
-		stray, _ := filepath.Glob(filepath.Join(s.dir, glob))
-		for _, path := range stray {
-			_ = os.Remove(path)
-		}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 
 	// A missing or corrupt index is recoverable: start empty (the log means
-	// nothing without it), and the sweep below quarantines every object
-	// (their provenance is unverifiable).
+	// nothing without it); the packs, unverifiable, go to quarantine below.
 	var idx indexFile
+	indexed := true
 	if b, err := os.ReadFile(s.indexPath()); err != nil || json.Unmarshal(b, &idx) != nil {
-		idx = indexFile{}
+		idx, indexed = indexFile{}, false
 	} else if log, err := os.ReadFile(s.logPath()); err == nil {
 		if idx.Entries == nil {
 			idx.Entries = map[string]*Meta{}
@@ -195,99 +214,94 @@ func Open(dir string, opts Options) (*Store, error) {
 		replay(log, idx.Entries)
 	}
 
-	for hash, m := range idx.Entries {
-		path := s.objectPath(hash)
-		if fileHash(path, ".sph") != hash {
-			continue // not a key a write produced; the file answers to its own name
+	packs, _ := filepath.Glob(filepath.Join(s.dir, "packs", "*.pack"))
+	for _, path := range packs {
+		n, err := strconv.ParseInt(strings.TrimSuffix(filepath.Base(path), ".pack"), 10, 64)
+		if fi, serr := os.Stat(path); err == nil && serr == nil && n > 0 && s.packPath(n) == path {
+			s.packs[n] = &pack{size: fi.Size()} // a file of another name is no pack a write made
+			s.active = max(s.active, n)
 		}
-		if m == nil {
-			m = &Meta{Size: -1} // vouches for nothing: its object goes the way of a corrupt one
+	}
+	var damaged []string
+	for hash, m := range idx.Entries {
+		if m == nil || filepath.Base(hash) != hash || s.packs[m.Pack] == nil {
+			continue // vouches for no record, is no key a write takes, or its pack is gone
 		}
 		m.Hash = hash
-		if err := s.reconcile(m); err != nil {
-			if err == errCorrupt {
-				s.quarantineLocked(path, hash)
-			}
+		dropped, err := s.reconcile(m)
+		if err == errCorrupt {
+			s.quarantineLocked(s.packPath(m.Pack), m.Off, entryBytes(m), hash+".sph")
+		}
+		if err != nil {
 			continue
 		}
+		if dropped {
+			damaged = append(damaged, hash)
+		}
 		s.entries[hash] = m
-		s.total += entryBytes(m)
+		s.holdLocked(m, 1)
 	}
-
-	// Objects on disk that the index does not vouch for are quarantined, and
-	// so is a file at another path than its entry's: an older flat layout's.
-	for _, glob := range []string{"*.sph", "*/*.sph"} {
-		objects, _ := filepath.Glob(filepath.Join(s.objectsDir(), glob))
-		for _, path := range objects {
-			if hash := fileHash(path, ".sph"); s.entries[hash] == nil || s.objectPath(hash) != path {
-				s.quarantineLocked(path, hash)
+	for n, p := range s.packs {
+		if path := s.packPath(n); p.refs == 0 {
+			if !indexed {
+				s.quarantineLocked(path, 0, math.MaxInt64, filepath.Base(path))
 			}
+			_ = os.Remove(path)
+			delete(s.packs, n)
 		}
 	}
-	// What older layouts kept beside the records is no entry's: attachment
-	// files, and CPU profiles nothing read back.
-	for _, old := range []string{"reports", "telemetry", "profiles"} {
+	s.active++
+	s.packs[s.active] = &pack{}
+
+	// Every file of the one-record-a-file layouts is an older build's, and
+	// so is what they kept beside the records: attachment files, and CPU
+	// profiles nothing read back.
+	for _, glob := range []string{"*.sph", "*/*.sph"} {
+		old, _ := filepath.Glob(filepath.Join(s.dir, "objects", glob))
+		for _, path := range old {
+			s.quarantineLocked(path, 0, math.MaxInt64, filepath.Base(path))
+		}
+	}
+	for _, old := range []string{"objects", "reports", "telemetry", "profiles"} {
 		_ = os.RemoveAll(filepath.Join(s.dir, old))
 	}
+	_ = os.Remove(s.indexPath() + ".tmp") // a compaction a killed process never renamed
 
-	s.evictLocked(s.opts.Now())
-	if err := s.saveIndexLocked(); err != nil {
+	for _, hash := range damaged {
+		s.write(hash, nil, [len(regions)][]byte{}, nil) // drops what fails again; failed, it is left to the next Open
+	}
+	if err := s.sweep(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Store) indexPath() string  { return filepath.Join(s.dir, "index.json") }
-func (s *Store) logPath() string    { return filepath.Join(s.dir, "index.log") }
-func (s *Store) objectsDir() string { return filepath.Join(s.dir, "objects") }
+func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
+func (s *Store) logPath() string   { return filepath.Join(s.dir, "index.log") }
 
-// objectPath shards the objects directory by the first two hash characters,
-// so entry counts in the tens of thousands never pile into one directory.
-func (s *Store) objectPath(h string) string {
-	if len(h) < 2 {
-		return filepath.Join(s.objectsDir(), h+".sph")
-	}
-	return filepath.Join(s.objectsDir(), h[:2], h+".sph")
+// packPath is where pack n lives.
+func (s *Store) packPath(n int64) string {
+	return filepath.Join(s.dir, "packs", strconv.FormatInt(n, 10)+".pack")
 }
 
-// reconcile is Open's check of the entry m against its record. The snapshot
-// region must match, or the entry goes (the error says how). An attachment
-// region that fails is dropped, unless the record is longer than m says:
-// then it is not m's record, and goes whole. A record that is not exactly
-// the regions kept is rewritten.
-func (s *Store) reconcile(m *Meta) error {
-	path := s.objectPath(m.Hash)
-	fi, err := os.Stat(path)
-	if err != nil {
-		return errLost
-	}
-	longer := fi.Size() > entryBytes(m)
-	var b bytes.Buffer
-	var off int64 // where the region is in the record m describes
-	for k := range regions {
-		size, crc := regions[k](m)
-		mark := b.Len()
-		_, err := readFile(path, off, *size, *crc, -1, &b)
-		off += *size
-		switch {
-		case err != nil && k == regionSnapshot:
-			return err
-		case err != nil && longer:
-			return errCorrupt
-		case err != nil:
-			b.Truncate(mark)
-			*size, *crc = 0, 0
+// reconcile is Open's check of the entry m against its pack: its extents
+// must be ones a write records and its snapshot must match, or the entry
+// goes (the error says how). dropped reports an attachment region that fails:
+// a rewrite of the record drops it.
+func (s *Store) reconcile(m *Meta) (dropped bool, err error) {
+	for _, e := range m.extents() {
+		if e.size < 0 || e.off+e.size < e.off {
+			return false, errCorrupt
 		}
 	}
-	if int64(b.Len()) == fi.Size() {
-		return nil
+	for k := range regions {
+		if _, err := s.readRegion(m, k, io.Discard); err != nil && k == regionSnapshot {
+			return false, err
+		} else if err != nil {
+			dropped = true
+		}
 	}
-	return writeAtomic(path, b.Bytes())
-}
-
-// fileHash recovers the hash from a stored file's path ("<hash><ext>").
-func fileHash(path, ext string) string {
-	return strings.TrimSuffix(filepath.Base(path), ext)
+	return dropped, nil
 }
 
 // saveIndexLocked is compaction, O(entries) and never per write: index.json
@@ -307,38 +321,45 @@ func (s *Store) saveIndexLocked() error {
 	if err := os.Remove(s.logPath()); err != nil && !os.IsNotExist(err) {
 		return err
 	}
+	s.reapLocked()
 	return nil
 }
 
 // writeAtomic replaces path with data: its temp file, <path>.tmp, then a
 // rename, so a reader sees the old bytes or the new ones, never a torn file.
 func writeAtomic(path string, data []byte) error {
-	err := writeTemp(path, data)
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, data, 0o644)
 	if err == nil {
-		if err = os.Rename(path+".tmp", path); err != nil {
-			_ = os.Remove(path + ".tmp")
-		}
+		err = os.Rename(tmp, path)
 	}
-	return err
+	if err != nil {
+		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
+		return fmt.Errorf("store: writing %s: %w", tmp, err)
+	}
+	return nil
 }
 
-// writeTemp writes parts, back to back, to path's temp file, creating the
-// directory only when the first attempt finds it missing.
-func writeTemp(path string, parts ...[]byte) error {
-	tmp, flag := path+".tmp", os.O_WRONLY|os.O_CREATE|os.O_TRUNC
-	f, err := os.OpenFile(tmp, flag, 0o644)
+// writeAt is how a write fills its reservation, one region at a time: a
+// variable, so a test can hold a write in flight or cut it short.
+var writeAt = (*os.File).WriteAt
+
+// fill writes parts back to back into the pack at path from off. Only a
+// new pack's first write creates its file (and packs/, if that is missing).
+func fill(path string, off int64, parts [][]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(path), 0o755) == nil {
-		f, err = os.OpenFile(tmp, flag, 0o644)
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
 	}
 	for i := 0; err == nil && i < len(parts); i++ {
-		_, err = f.Write(parts[i])
+		_, err = writeAt(f, parts[i], off)
+		off += int64(len(parts[i]))
 	}
 	if f != nil {
 		err = errors.Join(err, f.Close())
 	}
 	if err != nil {
-		_ = os.Remove(tmp) // a part-written temp file is bytes no entry accounts for
-		return fmt.Errorf("store: writing %s: %w", tmp, err)
+		return fmt.Errorf("store: writing %s: %w", path, err)
 	}
 	return nil
 }
@@ -349,26 +370,25 @@ const readChunk = 64 << 10
 // readBufs recycles readFile's chunk buffers, so a read allocates none.
 var readBufs = sync.Pool{New: func() any { return new([readChunk]byte) }}
 
-// readFile's verdicts on a file that cannot be served.
-var errCorrupt, errLost = errors.New("failed CRC verification"), errors.New("object file missing")
+// readFile's verdicts on a region that cannot be served.
+var errCorrupt, errLost = errors.New("failed CRC verification"), errors.New("pack file missing")
 
 // readFile is the store's one read, run without s.mu: the size bytes of
 // path from offset off, in one pass, in chunks of at most readChunk bytes
 // written to w; no byte of the final chunk is written before the CRC-64 is
-// known to match and the file to be total bytes long (total < 0: any
-// length). It returns errLost if the file will not open, errCorrupt on a
-// mismatch, or w's error.
-func readFile(path string, off, size int64, crc uint64, total int64, w io.Writer) (n int64, err error) {
+// known to match, and the file must hold every byte of the range. It
+// returns errLost if the file will not open, errCorrupt on a mismatch or a
+// file too short, or w's error.
+func readFile(path string, off, size int64, crc uint64, w io.Writer) (n int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, errLost
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || off < 0 || size < 0 {
-		return 0, errCorrupt // a negative size vouches for no file
+	if off < 0 || size < 0 {
+		return 0, errCorrupt // a negative extent vouches for no bytes
 	}
-	whole, r := total < 0 || fi.Size() == total, io.NewSectionReader(f, off, size)
+	r := io.NewSectionReader(f, off, size)
 	pooled := readBufs.Get().(*[readChunk]byte)
 	defer readBufs.Put(pooled)
 	buf := pooled[:]
@@ -377,7 +397,7 @@ func readFile(path string, off, size int64, crc uint64, total int64, w io.Writer
 		chunk, final := buf[:min(left, readChunk)], left <= readChunk
 		k, _ := io.ReadFull(r, chunk)
 		sum = crc64.Update(sum, crcTable, chunk[:k])
-		if k < len(chunk) || final && (sum != crc || !whole) {
+		if k < len(chunk) || final && sum != crc {
 			return n, errCorrupt
 		}
 		k, err = w.Write(chunk)
@@ -390,35 +410,57 @@ func readFile(path string, off, size int64, crc uint64, total int64, w io.Writer
 // readRegion reads region k of the record of m through readFile.
 func (s *Store) readRegion(m *Meta, k int, w io.Writer) (int64, error) {
 	e := m.extents()[k]
-	return readFile(s.objectPath(m.Hash), e.off, e.size, e.crc, entryBytes(m), w)
+	return readFile(s.packPath(e.pack), e.off, e.size, e.crc, w)
 }
 
-// quarantineLocked moves the record file at path aside instead of deleting
-// it, so corrupt or unvouched-for data remains inspectable but is never
-// served.
-func (s *Store) quarantineLocked(path, hash string) {
-	dst := filepath.Join(s.dir, "quarantine", hash+".sph")
-	if os.MkdirAll(filepath.Dir(dst), 0o755) != nil || os.Rename(path, dst) != nil {
-		_ = os.Remove(path)
-	}
+// quarantineLocked copies n bytes of the file at path from off, as many as
+// it holds, to quarantine/name: data no entry may serve stays inspectable.
+func (s *Store) quarantineLocked(path string, off, n int64, name string) {
 	s.counts.Quarantined++
+	src, err := os.Open(path)
+	defer src.Close() // nil-safe
+	dst := filepath.Join(s.dir, "quarantine", name)
+	if err == nil && os.MkdirAll(filepath.Dir(dst), 0o755) == nil {
+		if f, err := os.Create(dst); err == nil {
+			_, _ = io.Copy(f, io.NewSectionReader(src, off, n))
+			_ = f.Close()
+		}
+	}
 }
 
 // entryBytes is everything the entry holds on disk, the sum of its regions:
 // the unit the MaxBytes cap and the total accounting work in.
 func entryBytes(m *Meta) int64 {
 	e := m.extents()[len(regions)-1]
-	return e.off + e.size
+	return e.off + e.size - m.Off
 }
 
-// removeLocked evicts an entry and deletes its record.
+// reapLocked deletes every sealed pack with no live record and no write in
+// flight. It runs only once the journal (or index.json) holds the state
+// that emptied the pack, so no index a restart reads names a deleted pack.
+func (s *Store) reapLocked() {
+	for n, p := range s.packs {
+		if n != s.active && p.refs == 0 && p.writes == 0 {
+			_ = os.Remove(s.packPath(n))
+			delete(s.packs, n)
+		}
+	}
+}
+
+// holdLocked counts m's record in its pack and the total: live for d = 1,
+// dead for d = -1.
+func (s *Store) holdLocked(m *Meta, d int) {
+	p, n := s.packs[m.Pack], int64(d)*entryBytes(m)
+	p.live, p.refs, s.total = p.live+n, p.refs+d, s.total+n
+}
+
+// removeLocked evicts an entry; its record's bytes are dead from now on.
 func (s *Store) removeLocked(hash string) {
 	if m, ok := s.entries[hash]; ok {
-		s.total -= entryBytes(m)
+		s.holdLocked(m, -1)
 		delete(s.entries, hash)
 		s.dirty = append(s.dirty, hash)
 	}
-	_ = os.Remove(s.objectPath(hash))
 }
 
 // evictLocked applies the TTL then the size cap: expired entries go first,
@@ -497,13 +539,15 @@ func firstErr(_ bool, errs []ArtifactError) error {
 
 // write is the one write path. With meta non-nil the record is parts and
 // replaces any entry of hash. With meta nil it amends the entry of hash (if
-// it still records base's regions, base non-nil): a nil part is read back
-// from the record, dropped if it fails its check. Under a reservation of
-// hash the temp file is filled with the lock released; rename, entry,
-// eviction pass and journal append share one hold, so none is seen alone.
+// it is still base's record, base non-nil): a nil part is read back from
+// the record, dropped if it fails its check. Under a reservation of hash it
+// takes the record's range at the end of the active pack, first starting a
+// new pack if the active one holds records and the record would take it past
+// packLimit, and fills it with the lock released; entry, eviction pass and
+// journal append share one hold, so none is seen alone.
 func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base *Meta) (kept bool, errs []ArtifactError) {
-	if hash == "" {
-		return false, []ArtifactError{{"record", errors.New("store: write with empty hash")}}
+	if filepath.Base(hash) != hash {
+		return false, []ArtifactError{{"record", fmt.Errorf("store: write with hash %q", hash)}}
 	}
 	s.mu.Lock()
 	for s.writing[hash] {
@@ -519,6 +563,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 
 	var err error
 	var crcs [len(regions)]uint64
+	var size int64
 	for k := range regions {
 		if meta == nil && parts[k] == nil && err == nil {
 			var b bytes.Buffer
@@ -529,24 +574,33 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 			}
 		}
 		crcs[k] = crc64.Checksum(parts[k], crcTable)
+		size += int64(len(parts[k]))
 	}
-	path := s.objectPath(hash)
+	s.mu.Lock()
+	p := s.packs[s.active]
+	if p.size > 0 && p.size+size > packLimit { // a new pack takes the record
+		s.active++
+		p = &pack{}
+		s.packs[s.active] = p
+	}
+	n, off := s.active, p.size
+	p.size += size // dead bytes if err is set already
+	p.writes++
+	s.mu.Unlock()
 	if err == nil {
-		err = writeTemp(path, parts[:]...)
+		err = fill(s.packPath(n), off, parts[:])
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	p.writes--
 	delete(s.writing, hash)
 	s.idle.Broadcast()
 	if err == nil && meta == nil && s.entries[hash] != old {
 		err = fmt.Errorf("store: entry %s removed while being amended", hash)
 	}
-	if err == nil {
-		err = os.Rename(path+".tmp", path)
-	}
 	if err != nil {
-		_ = os.Remove(path + ".tmp")
+		_ = s.journalLocked() // nothing to journal, but a pack this write kept may go
 		return false, []ArtifactError{{"record", err}}
 	}
 	m := old
@@ -557,14 +611,15 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 		s.counts.Puts++
 	}
 	if cur := s.entries[hash]; cur != nil {
-		s.total -= entryBytes(cur)
+		s.holdLocked(cur, -1)
 	}
 	for k := range regions {
 		size, crc := regions[k](m)
 		*size, *crc = int64(len(parts[k])), crcs[k]
 	}
+	m.Pack, m.Off = n, off
 	s.entries[hash] = m
-	s.total += entryBytes(m)
+	s.holdLocked(m, 1)
 	s.dirty = append(s.dirty, hash)
 	s.evictLocked(s.opts.Now())
 	if err := s.journalLocked(); err != nil {
@@ -610,8 +665,8 @@ func (s *Store) touchLocked(hash string) (*Meta, bool) {
 
 // WriteObject writes the snapshot of m, an entry as Get returned it, to w
 // through readFile. A failed read is a miss: an entry still recording m's
-// regions is quarantined (corrupt) or forgotten (lost) and journaled; one a
-// write replaced meanwhile is left alone.
+// record is quarantined (corrupt) or forgotten (lost) and journaled; one a
+// write replaced or moved meanwhile is left alone.
 func (s *Store) WriteObject(m Meta, w io.Writer) (int64, error) {
 	n, err := s.readRegion(&m, regionSnapshot, w)
 	if err != errCorrupt && err != errLost {
@@ -622,7 +677,7 @@ func (s *Store) WriteObject(m Meta, w io.Writer) (int64, error) {
 	s.counts.Hits, s.counts.Misses = s.counts.Hits-1, s.counts.Misses+1 // Get counted a hit
 	if e := s.entries[m.Hash]; e != nil && e.extents() == m.extents() {
 		if err == errCorrupt {
-			s.quarantineLocked(s.objectPath(m.Hash), m.Hash)
+			s.quarantineLocked(s.packPath(e.Pack), e.Off, entryBytes(e), e.Hash+".sph")
 		}
 		s.removeLocked(m.Hash)
 		_ = s.journalLocked() // a lost record leaves an entry the next Open drops again
@@ -643,13 +698,33 @@ func (s *Store) ReadObject(hash string) ([]byte, Meta, error) {
 	return b.Bytes(), m, nil
 }
 
-// Sweep applies the TTL + size eviction policy now — Put and Open already do;
-// Sweep is for owners without traffic — and compacts the log into index.json.
-func (s *Store) Sweep() {
+// Sweep applies the TTL + size eviction policy now — Put and Open already
+// do; Sweep is for owners without traffic — then re-appends, through the
+// write path, the live records of each sealed pack under half live with no
+// write in flight (twice: the first pass's moves may seal one), and
+// rewrites index.json.
+func (s *Store) Sweep() { _ = s.sweep() }
+
+func (s *Store) sweep() error {
+	s.mu.Lock()
+	s.evictLocked(s.opts.Now())
+	s.mu.Unlock()
+	for range 2 {
+		var moves []Meta
+		s.mu.Lock()
+		for _, m := range s.entries {
+			if p := s.packs[m.Pack]; m.Pack != s.active && p.writes == 0 && 2*p.live < p.size {
+				moves = append(moves, *m)
+			}
+		}
+		s.mu.Unlock()
+		for i := range moves {
+			s.write(moves[i].Hash, nil, [len(regions)][]byte{}, &moves[i]) // a failed move leaves the record where it was
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.evictLocked(s.opts.Now())
-	_ = s.saveIndexLocked() // the log still holds what the index now lacks
+	return s.saveIndexLocked() // a failure leaves the log holding what the index lacks
 }
 
 // ReportHashes lists, sorted, every live entry with a verification report:
@@ -705,8 +780,9 @@ func (s *Store) ReadTelemetry(hash string) ([]byte, bool) {
 
 // Stats is the GET /v1/store metrics snapshot.
 type Stats struct {
-	// Entries counts live entries; Bytes is their total on-disk footprint
-	// (every region of every record — the number the MaxBytes cap governs).
+	// Entries counts live entries; Bytes is their records' total, every
+	// region (what MaxBytes caps; after a Sweep the packs hold at most twice
+	// it plus one pack).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
 	// ObjectBytes, ReportBytes and TelemetryBytes break Bytes down by
@@ -722,7 +798,8 @@ type Stats struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hitRate"`
-	// Quarantined counts objects moved aside as corrupt or unvouched-for.
+	// Quarantined counts records and files moved aside as corrupt or
+	// unvouched-for.
 	Quarantined int `json:"quarantined"`
 	// Puts and Evictions count writes and TTL/LRU policy removals since
 	// this instance opened.
