@@ -163,13 +163,6 @@ func funcObjOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether fn is the named function of the named package
-// (matched by full import-path suffix, so "encoding/json".Marshal matches
-// pkgPath "encoding/json").
-func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Name() == name && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}
-
 // isBuiltin reports whether the call invokes the named builtin (e.g.
 // append, recover).
 func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {

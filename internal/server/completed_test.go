@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,47 +288,95 @@ func TestCompletedFrameFollowsTheTrack(t *testing.T) {
 	}
 }
 
-// TestDerivedMemberBytesPinned: the report and track of a derived
-// resource's members stay in the memory layer, although the store keeps
-// their records, until the collector has read them; then they go.
-func TestDerivedMemberBytesPinned(t *testing.T) {
-	s := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
-	defer s.Close()
-	gate := newAggregateGate()
-	gateAggregate(&s.Experiments, gate)
-	exp, err := s.Experiments.Submit(sedovSweep(2, 150, 300))
+// TestDerivedMembersReadTheStore: a derived resource's collector reads each
+// member's report from the store, which holds the only copy. Held before it
+// reads any, no member's snapshot, report or track is in memory; released,
+// the sweep's result is the bytes an ungated run of it yields on a fresh
+// store. A member whose stored record is evicted before the collector reads
+// it fails the record, naming the member's job, and resubmitting the sweep
+// recomputes that member and completes.
+func TestDerivedMembersReadTheStore(t *testing.T) {
+	sweep := sedovSweep(2, 150, 300)
+	fresh := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
+	defer fresh.Close()
+	ref, err := fresh.Experiments.Submit(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := func(hash string) (stored, report, track bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		res, ok := s.jobs.cachedLocked(hash)
-		return ok && res.snapshot == nil, ok && res.report != nil, ok && res.telemetry != nil
+	want := waitExperiment(t, fresh, ref.ID, 60*time.Second)
+	if want.State != StateCompleted {
+		t.Fatalf("reference experiment ended %s: %s", want.State, want.Error)
 	}
 
-	<-gate.entered
-	for _, m := range exp.Members {
-		if stored, report, track := held(m.Hash); !stored || !report || !track {
-			t.Errorf("member %s before its collector read it: stored %v, report held %v, track held %v; want all",
-				m.JobID, stored, report, track)
+	clock := newTestClock()
+	st, err := store.Open(t.TempDir(), store.Options{TTL: time.Hour, Now: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Store: st, Workers: 2, HistoryInterval: -1, Clock: clock.now})
+	defer s.Close()
+	// held submits the sweep, calls at while the collector is held before
+	// it reads any member report, releases it and returns the terminal view.
+	held := func(at func(exp *ExperimentView)) ExperimentView {
+		t.Helper()
+		gate := newAggregateGate()
+		gateAggregate(&s.Experiments, gate)
+		exp, err := s.Experiments.Submit(sweep)
+		if err != nil {
+			t.Fatal(err)
 		}
+		<-gate.entered
+		at(exp)
+		close(gate.release)
+		return waitExperiment(t, s, exp.ID, 60*time.Second)
 	}
-	close(gate.release)
-	if v := waitExperiment(t, s, exp.ID, 60*time.Second); v.State != StateCompleted {
-		t.Fatalf("experiment ended %s: %s", v.State, v.Error)
-	}
-	for _, m := range exp.Members {
-		if _, report, track := held(m.Hash); report || track {
-			t.Errorf("member %s after its collector read it: report held %v, track held %v; want neither",
-				m.JobID, report, track)
+
+	got := held(func(exp *ExperimentView) {
+		for _, m := range exp.Members {
+			s.mu.Lock()
+			res, ok := s.jobs.cachedLocked(m.Hash)
+			snapshot, report, track := ok && res.snapshot != nil, ok && res.report != nil, ok && res.telemetry != nil
+			s.mu.Unlock()
+			if !ok || snapshot || report || track {
+				t.Errorf("member %s before its collector read it: cached %v, snapshot %v, report %v, track %v held; want cached metadata alone",
+					m.JobID, ok, snapshot, report, track)
+			}
 		}
+	})
+	if got.State != StateCompleted || !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("experiment ended %s (%s), result identical to a fresh store's %v",
+			got.State, got.Error, bytes.Equal(got.Result, want.Result))
 	}
-	s.mu.Lock()
-	pins := len(s.pins)
-	s.mu.Unlock()
-	if pins != 0 {
-		t.Errorf("%d hashes still pinned after the collector finished", pins)
+
+	// Another sweep, with its second member's record expired while the
+	// collector is held: the first is read just before, so only the second
+	// is idle past the TTL.
+	sweep = sedovSweep(3, 150, 300)
+	var lost string
+	failed := held(func(exp *ExperimentView) {
+		clock.advance(50 * time.Minute)
+		st.Get(exp.Members[0].Hash)
+		clock.advance(20 * time.Minute)
+		st.Sweep()
+		if _, ok := st.Get(exp.Members[1].Hash); ok {
+			t.Fatalf("member %s still stored after the sweep", exp.Members[1].JobID)
+		}
+		lost = exp.Members[1].JobID
+	})
+	if failed.State != StateFailed || !strings.Contains(failed.Error, "member job "+lost+" ") ||
+		!strings.Contains(failed.Error, "no verification report recorded") {
+		t.Fatalf("experiment over an evicted member ended %s: %q; want failed naming %s", failed.State, failed.Error, lost)
+	}
+
+	again, err := s.Experiments.Submit(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CacheHit || again.Members[1].JobID == lost {
+		t.Fatalf("resubmission: cacheHit %v, member job %s; want a new run of the evicted member", again.CacheHit, again.Members[1].JobID)
+	}
+	if v := waitExperiment(t, s, again.ID, 60*time.Second); v.State != StateCompleted {
+		t.Fatalf("resubmission ended %s: %s", v.State, v.Error)
 	}
 }
 

@@ -18,10 +18,12 @@ import (
 //	→ serve a persisted result (memory layer, then store) as a cache hit
 //	→ fan the members out through the ordinary coalescing Submit
 //	→ collector: wait for the members, aggregate, marshal
-//	→ persist by hash → memory layer → terminal state → close done
+//	→ persist by hash → terminal state → close done
 //
 // — implemented once by Derived. A kind supplies only what differs: its
-// names and four hooks.
+// names and four hooks. The collector reads each member's report from the
+// store, so a member evicted before it is read fails the record; the memory
+// layer holds a result only when the store did not keep it.
 type kind[S, V any] struct {
 	// noun names the kind in messages and log lines ("experiment"); body
 	// names its request body in decode errors ("sweep").
@@ -155,9 +157,6 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	defer s.mu.Unlock()
 	if active, ok := d.tab.activeLocked(p.hash); ok {
 		// An identical submission raced in; its members coalesced with ours.
-		for _, m := range members {
-			s.unpinLocked(m.hash)
-		}
 		v := d.kind.view(s, active)
 		return &v, nil
 	}
@@ -178,9 +177,9 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	return &v, nil
 }
 
-// resolveRawResult consults the kind's memory layer under the server lock,
-// then the persistent store (CRC-verified, outside the lock); store hits
-// are promoted into memory.
+// resolveRawResult consults the kind's memory layer (a result the store
+// did not keep) under the server lock, then the persistent store
+// (CRC-verified, outside the lock).
 func (d *Derived[S, V]) resolveRawResult(hash string) ([]byte, bool) {
 	s := d.s
 	s.mu.Lock()
@@ -189,25 +188,17 @@ func (d *Derived[S, V]) resolveRawResult(hash string) ([]byte, bool) {
 	if ok {
 		return raw, true
 	}
-	b, _, err := s.opts.Store.ReadObject(hash)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	d.tab.cacheLocked(hash, b)
-	s.mu.Unlock()
-	return b, true
+	raw, _, err := s.opts.Store.ReadObject(hash)
+	return raw, err == nil
 }
 
 // fanOut submits the planned members in order and binds each to its job.
-// Each member's hash stays pinned until the record's collector has read its
-// report (see Server.complete); a failed fan-out unpins what it pinned.
+// The collector reads each member's report from the store.
 func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 	members := make([]member, 0, len(specs))
 	for _, ms := range specs {
-		view, err := d.s.submit(ms.spec, true)
+		view, err := d.s.Submit(ms.spec)
 		if err != nil {
-			d.s.unpin(members)
 			return nil, fmt.Errorf("server: submitting %s member %s: %w", d.kind.noun, ms.label, err)
 		}
 		members = append(members, member{
@@ -221,7 +212,6 @@ func (d *Derived[S, V]) fanOut(specs []memberSpec) ([]member, error) {
 // collect waits for every member to reach a terminal state, aggregates, and
 // finishes the record.
 func (d *Derived[S, V]) collect(rec *derived[S]) {
-	defer d.s.unpin(rec.Members)
 	// Contain collector panics: a bad member report or a degenerate fleet
 	// must fail this one record, never the process. If the record already
 	// went terminal there is nothing left to fail (done closes exactly once).
@@ -257,11 +247,12 @@ func (d *Derived[S, V]) collect(rec *derived[S]) {
 // finish is the terminal transition of a collected record: a result is
 // persisted content-addressed by the record's hash (CRC-verified on read,
 // subject to the store's TTL/LRU policy like any result) and enters the
-// memory layer; an error fails the record.
+// memory layer only if that write failed; an error fails the record.
 func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	s := d.s
 	state, msg := StateCompleted, ""
 	var apply func(*Server, string)
+	unkept := false
 	if err != nil {
 		state, msg = StateFailed, err.Error()
 	} else {
@@ -269,6 +260,7 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 			// Still served from memory, but gone after a restart.
 			s.log.Warn("derived result not persisted", "kind", d.kind.noun,
 				"id", rec.ID, "hash", rec.Hash, "error", perr)
+			unkept = true
 		}
 		if d.kind.applied != nil {
 			apply = d.kind.applied(raw)
@@ -276,8 +268,10 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	}
 
 	s.mu.Lock()
-	if err == nil {
+	if unkept {
 		d.tab.cacheLocked(rec.Hash, raw)
+	}
+	if err == nil {
 		rec.Result = raw
 	}
 	rec.input = nil
@@ -348,27 +342,6 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 		return done
 	}
 	return closedDone
-}
-
-// unpin releases the members' hashes (see submit).
-func (s *Server) unpin(members []member) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range members {
-		s.unpinLocked(m.hash)
-	}
-}
-
-// unpinLocked releases one pin of hash. With the last one the memory layer
-// drops the report and track of a result the store holds.
-func (s *Server) unpinLocked(hash string) {
-	if s.pins[hash]--; s.pins[hash] > 0 {
-		return
-	}
-	delete(s.pins, hash)
-	if res, ok := s.jobs.cachedLocked(hash); ok && res.snapshot == nil {
-		res.report, res.telemetry = nil, nil
-	}
 }
 
 // memberReport decodes a finished member's persisted report into v, or

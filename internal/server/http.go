@@ -471,14 +471,13 @@ func (s *Server) handleDelete(unknownCode string, del func(string) error) http.H
 // handleMetrics serves the completed job's verification report exactly as
 // recorded (the persisted bytes, so restarts serve identical reports).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, view JobView) {
-	id := view.ID
-	report, completed := s.Metrics(id)
-	if !completed {
+	if view.State != StateCompleted {
 		writeError(w, http.StatusConflict, CodeConflict,
-			fmt.Sprintf("job %s is %s; metrics require completed", id, view.State),
+			fmt.Sprintf("job %s is %s; metrics require completed", view.ID, view.State),
 			map[string]any{"state": string(view.State)})
 		return
 	}
+	report, _ := s.persisted(view.Hash, true, false)
 	if report == nil {
 		s.writeNoResult(w, view, "report", CodeNoReport, "has no verification report recorded")
 		return

@@ -21,10 +21,15 @@ import (
 	"repro/internal/store"
 )
 
-// aggregateGate holds a kind's collector inside aggregate — after every
-// member has finished, before anything is persisted — so a test can look at
-// a record that is deterministically still running.
-type aggregateGate struct{ entered, release chan struct{} }
+// aggregateGate holds a kind's first collector inside aggregate — after
+// every member has finished, before it reads any member's report (with
+// after set: once aggregate has returned, before the result is persisted) —
+// so a test can look at a record that is deterministically still running.
+type aggregateGate struct {
+	entered, release chan struct{}
+	after            bool
+	once             sync.Once
+}
 
 func newAggregateGate() *aggregateGate {
 	return &aggregateGate{entered: make(chan struct{}), release: make(chan struct{})}
@@ -32,10 +37,16 @@ func newAggregateGate() *aggregateGate {
 
 func gateAggregate[S any, V resourceView](d *Derived[S, V], g *aggregateGate) {
 	orig := d.kind.aggregate
+	hold := func() { g.once.Do(func() { close(g.entered); <-g.release }) }
 	d.kind.aggregate = func(s *Server, rec *derived[S]) (any, error) {
-		close(g.entered)
-		<-g.release
-		return orig(s, rec)
+		if !g.after {
+			hold()
+		}
+		result, err := orig(s, rec)
+		if g.after {
+			hold()
+		}
+		return result, err
 	}
 }
 
@@ -331,13 +342,15 @@ func TestDerivedLifecycleContract(t *testing.T) {
 				Logger: slog.New(slog.NewTextHandler(&logged, nil))})
 			defer s.Close()
 			gate := newAggregateGate()
+			gate.after = true
 			k.gate(s, gate)
 			c := newLifecycleClient(t, s)
 
 			first := c.view("POST", k.route, k.body, http.StatusAccepted)
 			<-gate.entered
-			// The members are done and persisted; now the store loses its
-			// pack directory to a plain file, so the result's Put fails.
+			// The result is aggregated from the members' stored reports; now
+			// the store loses its pack directory to a plain file, so the
+			// result's Put fails.
 			packs := filepath.Join(dir, "packs")
 			if err := os.RemoveAll(packs); err != nil {
 				t.Fatal(err)

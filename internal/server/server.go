@@ -174,11 +174,10 @@ type JobView struct {
 }
 
 // cachedResult is the in-memory layer of the result cache: metadata and
-// rollups always; snapshot, report and track bytes only while the store
-// does not keep the record (see complete), after a cache hit promoted the
-// report and track back, or while a derived collector still has to read
-// them (pins). Every completed job of the hash points at its entry, so a
-// completed job keeps no spec, progress or rollup of its own.
+// rollups always; snapshot, report and track bytes only when the store did
+// not keep the record (see complete), so a result has one home. Every
+// completed job of the hash points at its entry, so a completed job keeps
+// no spec, progress or rollup of its own.
 type cachedResult struct {
 	// spec and hash are shared by every cache-hit job (equal hashes mean
 	// equal canonical specs).
@@ -256,7 +255,7 @@ type Server struct {
 
 	mu sync.Mutex
 	// jobs is the job table; its memory layer holds result metadata (and the
-	// snapshot bytes the store could not keep).
+	// bytes of a result the store could not keep).
 	jobs table[*Job, *cachedResult] // guarded by mu
 
 	// The derived kinds, one level up from jobs: each fans member jobs out
@@ -268,9 +267,6 @@ type Server struct {
 	// pruning and apply to cache-hit resubmissions — that the most recent
 	// covering analysis assigned to the improper noise component.
 	anomalies map[string]*AnomalyMark // guarded by mu
-	// pins counts, per hash, the derived collectors still to read its
-	// report (see submit).
-	pins map[string]int // guarded by mu
 
 	queue   chan *Job
 	ctx     context.Context
@@ -321,7 +317,6 @@ func New(opts Options) *Server {
 		opts:      opts,
 		jobs:      table[*Job, *cachedResult]{prefix: "job", expires: opts.JobTTL > 0},
 		anomalies: map[string]*AnomalyMark{},
-		pins:      map[string]int{},
 		queue:     make(chan *Job, opts.QueueDepth),
 		ctx:       ctx,
 		stop:      stop,
@@ -411,12 +406,6 @@ func (s *Server) worker() {
 // different backend, machine model, or cost calibration is a different job
 // with its own stored result.
 func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
-	return s.submit(spec, false)
-}
-
-// submit is Submit; with pin set, a returned view's hash stays pinned
-// until unpin (a derived member's, until its collector has read it).
-func (s *Server) submit(spec scenario.JobSpec, pin bool) (*JobView, error) {
 	cspec, hash, err := spec.CanonicalHash()
 	if err != nil {
 		return nil, err
@@ -424,9 +413,6 @@ func (s *Server) submit(spec scenario.JobSpec, pin bool) (*JobView, error) {
 
 	s.mu.Lock()
 	s.pruneLocked()
-	if pin {
-		s.pins[hash]++
-	}
 	if active, ok := s.jobs.activeLocked(hash); ok {
 		v := s.jobViewLocked(active)
 		s.mu.Unlock()
@@ -462,9 +448,6 @@ func (s *Server) submit(spec scenario.JobSpec, pin bool) (*JobView, error) {
 		select {
 		case s.queue <- job:
 		default:
-			if pin {
-				s.unpinLocked(hash)
-			}
 			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
 		}
 	}
@@ -502,16 +485,15 @@ func (s *Server) SubmitBatch(specs []scenario.JobSpec) []BatchItem {
 }
 
 // resolveResult consults the in-memory cache layer (under the server lock),
-// then the persistent store (outside it — the store does its own locking);
-// store hits are promoted into memory as metadata (and spec), with the
-// report and track bytes, so a hit hash's reads are served from memory. A
-// memory entry whose backing object was evicted from the store is dropped
-// (miss).
+// then the persistent store (outside it — the store does its own locking).
+// A first store hit enters the memory layer as metadata (and spec): its
+// report and track are read only for the summary and watchdog status, and
+// every later read of them goes to the store. A memory entry whose backing
+// object was evicted from the store is dropped (miss).
 func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResult, bool) {
 	st := s.opts.Store
 	s.mu.Lock()
 	res, ok := s.jobs.cachedLocked(hash)
-	promoted := ok && (res.report != nil || res.telemetry != nil)
 	s.mu.Unlock()
 	if ok && res.snapshot != nil {
 		return res, true
@@ -525,7 +507,7 @@ func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResul
 		}
 		return nil, false
 	}
-	if promoted {
+	if ok {
 		return res, true
 	}
 	var report, track []byte
@@ -535,22 +517,17 @@ func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResul
 	if m.TelemetrySize > 0 {
 		track, _ = st.ReadTelemetry(hash)
 	}
-	if !ok {
-		res = &cachedResult{
-			spec: spec, hash: hash,
-			particles:       m.Particles,
-			checksum:        m.Checksum,
-			simTime:         m.SimTime,
-			steps:           m.Steps,
-			summary:         parseSummary(report),
-			telemetryStatus: parseTrackStatus(track),
-		}
+	res = &cachedResult{
+		spec: spec, hash: hash,
+		particles:       m.Particles,
+		checksum:        m.Checksum,
+		simTime:         m.SimTime,
+		steps:           m.Steps,
+		summary:         parseSummary(report),
+		telemetryStatus: parseTrackStatus(track),
 	}
 	s.mu.Lock()
-	res.report, res.telemetry = report, track
-	if !ok {
-		s.jobs.cacheLocked(hash, res)
-	}
+	s.jobs.cacheLocked(hash, res)
 	s.mu.Unlock()
 	return res, true
 }
@@ -907,7 +884,8 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 // complete turns a finished run into the job's result: encode the snapshot
 // into the worker's scratch sc, render report and track once (the bytes
 // every later fetch and cache hit serves), persist them, and finish the
-// job. Only a result the store did not keep copies its snapshot out of sc.
+// job. Only a result the store did not keep holds its bytes in memory, its
+// snapshot copied out of sc.
 func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	x := job.run
 	snap := sc.Encode(res.PS)
@@ -931,18 +909,14 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 		result.telemetryStatus = track.Status
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
-	kept := s.persist(job, result)
-	result.snapshot = nil
-	if !kept {
+	// Once the store keeps the record, its copies are the only ones.
+	if s.persist(job, result) {
+		result.snapshot, result.report, result.telemetry = nil, nil, nil
+	} else {
 		result.snapshot = bytes.Clone(snap)
 	}
 
 	s.mu.Lock()
-	// The store's copies are authoritative once it keeps the record; a
-	// pinned hash keeps its report and track until its collector read them.
-	if kept && s.pins[job.Hash] == 0 {
-		result.report, result.telemetry = nil, nil
-	}
 	s.jobs.cacheLocked(job.Hash, result)
 	end := &outcome{dt: x.progress.DT, restarts: x.restarts,
 		telemetryStatus: cmp.Or(result.telemetryStatus, x.telemetryStatus)}
@@ -1023,10 +997,10 @@ func (s *Server) Metrics(id string) ([]byte, bool) {
 
 // persisted returns the verification report (with wantReport) and the
 // telemetry track (with wantTrack) recorded under a result hash: the memory
-// layer's copy first, otherwise one read of the store's region for each
-// wanted, nil where none was recorded (a result persisted by a build that
-// did not record it). It needs no live job record, so derived resources
-// survive job table pruning.
+// layer's copy of a result the store did not keep, otherwise one read of
+// the store's region for each wanted, nil where none was recorded (a result
+// persisted by a build that did not record it). It needs no live job
+// record, so derived resources survive job table pruning.
 func (s *Server) persisted(hash string, wantReport, wantTrack bool) (report, track []byte) {
 	s.mu.Lock()
 	if res, ok := s.jobs.cachedLocked(hash); ok {

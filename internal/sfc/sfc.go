@@ -80,16 +80,6 @@ func (b Box) Quantize(p vec.V3) (x, y, z uint32) {
 	return q(p.X - b.Lo.X), q(p.Y - b.Lo.Y), q(p.Z - b.Lo.Z)
 }
 
-// Center returns the position of the center of the grid cell (x, y, z).
-func (b Box) Center(x, y, z uint32) vec.V3 {
-	cell := b.Size / float64(maxCoord+1)
-	return vec.V3{
-		X: b.Lo.X + (float64(x)+0.5)*cell,
-		Y: b.Lo.Y + (float64(y)+0.5)*cell,
-		Z: b.Lo.Z + (float64(z)+0.5)*cell,
-	}
-}
-
 // --- Morton ------------------------------------------------------------------
 
 // spread3 inserts two zero bits between each of the low 21 bits of x.

@@ -143,20 +143,6 @@ func TestBoxQuantize(t *testing.T) {
 	}
 }
 
-func TestBoxCenterInvertsQuantize(t *testing.T) {
-	b := NewBox(vec.V3{}, vec.V3{X: 1, Y: 1, Z: 1})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		p := vec.V3{X: rng.Float64(), Y: rng.Float64(), Z: rng.Float64()}
-		x, y, z := b.Quantize(p)
-		c := b.Center(x, y, z)
-		cell := b.Size / (maxCoord + 1)
-		if d := c.Sub(p); d.Norm() > cell {
-			t.Fatalf("Center %v more than one cell from %v", c, p)
-		}
-	}
-}
-
 func TestDegenerateBox(t *testing.T) {
 	b := NewBox(vec.V3{X: 3, Y: 3, Z: 3}, vec.V3{X: 3, Y: 3, Z: 3})
 	if b.Size <= 0 {
