@@ -42,8 +42,9 @@
 // The server must run with -inject-nan (and -history-interval 1s, so the
 // history leg sees samples soon); without the hook the analytics leg fails
 // with "sphexa-serve was not started with -inject-nan". Every workload size
-// and calibrated band is a constant below, and -addr is the only flag. Any
-// regression exits non-zero, which is what CI keys on.
+// and calibrated band is a constant below, and -addr, an absolute http(s)
+// URL, is the only flag. Any regression exits non-zero, which is what CI
+// keys on.
 //
 //	sphexa-serve -addr 127.0.0.1:8080 -store-dir /tmp/store -history-interval 1s -inject-nan &
 //	sphexa-smoke -addr http://127.0.0.1:8080
@@ -59,6 +60,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -116,6 +118,10 @@ func printLintSuite() error {
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "sphexa-serve base URL")
 	flag.Parse()
+	if u, err := url.Parse(*addr); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		fmt.Fprintf(os.Stderr, "sphexa-smoke: -addr %q is not an absolute http:// or https:// URL with a host\n", *addr)
+		os.Exit(2)
+	}
 	if err := printLintSuite(); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
 		os.Exit(1)
@@ -266,18 +272,8 @@ func runConvergence(ctx context.Context, c *client.Client, addr string) error {
 
 	// The removed pre-/v1 aliases must 404 with no deprecation signal.
 	for _, path := range []string{"/scenarios", "/jobs", "/storez"} {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return fmt.Errorf("legacy route %s: %w", path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			return fmt.Errorf("removed legacy route %s answered %d, want 404", path, resp.StatusCode)
+		if _, _, err := get(ctx, addr+path, "", http.StatusNotFound); err != nil {
+			return fmt.Errorf("removed legacy route: %w", err)
 		}
 	}
 	fmt.Println("legacy routes: removed (404)")
@@ -637,30 +633,14 @@ func runAnalytics(ctx context.Context, c *client.Client, addr string) error {
 	fmt.Println("identical analysis resubmission: cache hit")
 
 	// The anomaly shows on the operator surfaces.
-	fetch := func(path string) (string, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
-		if err != nil {
-			return "", err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return "", fmt.Errorf("GET %s: %w", path, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return "", fmt.Errorf("GET %s: reading body: %w", path, err)
-		}
-		return string(b), nil
-	}
-	statusz, err := fetch("/statusz")
+	_, statusz, err := get(ctx, addr+"/statusz", "", http.StatusOK)
 	if err != nil {
 		return err
 	}
 	if !strings.Contains(statusz, "anomalies") {
 		return fmt.Errorf("/statusz missing the anomaly table:\n%s", statusz)
 	}
-	metricsz, err := fetch("/metricsz")
+	_, metricsz, err := get(ctx, addr+"/metricsz", "", http.StatusOK)
 	if err != nil {
 		return err
 	}
@@ -671,36 +651,39 @@ func runAnalytics(ctx context.Context, c *client.Client, addr string) error {
 	return nil
 }
 
+// get reads one operator surface pkg/client does not wrap, pinning the
+// request ID unless it is empty, and fails unless the status is want. The
+// response comes back with its body read and closed.
+func get(ctx context.Context, target, requestID string, want int) (*http.Response, string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	if requestID != "" {
+		req.Header.Set(client.RequestIDHeader, requestID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, "", fmt.Errorf("GET %s: %w", target, err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, "", fmt.Errorf("GET %s: reading body: %w", target, err)
+	}
+	if resp.StatusCode != want {
+		return nil, "", fmt.Errorf("GET %s: status %d, want %d", target, resp.StatusCode, want)
+	}
+	return resp, string(b), nil
+}
+
 // runObservability checks the telemetry surfaces against the traffic the
 // earlier legs generated: request tracing headers, the /statusz snapshot,
 // and the /metricsz Prometheus exposition.
 func runObservability(ctx context.Context, _ *client.Client, addr string) error {
-	get := func(path, requestID string) (*http.Response, string, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
-		if err != nil {
-			return nil, "", err
-		}
-		if requestID != "" {
-			req.Header.Set("X-Request-Id", requestID)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, "", fmt.Errorf("GET %s: %w", path, err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, "", fmt.Errorf("GET %s: reading body: %w", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, "", fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return resp, string(b), nil
-	}
-
 	// Request tracing: a pinned ID is echoed, a missing one is generated,
 	// and every response carries Server-Timing.
-	resp, _, err := get("/v1/healthz", "smoke-trace-1")
+	resp, _, err := get(ctx, addr+"/v1/healthz", "smoke-trace-1", http.StatusOK)
 	if err != nil {
 		return err
 	}
@@ -710,7 +693,7 @@ func runObservability(ctx context.Context, _ *client.Client, addr string) error 
 	if st := resp.Header.Get("Server-Timing"); !strings.Contains(st, "total;dur=") {
 		return fmt.Errorf("response lacks Server-Timing: %q", st)
 	}
-	resp, _, err = get("/v1/healthz", "")
+	resp, _, err = get(ctx, addr+"/v1/healthz", "", http.StatusOK)
 	if err != nil {
 		return err
 	}
@@ -719,7 +702,7 @@ func runObservability(ctx context.Context, _ *client.Client, addr string) error 
 	}
 
 	// /statusz: the human snapshot reflects the jobs the earlier legs ran.
-	_, body, err := get("/statusz", "")
+	_, body, err := get(ctx, addr+"/statusz", "", http.StatusOK)
 	if err != nil {
 		return err
 	}
@@ -730,7 +713,7 @@ func runObservability(ctx context.Context, _ *client.Client, addr string) error 
 	}
 
 	// /metricsz: the exposition carries the request and lifecycle families.
-	mresp, metrics, err := get("/metricsz", "")
+	mresp, metrics, err := get(ctx, addr+"/metricsz", "", http.StatusOK)
 	if err != nil {
 		return err
 	}

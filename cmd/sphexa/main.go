@@ -35,9 +35,9 @@
 //
 // With -server the job is submitted through the /v1 client (pkg/client) —
 // -backend/-machine/-cost select the execution section, -cores the modeled
-// core count; the engine flags are ignored — and the CLI polls progress,
-// prints the verification rollup, and (with -verify) fetches and prints the
-// full persisted report:
+// core count; the engine flags are ignored — and the CLI follows the job's
+// event stream, prints the verification rollup, and (with -verify) fetches
+// and prints the full persisted report:
 //
 //	sphexa -server http://localhost:8080 -scenario sod -n 8000 -steps 20 -verify
 //	sphexa -server http://localhost:8080 -scenario sod -backend serial -verify
@@ -57,7 +57,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/conserve"
 	"repro/internal/core"
@@ -205,10 +204,10 @@ func engineFlag(name, v string) (func(*core.Config), error) {
 }
 
 // runRemote submits the job to a sphexa-serve instance as a typed /v1
-// JobSpec and follows it to completion through the shared client — either
-// by polling progress or, with -telemetry, by tailing the live SSE
-// flight-recorder stream (per-step conservation drift, dt, and the physics
-// watchdog rollup).
+// JobSpec and follows it to completion through the shared client: a line
+// for each new step the job's /events stream reports, after (with
+// -telemetry) a tail of the live flight-recorder stream (per-step
+// conservation drift, dt, and the physics watchdog rollup).
 func runRemote(o *options) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -241,24 +240,18 @@ func runRemote(o *options) error {
 		if err != nil {
 			return err
 		}
-		if job, err = c.Job(ctx, job.ID); err != nil {
-			return err
-		}
 	}
+	// A line for each new step a live frame reports; after a telemetry
+	// tail the stream's first frame is already the terminal one.
 	lastStep := -1
-	for !job.Terminal() {
-		if job.Progress.Step != lastStep {
-			lastStep = job.Progress.Step
-			fmt.Printf("  step %d/%d t=%.6f\n", job.Progress.Step, job.Progress.Total, job.Progress.SimTime)
+	job, err = c.WatchJob(ctx, job.ID, func(j *client.Job) {
+		if !j.Terminal() && j.Progress.Step != lastStep {
+			lastStep = j.Progress.Step
+			fmt.Printf("  step %d/%d t=%.6f\n", j.Progress.Step, j.Progress.Total, j.Progress.SimTime)
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(200 * time.Millisecond):
-		}
-		if job, err = c.Job(ctx, job.ID); err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return err
 	}
 	switch job.State {
 	case client.StateCompleted:

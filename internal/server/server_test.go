@@ -49,7 +49,7 @@ func sedovSpec(steps int) scenario.JobSpec {
 // testClient wires a pkg/client onto an httptest server — the suites talk
 // to the API exactly as external consumers do.
 func testClient(ts *httptest.Server) *client.Client {
-	return client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	return client.New(ts.URL)
 }
 
 func waitState(t *testing.T, s *Server, id string, want JobState, timeout time.Duration) JobView {

@@ -1,10 +1,10 @@
 // Package client is the reusable Go client of the sphexa-serve /v1 API:
-// typed job submission (scenario.JobSpec), batch submission, polling
-// helpers, snapshot and verification-report retrieval, step-telemetry
-// tracks with live SSE streaming, measured trace export (Perfetto /
-// Paraver) with metrics-history queries, on-demand CPU profile capture,
-// convergence experiments (experiments.Sweep), fleet-clustering analytics
-// (cluster.Spec), cursor pagination, and
+// typed job submission (scenario.JobSpec), batch submission, waits that
+// follow each resource's /events stream, snapshot and verification-report
+// retrieval, step-telemetry tracks with live SSE streaming, measured trace
+// export (Perfetto / Paraver) with metrics-history queries, on-demand CPU
+// profile capture, convergence experiments (experiments.Sweep),
+// fleet-clustering analytics (cluster.Spec), cursor pagination, and
 // structured decoding of the API's error envelope into *APIError. The CLIs
 // (cmd/sphexa -server, cmd/sphexa-smoke) and the server's own httptest
 // suites all talk to the API through it.
@@ -19,6 +19,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,8 +48,6 @@ import (
 type Client struct {
 	base string
 	http *http.Client
-	// poll is the interval of the Wait helpers.
-	poll time.Duration
 	// retry, when non-nil, re-attempts submissions rejected with
 	// queue_full.
 	retry *RetryPolicy
@@ -103,10 +102,6 @@ type Option func(*Client)
 // transports, test doubles).
 func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.http = h } }
 
-// WithPollInterval sets the polling cadence of WaitJob/WaitExperiment
-// (default 50ms).
-func WithPollInterval(d time.Duration) Option { return func(c *Client) { c.poll = d } }
-
 // WithRetry makes the Submit methods back off and retry when the server
 // rejects a submission with queue_full, per the policy. Off by default —
 // callers that want the 503 surfaced (load shedders, tests) keep it.
@@ -128,7 +123,6 @@ func New(base string, opts ...Option) *Client {
 	c := &Client{
 		base: strings.TrimRight(base, "/"),
 		http: http.DefaultClient,
-		poll: 50 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -403,25 +397,66 @@ func submit[T any](ctx context.Context, c *Client, path string, body any) (*T, e
 	}
 }
 
-// terminal is a view that knows whether its resource has reached a final
-// state.
-type terminal interface{ Terminal() bool }
-
-// waitTerminal polls get until the view it returns is terminal (or ctx
-// expires, in which case the last view seen is returned with the context
-// error).
-func waitTerminal[T terminal](ctx context.Context, c *Client, get func(context.Context, string) (T, error), id string) (T, error) {
+// follow reads the server-sent events of path, decoding every `data:`
+// frame into a fresh T and handing it to fn, until the stream ends, fn
+// returns false, or ctx is cancelled. A frame is read whole, however long:
+// the line buffer grows to the frame.
+func follow[T any](ctx context.Context, c *Client, path string, fn func(*T) bool) error {
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
 	for {
-		view, err := get(ctx, id)
-		if err != nil || view.Terminal() {
-			return view, err
+		line, err := rd.ReadBytes('\n')
+		if err == io.EOF {
+			return nil // a cut last line is no frame
+		} else if err != nil {
+			// A context cancellation surfaces as a read error on the body;
+			// report the cause rather than the transport error.
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			return fmt.Errorf("client: reading %s: %w", path, err)
 		}
-		select {
-		case <-ctx.Done():
-			return view, ctx.Err()
-		case <-time.After(c.poll):
+		frame, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
+			continue
+		}
+		v := new(T)
+		if err := json.Unmarshal(frame, v); err != nil {
+			return fmt.Errorf("client: decoding %s frame: %w", path, err)
+		}
+		if !fn(v) {
+			return nil
 		}
 	}
+}
+
+// watch follows the /events stream of the resource at path to its terminal
+// frame and returns that view, handing fn (when non-nil) every frame on the
+// way. A stream that ends before a terminal frame is reopened; its first
+// frame is the current view, so nothing is missed. An open that fails
+// returns its error; when ctx ends, the last view seen returns with
+// ctx.Err().
+func watch[T any, P interface {
+	*T
+	Terminal() bool
+}](ctx context.Context, c *Client, path string, fn func(*T)) (*T, error) {
+	var last *T
+	for last == nil || !P(last).Terminal() {
+		err := follow(ctx, c, path+"/events", func(v *T) bool {
+			if last = v; fn != nil {
+				fn(v)
+			}
+			return !P(v).Terminal()
+		})
+		if err != nil {
+			return last, cmp.Or(ctx.Err(), err)
+		}
+	}
+	return last, nil
 }
 
 // decodeError turns a non-2xx response into *APIError, degrading gracefully
@@ -486,9 +521,15 @@ func (c *Client) Jobs(ctx context.Context, opts ListOptions) (*JobPage, error) {
 	return fetch[JobPage](ctx, c, http.MethodGet, "/v1/jobs"+opts.query(), nil)
 }
 
-// WaitJob polls until the job reaches a terminal state (or ctx expires).
+// WaitJob follows the job's events to a terminal state (or ctx expiry).
 func (c *Client) WaitJob(ctx context.Context, id string) (*Job, error) {
-	return waitTerminal(ctx, c, c.Job, id)
+	return c.WatchJob(ctx, id, nil)
+}
+
+// WatchJob is WaitJob handing fn (when non-nil) every view on the way: one
+// per state or progress change, the terminal one last.
+func (c *Client) WatchJob(ctx context.Context, id string, fn func(*Job)) (*Job, error) {
+	return watch(ctx, c, "/v1/jobs/"+id, fn)
 }
 
 // Cancel terminally cancels a queued or running job.
@@ -533,9 +574,9 @@ func (c *Client) Experiments(ctx context.Context, opts ListOptions) (*Experiment
 	return fetch[ExperimentPage](ctx, c, http.MethodGet, "/v1/experiments"+opts.query(), nil)
 }
 
-// WaitExperiment polls until the experiment reaches a terminal state.
+// WaitExperiment follows the experiment's events to a terminal state.
 func (c *Client) WaitExperiment(ctx context.Context, id string) (*Experiment, error) {
-	return waitTerminal(ctx, c, c.Experiment, id)
+	return watch[Experiment](ctx, c, "/v1/experiments/"+id, nil)
 }
 
 // ScalingPage is one page of the scaling-experiment listing.
@@ -560,9 +601,9 @@ func (c *Client) Scalings(ctx context.Context, opts ListOptions) (*ScalingPage, 
 	return fetch[ScalingPage](ctx, c, http.MethodGet, "/v1/scaling"+opts.query(), nil)
 }
 
-// WaitScaling polls until the scaling experiment reaches a terminal state.
+// WaitScaling follows the scaling experiment's events to a terminal state.
 func (c *Client) WaitScaling(ctx context.Context, id string) (*Scaling, error) {
-	return waitTerminal(ctx, c, c.Scaling, id)
+	return watch[Scaling](ctx, c, "/v1/scaling/"+id, nil)
 }
 
 // ClusterAnalysis is the wire shape of a fleet-clustering analysis view
@@ -605,9 +646,9 @@ func (c *Client) ClusterAnalyses(ctx context.Context, opts ListOptions) (*Analyt
 	return fetch[AnalyticsPage](ctx, c, http.MethodGet, "/v1/analytics/cluster"+opts.query(), nil)
 }
 
-// WaitCluster polls until the cluster analysis reaches a terminal state.
+// WaitCluster follows the cluster analysis's events to a terminal state.
 func (c *Client) WaitCluster(ctx context.Context, id string) (*ClusterAnalysis, error) {
-	return waitTerminal(ctx, c, c.ClusterAnalysis, id)
+	return watch[ClusterAnalysis](ctx, c, "/v1/analytics/cluster/"+id, nil)
 }
 
 // DeleteCluster forgets a terminal cluster-analysis record.
@@ -664,32 +705,7 @@ type TelemetryEvent struct {
 // terminal), fn returns false, or ctx is cancelled. A kill-requeue does not
 // end the stream — the job resumes and frames keep flowing.
 func (c *Client) StreamTelemetry(ctx context.Context, id string, fn func(TelemetryEvent) bool) error {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry/events", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev TelemetryEvent
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			return fmt.Errorf("client: decoding telemetry frame: %w", err)
-		}
-		if !fn(ev) {
-			return nil
-		}
-	}
-	// A context cancellation surfaces as a read error on the body; report
-	// the cause rather than the wrapped transport error.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return sc.Err()
+	return follow(ctx, c, "/v1/jobs/"+id+"/telemetry/events", func(ev *TelemetryEvent) bool { return fn(*ev) })
 }
 
 // Trace export formats of GET /v1/jobs/{id}/trace (mirroring the server's).

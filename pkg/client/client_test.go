@@ -21,15 +21,23 @@ import (
 // the client against the same handler production serves.
 func newServer(t *testing.T) (*server.Server, *client.Client) {
 	t.Helper()
+	s, ts := startServer(t, 2)
+	return s, client.New(ts.URL)
+}
+
+// startServer is a job server with the given worker count behind
+// httptest.
+func startServer(t *testing.T, workers int) (*server.Server, *httptest.Server) {
+	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := server.New(server.Options{Workers: 2, Store: st})
+	s := server.New(server.Options{Workers: workers, Store: st})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, client.New(ts.URL, client.WithPollInterval(5*time.Millisecond))
+	return s, ts
 }
 
 func sedovSpec(steps, n int) scenario.JobSpec {
