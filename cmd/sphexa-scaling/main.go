@@ -46,9 +46,8 @@ func main() {
 		cores   = flag.String("cores", "", "comma-separated core counts (default: the figure's ladder; server mode: 12,48,192)")
 		weak    = flag.Int("weak", 0, "run WEAK scaling at this many particles/core instead (the paper's declared future work)")
 
-		server  = flag.String("server", "", "run the sweep remotely on this sphexa-serve base URL (POST /v1/scaling)")
-		scen    = flag.String("scenario", "sod", "server mode: registry scenario to scale")
-		timeout = flag.Duration("timeout", 15*time.Minute, "server mode: overall deadline")
+		server = flag.String("server", "", "run the sweep remotely on this sphexa-serve base URL (POST /v1/scaling)")
+		scen   = flag.String("scenario", "sod", "server mode: registry scenario to scale")
 	)
 	flag.Parse()
 
@@ -91,7 +90,7 @@ func main() {
 			ladder = parseCores(*cores)
 		}
 		if err := runRemote(*server, *scen, *code, machines,
-			ladder, *n, *steps, *weak, *timeout); err != nil {
+			ladder, *n, *steps, *weak); err != nil {
 			fail(err)
 		}
 		return
@@ -132,12 +131,15 @@ func main() {
 	}
 }
 
+// remoteTimeout is the overall deadline of a server-mode sweep.
+const remoteTimeout = 15 * time.Minute
+
 // runRemote submits the ladder as a /v1/scaling experiment and prints the
 // aggregated result: one machine is the base's, several are paired arms.
 func runRemote(addr, scen, cost string, machines []string,
-	ladder []int, n, steps, weak int, timeout time.Duration) error {
+	ladder []int, n, steps, weak int) error {
 
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), remoteTimeout)
 	defer cancel()
 	c := client.New(addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
 

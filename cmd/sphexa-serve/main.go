@@ -49,11 +49,12 @@
 // Structured request/lifecycle logs go to stderr (-log-level), and
 // -pprof-addr exposes net/http/pprof on a separate listener.
 //
-// Jobs checkpoint every -checkpoint-every steps, by default
-// runloop.DefaultChunkSteps like the sphexa CLI, so a local run and the same
-// spec served on the serial backend are the same run. -inject-nan is for the
-// contract smoke only: it installs server.NaNFault, which poisons the one
-// serial sedov run the smoke's analytics leg expects to be flagged.
+// Jobs run in chunks of runloop.DefaultChunkSteps steps, checkpointed under
+// -data-dir between chunks, like every sphexa CLI run, so a local run and
+// the same spec served on the serial backend are the same run. -inject-nan
+// is for the contract smoke only: it installs server.NaNFault, which
+// poisons the one serial sedov run the smoke's analytics leg expects to be
+// flagged.
 //
 //	sphexa-serve -addr :8080 -workers 4 -data-dir /var/lib/sphexa \
 //	    -store-dir /var/lib/sphexa/results -store-ttl 168h -store-max-bytes 1073741824
@@ -73,7 +74,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/runloop"
 	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -81,13 +81,12 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 2, "concurrent simulation workers")
-		queue     = flag.Int("queue", 64, "maximum queued jobs")
-		dataDir   = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
-		ckptEvery = flag.Int("checkpoint-every", runloop.DefaultChunkSteps, "steps between job checkpoints")
-		storeDir  = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
-		storeTTL  = flag.Duration("store-ttl", 7*24*time.Hour,
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 2, "concurrent simulation workers")
+		queue    = flag.Int("queue", 64, "maximum queued jobs")
+		dataDir  = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
+		storeDir = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
+		storeTTL = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
 		storeMax = flag.Int64("store-max-bytes", 0, "cap on live record bytes (snapshots plus their report and telemetry regions), LRU-evicted (0 = unbounded)")
 		sweep    = flag.Duration("store-sweep", time.Minute,
@@ -103,7 +102,7 @@ func main() {
 			server.NaNFaultN, server.NaNFaultStep))
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *queue, *dataDir, *ckptEvery,
+	if err := run(*addr, *workers, *queue, *dataDir,
 		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel, *histEvery,
 		*injectNaN); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-serve:", err)
@@ -111,7 +110,7 @@ func main() {
 	}
 }
 
-func run(addr string, workers, queue int, dataDir string, ckptEvery int,
+func run(addr string, workers, queue int, dataDir string,
 	storeDir string, storeTTL time.Duration, storeMax int64, sweep time.Duration,
 	pprofAddr, logLevel string, histEvery time.Duration, injectNaN bool) error {
 	var level slog.Level
@@ -157,7 +156,6 @@ func run(addr string, workers, queue int, dataDir string, ckptEvery int,
 		Workers:         workers,
 		QueueDepth:      queue,
 		DataDir:         dataDir,
-		CheckpointEvery: ckptEvery,
 		Store:           st,
 		JobTTL:          storeTTL,
 		Logger:          logger,

@@ -68,7 +68,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/lintkit"
 	"repro/internal/obs/history"
 	"repro/internal/scenario"
 	"repro/internal/server"
@@ -98,33 +97,12 @@ var (
 // clean: the server lacks its fault hook, so there is no anomaly to find.
 var errNotInjected = errors.New("sphexa-serve was not started with -inject-nan")
 
-// printLintSuite prints the static-analysis suite the build carries and
-// fails if the analyzer registry ever shrinks below the contract: a
-// silently-empty sphexa-lint would pass every tree.
-func printLintSuite() error {
-	all := lintkit.All()
-	names := make([]string, 0, len(all))
-	for _, a := range all {
-		names = append(names, a.Name)
-	}
-	fmt.Printf("lint: sphexa-lint %s, %d analyzers: %s\n",
-		lintkit.Version, len(all), strings.Join(names, ", "))
-	if len(all) < 5 {
-		return fmt.Errorf("lint suite has %d analyzers, contract requires at least 5", len(all))
-	}
-	return nil
-}
-
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "sphexa-serve base URL")
 	flag.Parse()
 	if u, err := url.Parse(*addr); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		fmt.Fprintf(os.Stderr, "sphexa-smoke: -addr %q is not an absolute http:// or https:// URL with a host\n", *addr)
 		os.Exit(2)
-	}
-	if err := printLintSuite(); err != nil {
-		fmt.Fprintln(os.Stderr, "sphexa-smoke: FAIL:", err)
-		os.Exit(1)
 	}
 	c := client.New(*addr, client.WithRetry(client.RetryPolicy{MaxAttempts: 5}))
 	for _, leg := range []func(ctx context.Context, c *client.Client, addr string) error{

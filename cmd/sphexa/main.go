@@ -12,13 +12,16 @@
 //
 // The flags build one JobSpec for both modes. A local run goes through the
 // executor the job server runs its jobs through (internal/runloop), on the
-// shared-memory engine, so at equal chunk size a local run and a served
-// `-backend serial` job are the same run: same final state, same
-// verification report. Both sides default -checkpoint-every to
-// runloop.DefaultChunkSteps; without -checkpoint-dir the local run is one
-// chunk, which equals the server's up to that many steps. The scenario
-// supplies the whole engine configuration; -kernel, -gradients, -volumes,
-// -stepping, -multipoles and -workers edit it, and only those given do.
+// shared-memory engine, in chunks of runloop.DefaultChunkSteps steps like
+// every served job, so a local run and a served `-backend serial` job are
+// the same run: same final state, same verification report, with or without
+// -checkpoint-dir (which only adds a checkpoint between chunks), unless
+// the detectors below stop the local run. The scenario supplies the whole
+// engine configuration; -kernel, -gradients, -volumes, -stepping,
+// -multipoles and -workers edit it, and only those given do.
+// Silent-data-corruption detectors check every step of a local run and
+// stop it when they trip; a served job runs none, so there a run that
+// blows up completes and is stored.
 // SIGINT/SIGTERM interrupt at a step boundary — the state is synchronized,
 // checkpointed (when enabled), and the conservation summary still prints —
 // and -restart resumes from the newest checkpoint toward the same -steps.
@@ -96,8 +99,7 @@ type options struct {
 	// edit applies the engine flags the user set to the scenario's config.
 	edit          func(*core.Config)
 	ckptDir       string
-	ckptEvery     int
-	restart, sdc  bool
+	restart       bool
 	verify        bool
 	traceOut      string
 	server        string
@@ -121,9 +123,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.String("multipoles", "", scenarioChoice+"gravity expansion: monopole, quadrupole, hexadecapole")
 	fs.Int("workers", 0, "worker threads (all cores when not given)")
 	fs.StringVar(&o.ckptDir, "checkpoint-dir", "", "enable checkpointing into this directory")
-	fs.IntVar(&o.ckptEvery, "checkpoint-every", runloop.DefaultChunkSteps, "steps between checkpoints")
 	fs.BoolVar(&o.restart, "restart", false, "restore from the newest checkpoint before running")
-	fs.BoolVar(&o.sdc, "sdc", true, "run silent-data-corruption detectors every step")
 	fs.BoolVar(&o.verify, "verify", false,
 		"score the final snapshot against the scenario's analytic reference and print the verification report; exit non-zero if the registered acceptance thresholds fail")
 	fs.StringVar(&o.server, "server", "",
@@ -286,9 +286,8 @@ func runLocal(o *options) (runloop.Result, error) {
 		return runloop.Result{}, err
 	}
 	var ck *ft.Checkpointer
-	chunkSteps := 0 // without a checkpoint directory the run is one chunk
 	if o.ckptDir != "" {
-		ck, chunkSteps = &ft.Checkpointer{Dir: o.ckptDir}, o.ckptEvery
+		ck = &ft.Checkpointer{Dir: o.ckptDir}
 	}
 
 	// SIGINT/SIGTERM cancel the run cooperatively at the next step
@@ -305,7 +304,6 @@ func runLocal(o *options) (runloop.Result, error) {
 	res, err := runloop.Execute(spec, runloop.Env{
 		Ctx:          runCtx,
 		Checkpointer: ck,
-		ChunkSteps:   chunkSteps,
 		Resume:       o.restart,
 		MustResume:   o.restart,
 		Recorder:     rec,
@@ -328,17 +326,13 @@ func runLocal(o *options) (runloop.Result, error) {
 				// evaluated, so earlier totals are not comparable.
 				armed = true
 				first = st
-				if o.sdc {
-					suite = &ft.Suite{Detectors: []ft.Detector{
-						ft.StructuralDetector{},
-						&ft.ConservationDetector{Ref: first, Tolerance: 0.2},
-					}}
-				}
+				suite = &ft.Suite{Detectors: []ft.Detector{
+					ft.StructuralDetector{},
+					&ft.ConservationDetector{Ref: first, Tolerance: 0.2},
+				}}
 			}
-			if suite != nil {
-				if v := suite.Check(ps, st); v.Corrupted {
-					abort(fmt.Errorf("SDC detector %q tripped at step %d: %s", v.Detector, rep.Step, v.Detail))
-				}
+			if v := suite.Check(ps, st); v.Corrupted {
+				abort(fmt.Errorf("SDC detector %q tripped at step %d: %s", v.Detector, rep.Step, v.Detail))
 			}
 		},
 	})

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,10 +34,9 @@ func local(t *testing.T, args ...string) (runloop.Result, scenario.JobSpec) {
 	return res, spec
 }
 
-// served runs the spec as a job of an in-process server with the default
-// checkpoint interval (runloop.DefaultChunkSteps, the local default too) and
-// returns its persisted report without the trailing wall-clock spans, and
-// its snapshot.
+// served runs the spec as a job of an in-process server, which chunks it at
+// runloop.DefaultChunkSteps like a local run, and returns its persisted
+// report without the trailing wall-clock spans, and its snapshot.
 func served(t *testing.T, spec scenario.JobSpec) ([]byte, *part.Set) {
 	t.Helper()
 	st, err := store.Open(t.TempDir(), store.Options{})
@@ -107,22 +107,58 @@ func TestLocalVerifiesTheStateTheServerVerifies(t *testing.T) {
 	}
 }
 
-// TestCheckpointedLocalRunIsServed: at the default checkpoint interval a
-// checkpointed local run chunks like the server, so a run longer than one
-// chunk is still the served serial job — same report, same final state.
+// TestCheckpointedLocalRunIsServed: a local run chunks like the server, at
+// runloop.DefaultChunkSteps whether or not it checkpoints, so a run longer
+// than one chunk is still the served serial job — same report, same final
+// state — with and without -checkpoint-dir: across one chunk boundary and
+// across two and a partial last chunk. Except where the local run's SDC
+// detectors stop it, as the served job runs none: at 1000 particles a sod
+// tube's free left end blows up at step 14, which stops the local run and
+// is stored when served. That row records the divergence; the 25-step run
+// that compares equal has 4000 particles, which do not trip.
 func TestCheckpointedLocalRunIsServed(t *testing.T) {
-	res, spec := local(t, "-scenario", "sod", "-n", "1000", "-steps", "12", "-neighbors", "30",
-		"-checkpoint-dir", t.TempDir())
-	got, err := json.Marshal(res.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, ps := served(t, spec)
-	if !bytes.Equal(got, want) {
-		t.Errorf("local report differs from the served serial job's:\nlocal:  %s\nserved: %s", got, want)
-	}
-	if res.PS.Checksum() != ps.Checksum() {
-		t.Errorf("local final state %016x, served %016x", res.PS.Checksum(), ps.Checksum())
+	for _, run := range []struct {
+		n, steps string
+		sdcStep  int // the step the local run's detectors stop it at; 0: none
+	}{{"1000", "12", 0}, {"4000", "25", 0}, {"1000", "25", 14}} {
+		args := []string{"-scenario", "sod", "-n", run.n, "-steps", run.steps, "-neighbors", "30"}
+		o, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := o.spec
+		spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+		want, ps := served(t, spec)
+		for _, ckpt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("n=%s/steps=%s/checkpoint-dir=%v", run.n, run.steps, ckpt), func(t *testing.T) {
+				args := args
+				if ckpt {
+					args = append(args[:len(args):len(args)], "-checkpoint-dir", t.TempDir())
+				}
+				if run.sdcStep > 0 {
+					o, err := parseFlags(args)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trip := fmt.Sprintf("SDC detector %q tripped at step %d:", "conservation", run.sdcStep)
+					if _, err := runLocal(o); err == nil || !strings.Contains(err.Error(), trip) {
+						t.Errorf("local run: %v, want %s…; the served job stored a report", err, trip)
+					}
+					return
+				}
+				res, _ := local(t, args...)
+				got, err := json.Marshal(res.Report)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("local report differs from the served serial job's:\nlocal:  %s\nserved: %s", got, want)
+				}
+				if res.PS.Checksum() != ps.Checksum() {
+					t.Errorf("local final state %016x, served %016x", res.PS.Checksum(), ps.Checksum())
+				}
+			})
+		}
 	}
 }
 

@@ -259,7 +259,7 @@ func timingCRC(rt *RunTiming) uint64 {
 
 // TestChunkedRunEndsSynchronized: the state a distributed run returns is at
 // one time level, like the state Synchronize leaves — so a run cut into
-// chunks (the server's -checkpoint-every) is the serial engine synchronized
+// chunks (runloop.DefaultChunkSteps) is the serial engine synchronized
 // at the same boundaries, bit for bit, not a run that lost a half-kick at
 // each one. Global stepping only: an adaptive controller's growth limit is
 // the one piece of state a chunk boundary does not carry on this engine.

@@ -1,12 +1,12 @@
 // Package runloop is the job executor of the mini-app: Execute takes a
 // canonical scenario.JobSpec to a verified result — scenario lookup and
 // generation, the t=0 conservation reference, the execution shape, restore
-// from the newest checkpoint, one of the two engines driven in chunks of the
-// checkpoint interval with a checkpoint between chunks and a clean stop at a
-// step boundary on cancellation, one flight-recorder sample per step, and
-// verify.Evaluate on the final state. The job server (internal/server) and
-// the CLI (cmd/sphexa) both run through it, so a report is a function of the
-// spec and the chunk size, not of the binary that produced it.
+// from the newest checkpoint, one of the two engines driven in chunks of
+// DefaultChunkSteps steps with a checkpoint between chunks and a clean stop
+// at a step boundary on cancellation, one flight-recorder sample per step,
+// and verify.Evaluate on the final state. The job server (internal/server)
+// and the CLI (cmd/sphexa) both run through it, so a report is a function
+// of the spec, not of the binary that produced it.
 package runloop
 
 import (
@@ -30,10 +30,17 @@ import (
 	"repro/internal/verify"
 )
 
-// DefaultChunkSteps is the checkpoint interval of the job server and of the
-// CLI when none is given: chunk ends synchronize the state, so a local run
-// and a served job are the same run only at the same chunk size.
+// DefaultChunkSteps is the one chunk size: every run, local or served,
+// serial or distributed, checkpointed or not, synchronizes its state every
+// DefaultChunkSteps steps. Chunk ends change the integration, so this
+// constant is part of what a result is a function of.
 const DefaultChunkSteps = 10
+
+// EngineVersion names the engine a result was computed by: a result is a
+// function of its spec and of this. It is bumped, with the golden of
+// TestEngineProbePinned, whenever a change moves what a spec computes — the
+// final state of a run, the modeled machines or the cost calibrations.
+const EngineVersion = "1"
 
 // Env is what the caller owns around one execution.
 type Env struct {
@@ -45,10 +52,9 @@ type Env struct {
 	// Configure, when non-nil, sees the generated workload once, before the
 	// engine is built, and may edit its config (the CLI's engine flags).
 	Configure func(cfg *core.Config, ps *part.Set)
-	// Checkpointer persists the state between chunks of ChunkSteps steps
-	// (<= 0: one monolithic chunk); nil disables checkpointing and resume.
+	// Checkpointer persists the state between chunks; nil disables
+	// checkpointing and resume, not the chunks.
 	Checkpointer *ft.Checkpointer
-	ChunkSteps   int
 	// Resume restores the newest checkpoint before running; MustResume
 	// makes a failed restore an error instead of a fresh start (-restart).
 	Resume, MustResume bool
@@ -281,7 +287,7 @@ func (x *execution) serial() chunk {
 }
 
 // distributed drives the simulated-MPI engine under the job's run shape:
-// one chunk is one RunParallelCapture of up to ChunkSteps steps, which
+// one chunk is one RunParallelCapture of up to DefaultChunkSteps steps, which
 // returns the merged, synchronized state.
 func (x *execution) distributed() (chunk, error) {
 	machine, cost, cores, err := Shape(x.spec, x.cfg)
@@ -376,9 +382,10 @@ type base struct {
 type chunk func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error)
 
 // loop is the chunked checkpoint/resume loop: optional restore, then chunks
-// of ChunkSteps with a checkpoint between consecutive chunks, until total
-// steps, cancellation, or an error. An interim checkpoint failure is one: a
-// run that cannot honor its durability contract must not compute past it.
+// of DefaultChunkSteps with a checkpoint between consecutive chunks (when
+// there is a Checkpointer), until total steps, cancellation, or an error.
+// An interim checkpoint failure is one: a run that cannot honor its
+// durability contract must not compute past it.
 func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 	ctx := env.Ctx
 	if ctx == nil {
@@ -414,10 +421,7 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 			return res, nil
 		default:
 		}
-		n := total - res.Steps
-		if env.ChunkSteps > 0 && n > env.ChunkSteps {
-			n = env.ChunkSteps
-		}
+		n := min(total-res.Steps, DefaultChunkSteps)
 		if env.Recorder != nil {
 			env.Recorder.TruncateAfter(res.Steps)
 		}

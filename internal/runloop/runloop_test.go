@@ -67,15 +67,15 @@ func TestRunChunksAndCheckpoints(t *testing.T) {
 	var calls []base
 	c := ck(t)
 	res, err := loop(Env{
-		Checkpointer: c, ChunkSteps: 4,
-	}, 10, newSet(), fakeChunk(t, &calls))
+		Checkpointer: c,
+	}, 25, newSet(), fakeChunk(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 10 || res.SimTime != 5 || res.Cancelled {
-		t.Fatalf("result %+v, want 10 steps, simTime 5", res)
+	if res.Steps != 25 || res.SimTime != 12.5 || res.Cancelled {
+		t.Fatalf("result %+v, want 25 steps, simTime 12.5", res)
 	}
-	want := []base{{0, 0}, {4, 2}, {8, 4}}
+	want := []base{{0, 0}, {10, 5}, {20, 10}}
 	if len(calls) != len(want) {
 		t.Fatalf("chunk calls %+v, want %+v", calls, want)
 	}
@@ -84,14 +84,14 @@ func TestRunChunksAndCheckpoints(t *testing.T) {
 			t.Fatalf("chunk %d base %+v, want %+v", i, calls[i], want[i])
 		}
 	}
-	// Interim checkpoints exist (the last one at step 8); no final-step
+	// Interim checkpoints exist (the last one at step 20); no final-step
 	// checkpoint is written by the loop itself.
 	ps, step, simTime, err := c.Restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if step != 8 || simTime != 4 || ps.ID[0] != 8 {
-		t.Fatalf("restored step %d simTime %g id %d, want 8 / 4 / 8", step, simTime, ps.ID[0])
+	if step != 20 || simTime != 10 || ps.ID[0] != 20 {
+		t.Fatalf("restored step %d simTime %g id %d, want 20 / 10 / 20", step, simTime, ps.ID[0])
 	}
 }
 
@@ -105,7 +105,7 @@ func TestRunResumesFromCheckpoint(t *testing.T) {
 	}
 	var restored []int
 	res, err := loop(Env{
-		Checkpointer: c, Resume: true, ChunkSteps: 4,
+		Checkpointer: c, Resume: true,
 		OnRestore: func(step int, simTime float64) { restored = append(restored, step) },
 	}, 10, newSet(), fakeChunk(t, &calls))
 	if err != nil {
@@ -132,7 +132,7 @@ func TestRunIgnoresOversizedCheckpointUnlessMustResume(t *testing.T) {
 	// only happens across spec changes).
 	var calls []base
 	res, err := loop(Env{
-		Checkpointer: c, Resume: true, ChunkSteps: 0,
+		Checkpointer: c, Resume: true,
 	}, 10, newSet(), fakeChunk(t, &calls))
 	if err != nil || res.Steps != 10 || len(calls) != 1 || calls[0] != (base{}) {
 		t.Fatalf("res=%+v err=%v calls=%+v, want fresh 10-step run", res, err, calls)
@@ -176,22 +176,24 @@ func TestRunIgnoresOversizedCheckpointUnlessMustResume(t *testing.T) {
 	}
 }
 
+// TestRunStopsOnCancelledChunk: with no checkpointer the run is still cut
+// at DefaultChunkSteps, and a chunk's cancellation ends it.
 func TestRunStopsOnCancelledChunk(t *testing.T) {
 	var calls []base
 	cancelAfter := func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error) {
 		calls = append(calls, b)
-		if b.Step >= 4 {
+		if b.Step >= 10 {
 			// Simulate an engine observing cancellation mid-chunk.
 			return Result{PS: ps, Steps: 1, SimTime: 0.5, Cancelled: true}, nil
 		}
 		return Result{PS: ps, Steps: steps, SimTime: 0.5 * float64(steps)}, nil
 	}
-	res, err := loop(Env{ChunkSteps: 4}, 12, newSet(), cancelAfter)
+	res, err := loop(Env{}, 30, newSet(), cancelAfter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cancelled || res.Steps != 5 {
-		t.Fatalf("result %+v, want cancelled at 5 steps", res)
+	if !res.Cancelled || res.Steps != 11 {
+		t.Fatalf("result %+v, want cancelled at 11 steps", res)
 	}
 }
 

@@ -37,13 +37,14 @@ func (c reuseCase) String() string {
 // registered scenario (evrard is the one with gravity), its particle count
 // and neighbour target going up and then down, serial and on four ranks,
 // fixed and adaptive dt, and a kill with resume on each backend. Every job
-// runs in chunks of two steps, so a distributed job's merged state is also
-// the next chunk's input.
+// runs two steps past one chunk, so a distributed job's merged state is
+// also the next chunk's input, and a killed job is killed one step into its
+// second chunk, after the loop's checkpoint at the first chunk's end.
 func reuseSequence(t *testing.T) []reuseCase {
 	var seq []reuseCase
 	job := func(name string, n, nn, cores, killAt int, adaptive bool) {
 		spec := scenario.JobSpec{Spec: scenario.Spec{Scenario: name,
-			Params: scenario.Params{N: n, NNeighbors: nn}, Steps: 4}}
+			Params: scenario.Params{N: n, NNeighbors: nn}, Steps: DefaultChunkSteps + 2}}
 		if cores == 0 {
 			spec.Exec.Backend = scenario.BackendSerial
 		} else {
@@ -61,8 +62,9 @@ func reuseSequence(t *testing.T) []reuseCase {
 		job(name, 125, 16, 4, 0, false)
 		job(name, 125, 24, 0, 0, true)
 	}
-	job("sedov", 343, 24, 0, 3, false)
-	job("square", 216, 20, 4, 3, true)
+	kill := DefaultChunkSteps + 1
+	job("sedov", 343, 24, 0, kill, false)
+	job("square", 216, 20, 4, kill, true)
 	job("evrard", 125, 18, 0, 0, false)
 	// A job after one more than four times its size runs on the large
 	// scratch, and the job after it starts on a new one: on each backend,
@@ -72,7 +74,7 @@ func reuseSequence(t *testing.T) []reuseCase {
 		job("sedov", 1000, 20, cores, 0, false)
 		job("sedov", 125, 20, cores, 0, false)
 		job("sedov", 1000, 20, cores, 0, false)
-		job("sedov", 125, 20, cores, 3, false)
+		job("sedov", 125, 20, cores, kill, false)
 	}
 	return seq
 }
@@ -84,7 +86,7 @@ func reuseSequence(t *testing.T) []reuseCase {
 func executeCase(t *testing.T, c reuseCase, sc *Scratch) (snap, report, track []byte) {
 	t.Helper()
 	rec := telemetry.NewRecorder(nil)
-	env := Env{Scratch: sc, Recorder: rec, ChunkSteps: 2}
+	env := Env{Scratch: sc, Recorder: rec}
 	if c.adaptive {
 		env.Configure = func(cfg *core.Config, _ *part.Set) { cfg.Stepping = ts.Adaptive }
 	}
@@ -100,6 +102,9 @@ func executeCase(t *testing.T, c reuseCase, sc *Scratch) (snap, report, track []
 		res, err := Execute(c.spec, env)
 		if err != nil || !res.Cancelled || res.Steps != c.killAt {
 			t.Fatalf("%v: killed run: %v, cancelled %v at step %d", c, err, res.Cancelled, res.Steps)
+		}
+		if _, step, _, err := env.Checkpointer.Restore(); err != nil || step != DefaultChunkSteps {
+			t.Fatalf("%v: killed run's interim checkpoint at step %d (%v), want %d", c, step, err, DefaultChunkSteps)
 		}
 		if err := env.Checkpointer.Write(res.Steps, res.SimTime, res.PS); err != nil {
 			t.Fatal(err)

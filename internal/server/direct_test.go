@@ -43,13 +43,13 @@ func directSample(initial conserve.State, rep core.StepReport, cons conserve.Sta
 }
 
 // runDirect is the reference implementation of "run this canonical spec":
-// the engine entry points, chunks of the server's checkpoint interval, a
+// the engine entry points, chunks of runloop.DefaultChunkSteps steps, a
 // synchronized state at every chunk end, verify.Evaluate on the result. A
 // serial run keeps one Sim across chunks; killAt > 0 interrupts it after
 // that many steps, sends the synchronized state through the checkpoint
 // encoding and continues with a new Sim, which is what a kill and the
 // resume from its checkpoint do.
-func runDirect(t *testing.T, s *Server, spec scenario.JobSpec, killAt int) directResult {
+func runDirect(t *testing.T, spec scenario.JobSpec, killAt int) directResult {
 	t.Helper()
 	sc, err := scenario.Get(spec.Scenario)
 	if err != nil {
@@ -70,7 +70,7 @@ func runDirect(t *testing.T, s *Server, spec scenario.JobSpec, killAt int) direc
 	var timing *core.RunTiming
 	done, simTime := 0, 0.0
 	for done < spec.Steps {
-		n := min(spec.Steps-done, s.opts.CheckpointEvery)
+		n := min(spec.Steps-done, runloop.DefaultChunkSteps)
 		if killAt > done && killAt < done+n {
 			n = killAt - done
 		}
@@ -219,17 +219,16 @@ func TestServedEqualsDirect(t *testing.T) {
 			Steps:    steps,
 		}})
 	}
-	const every = 4
 	for _, tc := range []struct {
 		name   string
 		spec   scenario.JobSpec
 		killAt int
 	}{
-		{"sod/serial", serial(sodSpec(6)), 0},
-		{"sod/cores4", sodSpec(6), 0},
-		{"sedov/serial/killed", serial(sedovSpec(11)), 6},
+		{"sod/serial", serial(sodSpec(12)), 0},
+		{"sod/cores4", sodSpec(12), 0},
+		{"sedov/serial/killed", serial(sedovSpec(22)), 13},
 		{"evrard/serial/one-chunk", evrard(3), 0},
-		{"evrard/serial/two-chunks", evrard(6), 0},
+		{"evrard/serial/two-chunks", evrard(12), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The kill is issued from the per-step hook of the step it
@@ -239,7 +238,7 @@ func TestServedEqualsDirect(t *testing.T) {
 			killed := false // only the one worker goroutine touches it
 			s = New(Options{
 				Store:   tempStore(t),
-				Workers: 1, DataDir: t.TempDir(), CheckpointEvery: every,
+				Workers: 1, DataDir: t.TempDir(),
 				FaultInjection: func(step int, _ *part.Set) {
 					if step != tc.killAt || killed {
 						return
@@ -266,7 +265,7 @@ func TestServedEqualsDirect(t *testing.T) {
 				t.Fatalf("restarts=%d, want %d", final.Restarts, wantRestarts)
 			}
 
-			want := runDirect(t, s, final.Spec, tc.killAt)
+			want := runDirect(t, final.Spec, tc.killAt)
 
 			snap, ok := s.Snapshot(view.ID)
 			if !ok {

@@ -203,12 +203,10 @@ type Options struct {
 	// QueueDepth bounds waiting jobs; submits beyond it are rejected
 	// (default 64).
 	QueueDepth int
-	// DataDir roots per-job checkpoint directories; empty disables
-	// checkpointing (jobs then restart from step 0 after a kill).
+	// DataDir roots per-job checkpoint directories, written every
+	// runloop.DefaultChunkSteps steps; empty disables checkpointing (jobs
+	// then restart from step 0 after a kill).
 	DataDir string
-	// CheckpointEvery is the step interval between checkpoints (default
-	// runloop.DefaultChunkSteps).
-	CheckpointEvery int
 	// Store persists completed results across restarts. Required: New
 	// panics without one.
 	Store *store.Store
@@ -301,9 +299,6 @@ func New(opts Options) *Server {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = runloop.DefaultChunkSteps
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -818,7 +813,6 @@ func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (ru
 		Clock:          s.now,
 		Checkpointer:   s.checkpointer(job),
 		Resume:         true,
-		ChunkSteps:     s.opts.CheckpointEvery,
 		Recorder:       rec,
 		FaultInjection: s.opts.FaultInjection,
 		Scratch:        sc,

@@ -399,7 +399,7 @@ func TestEventsStream(t *testing.T) {
 // crash-recovery path driven through the service.
 func TestKillResumesFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2, Store: tempStore(t)})
+	s := New(Options{Workers: 1, DataDir: dir, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(40)
@@ -414,7 +414,7 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		v, _ := s.Get(view.ID)
-		if v.State == StateRunning && v.Progress.Step >= 4 {
+		if v.State == StateRunning && v.Progress.Step >= 11 {
 			break
 		}
 		if v.State == StateCompleted || v.State == StateFailed {
@@ -459,7 +459,7 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 // engine — the checkpoint/resume loop is backend-agnostic.
 func TestSerialBackendKillResumes(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, CheckpointEvery: 2, Store: tempStore(t)})
+	s := New(Options{Workers: 1, DataDir: dir, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(30)
@@ -473,7 +473,7 @@ func TestSerialBackendKillResumes(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		v, _ := s.Get(view.ID)
-		if v.State == StateRunning && v.Progress.Step >= 4 {
+		if v.State == StateRunning && v.Progress.Step >= 11 {
 			break
 		}
 		if v.State == StateCompleted || v.State == StateFailed {

@@ -98,7 +98,7 @@ func TestTelemetryByteIdenticalAcrossKillResumeAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2, Store: st1})
+	s1 := New(Options{Workers: 1, DataDir: t.TempDir(), Store: st1})
 
 	spec := sedovSpec(40)
 	spec.Params.N = 1000
@@ -112,7 +112,7 @@ func TestTelemetryByteIdenticalAcrossKillResumeAndRestart(t *testing.T) {
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		v, _ := s1.Get(view.ID)
-		if v.State == StateRunning && v.Progress.Step >= 4 {
+		if v.State == StateRunning && v.Progress.Step >= 11 {
 			break
 		}
 		if v.State == StateCompleted || v.State == StateFailed {
@@ -308,7 +308,7 @@ func readSSEFrame(t *testing.T, sc *bufio.Scanner) (telemetryEvent, bool) {
 // keeps delivering frames across a kill-requeue (the job is not terminal)
 // and closes after the terminal frame of an explicit cancel.
 func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
-	s := New(Options{Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2, Store: tempStore(t)})
+	s := New(Options{Workers: 1, DataDir: t.TempDir(), Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -343,7 +343,7 @@ func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
 		if !ok {
 			t.Fatal("stream closed before the first sample arrived")
 		}
-		if ev.Sample != nil && ev.Sample.Step >= 2 {
+		if ev.Sample != nil && ev.Sample.Step >= 11 {
 			before = ev
 			break
 		}
@@ -402,9 +402,9 @@ func TestCancelAfterKillWins(t *testing.T) {
 	id, release := make(chan string, 1), make(chan struct{})
 	var s *Server
 	interrupted := false // only the one worker goroutine touches it
-	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: t.TempDir(), CheckpointEvery: 2,
+	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: t.TempDir(),
 		FaultInjection: func(step int, _ *part.Set) {
-			if step != 3 || interrupted {
+			if step != 13 || interrupted {
 				return
 			}
 			interrupted = true
@@ -421,7 +421,7 @@ func TestCancelAfterKillWins(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	spec := sedovSpec(8)
+	spec := sedovSpec(18)
 	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
 	view, err := s.Submit(spec)
 	if err != nil {
