@@ -19,10 +19,11 @@
 // live record bytes; the dead bytes evictions leave in the packs are
 // compacted away by every sweep and every start, after which the packs hold
 // at most twice the live bytes plus one 4 MiB pack. A record write that fails
-// (a full disk, a short write, packs/ not a directory) stores nothing and
-// the job completes from memory, counted in job_persist_failures_total; a
-// corrupt record is quarantined, never served; a torn tail left by a killed
-// process is dead bytes. The README's fault matrix lists each store row. A
+// (a full disk, a short write, packs/ not a directory) stores nothing: the
+// job completes, counted in job_persist_failures_total, and its result is
+// gone as if evicted (410, and a resubmission recomputes); a corrupt record
+// is quarantined, never served; a torn tail left by a killed process is
+// dead bytes. The README's fault matrix lists each store row. A
 // background goroutine sweeps the TTL/LRU eviction policy every
 // -store-sweep so idle entries expire without traffic, terminal jobs leave
 // the job table on the same TTL, and GET /v1/store reports store metrics.
@@ -83,7 +84,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 2, "concurrent simulation workers")
-		queue    = flag.Int("queue", 64, "maximum queued jobs")
 		dataDir  = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
 		storeDir = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
 		storeTTL = flag.Duration("store-ttl", 7*24*time.Hour,
@@ -102,7 +102,7 @@ func main() {
 			server.NaNFaultN, server.NaNFaultStep))
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *queue, *dataDir,
+	if err := run(*addr, *workers, *dataDir,
 		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel, *histEvery,
 		*injectNaN); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-serve:", err)
@@ -110,7 +110,7 @@ func main() {
 	}
 }
 
-func run(addr string, workers, queue int, dataDir string,
+func run(addr string, workers int, dataDir string,
 	storeDir string, storeTTL time.Duration, storeMax int64, sweep time.Duration,
 	pprofAddr, logLevel string, histEvery time.Duration, injectNaN bool) error {
 	var level slog.Level
@@ -154,7 +154,6 @@ func run(addr string, workers, queue int, dataDir string,
 	}
 	opts := server.Options{
 		Workers:         workers,
-		QueueDepth:      queue,
 		DataDir:         dataDir,
 		Store:           st,
 		JobTTL:          storeTTL,

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -43,28 +45,48 @@ func runCold(t *testing.T, s *Server, from, to int) {
 }
 
 // TestCompletedJobBytes: a completed run keeps its record, a pointer to its
-// hash's shared result and the few scalars its view reads; its execution state (spec copy, flight recorder, spans) is
-// released, and the report and track bytes live in the store once it holds
-// them. Over 300 distinct computed jobs the live heap grows by at most
-// 2.5 KiB per job, measured after a full collection (about 7 KiB while a
-// completed job kept its execution and the memory layer its report and
-// track copies).
+// hash's shared result and the few scalars its view reads; its execution
+// state (spec copy, flight recorder, spans) is released, and the snapshot,
+// report and track bytes live in the store alone — or nowhere, when the
+// store refuses the record (packs/ a plain file). Over 300 distinct
+// computed jobs the live heap grows by at most 2.5 KiB per job on either
+// store, measured after a full collection: neither a completed job's
+// execution nor a result's bytes stay in memory.
 func TestCompletedJobBytes(t *testing.T) {
 	const jobs = 300
-	s := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
-	defer s.Close()
-	runCold(t, s, 0, 20) // lazy set-up: pools, shared profiles, map growth
+	for _, refusing := range []bool{false, true} {
+		t.Run(map[bool]string{false: "stored", true: "refused"}[refusing], func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refusing {
+				// The store creates packs/ on first use; a plain file in its
+				// place fails every record write.
+				if err := os.WriteFile(filepath.Join(dir, "packs"), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := New(Options{Store: st, Workers: 2, HistoryInterval: -1})
+			defer s.Close()
+			runCold(t, s, 0, 20) // lazy set-up: pools, shared profiles, map growth
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	runCold(t, s, 20, 20+jobs)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / jobs
-	t.Logf("%.0f live heap bytes per completed job", per)
-	if per > 2560 {
-		t.Errorf("a completed job keeps %.0f heap bytes, want at most 2,560", per)
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			runCold(t, s, 20, 20+jobs)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if n := st.Stats().Entries; refusing != (n == 0) {
+				t.Fatalf("the store holds %d entries", n)
+			}
+			per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / jobs
+			t.Logf("%.0f live heap bytes per completed job", per)
+			if per > 2560 {
+				t.Errorf("a completed job keeps %.0f heap bytes, want at most 2,560", per)
+			}
+		})
 	}
 }
 
@@ -290,11 +312,12 @@ func TestCompletedFrameFollowsTheTrack(t *testing.T) {
 
 // TestDerivedMembersReadTheStore: a derived resource's collector reads each
 // member's report from the store, which holds the only copy. Held before it
-// reads any, no member's snapshot, report or track is in memory; released,
-// the sweep's result is the bytes an ungated run of it yields on a fresh
-// store. A member whose stored record is evicted before the collector reads
-// it fails the record, naming the member's job, and resubmitting the sweep
-// recomputes that member and completes.
+// reads any, every member's result is in the memory layer as metadata
+// (which holds no bytes) and in the store; released, the sweep's result is
+// the bytes an ungated run of it yields on a fresh store. A member whose
+// stored record is evicted before the collector reads it fails the record,
+// naming the member's job and that its result is no longer in the result
+// store, and resubmitting the sweep recomputes that member and completes.
 func TestDerivedMembersReadTheStore(t *testing.T) {
 	sweep := sedovSweep(2, 150, 300)
 	fresh := New(Options{Store: tempStore(t), Workers: 2, HistoryInterval: -1})
@@ -334,12 +357,11 @@ func TestDerivedMembersReadTheStore(t *testing.T) {
 	got := held(func(exp *ExperimentView) {
 		for _, m := range exp.Members {
 			s.mu.Lock()
-			res, ok := s.jobs.cachedLocked(m.Hash)
-			snapshot, report, track := ok && res.snapshot != nil, ok && res.report != nil, ok && res.telemetry != nil
+			_, cached := s.jobs.cachedLocked(m.Hash)
 			s.mu.Unlock()
-			if !ok || snapshot || report || track {
-				t.Errorf("member %s before its collector read it: cached %v, snapshot %v, report %v, track %v held; want cached metadata alone",
-					m.JobID, ok, snapshot, report, track)
+			if _, stored := st.Get(m.Hash); !cached || !stored {
+				t.Errorf("member %s before its collector read it: metadata cached %v, record stored %v; want both",
+					m.JobID, cached, stored)
 			}
 		}
 	})
@@ -364,7 +386,7 @@ func TestDerivedMembersReadTheStore(t *testing.T) {
 		lost = exp.Members[1].JobID
 	})
 	if failed.State != StateFailed || !strings.Contains(failed.Error, "member job "+lost+" ") ||
-		!strings.Contains(failed.Error, "no verification report recorded") {
+		!strings.Contains(failed.Error, "no longer in the result store") {
 		t.Fatalf("experiment over an evicted member ended %s: %q; want failed naming %s", failed.State, failed.Error, lost)
 	}
 

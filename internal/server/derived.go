@@ -15,15 +15,15 @@ import (
 //
 //	plan (validate, canonicalize, hash, member specs)
 //	→ coalesce onto an active record with the same hash
-//	→ serve a persisted result (memory layer, then store) as a cache hit
+//	→ serve a persisted result (from the store) as a cache hit
 //	→ fan the members out through the ordinary coalescing Submit
 //	→ collector: wait for the members, aggregate, marshal
 //	→ persist by hash → terminal state → close done
 //
 // — implemented once by Derived. A kind supplies only what differs: its
 // names and four hooks. The collector reads each member's report from the
-// store, so a member evicted before it is read fails the record; the memory
-// layer holds a result only when the store did not keep it.
+// store, so a member evicted before it is read fails the record. The table
+// holds no result: the record carries its own, and the store every other.
 type kind[S, V any] struct {
 	// noun names the kind in messages and log lines ("experiment"); body
 	// names its request body in decode errors ("sweep").
@@ -104,11 +104,11 @@ type resourceView interface {
 type Derived[S any, V resourceView] struct {
 	s    *Server
 	kind kind[S, V]
-	tab  table[*derived[S], []byte] // guarded by mu
+	tab  table[*derived[S], struct{}] // guarded by mu
 }
 
 func newDerived[S any, V resourceView](s *Server, k kind[S, V]) Derived[S, V] {
-	return Derived[S, V]{s: s, kind: k, tab: table[*derived[S], []byte]{prefix: k.prefix, expires: s.opts.JobTTL > 0}}
+	return Derived[S, V]{s: s, kind: k, tab: table[*derived[S], struct{}]{prefix: k.prefix, expires: s.opts.JobTTL > 0}}
 }
 
 // Submit resolves a submission like a job: an active identical one
@@ -142,7 +142,8 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	// ordinary jobs — they may have coalesced with other clients' work, so
 	// cancelling them could kill someone else's job; their results persist
 	// and the retried submission coalesces straight onto them.
-	raw, hit := d.resolveRawResult(p.hash)
+	raw, _, err := s.opts.Store.ReadObject(p.hash) // CRC-verified, outside the lock
+	hit := err == nil
 	var members []member
 	var apply func(*Server, string)
 	if !hit {
@@ -175,21 +176,6 @@ func (d *Derived[S, V]) Submit(spec S) (*V, error) {
 	}
 	v := d.kind.view(s, rec)
 	return &v, nil
-}
-
-// resolveRawResult consults the kind's memory layer (a result the store
-// did not keep) under the server lock, then the persistent store
-// (CRC-verified, outside the lock).
-func (d *Derived[S, V]) resolveRawResult(hash string) ([]byte, bool) {
-	s := d.s
-	s.mu.Lock()
-	raw, ok := d.tab.cachedLocked(hash)
-	s.mu.Unlock()
-	if ok {
-		return raw, true
-	}
-	raw, _, err := s.opts.Store.ReadObject(hash)
-	return raw, err == nil
 }
 
 // fanOut submits the planned members in order and binds each to its job.
@@ -246,21 +232,19 @@ func (d *Derived[S, V]) collect(rec *derived[S]) {
 
 // finish is the terminal transition of a collected record: a result is
 // persisted content-addressed by the record's hash (CRC-verified on read,
-// subject to the store's TTL/LRU policy like any result) and enters the
-// memory layer only if that write failed; an error fails the record.
+// subject to the store's TTL/LRU policy like any result) and held by the
+// record, so it completes even if that write failed (and a resubmission
+// then recomputes); an error fails the record.
 func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	s := d.s
 	state, msg := StateCompleted, ""
 	var apply func(*Server, string)
-	unkept := false
 	if err != nil {
 		state, msg = StateFailed, err.Error()
 	} else {
 		if perr := s.opts.Store.Put(store.Meta{Hash: rec.Hash}, raw); perr != nil {
-			// Still served from memory, but gone after a restart.
 			s.log.Warn("derived result not persisted", "kind", d.kind.noun,
 				"id", rec.ID, "hash", rec.Hash, "error", perr)
-			unkept = true
 		}
 		if d.kind.applied != nil {
 			apply = d.kind.applied(raw)
@@ -268,9 +252,6 @@ func (d *Derived[S, V]) finish(rec *derived[S], raw []byte, err error) {
 	}
 
 	s.mu.Lock()
-	if unkept {
-		d.tab.cacheLocked(rec.Hash, raw)
-	}
 	if err == nil {
 		rec.Result = raw
 	}
@@ -347,7 +328,7 @@ func (s *Server) memberDone(id string) <-chan struct{} {
 // memberReport decodes a finished member's persisted report into v, or
 // explains why the member has none to offer.
 func (s *Server) memberReport(m member, v any) error {
-	rep, _ := s.persisted(m.hash, true, false)
+	rep, _ := readReport(s.opts.Store, m.hash)
 	if rep == nil {
 		reason := "no verification report recorded"
 		if view, ok := s.Get(m.jobID); ok && view.State != StateCompleted {
@@ -355,6 +336,8 @@ func (s *Server) memberReport(m member, v any) error {
 			if view.Error != "" {
 				reason += ": " + view.Error
 			}
+		} else if _, held := s.opts.Store.Get(m.hash); !held {
+			reason = "result no longer in the result store"
 		}
 		return fmt.Errorf("member job %s (%s) %s", m.jobID, m.label, reason)
 	}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TestCacheHitRecordBytes: a cache-hit resubmission keeps a record, not a
@@ -20,12 +22,13 @@ import (
 // A hit of a distinct hash registers its own record: its id, its table
 // entries and a small struct that points at the per-hash result, no spec,
 // progress, rollups, execution state or done channel of its own. Over hits
-// of 20,000 distinct hashes whose results are already in the memory layer,
-// the heap grows by at most 256 bytes per record, measured after a full
-// collection.
+// of 20,000 distinct hashes whose results are already in the memory layer
+// (metadata) and the store (a record each), the heap grows by at most 256
+// bytes per record, measured after a full collection.
 func TestCacheHitRecordBytes(t *testing.T) {
 	const hits = 20_000
-	s := New(Options{Store: tempStore(t), Workers: 1, HistoryInterval: -1})
+	st := tempStore(t)
+	s := New(Options{Store: st, Workers: 1, HistoryInterval: -1})
 	defer s.Close()
 	spec := sedovSpec(2)
 	first, err := s.Submit(spec)
@@ -61,15 +64,18 @@ func TestCacheHitRecordBytes(t *testing.T) {
 		t.Errorf("a repeated hit keeps %.1f heap bytes, want about 0", per)
 	}
 
-	s.mu.Lock()
 	for i := range hits {
 		cspec, hash, err := sedovSpec(3 + i).CanonicalHash()
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.jobs.cacheLocked(hash, &cachedResult{spec: cspec, hash: hash, snapshot: []byte{0}})
+		if err := st.Put(store.Meta{Hash: hash}, []byte{0}); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.jobs.cacheLocked(hash, &cachedResult{spec: cspec, hash: hash})
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	per = growth(func(i int) {
 		if v, err := s.Submit(sedovSpec(3 + i)); err != nil || !v.CacheHit {
 			t.Fatalf("hit %d: %+v, %v; want a cache hit", i, v, err)

@@ -477,7 +477,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, view JobV
 			map[string]any{"state": string(view.State)})
 		return
 	}
-	report, _ := s.persisted(view.Hash, true, false)
+	report, _ := readReport(s.opts.Store, view.Hash)
 	if report == nil {
 		s.writeNoResult(w, view, "report", CodeNoReport, "has no verification report recorded")
 		return
@@ -674,12 +674,14 @@ func writeGone(w http.ResponseWriter, id, what string) {
 }
 
 // writeNoResult answers for a job without the report or track asked for:
-// 410 gone, as for its snapshot, when the job completed and its result is
-// held nowhere any more, else 404 with code and "job <id> <msg>".
+// 410 gone, as for its snapshot, when the job completed and the store no
+// longer holds its result, else 404 with code and "job <id> <msg>".
 func (s *Server) writeNoResult(w http.ResponseWriter, view JobView, what, code, msg string) {
-	if view.State == StateCompleted && s.evicted(view.Hash) {
-		writeGone(w, view.ID, what)
-		return
+	if view.State == StateCompleted {
+		if _, held := s.opts.Store.Get(view.Hash); !held {
+			writeGone(w, view.ID, what)
+			return
+		}
 	}
 	writeError(w, http.StatusNotFound, code, fmt.Sprintf("job %s %s", view.ID, msg), nil)
 }

@@ -80,8 +80,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 				strings.Join(obs.LifecyclePhases, ", ")+")",
 			nil, "phase"),
 		persistFails: reg.Counter("job_persist_failures_total",
-			"completed-job artifacts the result store failed to write, by artifact "+
-				"(snapshot, report, telemetry); the job is still served from memory",
+			"completed-job results the result store failed to write, by artifact "+
+				"(record, index); a result whose record was not written is gone, as if evicted",
 			"artifact"),
 		anomaliesFlagged: reg.Counter("analytics_anomalies_total",
 			"jobs newly assigned to the improper noise component by a cluster "+

@@ -363,11 +363,12 @@ func TestJobTablePruning(t *testing.T) {
 	t.Fatalf("running job pruned: %+v", views)
 }
 
-// TestOversizedSnapshotStaysFetchable: when the snapshot exceeds the whole
-// store byte budget, the store's own eviction drops it immediately — the
-// server must then keep the bytes in memory so the completed job's snapshot
-// is still served and resubmissions still cache-hit.
-func TestOversizedSnapshotStaysFetchable(t *testing.T) {
+// TestOversizedRecordIsGone: when the record exceeds the whole store byte
+// budget, the store's own eviction drops it immediately. The completed job
+// keeps its view; its snapshot, metrics, telemetry and trace answer 410
+// gone, as an evicted result's do; nothing stays stored; and a
+// resubmission recomputes.
+func TestOversizedRecordIsGone(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{MaxBytes: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -379,23 +380,22 @@ func TestOversizedSnapshotStaysFetchable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	if v := waitState(t, s, view.ID, StateCompleted, 60*time.Second); v.Verify == nil || v.Telemetry == "" {
+		t.Errorf("completed job's view lost its rollups: %+v", v)
+	}
 	if st.Stats().Entries != 0 {
 		t.Fatalf("store retained %d entries over a 10-byte budget", st.Stats().Entries)
 	}
-	snap, ok := s.Snapshot(view.ID)
-	if !ok {
-		t.Fatal("completed job's snapshot unfetchable after store-side eviction")
-	}
-	decodeSnapshot(t, snap)
+	wantGone(t, s, view.ID)
 
 	again, err := s.Submit(sedovSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.CacheHit {
-		t.Fatal("resubmission recomputed despite the in-memory result")
+	if again.CacheHit {
+		t.Fatal("resubmission of an evicted record is a cache hit")
 	}
+	waitState(t, s, again.ID, StateCompleted, 60*time.Second)
 }
 
 // TestStoreEvictionSurfacesAsGone: a completed job whose result the store

@@ -1,21 +1,20 @@
 package server
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/store"
 )
 
-// TestCompletedSnapshotSurvivesTightCap: a byte budget that holds the
-// snapshot but not the whole record (snapshot + report + track). The
-// store's eviction pass drops the record it was just handed; the server
-// must learn that from the same call and keep the snapshot in memory, so a
-// completed job still serves it. When the record went down in three store
-// calls the memory copy was dropped after the first, and the pass inside
-// the second evicted the entry: the snapshot was nowhere.
-func TestCompletedSnapshotSurvivesTightCap(t *testing.T) {
+// TestTightCapRecordIsGone: a byte budget that holds the snapshot but not
+// the whole record (snapshot + report + track). The store's eviction pass
+// drops the record it was just handed, and the completed job is then a job
+// whose result was evicted: its view stays, with the rollups of its run,
+// its snapshot, metrics, telemetry and trace answer 410 gone, the store
+// stays under its cap, and a resubmission recomputes.
+func TestTightCapRecordIsGone(t *testing.T) {
 	// Learn one job's sizes on an unbounded store.
 	free, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -26,11 +25,7 @@ func TestCompletedSnapshotSurvivesTightCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-	want, ok := s.Snapshot(view.ID)
-	if !ok {
-		t.Fatal("completed job has no snapshot on an unbounded store")
-	}
+	want := waitState(t, s, view.ID, StateCompleted, 60*time.Second)
 	s.Close()
 	sizes := free.Stats()
 	if sizes.ReportBytes == 0 || sizes.TelemetryBytes == 0 {
@@ -47,16 +42,20 @@ func TestCompletedSnapshotSurvivesTightCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-	got, ok := s.Snapshot(view.ID)
-	if !ok {
-		_, _, serr := tight.ReadObject(view.Hash)
-		t.Fatalf("completed job serves no snapshot (store read: %v)", serr)
+	got := waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	if got.Verify == nil || !reflect.DeepEqual(got.Verify, want.Verify) || got.Telemetry != want.Telemetry {
+		t.Errorf("view under the tight cap %+v %+v, the unbounded run's %+v %+v", got, got.Verify, want, want.Verify)
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("snapshot served under the tight cap differs from the unbounded run's")
-	}
+	wantGone(t, s, view.ID)
 	if n := tight.Stats().Bytes; n > sizes.ObjectBytes+sizes.ReportBytes/2 {
 		t.Errorf("store holds %d bytes over its cap", n)
 	}
+	again, err := s.Submit(sedovSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.CacheHit {
+		t.Fatal("resubmission of an evicted record is a cache hit")
+	}
+	waitState(t, s, again.ID, StateCompleted, 60*time.Second)
 }

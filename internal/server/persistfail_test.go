@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,13 +18,27 @@ import (
 )
 
 // TestJobPersistFailureIsSeen: a completed job whose record the store
-// cannot write is still completed and served from memory, and the loss is
-// visible — one WARN line naming job, hash and artifact, one tick of
-// job_persist_failures_total{artifact} — instead of silent. A record is
-// stored whole or not at all: after a restart the store holds nothing of
-// the job, and the resubmission recomputes the same snapshot, report and
-// track.
+// cannot write is a completed job whose result is evicted. It keeps its
+// view, verify rollup and watchdog status included; its snapshot, metrics,
+// telemetry and trace answer 410 gone; and the loss is visible — one WARN
+// line naming job, hash and artifact, one tick of
+// job_persist_failures_total{artifact} — instead of silent. A resubmission
+// recomputes. A record is stored whole or not at all: after a restart the
+// store holds nothing of the job, and the resubmission recomputes the
+// snapshot, report and track a healthy store's run produced.
 func TestJobPersistFailureIsSeen(t *testing.T) {
+	ref := New(Options{Workers: 1, Store: tempStore(t)})
+	submitted, err := ref.Submit(sedovSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refView := waitState(t, ref, submitted.ID, StateCompleted, 60*time.Second)
+	want, ok := ref.Snapshot(refView.ID)
+	if !ok {
+		t.Fatal("the healthy store's job has no snapshot")
+	}
+	ref.Close()
+
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -36,19 +53,14 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 	var logs lockedBuffer
 	s := New(Options{Workers: 1, Store: st, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
 
-	view, err := s.Submit(sedovSpec(2))
-	if err != nil {
+	if submitted, err = s.Submit(sedovSpec(2)); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-	report, ok := s.Metrics(view.ID)
-	if !ok || report == nil {
-		t.Fatal("completed job serves no report after the store refused it")
+	view := waitState(t, s, submitted.ID, StateCompleted, 60*time.Second)
+	if view.Verify == nil || !reflect.DeepEqual(view.Verify, refView.Verify) || view.Telemetry != refView.Telemetry || view.Progress != refView.Progress {
+		t.Errorf("the unkept job's view %+v %+v, the healthy store's %+v %+v", view, view.Verify, refView, refView.Verify)
 	}
-	track, ok := s.Telemetry(view.ID)
-	if !ok || track == nil {
-		t.Fatal("completed job serves no track after the store refused it")
-	}
+	wantGone(t, s, view.ID)
 	if v, _ := familyValue(t, s.Registry(), "job_persist_failures_total", "record"); v != 1 {
 		t.Errorf("job_persist_failures_total{record} = %v, want 1", v)
 	}
@@ -66,9 +78,8 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 			t.Errorf("persist-failure log line %q lacks %q", warn, want)
 		}
 	}
-	snap, ok := s.Snapshot(view.ID)
-	if !ok {
-		t.Fatal("completed job has no snapshot")
+	if again, err := s.Submit(sedovSpec(2)); err != nil || again.CacheHit {
+		t.Fatalf("resubmission of the unkept result: %+v, %v; want a recomputation", again, err)
 	}
 	s.Close()
 
@@ -92,14 +103,34 @@ func TestJobPersistFailureIsSeen(t *testing.T) {
 		t.Fatal("a record the store could not write is a cache hit after the restart")
 	}
 	waitState(t, s2, again.ID, StateCompleted, 60*time.Second)
-	if snap2, ok := s2.Snapshot(again.ID); !ok || !bytes.Equal(snap, snap2) {
-		t.Error("the recomputed snapshot differs from the completed job's")
+	if snap2, ok := s2.Snapshot(again.ID); !ok || !bytes.Equal(want, snap2) {
+		t.Error("the recomputed snapshot differs from the healthy store's")
 	}
 	if report2, ok := s2.Metrics(again.ID); !ok || report2 == nil {
 		t.Error("the recomputed job serves no report")
 	}
 	if track2, ok := s2.Telemetry(again.ID); !ok || track2 == nil {
 		t.Error("the recomputed job serves no track")
+	}
+}
+
+// wantGone fails unless the completed job's snapshot, metrics, telemetry
+// and trace each answer 410 with code gone, as an evicted result's do.
+func wantGone(t *testing.T, s *Server, id string) {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, what := range []string{"snapshot", "metrics", "telemetry", "trace"} {
+		resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/" + what)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error APIError }
+		_ = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGone || body.Error.Code != CodeGone {
+			t.Errorf("GET %s of job %s: %d %q, want 410 %q", what, id, resp.StatusCode, body.Error.Code, CodeGone)
+		}
 	}
 }
 

@@ -3,18 +3,20 @@
 // them through the job executor (internal/runloop) on a bounded worker
 // pool, streams per-step progress, caches completed results by canonical
 // spec hash, and serves final particle snapshots in the part binary
-// checkpoint format. Long jobs checkpoint through internal/ft at a
-// configurable step interval, so a killed job resumes from its last
+// checkpoint format. Long jobs checkpoint through internal/ft every
+// runloop.DefaultChunkSteps steps, so a killed job resumes from its last
 // checkpoint instead of recomputing from scratch.
 //
 // Completed results live in a result store (internal/store), and the
 // in-memory cache is a metadata layer: snapshot, report and track bytes
 // persist on disk, survive restarts, and are read from the store's
 // CRC-verified records; the store's TTL + size-capped LRU policy bounds
-// the footprint. A completed job is a record and a pointer to its hash's
-// shared result; repeated cache hits of a hash share one hit record, whose
-// lifetime restarts at each hit, so reads do not grow the job table, and
-// the table is pruned of terminal jobs older than JobTTL.
+// the footprint. A result the store did not keep is an evicted one: its
+// job keeps its view, and its bytes answer 410 gone. A completed job is a
+// record and a pointer to its hash's shared result; repeated cache hits of
+// a hash share one hit record, whose lifetime restarts at each hit, so
+// reads do not grow the job table, and the table is pruned of terminal jobs
+// older than JobTTL.
 package server
 
 import (
@@ -174,25 +176,19 @@ type JobView struct {
 }
 
 // cachedResult is the in-memory layer of the result cache: metadata and
-// rollups always; snapshot, report and track bytes only when the store did
-// not keep the record (see complete), so a result has one home. Every
-// completed job of the hash points at its entry, so a completed job keeps
-// no spec, progress or rollup of its own.
+// rollups, never bytes; snapshot, report and track live in the store alone.
+// Every completed job of the hash points at its entry, so a completed job
+// keeps no spec, progress or rollup of its own.
 type cachedResult struct {
 	// spec and hash are shared by every cache-hit job (equal hashes mean
 	// equal canonical specs).
-	spec      scenario.JobSpec
-	hash      string
-	snapshot  []byte // part.Set binary encoding; nil when the store kept it
-	particles int
-	checksum  uint64
-	simTime   float64
-	steps     int
-	// report (verification Report JSON) and telemetry (flight-recorder
-	// track JSON) are served byte-identically on cache hits.
-	report          []byte
+	spec            scenario.JobSpec
+	hash            string
+	particles       int
+	checksum        uint64
+	simTime         float64
+	steps           int
 	summary         *VerifySummary
-	telemetry       []byte
 	telemetryStatus string
 }
 
@@ -200,9 +196,6 @@ type cachedResult struct {
 type Options struct {
 	// Workers bounds concurrent simulations (default 2).
 	Workers int
-	// QueueDepth bounds waiting jobs; submits beyond it are rejected
-	// (default 64).
-	QueueDepth int
 	// DataDir roots per-job checkpoint directories, written every
 	// runloop.DefaultChunkSteps steps; empty disables checkpointing (jobs
 	// then restart from step 0 after a kill).
@@ -252,8 +245,7 @@ type Server struct {
 	opts Options
 
 	mu sync.Mutex
-	// jobs is the job table; its memory layer holds result metadata (and the
-	// bytes of a result the store could not keep).
+	// jobs is the job table; its memory layer holds result metadata alone.
 	jobs table[*Job, *cachedResult] // guarded by mu
 
 	// The derived kinds, one level up from jobs: each fans member jobs out
@@ -286,7 +278,11 @@ type Server struct {
 // errKilled is the cancellation cause for a simulated kill.
 var errKilled = errors.New("server: job killed")
 
-// ErrQueueFull rejects submissions beyond QueueDepth (HTTP 503).
+// queueDepth bounds waiting jobs; submissions beyond it are rejected with
+// ErrQueueFull (HTTP 503).
+const queueDepth = 64
+
+// ErrQueueFull rejects submissions beyond queueDepth (HTTP 503).
 var ErrQueueFull = errors.New("server: job queue full")
 
 // New starts a Server and its worker pool. It panics if opts.Store is nil.
@@ -296,9 +292,6 @@ func New(opts Options) *Server {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 2
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 64
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
@@ -312,7 +305,7 @@ func New(opts Options) *Server {
 		opts:      opts,
 		jobs:      table[*Job, *cachedResult]{prefix: "job", expires: opts.JobTTL > 0},
 		anomalies: map[string]*AnomalyMark{},
-		queue:     make(chan *Job, opts.QueueDepth),
+		queue:     make(chan *Job, queueDepth),
 		ctx:       ctx,
 		stop:      stop,
 		now:       opts.Clock,
@@ -443,7 +436,7 @@ func (s *Server) Submit(spec scenario.JobSpec) (*JobView, error) {
 		select {
 		case s.queue <- job:
 		default:
-			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, s.opts.QueueDepth)
+			return nil, fmt.Errorf("%w (%d waiting)", ErrQueueFull, queueDepth)
 		}
 	}
 	job = s.jobs.registerLocked(job)
@@ -479,20 +472,17 @@ func (s *Server) SubmitBatch(specs []scenario.JobSpec) []BatchItem {
 	return out
 }
 
-// resolveResult consults the in-memory cache layer (under the server lock),
-// then the persistent store (outside it — the store does its own locking).
-// A first store hit enters the memory layer as metadata (and spec): its
+// resolveResult consults the persistent store (outside the server lock —
+// the store does its own locking), which holds every result there is. A
+// first store hit enters the memory layer as metadata (and spec): its
 // report and track are read only for the summary and watchdog status, and
-// every later read of them goes to the store. A memory entry whose backing
-// object was evicted from the store is dropped (miss).
+// every later read of them goes to the store. A memory entry whose record
+// the store no longer holds is dropped (miss).
 func (s *Server) resolveResult(spec scenario.JobSpec, hash string) (*cachedResult, bool) {
 	st := s.opts.Store
 	s.mu.Lock()
 	res, ok := s.jobs.cachedLocked(hash)
 	s.mu.Unlock()
-	if ok && res.snapshot != nil {
-		return res, true
-	}
 	m, inStore := st.Get(hash)
 	if !inStore {
 		if ok {
@@ -661,24 +651,18 @@ func (s *Server) Snapshot(id string) ([]byte, bool) {
 }
 
 // snapshotBody returns the completed job's snapshot size and a function that
-// writes it: from the memory copy, or Store.WriteObject, which reads and
-// CRC-verifies the file in one pass outside the store's lock.
+// writes it through Store.WriteObject, which reads and CRC-verifies the
+// record's region in one pass outside the store's lock.
 func (s *Server) snapshotBody(id string) (write func(io.Writer) (int64, error), size int64, ok bool) {
 	s.mu.Lock()
 	job, ok := s.jobs.getLocked(id)
-	if !ok || job.State != StateCompleted {
-		s.mu.Unlock()
+	ok = ok && job.State == StateCompleted
+	s.mu.Unlock()
+	if !ok {
 		return nil, 0, false
 	}
-	hash := job.Hash
-	res, hit := s.jobs.cachedLocked(hash)
-	s.mu.Unlock()
-
-	if hit && res.snapshot != nil {
-		return bytes.NewReader(res.snapshot).WriteTo, int64(len(res.snapshot)), true
-	}
 	st := s.opts.Store
-	m, ok := st.Get(hash)
+	m, ok := st.Get(job.Hash)
 	return func(w io.Writer) (int64, error) { return st.WriteObject(m, w) }, m.Size, ok
 }
 
@@ -784,7 +768,7 @@ func (s *Server) fail(job *Job, err error) {
 
 // execute runs the job's spec through the executor cmd/sphexa runs through
 // too (internal/runloop), in a server's environment: checkpoints under
-// DataDir at the server's interval, always resuming; the job's flight
+// DataDir at every chunk end, always resuming; the job's flight
 // recorder; progress published per step; the worker's scratch.
 func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (runloop.Result, error) {
 	x := job.run
@@ -878,14 +862,13 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 // complete turns a finished run into the job's result: encode the snapshot
 // into the worker's scratch sc, render report and track once (the bytes
 // every later fetch and cache hit serves), persist them, and finish the
-// job. Only a result the store did not keep holds its bytes in memory, its
-// snapshot copied out of sc.
+// job. The memory layer keeps the result's metadata alone; if the store did
+// not keep the record, its bytes are gone as if evicted.
 func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	x := job.run
 	snap := sc.Encode(res.PS)
 	result := &cachedResult{
 		spec: x.spec, hash: job.Hash,
-		snapshot:  snap,
 		particles: res.PS.NLocal,
 		checksum:  part.FrameChecksum(snap),
 		simTime:   res.SimTime,
@@ -896,19 +879,15 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	// resubmission serves the identical bytes. The persist phase below is
 	// necessarily measured after the marshal and lives only in the
 	// registry's job_phase_seconds histogram.
-	result.report, result.summary = marshalReport(res.Report, res.Timing, &x.spans)
+	var report []byte
+	report, result.summary = marshalReport(res.Report, res.Timing, &x.spans)
 	track := x.rec.TrackSnapshot()
-	if b, err := json.Marshal(track); err == nil {
-		result.telemetry = b
+	trackJSON, err := json.Marshal(track)
+	if err == nil {
 		result.telemetryStatus = track.Status
 	}
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
-	// Once the store keeps the record, its copies are the only ones.
-	if s.persist(job, result) {
-		result.snapshot, result.report, result.telemetry = nil, nil, nil
-	} else {
-		result.snapshot = bytes.Clone(snap)
-	}
+	s.persist(job, result, snap, report, trackJSON)
 
 	s.mu.Lock()
 	s.jobs.cacheLocked(job.Hash, result)
@@ -933,26 +912,23 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 
 // persist writes the result into the store as one record: snapshot, report
 // and track in one call and one append to a pack, stored whole or not at
-// all, then one eviction pass and one index write. It reports whether the
-// entry is live after that pass; if the record could not be written, or the
-// pass evicted it at once (larger than the whole byte budget), the bytes
-// stay in memory so the result stays fetchable. What the store failed to
+// all, then one eviction pass and one index write. What the store failed to
 // write (the record or the index entry) is logged and counted; the job
-// completes, served from memory.
-func (s *Server) persist(job *Job, result *cachedResult) (kept bool) {
-	kept, errs := s.opts.Store.PutResult(store.Meta{
+// still completes. A record not written, or evicted by that pass at once
+// (larger than the whole byte budget), is then gone like any evicted one.
+func (s *Server) persist(job *Job, result *cachedResult, snapshot, report, track []byte) {
+	errs := s.opts.Store.PutResult(store.Meta{
 		Hash:      job.Hash,
 		Particles: result.particles,
 		Steps:     result.steps,
 		SimTime:   result.simTime,
 		Checksum:  result.checksum,
-	}, result.snapshot, result.report, result.telemetry)
+	}, snapshot, report, track)
 	for _, e := range errs {
 		s.met.persistFails.With(e.Artifact).Inc()
 		s.log.Warn("job result not persisted", "job", job.ID, "hash", job.Hash,
 			"artifact", e.Artifact, "error", e.Err)
 	}
-	return kept
 }
 
 // marshalReport renders the persisted report JSON: the verification report
@@ -985,48 +961,16 @@ func (s *Server) Metrics(id string) ([]byte, bool) {
 	if !ok || view.State != StateCompleted {
 		return nil, false
 	}
-	report, _ := s.persisted(view.Hash, true, false)
+	report, _ := readReport(s.opts.Store, view.Hash)
 	return report, true
 }
 
-// persisted returns the verification report (with wantReport) and the
-// telemetry track (with wantTrack) recorded under a result hash: the memory
-// layer's copy of a result the store did not keep, otherwise one read of
-// the store's region for each wanted, nil where none was recorded (a result
-// persisted by a build that did not record it). It needs no live job
-// record, so derived resources survive job table pruning.
-func (s *Server) persisted(hash string, wantReport, wantTrack bool) (report, track []byte) {
-	s.mu.Lock()
-	if res, ok := s.jobs.cachedLocked(hash); ok {
-		report, track = res.report, res.telemetry
-	}
-	s.mu.Unlock()
-	if wantReport && report == nil {
-		report, _ = readReport(s.opts.Store, hash)
-	}
-	if wantTrack && track == nil {
-		track, _ = readTelemetry(s.opts.Store, hash)
-	}
-	return report, track
-}
-
-// readReport and readTelemetry are persisted's two store reads, which
-// TestStoredResultReadsOneRegion counts.
+// readReport and readTelemetry read the verification report and the
+// telemetry track recorded under a result hash, one store region each, nil
+// where none is held (evicted, never stored, or persisted by a build that
+// did not record it). They need no live job record, so derived resources
+// survive job table pruning. TestStoredResultReadsOneRegion counts them.
 var readReport, readTelemetry = (*store.Store).ReadReport, (*store.Store).ReadTelemetry
-
-// evicted reports whether a completed result is held nowhere any more: the
-// memory layer does not keep its bytes and the store has dropped its entry.
-// Its snapshot, report, track and trace then answer 410 gone.
-func (s *Server) evicted(hash string) bool {
-	s.mu.Lock()
-	res, ok := s.jobs.cachedLocked(hash)
-	s.mu.Unlock()
-	if ok && res.snapshot != nil {
-		return false
-	}
-	_, held := s.opts.Store.Get(hash)
-	return !held
-}
 
 // Telemetry returns the job's flight-recorder track JSON. Completed jobs
 // serve the persisted track verbatim (byte-identical across cache hits and
@@ -1045,7 +989,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 	s.mu.Unlock()
 
 	if state == StateCompleted {
-		_, track := s.persisted(hash, false, true)
+		track, _ := readTelemetry(s.opts.Store, hash)
 		return track, true
 	}
 	if rec == nil {
@@ -1061,7 +1005,7 @@ func (s *Server) Telemetry(id string) ([]byte, bool) {
 // TelemetryLatest returns the most recent flight-recorder sample of a job
 // that executed (the SSE stream's per-frame payload). A completed run's is
 // the last sample of its hash's track, which ends at the last executed
-// step; once the track is held nowhere (its /telemetry answers 410) there
+// step; once the store no longer holds it (its /telemetry answers 410) there
 // is none, as there is none for a cache hit.
 func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	s.mu.Lock()
@@ -1073,7 +1017,7 @@ func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 	}
 	s.mu.Unlock()
 	if ran {
-		_, b := s.persisted(hash, false, true)
+		b, _ := readTelemetry(s.opts.Store, hash)
 		var track telemetry.Track
 		if json.Unmarshal(b, &track) != nil || len(track.Samples) == 0 {
 			return telemetry.Sample{}, false

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -556,6 +557,63 @@ func TestSubmitCoalescesActiveDuplicates(t *testing.T) {
 		t.Fatalf("duplicate active spec created a second job: %s vs %s", dup.ID, first.ID)
 	}
 	_ = s.Cancel(first.ID)
+}
+
+// TestQueueFullIs503: the job queue holds queueDepth (64) waiting jobs.
+// With the one worker held inside a serial job's first step, 64 distinct
+// submissions queue behind it and the 65th is refused with 503 and code
+// queue_full, while /v1/healthz still answers 200.
+func TestQueueFullIs503(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s := New(Options{Workers: 1, Store: tempStore(t), HistoryInterval: -1,
+		FaultInjection: func(int, *part.Set) { once.Do(func() { close(held); <-release }) }})
+	defer s.Close()
+	defer close(release) // before Close, which waits for the held job
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(i int) (status int, code string) {
+		t.Helper()
+		spec := coldSpec(i)
+		spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env struct{ Error APIError }
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env.Error.Code
+	}
+
+	if status, code := post(0); status != http.StatusAccepted {
+		t.Fatalf("first submission: %d %q", status, code)
+	}
+	select {
+	case <-held:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the worker never started the first job")
+	}
+	for i := 1; i <= queueDepth; i++ {
+		if status, code := post(i); status != http.StatusAccepted {
+			t.Fatalf("queued submission %d: %d %q", i, status, code)
+		}
+	}
+	if status, code := post(queueDepth + 1); status != http.StatusServiceUnavailable || code != CodeQueueFull {
+		t.Errorf("submission %d past a full queue: %d %q, want 503 %q", queueDepth+1, status, code, CodeQueueFull)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/healthz with a full queue: %d, want 200", resp.StatusCode)
+	}
 }
 
 // TestErrorEnvelope covers the structured /v1 failure envelope: stable

@@ -44,10 +44,11 @@ func (s *Server) Trace(id, format string) ([]byte, bool, error) {
 	if !ok || view.State != StateCompleted {
 		return nil, false, nil
 	}
-	report, track := s.persisted(view.Hash, true, true)
+	report, _ := readReport(s.opts.Store, view.Hash)
 	if report == nil {
 		return nil, true, nil
 	}
+	track, _ := readTelemetry(s.opts.Store, view.Hash)
 	b, err := renderTrace(view.Spec, view.Hash, format, report, track)
 	return b, true, err
 }

@@ -21,11 +21,6 @@ type NeighborList struct {
 	Walks int64
 }
 
-// Count returns the neighbor count of particle i.
-func (nl *NeighborList) Count(i int) int {
-	return int(nl.Offsets[i+1] - nl.Offsets[i])
-}
-
 // Of returns the neighbor indices of particle i.
 func (nl *NeighborList) Of(i int) []int32 {
 	return nl.Nbr[nl.Offsets[i]:nl.Offsets[i+1]]

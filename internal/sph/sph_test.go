@@ -67,7 +67,7 @@ func TestNeighborCountsNearTarget(t *testing.T) {
 	p := cubeParams(t)
 	ps, nl := preparedCube(t, 10, p)
 	for i := 0; i < ps.NLocal; i++ {
-		n := nl.Count(i)
+		n := len(nl.Of(i))
 		if math.Abs(float64(n)-float64(p.NNeighbors)) > 0.25*float64(p.NNeighbors) {
 			t.Fatalf("particle %d has %d neighbors, target %d", i, n, p.NNeighbors)
 		}
@@ -469,8 +469,8 @@ func checkCSR(t *testing.T, name string, ps *part.Set, nl *NeighborList, p *Para
 		if nl.Offsets[i+1] < nl.Offsets[i] {
 			t.Fatalf("%s: offsets not monotone at %d: %d > %d", name, i, nl.Offsets[i], nl.Offsets[i+1])
 		}
-		if int(ps.NN[i]) != nl.Count(i) {
-			t.Fatalf("%s: NN[%d] = %d, list holds %d", name, i, ps.NN[i], nl.Count(i))
+		if int(ps.NN[i]) != len(nl.Of(i)) {
+			t.Fatalf("%s: NN[%d] = %d, list holds %d", name, i, ps.NN[i], len(nl.Of(i)))
 		}
 		var want []int32
 		for _, hit := range tree.BruteForceBallSearch(ps.Pos, p.PBC, ps.Pos[i], kernel.SupportRadius*ps.H[i], nil) {
@@ -502,8 +502,8 @@ func TestNeighborCSRStaysWellFormedWithNonFiniteParticle(t *testing.T) {
 	checkCSR(t, "UpdateSmoothingLengths", ps, UpdateSmoothingLengths(ps, tr, p), p)
 	nl := new(Workspace).findNeighbors(ps, tr, p, 0)
 	checkCSR(t, "findNeighbors at fixed h", ps, nl, p)
-	if nl.Count(bad) != 0 {
-		t.Errorf("NaN particle has %d neighbors, want 0", nl.Count(bad))
+	if len(nl.Of(bad)) != 0 {
+		t.Errorf("NaN particle has %d neighbors, want 0", len(nl.Of(bad)))
 	}
 
 	// The step kernels must run to completion over the poisoned set; the

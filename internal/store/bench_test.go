@@ -63,8 +63,8 @@ func BenchmarkPutResult(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				meta := Meta{Hash: fmt.Sprintf("ff%062x", i), Particles: 216, Steps: 2}
-				if kept, errs := s.PutResult(meta, snapshot, report, track); !kept || len(errs) != 0 {
-					b.Fatalf("PutResult: kept=%v errs=%v", kept, errs)
+				if errs := s.PutResult(meta, snapshot, report, track); !kept(s, meta.Hash, errs) {
+					b.Fatalf("PutResult: errs=%v, live=false", errs)
 				}
 				if n := size("index.json"); n != jsonSize {
 					indexBytes, jsonSize = indexBytes+n, n

@@ -2,7 +2,10 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
@@ -59,10 +62,10 @@ func persistFailures(s *server.Server, artifact string) float64 {
 
 // TestShortRecordWriteIsSeen: a record write cut short (the write seam
 // writes half of the snapshot, then fails) fails the write; the job
-// completes, served from memory, with one tick of
-// job_persist_failures_total{record} and none of {index}. After a restart
-// the store serves nothing of that job, and every entry stored before it
-// reads back byte for byte.
+// completes with one tick of job_persist_failures_total{record} and none of
+// {index}, and its snapshot answers 410 gone, as an evicted one does. After
+// a restart the store serves nothing of that job, and every entry stored
+// before it reads back byte for byte.
 func TestShortRecordWriteIsSeen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -86,8 +89,17 @@ func TestShortRecordWriteIsSeen(t *testing.T) {
 	}
 	short := complete(t, s, sedov(2))
 	*store.WriteAt = orig
-	if snap, ok := s.Snapshot(short.ID); !ok || len(snap) == 0 {
-		t.Error("the job whose record was cut short serves no snapshot")
+	ts := httptest.NewServer(s.Handler())
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + short.ID + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error server.APIError }
+	_ = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode != http.StatusGone || body.Error.Code != server.CodeGone {
+		t.Errorf("the job whose record was cut short: snapshot %d %q, want 410 %q", resp.StatusCode, body.Error.Code, server.CodeGone)
 	}
 	if n := persistFailures(s, "record"); n != 1 {
 		t.Errorf("job_persist_failures_total{record} = %v, want 1", n)

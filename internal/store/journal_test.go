@@ -24,10 +24,10 @@ func journaled(t testing.TB, n int) (files map[string][]byte, hashes []string) {
 	}
 	for i := 0; i < n; i++ {
 		hash := fmt.Sprintf("%c%c%c%c%04d", 'a'+i, 'a'+i, 'a'+i, 'a'+i, i)
-		kept, errs := s.PutResult(Meta{Hash: hash, Particles: 8 + i, Steps: 1},
+		errs := s.PutResult(Meta{Hash: hash, Particles: 8 + i, Steps: 1},
 			[]byte("SPH1 snapshot of "+hash), []byte(`{"pass":true,"of":"`+hash+`"}`), []byte(`{"status":"ok"}`))
-		if !kept || len(errs) != 0 {
-			t.Fatalf("PutResult %s: kept=%v errs=%v", hash, kept, errs)
+		if !kept(s, hash, errs) {
+			t.Fatalf("PutResult %s: errs=%v, live=false", hash, errs)
 		}
 		hashes = append(hashes, hash)
 	}
@@ -167,8 +167,8 @@ func TestRecordWithoutJournalRecordIsDead(t *testing.T) {
 	if _, ok := s.Get(lost); ok {
 		t.Fatalf("%s is served though its record was never written", lost)
 	}
-	if kept, errs := s.PutResult(Meta{Hash: lost}, []byte("SPH1 recomputed"), []byte(`{}`), nil); !kept || len(errs) != 0 {
-		t.Fatalf("recomputed result not stored: kept=%v errs=%v", kept, errs)
+	if errs := s.PutResult(Meta{Hash: lost}, []byte("SPH1 recomputed"), []byte(`{}`), nil); !kept(s, lost, errs) {
+		t.Fatalf("recomputed result not stored: errs=%v", errs)
 	}
 	again, err := Open(dir, Options{})
 	if err != nil {
@@ -398,8 +398,8 @@ func TestStaleLogBesideNewIndex(t *testing.T) {
 	if got, m, err := reverted.ReadObject("bbbb2222"); err != nil || string(got) != "SPH1 second" || m.Steps != 1 {
 		t.Errorf("the reverted entry serves %q (steps %d), %v; want its earlier record", got, m.Steps, err)
 	}
-	if kept, errs := reverted.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 recomputed"), nil, nil); !kept || len(errs) != 0 {
-		t.Errorf("the recomputed result is not stored: kept=%v errs=%v", kept, errs)
+	if errs := reverted.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 recomputed"), nil, nil); !kept(reverted, "bbbb2222", errs) {
+		t.Errorf("the recomputed result is not stored: errs=%v", errs)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 	}
 	const held = "aaaa1111"
 	earlier := []byte("SPH1 earlier")
-	if _, errs := s.PutResult(Meta{Hash: held}, earlier, []byte(`{"pass":true}`), nil); len(errs) != 0 {
+	if errs := s.PutResult(Meta{Hash: held}, earlier, []byte(`{"pass":true}`), nil); len(errs) != 0 {
 		t.Fatal(errs)
 	}
 	// The seam holds the one write of the 4 MiB snapshot.
@@ -48,7 +48,7 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 	})
 	first := make(chan []ArtifactError, 1)
 	go func() {
-		_, errs := s.PutResult(Meta{Hash: held}, bytes.Repeat([]byte{'x'}, heldSize), nil, nil)
+		errs := s.PutResult(Meta{Hash: held}, bytes.Repeat([]byte{'x'}, heldSize), nil, nil)
 		first <- errs
 	}()
 	within(t, "the held write's reservation", func() {
@@ -65,7 +65,7 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 	newer := []byte("SPH1 newer")
 	second := make(chan []ArtifactError, 1)
 	go func() {
-		_, errs := s.PutResult(Meta{Hash: held}, newer, nil, nil)
+		errs := s.PutResult(Meta{Hash: held}, newer, nil, nil)
 		second <- errs
 	}()
 
@@ -79,8 +79,8 @@ func TestRecordWriteOutsideTheLock(t *testing.T) {
 		if got, ok := s.ReadReport(held); !ok || string(got) != `{"pass":true}` {
 			t.Errorf("the held hash's report: %q ok=%v", got, ok)
 		}
-		if kept, errs := s.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 other"), nil, nil); !kept || len(errs) != 0 {
-			t.Errorf("a write of another hash: kept=%v errs=%v", kept, errs)
+		if errs := s.PutResult(Meta{Hash: "bbbb2222"}, []byte("SPH1 other"), nil, nil); !kept(s, "bbbb2222", errs) {
+			t.Errorf("a write of another hash: errs=%v", errs)
 		}
 		if st := s.Stats(); st.Entries != 2 {
 			t.Errorf("Stats beside the held write: %+v", st)

@@ -19,8 +19,8 @@ func resultOf(hash string, size int) result {
 // putResult stores r under hash and fails the test unless it is kept whole.
 func putResult(t testing.TB, s *Store, hash string, r result) {
 	t.Helper()
-	if kept, errs := s.PutResult(Meta{Hash: hash}, r[0], r[1], r[2]); !kept || len(errs) != 0 {
-		t.Fatalf("PutResult %s: kept=%v errs=%v", hash, kept, errs)
+	if errs := s.PutResult(Meta{Hash: hash}, r[0], r[1], r[2]); !kept(s, hash, errs) {
+		t.Fatalf("PutResult %s: errs=%v, live=false", hash, errs)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestCompactionSparesWriteInFlight(t *testing.T) {
 	want["wwww"] = result{bytes.Repeat([]byte{'w'}, heldSize), []byte("report wwww"), nil}
 	done := make(chan []ArtifactError)
 	go func() {
-		_, errs := s.PutResult(Meta{Hash: "wwww"}, want["wwww"][0], want["wwww"][1], nil)
+		errs := s.PutResult(Meta{Hash: "wwww"}, want["wwww"][0], want["wwww"][1], nil)
 		done <- errs
 	}()
 	<-held

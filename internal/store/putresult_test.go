@@ -71,9 +71,8 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 		return s, dir
 	}
 	one, oneDir := open()
-	kept, errs := one.PutResult(meta, snapshot, report, track)
-	if !kept || len(errs) != 0 {
-		t.Fatalf("PutResult kept=%v errs=%v on an unbounded store", kept, errs)
+	if errs := one.PutResult(meta, snapshot, report, track); !kept(one, meta.Hash, errs) {
+		t.Fatalf("PutResult errs=%v, live=false on an unbounded store", errs)
 	}
 	three, threeDir := open()
 	if err := three.Put(meta, snapshot); err != nil {
@@ -84,6 +83,9 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 	}
 	if err := three.PutTelemetry(meta.Hash, track); err != nil {
 		t.Fatal(err)
+	}
+	if _, live := three.Get(meta.Hash); !live { // as kept looked up one's
+		t.Fatal("the three calls left no live entry")
 	}
 
 	one.Sweep()
@@ -112,8 +114,9 @@ func TestPutResultEqualsThreeCalls(t *testing.T) {
 }
 
 // TestPutResultEvictedByOwnPass: a record larger than the budget is written,
-// counted, and evicted by the one pass that follows — PutResult says so, and
-// nothing of the record stays on disk or in the accounting.
+// counted, and evicted by the one pass that follows — it reports no error
+// but Get misses it, and nothing of the record stays on disk or in the
+// accounting.
 func TestPutResultEvictedByOwnPass(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxBytes: 120})
@@ -121,10 +124,10 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot alone fits; snapshot + report + track (160) does not.
-	kept, errs := s.PutResult(Meta{Hash: "aaaa"}, bytes.Repeat([]byte("s"), 100),
+	errs := s.PutResult(Meta{Hash: "aaaa"}, bytes.Repeat([]byte("s"), 100),
 		bytes.Repeat([]byte("r"), 30), bytes.Repeat([]byte("t"), 30))
-	if kept || len(errs) != 0 {
-		t.Fatalf("PutResult kept=%v errs=%v, want an evicted record and no write error", kept, errs)
+	if _, live := s.Get("aaaa"); live || len(errs) != 0 {
+		t.Fatalf("PutResult errs=%v, live=%v; want an evicted record and no write error", errs, live)
 	}
 	if s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
 		t.Errorf("store holds %d entries / %d bytes after evicting its only record", s.Stats().Entries, s.Stats().Bytes)
@@ -146,9 +149,9 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	if s, err = Open(dir, Options{MaxBytes: 120}); err != nil {
 		t.Fatal(err)
 	}
-	kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk"))
-	if kept || len(errs) != 1 || errs[0].Artifact != "record" || errs[0].Err == nil {
-		t.Fatalf("PutResult kept=%v errs=%v, want nothing kept and one record error", kept, errs)
+	errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk"))
+	if _, live := s.Get("bbbb"); live || len(errs) != 1 || errs[0].Artifact != "record" || errs[0].Err == nil {
+		t.Fatalf("PutResult errs=%v, live=%v; want nothing kept and one record error", errs, live)
 	}
 	if _, ok := s.ReadReport("bbbb"); ok || s.Stats().Entries != 0 || s.Stats().Bytes != 0 {
 		t.Errorf("a record that was never written is served or counted: %+v", s.Stats())
@@ -156,8 +159,8 @@ func TestPutResultEvictedByOwnPass(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "packs")); err != nil {
 		t.Fatal(err)
 	}
-	if kept, errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk")); !kept || len(errs) != 0 {
-		t.Fatalf("PutResult kept=%v errs=%v once the record can be written", kept, errs)
+	if errs = s.PutResult(Meta{Hash: "bbbb"}, []byte("snap"), []byte("rep"), []byte("trk")); !kept(s, "bbbb", errs) {
+		t.Fatalf("PutResult errs=%v, live=false once the record can be written", errs)
 	}
 	if got, ok := s.ReadTelemetry("bbbb"); !ok || string(got) != "trk" {
 		t.Error("the track of the record written whole is lost")
@@ -261,8 +264,8 @@ func TestParentLayoutFoldsIntoRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := Meta{Hash: "ab12cd34", Particles: 216, Steps: 2, SimTime: 0.125, Checksum: 42}
-	if kept, errs := s.PutResult(meta, snapshot, report, track); !kept || len(errs) != 0 {
-		t.Fatalf("PutResult kept=%v errs=%v", kept, errs)
+	if errs := s.PutResult(meta, snapshot, report, track); !kept(s, meta.Hash, errs) {
+		t.Fatalf("PutResult errs=%v, live=false", errs)
 	}
 	fresh, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -317,8 +320,8 @@ func TestRecordsShareOnePack(t *testing.T) {
 		if i%3 != 0 {
 			parts[2] = []byte("track " + hash) // some records have no track
 		}
-		if kept, errs := s.PutResult(Meta{Hash: hash}, parts[0], parts[1], parts[2]); !kept || len(errs) != 0 {
-			t.Fatalf("PutResult %s: kept=%v errs=%v", hash, kept, errs)
+		if errs := s.PutResult(Meta{Hash: hash}, parts[0], parts[1], parts[2]); !kept(s, hash, errs) {
+			t.Fatalf("PutResult %s: errs=%v, live=false", hash, errs)
 		}
 		want[hash] = parts
 		packed += len(parts[0]) + len(parts[1]) + len(parts[2])
@@ -356,8 +359,8 @@ func keys(files map[string][]byte) []string {
 
 // TestPutResultConcurrent: writers and readers from several goroutines over
 // a cap that forces evictions; the accounting still equals the live regions
-// and bounds the packs after a Sweep, the cap holds, and every record that
-// reports kept-and-still-live reads back whole. Run under -race.
+// and bounds the packs after a Sweep, the cap holds, and every record still
+// live reads back whole. Run under -race.
 func TestPutResultConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{MaxBytes: 2000})
@@ -372,7 +375,7 @@ func TestPutResultConcurrent(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				hash := fmt.Sprintf("%02x%02x", g, i)
 				snap := bytes.Repeat([]byte{byte('a' + g)}, 100)
-				if _, errs := s.PutResult(Meta{Hash: hash}, snap, []byte("report "+hash), []byte("track "+hash)); len(errs) != 0 {
+				if errs := s.PutResult(Meta{Hash: hash}, snap, []byte("report "+hash), []byte("track "+hash)); len(errs) != 0 {
 					t.Errorf("PutResult %s: %v", hash, errs)
 				}
 				// The entry may be evicted by another writer at any time;

@@ -503,13 +503,11 @@ type ArtifactError struct {
 }
 
 // PutResult stores a whole result under meta.Hash as one record: snapshot,
-// report and telemetry track (nil means none), then one eviction pass and
-// one index.log append. kept reports whether the entry is live afterwards:
-// under a tight cap the pass may evict the record it just wrote, and a
-// caller holding the bytes in memory should then keep them. errs lists what
-// could not be written; a failed record write stores nothing and leaves any
-// earlier entry of the hash as it was.
-func (s *Store) PutResult(meta Meta, snapshot, report, telemetry []byte) (kept bool, errs []ArtifactError) {
+// report and telemetry track (nil means none), then one eviction pass (which,
+// under a tight cap, may evict the record just written) and one index.log
+// append. It lists what could not be written; a failed record write stores
+// nothing and leaves any earlier entry of the hash as it was.
+func (s *Store) PutResult(meta Meta, snapshot, report, telemetry []byte) []ArtifactError {
 	return s.write(meta.Hash, &meta, [len(regions)][]byte{snapshot, report, telemetry}, nil)
 }
 
@@ -530,7 +528,7 @@ func (s *Store) PutTelemetry(hash string, track []byte) error {
 }
 
 // firstErr is a write's outcome for a caller that wrote one artifact.
-func firstErr(_ bool, errs []ArtifactError) error {
+func firstErr(errs []ArtifactError) error {
 	if len(errs) == 0 {
 		return nil
 	}
@@ -545,9 +543,9 @@ func firstErr(_ bool, errs []ArtifactError) error {
 // new pack if the active one holds records and the record would take it past
 // packLimit, and fills it with the lock released; entry, eviction pass and
 // journal append share one hold, so none is seen alone.
-func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base *Meta) (kept bool, errs []ArtifactError) {
+func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base *Meta) (errs []ArtifactError) {
 	if filepath.Base(hash) != hash {
-		return false, []ArtifactError{{"record", fmt.Errorf("store: write with hash %q", hash)}}
+		return []ArtifactError{{"record", fmt.Errorf("store: write with hash %q", hash)}}
 	}
 	s.mu.Lock()
 	for s.writing[hash] {
@@ -556,7 +554,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 	old := s.entries[hash]
 	if meta == nil && (old == nil || base != nil && old.extents() != base.extents()) {
 		s.mu.Unlock()
-		return false, []ArtifactError{{"record", fmt.Errorf("store: no entry %s to amend", hash)}}
+		return []ArtifactError{{"record", fmt.Errorf("store: no entry %s to amend", hash)}}
 	}
 	s.writing[hash] = true // old's regions change only under this reservation
 	s.mu.Unlock()
@@ -601,7 +599,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 	}
 	if err != nil {
 		_ = s.journalLocked() // nothing to journal, but a pack this write kept may go
-		return false, []ArtifactError{{"record", err}}
+		return []ArtifactError{{"record", err}}
 	}
 	m := old
 	if meta != nil {
@@ -625,7 +623,7 @@ func (s *Store) write(hash string, meta *Meta, parts [len(regions)][]byte, base 
 	if err := s.journalLocked(); err != nil {
 		errs = append(errs, ArtifactError{"index", err})
 	}
-	return s.entries[hash] == m, errs
+	return errs
 }
 
 // Get returns the entry's metadata and marks it used (refreshing its LRU and

@@ -18,6 +18,13 @@ func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newClock() *fakeClock                   { return &fakeClock{t: time.Unix(1_000_000, 0)} }
 
+// kept reports whether a write that returned errs left a live entry of
+// hash.
+func kept(s *Store, hash string, errs []ArtifactError) bool {
+	_, live := s.Get(hash)
+	return live && len(errs) == 0
+}
+
 func put(t *testing.T, s *Store, hash string, size int) []byte {
 	t.Helper()
 	payload := bytes.Repeat([]byte(hash[:1]), size)
