@@ -4,7 +4,7 @@
 // section choosing the serial or distributed backend, machine model, and
 // parent-code cost calibration — all covered by the spec hash; an empty
 // section is the same fixed default on every server), executed on a
-// bounded worker pool, checkpointed for crash recovery, cached by spec
+// bounded worker pool, checkpointed so a killed job resumes, cached by spec
 // hash, and their final particle snapshots served in the part binary
 // checkpoint format. Completed jobs are scored against their scenario's
 // analytic reference (GET /v1/jobs/{id}/metrics), and POST /v1/experiments
@@ -38,8 +38,7 @@
 // rank imbalance, per-phase timings) served by GET /v1/jobs/{id}/telemetry
 // and streamed live over GET /v1/jobs/{id}/telemetry/events; physics
 // watchdogs (NaN, drift slope, dt collapse, imbalance; fixed thresholds)
-// mark the job and count trips in telemetry_watchdog_trips_total. POST
-// /v1/jobs/{id}/profile captures an on-demand CPU profile. GET
+// mark the job and count trips in telemetry_watchdog_trips_total. GET
 // /v1/jobs/{id}/trace exports a completed job's measured timeline —
 // reassembled deterministically from its persisted timing record, span
 // trace, and telemetry track — as Perfetto-loadable Chrome trace-event
@@ -48,11 +47,15 @@
 // sampler (-history-interval) feeds an in-process metrics-history ring
 // served by GET /v1/metrics/history and the /statusz trend columns.
 // Structured request/lifecycle logs go to stderr (-log-level), and
-// -pprof-addr exposes net/http/pprof on a separate listener.
+// -pprof-addr exposes net/http/pprof on a separate listener, the one way to
+// profile the process (go tool pprof http://<pprof-addr>/debug/pprof/profile).
 //
 // Jobs run in chunks of runloop.DefaultChunkSteps steps, checkpointed under
 // -data-dir between chunks, like every sphexa CLI run, so a local run and
-// the same spec served on the serial backend are the same run. -inject-nan
+// the same spec served on the serial backend are the same run. A job's
+// checkpoints are its own: only the requeue after a kill resumes from
+// them, and they are removed when the job ends, so a later run of the same
+// spec, in this process or the next, starts from step 0. -inject-nan
 // is for the contract smoke only: it installs server.NaNFault, which
 // poisons the one serial sedov run the smoke's analytics leg expects to be
 // flagged.
@@ -84,7 +87,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 2, "concurrent simulation workers")
-		dataDir  = flag.String("data-dir", "", "checkpoint directory (empty disables crash recovery)")
+		dataDir  = flag.String("data-dir", "", "checkpoint directory (empty: a killed job restarts from step 0)")
 		storeDir = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
 		storeTTL = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")

@@ -11,8 +11,8 @@
 //     (and stores) differently — backends never share results;
 //  4. step telemetry works end to end: the completed serial job serves a
 //     flight-recorder track (contiguous per-step samples, clean watchdog
-//     rollup on a healthy run), an on-demand CPU profile capture returns
-//     parseable pprof bytes, and the removed pre-/v1 alias routes 404;
+//     rollup on a healthy run), and the removed pre-/v1 alias routes and
+//     the removed job-scoped profile route 404;
 //  5. a 3-point strong-scaling sweep (POST /v1/scaling) on a modeled Piz
 //     Daint sod ladder returns paper-shaped curves — per-phase breakdowns
 //     summing to the rank-seconds totals, parallel efficiency monotone
@@ -218,8 +218,7 @@ func runConvergence(ctx context.Context, c *client.Client, addr string) error {
 	fmt.Printf("serial backend: distinct hash %.12s, completed\n", sj.Hash)
 
 	// 4. Step telemetry: the completed serial job serves a full
-	// flight-recorder track with a clean watchdog rollup, and a CPU profile
-	// capture returns parseable (gzipped) pprof bytes.
+	// flight-recorder track with a clean watchdog rollup.
 	track, err := c.Telemetry(ctx, sj.ID)
 	if err != nil {
 		return fmt.Errorf("fetching telemetry track: %w", err)
@@ -239,22 +238,14 @@ func runConvergence(ctx context.Context, c *client.Client, addr string) error {
 	fmt.Printf("telemetry: %d samples (stride %d), steps 1..%d, watchdogs clean\n",
 		len(track.Samples), track.Stride, last.Step)
 
-	profile, err := c.Profile(ctx, sj.ID, 1)
-	if err != nil {
-		return fmt.Errorf("capturing CPU profile: %w", err)
-	}
-	if len(profile) < 2 || profile[0] != 0x1f || profile[1] != 0x8b {
-		return fmt.Errorf("CPU profile is not gzipped pprof data (%d bytes)", len(profile))
-	}
-	fmt.Printf("profile: %d pprof bytes captured\n", len(profile))
-
-	// The removed pre-/v1 aliases must 404 with no deprecation signal.
-	for _, path := range []string{"/scenarios", "/jobs", "/storez"} {
+	// The removed pre-/v1 aliases and the job-scoped profile route must
+	// 404 with no deprecation signal.
+	for _, path := range []string{"/scenarios", "/jobs", "/storez", "/v1/jobs/" + sj.ID + "/profile"} {
 		if _, _, err := get(ctx, addr+path, "", http.StatusNotFound); err != nil {
-			return fmt.Errorf("removed legacy route: %w", err)
+			return fmt.Errorf("removed route: %w", err)
 		}
 	}
-	fmt.Println("legacy routes: removed (404)")
+	fmt.Println("removed routes: 404")
 	return nil
 }
 

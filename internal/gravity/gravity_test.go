@@ -388,3 +388,15 @@ func TestSharedSolverReaders(t *testing.T) {
 			nodes, pairs, want.NodeInteractions, want.ParticleInteractions)
 	}
 }
+
+// AddAt accumulates v into component (i, j, k).
+func (t *Sym3) AddAt(i, j, k int, v float64) {
+	i, j, k = sort3(i, j, k)
+	t[sym3Index[i][j][k]] += v
+}
+
+// AddAt accumulates v into component (i, j, k, l).
+func (t *Sym4) AddAt(i, j, k, l int, v float64) {
+	i, j, k, l = sort4(i, j, k, l)
+	t[sym4Index[i][j][k][l]] += v
+}

@@ -105,12 +105,6 @@ func (t *Sym3) At(i, j, k int) float64 {
 	return t[sym3Index[i][j][k]]
 }
 
-// AddAt accumulates v into component (i, j, k).
-func (t *Sym3) AddAt(i, j, k int, v float64) {
-	i, j, k = sort3(i, j, k)
-	t[sym3Index[i][j][k]] += v
-}
-
 // Sym4 is a fully symmetric rank-4 tensor (15 independent components).
 type Sym4 [15]float64
 
@@ -118,12 +112,6 @@ type Sym4 [15]float64
 func (t *Sym4) At(i, j, k, l int) float64 {
 	i, j, k, l = sort4(i, j, k, l)
 	return t[sym4Index[i][j][k][l]]
-}
-
-// AddAt accumulates v into component (i, j, k, l).
-func (t *Sym4) AddAt(i, j, k, l int, v float64) {
-	i, j, k, l = sort4(i, j, k, l)
-	t[sym4Index[i][j][k][l]] += v
 }
 
 // Moments holds the raw (non-traceless) multipole moments of a node about

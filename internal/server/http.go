@@ -37,8 +37,6 @@ import (
 //	                               persisted artifacts; ?format=perfetto (Chrome
 //	                               trace-event JSON, the default) or paraver
 //	                               (ASCII timeline + POP metrics, text/plain)
-//	POST /v1/jobs/{id}/profile     capture a CPU profile (?seconds=N, pprof
-//	                               format; 409 while another capture runs)
 //	DELETE /v1/jobs/{id}           forget a terminal job record (404/409)
 //	GET  /v1/store                 result-store metrics (entries, bytes,
 //	                               hit rate, quarantine count)
@@ -91,7 +89,6 @@ func (s *Server) Handler() http.Handler {
 		{method: "GET", path: "/v1/jobs/{id}/telemetry", h: s.handleTelemetry},
 		{method: "GET", path: "/v1/jobs/{id}/telemetry/events", h: eventsHandler(s, s.telemetryFrame, s.Done, unknownJob)},
 		{method: "GET", path: "/v1/jobs/{id}/trace", h: s.withJob(s.handleTrace)},
-		{method: "POST", path: "/v1/jobs/{id}/profile", h: s.handleProfile},
 		{method: "DELETE", path: "/v1/jobs/{id}", h: s.handleDelete(CodeUnknownJob, s.DeleteJob)},
 		{method: "GET", path: "/v1/store", h: s.handleStore},
 		{method: "GET", path: "/v1/metrics/history", h: s.handleMetricsHistory},
@@ -596,40 +593,6 @@ func (s *Server) telemetryFrame(id string) (telemetryEvent, bool) {
 		ev.Sample = &smp
 	}
 	return ev, ok
-}
-
-// handleProfile serves POST /v1/jobs/{id}/profile?seconds=N: capture a CPU
-// profile of the serving process attributed to the job and return the pprof
-// bytes; nothing is kept. Captures are serialized process-wide (409 while
-// one is running).
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	seconds := 1
-	if raw := r.URL.Query().Get("seconds"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n <= 0 || n > 30 {
-			writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-				fmt.Sprintf("seconds must be an integer in [1,30], got %q", raw), nil)
-			return
-		}
-		seconds = n
-	}
-	b, err := s.Profile(id, time.Duration(seconds)*time.Second)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, CodeUnknownJob, err.Error(), nil)
-		return
-	case errors.Is(err, ErrProfileBusy):
-		writeError(w, http.StatusConflict, CodeConflict, err.Error(), nil)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error(), nil)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.pprof", id))
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	_, _ = w.Write(b)
 }
 
 // handleStore serves the result-store metrics.

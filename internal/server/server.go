@@ -5,7 +5,9 @@
 // spec hash, and serves final particle snapshots in the part binary
 // checkpoint format. Long jobs checkpoint through internal/ft every
 // runloop.DefaultChunkSteps steps, so a killed job resumes from its last
-// checkpoint instead of recomputing from scratch.
+// checkpoint instead of recomputing from scratch. The checkpoints are the
+// job's own: a submitted job's first run starts from step 0, and its
+// checkpoint directory is removed when the job reaches a terminal state.
 //
 // Completed results live in a result store (internal/store), and the
 // in-memory cache is a metadata layer: snapshot, report and track bytes
@@ -29,8 +31,8 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -104,6 +106,8 @@ type execution struct {
 	progress Progress
 	// restarts counts how many times the job resumed after a kill.
 	restarts int
+	// checkpointed records that a kill's requeue wrote a checkpoint.
+	checkpointed bool
 	// telemetryStatus is the physics-watchdog rollup ("ok" or "tripped");
 	// empty until the job starts executing.
 	telemetryStatus string
@@ -197,8 +201,8 @@ type Options struct {
 	// Workers bounds concurrent simulations (default 2).
 	Workers int
 	// DataDir roots per-job checkpoint directories, written every
-	// runloop.DefaultChunkSteps steps; empty disables checkpointing (jobs
-	// then restart from step 0 after a kill).
+	// runloop.DefaultChunkSteps steps and removed when the job ends; empty
+	// disables checkpointing (jobs then restart from step 0 after a kill).
 	DataDir string
 	// Store persists completed results across restarts. Required: New
 	// panics without one.
@@ -621,6 +625,7 @@ func (s *Server) interrupt(id string, kill bool) error {
 	if kill {
 		return fmt.Errorf("server: job %s is not running", id)
 	}
+	s.dropCheckpoints(job, job.run) // a requeued job's kill wrote one
 	s.jobs.finishLocked(job, StateCancelled, "", s.now())
 	s.met.jobsDone.With(string(StateCancelled)).Inc()
 	return nil
@@ -688,6 +693,22 @@ func (s *Server) checkpointer(job *Job) *ft.Checkpointer {
 	return &ft.Checkpointer{Dir: filepath.Join(s.opts.DataDir, job.Hash)}
 }
 
+// dropCheckpoints removes the checkpoint directory of a job reaching a
+// terminal state, before the job leaves its hash's active slot, so no later
+// run of the hash sees it, or sees it go: only a kill's requeue resumes from
+// it. A job whose runs cannot have written one (no kill's requeue wrote one,
+// and no run got past a chunk short of its last step) pays no syscall.
+func (s *Server) dropCheckpoints(job *Job, x *execution) {
+	ck := s.checkpointer(job)
+	if ck == nil || !x.checkpointed &&
+		(x.spec.Steps <= runloop.DefaultChunkSteps || x.progress.Step < runloop.DefaultChunkSteps) {
+		return
+	}
+	if err := os.RemoveAll(ck.Dir); err != nil {
+		s.log.Warn("checkpoints not removed", "job", job.ID, "hash", job.Hash, "error", err)
+	}
+}
+
 // run takes one queued job through its lifecycle. This is the claim stage:
 // it moves the job to running, records the queue wait, wires cancel and
 // kill to the run's context, contains engine panics, and then hands the
@@ -753,6 +774,7 @@ func (s *Server) run(job *Job, sc *runloop.Scratch) {
 
 // finish is a running job's terminal transition.
 func (s *Server) finish(job *Job, state JobState, msg string) {
+	s.dropCheckpoints(job, job.run)
 	s.mu.Lock()
 	job.run.cancel = nil
 	s.jobs.finishLocked(job, state, msg, s.now())
@@ -768,10 +790,16 @@ func (s *Server) fail(job *Job, err error) {
 
 // execute runs the job's spec through the executor cmd/sphexa runs through
 // too (internal/runloop), in a server's environment: checkpoints under
-// DataDir at every chunk end, always resuming; the job's flight
+// DataDir at every chunk end, resuming only after a kill; the job's flight
 // recorder; progress published per step; the worker's scratch.
 func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (runloop.Result, error) {
 	x := job.run
+	ck := s.checkpointer(job)
+	if ck != nil && x.restarts == 0 && x.spec.Steps > runloop.DefaultChunkSteps {
+		// A first run starts from step 0; a process that died mid-run of
+		// this hash may have left checkpoints behind.
+		_ = os.RemoveAll(ck.Dir)
+	}
 	s.mu.Lock()
 	// The flight recorder is created once per Job and survives
 	// kill-requeues: the requeued Job comes back with its recorder intact,
@@ -795,8 +823,8 @@ func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (ru
 	res, err := runloop.Execute(x.spec, runloop.Env{
 		Ctx:            ctx,
 		Clock:          s.now,
-		Checkpointer:   s.checkpointer(job),
-		Resume:         true,
+		Checkpointer:   ck,
+		Resume:         x.restarts > 0,
 		Recorder:       rec,
 		FaultInjection: s.opts.FaultInjection,
 		Scratch:        sc,
@@ -827,10 +855,11 @@ func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (ru
 // context keeps the Kill as its cause, but interrupt cleared killed, and
 // this lock hold is what decides, so a Cancel wins in either order.
 func (s *Server) requeue(job *Job, res runloop.Result) bool {
+	x := job.run
 	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
 		_ = ck.Write(res.Steps, res.SimTime, res.PS)
+		x.checkpointed = true
 	}
-	x := job.run
 	s.mu.Lock()
 	if !x.killed {
 		s.mu.Unlock()
@@ -846,6 +875,7 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	case s.queue <- job:
 		requeued = true
 	default:
+		s.dropCheckpoints(job, x)
 		s.jobs.finishLocked(job, StateFailed, "requeue after kill failed: queue full", s.now())
 	}
 	s.mu.Unlock()
@@ -886,6 +916,7 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	if err == nil {
 		result.telemetryStatus = track.Status
 	}
+	s.dropCheckpoints(job, x)
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
 	s.persist(job, result, snap, report, trackJSON)
 
@@ -1028,46 +1059,4 @@ func (s *Server) TelemetryLatest(id string) (telemetry.Sample, bool) {
 		return telemetry.Sample{}, false
 	}
 	return rec.Latest()
-}
-
-// ErrProfileBusy rejects concurrent profile captures: runtime/pprof CPU
-// profiling is process-global, so only one capture can run at a time.
-var ErrProfileBusy = errors.New("server: a CPU profile capture is already in progress")
-
-// profileMu serializes CPU profile captures process-wide (the pprof CPU
-// profiler is a process singleton, even across Server instances).
-var profileMu sync.Mutex
-
-// Profile captures a CPU profile of the serving process for d (clamped to
-// [0, 30s]; non-positive means 1s) attributed to the job — most useful
-// while the job is running, but valid any time (the profile records
-// whatever the process is doing). The capture is returned, not kept.
-func (s *Server) Profile(id string, d time.Duration) ([]byte, error) {
-	view, ok := s.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: no job %q", ErrNotFound, id)
-	}
-	if d <= 0 {
-		d = time.Second
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	if !profileMu.TryLock() {
-		return nil, ErrProfileBusy
-	}
-	defer profileMu.Unlock()
-
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		return nil, fmt.Errorf("server: starting CPU profile: %w", err)
-	}
-	select {
-	case <-time.After(d):
-	case <-s.ctx.Done():
-	}
-	pprof.StopCPUProfile()
-	s.log.Info("cpu profile captured", "job", id, "hash", view.Hash,
-		"seconds", d.Seconds(), "bytes", buf.Len())
-	return buf.Bytes(), nil
 }

@@ -8,8 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -430,6 +432,20 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("kill: %v", err)
 	}
 
+	// Between the kill and completion, the checkpoint the resume reads
+	// exists and carries a mid-run step.
+	ck := &ft.Checkpointer{Dir: filepath.Join(dir, view.Hash)}
+	ps, step, simTime, err := ck.Restore()
+	if err != nil {
+		t.Fatalf("no readable checkpoint after the kill: %v", err)
+	}
+	if step <= 0 || step >= 40 {
+		t.Fatalf("checkpoint step %d not strictly mid-run", step)
+	}
+	if simTime <= 0 || ps.NLocal != 1000 {
+		t.Fatalf("checkpoint state t=%g n=%d", simTime, ps.NLocal)
+	}
+
 	final := waitState(t, s, view.ID, StateCompleted, 120*time.Second)
 	if final.Restarts != 1 {
 		t.Fatalf("restarts=%d, want 1", final.Restarts)
@@ -437,18 +453,9 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 	if final.Progress.Step != 40 {
 		t.Fatalf("final progress %+v", final.Progress)
 	}
-
-	// The checkpoint the resume consumed must exist and carry a mid-run step.
-	ck := &ft.Checkpointer{Dir: filepath.Join(dir, final.Hash)}
-	ps, step, simTime, err := ck.Restore()
-	if err != nil {
-		t.Fatalf("no readable checkpoint after kill/resume: %v", err)
-	}
-	if step <= 0 || step >= 40 {
-		t.Fatalf("checkpoint step %d not strictly mid-run", step)
-	}
-	if simTime <= 0 || ps.NLocal != 1000 {
-		t.Fatalf("checkpoint state t=%g n=%d", simTime, ps.NLocal)
+	// The completed job's checkpoints went with it.
+	if _, err := os.Stat(ck.Dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("checkpoint directory after completion: %v, want it gone", err)
 	}
 
 	if _, ok := s.Snapshot(view.ID); !ok {
@@ -497,6 +504,189 @@ func TestSerialBackendKillResumes(t *testing.T) {
 	}
 	if _, ok := s.Snapshot(view.ID); !ok {
 		t.Fatal("completed serial job has no snapshot")
+	}
+}
+
+// TestRerunIgnoresOldCheckpoints: a job's checkpoints end with it. A later
+// run of the same hash on a new server over the same data directory, whose
+// store no longer holds the result (evicted, expired or lost), computes
+// every step again: its telemetry track and report equal the first run's,
+// and neither run leaves its hash's checkpoint directory behind.
+func TestRerunIgnoresOldCheckpoints(t *testing.T) {
+	dataDir := t.TempDir()
+	run := func() (track, report []byte) {
+		t.Helper()
+		s := New(Options{Workers: 1, DataDir: dataDir, Store: tempStore(t),
+			Clock: newTestClock().now, HistoryInterval: -1})
+		defer s.Close()
+		view, err := s.Submit(sedovSpec(25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitState(t, s, view.ID, StateCompleted, 120*time.Second)
+		if _, err := os.Stat(filepath.Join(dataDir, final.Hash)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("checkpoint directory of a completed job: %v, want it gone", err)
+		}
+		track, ok := s.Telemetry(view.ID)
+		if !ok {
+			t.Fatal("no telemetry track")
+		}
+		report, ok = s.Metrics(view.ID)
+		if !ok {
+			t.Fatal("no report")
+		}
+		return track, report
+	}
+	track1, report1 := run()
+	track2, report2 := run()
+	if n := len(decodeTrack(t, track2).Samples); n != 25 {
+		t.Errorf("second run's track has %d samples, want 25", n)
+	}
+	if !bytes.Equal(track1, track2) {
+		t.Errorf("second run's track is %d bytes, first run's %d: not equal", len(track2), len(track1))
+	}
+	if !bytes.Equal(report1, report2) {
+		t.Errorf("second run's report is %d bytes, first run's %d: not equal", len(report2), len(report1))
+	}
+}
+
+// TestKillIgnoresLeftoverCheckpoints: checkpoints a process that died
+// mid-run left under the data directory are not the job's own. A later
+// process's run of the hash that is killed resumes from its kill's
+// checkpoint, not from a newer leftover one, so its track still covers
+// every step once.
+func TestKillIgnoresLeftoverCheckpoints(t *testing.T) {
+	spec := sedovSpec(22)
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	ref := New(Options{Workers: 1, Store: tempStore(t)})
+	view, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ref, view.ID, StateCompleted, 60*time.Second)
+	snap, ok := ref.Snapshot(view.ID)
+	ref.Close()
+	if !ok {
+		t.Fatal("no snapshot")
+	}
+	dataDir := t.TempDir()
+	leftover := &ft.Checkpointer{Dir: filepath.Join(dataDir, view.Hash)}
+	if err := leftover.Write(20, 0.1, decodeSnapshot(t, snap)); err != nil {
+		t.Fatal(err)
+	}
+
+	id := make(chan string, 1)
+	killed := false // only the one worker goroutine touches it
+	var s *Server
+	s = New(Options{Workers: 1, DataDir: dataDir, Store: tempStore(t),
+		FaultInjection: func(step int, _ *part.Set) {
+			if step == 13 && !killed {
+				killed = true
+				if err := s.Kill(<-id); err != nil {
+					t.Errorf("kill: %v", err)
+				}
+			}
+		}})
+	defer s.Close()
+	if view, err = s.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	id <- view.ID
+	final := waitState(t, s, view.ID, StateCompleted, 60*time.Second)
+	if final.Restarts != 1 {
+		t.Fatalf("restarts=%d, want 1", final.Restarts)
+	}
+	track, _ := s.Telemetry(view.ID)
+	if n := len(decodeTrack(t, track).Samples); n != 22 {
+		t.Errorf("track has %d samples, want 22", n)
+	}
+}
+
+// TestCancelAfterEarlyKillDropsCheckpoints: a Kill's requeue writes a
+// checkpoint even when a Cancel then ends the job; before the first chunk
+// ends that checkpoint is the directory's only one, and it goes too.
+func TestCancelAfterEarlyKillDropsCheckpoints(t *testing.T) {
+	dataDir := t.TempDir()
+	spec := sedovSpec(18)
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	id := make(chan string, 1)
+	var s *Server
+	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: dataDir,
+		FaultInjection: func(step int, _ *part.Set) {
+			if step == 5 {
+				job := <-id
+				if err := s.Kill(job); err != nil {
+					t.Errorf("kill: %v", err)
+				}
+				if err := s.Cancel(job); err != nil {
+					t.Errorf("cancel: %v", err)
+				}
+			}
+		}})
+	defer s.Close()
+	view, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id <- view.ID
+	waitState(t, s, view.ID, StateCancelled, 60*time.Second)
+	if _, err := os.Stat(filepath.Join(dataDir, view.Hash)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("checkpoint directory of the cancelled job: %v, want it gone", err)
+	}
+}
+
+// TestCancelWhileRequeuedDropsCheckpoints: a killed job waiting in the
+// queue to resume holds the checkpoint its kill wrote; cancelling it there
+// removes that directory. One worker: job A is killed at its step 13 after
+// job B was queued, so A's requeue waits behind B, and B's first step
+// cancels A.
+func TestCancelWhileRequeuedDropsCheckpoints(t *testing.T) {
+	dataDir := t.TempDir()
+	specA, specB := sedovSpec(18), sedovSpec(2)
+	specA.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	specB.Exec = specA.Exec
+	specB.Params.N = 125
+	// The hook runs on the one worker goroutine; a and killed live there.
+	aID, bID := make(chan JobView, 1), make(chan string, 1)
+	var a JobView
+	killed := false
+	var s *Server
+	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: dataDir,
+		FaultInjection: func(step int, ps *part.Set) {
+			switch {
+			case ps.NLocal == specA.Params.N && step == 13 && !killed:
+				killed, a = true, <-aID
+				b, err := s.Submit(specB)
+				if err != nil {
+					t.Errorf("submit B: %v", err)
+					return
+				}
+				bID <- b.ID
+				if err := s.Kill(a.ID); err != nil {
+					t.Errorf("kill A: %v", err)
+				}
+			case ps.NLocal == specB.Params.N && step == 1:
+				dir := filepath.Join(dataDir, a.Hash)
+				if _, err := os.Stat(dir); err != nil {
+					t.Errorf("requeued job's checkpoint directory: %v", err)
+				}
+				if err := s.Cancel(a.ID); err != nil {
+					t.Errorf("cancel A: %v", err)
+				}
+				if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("checkpoint directory after the cancel: %v, want it gone", err)
+				}
+			}
+		}})
+	defer s.Close()
+	view, err := s.Submit(specA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aID <- *view
+	waitState(t, s, <-bID, StateCompleted, 60*time.Second)
+	if final := waitState(t, s, view.ID, StateCancelled, 60*time.Second); final.Restarts != 1 {
+		t.Errorf("cancelled job restarted %d times, want 1", final.Restarts)
 	}
 }
 
@@ -714,9 +904,9 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesRemoved: the pre-/v1 unversioned aliases are gone; every
-// former alias path now 404s with no Deprecation signal, while the /v1
-// routes keep serving.
+// TestLegacyRoutesRemoved: the pre-/v1 unversioned aliases and the
+// job-scoped profile route are gone; every former alias path now 404s with
+// no Deprecation signal, while the /v1 routes keep serving.
 func TestLegacyRoutesRemoved(t *testing.T) {
 	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
@@ -750,6 +940,22 @@ func TestLegacyRoutesRemoved(t *testing.T) {
 		if r.Header.Get("Deprecation") != "" || r.Header.Get("Link") != "" {
 			t.Fatalf("legacy %s still carries deprecation headers", path)
 		}
+	}
+
+	// So is the job-scoped CPU profile (-pprof-addr serves the profiler):
+	// a real job's POST .../profile finds no route.
+	view, err := s.Submit(sedovSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/jobs/"+view.ID+"/profile?seconds=1", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("job profile status %d, want 404", resp.StatusCode)
 	}
 
 	// The versioned routes are unaffected.

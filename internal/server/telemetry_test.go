@@ -448,72 +448,6 @@ func TestCancelAfterKillWins(t *testing.T) {
 	}
 }
 
-// TestProfileCaptureAndPersistence: POST-driven CPU profile capture returns
-// gzipped pprof bytes for a job whose result is persisted, rejects
-// concurrent captures, and validates its parameters. (The capture itself
-// is returned, not kept: nothing ever read a stored one back.)
-func TestProfileCaptureAndPersistence(t *testing.T) {
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(Options{Workers: 1, Store: st})
-	defer s.Close()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	view, err := s.Submit(sedovSpec(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, view.ID, StateCompleted, 60*time.Second)
-
-	b, err := s.Profile(view.ID, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// pprof profiles are gzip streams; the magic bytes are the cheapest
-	// it-parses check that needs no profile-format dependency.
-	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
-		t.Fatalf("profile is not gzipped pprof data: % x", b[:min(8, len(b))])
-	}
-
-	// Unknown job.
-	if _, err := s.Profile("nope", time.Second); err == nil {
-		t.Fatal("profile of unknown job succeeded")
-	}
-
-	// Concurrent capture: the second caller gets ErrProfileBusy (409 over
-	// HTTP). Start a long capture, then collide with it.
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.Profile(view.ID, time.Second)
-		errc <- err
-	}()
-	time.Sleep(100 * time.Millisecond)
-	resp, err := http.Post(ts.URL+"/v1/jobs/"+view.ID+"/profile?seconds=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("concurrent profile status %d, want 409", resp.StatusCode)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("first capture failed: %v", err)
-	}
-
-	// Parameter validation.
-	resp, err = http.Post(ts.URL+"/v1/jobs/"+view.ID+"/profile?seconds=banana", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad seconds status %d, want 400", resp.StatusCode)
-	}
-}
-
 func TestEnginePanicFailsJobNotServer(t *testing.T) {
 	// An engine panic mid-run (physics blowup, kernel bug) must fail the
 	// one job with the panic value in its error — and leave the worker

@@ -6,7 +6,6 @@
 package sfc
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/vec"
@@ -32,17 +31,6 @@ const (
 	// higher encoding cost.
 	Hilbert
 )
-
-// String implements fmt.Stringer.
-func (c Curve) String() string {
-	switch c {
-	case Morton:
-		return "morton"
-	case Hilbert:
-		return "hilbert"
-	}
-	return fmt.Sprintf("curve(%d)", int(c))
-}
 
 // Box is the axis-aligned cube that keys are quantized against. SFC keys are
 // only comparable when generated against the same Box.

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -261,4 +262,15 @@ func BenchmarkHilbertEncode(b *testing.B) {
 		sink = HilbertEncode(uint32(i)&maxCoord, uint32(i*7)&maxCoord, uint32(i*13)&maxCoord)
 	}
 	_ = sink
+}
+
+// String implements fmt.Stringer.
+func (c Curve) String() string {
+	switch c {
+	case Morton:
+		return "morton"
+	case Hilbert:
+		return "hilbert"
+	}
+	return fmt.Sprintf("curve(%d)", int(c))
 }

@@ -174,17 +174,6 @@ func (r *Recorder) Latest() (Sample, bool) {
 	return r.last, r.haveLast
 }
 
-// Status returns the watchdog verdict: StatusOK or StatusTripped plus the
-// tripped kinds in first-trip order.
-func (r *Recorder) Status() (string, []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.trips) == 0 {
-		return StatusOK, nil
-	}
-	return StatusTripped, append([]string(nil), r.trips...)
-}
-
 // TrackSnapshot renders the bounded series: the retained samples (first
 // sample always among them — step 1 matches every stride) plus the latest
 // fed sample when not already retained, so the series always ends at the

@@ -214,3 +214,14 @@ func TestNonFiniteSamplesStillEncode(t *testing.T) {
 		t.Fatalf("Latest not scrubbed: %+v", last)
 	}
 }
+
+// Status returns the watchdog verdict: StatusOK or StatusTripped plus the
+// tripped kinds in first-trip order.
+func (r *Recorder) Status() (string, []string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.trips) == 0 {
+		return StatusOK, nil
+	}
+	return StatusTripped, append([]string(nil), r.trips...)
+}

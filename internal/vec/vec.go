@@ -25,9 +25,6 @@ func (v V3) Sub(w V3) V3 { return V3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns s*v.
 func (v V3) Scale(s float64) V3 { return V3{s * v.X, s * v.Y, s * v.Z} }
 
-// Neg returns -v.
-func (v V3) Neg() V3 { return V3{-v.X, -v.Y, -v.Z} }
-
 // Dot returns the inner product v.w.
 func (v V3) Dot(w V3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
@@ -99,11 +96,6 @@ func (m Sym33) Add(n Sym33) Sym33 {
 		m.XX + n.XX, m.XY + n.XY, m.XZ + n.XZ,
 		m.YY + n.YY, m.YZ + n.YZ, m.ZZ + n.ZZ,
 	}
-}
-
-// Scale returns s*m.
-func (m Sym33) Scale(s float64) Sym33 {
-	return Sym33{s * m.XX, s * m.XY, s * m.XZ, s * m.YY, s * m.YZ, s * m.ZZ}
 }
 
 // AddScaledOuter returns m + s * (r r^T), the accumulation step of the IAD

@@ -304,3 +304,11 @@ func BenchmarkV3Cross(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Neg returns -v.
+func (v V3) Neg() V3 { return V3{-v.X, -v.Y, -v.Z} }
+
+// Scale returns s*m.
+func (m Sym33) Scale(s float64) Sym33 {
+	return Sym33{s * m.XX, s * m.XY, s * m.XZ, s * m.YY, s * m.YZ, s * m.ZZ}
+}

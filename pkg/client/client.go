@@ -2,10 +2,10 @@
 // typed job submission (scenario.JobSpec), batch submission, waits that
 // follow each resource's /events stream, snapshot and verification-report
 // retrieval, step-telemetry tracks with live SSE streaming, measured trace
-// export (Perfetto / Paraver) with metrics-history queries, on-demand CPU
-// profile capture, convergence experiments (experiments.Sweep),
-// fleet-clustering analytics (cluster.Spec), cursor pagination, and
-// structured decoding of the API's error envelope into *APIError. The CLIs
+// export (Perfetto / Paraver) with metrics-history queries, convergence
+// experiments (experiments.Sweep), fleet-clustering analytics
+// (cluster.Spec), cursor pagination, and structured decoding of the API's
+// error envelope into *APIError. The CLIs
 // (cmd/sphexa -server, cmd/sphexa-smoke) and the server's own httptest
 // suites all talk to the API through it.
 //
@@ -360,9 +360,9 @@ func fetch[T any](ctx context.Context, c *Client, method, path string, body any)
 	return &out, nil
 }
 
-// raw issues one request and returns the response bytes exactly as served.
-func (c *Client) raw(ctx context.Context, method, path string) ([]byte, error) {
-	resp, err := c.send(ctx, method, path, nil)
+// raw issues one GET and returns the response bytes exactly as served.
+func (c *Client) raw(ctx context.Context, path string) ([]byte, error) {
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +545,7 @@ func (c *Client) Kill(ctx context.Context, id string) (*Job, error) {
 // Snapshot downloads the completed job's final particle state (part binary
 // checkpoint format).
 func (c *Client) Snapshot(ctx context.Context, id string) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/snapshot")
+	return c.raw(ctx, "/v1/jobs/"+id+"/snapshot")
 }
 
 // Metrics fetches the completed job's verification report, decoded.
@@ -555,7 +555,7 @@ func (c *Client) Metrics(ctx context.Context, id string) (*verify.Report, error)
 
 // RawMetrics fetches the verification report bytes exactly as persisted.
 func (c *Client) RawMetrics(ctx context.Context, id string) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/metrics")
+	return c.raw(ctx, "/v1/jobs/"+id+"/metrics")
 }
 
 // SubmitExperiment posts a convergence sweep; a completed response is a
@@ -687,7 +687,7 @@ func (c *Client) Telemetry(ctx context.Context, id string) (*telemetry.Track, er
 
 // RawTelemetry fetches the telemetry track bytes exactly as persisted.
 func (c *Client) RawTelemetry(ctx context.Context, id string) ([]byte, error) {
-	return c.raw(ctx, http.MethodGet, "/v1/jobs/"+id+"/telemetry")
+	return c.raw(ctx, "/v1/jobs/"+id+"/telemetry")
 }
 
 // TelemetryEvent is one frame of the live telemetry stream: the job's
@@ -732,7 +732,7 @@ func (c *Client) RawJobTrace(ctx context.Context, id, format string) ([]byte, er
 	if format != "" {
 		path += "?format=" + url.QueryEscape(format)
 	}
-	return c.raw(ctx, http.MethodGet, path)
+	return c.raw(ctx, path)
 }
 
 // HistorySelection filters a GET /v1/metrics/history query.
@@ -760,16 +760,4 @@ func (c *Client) MetricsHistory(ctx context.Context, sel HistorySelection) (*his
 		path += "?" + enc
 	}
 	return fetch[history.Snapshot](ctx, c, http.MethodGet, path, nil)
-}
-
-// Profile captures a CPU profile of the serving process for the given
-// number of seconds (1..30), attributed to the job, and returns the pprof
-// bytes. The server serializes captures; a concurrent one fails with the
-// conflict code (HTTP 409).
-func (c *Client) Profile(ctx context.Context, id string, seconds int) ([]byte, error) {
-	path := "/v1/jobs/" + id + "/profile"
-	if seconds > 0 {
-		path += "?seconds=" + strconv.Itoa(seconds)
-	}
-	return c.raw(ctx, http.MethodPost, path)
 }

@@ -203,9 +203,9 @@ func TestClientExperimentAndPagination(t *testing.T) {
 	}
 }
 
-// TestClientTelemetryAndProfile: the telemetry track, live stream, and CPU
-// profile capture round-trip through the typed client.
-func TestClientTelemetryAndProfile(t *testing.T) {
+// TestClientTelemetry: the telemetry track and live stream round-trip
+// through the typed client.
+func TestClientTelemetry(t *testing.T) {
 	_, c := newServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -252,15 +252,6 @@ func TestClientTelemetryAndProfile(t *testing.T) {
 		t.Fatalf("job view telemetry rollup %q (%v), want ok", done.Telemetry, err)
 	}
 
-	// CPU profile capture returns gzipped pprof bytes.
-	profile, err := c.Profile(ctx, job.ID, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profile) < 2 || profile[0] != 0x1f || profile[1] != 0x8b {
-		t.Fatalf("profile is not gzipped pprof data (%d bytes)", len(profile))
-	}
-
 	// Unknown jobs surface the stable error code.
 	var apiErr *client.APIError
 	if _, err := c.Telemetry(ctx, "nope"); !errors.As(err, &apiErr) || apiErr.Code != "unknown_job" {
@@ -268,9 +259,6 @@ func TestClientTelemetryAndProfile(t *testing.T) {
 	}
 	if err := c.StreamTelemetry(ctx, "nope", func(client.TelemetryEvent) bool { return true }); !errors.As(err, &apiErr) || apiErr.Code != "unknown_job" {
 		t.Fatalf("stream of unknown job: %v", err)
-	}
-	if _, err := c.Profile(ctx, "nope", 1); !errors.As(err, &apiErr) || apiErr.Code != "unknown_job" {
-		t.Fatalf("profile of unknown job: %v", err)
 	}
 }
 
