@@ -4,7 +4,7 @@
 // section choosing the serial or distributed backend, machine model, and
 // parent-code cost calibration — all covered by the spec hash; an empty
 // section is the same fixed default on every server), executed on a
-// bounded worker pool, checkpointed so a killed job resumes, cached by spec
+// bounded worker pool, resumable after a kill, cached by spec
 // hash, and their final particle snapshots served in the part binary
 // checkpoint format. Completed jobs are scored against their scenario's
 // analytic reference (GET /v1/jobs/{id}/metrics), and POST /v1/experiments
@@ -50,17 +50,15 @@
 // -pprof-addr exposes net/http/pprof on a separate listener, the one way to
 // profile the process (go tool pprof http://<pprof-addr>/debug/pprof/profile).
 //
-// Jobs run in chunks of runloop.DefaultChunkSteps steps, checkpointed under
-// -data-dir between chunks, like every sphexa CLI run, so a local run and
-// the same spec served on the serial backend are the same run. A job's
-// checkpoints are its own: only the requeue after a kill resumes from
-// them, and they are removed when the job ends, so a later run of the same
-// spec, in this process or the next, starts from step 0. -inject-nan
-// is for the contract smoke only: it installs server.NaNFault, which
-// poisons the one serial sedov run the smoke's analytics leg expects to be
-// flagged.
+// Jobs run in chunks of runloop.DefaultChunkSteps steps, like every sphexa
+// CLI run, so a local run and the same spec served on the serial backend
+// are the same run. A killed job holds the state its run stopped at in
+// memory and resumes from it; the server writes no checkpoint file, and
+// every other run of a spec starts from step 0. -inject-nan is for the
+// contract smoke only: it installs server.NaNFault, which poisons the one
+// serial sedov run the smoke's analytics leg expects to be flagged.
 //
-//	sphexa-serve -addr :8080 -workers 4 -data-dir /var/lib/sphexa \
+//	sphexa-serve -addr :8080 -workers 4 \
 //	    -store-dir /var/lib/sphexa/results -store-ttl 168h -store-max-bytes 1073741824
 //
 // See the README for a curl walkthrough of the API.
@@ -87,7 +85,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 2, "concurrent simulation workers")
-		dataDir  = flag.String("data-dir", "", "checkpoint directory (empty: a killed job restarts from step 0)")
 		storeDir = flag.String("store-dir", "", "result store directory (empty: a temporary store, removed at exit)")
 		storeTTL = flag.Duration("store-ttl", 7*24*time.Hour,
 			"evict stored results idle longer than this; terminal jobs leave the job table on the same clock (0 disables)")
@@ -105,16 +102,15 @@ func main() {
 			server.NaNFaultN, server.NaNFaultStep))
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *dataDir,
-		*storeDir, *storeTTL, *storeMax, *sweep, *pprofAddr, *logLevel, *histEvery,
-		*injectNaN); err != nil {
+	if err := run(*addr, *workers, *storeDir, *storeTTL, *storeMax, *sweep,
+		*pprofAddr, *logLevel, *histEvery, *injectNaN); err != nil {
 		fmt.Fprintln(os.Stderr, "sphexa-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, workers int, dataDir string,
-	storeDir string, storeTTL time.Duration, storeMax int64, sweep time.Duration,
+func run(addr string, workers int, storeDir string, storeTTL time.Duration,
+	storeMax int64, sweep time.Duration,
 	pprofAddr, logLevel string, histEvery time.Duration, injectNaN bool) error {
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(logLevel)); err != nil {
@@ -157,7 +153,6 @@ func run(addr string, workers int, dataDir string,
 	}
 	opts := server.Options{
 		Workers:         workers,
-		DataDir:         dataDir,
 		Store:           st,
 		JobTTL:          storeTTL,
 		Logger:          logger,

@@ -24,7 +24,8 @@
 // blows up completes and is stored.
 // SIGINT/SIGTERM interrupt at a step boundary — the state is synchronized,
 // checkpointed (when enabled), and the conservation summary still prints —
-// and -restart resumes from the newest checkpoint toward the same -steps.
+// and -restart (which needs -checkpoint-dir) resumes from the newest
+// checkpoint toward the same -steps.
 //
 // With -verify the final snapshot is scored against the scenario's analytic
 // reference (internal/verify) and the report prints after the run; the exit
@@ -66,6 +67,7 @@ import (
 	"repro/internal/ft"
 	"repro/internal/gravity"
 	"repro/internal/kernel"
+	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/runloop"
 	"repro/internal/scenario"
@@ -144,6 +146,9 @@ func parseFlags(args []string) (*options, error) {
 
 	var edits []func(*core.Config)
 	var errs []error
+	if o.restart && o.ckptDir == "" {
+		errs = append(errs, errors.New("-restart needs -checkpoint-dir, the directory to restore from"))
+	}
 	fs.Visit(func(f *flag.Flag) {
 		edit, err := engineFlag(f.Name, f.Value.String())
 		edits, errs = append(edits, edit), append(errs, err)
@@ -286,8 +291,20 @@ func runLocal(o *options) (runloop.Result, error) {
 		return runloop.Result{}, err
 	}
 	var ck *ft.Checkpointer
+	var from *runloop.Start
+	var restore []obs.Phase // the lifecycle's first phase, for -trace-out
 	if o.ckptDir != "" {
 		ck = &ft.Checkpointer{Dir: o.ckptDir}
+	}
+	if o.restart {
+		sp := obs.StartSpan(obs.PhaseRestore, nil)
+		ps, step, simTime, err := ck.Restore()
+		if err != nil {
+			return runloop.Result{}, fmt.Errorf("runloop: restore: %w", err)
+		}
+		restore = []obs.Phase{{Name: obs.PhaseRestore, Seconds: sp.End().Seconds()}}
+		from = &runloop.Start{PS: ps, Step: step, SimTime: simTime}
+		fmt.Printf("restored checkpoint: step %d, t=%.6f\n", step, simTime)
 	}
 
 	// SIGINT/SIGTERM cancel the run cooperatively at the next step
@@ -304,17 +321,13 @@ func runLocal(o *options) (runloop.Result, error) {
 	res, err := runloop.Execute(spec, runloop.Env{
 		Ctx:          runCtx,
 		Checkpointer: ck,
-		Resume:       o.restart,
-		MustResume:   o.restart,
+		From:         from,
 		Recorder:     rec,
 		Configure: func(cfg *core.Config, ps *part.Set) {
 			o.edit(cfg)
 			fmt.Printf("sphexa: %s, %d particles, kernel=%s gradients=%s volumes=%s stepping=%s\n",
 				spec.Scenario, ps.NLocal, cfg.SPH.Kernel.Name(), cfg.SPH.Gradients, cfg.SPH.Volumes, cfg.Stepping)
 			fmt.Printf("%6s %14s %14s %14s %14s %14s\n", "step", "dt", "t", "E_total", "E_kin", "mean nbrs")
-		},
-		OnRestore: func(step int, simTime float64) {
-			fmt.Printf("restored checkpoint: step %d, t=%.6f\n", step, simTime)
 		},
 		OnStep: func(rep core.StepReport, st conserve.State, ps *part.Set) {
 			fmt.Printf("%6d %14.6e %14.6e %14.6e %14.6e %14.1f\n",
@@ -344,8 +357,7 @@ func runLocal(o *options) (runloop.Result, error) {
 	case res.Cancelled && sigCtx.Err() != nil:
 		// Signal interruption: the executor synchronized the state it
 		// stopped at; checkpoint it and exit cleanly. A step-0 state is not
-		// worth a checkpoint (and -restart rejects one): rerunning from
-		// scratch loses nothing.
+		// worth a checkpoint: rerunning from scratch loses nothing.
 		if ck != nil && res.Steps > 0 {
 			if err := ck.Write(res.Steps, res.SimTime, res.PS); err != nil {
 				return res, fmt.Errorf("checkpoint on interrupt: %w", err)
@@ -371,7 +383,7 @@ func runLocal(o *options) (runloop.Result, error) {
 		return res, nil
 	}
 	if o.traceOut != "" {
-		m := runloop.Measured(rec.TrackSnapshot(), res.Timing, res.Phases.Phases)
+		m := runloop.Measured(rec.TrackSnapshot(), res.Timing, append(restore, res.Phases.Phases...))
 		b, err := json.Marshal(m.Document(map[string]string{
 			"scenario": spec.Scenario,
 			"steps":    strconv.Itoa(spec.Steps),

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ft"
 	"repro/internal/part"
 	"repro/internal/runloop"
 	"repro/internal/scenario"
@@ -208,5 +211,54 @@ func TestSteppingIndividualRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestRestartNeedsCheckpointDir: -restart restores from -checkpoint-dir, so
+// without one the command line is an error, not a run from step 0.
+func TestRestartNeedsCheckpointDir(t *testing.T) {
+	_, err := parseFlags([]string{"-scenario", "sedov", "-n", "125", "-neighbors", "20", "-steps", "2", "-restart"})
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+		t.Fatalf("-restart without -checkpoint-dir: %v, want an error naming -checkpoint-dir", err)
+	}
+}
+
+// TestRestartFailures: a -restart that finds nothing to restore is an
+// error, and so is one whose checkpoint is of the older SPH1 record format,
+// named by its magic.
+func TestRestartFailures(t *testing.T) {
+	restart := func(dir string) error {
+		t.Helper()
+		o, err := parseFlags([]string{"-scenario", "sedov", "-n", "125", "-neighbors", "20", "-steps", "10",
+			"-checkpoint-dir", dir, "-restart"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runLocal(o)
+		return err
+	}
+	if err := restart(t.TempDir()); err == nil || !strings.Contains(err.Error(), "runloop: restore:") {
+		t.Errorf("missing checkpoint: %v, want a restore error", err)
+	}
+
+	dir := t.TempDir()
+	ps := part.New(4)
+	for i := range ps.Mass {
+		ps.Mass[i], ps.H[i] = 1, 1
+	}
+	if err := (&ft.Checkpointer{Dir: dir}).Write(5, 2.5, ps); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ckpt-000000005.sph")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[bytes.IndexByte(raw, '\n')+1] = '1' // the magic's low byte: "SPH2" becomes "SPH1"
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := restart(dir); err == nil || !strings.Contains(err.Error(), `"SPH1"`) {
+		t.Errorf("SPH1 checkpoint: %v, want an error naming the magic", err)
 	}
 }

@@ -1,12 +1,13 @@
 // Package runloop is the job executor of the mini-app: Execute takes a
 // canonical scenario.JobSpec to a verified result — scenario lookup and
-// generation, the t=0 conservation reference, the execution shape, restore
-// from the newest checkpoint, one of the two engines driven in chunks of
-// DefaultChunkSteps steps with a checkpoint between chunks and a clean stop
-// at a step boundary on cancellation, one flight-recorder sample per step,
-// and verify.Evaluate on the final state. The job server (internal/server)
-// and the CLI (cmd/sphexa) both run through it, so a report is a function
-// of the spec, not of the binary that produced it.
+// generation, the t=0 conservation reference, the execution shape, a start
+// at step 0 or from a given state, one of the two engines driven in chunks
+// of DefaultChunkSteps steps with an optional checkpoint file between
+// chunks and a clean stop at a step boundary on cancellation, one
+// flight-recorder sample per step, and verify.Evaluate on the final state.
+// The job server (internal/server) and the CLI (cmd/sphexa) both run
+// through it, so a report is a function of the spec, not of the binary
+// that produced it.
 package runloop
 
 import (
@@ -52,14 +53,11 @@ type Env struct {
 	// Configure, when non-nil, sees the generated workload once, before the
 	// engine is built, and may edit its config (the CLI's engine flags).
 	Configure func(cfg *core.Config, ps *part.Set)
-	// Checkpointer persists the state between chunks; nil disables
-	// checkpointing and resume, not the chunks.
+	// Checkpointer writes the state to a file between chunks; nil writes
+	// none, and cuts the chunks all the same.
 	Checkpointer *ft.Checkpointer
-	// Resume restores the newest checkpoint before running; MustResume
-	// makes a failed restore an error instead of a fresh start (-restart).
-	Resume, MustResume bool
-	// OnRestore observes a successful restore before the first chunk runs.
-	OnRestore func(step int, simTime float64)
+	// From is the state the run continues from; nil starts at step 0.
+	From *Start
 	// Recorder receives one sample per completed step; nil records none. It
 	// outlives the execution: it is truncated to every chunk's base step
 	// before the chunk re-feeds it, so a killed and resumed run's track
@@ -82,6 +80,15 @@ type Env struct {
 	// with a result before it starts the next (a server worker, all its
 	// jobs); nil gives the execution a new one.
 	Scratch *Scratch
+}
+
+// Start is a synchronized state a run continues from: the particles after
+// Step steps, at simulation time SimTime. The run's conservation reference
+// is still the generated t=0 state.
+type Start struct {
+	PS      *part.Set
+	Step    int
+	SimTime float64
 }
 
 // Scratch is what successive executions on one goroutine reuse: the
@@ -120,19 +127,19 @@ type Result struct {
 	// Env.Scratch: it is valid until the next execution on that Scratch.
 	PS        *part.Set
 	Cancelled bool
-	// Steps counts completed steps including restored ones; SimTime is the
+	// Steps counts completed steps including Env.From's; SimTime is the
 	// matching simulation time.
 	Steps   int
 	SimTime float64
 	// Timing accumulates the chunks' modeled per-phase timing; nil on the
-	// serial backend. Restored steps contribute nothing (their timing was
-	// spent by the run that checkpointed them).
+	// serial backend. Env.From's steps contribute nothing (their timing was
+	// spent by the run that reached that state).
 	Timing *core.RunTiming
 	// Report scores the final state; nil unless the run completed.
 	Report *verify.Report
-	// Phases is the wall-clock lifecycle of this execution: restore, run,
-	// checkpoint, verify (obs.Phase*). Restore and checkpoint are left out
-	// when they took no time (a run with no checkpointer never enters them).
+	// Phases is the wall-clock lifecycle of this execution: run, checkpoint,
+	// verify (obs.Phase*). Checkpoint is left out when it took no time (a
+	// run with no checkpointer never enters it).
 	Phases obs.SpanSet
 }
 
@@ -155,7 +162,7 @@ func Execute(spec scenario.JobSpec, env Env) (Result, error) {
 		env.Configure(&cfg, ps)
 	}
 	// The conservation reference of the drift series and of the report is
-	// the generated t=0 state, before any checkpoint restore replaces it.
+	// the generated t=0 state, also for a run that continues from Env.From.
 	x := &execution{env: env, spec: spec, cfg: cfg, initial: conserve.Measure(ps, nil)}
 	var run chunk
 	if spec.Exec.Backend == scenario.BackendSerial {
@@ -381,8 +388,8 @@ type base struct {
 // state: that is what gets checkpointed, and what gets verified.
 type chunk func(ctx context.Context, ps *part.Set, b base, steps int) (Result, error)
 
-// loop is the chunked checkpoint/resume loop: optional restore, then chunks
-// of DefaultChunkSteps with a checkpoint between consecutive chunks (when
+// loop is the chunked run: from ps at step 0, or from env.From, chunks of
+// DefaultChunkSteps with a checkpoint between consecutive chunks (when
 // there is a Checkpointer), until total steps, cancellation, or an error.
 // An interim checkpoint failure is one: a run that cannot honor its
 // durability contract must not compute past it.
@@ -392,25 +399,11 @@ func loop(env Env, total int, ps *part.Set, run chunk) (Result, error) {
 		ctx = context.Background()
 	}
 	res := Result{PS: ps}
-
-	if ck := env.Checkpointer; ck != nil && env.Resume {
-		sp := obs.StartSpan(obs.PhaseRestore, env.Clock)
-		restored, step, simTime, err := ck.Restore()
-		if d := sp.End(); d > 0 {
-			res.Phases.Add(obs.PhaseRestore, d)
+	if from := env.From; from != nil {
+		if from.Step > total {
+			return res, fmt.Errorf("runloop: start at step %d is past the run's %d steps", from.Step, total)
 		}
-		switch {
-		case err == nil && step > 0 && step <= total:
-			res.PS, res.Steps, res.SimTime = restored, step, simTime
-			if env.OnRestore != nil {
-				env.OnRestore(step, simTime)
-			}
-		case env.MustResume:
-			if err == nil {
-				return res, fmt.Errorf("runloop: checkpoint at step %d unusable for a %d-step run", step, total)
-			}
-			return res, fmt.Errorf("runloop: restore: %w", err)
-		}
+		res.PS, res.Steps, res.SimTime = from.PS, from.Step, from.SimTime
 	}
 	// The run phase exists even if no chunk runs: Measured nests under it.
 	res.Phases.AddSeconds(obs.PhaseRun, 0)

@@ -1,15 +1,12 @@
 package runloop
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
-	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -95,84 +92,35 @@ func TestRunChunksAndCheckpoints(t *testing.T) {
 	}
 }
 
-func TestRunResumesFromCheckpoint(t *testing.T) {
+// TestRunContinuesFrom: a run from a given state counts on from its step
+// and sim time, in one chunk up to the total.
+func TestRunContinuesFrom(t *testing.T) {
 	var calls []base
-	c := ck(t)
 	st := newSet()
 	st.ID[0] = 6
-	if err := c.Write(6, 3, st); err != nil {
-		t.Fatal(err)
-	}
-	var restored []int
 	res, err := loop(Env{
-		Checkpointer: c, Resume: true,
-		OnRestore: func(step int, simTime float64) { restored = append(restored, step) },
+		From: &Start{PS: st, Step: 6, SimTime: 3},
 	}, 10, newSet(), fakeChunk(t, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Steps != 10 || res.SimTime != 5 {
-		t.Fatalf("result %+v, want steps=10 simTime=5", res)
-	}
-	if len(restored) != 1 || restored[0] != 6 {
-		t.Fatalf("OnRestore calls %v, want [6]", restored)
+	if res.Steps != 10 || res.SimTime != 5 || res.PS.ID[0] != 10 {
+		t.Fatalf("result %+v, want steps=10 simTime=5 from the given state", res)
 	}
 	if len(calls) != 1 || calls[0] != (base{6, 3}) {
 		t.Fatalf("chunk calls %+v, want one chunk from base {6 3}", calls)
 	}
 }
 
-func TestRunIgnoresOversizedCheckpointUnlessMustResume(t *testing.T) {
-	c := ck(t)
-	if err := c.Write(50, 25, newSet()); err != nil {
-		t.Fatal(err)
-	}
-	// Without MustResume a checkpoint beyond TotalSteps means a fresh run
-	// (the server's semantics: the spec hash owns the directory, so this
-	// only happens across spec changes).
+// TestRunRejectsStartPastTotal: a start beyond the run's total steps is an
+// error, not a fresh run.
+func TestRunRejectsStartPastTotal(t *testing.T) {
 	var calls []base
-	res, err := loop(Env{
-		Checkpointer: c, Resume: true,
+	_, err := loop(Env{
+		From: &Start{PS: newSet(), Step: 50, SimTime: 25},
 	}, 10, newSet(), fakeChunk(t, &calls))
-	if err != nil || res.Steps != 10 || len(calls) != 1 || calls[0] != (base{}) {
-		t.Fatalf("res=%+v err=%v calls=%+v, want fresh 10-step run", res, err, calls)
-	}
-	// With MustResume it is an explicit error.
-	if _, err := loop(Env{
-		Checkpointer: c, Resume: true, MustResume: true,
-	}, 10, newSet(), fakeChunk(t, &calls)); err == nil {
-		t.Fatal("oversized checkpoint accepted under MustResume")
-	}
-	// MustResume with no checkpoint at all is also an error.
-	if _, err := loop(Env{
-		Checkpointer: ck(t), Resume: true, MustResume: true,
-	}, 10, newSet(), fakeChunk(t, &calls)); err == nil {
-		t.Fatal("missing checkpoint accepted under MustResume")
-	}
-	// A checkpoint of the older SPH1 record format is unreadable: a fresh
-	// run without MustResume, an error naming the magic with it.
-	old := ck(t)
-	if err := old.Write(5, 2.5, newSet()); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(old.Dir, "ckpt-000000005.sph")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[bytes.IndexByte(raw, '\n')+1] = '1' // the magic's low byte: "SPH2" becomes "SPH1"
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	calls = nil
-	res, err = loop(Env{Checkpointer: old, Resume: true}, 10, newSet(), fakeChunk(t, &calls))
-	if err != nil || res.Steps != 10 || len(calls) != 1 || calls[0] != (base{}) {
-		t.Fatalf("SPH1 checkpoint: res=%+v err=%v calls=%+v, want fresh 10-step run", res, err, calls)
-	}
-	if _, err := loop(Env{
-		Checkpointer: old, Resume: true, MustResume: true,
-	}, 10, newSet(), fakeChunk(t, &calls)); err == nil || !strings.Contains(err.Error(), `"SPH1"`) {
-		t.Fatalf("SPH1 checkpoint under MustResume: error %v, want one naming the magic", err)
+	if err == nil || len(calls) != 0 {
+		t.Fatalf("start at step 50 of 10: err=%v calls=%+v, want an error and no chunk", err, calls)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 type reuseCase struct {
 	spec     scenario.JobSpec
 	adaptive bool // ts.Adaptive instead of the scenario's fixed-rule dt
-	killAt   int  // > 0: cancel after this step, checkpoint, resume
+	killAt   int  // > 0: cancel after this step, resume from its state
 }
 
 func (c reuseCase) String() string {
@@ -69,7 +69,7 @@ func reuseSequence(t *testing.T) []reuseCase {
 	// A job after one more than four times its size runs on the large
 	// scratch, and the job after it starts on a new one: on each backend,
 	// once completing and once killed and resumed, so a result and a killed
-	// run's checkpoint are taken from a scratch that has just shrunk.
+	// run's state are taken from a scratch that has just shrunk.
 	for _, cores := range []int{0, 4} {
 		job("sedov", 1000, 20, cores, 0, false)
 		job("sedov", 125, 20, cores, 0, false)
@@ -80,8 +80,9 @@ func reuseSequence(t *testing.T) []reuseCase {
 }
 
 // executeCase runs c as the server runs a job (a flight recorder, a kill
-// as a cancelled context followed by a checkpoint and a resume) on sc and
-// renders its snapshot, report and track bytes. The track's serial phase
+// as a cancelled context followed by a resume from the state it stopped at,
+// sent through the frame encoding) on sc and renders its snapshot, report
+// and track bytes. The track's serial phase
 // seconds are wall-clock time and are left out.
 func executeCase(t *testing.T, c reuseCase, sc *Scratch) (snap, report, track []byte) {
 	t.Helper()
@@ -93,7 +94,7 @@ func executeCase(t *testing.T, c reuseCase, sc *Scratch) (snap, report, track []
 	if c.killAt > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		env.Ctx, env.Checkpointer, env.Resume = ctx, &ft.Checkpointer{Dir: t.TempDir()}, true
+		env.Ctx, env.Checkpointer = ctx, &ft.Checkpointer{Dir: t.TempDir()}
 		env.OnStep = func(rep core.StepReport, _ conserve.State, _ *part.Set) {
 			if rep.Step+1 == c.killAt {
 				cancel()
@@ -106,10 +107,12 @@ func executeCase(t *testing.T, c reuseCase, sc *Scratch) (snap, report, track []
 		if _, step, _, err := env.Checkpointer.Restore(); err != nil || step != DefaultChunkSteps {
 			t.Fatalf("%v: killed run's interim checkpoint at step %d (%v), want %d", c, step, err, DefaultChunkSteps)
 		}
-		if err := env.Checkpointer.Write(res.Steps, res.SimTime, res.PS); err != nil {
+		ps := part.New(0)
+		if _, err := ps.ReadFrom(bytes.NewReader(res.PS.AppendFrame(nil))); err != nil {
 			t.Fatal(err)
 		}
-		env.Ctx, env.OnStep = nil, nil
+		env.From = &Start{PS: ps, Step: res.Steps, SimTime: res.SimTime}
+		env.Ctx, env.OnStep, env.Checkpointer = nil, nil, nil
 	}
 	res, err := Execute(c.spec, env)
 	if err != nil || res.Report == nil || res.Steps != c.spec.Steps {

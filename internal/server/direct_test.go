@@ -238,7 +238,7 @@ func TestServedEqualsDirect(t *testing.T) {
 			killed := false // only the one worker goroutine touches it
 			s = New(Options{
 				Store:   tempStore(t),
-				Workers: 1, DataDir: t.TempDir(),
+				Workers: 1,
 				FaultInjection: func(step int, _ *part.Set) {
 					if step != tc.killAt || killed {
 						return

@@ -26,7 +26,7 @@ import (
 //	GET  /v1/jobs/{id}             job status + progress
 //	GET  /v1/jobs/{id}/events      server-sent progress events until terminal
 //	POST /v1/jobs/{id}/cancel      terminal cancellation
-//	POST /v1/jobs/{id}/kill        simulated crash (job resumes from checkpoint)
+//	POST /v1/jobs/{id}/kill        simulated crash (job resumes where it stopped)
 //	GET  /v1/jobs/{id}/snapshot    final particle state, part binary format
 //	GET  /v1/jobs/{id}/metrics     verification report (error norms vs analytic
 //	                               reference, plateau, conservation, pass/fail)

@@ -140,7 +140,7 @@ func statuszBody(t *testing.T, ts *httptest.Server) string {
 // per-route latency digest, and the job phase totals; the Prometheus
 // exposition carries the families with correct types.
 func TestStatuszAndMetricsz(t *testing.T) {
-	s := New(Options{Workers: 2, DataDir: t.TempDir(), Store: tempStore(t)})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -213,7 +213,7 @@ func TestReportCarriesSpansAndCacheHitServesIdenticalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Options{Workers: 1, DataDir: t.TempDir(), Store: st1})
+	s1 := New(Options{Workers: 1, Store: st1})
 	view, err := s1.Submit(sedovSpec(3))
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func TestRestartServesStoredResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Options{Workers: 2, DataDir: t.TempDir(), Store: st1})
+	s1 := New(Options{Workers: 2, Store: st1})
 	ts1 := httptest.NewServer(s1.Handler())
 	c1 := testClient(ts1)
 

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"io/fs"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -146,19 +145,6 @@ func TestServedJobsCreateNoFiles(t *testing.T) {
 	}
 	s := New(Options{Workers: 1, Store: st})
 	defer s.Close()
-	files := func() []string {
-		var names []string
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() {
-				names = append(names, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return names
-	}
 	var first []string
 	for i := range 31 {
 		spec := sedovSpec(1)
@@ -172,10 +158,10 @@ func TestServedJobsCreateNoFiles(t *testing.T) {
 			t.Fatalf("job %d's result is not stored", i)
 		}
 		if i == 0 {
-			first = files()
+			first = filesUnder(t, dir)
 		}
 	}
-	if after := files(); !reflect.DeepEqual(after, first) {
+	if after := filesUnder(t, dir); !reflect.DeepEqual(after, first) {
 		t.Errorf("after the first job the store held %q; 30 jobs later %q", first, after)
 	}
 }

@@ -3,11 +3,11 @@
 // them through the job executor (internal/runloop) on a bounded worker
 // pool, streams per-step progress, caches completed results by canonical
 // spec hash, and serves final particle snapshots in the part binary
-// checkpoint format. Long jobs checkpoint through internal/ft every
-// runloop.DefaultChunkSteps steps, so a killed job resumes from its last
-// checkpoint instead of recomputing from scratch. The checkpoints are the
-// job's own: a submitted job's first run starts from step 0, and its
-// checkpoint directory is removed when the job reaches a terminal state.
+// checkpoint format. A killed job resumes from the state its run stopped
+// at instead of recomputing from scratch: the job holds that state's frame
+// in memory while it waits in the queue, and drops it when the resumed run
+// starts or the job ends. A submitted job's first run starts from step 0,
+// and the server writes no checkpoint file.
 //
 // Completed results live in a result store (internal/store), and the
 // in-memory cache is a metadata layer: snapshot, report and track bytes
@@ -31,8 +31,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -40,7 +38,6 @@ import (
 	"repro/internal/conserve"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/ft"
 	"repro/internal/obs"
 	"repro/internal/obs/history"
 	"repro/internal/part"
@@ -106,20 +103,26 @@ type execution struct {
 	progress Progress
 	// restarts counts how many times the job resumed after a kill.
 	restarts int
-	// checkpointed records that a kill's requeue wrote a checkpoint.
-	checkpointed bool
+	// held is the state a kill's requeue keeps for the resumed run:
+	// part.Set.AppendFrame's bytes of the synchronized particles, and their
+	// step and sim time. Its frame is nil at any other time.
+	held struct {
+		frame   []byte
+		step    int
+		simTime float64
+	}
 	// telemetryStatus is the physics-watchdog rollup ("ok" or "tripped");
 	// empty until the job starts executing.
 	telemetryStatus string
 
 	// rec is the job's flight recorder, created when execution first starts
 	// and surviving kill-requeues (the same Job object re-enters the queue,
-	// so the recorder resumes where the checkpoint restores).
+	// so the recorder resumes where the held state does).
 	rec *telemetry.Recorder
 
 	cancel context.CancelFunc
-	// killed distinguishes a simulated kill (resume from checkpoint) from
-	// an explicit cancel (terminal).
+	// killed distinguishes a simulated kill (resume from the held state)
+	// from an explicit cancel (terminal).
 	killed bool
 	// submittedAt is when the job entered the queue (reset on a
 	// kill-requeue); the queue-wait span is measured against it.
@@ -200,9 +203,8 @@ type cachedResult struct {
 type Options struct {
 	// Workers bounds concurrent simulations (default 2).
 	Workers int
-	// DataDir roots per-job checkpoint directories, written every
-	// runloop.DefaultChunkSteps steps and removed when the job ends; empty
-	// disables checkpointing (jobs then restart from step 0 after a kill).
+	// Deprecated: DataDir is ignored. A killed job's state stays in
+	// memory, and the server writes no checkpoint file.
 	DataDir string
 	// Store persists completed results across restarts. Required: New
 	// panics without one.
@@ -600,8 +602,8 @@ func (s *Server) Cancel(id string) error {
 }
 
 // Kill simulates a crash of a running job: execution aborts, but the job
-// re-enters the queue and resumes from its newest checkpoint — the
-// fault-tolerance path of internal/ft exercised end to end.
+// re-enters the queue and resumes from the synchronized state the run
+// stopped at, which it holds in memory until then.
 func (s *Server) Kill(id string) error {
 	return s.interrupt(id, true)
 }
@@ -625,7 +627,7 @@ func (s *Server) interrupt(id string, kill bool) error {
 	if kill {
 		return fmt.Errorf("server: job %s is not running", id)
 	}
-	s.dropCheckpoints(job, job.run) // a requeued job's kill wrote one
+	job.run.held.frame = nil // a requeued job's kill left one
 	s.jobs.finishLocked(job, StateCancelled, "", s.now())
 	s.met.jobsDone.With(string(StateCancelled)).Inc()
 	return nil
@@ -683,31 +685,6 @@ func (s *Server) Done(id string) (<-chan struct{}, bool) {
 }
 
 func (v JobView) meta() (string, JobState) { return v.Hash, v.State }
-
-// checkpointer returns the job's checkpoint directory under the data
-// directory, or nil when checkpointing is disabled.
-func (s *Server) checkpointer(job *Job) *ft.Checkpointer {
-	if s.opts.DataDir == "" {
-		return nil
-	}
-	return &ft.Checkpointer{Dir: filepath.Join(s.opts.DataDir, job.Hash)}
-}
-
-// dropCheckpoints removes the checkpoint directory of a job reaching a
-// terminal state, before the job leaves its hash's active slot, so no later
-// run of the hash sees it, or sees it go: only a kill's requeue resumes from
-// it. A job whose runs cannot have written one (no kill's requeue wrote one,
-// and no run got past a chunk short of its last step) pays no syscall.
-func (s *Server) dropCheckpoints(job *Job, x *execution) {
-	ck := s.checkpointer(job)
-	if ck == nil || !x.checkpointed &&
-		(x.spec.Steps <= runloop.DefaultChunkSteps || x.progress.Step < runloop.DefaultChunkSteps) {
-		return
-	}
-	if err := os.RemoveAll(ck.Dir); err != nil {
-		s.log.Warn("checkpoints not removed", "job", job.ID, "hash", job.Hash, "error", err)
-	}
-}
 
 // run takes one queued job through its lifecycle. This is the claim stage:
 // it moves the job to running, records the queue wait, wires cancel and
@@ -774,7 +751,6 @@ func (s *Server) run(job *Job, sc *runloop.Scratch) {
 
 // finish is a running job's terminal transition.
 func (s *Server) finish(job *Job, state JobState, msg string) {
-	s.dropCheckpoints(job, job.run)
 	s.mu.Lock()
 	job.run.cancel = nil
 	s.jobs.finishLocked(job, state, msg, s.now())
@@ -789,18 +765,17 @@ func (s *Server) fail(job *Job, err error) {
 }
 
 // execute runs the job's spec through the executor cmd/sphexa runs through
-// too (internal/runloop), in a server's environment: checkpoints under
-// DataDir at every chunk end, resuming only after a kill; the job's flight
-// recorder; progress published per step; the worker's scratch.
+// too (internal/runloop), in a server's environment: from the state a
+// kill's requeue held, if any, decoded and timed as the restore phase; the
+// job's flight recorder; progress published per step; the worker's scratch.
 func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (runloop.Result, error) {
 	x := job.run
-	ck := s.checkpointer(job)
-	if ck != nil && x.restarts == 0 && x.spec.Steps > runloop.DefaultChunkSteps {
-		// A first run starts from step 0; a process that died mid-run of
-		// this hash may have left checkpoints behind.
-		_ = os.RemoveAll(ck.Dir)
-	}
 	s.mu.Lock()
+	held := x.held
+	if held.frame != nil {
+		x.held.frame = nil
+		x.progress = Progress{Step: held.step, Total: x.spec.Steps, SimTime: held.simTime}
+	}
 	// The flight recorder is created once per Job and survives
 	// kill-requeues: the requeued Job comes back with its recorder intact,
 	// and the executor truncates it to each chunk's base step before
@@ -819,20 +794,23 @@ func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (ru
 	rec := x.rec
 	s.mu.Unlock()
 
-	total := x.spec.Steps
+	var from *runloop.Start
+	if held.frame != nil {
+		sp := obs.StartSpan(obs.PhaseRestore, s.now)
+		ps := part.New(0)
+		if _, err := ps.ReadFrom(bytes.NewReader(held.frame)); err != nil {
+			return runloop.Result{}, fmt.Errorf("resuming after a kill: %w", err)
+		}
+		sp.EndTo(&x.spans)
+		from = &runloop.Start{PS: ps, Step: held.step, SimTime: held.simTime}
+	}
 	res, err := runloop.Execute(x.spec, runloop.Env{
 		Ctx:            ctx,
 		Clock:          s.now,
-		Checkpointer:   ck,
-		Resume:         x.restarts > 0,
+		From:           from,
 		Recorder:       rec,
 		FaultInjection: s.opts.FaultInjection,
 		Scratch:        sc,
-		OnRestore: func(step int, simTime float64) {
-			s.mu.Lock()
-			x.progress = Progress{Step: step, Total: total, SimTime: simTime}
-			s.mu.Unlock()
-		},
 		OnStep: func(rep core.StepReport, _ conserve.State, _ *part.Set) {
 			s.mu.Lock()
 			x.progress.Step = rep.Step + 1
@@ -849,22 +827,24 @@ func (s *Server) execute(ctx context.Context, job *Job, sc *runloop.Scratch) (ru
 	return res, err
 }
 
-// requeue is the simulated crash: checkpoint what the interrupted run has
-// and put the job back in the queue, to resume from there. It declines, and
-// the job ends cancelled, when a Cancel landed after the Kill: the run's
-// context keeps the Kill as its cause, but interrupt cleared killed, and
-// this lock hold is what decides, so a Cancel wins in either order.
+// requeue is the simulated crash: hold a copy of the state the run stopped
+// at (res.PS lives in the worker's scratch; none before the first step)
+// and put the job back in the queue, to resume from there. It declines,
+// and the job ends cancelled, when a Cancel landed after the Kill: the
+// run's context keeps the Kill as its cause, but interrupt cleared killed,
+// and this lock hold is what decides, so a Cancel wins in either order.
 func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	x := job.run
-	if ck := s.checkpointer(job); ck != nil && res.Steps > 0 {
-		_ = ck.Write(res.Steps, res.SimTime, res.PS)
-		x.checkpointed = true
+	var frame []byte
+	if res.Steps > 0 {
+		frame = res.PS.AppendFrame(nil)
 	}
 	s.mu.Lock()
 	if !x.killed {
 		s.mu.Unlock()
 		return false
 	}
+	x.held.frame, x.held.step, x.held.simTime = frame, res.Steps, res.SimTime
 	job.State = StateQueued
 	x.killed = false
 	x.cancel = nil
@@ -875,7 +855,7 @@ func (s *Server) requeue(job *Job, res runloop.Result) bool {
 	case s.queue <- job:
 		requeued = true
 	default:
-		s.dropCheckpoints(job, x)
+		x.held.frame = nil
 		s.jobs.finishLocked(job, StateFailed, "requeue after kill failed: queue full", s.now())
 	}
 	s.mu.Unlock()
@@ -916,7 +896,6 @@ func (s *Server) complete(job *Job, res runloop.Result, sc *runloop.Scratch) {
 	if err == nil {
 		result.telemetryStatus = track.Status
 	}
-	s.dropCheckpoints(job, x)
 	pspan := obs.StartSpan(obs.PhasePersist, s.now)
 	s.persist(job, result, snap, report, trackJSON)
 
@@ -965,8 +944,8 @@ func (s *Server) persist(job *Job, result *cachedResult, snapshot, report, track
 // marshalReport renders the persisted report JSON: the verification report
 // plus the run's per-phase modeled timing breakdown (parallel backend only
 // — what the scaling-experiment aggregator reads back by member hash) and
-// the job's wall-clock lifecycle trace (queue-wait → restore → run →
-// checkpoint → verify). The bytes are written once and served verbatim
+// the job's wall-clock lifecycle trace (queue-wait, restore after a kill,
+// run, verify). The bytes are written once and served verbatim
 // thereafter, so cache hits stay byte-identical.
 func marshalReport(rep *verify.Report, timing *core.RunTiming, spans *obs.SpanSet) ([]byte, *VerifySummary) {
 	if spans != nil && len(spans.Phases) == 0 {

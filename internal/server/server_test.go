@@ -13,12 +13,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/ft"
+	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -106,7 +108,7 @@ func TestNewRequiresStore(t *testing.T) {
 // the distributed engine, the second is served from the result cache — and
 // both snapshots decode via part with matching CRC and particle count.
 func TestSubmitPollSnapshotAndCacheHit(t *testing.T) {
-	s := New(Options{Workers: 2, DataDir: t.TempDir(), Store: tempStore(t)})
+	s := New(Options{Workers: 2, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -398,11 +400,11 @@ func TestEventsStream(t *testing.T) {
 }
 
 // TestKillResumesFromCheckpoint: a killed job re-enters the queue and
-// finishes from its checkpoint instead of terminating — the internal/ft
-// crash-recovery path driven through the service.
+// finishes from the state its run stopped at instead of terminating — the
+// crash-recovery path driven through the service. The resumed run records
+// a restore phase in the job's persisted lifecycle.
 func TestKillResumesFromCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, Store: tempStore(t)})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 
 	spec := sedovSpec(40)
@@ -413,7 +415,7 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until the job has progressed past at least one checkpoint.
+	// Wait until the job has progressed past its first chunk.
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		v, _ := s.Get(view.ID)
@@ -432,20 +434,6 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("kill: %v", err)
 	}
 
-	// Between the kill and completion, the checkpoint the resume reads
-	// exists and carries a mid-run step.
-	ck := &ft.Checkpointer{Dir: filepath.Join(dir, view.Hash)}
-	ps, step, simTime, err := ck.Restore()
-	if err != nil {
-		t.Fatalf("no readable checkpoint after the kill: %v", err)
-	}
-	if step <= 0 || step >= 40 {
-		t.Fatalf("checkpoint step %d not strictly mid-run", step)
-	}
-	if simTime <= 0 || ps.NLocal != 1000 {
-		t.Fatalf("checkpoint state t=%g n=%d", simTime, ps.NLocal)
-	}
-
 	final := waitState(t, s, view.ID, StateCompleted, 120*time.Second)
 	if final.Restarts != 1 {
 		t.Fatalf("restarts=%d, want 1", final.Restarts)
@@ -453,9 +441,22 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 	if final.Progress.Step != 40 {
 		t.Fatalf("final progress %+v", final.Progress)
 	}
-	// The completed job's checkpoints went with it.
-	if _, err := os.Stat(ck.Dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("checkpoint directory after completion: %v, want it gone", err)
+	report, ok := s.Metrics(view.ID)
+	if !ok {
+		t.Fatal("completed job has no report")
+	}
+	var lifecycle struct {
+		Spans obs.SpanSet `json:"spans"`
+	}
+	if err := json.Unmarshal(report, &lifecycle); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ph := range lifecycle.Spans.Phases {
+		names = append(names, ph.Name)
+	}
+	if !slices.Contains(names, obs.PhaseRestore) {
+		t.Errorf("persisted lifecycle %v has no %s phase", names, obs.PhaseRestore)
 	}
 
 	if _, ok := s.Snapshot(view.ID); !ok {
@@ -464,10 +465,17 @@ func TestKillResumesFromCheckpoint(t *testing.T) {
 }
 
 // TestSerialBackendKillResumes: the crash-recovery path under the serial
-// engine — the checkpoint/resume loop is backend-agnostic.
+// engine — the resume is backend-agnostic, and the resumed run continues
+// where the killed one stopped, so the step hook sees every step once.
 func TestSerialBackendKillResumes(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Options{Workers: 1, DataDir: dir, Store: tempStore(t)})
+	var mu sync.Mutex
+	seen := make([]int, 31)
+	s := New(Options{Workers: 1, Store: tempStore(t),
+		FaultInjection: func(step int, _ *part.Set) {
+			mu.Lock()
+			seen[step]++
+			mu.Unlock()
+		}})
 	defer s.Close()
 
 	spec := sedovSpec(30)
@@ -502,16 +510,23 @@ func TestSerialBackendKillResumes(t *testing.T) {
 	if final.Progress.Step != 30 {
 		t.Fatalf("final progress %+v", final.Progress)
 	}
+	mu.Lock()
+	for step := 1; step <= 30; step++ {
+		if seen[step] != 1 {
+			t.Errorf("step %d ran %d times, want once", step, seen[step])
+		}
+	}
+	mu.Unlock()
 	if _, ok := s.Snapshot(view.ID); !ok {
 		t.Fatal("completed serial job has no snapshot")
 	}
 }
 
-// TestRerunIgnoresOldCheckpoints: a job's checkpoints end with it. A later
-// run of the same hash on a new server over the same data directory, whose
-// store no longer holds the result (evicted, expired or lost), computes
-// every step again: its telemetry track and report equal the first run's,
-// and neither run leaves its hash's checkpoint directory behind.
+// TestRerunIgnoresOldCheckpoints: a job's state ends with it. A later run
+// of the same hash on a new server, whose store no longer holds the result
+// (evicted, expired or lost), computes every step again: its telemetry
+// track and report equal the first run's. Neither server writes a file
+// into the data directory it is given and ignores.
 func TestRerunIgnoresOldCheckpoints(t *testing.T) {
 	dataDir := t.TempDir()
 	run := func() (track, report []byte) {
@@ -523,9 +538,9 @@ func TestRerunIgnoresOldCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final := waitState(t, s, view.ID, StateCompleted, 120*time.Second)
-		if _, err := os.Stat(filepath.Join(dataDir, final.Hash)); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("checkpoint directory of a completed job: %v, want it gone", err)
+		waitState(t, s, view.ID, StateCompleted, 120*time.Second)
+		if files := filesUnder(t, dataDir); len(files) > 0 {
+			t.Errorf("the server wrote %q", files)
 		}
 		track, ok := s.Telemetry(view.ID)
 		if !ok {
@@ -550,11 +565,11 @@ func TestRerunIgnoresOldCheckpoints(t *testing.T) {
 	}
 }
 
-// TestKillIgnoresLeftoverCheckpoints: checkpoints a process that died
-// mid-run left under the data directory are not the job's own. A later
-// process's run of the hash that is killed resumes from its kill's
-// checkpoint, not from a newer leftover one, so its track still covers
-// every step once.
+// TestKillIgnoresLeftoverCheckpoints: checkpoints an older server left
+// under its data directory are not the job's own. A later server's run of
+// the hash that is killed resumes from the state its kill held, not from a
+// newer leftover file, so its track still covers every step once; and the
+// server adds no file beside the leftover.
 func TestKillIgnoresLeftoverCheckpoints(t *testing.T) {
 	spec := sedovSpec(22)
 	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
@@ -600,11 +615,14 @@ func TestKillIgnoresLeftoverCheckpoints(t *testing.T) {
 	if n := len(decodeTrack(t, track).Samples); n != 22 {
 		t.Errorf("track has %d samples, want 22", n)
 	}
+	if files := filesUnder(t, dataDir); len(files) != 1 {
+		t.Errorf("data directory holds %q, want the leftover checkpoint alone", files)
+	}
 }
 
-// TestCancelAfterEarlyKillDropsCheckpoints: a Kill's requeue writes a
-// checkpoint even when a Cancel then ends the job; before the first chunk
-// ends that checkpoint is the directory's only one, and it goes too.
+// TestCancelAfterEarlyKillDropsCheckpoints: a Cancel after a Kill ends the
+// job cancelled, holding no state for a resume, and the server writes no
+// file.
 func TestCancelAfterEarlyKillDropsCheckpoints(t *testing.T) {
 	dataDir := t.TempDir()
 	spec := sedovSpec(18)
@@ -630,16 +648,19 @@ func TestCancelAfterEarlyKillDropsCheckpoints(t *testing.T) {
 	}
 	id <- view.ID
 	waitState(t, s, view.ID, StateCancelled, 60*time.Second)
-	if _, err := os.Stat(filepath.Join(dataDir, view.Hash)); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("checkpoint directory of the cancelled job: %v, want it gone", err)
+	if holds(s, view.ID) {
+		t.Error("the cancelled job holds a killed run's state")
+	}
+	if files := filesUnder(t, dataDir); len(files) > 0 {
+		t.Errorf("the server wrote %q", files)
 	}
 }
 
 // TestCancelWhileRequeuedDropsCheckpoints: a killed job waiting in the
-// queue to resume holds the checkpoint its kill wrote; cancelling it there
-// removes that directory. One worker: job A is killed at its step 13 after
-// job B was queued, so A's requeue waits behind B, and B's first step
-// cancels A.
+// queue to resume holds the state its kill stopped at; cancelling it there
+// drops that state. One worker: job A is killed at its step 13 after job B
+// was queued, so A's requeue waits behind B, and B's first step cancels A.
+// The server writes no file.
 func TestCancelWhileRequeuedDropsCheckpoints(t *testing.T) {
 	dataDir := t.TempDir()
 	specA, specB := sedovSpec(18), sedovSpec(2)
@@ -666,15 +687,14 @@ func TestCancelWhileRequeuedDropsCheckpoints(t *testing.T) {
 					t.Errorf("kill A: %v", err)
 				}
 			case ps.NLocal == specB.Params.N && step == 1:
-				dir := filepath.Join(dataDir, a.Hash)
-				if _, err := os.Stat(dir); err != nil {
-					t.Errorf("requeued job's checkpoint directory: %v", err)
+				if !holds(s, a.ID) {
+					t.Error("the requeued job holds no state to resume from")
 				}
 				if err := s.Cancel(a.ID); err != nil {
 					t.Errorf("cancel A: %v", err)
 				}
-				if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
-					t.Errorf("checkpoint directory after the cancel: %v, want it gone", err)
+				if holds(s, a.ID) {
+					t.Error("the job cancelled in the queue still holds its state")
 				}
 			}
 		}})
@@ -688,6 +708,94 @@ func TestCancelWhileRequeuedDropsCheckpoints(t *testing.T) {
 	if final := waitState(t, s, view.ID, StateCancelled, 60*time.Second); final.Restarts != 1 {
 		t.Errorf("cancelled job restarted %d times, want 1", final.Restarts)
 	}
+	if files := filesUnder(t, dataDir); len(files) > 0 {
+		t.Errorf("the server wrote %q", files)
+	}
+}
+
+// TestKilledJobWritesNoFile: a served job killed mid-run resumes from the
+// state held in memory. Neither the data directory it is given and
+// ignores nor the temporary directory gets an entry, while the resumed run
+// runs or afterwards, and the store directory holds only its index, its
+// journal and the one pack of the result.
+func TestKilledJobWritesNoFile(t *testing.T) {
+	dataDir, tmpDir, storeDir := t.TempDir(), t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmpDir)
+	st, err := store.Open(storeDir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sedovSpec(25)
+	spec.Exec = scenario.Exec{Backend: scenario.BackendSerial}
+	id, resumed := make(chan string, 1), make(chan []string, 1)
+	killed := false // only the one worker goroutine touches it
+	var s *Server
+	s = New(Options{Workers: 1, DataDir: dataDir, Store: st,
+		FaultInjection: func(step int, _ *part.Set) {
+			switch {
+			case step == 13 && !killed:
+				killed = true
+				if err := s.Kill(<-id); err != nil {
+					t.Errorf("kill: %v", err)
+				}
+			case step == 14: // the resumed run's first step
+				var names []string
+				for _, dir := range []string{dataDir, tmpDir} {
+					entries, _ := os.ReadDir(dir)
+					for _, e := range entries {
+						names = append(names, filepath.Join(dir, e.Name()))
+					}
+				}
+				resumed <- names
+			}
+		}})
+	defer s.Close()
+	view, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id <- view.ID
+	if final := waitState(t, s, view.ID, StateCompleted, 60*time.Second); final.Restarts != 1 {
+		t.Fatalf("restarts=%d, want 1", final.Restarts)
+	}
+	if names := <-resumed; len(names) > 0 {
+		t.Errorf("while the resumed run ran, the server had written %q", names)
+	}
+	for _, dir := range []string{dataDir, tmpDir} {
+		if files := filesUnder(t, dir); len(files) > 0 {
+			t.Errorf("the server wrote %q", files)
+		}
+	}
+	want := []string{"index.json", "index.log", filepath.Join("packs", "1.pack")}
+	if files := filesUnder(t, storeDir); !slices.Equal(files, want) {
+		t.Errorf("store directory holds %q, want %q", files, want)
+	}
+}
+
+// holds reports whether job id holds a killed run's state for its resume.
+func holds(s *Server, id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job, ok := s.jobs.getLocked(id)
+	return ok && job.run != nil && job.run.held.frame != nil
+}
+
+// filesUnder lists the regular files under dir, relative to it, in lexical
+// order.
+func filesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path) // path is under dir
+			names = append(names, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // TestCancelTerminates: explicit cancellation is terminal and frees the

@@ -98,7 +98,7 @@ func TestTelemetryByteIdenticalAcrossKillResumeAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Options{Workers: 1, DataDir: t.TempDir(), Store: st1})
+	s1 := New(Options{Workers: 1, Store: st1})
 
 	spec := sedovSpec(40)
 	spec.Params.N = 1000
@@ -308,7 +308,7 @@ func readSSEFrame(t *testing.T, sc *bufio.Scanner) (telemetryEvent, bool) {
 // keeps delivering frames across a kill-requeue (the job is not terminal)
 // and closes after the terminal frame of an explicit cancel.
 func TestTelemetrySSESurvivesKillClosesOnCancel(t *testing.T) {
-	s := New(Options{Workers: 1, DataDir: t.TempDir(), Store: tempStore(t)})
+	s := New(Options{Workers: 1, Store: tempStore(t)})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -402,7 +402,7 @@ func TestCancelAfterKillWins(t *testing.T) {
 	id, release := make(chan string, 1), make(chan struct{})
 	var s *Server
 	interrupted := false // only the one worker goroutine touches it
-	s = New(Options{Store: tempStore(t), Workers: 1, DataDir: t.TempDir(),
+	s = New(Options{Store: tempStore(t), Workers: 1,
 		FaultInjection: func(step int, _ *part.Set) {
 			if step != 13 || interrupted {
 				return
