@@ -2,7 +2,10 @@
 // (internal/lintkit) over the module: a registry of analyzers that
 // mechanically enforce the fleet's invariants — canonical-hash coverage,
 // deterministic marshaling, panic containment, documented lock discipline,
-// metric naming, and the closed /v1 error-code registry.
+// and the closed /v1 error-code registry. Each analyzer catches a mutation
+// of the tree that no test, go vet, -race or golden catches (the mutation
+// table is in EXPERIMENTS.md); metric naming is asserted by
+// internal/server's TestMetricFamilyInventory instead.
 //
 // Usage:
 //

@@ -129,7 +129,6 @@ func TestFixtures(t *testing.T) {
 		{DetMarshal, "detmarshal"},
 		{GoCatcher, "gocatcher"},
 		{GuardedBy, "guardedby"},
-		{ObsNames, "obsnames"},
 		{ErrCodes, "errcodes"},
 	}
 	for _, c := range cases {

@@ -1,13 +1,15 @@
 // Package lintkit is the project-native static-analysis driver behind
-// cmd/sphexa-lint. Eight PRs in, the system's correctness rests on
-// conventions no general-purpose tool checks: canonical-hash coverage of
-// spec structs, deterministic marshaling on cache-identity paths, panic
-// containment of compute fan-outs via internal/par.Catcher, the closed /v1
-// error-code registry, and the obs metric naming scheme. Each analyzer in
-// this package mechanically enforces one of those invariants at analysis
-// time, so the bug classes that produced incident PRs (a field added to
-// JobSpec but missed by the hash, a bare `go func` taking the server down)
-// become lint errors instead of runtime discoveries.
+// cmd/sphexa-lint. The system's correctness rests on conventions no
+// general-purpose tool checks: canonical-hash coverage of spec structs,
+// deterministic marshaling on cache-identity paths, panic containment of
+// compute fan-outs via internal/par.Catcher, documented lock discipline,
+// and the closed /v1 error-code registry. Each analyzer in this package
+// mechanically enforces one of those invariants at analysis time, so the
+// bug classes that produced incidents (a field added to JobSpec but missed
+// by the hash, a bare `go func` taking the server down) become lint errors
+// instead of runtime discoveries. An analyzer stays only while it catches
+// a mutation of the tree that no test, go vet, -race or golden catches;
+// EXPERIMENTS.md keeps that mutation table.
 //
 // The driver is dependency-free: stdlib go/parser + go/types with the
 // source importer. It type-checks the module's packages and runs every
@@ -29,7 +31,7 @@ import (
 
 // Version identifies the tool build; bump on analyzer or schema changes so
 // the contract smoke can pin expectations.
-const Version = "1.0.0"
+const Version = "1.1.0"
 
 // Finding is one analyzer report. File is relative to the module root
 // (slash-separated) when the position is inside it. The JSON field names
@@ -72,7 +74,6 @@ func All() []*Analyzer {
 		GoCatcher,
 		GuardedBy,
 		HashCover,
-		ObsNames,
 	}
 }
 

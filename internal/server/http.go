@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -152,19 +153,35 @@ func submitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeBody strictly decodes a JSON request body; on failure it writes
-// the invalid_argument envelope, naming the body as what, and reports false.
+// decodeBody strictly decodes a JSON request body of one value and at most
+// maxBodyBytes; on failure it writes the invalid_argument envelope (413
+// over the limit, 400 otherwise), naming the body as what, and reports
+// false.
 func decodeBody[T any](w http.ResponseWriter, r *http.Request, what string) (T, bool) {
 	var v T
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("decoding %s: %v", what, err), nil)
-		return v, false
+	err := dec.Decode(&v)
+	if err == nil {
+		// One value per body: anything but whitespace after it is an error.
+		switch err = dec.Decode(new(json.RawMessage)); {
+		case err == io.EOF:
+			return v, true
+		case !errors.As(err, new(*http.MaxBytesError)):
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return v, true
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, CodeInvalidArgument, fmt.Sprintf("decoding %s: %v", what, err), nil)
+	return v, false
 }
+
+// maxBodyBytes bounds a POST body. The largest legitimate one, a batch of
+// MaxBatch specs, is ~100 KB.
+const maxBodyBytes = 1 << 20
 
 // The submit, get and events handlers are shared by every resource kind:
 // the job routes and mountDerived build theirs from these constructors.

@@ -1006,6 +1006,42 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Fatalf("hasReference flags wrong: %+v", refs)
 	}
 
+	// A body is one JSON value of at most maxBodyBytes: trailing data is
+	// 400, an oversized body 413, both invalid_argument; trailing
+	// whitespace is fine (the unknown scenario shows the spec decoded).
+	one, err := json.Marshal(sedovSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown, err := json.Marshal(scenario.JobSpec{Spec: scenario.Spec{Scenario: "warp-drive", Steps: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name   string
+		body   []byte
+		status int
+		code   string
+	}{
+		{"trailing garbage", append(one, " garbage"...), http.StatusBadRequest, CodeInvalidArgument},
+		{"second value", append(one, `{"scenario":"nope"}`...), http.StatusBadRequest, CodeInvalidArgument},
+		{"8 MiB of padding", append(one, bytes.Repeat([]byte(" "), 8<<20)...), http.StatusRequestEntityTooLarge, CodeInvalidArgument},
+		{"trailing whitespace", append(unknown, " \n\t"...), http.StatusNotFound, CodeUnknownScenario},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(row.body))
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		var env struct {
+			Error APIError `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != row.status || env.Error.Code != row.code {
+			t.Fatalf("%s: %d %+v (%v), want %d %s", row.name, resp.StatusCode, env.Error, err, row.status, row.code)
+		}
+	}
+
 	// Health.
 	if err := c.Health(ctx); err != nil {
 		t.Fatal(err)

@@ -12,10 +12,10 @@ package trace
 
 import "fmt"
 
-// Frozen trace categories. The obsnames analyzer requires every category
-// passed to SliceData to be a compile-time constant, the same frozen-name
-// rule metric families obey — renaming a category is an API change, not a
-// refactor.
+// Frozen trace categories. Every slice SliceData emits carries one of
+// these (TestDocumentSchema rejects any other category), the same
+// frozen-name rule metric families obey — renaming a category is an API
+// change, not a refactor.
 const (
 	// CatPhase tags engine execution slices (hydro phases, halo exchange,
 	// collectives).
@@ -67,8 +67,8 @@ func (p *Perfetto) Thread(pid, tid int, name string) {
 
 // SliceData emits one complete ("X") slice. start and dur are seconds;
 // zero-duration slices are dropped — they carry no information and clutter
-// the viewer. The category must be a frozen constant (enforced by the
-// obsnames analyzer); the name is carried by measured artifacts (phase
+// the viewer. The category must be a frozen constant (checked by
+// TestDocumentSchema); the name is carried by measured artifacts (phase
 // letters of a serial run, lifecycle span names of a persisted report).
 func (p *Perfetto) SliceData(cat, name string, pid, tid int, start, dur float64, args map[string]string) {
 	if dur <= 0 {
